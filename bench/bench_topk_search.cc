@@ -6,7 +6,7 @@
 //   naive serial    one SketchJoinMI call per candidate — rebuilds the base
 //                   table's sketch for every query (the pre-engine API);
 //   engine x1       TopKJoinMISearch with 1 thread — base sketch built once
-//                   and probed via the prepared train index;
+//                   and merged against every candidate's keys;
 //   engine xT       TopKJoinMISearch with T threads (default 4).
 //
 // Part 2 is the sketch-once / query-many deployment (the paper's Sections I
@@ -17,8 +17,8 @@
 //   per-query sketching   Q x TopKJoinMISearch(repository) — candidates
 //                         re-sketched on every query;
 //   index-backed probing  index build (paid once) + Q x
-//                         TopKJoinMISearch(index) — queries only join
-//                         against prepared candidate probe maps.
+//                         TopKJoinMISearch(index) — queries only merge
+//                         against the index's stored candidate keys.
 //
 // Amortization is the headline: the index path pays the candidate
 // sketching cost once, so it wins as soon as a couple of queries share it.
@@ -65,11 +65,12 @@
 // evicted mid-query; rankings are cross-checked against the in-memory
 // path before any number is printed.
 //
-// Part 9 races the flattened probe hot path against a verbatim replica of
-// the pre-flattening per-candidate path (unordered_map probes, per-join
-// sample/set builds) on an amortized-probe workload where almost nothing
-// joins — reporting per-query cost, the batched and per-candidate
-// speedups, and allocations per query via a global operator-new counter.
+// Part 9 races the batched merge-scoring hot path against a verbatim
+// replica of the pre-flattening per-candidate path (unordered_map probes,
+// per-join sample/set builds) on an amortized-probe workload where almost
+// nothing joins — reporting per-query cost, the batched speedup,
+// allocations per query via a global operator-new counter, and the heap
+// bytes the index holds per candidate.
 //
 // Part 8 is the front tier: Router::Open over the simulated open-data
 // repository (opendata_sim), hammered with a skewed-popularity query
@@ -98,6 +99,7 @@
 // object — the machine-readable sibling of the printed report, for
 // checked-in baselines and regression tracking.
 
+#include <malloc.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -894,7 +896,6 @@ void RunPagedStorage(const BenchParams& params,
     // observable behind the ShardedSketchIndex surface.
     PagedShardClient::Options options;
     options.pool_pages = pool_pages;
-    options.prepared_cache_entries = 0;  // measure the pool, not the cache
     std::vector<const PagedShardClient*> typed;
     std::vector<std::unique_ptr<ShardClient>> clients;
     uint64_t startup_bytes = 0;
@@ -1171,26 +1172,25 @@ void RunFrontTier(const BenchParams& params, bool smoke, Rng* rng) {
               "the excess deterministically instead of queueing it)\n");
 }
 
-// Part 9: the flattened probe hot path — what did the SoA arena, the
-// open-addressing probe tables, and batched strip scoring actually buy?
+// Part 9: the merge-scoring hot path — what do the contiguous key-hash
+// column, the sorted-run merge and batched strip scoring buy, and how many
+// heap bytes does the index hold per candidate?
 //
 // The workload is the amortized-probe shape discovery hits at scale: one
-// prepared query probed against many candidates whose key domains are
+// query probed against many candidates whose key domains are
 // mostly disjoint from the query's (open-data reality: almost nothing
 // joins), with an explicit MLE estimator over int64 values so estimation
 // is cheap and probe/join cost dominates — exactly the regime the
-// tentpole targets. Three implementations of the same evaluation:
+// kernel targets. Two implementations of the same evaluation:
 //
 //   legacy  — the pre-flattening production path, replicated verbatim:
 //             per-candidate std::unordered_map probe, per-join sample
 //             vectors and matched-key unordered_set;
-//   flat    — production per-candidate path (PreparedCandidateSketch on
-//             FlatProbeTable), one query.Estimate per candidate;
-//   batched — production SketchIndex::EvaluateAll (flat SoA strips, train
-//             runs computed once, arena match scratch).
+//   batched — production SketchIndex::EvaluateAll (strips of the merge
+//             kernel over the key-hash column, train runs built once per
+//             query, arena match scratch).
 //
-// All three are cross-checked bit-identical before any timing, every
-// query. Timed single-threaded: this measures the probe path itself, not
+// Both are cross-checked bit-identical before any timing, every query. Timed single-threaded: this measures the probe path itself, not
 // the thread pool (the CI container has 1 CPU anyway).
 void RunFlatHotPath(const BenchParams& params, bool smoke, Rng* rng) {
   JoinMIConfig config = MakeJoinConfig(params);
@@ -1199,9 +1199,8 @@ void RunFlatHotPath(const BenchParams& params, bool smoke, Rng* rng) {
   const size_t candidate_rows = smoke ? 400 : 2000;
   const size_t num_queries = smoke ? 2 : 8;
 
-  std::printf("\n== flat probe hot path: legacy unordered_map vs flat "
-              "per-candidate vs batched strips (x1, Q=%zu, %zu candidates, "
-              "MLE) ==\n",
+  std::printf("\n== merge-scoring hot path: legacy unordered_map vs batched "
+              "strips (x1, Q=%zu, %zu candidates, MLE) ==\n",
               num_queries, num_candidates);
 
   // Candidate t draws keys from a window sliding away from the query
@@ -1287,20 +1286,8 @@ void RunFlatHotPath(const BenchParams& params, bool smoke, Rng* rng) {
     return outcome;
   };
 
-  auto flat_evaluate = [](const JoinMIQuery& query,
-                          const IndexedCandidate& candidate) {
-    Outcome outcome;
-    auto estimate = query.Estimate(candidate.prepared);
-    if (estimate.ok()) {
-      outcome.estimate = *estimate;
-    } else if (estimate.status().IsOutOfRange()) {
-      outcome.skipped = true;
-    }
-    return outcome;
-  };
-
-  // Correctness gate before any timing: all three paths must agree
-  // bit-for-bit on every (query, candidate) outcome.
+  // Correctness gate before any timing: both paths must agree bit-for-bit
+  // on every (query, candidate) outcome.
   for (const JoinMIQuery& query : queries) {
     auto batched = index.EvaluateAll(query, 1);
     batched.status().Abort("part 9 batched evaluation");
@@ -1308,16 +1295,12 @@ void RunFlatHotPath(const BenchParams& params, bool smoke, Rng* rng) {
       const Outcome legacy =
           legacy_evaluate(query, index.candidates()[c].sketch(),
                           legacy_probes[c]);
-      const Outcome flat = flat_evaluate(query, index.candidates()[c]);
       const std::optional<JoinMIEstimate>& batch = batched->estimates[c];
       const bool agree =
-          legacy.estimate.has_value() == flat.estimate.has_value() &&
-          flat.estimate.has_value() == batch.has_value() &&
+          legacy.estimate.has_value() == batch.has_value() &&
           (!batch.has_value() ||
-           (legacy.estimate->mi == flat.estimate->mi &&
-            flat.estimate->mi == batch->mi &&
+           (legacy.estimate->mi == batch->mi &&
             legacy.estimate->sample_size == batch->sample_size &&
-            flat.estimate->sample_size == batch->sample_size &&
             legacy.estimate->estimator == batch->estimator));
       if (!agree) {
         std::fprintf(stderr,
@@ -1351,17 +1334,6 @@ void RunFlatHotPath(const BenchParams& params, bool smoke, Rng* rng) {
   const uint64_t legacy_allocs =
       g_heap_allocs.load(std::memory_order_relaxed) - legacy_allocs_before;
 
-  const auto flat_start = std::chrono::steady_clock::now();
-  size_t flat_evaluated = 0;
-  for (const JoinMIQuery& query : queries) {
-    for (size_t c = 0; c < index.size(); ++c) {
-      if (flat_evaluate(query, index.candidates()[c]).estimate.has_value()) {
-        ++flat_evaluated;
-      }
-    }
-  }
-  const double flat_ms = MillisSince(flat_start);
-
   const uint64_t batched_allocs_before =
       g_heap_allocs.load(std::memory_order_relaxed);
   const auto batched_start = std::chrono::steady_clock::now();
@@ -1375,8 +1347,7 @@ void RunFlatHotPath(const BenchParams& params, bool smoke, Rng* rng) {
   const uint64_t batched_allocs =
       g_heap_allocs.load(std::memory_order_relaxed) - batched_allocs_before;
 
-  if (legacy_evaluated != flat_evaluated ||
-      flat_evaluated != batched_evaluated) {
+  if (legacy_evaluated != batched_evaluated) {
     std::fprintf(stderr, "FATAL: part 9 evaluated counts disagree\n");
     std::abort();
   }
@@ -1418,8 +1389,28 @@ void RunFlatHotPath(const BenchParams& params, bool smoke, Rng* rng) {
                           probe_allocs_before) /
       static_cast<double>(probe_passes);
 
-  const double flat_speedup = legacy_ms / flat_ms;
   const double batched_speedup = legacy_ms / batched_ms;
+
+  // Heap bytes the index holds: malloc's in-use count (arena plus mmapped
+  // chunks) across reloading the same index from its serialized form, once
+  // the loader's temporaries are freed. Each sketch and the key-hash
+  // column count; the serialized bytes and the source index do not.
+  const std::string serialized = SerializeIndex(index);
+  double index_bytes_per_candidate = 0.0;
+  size_t index_entries = 0;
+  {
+    const struct mallinfo2 before = mallinfo2();
+    auto reloaded = DeserializeIndex(serialized);
+    reloaded.status().Abort("part 9 index reload");
+    const struct mallinfo2 after = mallinfo2();
+    const double held =
+        static_cast<double>(after.uordblks + after.hblkhd) -
+        static_cast<double>(before.uordblks + before.hblkhd);
+    index_bytes_per_candidate = held / static_cast<double>(reloaded->size());
+    for (const IndexedCandidate& candidate : reloaded->candidates()) {
+      index_entries += candidate.sketch().size();
+    }
+  }
   const double legacy_apq =
       static_cast<double>(legacy_allocs) / static_cast<double>(num_queries);
   const double batched_apq =
@@ -1429,9 +1420,6 @@ void RunFlatHotPath(const BenchParams& params, bool smoke, Rng* rng) {
   std::printf("legacy  (unordered_map/candidate): %8.1f ms  (%.1f ms/query, "
               "%.0f allocs/query)\n",
               legacy_ms, legacy_ms / num_queries, legacy_apq);
-  std::printf("flat    (prepared per-candidate) : %8.1f ms  (%.1f ms/query) "
-              " %.2fx vs legacy\n",
-              flat_ms, flat_ms / num_queries, flat_speedup);
   std::printf("batched (EvaluateAll strips)     : %8.1f ms  (%.1f ms/query, "
               "%.0f allocs/query = %.2f/candidate)  %.2fx vs legacy\n",
               batched_ms, batched_ms / num_queries, batched_apq,
@@ -1439,6 +1427,9 @@ void RunFlatHotPath(const BenchParams& params, bool smoke, Rng* rng) {
   std::printf("probe phase only (no-join query) : %.1f allocs/query across "
               "%zu candidates\n",
               probe_allocs_per_query, index.size());
+  std::printf("index heap                        : %.0f bytes/candidate "
+              "(%zu entries/candidate)\n",
+              index_bytes_per_candidate, index_entries / index.size());
   std::printf("(steady state: the batched path's probe scratch lives in a "
               "reused bump arena, so a full probe sweep allocates O(1) — "
               "the outcome vectors — regardless of candidate count; the "
@@ -1448,14 +1439,13 @@ void RunFlatHotPath(const BenchParams& params, bool smoke, Rng* rng) {
   RecordMetric("part9_candidates", static_cast<double>(index.size()));
   RecordMetric("part9_queries", static_cast<double>(num_queries));
   RecordMetric("part9_legacy_ms_per_query", legacy_ms / num_queries);
-  RecordMetric("part9_flat_ms_per_query", flat_ms / num_queries);
   RecordMetric("part9_batched_ms_per_query", batched_ms / num_queries);
-  RecordMetric("part9_flat_speedup", flat_speedup);
   RecordMetric("part9_batched_speedup", batched_speedup);
   RecordMetric("part9_legacy_allocs_per_query", legacy_apq);
   RecordMetric("part9_batched_allocs_per_query", batched_apq);
   RecordMetric("part9_allocs_per_candidate", allocs_per_candidate);
   RecordMetric("part9_probe_allocs_per_query", probe_allocs_per_query);
+  RecordMetric("part9_index_bytes_per_candidate", index_bytes_per_candidate);
 
   // Hard gates. The probe-phase allocation bound holds in any mode (it is
   // a count, not a timing); the speedup gate runs full mode only — smoke

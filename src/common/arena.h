@@ -1,5 +1,5 @@
 // Bump-pointer arena for per-query scratch memory. The discovery hot path
-// (probe a prepared train sketch against thousands of candidate sketches)
+// (merge one train sketch against thousands of candidate sketches)
 // needs many short-lived buffers — match index lists, per-strip
 // temporaries — whose lifetimes all end when the query does. Allocating
 // them individually puts malloc/free on the per-probe critical path;

@@ -76,9 +76,8 @@ Result<JoinMIQuery> JoinMIQuery::Create(const Table& train,
   JOINMI_ASSIGN_OR_RETURN(auto target_col, train.GetColumn(train_target));
   JOINMI_ASSIGN_OR_RETURN(Sketch sketch,
                           builder->SketchTrain(*key_col, *target_col));
-  JOINMI_ASSIGN_OR_RETURN(PreparedTrainSketch prepared,
-                          PreparedTrainSketch::Create(std::move(sketch)));
-  return JoinMIQuery(std::move(prepared), config);
+  JOINMI_ASSIGN_OR_RETURN(TrainKeyRuns runs, TrainKeyRuns::Build(sketch));
+  return JoinMIQuery(std::move(sketch), std::move(runs), config);
 }
 
 Result<JoinMIQuery> JoinMIQuery::FromTrainSketch(Sketch train_sketch,
@@ -94,14 +93,14 @@ Result<JoinMIQuery> JoinMIQuery::FromTrainSketch(Sketch train_sketch,
         std::to_string(train_sketch.hash_seed) + " but the config uses " +
         std::to_string(config.hash_seed));
   }
-  JOINMI_ASSIGN_OR_RETURN(PreparedTrainSketch prepared,
-                          PreparedTrainSketch::Create(std::move(train_sketch)));
-  return JoinMIQuery(std::move(prepared), config);
+  JOINMI_ASSIGN_OR_RETURN(TrainKeyRuns runs,
+                          TrainKeyRuns::Build(train_sketch));
+  return JoinMIQuery(std::move(train_sketch), std::move(runs), config);
 }
 
 const std::string& JoinMIQuery::SerializedTrainSketch() const {
   std::call_once(serialized_->once, [this] {
-    serialized_->bytes = SerializeSketch(train_sketch_.sketch());
+    serialized_->bytes = SerializeSketch(train_sketch_);
   });
   return serialized_->bytes;
 }
@@ -117,47 +116,19 @@ Result<Sketch> JoinMIQuery::SketchCandidate(
 }
 
 Result<JoinMIEstimate> JoinMIQuery::Estimate(const Sketch& candidate) const {
-  SketchMIResult sketch_result;
-  if (config_.estimator.has_value()) {
-    JOINMI_ASSIGN_OR_RETURN(
-        sketch_result,
-        EstimateSketchMI(train_sketch_, candidate, *config_.estimator,
-                         config_.mi_options, config_.min_join_size));
-  } else {
-    JOINMI_ASSIGN_OR_RETURN(
-        sketch_result,
-        EstimateSketchMIAuto(train_sketch_, candidate, config_.mi_options,
-                             config_.min_join_size));
+  JOINMI_RETURN_NOT_OK(CheckJoinable(train_sketch_, candidate));
+  thread_local std::vector<uint64_t> keys;
+  keys.clear();
+  JOINMI_RETURN_NOT_OK(AppendCandidateKeys(candidate, &keys));
+  MergeJoinScore score = ScoreMergeJoin(
+      train_sketch_, train_runs_, candidate, keys.data(), config_.estimator,
+      config_.mi_options, config_.min_join_size);
+  if (!score.scored.has_value()) {
+    return JoinBelowMinimum(score.join_size, config_.min_join_size);
   }
-  JoinMIEstimate estimate;
-  estimate.mi = sketch_result.mi;
-  estimate.estimator = sketch_result.estimator;
-  estimate.sample_size = sketch_result.join_size;
-  estimate.sketched = true;
-  return estimate;
-}
-
-Result<JoinMIEstimate> JoinMIQuery::Estimate(
-    const PreparedCandidateSketch& candidate) const {
-  SketchMIResult sketch_result;
-  if (config_.estimator.has_value()) {
-    JOINMI_ASSIGN_OR_RETURN(
-        sketch_result,
-        EstimateSketchMI(train_sketch_.sketch(), candidate,
-                         *config_.estimator, config_.mi_options,
-                         config_.min_join_size));
-  } else {
-    JOINMI_ASSIGN_OR_RETURN(
-        sketch_result,
-        EstimateSketchMIAuto(train_sketch_.sketch(), candidate,
-                             config_.mi_options, config_.min_join_size));
-  }
-  JoinMIEstimate estimate;
-  estimate.mi = sketch_result.mi;
-  estimate.estimator = sketch_result.estimator;
-  estimate.sample_size = sketch_result.join_size;
-  estimate.sketched = true;
-  return estimate;
+  JOINMI_ASSIGN_OR_RETURN(SketchMIResult result, std::move(*score.scored));
+  return JoinMIEstimate{result.mi, result.estimator, result.join_size,
+                        /*sketched=*/true};
 }
 
 Result<JoinMIEstimate> JoinMIQuery::EstimateTable(

@@ -64,8 +64,9 @@ class JoinMIQuery {
   /// serving path, where the sketch arrives over the wire and the base
   /// table's rows never leave the client. Rejects candidate-side sketches
   /// and sketches whose hash seed disagrees with `config`, so a server
-  /// cannot silently answer from an incompatible sketch. Estimates match
-  /// a Create()-built query over the same sketch exactly.
+  /// cannot silently answer from an incompatible sketch, and sketches
+  /// whose entries are not sorted by key_hash. Estimates match a
+  /// Create()-built query over the same sketch exactly.
   static Result<JoinMIQuery> FromTrainSketch(Sketch train_sketch,
                                              const JoinMIConfig& config);
 
@@ -75,20 +76,21 @@ class JoinMIQuery {
                                  const std::string& cand_key,
                                  const std::string& cand_value) const;
 
-  /// \brief Estimates MI against a pre-built candidate sketch.
+  /// \brief Estimates MI against a pre-built candidate sketch. Checks sides,
+  /// seeds and the candidate's key order (strictly ascending, no
+  /// duplicates), then scores through the same merge kernel SketchIndex
+  /// and paged shards use.
   Result<JoinMIEstimate> Estimate(const Sketch& candidate) const;
-
-  /// \brief Estimates MI against a prepared (probe-map-indexed) candidate
-  /// sketch — the persisted-index hot path. Results match the Sketch
-  /// overload exactly.
-  Result<JoinMIEstimate> Estimate(const PreparedCandidateSketch& candidate) const;
 
   /// \brief Convenience: sketch + estimate in one call.
   Result<JoinMIEstimate> EstimateTable(const Table& cand,
                                        const std::string& cand_key,
                                        const std::string& cand_value) const;
 
-  const Sketch& train_sketch() const { return train_sketch_.sketch(); }
+  const Sketch& train_sketch() const { return train_sketch_; }
+  /// \brief The train sketch's equal-key runs, built once at construction
+  /// and shared by every candidate the query is scored against.
+  const TrainKeyRuns& train_runs() const { return train_runs_; }
   const JoinMIConfig& config() const { return config_; }
 
   /// \brief The train sketch's wire bytes (serialize.h format), built
@@ -98,12 +100,14 @@ class JoinMIQuery {
   const std::string& SerializedTrainSketch() const;
 
  private:
-  JoinMIQuery(PreparedTrainSketch train_sketch, JoinMIConfig config)
-      : train_sketch_(std::move(train_sketch)), config_(std::move(config)) {}
+  JoinMIQuery(Sketch train_sketch, TrainKeyRuns train_runs,
+              JoinMIConfig config)
+      : train_sketch_(std::move(train_sketch)),
+        train_runs_(std::move(train_runs)),
+        config_(std::move(config)) {}
 
-  // Pre-indexed for repeated probing: Estimate() against many candidate
-  // sketches skips the per-join probe-map build.
-  PreparedTrainSketch train_sketch_;
+  Sketch train_sketch_;
+  TrainKeyRuns train_runs_;
   JoinMIConfig config_;
   // Heap-held so the query stays movable (std::once_flag is not).
   struct SerializedCache {

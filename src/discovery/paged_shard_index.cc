@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "src/common/thread_pool.h"
 #include "src/discovery/topk_merge.h"
 #include "src/sketch/serialize.h"
 
@@ -57,36 +56,7 @@ Result<std::unique_ptr<PagedShardClient>> PagedShardClient::Open(
     }
   }
   return std::unique_ptr<PagedShardClient>(
-      new PagedShardClient(std::move(file), std::move(global_indices),
-                           options.prepared_cache_entries));
-}
-
-Result<std::shared_ptr<const PagedShardClient::Materialized>>
-PagedShardClient::Materialize(size_t index) const {
-  if (cache_capacity_ > 0) {
-    std::lock_guard<std::mutex> lock(cache_mutex_);
-    auto it = prepared_cache_.find(index);
-    if (it != prepared_cache_.end()) return it->second;
-  }
-  JOINMI_ASSIGN_OR_RETURN(std::string bytes, file_->ReadRecord(index));
-  JOINMI_ASSIGN_OR_RETURN(CandidateRecord record,
-                          DecodeCandidateRecord(bytes));
-  JOINMI_ASSIGN_OR_RETURN(
-      PreparedCandidateSketch prepared,
-      PreparedCandidateSketch::Create(std::move(record.sketch)));
-  auto materialized = std::make_shared<const Materialized>(
-      Materialized{std::move(record.ref), std::move(prepared)});
-  if (cache_capacity_ > 0) {
-    // First admitted stays: a bounded set of hot candidates keeps its
-    // probe maps across queries with zero eviction churn; everything else
-    // rematerializes per probe, bounded by the buffer pool.
-    std::lock_guard<std::mutex> lock(cache_mutex_);
-    if (prepared_cache_.size() < cache_capacity_) {
-      auto inserted = prepared_cache_.emplace(index, materialized);
-      return inserted.first->second;
-    }
-  }
-  return materialized;
+      new PagedShardClient(std::move(file), std::move(global_indices)));
 }
 
 Result<ShardSearchResult> PagedShardClient::Search(const JoinMIQuery& query,
@@ -105,46 +75,41 @@ Result<ShardSearchResult> PagedShardClient::Search(const JoinMIQuery& query,
         std::to_string(config().hash_seed));
   }
 
-  // Per-candidate outcome, written by exactly one worker. The taxonomy
-  // matches the in-memory path, with one paged-only case folded into
-  // "hard error": a record whose page fails checksum on fault-in. That
-  // keeps a single corrupt page from failing the whole query — only the
-  // probes that touch it.
-  struct Outcome {
-    std::optional<JoinMIEstimate> estimate;
-    bool skipped = false;
-    ColumnPairRef ref;
-  };
+  // The outcome taxonomy matches the in-memory path, with one paged-only
+  // case folded into "hard error": a record whose page fails checksum on
+  // fault-in (or whose sketch breaks the merge contract). That keeps a
+  // single corrupt page from failing the whole query — only the probes
+  // that touch it. Each record is decoded, scored and dropped: nothing
+  // outlives the probe but the buffer pool's pages.
   const size_t count = num_candidates();
-  std::vector<Outcome> outcomes(count);
-  auto evaluate_one = [this, &query, &outcomes](size_t i) {
-    auto materialized = Materialize(i);
-    if (!materialized.ok()) return;  // hard error
-    auto estimate = query.Estimate((*materialized)->prepared);
-    if (estimate.ok()) {
-      outcomes[i].estimate = *estimate;
-      outcomes[i].ref = (*materialized)->ref;
-    } else if (estimate.status().IsOutOfRange()) {
-      outcomes[i].skipped = true;
+  std::vector<internal::CandidateOutcome> outcomes(count);
+  std::vector<ColumnPairRef> refs(count);
+  const JoinMIConfig& cfg = config();
+  auto score_strip = [&](size_t begin, size_t end) {
+    thread_local std::vector<uint64_t> keys;
+    for (size_t i = begin; i < end; ++i) {
+      auto bytes = file_->ReadRecord(i);
+      if (!bytes.ok()) continue;
+      auto record = DecodeCandidateRecord(*bytes);
+      if (!record.ok()) continue;
+      keys.clear();
+      if (!CheckJoinable(query.train_sketch(), record->sketch).ok() ||
+          !AppendCandidateKeys(record->sketch, &keys).ok()) {
+        continue;
+      }
+      outcomes[i].Record(ScoreMergeJoin(
+          query.train_sketch(), query.train_runs(), record->sketch,
+          keys.data(), cfg.estimator, cfg.mi_options, cfg.min_join_size));
+      if (outcomes[i].estimate.has_value()) refs[i] = std::move(record->ref);
     }
   };
-  const size_t threads = num_threads == 0 ? ThreadPool::DefaultThreadCount()
-                                          : num_threads;
-  if (threads <= 1 || count <= 1) {
-    for (size_t i = 0; i < count; ++i) evaluate_one(i);
-  } else {
-    ThreadPool pool(threads);
-    for (size_t i = 0; i < count; ++i) {
-      pool.Submit([&evaluate_one, i] { evaluate_one(i); });
-    }
-    pool.Wait();
-  }
+  internal::ForEachCandidateStrip(count, num_threads, score_strip);
 
   ShardSearchResult result;
   result.num_candidates = count;
   std::vector<std::optional<JoinMIEstimate>> estimates;
   estimates.reserve(count);
-  for (Outcome& outcome : outcomes) {
+  for (internal::CandidateOutcome& outcome : outcomes) {
     if (outcome.estimate.has_value()) {
       ++result.num_evaluated;
     } else if (outcome.skipped) {
@@ -158,8 +123,8 @@ Result<ShardSearchResult> PagedShardClient::Search(const JoinMIQuery& query,
       estimates, k, [this](size_t i) { return global_indices_[i]; });
   result.hits.reserve(selection.indices.size());
   for (size_t i : selection.indices) {
-    result.hits.push_back(ShardSearchHit{global_indices_[i], outcomes[i].ref,
-                                         *estimates[i]});
+    result.hits.push_back(
+        ShardSearchHit{global_indices_[i], refs[i], *estimates[i]});
   }
   return result;
 }

@@ -1,35 +1,30 @@
 // PagedShardClient: the ShardClient over a "JMPS" paged shard file. Where
 // LocalShardClient deserializes a whole "JMIX" file into a SketchIndex at
 // load, this client opens the paged file by header + directory only and
-// materializes candidates lazily: a probe faults the candidate's record
-// bytes through the file's buffer pool, decodes the sketch, and builds
-// its PreparedCandidateSketch on the spot. Capacity is bounded by the
-// pool's page budget, not by shard size, and startup cost is O(directory)
-// — the properties that let one server hold shards bigger than RAM and
-// restart near-instantly.
+// reads candidates lazily: a query faults each candidate's record bytes
+// through the file's buffer pool, decodes the sketch, scores it with the
+// same merge kernel SketchIndex uses (in the same strips of 8), and drops
+// it. Memory is bounded by the pool's page budget, not by shard size, and
+// startup cost is O(directory) — the properties that let one server hold
+// shards bigger than RAM and restart near-instantly.
 //
 // Determinism: Search mirrors LocalShardClient exactly — same fail-fast
 // hash-seed check, same per-candidate outcome taxonomy (estimate /
-// OutOfRange-skipped / hard error), same (MI desc, global index asc)
-// selection over the manifest's global indices — so rankings are
-// bit-identical to the in-memory path for every k/policy/thread count,
-// including under pools small enough to evict mid-query. One deliberate
-// divergence in failure granularity: a page whose checksum fails on
-// fault-in errors only the candidates whose records touch that page
-// (counted in num_errors); the rest of the shard keeps answering.
-//
-// A small pinned prepared-probe cache (first-admitted, never evicted)
-// keeps the hottest candidates' probe maps built across queries without
-// growing with the shard.
+// OutOfRange-skipped / hard error), same scoring kernel, same (MI desc,
+// global index asc) selection over the manifest's global indices — so
+// rankings are bit-identical to the in-memory path for every
+// k/policy/thread count, including under pools small enough to evict
+// mid-query. One deliberate divergence in failure granularity: a page
+// whose checksum fails on fault-in errors only the candidates whose
+// records touch that page (counted in num_errors); the rest of the shard
+// keeps answering.
 
 #ifndef JOINMI_DISCOVERY_PAGED_SHARD_INDEX_H_
 #define JOINMI_DISCOVERY_PAGED_SHARD_INDEX_H_
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/discovery/sharded_index.h"
@@ -38,7 +33,7 @@
 namespace joinmi {
 
 /// \brief One candidate as stored in a paged shard's record: provenance
-/// plus the raw (unprepared) sketch.
+/// plus its sketch.
 struct CandidateRecord {
   ColumnPairRef ref;
   Sketch sketch;
@@ -61,9 +56,6 @@ class PagedShardClient : public ShardClient {
   struct Options {
     /// Buffer-pool budget in pages.
     size_t pool_pages = 64;
-    /// Candidates whose PreparedCandidateSketch stays pinned in memory
-    /// across queries (first admitted, never evicted). 0 disables.
-    size_t prepared_cache_entries = 8;
   };
 
   /// \brief Opens `path` (header + directory only; no candidate record is
@@ -91,29 +83,12 @@ class PagedShardClient : public ShardClient {
   size_t pool_capacity() const { return file_->pool_capacity(); }
 
  private:
-  /// A lazily materialized candidate held by the prepared cache.
-  struct Materialized {
-    ColumnPairRef ref;
-    PreparedCandidateSketch prepared;
-  };
-
   PagedShardClient(std::unique_ptr<storage::PagedShardFile> file,
-                   std::vector<uint64_t> global_indices, size_t cache_entries)
-      : file_(std::move(file)),
-        global_indices_(std::move(global_indices)),
-        cache_capacity_(cache_entries) {}
-
-  /// Faults candidate `index` in: cache hit, or record read + sketch
-  /// decode + probe-map build (admitted to the cache while it has room).
-  Result<std::shared_ptr<const Materialized>> Materialize(size_t index) const;
+                   std::vector<uint64_t> global_indices)
+      : file_(std::move(file)), global_indices_(std::move(global_indices)) {}
 
   std::unique_ptr<storage::PagedShardFile> file_;
   std::vector<uint64_t> global_indices_;
-
-  const size_t cache_capacity_;
-  mutable std::mutex cache_mutex_;
-  mutable std::unordered_map<size_t, std::shared_ptr<const Materialized>>
-      prepared_cache_;
 };
 
 }  // namespace joinmi

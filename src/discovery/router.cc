@@ -265,7 +265,6 @@ Status Router::Reload(const std::string& manifest_ref) {
   // already makes stale entries unreachable; clearing reclaims their
   // memory immediately.
   CacheClear();
-  registry_.GetCounter("router.reloads")->Add();
   registry_.GetCounter("router.reload.count")->Add();
   registry_.GetCounter("router.manifest.epoch")->Set(epoch);
   return Status::OK();

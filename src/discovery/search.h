@@ -58,9 +58,9 @@ Result<TopKSearchResult> TopKJoinMISearch(const Table& base_table,
 /// \brief Index-backed search over any Searchable target: sketches the
 /// base table once with the *target's* JoinMIConfig (so query and
 /// candidate sketches are guaranteed to coordinate) and delegates ranking
-/// to the target. For a SketchIndex this probes prepared candidate
-/// sketches in-process; for a ShardedSketchIndex it fans out across
-/// shards and merges on (MI desc, global insertion index asc) —
+/// to the target. For a SketchIndex this merges against the stored
+/// candidate sketches in-process; for a ShardedSketchIndex it fans out
+/// across shards and merges on (MI desc, global insertion index asc) —
 /// bit-identical to the unsharded index for any shard count, partitioning
 /// policy, thread count, and local-vs-remote deployment; for a Router it
 /// additionally consults the result cache and admission gate. `mode`

@@ -43,8 +43,6 @@ struct ServingOptions {
   // ---- local paged shards ----
   /// Buffer-pool budget per paged shard, in pages.
   size_t pool_pages = 64;
-  /// Per-shard pinned prepared-probe cache entries (0 disables).
-  size_t prepared_cache_entries = 8;
 
   /// \brief The networking slice an RpcShardClient consumes.
   RpcClientOptions rpc() const {
@@ -69,7 +67,6 @@ struct ServingOptions {
   ShardedSketchIndex::LocalShardLoadOptions local() const {
     ShardedSketchIndex::LocalShardLoadOptions options;
     options.pool_pages = pool_pages;
-    options.prepared_cache_entries = prepared_cache_entries;
     return options;
   }
 };

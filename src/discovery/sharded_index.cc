@@ -186,7 +186,6 @@ ShardClientFactory ShardedSketchIndex::LocalFileFactory(
       // queries touch.
       PagedShardClient::Options paged_options;
       paged_options.pool_pages = options.pool_pages;
-      paged_options.prepared_cache_entries = options.prepared_cache_entries;
       JOINMI_ASSIGN_OR_RETURN(
           std::unique_ptr<PagedShardClient> client,
           PagedShardClient::Open(resolved, base_indices, paged_options));
@@ -471,7 +470,7 @@ Result<std::string> BuildShards(const SketchIndex& index, size_t num_shards,
     const IndexedCandidate& candidate = index.candidates()[i];
     const size_t s = AssignShard(policy, i, candidate.ref, num_shards);
     // Sketch is copied (not shared): each shard file must be independently
-    // loadable, and AddSketch rebuilds the candidate probe map.
+    // loadable, and AddSketch re-validates its keys into the shard's column.
     JOINMI_RETURN_NOT_OK(
         shards[s].AddSketch(candidate.ref, candidate.sketch()));
     manifest.shards[s].global_indices.push_back(i);

@@ -174,8 +174,6 @@ class ShardedSketchIndex : public Searchable {
   struct LocalShardLoadOptions {
     /// Buffer-pool budget per paged shard, in pages.
     size_t pool_pages = 64;
-    /// Per-shard pinned prepared-probe cache entries (0 disables).
-    size_t prepared_cache_entries = 8;
   };
 
   /// \brief The factory behind single-argument Load: opens each shard

@@ -4,136 +4,10 @@
 #include <cstring>
 #include <utility>
 
-#include "src/common/arena.h"
-#include "src/common/thread_pool.h"
+#include "src/discovery/topk_merge.h"
 #include "src/sketch/serialize.h"
 
 namespace joinmi {
-
-namespace {
-
-// Per-candidate query outcome, written by exactly one worker thread.
-struct CandidateOutcome {
-  std::optional<JoinMIEstimate> estimate;
-  bool skipped = false;  // join below min_join_size (OutOfRange)
-};
-
-// The train sketch's runs of equal key_hash, in SoA form: run_keys[i] is
-// the i-th distinct key (ascending — the builder sorts entries), and
-// run_spans[i] its [begin, end) slice of train.entries. Computed once per
-// EvaluateAll and shared by every candidate — the batched path's
-// replacement for re-walking the train sketch's probe map per candidate.
-// Split into two parallel arrays so the intersection loop scans a dense
-// u64 key array (8 keys per cache line).
-struct TrainRuns {
-  std::vector<uint64_t> keys;
-  std::vector<std::pair<uint32_t, uint32_t>> spans;
-};
-
-// Candidates scored per ThreadPool task. Small enough that a task's
-// working set (one strip of extents + the shared train runs) stays
-// cache-resident; large enough to amortize task dispatch.
-constexpr size_t kCandidateStrip = 8;
-
-// Shared read-only state for one EvaluateAll fan-out.
-struct BatchContext {
-  const Sketch* train;
-  const TrainRuns* runs;
-  const FlatSketchIndex* flat;
-  const JoinMIConfig* config;
-};
-
-// Scores candidate `c` against the prepared train runs via the flat SoA
-// arena. Produces the exact outcome query.Estimate(prepared) would: the
-// join sample is assembled in train-entry order with train multiplicity
-// and scored by the shared ScoreSketchJoinSample tail, so MI values are
-// bit-identical to the per-candidate path.
-//
-// Scratch discipline: the match list lives in a thread_local bump arena
-// and the sample in thread_local vectors that keep their capacity, so a
-// warmed worker thread evaluates candidates without heap allocation —
-// below-cutoff candidates skip before any sample value is copied.
-void EvaluateFlatOne(const BatchContext& ctx, size_t c,
-                     CandidateOutcome* outcome) {
-  thread_local Arena arena;
-  thread_local PairedSample sample;
-  arena.Reset();
-
-  struct MatchRun {
-    uint32_t begin;
-    uint32_t end;
-    uint32_t local;
-  };
-  const TrainRuns& runs = *ctx.runs;
-  const size_t num_runs = runs.keys.size();
-  MatchRun* matches = arena.AllocateArray<MatchRun>(
-      std::min(num_runs, static_cast<size_t>(ctx.flat->extent(c).len)));
-  size_t num_matches = 0;
-  size_t join_size = 0;
-  // Both key arrays are sorted (builder invariant on both sides), so the
-  // intersection is a linear merge over two contiguous u64 arrays — no
-  // hashing, no pointer chasing, purely sequential reads. Matches fall
-  // out in ascending key order == train-entry order, exactly the order
-  // the per-candidate probe path emits.
-  const uint64_t* train_keys = runs.keys.data();
-  const uint64_t* cand_keys = ctx.flat->keys(c);
-  const size_t cand_len = ctx.flat->extent(c).len;
-  size_t i = 0;
-  size_t j = 0;
-  while (i < num_runs && j < cand_len) {
-    const uint64_t tk = train_keys[i];
-    const uint64_t ck = cand_keys[j];
-    if (tk < ck) {
-      ++i;
-    } else if (ck < tk) {
-      ++j;
-    } else {
-      const std::pair<uint32_t, uint32_t>& span = runs.spans[i];
-      matches[num_matches++] =
-          MatchRun{span.first, span.second, static_cast<uint32_t>(j)};
-      join_size += span.second - span.first;
-      ++i;
-      ++j;
-    }
-  }
-  const JoinMIConfig& config = *ctx.config;
-  if (join_size < config.min_join_size) {
-    outcome->skipped = true;
-    return;
-  }
-  sample.x.clear();
-  sample.y.clear();
-  sample.x.reserve(join_size);
-  sample.y.reserve(join_size);
-  const Value* values = ctx.flat->values(c);
-  const std::vector<SketchEntry>& entries = ctx.train->entries;
-  for (size_t m = 0; m < num_matches; ++m) {
-    const Value& x = values[matches[m].local];
-    for (uint32_t i = matches[m].begin; i < matches[m].end; ++i) {
-      sample.x.push_back(x);
-      sample.y.push_back(entries[i].value);
-    }
-  }
-  auto scored = ScoreSketchJoinSample(sample, join_size, config.estimator,
-                                      config.mi_options, config.min_join_size);
-  if (scored.ok()) {
-    outcome->estimate =
-        JoinMIEstimate{scored->mi, scored->estimator, scored->join_size,
-                       /*sketched=*/true};
-  } else if (scored.status().IsOutOfRange()) {
-    outcome->skipped = true;
-  }
-  // Anything else stays {nullopt, skipped=false}: a hard error.
-}
-
-void EvaluateStrip(const BatchContext& ctx, size_t begin, size_t end,
-                   CandidateOutcome* outcomes) {
-  for (size_t c = begin; c < end; ++c) {
-    EvaluateFlatOne(ctx, c, &outcomes[c]);
-  }
-}
-
-}  // namespace
 
 Status SketchIndex::AddCandidate(const Table& table,
                                  const ColumnPairRef& ref) {
@@ -154,13 +28,14 @@ Status SketchIndex::AddSketch(const ColumnPairRef& ref, Sketch sketch) {
         std::to_string(sketch.hash_seed) + ", index config uses " +
         std::to_string(config_.hash_seed));
   }
-  JOINMI_ASSIGN_OR_RETURN(PreparedCandidateSketch prepared,
-                          PreparedCandidateSketch::Create(std::move(sketch)));
-  // Both probe structures are built here, once per load, never per query:
-  // the prepared probe map (per-candidate consumers) and the flat SoA
-  // mirror (the batched EvaluateAll path).
-  JOINMI_RETURN_NOT_OK(flat_.AddCandidate(prepared.sketch()).status());
-  candidates_.push_back(IndexedCandidate{ref, std::move(prepared)});
+  const size_t offset = key_hashes_.size();
+  const Status keys = AppendCandidateKeys(sketch, &key_hashes_);
+  if (!keys.ok()) {
+    key_hashes_.resize(offset);
+    return keys;
+  }
+  key_offsets_.push_back(offset);
+  candidates_.push_back(IndexedCandidate{ref, std::move(sketch)});
   return Status::OK();
 }
 
@@ -188,44 +63,20 @@ Result<IndexEvaluation> SketchIndex::EvaluateAll(const JoinMIQuery& query,
         " does not match index hash seed " +
         std::to_string(config_.hash_seed));
   }
-  std::vector<CandidateOutcome> outcomes(candidates_.size());
-  // The train sketch's equal-key runs are shared by every candidate this
-  // query touches; compute them once, up front. thread_local so the
-  // steady-state query on a warmed thread reuses the vector's capacity.
-  thread_local TrainRuns runs;
-  runs.keys.clear();
-  runs.spans.clear();
-  const std::vector<SketchEntry>& entries = query.train_sketch().entries;
-  for (uint32_t i = 0; i < entries.size();) {
-    uint32_t end = i + 1;
-    while (end < entries.size() &&
-           entries[end].key_hash == entries[i].key_hash) {
-      ++end;
-    }
-    runs.keys.push_back(entries[i].key_hash);
-    runs.spans.emplace_back(i, end);
-    i = end;
-  }
-  const BatchContext ctx{&query.train_sketch(), &runs, &flat_, &config_};
-  const size_t threads = num_threads == 0 ? ThreadPool::DefaultThreadCount()
-                                          : num_threads;
-  if (threads <= 1 || candidates_.size() <= kCandidateStrip) {
-    EvaluateStrip(ctx, 0, candidates_.size(), outcomes.data());
-  } else {
-    ThreadPool pool(threads);
-    for (size_t begin = 0; begin < candidates_.size();
-         begin += kCandidateStrip) {
-      const size_t end =
-          std::min(begin + kCandidateStrip, candidates_.size());
-      pool.Submit([&ctx, begin, end, &outcomes] {
-        EvaluateStrip(ctx, begin, end, outcomes.data());
+  std::vector<internal::CandidateOutcome> outcomes(candidates_.size());
+  internal::ForEachCandidateStrip(
+      candidates_.size(), num_threads,
+      [this, &query, &outcomes](size_t begin, size_t end) {
+        for (size_t c = begin; c < end; ++c) {
+          outcomes[c].Record(ScoreMergeJoin(
+              query.train_sketch(), query.train_runs(),
+              candidates_[c].sketch(), key_hashes_.data() + key_offsets_[c],
+              config_.estimator, config_.mi_options, config_.min_join_size));
+        }
       });
-    }
-    pool.Wait();
-  }
   IndexEvaluation evaluation;
   evaluation.estimates.reserve(outcomes.size());
-  for (CandidateOutcome& outcome : outcomes) {
+  for (internal::CandidateOutcome& outcome : outcomes) {
     if (outcome.estimate.has_value()) {
       ++evaluation.num_evaluated;
     } else if (outcome.skipped) {

@@ -3,8 +3,9 @@
 // every indexed candidate to rank augmentations by estimated MI — the
 // deployment shape motivating the paper (Sections I, III, V-C).
 //
-// The index is the persisted backbone of that deployment: candidates carry
-// prepared probe maps so repeated queries are pure hash lookups, queries fan
+// The index is the persisted backbone of that deployment: each candidate is
+// stored once, as its sketch, next to one contiguous column of every
+// candidate's key hashes that the merge-scoring kernel scans; queries fan
 // out across a thread pool with a deterministic merge, and the whole index
 // (config + provenance + sketches) serializes to a versioned binary format
 // so it can be built offline and served after a restart.
@@ -29,17 +30,15 @@
 #include "src/core/join_mi.h"
 #include "src/discovery/repository.h"
 #include "src/discovery/searchable.h"
-#include "src/sketch/flat_index.h"
 
 namespace joinmi {
 
-/// \brief One indexed candidate: provenance plus its pre-built sketch,
-/// wrapped in the probe map that makes repeated queries cheap.
+/// \brief One indexed candidate: provenance plus its pre-built sketch.
 struct IndexedCandidate {
   ColumnPairRef ref;
-  PreparedCandidateSketch prepared;
+  Sketch candidate_sketch;
 
-  const Sketch& sketch() const { return prepared.sketch(); }
+  const Sketch& sketch() const { return candidate_sketch; }
 };
 
 /// \brief One ranked answer from a discovery query.
@@ -82,7 +81,9 @@ class SketchIndex : public Searchable {
 
   /// \brief Adds a pre-built candidate sketch (the deserialization path).
   /// Rejects sketches whose hash seed disagrees with the index config —
-  /// they could never join a query sketched under this config.
+  /// they could never join a query sketched under this config — and
+  /// train-side sketches or key hashes that do not strictly ascend (one
+  /// linear pass catches duplicates and unsorted entries alike).
   Status AddSketch(const ColumnPairRef& ref, Sketch sketch);
 
   /// \brief Indexes every extractable column pair of the repository.
@@ -95,12 +96,10 @@ class SketchIndex : public Searchable {
   /// Outcomes land in enumeration order, so results never depend on the
   /// thread count. Fails fast on a query/index hash-seed mismatch.
   ///
-  /// Hot path: candidates are scored in strips against the flat SoA arena
-  /// (one pass over the train sketch's key runs per strip, matches
-  /// collected in a per-thread bump arena) instead of one prepared-sketch
-  /// join per candidate. The join sample each candidate sees is
-  /// byte-identical to `query.Estimate(prepared)` — same train-entry
-  /// order, same values, same scoring tail — so rankings cannot differ.
+  /// Hot path: candidates are scored in strips of 8 by ScoreMergeJoin,
+  /// merging the query's train runs with each candidate's slice of the
+  /// key-hash column. It is the kernel `query.Estimate(sketch)` and paged
+  /// shards call too, so every path produces bit-identical results.
   Result<IndexEvaluation> EvaluateAll(const JoinMIQuery& query,
                                       size_t num_threads = 0) const;
 
@@ -121,16 +120,18 @@ class SketchIndex : public Searchable {
                                        size_t num_threads,
                                        ShardQueryMode mode) const override;
 
-  /// \brief The SoA probe arena backing the batched EvaluateAll path.
-  const FlatSketchIndex& flat() const { return flat_; }
-
  private:
   JoinMIConfig config_;
   std::vector<IndexedCandidate> candidates_;
-  // Mirror of candidates_ in structure-of-arrays form: all key hashes,
-  // values, and probe regions packed contiguously. Built once per
-  // AddSketch (never per query) and read-only afterwards.
-  FlatSketchIndex flat_;
+  // Every candidate's key hashes back to back, so the merge reads a dense
+  // u64 array; candidate c's slice starts at key_offsets_[c]. Values are
+  // read from the candidate's own sketch entries. The keys are thus held
+  // twice (8 bytes per entry) on purpose: merging over the 56-byte
+  // SketchEntry stride instead made the batched probe 1.5x slower
+  // (bench_topk_search part 9, full mode, 15 alternating runs on a 4-vCPU
+  // Xeon: median 2.12 vs 1.42 ms/query, below the bench's 2x gate).
+  std::vector<uint64_t> key_hashes_;
+  std::vector<size_t> key_offsets_;
 };
 
 /// \brief Serializes the index (config, refs, sketches) to a binary string.
@@ -138,7 +139,7 @@ std::string SerializeIndex(const SketchIndex& index);
 
 /// \brief Parses a serialized index; validates magic, version, enum tags,
 /// and every embedded sketch, so corrupted inputs fail cleanly. The
-/// candidate probe maps are rebuilt on load.
+/// candidate key-hash column is rebuilt on load.
 Result<SketchIndex> DeserializeIndex(const std::string& data);
 
 /// \brief Writes the index to a file.

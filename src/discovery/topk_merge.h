@@ -4,7 +4,10 @@
 // selection — the unsharded merge, the per-shard selection, and the
 // cross-shard merge — must sort by this same total order; if any of them
 // diverges, the bit-identical guarantee between sharded and unsharded
-// rankings breaks. Internal to the discovery module.
+// rankings breaks. The per-candidate outcome taxonomy the selections count
+// and the strip fan-out that fills it live here too, shared by the
+// in-memory and paged paths for the same reason. Internal to the discovery
+// module.
 
 #ifndef JOINMI_DISCOVERY_TOPK_MERGE_H_
 #define JOINMI_DISCOVERY_TOPK_MERGE_H_
@@ -15,10 +18,58 @@
 #include <optional>
 #include <vector>
 
+#include "src/common/thread_pool.h"
 #include "src/core/join_mi.h"
 
 namespace joinmi {
 namespace internal {
+
+/// \brief One candidate's outcome in a whole-index or whole-shard
+/// evaluation, written by exactly one worker: an estimate, a skip (join
+/// below min_join_size), or neither — a hard error.
+struct CandidateOutcome {
+  std::optional<JoinMIEstimate> estimate;
+  bool skipped = false;
+
+  void Record(const MergeJoinScore& score) {
+    if (!score.scored.has_value()) {
+      skipped = true;
+      return;
+    }
+    const Result<SketchMIResult>& scored = *score.scored;
+    if (scored.ok()) {
+      estimate = JoinMIEstimate{scored->mi, scored->estimator,
+                                scored->join_size, /*sketched=*/true};
+    } else if (scored.status().IsOutOfRange()) {
+      skipped = true;
+    }
+  }
+};
+
+/// \brief Candidates scored per ThreadPool task. Small enough that a
+/// task's working set (one strip of candidates + the shared train runs)
+/// stays cache-resident; large enough to amortize task dispatch.
+constexpr size_t kCandidateStrip = 8;
+
+/// \brief Calls `score_strip(begin, end)` over [0, count) in strips of
+/// kCandidateStrip, fanned out on a pool of `num_threads` (0 = hardware
+/// concurrency) or inline when one thread or one strip suffices.
+template <typename ScoreStrip>
+void ForEachCandidateStrip(size_t count, size_t num_threads,
+                           ScoreStrip&& score_strip) {
+  const size_t threads =
+      num_threads == 0 ? ThreadPool::DefaultThreadCount() : num_threads;
+  if (threads <= 1 || count <= kCandidateStrip) {
+    score_strip(size_t{0}, count);
+    return;
+  }
+  ThreadPool pool(threads);
+  for (size_t begin = 0; begin < count; begin += kCandidateStrip) {
+    const size_t end = std::min(begin + kCandidateStrip, count);
+    pool.Submit([&score_strip, begin, end] { score_strip(begin, end); });
+  }
+  pool.Wait();
+}
 
 /// \brief True iff (mi_a, key_a) ranks strictly before (mi_b, key_b).
 inline bool BetterByMIThenKey(double mi_a, uint64_t key_a, double mi_b,

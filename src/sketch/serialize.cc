@@ -187,8 +187,9 @@ Result<Sketch> DeserializeSketch(const std::string& data) {
   sketch.source_rows = source_rows;
   sketch.source_distinct_keys = distinct;
   // An upper bound check so corrupted counts cannot trigger huge allocs:
-  // each entry needs at least 17 bytes on the wire.
-  if (count * 17 > data.size()) {
+  // each entry needs at least 17 bytes on the wire. Divide rather than
+  // multiply so a crafted count cannot wrap past the check.
+  if (count > reader.remaining() / 17) {
     return Status::IOError("sketch entry count exceeds buffer size");
   }
   sketch.entries.reserve(count);

@@ -1,14 +1,34 @@
 #include "src/sketch/sketch_join.h"
 
 #include <algorithm>
+#include <limits>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
+#include "src/common/arena.h"
+
 namespace joinmi {
 
 namespace {
+
+// Mirrors EstimateMIAuto's type inference to report the chosen estimator.
+Result<MIEstimatorKind> ChooseEstimatorForSample(const PairedSample& sample) {
+  auto all_numeric = [](const std::vector<Value>& values) {
+    for (const Value& v : values) {
+      if (!IsNumeric(v.type())) return false;
+    }
+    return true;
+  };
+  const DataType x_type =
+      all_numeric(sample.x) ? DataType::kDouble : DataType::kString;
+  const DataType y_type =
+      all_numeric(sample.y) ? DataType::kDouble : DataType::kString;
+  return ChooseEstimator(x_type, y_type);
+}
+
+}  // namespace
 
 // Preconditions shared by every join entry point: correct sides and equal
 // hash seeds. Seeds must match because key hashes drawn from different
@@ -34,22 +54,12 @@ Status CheckJoinable(const Sketch& train, const Sketch& candidate) {
   return Status::OK();
 }
 
-// Mirrors EstimateMIAuto's type inference to report the chosen estimator.
-Result<MIEstimatorKind> ChooseEstimatorForSample(const PairedSample& sample) {
-  auto all_numeric = [](const std::vector<Value>& values) {
-    for (const Value& v : values) {
-      if (!IsNumeric(v.type())) return false;
-    }
-    return true;
-  };
-  const DataType x_type =
-      all_numeric(sample.x) ? DataType::kDouble : DataType::kString;
-  const DataType y_type =
-      all_numeric(sample.y) ? DataType::kDouble : DataType::kString;
-  return ChooseEstimator(x_type, y_type);
+Status JoinBelowMinimum(size_t join_size, size_t min_join_size) {
+  return Status::OutOfRange("sketch join produced " +
+                            std::to_string(join_size) +
+                            " samples, fewer than the required " +
+                            std::to_string(min_join_size));
 }
-
-}  // namespace
 
 Result<SketchMIResult> ScoreSketchJoinSample(
     const PairedSample& sample, size_t join_size,
@@ -59,9 +69,7 @@ Result<SketchMIResult> ScoreSketchJoinSample(
   // matter which estimator would have run, and skipping first keeps the
   // common below-cutoff case free of any scoring work.
   if (join_size < min_join_size) {
-    return Status::OutOfRange(
-        "sketch join produced " + std::to_string(join_size) +
-        " samples, fewer than the required " + std::to_string(min_join_size));
+    return JoinBelowMinimum(join_size, min_join_size);
   }
   SketchMIResult result;
   result.join_size = join_size;
@@ -92,132 +100,15 @@ Result<SketchJoinResult> JoinSketches(const Sketch& train,
   SketchJoinResult result;
   result.sample.x.reserve(train.entries.size());
   result.sample.y.reserve(train.entries.size());
-  // A set, not an adjacency counter: this overload stays correct for
+  // A set, not an adjacency counter: this reference stays correct for
   // hand-built or deserialized train sketches that violate the sortedness
-  // invariant (the prepared path validates it instead).
+  // invariant (TrainKeyRuns::Build rejects those for the merge kernel).
   std::unordered_set<uint64_t> matched;
   matched.reserve(train.entries.size());
   for (const SketchEntry& entry : train.entries) {
     const auto it = aug.find(entry.key_hash);
     if (it == aug.end()) continue;
     result.sample.x.push_back(*it->second);
-    result.sample.y.push_back(entry.value);
-    matched.insert(entry.key_hash);
-  }
-  result.join_size = result.sample.size();
-  result.matched_keys = matched.size();
-  return result;
-}
-
-Result<PreparedTrainSketch> PreparedTrainSketch::Create(Sketch train) {
-  FlatProbeTable groups(train.entries.size());
-  for (uint32_t i = 0; i < train.entries.size();) {
-    const uint64_t hash = train.entries[i].key_hash;
-    uint32_t end = i + 1;
-    while (end < train.entries.size() &&
-           train.entries[end].key_hash == hash) {
-      ++end;
-    }
-    // The [begin, end) range packs into one probe payload; a non-adjacent
-    // repeat of `hash` means the entries were not sorted.
-    if (!groups.Insert(hash, (uint64_t{i} << 32) | end)) {
-      return Status::InvalidArgument(
-          "train sketch entries are not sorted by key_hash");
-    }
-    i = end;
-  }
-  return PreparedTrainSketch(std::move(train), std::move(groups));
-}
-
-Result<SketchJoinResult> PreparedTrainSketch::Join(
-    const Sketch& candidate) const {
-  JOINMI_RETURN_NOT_OK(CheckJoinable(train_, candidate));
-  // Probe the prebuilt train index with each candidate key, then emit the
-  // matches in train-entry order so the sample is byte-identical to
-  // JoinSketches on the wrapped sketch.
-  struct Match {
-    uint32_t begin;
-    uint32_t end;
-    const Value* value;
-  };
-  std::vector<Match> matches;
-  matches.reserve(std::min(candidate.entries.size(), groups_.size()));
-  size_t join_size = 0;
-  const SketchEntry* prev = nullptr;
-  for (const SketchEntry& entry : candidate.entries) {
-    // Validate the probe contract — entries strictly ascending by
-    // key_hash — as we go. An unsorted candidate would still *probe*
-    // correctly here, but it violates the builder invariant every other
-    // consumer relies on, so it gets a structured error rather than a
-    // result that other paths would disagree with; a duplicated key would
-    // silently double-count its train group.
-    if (prev != nullptr && entry.key_hash <= prev->key_hash) {
-      if (entry.key_hash == prev->key_hash) {
-        return Status::InvalidArgument(
-            "candidate sketch has duplicate keys; was it built as a train "
-            "sketch?");
-      }
-      return Status::InvalidArgument(
-          "candidate sketch entries are not sorted by key_hash; prepared "
-          "joins require builder-sorted candidates");
-    }
-    prev = &entry;
-    const uint64_t* packed = groups_.Find(entry.key_hash);
-    if (packed == nullptr) continue;
-    const uint32_t begin = static_cast<uint32_t>(*packed >> 32);
-    const uint32_t end = static_cast<uint32_t>(*packed);
-    matches.push_back(Match{begin, end, &entry.value});
-    join_size += end - begin;
-  }
-  // Candidate keys ascend (checked above) and train entries are sorted, so
-  // group begins were discovered in ascending order already — no sort, and
-  // duplicates were rejected before they could collide here.
-  SketchJoinResult result;
-  result.sample.x.reserve(join_size);
-  result.sample.y.reserve(join_size);
-  for (const Match& match : matches) {
-    for (uint32_t i = match.begin; i < match.end; ++i) {
-      result.sample.x.push_back(*match.value);
-      result.sample.y.push_back(train_.entries[i].value);
-    }
-  }
-  result.join_size = result.sample.size();
-  result.matched_keys = matches.size();
-  return result;
-}
-
-Result<PreparedCandidateSketch> PreparedCandidateSketch::Create(
-    Sketch candidate) {
-  if (candidate.side != SketchSide::kCandidate) {
-    return Status::InvalidArgument(
-        "PreparedCandidateSketch requires a candidate-side sketch");
-  }
-  FlatProbeTable probe(candidate.entries.size());
-  for (uint32_t i = 0; i < candidate.entries.size(); ++i) {
-    if (!probe.Insert(candidate.entries[i].key_hash, i)) {
-      return Status::InvalidArgument(
-          "candidate sketch has duplicate keys; was it built as a train "
-          "sketch?");
-    }
-  }
-  return PreparedCandidateSketch(std::move(candidate), std::move(probe));
-}
-
-Result<SketchJoinResult> PreparedCandidateSketch::Join(
-    const Sketch& train) const {
-  JOINMI_RETURN_NOT_OK(CheckJoinable(train, candidate_));
-  // Same traversal as JoinSketches — train entries in order, probing the
-  // candidate map — so the emitted sample is byte-identical; only the map
-  // build is amortized away.
-  SketchJoinResult result;
-  result.sample.x.reserve(train.entries.size());
-  result.sample.y.reserve(train.entries.size());
-  std::unordered_set<uint64_t> matched;
-  matched.reserve(train.entries.size());
-  for (const SketchEntry& entry : train.entries) {
-    const uint64_t* index = probe_.Find(entry.key_hash);
-    if (index == nullptr) continue;
-    result.sample.x.push_back(candidate_.entries[*index].value);
     result.sample.y.push_back(entry.value);
     matched.insert(entry.key_hash);
   }
@@ -247,40 +138,111 @@ Result<SketchMIResult> EstimateSketchMIAuto(const Sketch& train,
                                options, min_join_size);
 }
 
-Result<SketchMIResult> EstimateSketchMI(const PreparedTrainSketch& train,
-                                        const Sketch& candidate,
-                                        MIEstimatorKind estimator,
-                                        const MIOptions& options,
-                                        size_t min_join_size) {
-  JOINMI_ASSIGN_OR_RETURN(SketchJoinResult joined, train.Join(candidate));
-  return ScoreSketchJoinSample(joined.sample, joined.join_size, estimator,
-                               options, min_join_size);
+Result<TrainKeyRuns> TrainKeyRuns::Build(const Sketch& train) {
+  if (train.entries.size() > std::numeric_limits<uint32_t>::max()) {
+    return Status::InvalidArgument("train sketch exceeds the run index limit");
+  }
+  TrainKeyRuns runs;
+  const std::vector<SketchEntry>& entries = train.entries;
+  for (uint32_t i = 0; i < entries.size();) {
+    const uint64_t key = entries[i].key_hash;
+    if (!runs.keys.empty() && key <= runs.keys.back()) {
+      return Status::InvalidArgument(
+          "train sketch entries are not sorted by key_hash");
+    }
+    uint32_t end = i + 1;
+    while (end < entries.size() && entries[end].key_hash == key) ++end;
+    runs.keys.push_back(key);
+    runs.spans.emplace_back(i, end);
+    i = end;
+  }
+  return runs;
 }
 
-Result<SketchMIResult> EstimateSketchMIAuto(const PreparedTrainSketch& train,
-                                            const Sketch& candidate,
-                                            const MIOptions& options,
-                                            size_t min_join_size) {
-  JOINMI_ASSIGN_OR_RETURN(SketchJoinResult joined, train.Join(candidate));
-  return ScoreSketchJoinSample(joined.sample, joined.join_size, std::nullopt,
-                               options, min_join_size);
+Status AppendCandidateKeys(const Sketch& candidate,
+                           std::vector<uint64_t>* keys) {
+  if (candidate.side != SketchSide::kCandidate) {
+    return Status::InvalidArgument(
+        "expected a candidate-side sketch, got a train sketch");
+  }
+  const std::vector<SketchEntry>& entries = candidate.entries;
+  if (entries.size() > std::numeric_limits<uint32_t>::max()) {
+    return Status::InvalidArgument(
+        "candidate sketch exceeds the merge kernel's entry limit");
+  }
+  for (size_t i = 0; i < entries.size(); ++i) {
+    if (i > 0 && entries[i].key_hash <= entries[i - 1].key_hash) {
+      if (entries[i].key_hash == entries[i - 1].key_hash) {
+        return Status::InvalidArgument(
+            "candidate sketch has duplicate keys; was it built as a train "
+            "sketch?");
+      }
+      return Status::InvalidArgument(
+          "candidate sketch entries are not sorted by key_hash");
+    }
+    keys->push_back(entries[i].key_hash);
+  }
+  return Status::OK();
 }
 
-Result<SketchMIResult> EstimateSketchMI(
-    const Sketch& train, const PreparedCandidateSketch& candidate,
-    MIEstimatorKind estimator, const MIOptions& options,
-    size_t min_join_size) {
-  JOINMI_ASSIGN_OR_RETURN(SketchJoinResult joined, candidate.Join(train));
-  return ScoreSketchJoinSample(joined.sample, joined.join_size, estimator,
-                               options, min_join_size);
-}
+MergeJoinScore ScoreMergeJoin(const Sketch& train, const TrainKeyRuns& runs,
+                              const Sketch& candidate,
+                              const uint64_t* candidate_keys,
+                              const std::optional<MIEstimatorKind>& estimator,
+                              const MIOptions& options, size_t min_join_size) {
+  thread_local Arena arena;
+  thread_local PairedSample sample;
+  arena.Reset();
 
-Result<SketchMIResult> EstimateSketchMIAuto(
-    const Sketch& train, const PreparedCandidateSketch& candidate,
-    const MIOptions& options, size_t min_join_size) {
-  JOINMI_ASSIGN_OR_RETURN(SketchJoinResult joined, candidate.Join(train));
-  return ScoreSketchJoinSample(joined.sample, joined.join_size, std::nullopt,
-                               options, min_join_size);
+  struct MatchRun {
+    uint32_t begin;
+    uint32_t end;
+    uint32_t local;
+  };
+  const size_t num_runs = runs.keys.size();
+  const size_t cand_len = candidate.entries.size();
+  MatchRun* matches =
+      arena.AllocateArray<MatchRun>(std::min(num_runs, cand_len));
+  size_t num_matches = 0;
+  MergeJoinScore score;
+  // Both key arrays ascend, so the intersection is a linear merge over two
+  // contiguous u64 arrays — no hashing, no pointer chasing. Matches fall
+  // out in ascending key order, which is train-entry order: the order
+  // JoinSketches emits.
+  const uint64_t* train_keys = runs.keys.data();
+  size_t i = 0;
+  size_t j = 0;
+  while (i < num_runs && j < cand_len) {
+    const uint64_t tk = train_keys[i];
+    const uint64_t ck = candidate_keys[j];
+    if (tk < ck) {
+      ++i;
+    } else if (ck < tk) {
+      ++j;
+    } else {
+      const std::pair<uint32_t, uint32_t>& span = runs.spans[i];
+      matches[num_matches++] =
+          MatchRun{span.first, span.second, static_cast<uint32_t>(j)};
+      score.join_size += span.second - span.first;
+      ++i;
+      ++j;
+    }
+  }
+  if (score.join_size < min_join_size) return score;
+  sample.x.clear();
+  sample.y.clear();
+  sample.x.reserve(score.join_size);
+  sample.y.reserve(score.join_size);
+  for (size_t m = 0; m < num_matches; ++m) {
+    const Value& x = candidate.entries[matches[m].local].value;
+    for (uint32_t e = matches[m].begin; e < matches[m].end; ++e) {
+      sample.x.push_back(x);
+      sample.y.push_back(train.entries[e].value);
+    }
+  }
+  score.scored = ScoreSketchJoinSample(sample, score.join_size, estimator,
+                                       options, min_join_size);
+  return score;
 }
 
 }  // namespace joinmi

@@ -8,10 +8,10 @@
 #include <cstdint>
 #include <optional>
 #include <utility>
+#include <vector>
 
 #include "src/common/status.h"
 #include "src/mi/estimator.h"
-#include "src/sketch/flat_probe_table.h"
 #include "src/sketch/sketch.h"
 
 namespace joinmi {
@@ -36,70 +36,6 @@ struct SketchJoinResult {
 Result<SketchJoinResult> JoinSketches(const Sketch& train,
                                       const Sketch& candidate);
 
-/// \brief A train sketch pre-indexed for repeated probing.
-///
-/// In the discovery setting one base (train) sketch is joined against
-/// thousands of candidate sketches. `JoinSketches` pays a per-join hash-map
-/// build over the candidate entries; preparing the train side once instead
-/// turns each join into pure lookups. Join output is byte-identical to
-/// `JoinSketches` on the wrapped sketch: pairs are emitted in train-entry
-/// order, preserving multiplicity.
-class PreparedTrainSketch {
- public:
-  /// \brief Takes ownership of a train-side sketch and builds the key-hash
-  /// group index. Fails if entries are not sorted by key_hash (the builder
-  /// invariant every sketch variant maintains).
-  static Result<PreparedTrainSketch> Create(Sketch train);
-
-  const Sketch& sketch() const { return train_; }
-
-  /// \brief Joins against a candidate sketch using the prebuilt index.
-  /// The candidate must honor the probe contract — entries sorted by
-  /// key_hash with no duplicates (the builder invariant). Violations
-  /// return InvalidArgument rather than a silently wrong (reordered or
-  /// double-counted) join sample.
-  Result<SketchJoinResult> Join(const Sketch& candidate) const;
-
- private:
-  PreparedTrainSketch(Sketch train, FlatProbeTable groups)
-      : train_(std::move(train)), groups_(std::move(groups)) {}
-
-  Sketch train_;
-  /// key_hash -> packed (begin << 32 | end) index range into
-  /// train_.entries (entries with equal key_hash are contiguous because
-  /// the builder sorts them). Open addressing: a probe is one contiguous
-  /// scan instead of unordered_map's bucket + node chase.
-  FlatProbeTable groups_;
-};
-
-/// \brief A candidate sketch pre-indexed for repeated probing — the
-/// symmetric optimization to PreparedTrainSketch for the persisted-index
-/// setting, where candidate sketches are long-lived and every query brings
-/// a fresh train sketch. `JoinSketches` pays a per-join probe-map build
-/// over the candidate entries; preparing the candidate once turns each
-/// query's join into pure lookups. Join output is byte-identical to
-/// `JoinSketches` on the wrapped sketch.
-class PreparedCandidateSketch {
- public:
-  /// \brief Takes ownership of a candidate-side sketch and builds the
-  /// key-hash probe map. Fails on train-side input or duplicate keys.
-  static Result<PreparedCandidateSketch> Create(Sketch candidate);
-
-  const Sketch& sketch() const { return candidate_; }
-
-  /// \brief Joins a train sketch against this candidate using the prebuilt
-  /// probe map. Enforces the same seed/side preconditions as JoinSketches.
-  Result<SketchJoinResult> Join(const Sketch& train) const;
-
- private:
-  PreparedCandidateSketch(Sketch candidate, FlatProbeTable probe)
-      : candidate_(std::move(candidate)), probe_(std::move(probe)) {}
-
-  Sketch candidate_;
-  /// key_hash -> index into candidate_.entries (keys unique post-agg).
-  FlatProbeTable probe_;
-};
-
 /// \brief End-to-end sketch-based MI estimate.
 struct SketchMIResult {
   double mi = 0.0;
@@ -112,8 +48,8 @@ struct SketchMIResult {
 /// (OutOfRange — the paper's meaningless-estimate cutoff), then estimator
 /// dispatch (`estimator` if set, otherwise the auto policy inferred from
 /// the sample's value types), then EstimateMI. This is the single scoring
-/// tail shared by the per-candidate and batched-index paths — sharing it
-/// is what keeps their rankings bit-identical.
+/// tail shared by the JoinSketches reference and the merge kernel —
+/// sharing it is what keeps their results bit-identical.
 Result<SketchMIResult> ScoreSketchJoinSample(
     const PairedSample& sample, size_t join_size,
     const std::optional<MIEstimatorKind>& estimator, const MIOptions& options,
@@ -136,30 +72,68 @@ Result<SketchMIResult> EstimateSketchMIAuto(const Sketch& train,
                                             const MIOptions& options = {},
                                             size_t min_join_size = 1);
 
-/// \brief Prepared-train variants for the many-candidates setting; results
-/// match the Sketch overloads exactly.
-Result<SketchMIResult> EstimateSketchMI(const PreparedTrainSketch& train,
-                                        const Sketch& candidate,
-                                        MIEstimatorKind estimator,
-                                        const MIOptions& options = {},
-                                        size_t min_join_size = 1);
+/// \brief A train sketch's runs of equal key_hash in structure-of-arrays
+/// form: keys[i] is the i-th distinct key and spans[i] its [begin, end)
+/// slice of the train entries. Built once per query and shared by every
+/// candidate it is scored against; two parallel arrays so the merge scans
+/// a dense u64 key array (8 keys per cache line).
+struct TrainKeyRuns {
+  std::vector<uint64_t> keys;
+  std::vector<std::pair<uint32_t, uint32_t>> spans;
 
-Result<SketchMIResult> EstimateSketchMIAuto(const PreparedTrainSketch& train,
-                                            const Sketch& candidate,
-                                            const MIOptions& options = {},
-                                            size_t min_join_size = 1);
+  /// \brief Collects the runs of `train`. Fails with InvalidArgument
+  /// unless the run keys strictly ascend — entries sorted by key_hash, the
+  /// builder invariant the merge depends on.
+  static Result<TrainKeyRuns> Build(const Sketch& train);
+};
 
-/// \brief Prepared-candidate variants for the persisted-index setting;
-/// results match the Sketch overloads exactly.
-Result<SketchMIResult> EstimateSketchMI(const Sketch& train,
-                                        const PreparedCandidateSketch& candidate,
-                                        MIEstimatorKind estimator,
-                                        const MIOptions& options = {},
-                                        size_t min_join_size = 1);
+/// \brief Checks the candidate side of the merge contract — a
+/// candidate-side sketch whose key hashes strictly ascend, which rejects
+/// both duplicate keys and unsorted entries in one linear pass — and
+/// appends those key hashes to `*keys`. On failure `*keys` may hold a
+/// partial append; callers that keep it roll it back.
+Status AppendCandidateKeys(const Sketch& candidate,
+                           std::vector<uint64_t>* keys);
 
-Result<SketchMIResult> EstimateSketchMIAuto(
-    const Sketch& train, const PreparedCandidateSketch& candidate,
-    const MIOptions& options = {}, size_t min_join_size = 1);
+/// \brief One candidate's outcome from ScoreMergeJoin.
+struct MergeJoinScore {
+  /// Joined pairs, train-side multiplicity included.
+  size_t join_size = 0;
+  /// Empty when join_size < min_join_size: the common skip costs the merge
+  /// alone, with no value copied and no Status built. Otherwise the
+  /// estimate, or the estimator's error.
+  std::optional<Result<SketchMIResult>> scored;
+};
+
+/// \brief The merge-scoring kernel: every discovery path (SketchIndex,
+/// paged shards, JoinMIQuery::Estimate) scores a candidate through here.
+/// Intersects the train runs with the candidate's key hashes by a linear
+/// merge of two ascending u64 arrays, assembles the join sample in
+/// train-entry order with train multiplicity, and scores it with
+/// ScoreSketchJoinSample — so the result is bit-identical to
+/// JoinSketches + ScoreSketchJoinSample on the same sketches.
+///
+/// `runs` must come from TrainKeyRuns::Build(train); `candidate_keys`
+/// holds candidate.entries' key hashes, strictly ascending (see
+/// AppendCandidateKeys) — a dense copy rather than candidate.entries
+/// itself, because the merge is bound by the stride it scans (SketchIndex
+/// passes a slice of its key column). Sides and seeds are the caller's to
+/// check.
+/// Scratch lives in thread_local storage that keeps its capacity, so a
+/// warmed thread scores candidates without heap allocation.
+MergeJoinScore ScoreMergeJoin(const Sketch& train, const TrainKeyRuns& runs,
+                              const Sketch& candidate,
+                              const uint64_t* candidate_keys,
+                              const std::optional<MIEstimatorKind>& estimator,
+                              const MIOptions& options, size_t min_join_size);
+
+/// \brief The OutOfRange status ScoreSketchJoinSample returns for a join
+/// below min_join_size.
+Status JoinBelowMinimum(size_t join_size, size_t min_join_size);
+
+/// \brief Sides and hash seeds agree: the preconditions every join entry
+/// point enforces before looking at keys.
+Status CheckJoinable(const Sketch& train, const Sketch& candidate);
 
 }  // namespace joinmi
 

@@ -1,148 +1,30 @@
-// Tests for the flattened probe hot path: FlatProbeTable edge cases and
-// randomized parity against std::unordered_map, Arena alignment / reset /
-// oversized-allocation behavior, the FlatSketchIndex SoA arena, the
-// prepared-join probe contract (unsorted/duplicated candidates fail with a
-// structured error instead of a silently wrong join), and bit-identity of
-// the batched SketchIndex::EvaluateAll against the per-candidate
-// prepared-sketch path.
+// Tests for the discovery hot path: Arena alignment / reset /
+// oversized-allocation behavior, the merge kernel's key-order contract as
+// every entry point enforces it (unsorted or duplicated candidates and
+// unsorted train sketches fail with a structured error instead of a
+// silently wrong join), and bit-identity of every path that scores
+// through the kernel — SketchIndex::EvaluateAll, PagedShardClient::Search
+// and JoinMIQuery::Estimate — against the JoinSketches reference.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <filesystem>
+#include <map>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/arena.h"
 #include "src/common/random.h"
+#include "src/discovery/paged_shard_index.h"
+#include "src/discovery/sharded_index.h"
 #include "src/discovery/sketch_index.h"
-#include "src/sketch/flat_index.h"
-#include "src/sketch/flat_probe_table.h"
+#include "src/sketch/serialize.h"
 #include "src/sketch/sketch_join.h"
 #include "src/table/table.h"
 
 namespace joinmi {
 namespace {
-
-// ---------------------------------------------------------- FlatProbeTable
-
-TEST(FlatProbeTableTest, EmptyTableFindsNothing) {
-  FlatProbeTable table;
-  EXPECT_TRUE(table.empty());
-  EXPECT_EQ(table.size(), 0u);
-  EXPECT_EQ(table.Find(0), nullptr);
-  EXPECT_EQ(table.Find(~uint64_t{0}), nullptr);
-  EXPECT_EQ(table.Find(42), nullptr);
-}
-
-TEST(FlatProbeTableTest, SingleKeyRoundTrip) {
-  FlatProbeTable table;
-  ASSERT_TRUE(table.Insert(12345, 99));
-  EXPECT_EQ(table.size(), 1u);
-  const uint64_t* value = table.Find(12345);
-  ASSERT_NE(value, nullptr);
-  EXPECT_EQ(*value, 99u);
-  EXPECT_EQ(table.Find(12346), nullptr);
-}
-
-TEST(FlatProbeTableTest, ZeroAndAllOnesAreLegalKeys) {
-  // No sentinel key: 0 and ~0 must behave like any other key.
-  FlatProbeTable table;
-  ASSERT_TRUE(table.Insert(0, 1));
-  ASSERT_TRUE(table.Insert(~uint64_t{0}, 2));
-  ASSERT_NE(table.Find(0), nullptr);
-  EXPECT_EQ(*table.Find(0), 1u);
-  ASSERT_NE(table.Find(~uint64_t{0}), nullptr);
-  EXPECT_EQ(*table.Find(~uint64_t{0}), 2u);
-}
-
-TEST(FlatProbeTableTest, DuplicateInsertReturnsFalseAndKeepsFirstValue) {
-  FlatProbeTable table;
-  ASSERT_TRUE(table.Insert(7, 100));
-  EXPECT_FALSE(table.Insert(7, 200));
-  EXPECT_EQ(table.size(), 1u);
-  EXPECT_EQ(*table.Find(7), 100u);
-}
-
-// Finds `count` distinct keys that all hash to the same bucket of a
-// `buckets`-slot table, forcing the linear-probe chain.
-std::vector<uint64_t> CollidingKeys(size_t buckets, size_t count) {
-  unsigned shift = 64;
-  for (size_t b = buckets; b > 1; b >>= 1) --shift;
-  const size_t target = FlatProbeBucket(1, shift);
-  std::vector<uint64_t> keys;
-  for (uint64_t k = 1; keys.size() < count; ++k) {
-    if (FlatProbeBucket(k, shift) == target) keys.push_back(k);
-  }
-  return keys;
-}
-
-TEST(FlatProbeTableTest, AllKeysCollidingInOneBucketStillResolve) {
-  // Reserve enough that the 3 colliding keys never trigger growth, so the
-  // probe chain is exercised rather than rehashed away.
-  FlatProbeTable table(8);
-  const size_t buckets = table.capacity();
-  const std::vector<uint64_t> keys = CollidingKeys(buckets, 3);
-  for (size_t i = 0; i < keys.size(); ++i) {
-    ASSERT_TRUE(table.Insert(keys[i], i));
-  }
-  for (size_t i = 0; i < keys.size(); ++i) {
-    const uint64_t* value = table.Find(keys[i]);
-    ASSERT_NE(value, nullptr) << "key " << keys[i];
-    EXPECT_EQ(*value, i);
-  }
-  // A key landing in the same (now full) bucket but never inserted must
-  // walk the whole chain and still miss.
-  const std::vector<uint64_t> more = CollidingKeys(buckets, 4);
-  EXPECT_EQ(table.Find(more[3]), nullptr);
-  // Duplicate rejection must survive the collision chain too.
-  EXPECT_FALSE(table.Insert(keys[2], 777));
-}
-
-TEST(FlatProbeTableTest, RandomizedParityWithUnorderedMap) {
-  Rng rng(40412);
-  for (size_t trial = 0; trial < 8; ++trial) {
-    FlatProbeTable table;  // default-sized: growth/rehash exercised
-    std::unordered_map<uint64_t, uint64_t> reference;
-    const size_t n = 1 + rng.NextBounded(2000);
-    for (size_t i = 0; i < n; ++i) {
-      // Narrow key range so duplicate inserts actually occur.
-      const uint64_t key = rng.NextBounded(n * 2);
-      const bool inserted = table.Insert(key, i);
-      const bool ref_inserted = reference.emplace(key, i).second;
-      ASSERT_EQ(inserted, ref_inserted) << "key " << key;
-    }
-    ASSERT_EQ(table.size(), reference.size());
-    for (const auto& [key, value] : reference) {
-      const uint64_t* found = table.Find(key);
-      ASSERT_NE(found, nullptr) << "key " << key;
-      EXPECT_EQ(*found, value);
-    }
-    for (size_t i = 0; i < 200; ++i) {
-      const uint64_t probe = rng.Next64();
-      const uint64_t* found = table.Find(probe);
-      const auto it = reference.find(probe);
-      if (it == reference.end()) {
-        EXPECT_EQ(found, nullptr);
-      } else {
-        ASSERT_NE(found, nullptr);
-        EXPECT_EQ(*found, it->second);
-      }
-    }
-  }
-}
-
-TEST(FlatProbeTableTest, CapacityStaysPowerOfTwoAcrossGrowth) {
-  FlatProbeTable table;
-  for (uint64_t i = 0; i < 1000; ++i) {
-    ASSERT_TRUE(table.Insert(i * 2654435761u, i));
-    const size_t cap = table.capacity();
-    ASSERT_NE(cap, 0u);
-    ASSERT_EQ(cap & (cap - 1), 0u) << "not a power of two: " << cap;
-    // Load factor invariant: size never exceeds 3/4 of the slots.
-    ASSERT_LE(table.size() * 4, cap * 3);
-  }
-}
 
 // ------------------------------------------------------------------ Arena
 
@@ -235,14 +117,13 @@ TEST(ArenaTest, MoveTransfersOwnership) {
   EXPECT_EQ(p[0], 77u);
 }
 
-// -------------------------------------------------------- FlatSketchIndex
+// ------------------------------------------------ merge key-order contract
 
-Sketch MakeCandidateSketch(std::vector<std::pair<uint64_t, int64_t>> entries,
-                           uint32_t seed = 0) {
+Sketch MakeSketch(SketchSide side,
+                  std::vector<std::pair<uint64_t, int64_t>> entries) {
   Sketch sketch;
-  sketch.side = SketchSide::kCandidate;
+  sketch.side = side;
   sketch.capacity = entries.size();
-  sketch.hash_seed = seed;
   for (const auto& [key, value] : entries) {
     SketchEntry entry;
     entry.key_hash = key;
@@ -252,131 +133,201 @@ Sketch MakeCandidateSketch(std::vector<std::pair<uint64_t, int64_t>> entries,
   return sketch;
 }
 
-TEST(FlatSketchIndexTest, FindParityWithLinearScan) {
-  Rng rng(90901);
-  FlatSketchIndex flat;
-  std::vector<Sketch> sketches;
-  for (size_t c = 0; c < 20; ++c) {
-    std::vector<std::pair<uint64_t, int64_t>> entries;
-    uint64_t key = rng.NextBounded(50);
-    const size_t len = rng.NextBounded(60);  // sometimes empty
-    for (size_t i = 0; i < len; ++i) {
-      key += 1 + rng.NextBounded(40);  // strictly ascending, gappy
-      entries.push_back({key, static_cast<int64_t>(i)});
-    }
-    Sketch sketch = MakeCandidateSketch(std::move(entries));
-    auto added = flat.AddCandidate(sketch);
-    ASSERT_TRUE(added.ok());
-    ASSERT_EQ(*added, c);
-    sketches.push_back(std::move(sketch));
-  }
-  ASSERT_EQ(flat.num_candidates(), sketches.size());
-  for (size_t c = 0; c < sketches.size(); ++c) {
-    const Sketch& sketch = sketches[c];
-    ASSERT_EQ(flat.extent(c).len, sketch.entries.size());
-    for (size_t i = 0; i < sketch.entries.size(); ++i) {
-      EXPECT_EQ(flat.Find(c, sketch.entries[i].key_hash),
-                static_cast<int64_t>(i));
-      EXPECT_EQ(flat.keys(c)[i], sketch.entries[i].key_hash);
-      EXPECT_EQ(flat.values(c)[i], sketch.entries[i].value);
-    }
-    for (size_t probe = 0; probe < 100; ++probe) {
-      const uint64_t key = rng.Next64();
-      int64_t expected = -1;
-      for (size_t i = 0; i < sketch.entries.size(); ++i) {
-        if (sketch.entries[i].key_hash == key) {
-          expected = static_cast<int64_t>(i);
-          break;
-        }
-      }
-      EXPECT_EQ(flat.Find(c, key), expected);
-    }
-  }
+Sketch MakeCandidateSketch(std::vector<std::pair<uint64_t, int64_t>> entries) {
+  return MakeSketch(SketchSide::kCandidate, std::move(entries));
 }
 
-TEST(FlatSketchIndexTest, EmptyCandidateIsSafeToProbe) {
-  FlatSketchIndex flat;
-  auto added = flat.AddCandidate(MakeCandidateSketch({}));
-  ASSERT_TRUE(added.ok());
-  EXPECT_EQ(flat.extent(0).len, 0u);
-  EXPECT_EQ(flat.Find(0, 0), -1);
-  EXPECT_EQ(flat.Find(0, 12345), -1);
+Sketch MakeTrainSketch(std::vector<std::pair<uint64_t, int64_t>> entries) {
+  return MakeSketch(SketchSide::kTrain, std::move(entries));
 }
 
-TEST(FlatSketchIndexTest, RejectsDuplicateKeysWithoutMutation) {
-  FlatSketchIndex flat;
-  ASSERT_TRUE(flat.AddCandidate(MakeCandidateSketch({{1, 10}, {2, 20}})).ok());
-  const size_t entries_before = flat.total_entries();
-  const size_t slots_before = flat.total_probe_slots();
-  auto bad = flat.AddCandidate(MakeCandidateSketch({{5, 1}, {5, 2}}));
-  ASSERT_FALSE(bad.ok());
-  EXPECT_TRUE(bad.status().IsInvalidArgument());
-  EXPECT_EQ(flat.num_candidates(), 1u);
-  EXPECT_EQ(flat.total_entries(), entries_before);
-  EXPECT_EQ(flat.total_probe_slots(), slots_before);
+JoinMIConfig ContractConfig() {
+  JoinMIConfig config;
+  config.min_join_size = 1;
+  config.estimator = MIEstimatorKind::kMLE;
+  return config;
 }
 
-TEST(FlatSketchIndexTest, RejectsTrainSideSketches) {
-  FlatSketchIndex flat;
-  Sketch train = MakeCandidateSketch({{1, 10}});
-  train.side = SketchSide::kTrain;
-  EXPECT_FALSE(flat.AddCandidate(train).ok());
+// The reference outcome for one candidate: JoinSketches + the shared
+// scoring tail, exactly as EstimateSketchMI would compute it.
+Result<SketchMIResult> ReferenceScore(const JoinMIQuery& query,
+                                      const Sketch& candidate) {
+  JOINMI_ASSIGN_OR_RETURN(SketchJoinResult joined,
+                          JoinSketches(query.train_sketch(), candidate));
+  const JoinMIConfig& config = query.config();
+  return ScoreSketchJoinSample(joined.sample, joined.join_size,
+                               config.estimator, config.mi_options,
+                               config.min_join_size);
 }
 
-// ------------------------------------------- prepared-join probe contract
-
-Sketch MakeTrainSketch(std::vector<std::pair<uint64_t, int64_t>> entries,
-                       uint32_t seed = 0) {
-  Sketch sketch = MakeCandidateSketch(std::move(entries), seed);
-  sketch.side = SketchSide::kTrain;
-  return sketch;
+// Six train entries over keys 1..6 and a candidate holding all six keys in
+// descending order: JoinSketches joins 6 pairs, a merge that trusted the
+// order would find 1. Every kernel entry point must refuse the candidate.
+Sketch SixKeyTrain() {
+  return MakeTrainSketch({{1, 1}, {2, 2}, {3, 3}, {4, 1}, {5, 2}, {6, 3}});
+}
+Sketch SixKeyDescendingCandidate() {
+  return MakeCandidateSketch(
+      {{6, 3}, {5, 2}, {4, 1}, {3, 3}, {2, 2}, {1, 1}});
 }
 
 TEST(ProbeContractTest, UnsortedCandidateEntriesFailStructurally) {
-  auto prepared =
-      PreparedTrainSketch::Create(MakeTrainSketch({{1, 1}, {2, 2}, {3, 3}}));
-  ASSERT_TRUE(prepared.ok());
-  // Keys present in the train sketch but out of order: previously this
-  // produced a join whose outcome silently depended on probe order; now it
-  // is a structured contract violation.
-  Sketch unsorted = MakeCandidateSketch({{3, 30}, {1, 10}});
-  auto joined = prepared->Join(unsorted);
-  ASSERT_FALSE(joined.ok());
-  EXPECT_TRUE(joined.status().IsInvalidArgument());
-  EXPECT_NE(joined.status().message().find("not sorted"), std::string::npos)
-      << joined.status().ToString();
+  auto query = JoinMIQuery::FromTrainSketch(SixKeyTrain(), ContractConfig());
+  ASSERT_TRUE(query.ok()) << query.status();
+  Sketch descending = SixKeyDescendingCandidate();
+  auto reference = JoinSketches(query->train_sketch(), descending);
+  ASSERT_TRUE(reference.ok());
+  EXPECT_EQ(reference->join_size, 6u);
+  auto estimate = query->Estimate(descending);
+  ASSERT_FALSE(estimate.ok());
+  EXPECT_TRUE(estimate.status().IsInvalidArgument());
+  EXPECT_NE(estimate.status().message().find("not sorted"), std::string::npos)
+      << estimate.status().ToString();
 }
 
 TEST(ProbeContractTest, DuplicateCandidateKeysStillRejected) {
-  auto prepared =
-      PreparedTrainSketch::Create(MakeTrainSketch({{1, 1}, {2, 2}}));
-  ASSERT_TRUE(prepared.ok());
-  Sketch duplicated = MakeCandidateSketch({{2, 20}, {2, 21}});
-  auto joined = prepared->Join(duplicated);
-  ASSERT_FALSE(joined.ok());
-  EXPECT_TRUE(joined.status().IsInvalidArgument());
-  EXPECT_NE(joined.status().message().find("duplicate"), std::string::npos);
+  auto query = JoinMIQuery::FromTrainSketch(
+      MakeTrainSketch({{1, 1}, {2, 2}}), ContractConfig());
+  ASSERT_TRUE(query.ok()) << query.status();
+  auto estimate = query->Estimate(MakeCandidateSketch({{2, 20}, {2, 21}}));
+  ASSERT_FALSE(estimate.ok());
+  EXPECT_TRUE(estimate.status().IsInvalidArgument());
+  EXPECT_NE(estimate.status().message().find("duplicate"), std::string::npos);
+  // Duplicates that match no train entry are rejected too — parity with
+  // JoinSketches, which refuses them the same way.
+  const Sketch unmatched_dupes = MakeCandidateSketch({{9, 1}, {9, 2}});
+  EXPECT_TRUE(query->Estimate(unmatched_dupes).status().IsInvalidArgument());
+  EXPECT_TRUE(JoinSketches(query->train_sketch(), unmatched_dupes)
+                  .status()
+                  .IsInvalidArgument());
 }
 
-TEST(ProbeContractTest, SortedCandidateStillJoinsIdenticallyToJoinSketches) {
+TEST(ProbeContractTest, EmptyCandidatesScoreLikeTheReference) {
+  // An empty candidate is a zero-length slice of the index: probing it,
+  // between two candidates and as the last one, must neither read a
+  // neighbour's keys nor fail, and must match the reference outcome.
+  auto query = JoinMIQuery::FromTrainSketch(SixKeyTrain(), ContractConfig());
+  ASSERT_TRUE(query.ok()) << query.status();
+  SketchIndex index(ContractConfig());
+  const std::vector<Sketch> candidates = {
+      MakeCandidateSketch({{1, 1}, {2, 2}, {3, 3}}), MakeCandidateSketch({}),
+      MakeCandidateSketch({{4, 1}, {6, 3}}), MakeCandidateSketch({})};
+  for (size_t c = 0; c < candidates.size(); ++c) {
+    ASSERT_TRUE(
+        index.AddSketch({"t" + std::to_string(c), "K", "V"}, candidates[c])
+            .ok());
+  }
+  auto evaluation = index.EvaluateAll(*query, 1);
+  ASSERT_TRUE(evaluation.ok()) << evaluation.status();
+  for (size_t c = 0; c < candidates.size(); ++c) {
+    auto reference = ReferenceScore(*query, candidates[c]);
+    if (!reference.ok()) {
+      EXPECT_TRUE(reference.status().IsOutOfRange()) << c;
+      EXPECT_FALSE(evaluation->estimates[c].has_value()) << c;
+      continue;
+    }
+    ASSERT_TRUE(evaluation->estimates[c].has_value()) << c;
+    EXPECT_EQ(evaluation->estimates[c]->mi, reference->mi) << c;
+    EXPECT_EQ(evaluation->estimates[c]->sample_size, reference->join_size)
+        << c;
+  }
+  EXPECT_EQ(evaluation->num_evaluated, 2u);
+  EXPECT_EQ(evaluation->num_skipped, 2u);
+  EXPECT_EQ(evaluation->num_errors, 0u);
+}
+
+TEST(ProbeContractTest, EstimateChecksSidesAndSeedsBeforeMerging) {
+  auto query = JoinMIQuery::FromTrainSketch(
+      MakeTrainSketch({{5, 9}}), ContractConfig());
+  ASSERT_TRUE(query.ok()) << query.status();
+  Sketch train_side = MakeTrainSketch({{5, 1}});
+  EXPECT_TRUE(query->Estimate(train_side).status().IsInvalidArgument());
+  Sketch other_seed = MakeCandidateSketch({{5, 1}});
+  other_seed.hash_seed = 3;
+  EXPECT_TRUE(query->Estimate(other_seed).status().IsInvalidArgument());
+  other_seed.hash_seed = 0;
+  auto joined = query->Estimate(other_seed);
+  ASSERT_TRUE(joined.ok()) << joined.status();
+  EXPECT_EQ(joined->sample_size, 1u);
+}
+
+TEST(ProbeContractTest, SortedCandidateScoresIdenticallyToJoinSketches) {
   Sketch train = MakeTrainSketch({{1, 5}, {1, 6}, {4, 7}, {9, 8}});
   Sketch candidate = MakeCandidateSketch({{1, 100}, {9, 900}, {12, 1200}});
-  auto prepared = PreparedTrainSketch::Create(train);
-  ASSERT_TRUE(prepared.ok());
-  auto reference = JoinSketches(train, candidate);
+  auto query = JoinMIQuery::FromTrainSketch(train, ContractConfig());
+  ASSERT_TRUE(query.ok()) << query.status();
+  auto joined = JoinSketches(train, candidate);
+  ASSERT_TRUE(joined.ok());
+  ASSERT_EQ(joined->join_size, 3u);
+  auto reference = ScoreSketchJoinSample(joined->sample, joined->join_size,
+                                         MIEstimatorKind::kMLE, {}, 1);
   ASSERT_TRUE(reference.ok());
-  auto fast = prepared->Join(candidate);
-  ASSERT_TRUE(fast.ok());
-  ASSERT_EQ(fast->join_size, reference->join_size);
-  ASSERT_EQ(fast->matched_keys, reference->matched_keys);
-  ASSERT_EQ(fast->sample.x.size(), reference->sample.x.size());
-  for (size_t i = 0; i < fast->sample.size(); ++i) {
-    EXPECT_EQ(fast->sample.x[i], reference->sample.x[i]) << i;
-    EXPECT_EQ(fast->sample.y[i], reference->sample.y[i]) << i;
-  }
+  auto estimate = query->Estimate(candidate);
+  ASSERT_TRUE(estimate.ok()) << estimate.status();
+  EXPECT_EQ(estimate->mi, reference->mi);
+  EXPECT_EQ(estimate->sample_size, 3u);
 }
 
-// ------------------------------------- batched EvaluateAll bit-identity
+TEST(ProbeContractTest, IndexRejectsDescendingCandidateWithoutMutation) {
+  SketchIndex index(ContractConfig());
+  ASSERT_TRUE(
+      index.AddSketch({"ok", "K", "V"}, MakeCandidateSketch({{1, 1}, {3, 3}}))
+          .ok());
+  Status added =
+      index.AddSketch({"bad", "K", "V"}, SixKeyDescendingCandidate());
+  EXPECT_TRUE(added.IsInvalidArgument()) << added.ToString();
+  EXPECT_NE(added.message().find("not sorted"), std::string::npos);
+  EXPECT_EQ(index.size(), 1u);
+  // The rejected keys must not linger in the key column: a candidate added
+  // afterwards still scores against its own keys.
+  ASSERT_TRUE(index.AddSketch({"next", "K", "V"},
+                              MakeCandidateSketch({{1, 1}, {2, 2}, {3, 3}}))
+                  .ok());
+  auto query = JoinMIQuery::FromTrainSketch(SixKeyTrain(), ContractConfig());
+  ASSERT_TRUE(query.ok());
+  auto evaluation = index.EvaluateAll(*query, 1);
+  ASSERT_TRUE(evaluation.ok());
+  ASSERT_TRUE(evaluation->estimates[1].has_value());
+  EXPECT_EQ(evaluation->estimates[1]->sample_size, 3u);
+}
+
+TEST(ProbeContractTest, LoaderNamesTheDescendingCandidate) {
+  // A JMIX file whose second candidate's keys descend: the loader must
+  // reject it and say which candidate. SerializeIndex cannot write one (the
+  // index refuses the sketch), so splice its bytes over a valid sketch of
+  // the same size.
+  SketchIndex index(ContractConfig());
+  ASSERT_TRUE(index.AddSketch({"a", "K", "V"}, MakeCandidateSketch({{1, 1}}))
+                  .ok());
+  Sketch ascending =
+      MakeCandidateSketch({{1, 1}, {2, 2}, {3, 3}, {4, 1}, {5, 2}, {6, 3}});
+  ASSERT_TRUE(index.AddSketch({"b", "K", "V"}, ascending).ok());
+  std::string bytes = SerializeIndex(index);
+  const std::string good = SerializeSketch(ascending);
+  const std::string bad = SerializeSketch(SixKeyDescendingCandidate());
+  ASSERT_EQ(good.size(), bad.size());
+  const size_t at = bytes.find(good);
+  ASSERT_NE(at, std::string::npos);
+  bytes.replace(at, good.size(), bad);
+  auto loaded = DeserializeIndex(bytes);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_TRUE(loaded.status().IsInvalidArgument()) << loaded.status();
+  EXPECT_NE(loaded.status().message().find("candidate 1 of 2"),
+            std::string::npos)
+      << loaded.status().ToString();
+}
+
+TEST(ProbeContractTest, FromTrainSketchRejectsDescendingTrainSketch) {
+  // The RPC upload path: a train sketch arriving over the wire with keys
+  // out of order must be refused, not merged into a wrong join.
+  auto query = JoinMIQuery::FromTrainSketch(
+      MakeTrainSketch({{6, 1}, {4, 2}, {1, 3}}), ContractConfig());
+  ASSERT_FALSE(query.ok());
+  EXPECT_TRUE(query.status().IsInvalidArgument());
+  EXPECT_NE(query.status().message().find("not sorted"), std::string::npos);
+}
+
+// ------------------------------------- every path against the reference
 
 std::shared_ptr<Table> MakeTwoColumnTable(const std::string& key_name,
                                           std::vector<std::string> keys,
@@ -387,29 +338,23 @@ std::shared_ptr<Table> MakeTwoColumnTable(const std::string& key_name,
        {value_name, Column::MakeInt64(std::move(values))}});
 }
 
-TEST(BatchedEvaluateAllTest, MatchesPerCandidatePreparedPathBitExactly) {
+// Twelve candidates of graded relevance and shrinking key overlap, so the
+// index mixes real hits, noise, and below-cutoff candidates.
+TableRepository MakeGradedRepository(std::shared_ptr<Table>* base) {
   Rng rng(5150);
   const size_t num_keys = 200;
   std::vector<std::string> keys;
   std::vector<int64_t> targets;
   for (size_t i = 0; i < num_keys; ++i) {
-    keys.push_back("k" + std::to_string(i));
+    keys.push_back("k" + std::to_string(i % 150));
     targets.push_back(static_cast<int64_t>(i % 9));
   }
-  auto base = MakeTwoColumnTable("K", keys, "Y", targets);
-
-  JoinMIConfig config;
-  config.sketch_capacity = 128;
-  config.min_join_size = 16;
-  SketchIndex index(config);
+  *base = MakeTwoColumnTable("K", keys, "Y", targets);
   TableRepository repository;
   for (size_t t = 0; t < 12; ++t) {
-    // Graded relevance plus partial key overlap so the index mixes real
-    // hits, noise, and below-cutoff candidates.
     std::vector<std::string> cand_keys;
     std::vector<int64_t> cand_values;
-    const size_t start = t * 10;
-    for (size_t i = start; i < num_keys; ++i) {
+    for (size_t i = t * 12; i < num_keys; ++i) {
       cand_keys.push_back("k" + std::to_string(i));
       cand_values.push_back(t % 3 == 0
                                 ? static_cast<int64_t>(i % 9)
@@ -421,6 +366,16 @@ TEST(BatchedEvaluateAllTest, MatchesPerCandidatePreparedPathBitExactly) {
                                      std::move(cand_values)))
         .Abort();
   }
+  return repository;
+}
+
+TEST(BatchedEvaluateAllTest, MatchesJoinSketchesReferenceBitExactly) {
+  std::shared_ptr<Table> base;
+  TableRepository repository = MakeGradedRepository(&base);
+  JoinMIConfig config;
+  config.sketch_capacity = 128;
+  config.min_join_size = 16;
+  SketchIndex index(config);
   ASSERT_TRUE(index.IndexRepository(repository).ok());
   ASSERT_EQ(index.size(), 12u);
 
@@ -432,15 +387,14 @@ TEST(BatchedEvaluateAllTest, MatchesPerCandidatePreparedPathBitExactly) {
     size_t evaluated = 0;
     size_t skipped = 0;
     for (size_t c = 0; c < index.size(); ++c) {
-      // Ground truth: the per-candidate prepared path the batched strip
-      // replaced. Estimates must agree bit-for-bit, not approximately.
-      auto reference = query.Estimate(index.candidates()[c].prepared);
+      // Estimates must agree bit-for-bit, not approximately.
+      auto reference = ReferenceScore(query, index.candidates()[c].sketch());
       if (reference.ok()) {
         ++evaluated;
         ASSERT_TRUE(evaluation->estimates[c].has_value()) << c;
         EXPECT_EQ(evaluation->estimates[c]->mi, reference->mi) << c;
         EXPECT_EQ(evaluation->estimates[c]->sample_size,
-                  reference->sample_size)
+                  reference->join_size)
             << c;
         EXPECT_EQ(evaluation->estimates[c]->estimator, reference->estimator)
             << c;
@@ -451,11 +405,94 @@ TEST(BatchedEvaluateAllTest, MatchesPerCandidatePreparedPathBitExactly) {
         EXPECT_FALSE(evaluation->estimates[c].has_value()) << c;
       }
     }
+    EXPECT_GT(evaluated, 0u);
+    EXPECT_GT(skipped, 0u);
     EXPECT_EQ(evaluation->num_evaluated, evaluated);
     EXPECT_EQ(evaluation->num_skipped, skipped);
     EXPECT_EQ(evaluation->num_errors, 0u);
   }
 }
+
+class KernelPathsTest : public testing::TestWithParam<SketchMethod> {};
+
+TEST_P(KernelPathsTest, IndexPagedAndEstimateMatchReferenceBitExactly) {
+  std::shared_ptr<Table> base;
+  TableRepository repository = MakeGradedRepository(&base);
+  JoinMIConfig config;
+  config.sketch_method = GetParam();
+  config.sketch_capacity = 96;
+  config.min_join_size = 12;
+  SketchIndex index(config);
+  ASSERT_TRUE(index.IndexRepository(repository).ok());
+  ASSERT_EQ(index.size(), 12u);
+  auto query = *JoinMIQuery::Create(*base, "K", "Y", config);
+
+  const std::string dir = testing::TempDir() + "/joinmi_kernel_paths_" +
+                          SketchMethodToString(GetParam());
+  std::filesystem::remove_all(dir);
+  ShardBuildOptions paged_build;
+  paged_build.format = ShardFileFormat::kPaged;
+  paged_build.page_size = 256;
+  auto manifest_path = BuildShards(index, 1, ShardPartitionPolicy::kRoundRobin,
+                                   dir, paged_build);
+  ASSERT_TRUE(manifest_path.ok()) << manifest_path.status();
+  auto manifest = ReadManifestFile(*manifest_path);
+  ASSERT_TRUE(manifest.ok());
+  PagedShardClient::Options one_page;
+  one_page.pool_pages = 1;
+  auto paged = PagedShardClient::Open(dir + "/" + manifest->shards[0].path,
+                                      manifest->shards[0].global_indices,
+                                      one_page);
+  ASSERT_TRUE(paged.ok()) << paged.status();
+
+  auto evaluation = index.EvaluateAll(query, 4);
+  ASSERT_TRUE(evaluation.ok());
+  auto shard = (*paged)->Search(query, index.size(), 4);
+  ASSERT_TRUE(shard.ok()) << shard.status();
+  std::map<uint64_t, JoinMIEstimate> paged_hits;
+  for (const ShardSearchHit& hit : shard->hits) {
+    paged_hits.emplace(hit.global_index, hit.estimate);
+  }
+  size_t evaluated = 0;
+  for (size_t c = 0; c < index.size(); ++c) {
+    const Sketch& candidate = index.candidates()[c].sketch();
+    auto reference = ReferenceScore(query, candidate);
+    auto estimate = query.Estimate(candidate);
+    const auto paged_hit = paged_hits.find(c);
+    if (!reference.ok()) {
+      ASSERT_TRUE(reference.status().IsOutOfRange()) << c;
+      EXPECT_TRUE(estimate.status().IsOutOfRange()) << c;
+      EXPECT_FALSE(evaluation->estimates[c].has_value()) << c;
+      EXPECT_EQ(paged_hit, paged_hits.end()) << c;
+      continue;
+    }
+    ++evaluated;
+    ASSERT_TRUE(estimate.ok()) << c << ": " << estimate.status();
+    ASSERT_TRUE(evaluation->estimates[c].has_value()) << c;
+    ASSERT_NE(paged_hit, paged_hits.end()) << c;
+    for (const JoinMIEstimate& got :
+         {*estimate, *evaluation->estimates[c], paged_hit->second}) {
+      EXPECT_EQ(got.mi, reference->mi) << c;
+      EXPECT_EQ(got.sample_size, reference->join_size) << c;
+      EXPECT_EQ(got.estimator, reference->estimator) << c;
+    }
+  }
+  EXPECT_GT(evaluated, 0u);
+  EXPECT_EQ(evaluation->num_evaluated, evaluated);
+  EXPECT_EQ(shard->num_evaluated, evaluated);
+  EXPECT_EQ(shard->num_skipped, evaluation->num_skipped);
+  EXPECT_EQ(shard->num_errors, 0u);
+  std::filesystem::remove_all(dir);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllMethods, KernelPathsTest,
+    testing::Values(SketchMethod::kTupsk, SketchMethod::kLv2sk,
+                    SketchMethod::kPrisk, SketchMethod::kIndsk,
+                    SketchMethod::kCsk),
+    [](const testing::TestParamInfo<SketchMethod>& info) {
+      return SketchMethodToString(info.param);
+    });
 
 }  // namespace
 }  // namespace joinmi

@@ -864,7 +864,6 @@ TEST_F(IngestTest, RouterReloadServesNewEpochAndInvalidatesCache) {
   ASSERT_TRUE((*router)->Reload().ok());
   EXPECT_EQ((*router)->epoch(), 1u);
   EXPECT_EQ((*router)->size(), 8u);
-  EXPECT_EQ((*router)->metrics().CounterValue("router.reloads"), 1u);
   EXPECT_EQ((*router)->metrics().CounterValue("router.reload.count"), 1u);
   EXPECT_EQ((*router)->metrics().CounterValue("router.manifest.epoch"), 1u);
   EXPECT_EQ((*router)->cache_stats().entries, 0u);  // cache invalidated

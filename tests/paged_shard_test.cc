@@ -336,7 +336,6 @@ TEST(PagedShardSearchTest, AgreesWithWholeFileAndUnshardedEverywhere) {
 
   ShardedSketchIndex::LocalShardLoadOptions tiny_pool;
   tiny_pool.pool_pages = 1;
-  tiny_pool.prepared_cache_entries = 0;
   ShardBuildOptions paged_build;
   paged_build.format = ShardFileFormat::kPaged;
   paged_build.page_size = 256;
@@ -406,7 +405,6 @@ TEST(PagedShardSearchTest, EvictionReallyHappensAndDoesNotChangeRankings) {
 
   PagedShardClient::Options options;
   options.pool_pages = 1;
-  options.prepared_cache_entries = 0;
   auto paged_client = PagedShardClient::Open(
       shard_path, manifest->shards[0].global_indices, options);
   ASSERT_TRUE(paged_client.ok()) << paged_client.status();

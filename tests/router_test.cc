@@ -411,7 +411,7 @@ TEST_F(RouterTest, ReloadSwapsTheManifestAndClearsTheCache) {
   ASSERT_TRUE((*router)->Reload(manifest_b).ok());
   EXPECT_EQ((*router)->num_shards(), 3u);
   EXPECT_EQ((*router)->cache_stats().entries, 0u);
-  EXPECT_EQ((*router)->metrics().CounterValue("router.reloads"), 1u);
+  EXPECT_EQ((*router)->metrics().CounterValue("router.reload.count"), 1u);
 
   auto second = (*router)->Search(*universe_.base, {"K", "Y"}, 3);
   ASSERT_TRUE(second.ok()) << second.status();

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
+
 #include "src/common/random.h"
 #include "src/sketch/builder.h"
 #include "src/sketch/serialize.h"
@@ -322,6 +325,27 @@ TEST(SerializeTest, RejectsCorruptedInputs) {
     bad_count[count_offset + static_cast<size_t>(b)] = '\xFF';
   }
   EXPECT_FALSE(DeserializeSketch(bad_count).ok());
+}
+
+TEST(SerializeTest, EntryCountThatWrapsTheSizeCheckIsRejected) {
+  // 2^64/17 + 1 entries of 17 bytes each is 16 bytes mod 2^64: a check
+  // that multiplies would pass it and hand reserve() an impossible count.
+  // The count must be refused as an IOError, not abort the process.
+  Sketch small;
+  small.side = SketchSide::kCandidate;
+  for (uint64_t key = 1; key <= 8; ++key) {
+    small.entries.push_back(
+        SketchEntry{key, 0.5, Value(static_cast<int64_t>(key))});
+  }
+  std::string data = SerializeSketch(small);
+  const size_t count_offset = 4 + 4 + 1 + 1 + 4 + 24;
+  const uint64_t wrapping_count =
+      std::numeric_limits<uint64_t>::max() / 17 + 1;
+  ASSERT_EQ(wrapping_count * 17, 16u);
+  std::memcpy(&data[count_offset], &wrapping_count, sizeof(wrapping_count));
+  auto parsed = DeserializeSketch(data);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_TRUE(parsed.status().IsIOError()) << parsed.status();
 }
 
 // ------------------------------------------------------ wire::Checksum64

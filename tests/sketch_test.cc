@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -662,12 +663,26 @@ INSTANTIATE_TEST_SUITE_P(
       return SketchMethodToString(info.param);
     });
 
-// ------------------------------------------------- PreparedTrainSketch ---
+// ------------------------------------------------- Merge-scoring kernel ---
 
-TEST(PreparedTrainSketchTest, JoinMatchesJoinSketchesForEveryMethod) {
-  // The prepared path is an optimization, not a semantic change: for every
-  // sketch variant the joined sample must be byte-identical to
-  // JoinSketches, including train-side multiplicity and pair order.
+// Scores `candidate` through the merge kernel the way every discovery path
+// does: train runs built once, candidate keys checked and gathered.
+MergeJoinScore ScoreThroughKernel(
+    const Sketch& train, const Sketch& candidate,
+    const std::optional<MIEstimatorKind>& estimator, size_t min_join_size) {
+  auto runs = TrainKeyRuns::Build(train);
+  EXPECT_TRUE(runs.ok()) << runs.status();
+  std::vector<uint64_t> keys;
+  EXPECT_TRUE(AppendCandidateKeys(candidate, &keys).ok());
+  return ScoreMergeJoin(train, *runs, candidate, keys.data(), estimator, {},
+                        min_join_size);
+}
+
+TEST(MergeKernelTest, MatchesJoinSketchesForEveryMethod) {
+  // The kernel is an optimization, not a semantic change: for every sketch
+  // variant, explicit and auto estimators alike, it must reproduce
+  // JoinSketches + ScoreSketchJoinSample bit for bit — train-side
+  // multiplicity and pair order included, or the MI would differ.
   Rng rng(77);
   std::vector<std::string> train_keys, cand_keys;
   std::vector<int64_t> train_values, cand_values;
@@ -689,200 +704,120 @@ TEST(PreparedTrainSketchTest, JoinMatchesJoinSketchesForEveryMethod) {
     auto s_cand = *builder->SketchCandidate(*(*cand->GetColumn("K")),
                                             *(*cand->GetColumn("Z")),
                                             AggKind::kAvg);
-    auto plain = *JoinSketches(s_train, s_cand);
-    auto prepared = PreparedTrainSketch::Create(s_train);
-    ASSERT_TRUE(prepared.ok()) << SketchMethodToString(method);
-    auto fast = *prepared->Join(s_cand);
-    ASSERT_EQ(fast.join_size, plain.join_size) << SketchMethodToString(method);
-    EXPECT_EQ(fast.matched_keys, plain.matched_keys);
-    for (size_t i = 0; i < plain.sample.size(); ++i) {
-      ASSERT_EQ(fast.sample.x[i], plain.sample.x[i])
-          << SketchMethodToString(method) << " pair " << i;
-      ASSERT_EQ(fast.sample.y[i], plain.sample.y[i])
-          << SketchMethodToString(method) << " pair " << i;
+    auto joined = *JoinSketches(s_train, s_cand);
+    for (const std::optional<MIEstimatorKind>& estimator :
+         {std::optional<MIEstimatorKind>(MIEstimatorKind::kMLE),
+          std::optional<MIEstimatorKind>()}) {
+      auto reference = ScoreSketchJoinSample(joined.sample, joined.join_size,
+                                             estimator, {}, 1);
+      MergeJoinScore fast = ScoreThroughKernel(s_train, s_cand, estimator, 1);
+      EXPECT_EQ(fast.join_size, joined.join_size)
+          << SketchMethodToString(method);
+      ASSERT_EQ(fast.scored.has_value(), joined.join_size >= 1);
+      if (!fast.scored.has_value()) continue;
+      ASSERT_EQ(fast.scored->ok(), reference.ok())
+          << SketchMethodToString(method);
+      if (!reference.ok()) continue;
+      EXPECT_EQ((*fast.scored)->mi, reference->mi)
+          << SketchMethodToString(method);
+      EXPECT_EQ((*fast.scored)->join_size, reference->join_size);
+      EXPECT_EQ((*fast.scored)->estimator, reference->estimator);
     }
   }
 }
 
-TEST(PreparedTrainSketchTest, EstimateMatchesUnpreparedOverloads) {
-  std::vector<std::string> keys;
-  std::vector<int64_t> values;
-  for (int i = 0; i < 600; ++i) {
-    keys.push_back("k" + std::to_string(i % 150));
-    values.push_back(static_cast<int64_t>(i % 6));
-  }
-  auto train = MakeTrain(keys, values);
-  auto cand = *Table::FromColumns(
-      {{"K", Column::MakeString(keys)}, {"Z", Column::MakeInt64(values)}});
-  auto builder = MakeSketchBuilder(SketchMethod::kTupsk, Options(64));
-  auto s_train = *builder->SketchTrain(*(*train->GetColumn("K")),
-                                       *(*train->GetColumn("Y")));
-  auto s_cand = *builder->SketchCandidate(*(*cand->GetColumn("K")),
-                                          *(*cand->GetColumn("Z")),
-                                          AggKind::kFirst);
-  auto prepared = *PreparedTrainSketch::Create(s_train);
-  auto plain = *EstimateSketchMI(s_train, s_cand, MIEstimatorKind::kMLE);
-  auto fast = *EstimateSketchMI(prepared, s_cand, MIEstimatorKind::kMLE);
-  EXPECT_EQ(plain.mi, fast.mi);
-  EXPECT_EQ(plain.join_size, fast.join_size);
-  auto plain_auto = *EstimateSketchMIAuto(s_train, s_cand);
-  auto fast_auto = *EstimateSketchMIAuto(prepared, s_cand);
-  EXPECT_EQ(plain_auto.mi, fast_auto.mi);
-  EXPECT_EQ(plain_auto.estimator, fast_auto.estimator);
-}
-
-TEST(PreparedTrainSketchTest, EmptyTrainSketchJoinsEmpty) {
+TEST(MergeKernelTest, BelowMinimumSkipsWithoutScoring) {
   Sketch train;
   train.side = SketchSide::kTrain;
-  auto prepared = PreparedTrainSketch::Create(train);
-  ASSERT_TRUE(prepared.ok());
+  train.entries.push_back(SketchEntry{5, 0.1, Value(int64_t{1})});
+  train.entries.push_back(SketchEntry{5, 0.2, Value(int64_t{2})});
+  train.entries.push_back(SketchEntry{8, 0.3, Value(int64_t{3})});
+  Sketch cand;
+  cand.side = SketchSide::kCandidate;
+  cand.entries.push_back(SketchEntry{5, 0.1, Value(int64_t{50})});
+  MergeJoinScore below =
+      ScoreThroughKernel(train, cand, MIEstimatorKind::kMLE, 3);
+  EXPECT_EQ(below.join_size, 2u);  // train multiplicity counted
+  EXPECT_FALSE(below.scored.has_value());
+  MergeJoinScore at = ScoreThroughKernel(train, cand, MIEstimatorKind::kMLE, 2);
+  EXPECT_EQ(at.join_size, 2u);
+  ASSERT_TRUE(at.scored.has_value());
+  EXPECT_TRUE(at.scored->ok()) << at.scored->status();
+}
+
+TEST(MergeKernelTest, EmptyTrainSketchJoinsEmpty) {
+  Sketch train;
+  train.side = SketchSide::kTrain;
   Sketch cand;
   cand.side = SketchSide::kCandidate;
   cand.entries.push_back(SketchEntry{42, 0.1, Value(int64_t{1})});
-  auto joined = prepared->Join(cand);
-  ASSERT_TRUE(joined.ok());
-  EXPECT_EQ(joined->join_size, 0u);
-  EXPECT_EQ(joined->matched_keys, 0u);
+  MergeJoinScore score = ScoreThroughKernel(train, cand, std::nullopt, 1);
+  EXPECT_EQ(score.join_size, 0u);
+  EXPECT_FALSE(score.scored.has_value());
 }
 
-TEST(PreparedTrainSketchTest, RejectsUnsortedTrainEntries) {
+TEST(MergeKernelTest, TrainRunsRejectUnsortedEntries) {
   Sketch train;
   train.side = SketchSide::kTrain;
   // Same key hash in two non-adjacent runs violates the sort invariant.
   train.entries.push_back(SketchEntry{7, 0.1, Value(int64_t{1})});
   train.entries.push_back(SketchEntry{3, 0.2, Value(int64_t{2})});
   train.entries.push_back(SketchEntry{7, 0.3, Value(int64_t{3})});
-  auto prepared = PreparedTrainSketch::Create(train);
-  EXPECT_FALSE(prepared.ok());
-  EXPECT_TRUE(prepared.status().IsInvalidArgument());
+  auto runs = TrainKeyRuns::Build(train);
+  EXPECT_TRUE(runs.status().IsInvalidArgument());
+  // Unique but descending keys: no key repeats, yet the merge would miss
+  // every match after the first, so this is rejected too.
+  Sketch descending;
+  descending.side = SketchSide::kTrain;
+  descending.entries.push_back(SketchEntry{9, 0.1, Value(int64_t{1})});
+  descending.entries.push_back(SketchEntry{4, 0.2, Value(int64_t{2})});
+  EXPECT_TRUE(TrainKeyRuns::Build(descending).status().IsInvalidArgument());
 }
 
-TEST(PreparedTrainSketchTest, RejectsDuplicateCandidateKeys) {
+TEST(MergeKernelTest, TrainRunsGroupEqualKeys) {
   Sketch train;
   train.side = SketchSide::kTrain;
-  train.entries.push_back(SketchEntry{5, 0.1, Value(int64_t{1})});
-  auto prepared = *PreparedTrainSketch::Create(train);
-  Sketch cand;
-  cand.side = SketchSide::kCandidate;
-  cand.entries.push_back(SketchEntry{5, 0.1, Value(int64_t{1})});
-  cand.entries.push_back(SketchEntry{5, 0.2, Value(int64_t{2})});
-  auto joined = prepared.Join(cand);
-  EXPECT_FALSE(joined.ok());
-  EXPECT_TRUE(joined.status().IsInvalidArgument());
-  // Duplicate candidate keys are rejected even when they match no train
-  // entry — parity with the JoinSketches overload.
-  Sketch unmatched_dupes;
-  unmatched_dupes.side = SketchSide::kCandidate;
-  unmatched_dupes.entries.push_back(SketchEntry{9, 0.1, Value(int64_t{1})});
-  unmatched_dupes.entries.push_back(SketchEntry{9, 0.2, Value(int64_t{2})});
-  EXPECT_FALSE(prepared.Join(unmatched_dupes).ok());
-  EXPECT_FALSE(JoinSketches(prepared.sketch(), unmatched_dupes).ok());
-  // And a train sketch on the right is still rejected.
-  Sketch wrong_side;
-  wrong_side.side = SketchSide::kTrain;
-  EXPECT_FALSE(prepared.Join(wrong_side).ok());
+  for (uint64_t key : {2, 2, 2, 5, 9, 9}) {
+    train.entries.push_back(SketchEntry{key, 0.1, Value(int64_t{1})});
+  }
+  auto runs = *TrainKeyRuns::Build(train);
+  EXPECT_EQ(runs.keys, (std::vector<uint64_t>{2, 5, 9}));
+  ASSERT_EQ(runs.spans.size(), 3u);
+  EXPECT_EQ(runs.spans[0], std::make_pair(0u, 3u));
+  EXPECT_EQ(runs.spans[1], std::make_pair(3u, 4u));
+  EXPECT_EQ(runs.spans[2], std::make_pair(4u, 6u));
 }
 
-// --------------------------------------------- PreparedCandidateSketch ---
-
-TEST(PreparedCandidateSketchTest, JoinMatchesJoinSketchesForEveryMethod) {
-  // The symmetric optimization to PreparedTrainSketch: preparing the
-  // candidate side must not change join semantics for any sketch variant.
-  Rng rng(78);
-  std::vector<std::string> train_keys, cand_keys;
-  std::vector<int64_t> train_values, cand_values;
-  for (int i = 0; i < 1500; ++i) {
-    train_keys.push_back("k" + std::to_string(rng.NextBounded(300)));
-    train_values.push_back(static_cast<int64_t>(rng.NextBounded(40)));
-  }
-  for (int i = 0; i < 350; ++i) {
-    cand_keys.push_back("k" + std::to_string(i));
-    cand_values.push_back(static_cast<int64_t>(rng.NextBounded(40)));
-  }
-  auto train = MakeTrain(train_keys, train_values);
-  auto cand = *Table::FromColumns({{"K", Column::MakeString(cand_keys)},
-                                   {"Z", Column::MakeInt64(cand_values)}});
-  for (SketchMethod method : kAllMethods) {
-    auto builder = MakeSketchBuilder(method, Options(96));
-    auto s_train = *builder->SketchTrain(*(*train->GetColumn("K")),
-                                         *(*train->GetColumn("Y")));
-    auto s_cand = *builder->SketchCandidate(*(*cand->GetColumn("K")),
-                                            *(*cand->GetColumn("Z")),
-                                            AggKind::kAvg);
-    auto plain = *JoinSketches(s_train, s_cand);
-    auto prepared = PreparedCandidateSketch::Create(s_cand);
-    ASSERT_TRUE(prepared.ok()) << SketchMethodToString(method);
-    auto fast = *prepared->Join(s_train);
-    ASSERT_EQ(fast.join_size, plain.join_size) << SketchMethodToString(method);
-    EXPECT_EQ(fast.matched_keys, plain.matched_keys);
-    for (size_t i = 0; i < plain.sample.size(); ++i) {
-      ASSERT_EQ(fast.sample.x[i], plain.sample.x[i])
-          << SketchMethodToString(method) << " pair " << i;
-      ASSERT_EQ(fast.sample.y[i], plain.sample.y[i])
-          << SketchMethodToString(method) << " pair " << i;
+TEST(MergeKernelTest, CandidateKeysMustStrictlyAscend) {
+  auto make = [](std::vector<uint64_t> keys) {
+    Sketch cand;
+    cand.side = SketchSide::kCandidate;
+    for (uint64_t key : keys) {
+      cand.entries.push_back(SketchEntry{key, 0.1, Value(int64_t{1})});
     }
-  }
-}
+    return cand;
+  };
+  std::vector<uint64_t> keys;
+  ASSERT_TRUE(AppendCandidateKeys(make({1, 4, 9}), &keys).ok());
+  EXPECT_EQ(keys, (std::vector<uint64_t>{1, 4, 9}));
 
-TEST(PreparedCandidateSketchTest, EstimateMatchesUnpreparedOverloads) {
-  std::vector<std::string> keys;
-  std::vector<int64_t> values;
-  for (int i = 0; i < 600; ++i) {
-    keys.push_back("k" + std::to_string(i % 150));
-    values.push_back(static_cast<int64_t>(i % 6));
-  }
-  auto train = MakeTrain(keys, values);
-  auto cand = *Table::FromColumns(
-      {{"K", Column::MakeString(keys)}, {"Z", Column::MakeInt64(values)}});
-  auto builder = MakeSketchBuilder(SketchMethod::kTupsk, Options(64));
-  auto s_train = *builder->SketchTrain(*(*train->GetColumn("K")),
-                                       *(*train->GetColumn("Y")));
-  auto s_cand = *builder->SketchCandidate(*(*cand->GetColumn("K")),
-                                          *(*cand->GetColumn("Z")),
-                                          AggKind::kFirst);
-  auto prepared = *PreparedCandidateSketch::Create(s_cand);
-  auto plain = *EstimateSketchMI(s_train, s_cand, MIEstimatorKind::kMLE);
-  auto fast = *EstimateSketchMI(s_train, prepared, MIEstimatorKind::kMLE);
-  EXPECT_EQ(plain.mi, fast.mi);
-  EXPECT_EQ(plain.join_size, fast.join_size);
-  auto plain_auto = *EstimateSketchMIAuto(s_train, s_cand);
-  auto fast_auto = *EstimateSketchMIAuto(s_train, prepared);
-  EXPECT_EQ(plain_auto.mi, fast_auto.mi);
-  EXPECT_EQ(plain_auto.estimator, fast_auto.estimator);
-}
+  keys.clear();
+  Status dupes = AppendCandidateKeys(make({1, 5, 5}), &keys);
+  EXPECT_TRUE(dupes.IsInvalidArgument());
+  EXPECT_NE(dupes.message().find("duplicate"), std::string::npos);
 
-TEST(PreparedCandidateSketchTest, RejectsBadInputs) {
-  // Train-side sketches cannot be prepared as candidates.
-  Sketch train_side;
+  keys.clear();
+  Status descending = AppendCandidateKeys(make({9, 4, 1}), &keys);
+  EXPECT_TRUE(descending.IsInvalidArgument());
+  EXPECT_NE(descending.message().find("not sorted"), std::string::npos);
+
+  Sketch train_side = make({1});
   train_side.side = SketchSide::kTrain;
-  EXPECT_FALSE(PreparedCandidateSketch::Create(train_side).ok());
-  // Duplicate keys violate the aggregated-candidate invariant.
-  Sketch dupes;
-  dupes.side = SketchSide::kCandidate;
-  dupes.entries.push_back(SketchEntry{5, 0.1, Value(int64_t{1})});
-  dupes.entries.push_back(SketchEntry{5, 0.2, Value(int64_t{2})});
-  EXPECT_FALSE(PreparedCandidateSketch::Create(dupes).ok());
-  // Seed mismatch at join time fails like JoinSketches does.
-  Sketch cand;
-  cand.side = SketchSide::kCandidate;
-  cand.hash_seed = 3;
-  cand.entries.push_back(SketchEntry{5, 0.1, Value(int64_t{1})});
-  auto prepared = *PreparedCandidateSketch::Create(cand);
-  Sketch train;
-  train.side = SketchSide::kTrain;
-  train.hash_seed = 4;
-  train.entries.push_back(SketchEntry{5, 0.2, Value(int64_t{9})});
-  auto joined = prepared.Join(train);
-  ASSERT_FALSE(joined.ok());
-  EXPECT_TRUE(joined.status().IsInvalidArgument());
-  train.hash_seed = 3;
-  auto ok_join = prepared.Join(train);
-  ASSERT_TRUE(ok_join.ok()) << ok_join.status();
-  EXPECT_EQ(ok_join->join_size, 1u);
+  EXPECT_TRUE(AppendCandidateKeys(train_side, &keys).IsInvalidArgument());
 }
 
 TEST(SketchJoinTest, MatchedKeysDistinctEvenForUnsortedTrainSketch) {
-  // JoinSketches (unlike the prepared path) accepts train sketches that
+  // JoinSketches (unlike the merge kernel) accepts train sketches that
   // violate the sorted-by-key-hash invariant, e.g. hand-built ones; the
   // distinct-key count must not rely on equal hashes being adjacent.
   Sketch train;

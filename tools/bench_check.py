@@ -5,9 +5,10 @@ meaningful regressions of the named metrics.
 
 Raw millisecond timings on shared CI runners are too noisy to gate
 directly, so the gate watches *ratio and count* metrics — speedups, hit
-rates, allocation counts — which are stable across machines. Each check
-carries a relative tolerance (default 25%) plus a small absolute slack so
-near-zero baselines don't turn measurement jitter into failures.
+rates, allocation and byte counts — which are stable across machines.
+Each check carries a relative tolerance (default 25%) plus a small
+absolute slack so near-zero baselines don't turn measurement jitter into
+failures.
 
 Usage:
     bench_check.py BASELINE.json CURRENT.json
@@ -26,9 +27,10 @@ CHECKS = [
     # Front tier: the result cache must keep repaying repeated queries.
     ("part8_cache_hit_rate", "higher", 0.25, 0.02),
     ("part8_repeat_speedup", "higher", 0.25, 0.50),
-    # Flat hot path: the flattening's measured wins must not erode.
-    ("part9_flat_speedup", "higher", 0.25, 0.20),
+    # Merge-scoring hot path: the batched kernel's measured win must not
+    # erode, and the index must not grow back a second copy of candidates.
     ("part9_batched_speedup", "higher", 0.25, 0.20),
+    ("part9_index_bytes_per_candidate", "lower", 0.25, 64.00),
     # Allocation counts are deterministic, not timings: a jump means the
     # hot path started allocating again.
     ("part9_probe_allocs_per_query", "lower", 0.25, 1.00),
