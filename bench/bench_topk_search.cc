@@ -48,9 +48,8 @@
 // replica-aware factory). Every concurrent ranking is cross-checked
 // against the serial in-process answer before any number is printed.
 //
-// Part 6 is the JMRP v2 wire: request pipelining (many requests in
-// flight on one connection, demuxed by request_id) against the v1
-// one-request-per-round-trip baseline across concurrency levels and
+// Part 6 is the JMRP wire: request pipelining (many requests in flight
+// on one connection, demuxed by request_id) across concurrency levels and
 // open-connection counts, and batched variant evaluation (one
 // kBatchSearchRequest carrying N (k, min_join_size) variants against a
 // connection-cached sketch) against N single-variant round trips.
@@ -662,9 +661,8 @@ void RunConcurrentServing(const BenchParams& params,
               "hardware)\n");
 }
 
-// Part 6: the JMRP v2 wire upgrades — request pipelining on one
-// connection and batched variant evaluation against a connection-cached
-// sketch — against the v1 one-request-per-round-trip baseline.
+// Part 6: the JMRP wire — request pipelining on one connection and
+// batched variant evaluation against a connection-cached sketch.
 void RunBatchedPipelinedServing(const BenchParams& params,
                                 const TableRepository& repository,
                                 bool smoke, Rng* rng) {
@@ -720,30 +718,23 @@ void RunBatchedPipelinedServing(const BenchParams& params,
   };
 
   const size_t queries_each = smoke ? 2 : 4;
-  std::printf("\n== JMRP v2: pipelining and batching vs the v1 wire "
-              "(%zu shards, 1 connection/shard unless noted) ==\n",
+  std::printf("\n== JMRP: pipelining and batching (%zu shards, "
+              "1 connection/shard unless noted) ==\n",
               num_shards);
 
   // (a) Queries/sec vs concurrent query count on ONE connection per
-  // shard: the v1 wire serializes whole exchanges on the socket, the v2
-  // wire interleaves requests and demuxes responses by request_id.
+  // shard: requests interleave on the socket and responses demux by
+  // request_id.
   for (size_t concurrency : {1u, 8u, 16u}) {
     if (smoke && concurrency > 8) break;
-    double wall_ms[2] = {0.0, 0.0};
-    for (uint32_t max_version : {1u, 2u}) {
-      RpcClientOptions options;
-      options.pool_size = 1;
-      options.max_protocol_version = max_version;
-      auto remote = ShardedSketchIndex::Load(
-          *manifest_path, RpcShardClient::Factory(endpoints, options));
-      remote.status().Abort("assembling the RPC sharded index");
-      wall_ms[max_version - 1] = drive(*remote, concurrency, queries_each);
-    }
-    const double total = static_cast<double>(concurrency * queries_each);
-    std::printf("inflight=%-3zu : v1 %8.0f queries/s | v2 pipelined "
-                "%8.0f queries/s (%.2fx)\n",
-                concurrency, total * 1000.0 / wall_ms[0],
-                total * 1000.0 / wall_ms[1], wall_ms[0] / wall_ms[1]);
+    RpcClientOptions options;
+    options.pool_size = 1;
+    auto remote = ShardedSketchIndex::Load(
+        *manifest_path, RpcShardClient::Factory(endpoints, options));
+    remote.status().Abort("assembling the RPC sharded index");
+    const double ms = drive(*remote, concurrency, queries_each);
+    std::printf("inflight=%-3zu : %8.0f queries/s pipelined\n", concurrency,
+                concurrency * queries_each * 1000.0 / ms);
   }
 
   // (b) Open-connection sweep under fixed concurrency: more sockets vs
@@ -756,7 +747,7 @@ void RunBatchedPipelinedServing(const BenchParams& params,
         *manifest_path, RpcShardClient::Factory(endpoints, options));
     remote.status().Abort("assembling the RPC sharded index");
     const double ms = drive(*remote, sweep_concurrency, queries_each);
-    std::printf("conns=%zu/shard: v2 %8.0f queries/s at inflight=%zu\n",
+    std::printf("conns=%zu/shard: %8.0f queries/s at inflight=%zu\n",
                 pool, sweep_concurrency * queries_each * 1000.0 / ms,
                 sweep_concurrency);
   }
@@ -1005,7 +996,7 @@ void RunFrontTier(const BenchParams& params, bool smoke, Rng* rng) {
 
   // Distinct query tables: the train sides of the first few generated
   // pairs, each sketched ONCE — clients hold their sketch across repeats,
-  // which is exactly why the v2 wire uploads it once per connection.
+  // which is exactly why the wire uploads it once per connection.
   const size_t distinct = std::min<size_t>(smoke ? 3 : 6, pairs->size());
   std::vector<JoinMIQuery> queries;
   for (size_t i = 0; i < distinct; ++i) {

@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
   //
   // --rpc-pipeline-drill N (with --rpc-endpoints) opens ONE connection
   // per shard and fires N strict queries from N concurrent threads, so
-  // every request shares that connection via JMRP v2 pipelining; each
+  // every request shares that connection via JMRP pipelining; each
   // ranking is diffed against the unsharded answer and the exit code
   // reflects any divergence.
   //

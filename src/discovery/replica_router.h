@@ -1,6 +1,6 @@
 // Replica-aware routing: the failover layer between the sharded fan-out
 // and the per-server RpcShardClient. A ReplicaShardClient serves one
-// shard's slot in the router but holds one pooled RPC client per
+// shard's slot in the router but holds one RPC client per
 // *replica* — interchangeable servers all serving the same shard file —
 // so a query survives any single replica's death: strict mode now fails
 // only when EVERY replica of some shard is down, and degraded mode
@@ -12,7 +12,7 @@
 // (ReplicaRouterOptions::cooldown_ms); while it cools, requests fail over
 // to the next healthy replica in rotation. When the cooldown expires, the
 // next request issues a cheap Health() probe — success returns the
-// replica to rotation (and resets nothing else: its pooled connections
+// replica to rotation (and resets nothing else: its connections
 // re-dial lazily), failure re-arms the cooldown, so a dead replica costs
 // at most one probe per cooldown period rather than a failed Search
 // attempt per query. If every replica is marked down, the rotation is
@@ -29,9 +29,8 @@
 // same way, and masking a deployment error behind a healthy twin would
 // hide real misconfiguration.
 //
-// The endpoints file v2 maps each shard line to N replicas (see
-// ReadReplicaEndpointsFile); v1 single-endpoint files parse unchanged as
-// one replica per shard.
+// The endpoints file maps each shard line to N replicas (see
+// ReadShardEndpoints); a single-endpoint line is a one-replica shard.
 
 #ifndef JOINMI_DISCOVERY_REPLICA_ROUTER_H_
 #define JOINMI_DISCOVERY_REPLICA_ROUTER_H_
@@ -68,13 +67,6 @@ struct ReplicaRouterOptions {
 /// fail with the offending `path:line:` position.
 Result<std::vector<std::vector<ShardEndpoint>>> ReadShardEndpoints(
     const std::string& path);
-
-/// \brief Deprecated: the pre-unification name for ReadShardEndpoints,
-/// kept one release as a thin wrapper.
-inline Result<std::vector<std::vector<ShardEndpoint>>>
-ReadReplicaEndpointsFile(const std::string& path) {
-  return ReadShardEndpoints(path);
-}
 
 /// \brief Health-tracked round-robin selection over one shard's replicas.
 /// Thread-safe; pure bookkeeping (never touches the network) so it is
@@ -166,7 +158,7 @@ class ReplicaShardClient : public ShardClient {
   Result<rpc::HealthResponse> Health() const;
 
   size_t num_replicas() const { return replicas_.size(); }
-  /// \brief The per-replica client (instrumentation: pool stats, endpoint).
+  /// \brief The per-replica client (instrumentation: dials, endpoint).
   const RpcShardClient& replica(size_t i) const { return *replicas_[i]; }
   /// \brief Selection-state introspection for tests and drills.
   bool replica_down(size_t i) const { return set_.IsDown(i); }

@@ -322,14 +322,11 @@ std::string Router::StatsJson() const {
     const std::string prefix = "shard." + std::to_string(i) + ".";
     const ShardClient& client = index->client(i);
     if (const auto* rpc = dynamic_cast<const RpcShardClient*>(&client)) {
-      registry_.GetCounter(prefix + "rpc.dials")
-          ->Set(rpc->pool().total_dials());
+      registry_.GetCounter(prefix + "rpc.dials")->Set(rpc->dials());
       registry_.GetCounter(prefix + "rpc.live_channels")
           ->Set(rpc->live_channels());
       registry_.GetCounter(prefix + "rpc.max_pipelined")
           ->Set(rpc->max_pipelined());
-      registry_.GetCounter(prefix + "rpc.negotiated_version")
-          ->Set(rpc->negotiated_version());
     } else if (const auto* replicated =
                    dynamic_cast<const ReplicaShardClient*>(&client)) {
       registry_.GetCounter(prefix + "replica.mark_downs")
@@ -338,7 +335,7 @@ std::string Router::StatsJson() const {
           ->Set(replicated->num_replicas());
       uint64_t dials = 0;
       for (size_t r = 0; r < replicated->num_replicas(); ++r) {
-        dials += replicated->replica(r).pool().total_dials();
+        dials += replicated->replica(r).dials();
       }
       registry_.GetCounter(prefix + "replica.dials")->Set(dials);
     } else if (const auto* paged =

@@ -13,7 +13,7 @@
 //   (the query's full JoinMIConfig wire bytes, the train sketch's
 //   Checksum64 digest, k, min_join_size). The config bytes make any
 //   estimator/width/seed difference a different key; the digest stands in
-//   for the sketch contents the way the v2 upload protocol already trusts
+//   for the sketch contents the way the sketch upload protocol already trusts
 //   it. A hit returns a copy of the stored TopKSearchResult — the doubles
 //   are copied, not recomputed, so a cached answer is bit-identical to
 //   the answer that populated it. DEGRADED answers (shard_failures
@@ -34,7 +34,7 @@
 //   (router.cache.{hits,misses,evictions}, router.admission.{admitted,
 //   rejected}, router.queries.{ok,degraded,failed}) update on relaxed
 //   atomics; StatsJson() additionally absorbs the gauges maintained
-//   elsewhere — per-shard connection-pool dials, pipelining high-water
+//   elsewhere — per-shard connection dials, pipelining high-water
 //   marks, replica mark-downs, paged-shard buffer-pool stats — into one
 //   JSON document. See README "Front tier" for the name table.
 //
@@ -178,7 +178,7 @@ class Router : public Searchable {
   /// \brief The router's registry — tools may hang extra counters off it.
   metrics::Registry& metrics() const { return registry_; }
   /// \brief One JSON document: registry counters/histograms plus the
-  /// absorbed per-shard gauges (pool dials, pipelining HWM, replica
+  /// absorbed per-shard gauges (connection dials, pipelining HWM, replica
   /// mark-downs, paged buffer-pool stats). See README for the name table.
   std::string StatsJson() const;
 

@@ -1,6 +1,7 @@
 #include "src/discovery/rpc_channel.h"
 
 #include <poll.h>
+#include <sys/socket.h>
 
 #include <algorithm>
 #include <cerrno>
@@ -12,33 +13,29 @@
 namespace joinmi {
 namespace rpc {
 
-Channel::Channel(net::ConnPool::Lease lease, uint32_t protocol_version,
-                 int io_timeout_ms, std::atomic<size_t>* pipeline_hwm)
-    : lease_(std::move(lease)),
-      version_(protocol_version),
+Channel::Channel(net::Socket socket, int io_timeout_ms,
+                 std::atomic<size_t>* pipeline_hwm)
+    : socket_(std::move(socket)),
       io_timeout_ms_(io_timeout_ms),
       pipeline_hwm_(pipeline_hwm) {
-  if (pipelined()) {
-    reader_ = std::thread([this] { ReaderLoop(); });
-  }
+  reader_ = std::thread([this] { ReaderLoop(); });
 }
 
 Channel::~Channel() {
   stop_reader_.store(true);
+  // Wakes the reader's poll at once, so dropping a retired (still
+  // healthy) channel does not wait out the poll timeout.
+  ::shutdown(socket_.fd(), SHUT_RDWR);
   if (reader_.joinable()) reader_.join();
-  // A broken connection must not be parked for reuse; a healthy one goes
-  // back to the pool through the lease destructor.
-  bool discard;
-  {
-    std::lock_guard<std::mutex> lock(state_mutex_);
-    discard = broken_;
-  }
-  if (discard) lease_.Discard();
 }
 
 bool Channel::broken() const {
   std::lock_guard<std::mutex> lock(state_mutex_);
   return broken_;
+}
+
+bool Channel::usable() const {
+  return !broken() && !retired() && !socket_.PeerClosed();
 }
 
 void Channel::MarkBroken(const Status& status) {
@@ -54,7 +51,7 @@ void Channel::MarkBroken(const Status& status) {
 }
 
 void Channel::ReaderLoop() {
-  const int fd = lease_.socket().fd();
+  const int fd = socket_.fd();
   while (!stop_reader_.load()) {
     struct pollfd pfd;
     pfd.fd = fd;
@@ -70,7 +67,7 @@ void Channel::ReaderLoop() {
     }
     // Readable: the blocking RecvFrame finishes promptly (the socket's
     // receive timeout still bounds a peer that stalls mid-frame).
-    auto frame = net::RecvFrame(&lease_.socket());
+    auto frame = net::RecvFrame(&socket_);
     if (!frame.ok()) {
       MarkBroken(frame.status());
       return;
@@ -95,15 +92,14 @@ Result<net::Frame> Channel::Call(net::FrameType type,
            !pipeline_hwm_->compare_exchange_weak(seen, now)) {
     }
   }
-  auto result = pipelined() ? CallV2(type, payload, reached_wire)
-                            : CallV1(type, payload, reached_wire);
+  auto result = Exchange(type, payload, reached_wire);
   in_flight_.fetch_sub(1);
   return result;
 }
 
-Result<net::Frame> Channel::CallV2(net::FrameType type,
-                                   const std::string& payload,
-                                   bool* reached_wire) {
+Result<net::Frame> Channel::Exchange(net::FrameType type,
+                                     const std::string& payload,
+                                     bool* reached_wire) {
   Pending pending;
   const uint64_t id = next_id_.fetch_add(1);
   {
@@ -117,8 +113,8 @@ Result<net::Frame> Channel::CallV2(net::FrameType type,
   {
     std::lock_guard<std::mutex> lock(write_mutex_);
     size_t bytes_written = 0;
-    Status sent = net::SendFrameV2(&lease_.socket(), type, id, payload,
-                                   &bytes_written);
+    Status sent =
+        net::SendFrame(&socket_, type, id, payload, &bytes_written);
     if (!sent.ok()) {
       // A partial write reached the wire AND corrupted the frame stream;
       // a zero-byte failure is provably un-sent. Either way this channel
@@ -146,40 +142,8 @@ Result<net::Frame> Channel::CallV2(net::FrameType type,
   return std::move(pending.frame);
 }
 
-Result<net::Frame> Channel::CallV1(net::FrameType type,
-                                   const std::string& payload,
-                                   bool* reached_wire) {
-  std::lock_guard<std::mutex> excl(excl_mutex_);
-  {
-    std::lock_guard<std::mutex> lock(state_mutex_);
-    if (broken_) {
-      return Status::IOError("channel is broken: " +
-                             broken_status_.message());
-    }
-  }
-  size_t bytes_written = 0;
-  Status sent =
-      net::SendFrame(&lease_.socket(), type, payload, &bytes_written);
-  if (!sent.ok()) {
-    if (bytes_written > 0 && reached_wire != nullptr) *reached_wire = true;
-    MarkBroken(sent);
-    return sent;
-  }
-  if (reached_wire != nullptr) *reached_wire = true;
-  auto frame = net::RecvFrame(&lease_.socket());
-  if (!frame.ok()) {
-    MarkBroken(frame.status());
-    return frame.status();
-  }
-  return std::move(*frame);
-}
-
 Status Channel::EnsureSketchUploaded(uint64_t digest,
                                      const std::string& bytes) {
-  if (!pipelined()) {
-    return Status::InvalidArgument(
-        "sketch upload requires protocol v2; this channel negotiated v1");
-  }
   // Held across the exchange so concurrent callers with the same digest
   // upload once, not racing duplicates (the server tolerates duplicates,
   // but re-sending the sketch wastes exactly the bytes the cache exists
@@ -204,7 +168,16 @@ Status Channel::EnsureSketchUploaded(uint64_t digest,
   }
   JOINMI_ASSIGN_OR_RETURN(SketchUploadResponse response,
                           DecodeSketchUploadResponse(reply.payload));
-  JOINMI_RETURN_NOT_OK(response.status);
+  if (!response.status.ok()) {
+    // A full cache refuses every new sketch on this connection from now
+    // on, so step aside for a fresh one. A channel holding no sketch yet
+    // stays: a server refusing the very first upload would refuse it on
+    // any connection, and retiring would only spin up new ones.
+    if (IsSketchCacheFull(response.status) && !uploaded_digests_.empty()) {
+      retired_.store(true);
+    }
+    return response.status;
+  }
   if (response.digest != digest) {
     return Status::IOError("shard acknowledged digest " +
                            std::to_string(response.digest) +
@@ -215,22 +188,22 @@ Status Channel::EnsureSketchUploaded(uint64_t digest,
   return Status::OK();
 }
 
-ChannelSet::ChannelSet(ChannelFactory factory, size_t max_channels)
-    : factory_(std::move(factory)),
-      max_channels_(std::max<size_t>(1, max_channels)) {}
+ChannelSet::ChannelSet(Dialer dialer, size_t max_channels,
+                       int io_timeout_ms)
+    : dialer_(std::move(dialer)),
+      max_channels_(std::max<size_t>(1, max_channels)),
+      io_timeout_ms_(io_timeout_ms) {}
 
 ChannelSet::~ChannelSet() { Close(); }
 
 Result<std::shared_ptr<Channel>> ChannelSet::Pick() {
   std::unique_lock<std::mutex> lock(mutex_);
   while (true) {
-    if (closed_) {
-      return Status::IOError("connection pool is closed");
-    }
+    if (closed_) return Status::IOError("channel set is closed");
     channels_.erase(
         std::remove_if(channels_.begin(), channels_.end(),
                        [](const std::shared_ptr<Channel>& channel) {
-                         return channel->broken();
+                         return !channel->usable();
                        }),
         channels_.end());
     std::shared_ptr<Channel> best;
@@ -243,26 +216,27 @@ Result<std::shared_ptr<Channel>> ChannelSet::Pick() {
       }
     }
     if (best != nullptr && best_load == 0) return best;
-    if (channels_.size() + creating_ < max_channels_) {
-      ++creating_;
+    if (channels_.size() + dialing_ < max_channels_) {
+      ++dialing_;
       lock.unlock();
-      auto created = factory_();
+      auto dialed = dialer_();
       lock.lock();
-      --creating_;
+      --dialing_;
       cv_.notify_all();
-      if (!created.ok()) return created.status();
-      if (closed_) {
-        return Status::IOError("connection pool is closed");
-      }
-      channels_.push_back(*created);
-      return std::move(*created);
+      if (!dialed.ok()) return dialed.status();
+      // Closed mid-dial: the fresh socket closes here, unused.
+      if (closed_) return Status::IOError("channel set is closed");
+      ++dials_;
+      auto channel = std::make_shared<Channel>(std::move(*dialed),
+                                               io_timeout_ms_, &pipeline_hwm_);
+      channels_.push_back(channel);
+      return channel;
     }
-    // At capacity and everything busy: a pipelined channel shares; a v1
-    // channel queues its callers on the exchange mutex. Either way the
-    // least-loaded channel is the right place for this request.
+    // At capacity and everything busy: the least-loaded channel pipelines
+    // this request alongside the others.
     if (best != nullptr) return best;
-    // No channels at all but another thread is mid-dial: wait for it.
-    cv_.wait_for(lock, std::chrono::milliseconds(2));
+    // No channels at all but other threads are mid-dial: wait for them.
+    cv_.wait(lock);
   }
 }
 
@@ -275,14 +249,19 @@ void ChannelSet::Close() {
     doomed.swap(channels_);
   }
   cv_.notify_all();
-  // Channel destructors (reader joins, lease returns) run outside the
-  // lock; calls still running keep their own references.
+  // Channel destructors (reader joins) run outside the lock; calls still
+  // running keep their own references.
   doomed.clear();
 }
 
 size_t ChannelSet::live_channels() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return channels_.size();
+}
+
+uint64_t ChannelSet::dials() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return dials_;
 }
 
 }  // namespace rpc

@@ -1,32 +1,32 @@
-// Channel + ChannelSet: the client half of JMRP v2 pipelining.
+// Channel + ChannelSet: the client half of JMRP pipelining and the only
+// owner of a shard client's connections.
 //
-// A Channel wraps one pooled connection for its whole lifetime (the
-// ConnPool lease is held until the channel dies, so pool instrumentation
-// now gauges live channels rather than per-request leases). Against a v2
-// server the channel runs a dedicated reader thread and a demux map:
-// Call() stamps a fresh request_id, registers a waiter slot, sends under
-// a write mutex, and blocks on its slot — many calls from many threads
-// are simultaneously in flight on ONE connection, and the reader pairs
-// whatever response arrives next with its waiter by id. A waiter that
-// times out abandons its slot (a late response is dropped by id — the
-// channel itself stays healthy); a read or write error breaks the channel
-// and fails every pending waiter with the same IOError. Against a v1
-// server there is no request_id, so Call() serializes send+receive under
-// an exclusive mutex — extra concurrent calls queue, which is exactly the
-// old one-request-per-connection discipline.
+// A Channel owns one handshaken connection for its whole lifetime and
+// runs a dedicated reader thread plus a demux map: Call() stamps a fresh
+// request_id, registers a waiter slot, sends under a write mutex, and
+// blocks on its slot — many calls from many threads are simultaneously in
+// flight on ONE connection, and the reader pairs whatever response
+// arrives next with its waiter by id. A waiter that times out abandons
+// its slot (a late response is dropped by id — the channel itself stays
+// healthy); a read or write error breaks the channel and fails every
+// pending waiter with the same IOError.
 //
 // A Channel also tracks which sketch digests this connection has uploaded
 // (EnsureSketchUploaded is once-per-digest, idempotent server-side), so a
 // query's serialized train sketch crosses the wire once per connection
-// instead of once per request.
+// instead of once per request. The server caches a bounded number of
+// sketches per connection; when it refuses one because that cache is
+// full, the channel retires: calls already running finish, but Pick no
+// longer hands it out, so the next request lands on a fresh connection.
 //
 // ChannelSet owns up to max_channels channels and routes each request to
 // the live channel with the fewest calls in flight, dialing a new channel
-// (through the injected factory, which leases from the pool and thereby
-// inherits its bound and its handshake) only when every existing channel
-// is busy. Broken channels are pruned on the next Pick; calls already
-// running on one keep their shared_ptr until they finish. Close() poisons
-// the set for shutdown.
+// (through the injected dialer, which connects and runs the handshake)
+// only when every existing channel is busy. Dialing is lazy and happens
+// outside the set's lock, so one slow dial never blocks requests on other
+// channels. Broken, retired and peer-closed channels are pruned on the
+// next Pick; calls already running on one keep their shared_ptr until
+// they finish. Close() poisons the set for shutdown.
 
 #ifndef JOINMI_DISCOVERY_RPC_CHANNEL_H_
 #define JOINMI_DISCOVERY_RPC_CHANNEL_H_
@@ -44,32 +44,35 @@
 #include <vector>
 
 #include "src/common/status.h"
-#include "src/net/conn_pool.h"
 #include "src/net/frame.h"
+#include "src/net/socket.h"
 
 namespace joinmi {
 namespace rpc {
 
-/// \brief One JMRP connection, shared by concurrent requests (protocol
-/// v2) or used one-exchange-at-a-time (protocol v1).
+/// \brief One JMRP connection, shared by concurrent requests.
 class Channel {
  public:
-  /// \brief Takes the pooled connection for the channel's lifetime.
-  /// `protocol_version` is the handshake-negotiated dialect (1 or 2);
+  /// \brief Takes the handshaken connection for the channel's lifetime.
   /// `pipeline_hwm` (optional) receives the high-water mark of calls
-  /// simultaneously in flight on this channel — the owning client's
-  /// proof of pipelining.
-  Channel(net::ConnPool::Lease lease, uint32_t protocol_version,
-          int io_timeout_ms, std::atomic<size_t>* pipeline_hwm);
+  /// simultaneously in flight on this channel — the owner's proof of
+  /// pipelining.
+  Channel(net::Socket socket, int io_timeout_ms,
+          std::atomic<size_t>* pipeline_hwm);
   ~Channel();
 
   Channel(const Channel&) = delete;
   Channel& operator=(const Channel&) = delete;
 
-  uint32_t protocol_version() const { return version_; }
-  bool pipelined() const { return version_ >= 2; }
   bool broken() const;
+  bool retired() const { return retired_.load(); }
   size_t in_flight() const { return in_flight_.load(); }
+
+  /// \brief False once the channel broke, retired, or saw its peer close
+  /// the connection; Pick hands out only usable channels. The peer check
+  /// reads nothing, so responses already on their way still reach their
+  /// waiters through the reader.
+  bool usable() const;
 
   /// \brief One request/response exchange. Thread-safe. On failure,
   /// `*reached_wire` (optional, must start false) reports whether any
@@ -80,10 +83,12 @@ class Channel {
   Result<net::Frame> Call(net::FrameType type, const std::string& payload,
                           bool* reached_wire = nullptr);
 
-  /// \brief v2 only: caches `bytes` server-side under `digest` once per
-  /// channel; subsequent calls for the same digest are free. Safe to
-  /// retry on a fresh channel after any failure — the upload is
-  /// idempotent by digest.
+  /// \brief Caches `bytes` server-side under `digest` once per channel;
+  /// subsequent calls for the same digest are free. Safe to retry on a
+  /// fresh channel after any failure — the upload is idempotent by
+  /// digest. A refusal because the server's per-connection sketch cache
+  /// is full retires this channel (if it holds any sketch already) and
+  /// returns that refusal (rpc::IsSketchCacheFull).
   Status EnsureSketchUploaded(uint64_t digest, const std::string& bytes);
 
  private:
@@ -93,22 +98,21 @@ class Channel {
     net::Frame frame;
   };
 
-  Result<net::Frame> CallV2(net::FrameType type, const std::string& payload,
-                            bool* reached_wire);
-  Result<net::Frame> CallV1(net::FrameType type, const std::string& payload,
-                            bool* reached_wire);
+  /// Call's body: send under the write mutex, wait for the reader.
+  Result<net::Frame> Exchange(net::FrameType type, const std::string& payload,
+                              bool* reached_wire);
   void ReaderLoop();
   /// Fails every pending waiter and poisons the channel.
   void MarkBroken(const Status& status);
 
-  net::ConnPool::Lease lease_;
-  uint32_t version_ = 1;
+  net::Socket socket_;
   int io_timeout_ms_ = 30000;
   std::atomic<size_t>* pipeline_hwm_ = nullptr;
 
   std::atomic<uint64_t> next_id_{1};
   std::atomic<size_t> in_flight_{0};
   std::atomic<bool> stop_reader_{false};
+  std::atomic<bool> retired_{false};
 
   mutable std::mutex state_mutex_;
   std::condition_variable state_cv_;
@@ -116,49 +120,62 @@ class Channel {
   bool broken_ = false;
   Status broken_status_ = Status::OK();
 
-  std::mutex write_mutex_;  // v2: serializes frame sends, nothing else
-  std::mutex excl_mutex_;   // v1: serializes whole exchanges
+  std::mutex write_mutex_;  // serializes frame sends, nothing else
 
   std::mutex upload_mutex_;
   std::set<uint64_t> uploaded_digests_;
 
-  std::thread reader_;  // v2 only
+  std::thread reader_;
 };
 
 /// \brief Bounded set of channels to one endpoint with least-loaded
 /// routing. Thread-safe.
 class ChannelSet {
  public:
-  using ChannelFactory =
-      std::function<Result<std::shared_ptr<Channel>>()>;
+  /// \brief Opens one connection and runs the handshake. Runs outside the
+  /// set's lock; a Status error is surfaced verbatim from Pick.
+  using Dialer = std::function<Result<net::Socket>()>;
 
-  ChannelSet(ChannelFactory factory, size_t max_channels);
+  /// `max_channels` below 1 is treated as 1; `io_timeout_ms` bounds each
+  /// call's wait for its response.
+  ChannelSet(Dialer dialer, size_t max_channels, int io_timeout_ms);
+  /// Closes the set first (see Close).
   ~ChannelSet();
 
   ChannelSet(const ChannelSet&) = delete;
   ChannelSet& operator=(const ChannelSet&) = delete;
 
-  /// \brief Returns the channel to run one request on: the live channel
+  /// \brief Returns the channel to run one request on: the usable channel
   /// with the fewest in-flight calls, or a freshly dialed one when all
-  /// are busy and capacity remains. Errors from the factory propagate
-  /// verbatim (dial/handshake failures). After Close(), fails with a
-  /// deterministic IOError.
+  /// are busy and capacity remains (a failed dial frees its slot, so the
+  /// next Pick dials again). Errors from the dialer propagate verbatim —
+  /// nothing was sent, so callers may treat them as retry-safe. After
+  /// Close(), fails with a deterministic IOError and dials nothing.
   Result<std::shared_ptr<Channel>> Pick();
 
-  /// \brief Poisons the set and drops its channel references; in-flight
-  /// calls finish on their own shared_ptrs. Idempotent.
+  /// \brief Poisons the set, wakes every Pick waiting on another thread's
+  /// dial, and drops the set's channel references; in-flight calls finish
+  /// on their own shared_ptrs. Idempotent.
   void Close();
 
   size_t live_channels() const;
+  /// \brief Successful dials since construction (reuse keeps this flat).
+  uint64_t dials() const;
+  /// \brief High-water mark of calls simultaneously in flight on ONE
+  /// channel — >= 2 proves pipelining actually happened.
+  size_t max_pipelined() const { return pipeline_hwm_.load(); }
 
  private:
-  ChannelFactory factory_;
+  Dialer dialer_;
   size_t max_channels_;
+  int io_timeout_ms_;
+  std::atomic<size_t> pipeline_hwm_{0};
 
   mutable std::mutex mutex_;
   std::condition_variable cv_;
   std::vector<std::shared_ptr<Channel>> channels_;
-  size_t creating_ = 0;
+  size_t dialing_ = 0;
+  uint64_t dials_ = 0;
   bool closed_ = false;
 };
 

@@ -9,6 +9,8 @@ namespace rpc {
 
 namespace {
 
+constexpr char kSketchCacheFullPrefix[] = "connection sketch cache is full";
+
 Status CheckAtEnd(const wire::Reader& reader, const char* what) {
   if (!reader.AtEnd()) {
     return Status::IOError(std::string("trailing bytes after ") + what +
@@ -65,40 +67,10 @@ Status ReadStatus(wire::Reader* reader, Status* out) {
 
 // ------------------------------------------------------------- Handshake
 
-std::string EncodeHandshakeRequest(const HandshakeRequest& request) {
-  std::string out;
-  // max_version 1 stays an empty payload so the bytes a v1 server sees
-  // from an upgraded client are identical to what a v1 client sends.
-  if (request.max_version >= 2) {
-    wire::AppendPod<uint32_t>(&out, request.max_version);
-  }
-  return out;
-}
-
-Result<HandshakeRequest> DecodeHandshakeRequest(const std::string& payload) {
-  HandshakeRequest request;
-  if (payload.empty()) return request;
-  wire::Reader reader(payload);
-  JOINMI_RETURN_NOT_OK(reader.Read(&request.max_version));
-  JOINMI_RETURN_NOT_OK(CheckAtEnd(reader, "handshake request"));
-  if (request.max_version < 2) {
-    return Status::IOError(
-        "handshake request declares version " +
-        std::to_string(request.max_version) +
-        " explicitly; versions below 2 must use the empty payload");
-  }
-  return request;
-}
-
 std::string EncodeHandshakeResponse(const HandshakeResponse& response) {
   std::string out;
   AppendJoinMIConfig(&out, response.config);
   wire::AppendPod<uint64_t>(&out, response.num_candidates);
-  // Trailing version only in the negotiated shape: a v1 client's decoder
-  // enforces "no trailing bytes", so the legacy shape must stay exact.
-  if (response.protocol_version >= 2) {
-    wire::AppendPod<uint32_t>(&out, response.protocol_version);
-  }
   return out;
 }
 
@@ -108,37 +80,11 @@ Result<HandshakeResponse> DecodeHandshakeResponse(
   HandshakeResponse response;
   JOINMI_ASSIGN_OR_RETURN(response.config, ReadJoinMIConfig(&reader));
   JOINMI_RETURN_NOT_OK(reader.Read(&response.num_candidates));
-  if (!reader.AtEnd()) {
-    JOINMI_RETURN_NOT_OK(reader.Read(&response.protocol_version));
-    if (response.protocol_version < 2) {
-      return Status::IOError("handshake response echoes version " +
-                             std::to_string(response.protocol_version) +
-                             " explicitly; v1 servers omit the field");
-    }
-  }
   JOINMI_RETURN_NOT_OK(CheckAtEnd(reader, "handshake response"));
   return response;
 }
 
 // ---------------------------------------------------------------- Search
-
-std::string EncodeSearchRequest(const SearchRequest& request) {
-  std::string out;
-  wire::AppendLengthPrefixed(&out, request.train_sketch);
-  wire::AppendPod<uint64_t>(&out, request.k);
-  wire::AppendPod<uint64_t>(&out, request.min_join_size);
-  return out;
-}
-
-Result<SearchRequest> DecodeSearchRequest(const std::string& payload) {
-  wire::Reader reader(payload);
-  SearchRequest request;
-  JOINMI_RETURN_NOT_OK(reader.ReadLengthPrefixed(&request.train_sketch));
-  JOINMI_RETURN_NOT_OK(reader.Read(&request.k));
-  JOINMI_RETURN_NOT_OK(reader.Read(&request.min_join_size));
-  JOINMI_RETURN_NOT_OK(CheckAtEnd(reader, "search request"));
-  return request;
-}
 
 std::string EncodeSearchResponse(const SearchResponse& response) {
   std::string out;
@@ -217,7 +163,7 @@ Result<HealthResponse> DecodeHealthResponse(const std::string& payload) {
   return response;
 }
 
-// ---------------------------------------------------- Sketch upload (v2)
+// --------------------------------------------------------- Sketch upload
 
 std::string EncodeSketchUploadRequest(const SketchUploadRequest& request) {
   std::string out;
@@ -253,7 +199,19 @@ Result<SketchUploadResponse> DecodeSketchUploadResponse(
   return response;
 }
 
-// ----------------------------------------------------- Batch search (v2)
+Status SketchCacheFull(size_t limit) {
+  return Status::InvalidArgument(std::string(kSketchCacheFullPrefix) + " (" +
+                                 std::to_string(limit) +
+                                 " sketches); open a new connection for new "
+                                 "queries");
+}
+
+bool IsSketchCacheFull(const Status& status) {
+  return status.IsInvalidArgument() &&
+         status.message().rfind(kSketchCacheFullPrefix, 0) == 0;
+}
+
+// ---------------------------------------------------------- Batch search
 
 std::string EncodeBatchSearchRequest(const BatchSearchRequest& request) {
   std::string out;
@@ -330,7 +288,7 @@ Result<BatchSearchResponse> DecodeBatchSearchResponse(
   return response;
 }
 
-// ------------------------------------------------------------ Stats (v2)
+// ----------------------------------------------------------------- Stats
 
 std::string EncodeStatsResponse(const StatsResponse& response) {
   std::string out;

@@ -1,27 +1,20 @@
 // Typed JMRP message payloads for shard serving: what travels inside the
 // net::Frame envelope between RpcShardClient and a shard server.
 //
-//   HandshakeRequest   (empty payload, or u32 max protocol version)
-//       -> HandshakeResponse: the server's JoinMIConfig (shared wire
-//       layout from core/config.h) + u64 candidate count; the client
-//       checks both against the manifest with JoinMIConfig::operator==
-//       before trusting the shard. Version negotiation is piggybacked
-//       asymmetrically for rolling upgrades: a v2-capable client declares
-//       its max version in the request payload (a v1 server ignores the
-//       handshake payload entirely), and a v2 server echoes a trailing
-//       u32 negotiated version in the response ONLY when the request
-//       declared one — an undeclared request gets the v1-shaped reply a
-//       v1 client's trailing-bytes check requires. A response without the
-//       trailing u32 therefore means "v1 server": the client pins that
-//       connection's dialect to one request per round trip.
-//   SearchRequest      u32 length-prefixed serialized train sketch
-//       (sketch/serialize.h format — the query's base table never crosses
-//       the wire) + u64 k + u64 min_join_size.
+//   HandshakeRequest   (empty payload) -> HandshakeResponse: the server's
+//       JoinMIConfig (shared wire layout from core/config.h) + u64
+//       candidate count; the client checks both against the manifest with
+//       JoinMIConfig::operator== before trusting the shard.
+//   SketchUploadRequest / BatchSearchRequest: the query's serialized
+//       train sketch (sketch/serialize.h format — the query's base table
+//       never crosses the wire) is cached once per connection by digest;
+//       batch requests then name it and carry (k, min_join_size) variants.
 //   SearchResponse     a wire-encoded Status; on OK, the full
 //       ShardSearchResult (counters + hits with global indices), so the
 //       router's cross-shard merge sees exactly what LocalShardClient
 //       would have produced. Per-shard results never carry
-//       shard_failures — that field is router-level bookkeeping.
+//       shard_failures — that field is router-level bookkeeping. A
+//       BatchSearchResponse nests one per variant.
 //   HealthRequest      (empty payload) -> HealthResponse
 //       u64 candidate count + u64 requests served since startup.
 //   Error              a wire-encoded Status, for requests the server
@@ -53,43 +46,15 @@ Status ReadStatus(wire::Reader* reader, Status* out);
 
 // ----------------------------------------------------------- Handshake
 
-struct HandshakeRequest {
-  /// Highest JMRP version the client speaks. 1 encodes as an empty
-  /// payload (byte-identical to a v1 client's handshake); >= 2 encodes as
-  /// a u32. Decoding an empty payload yields 1.
-  uint32_t max_version = 1;
-};
-
-std::string EncodeHandshakeRequest(const HandshakeRequest& request);
-Result<HandshakeRequest> DecodeHandshakeRequest(const std::string& payload);
-
 struct HandshakeResponse {
   JoinMIConfig config;
   uint64_t num_candidates = 0;
-  /// Negotiated protocol version. 1 encodes without the trailing u32
-  /// (the legacy shape); >= 2 appends it. Decoding a legacy-shaped
-  /// payload yields 1 — which is also how a v2 client detects a v1
-  /// server.
-  uint32_t protocol_version = 1;
 };
 
 std::string EncodeHandshakeResponse(const HandshakeResponse& response);
 Result<HandshakeResponse> DecodeHandshakeResponse(const std::string& payload);
 
 // -------------------------------------------------------------- Search
-
-struct SearchRequest {
-  /// SerializeSketch() bytes of the query's train sketch.
-  std::string train_sketch;
-  uint64_t k = 0;
-  /// The query's min_join_size (the one JoinMIQuery honors locally); the
-  /// server evaluates under its shard config with this value substituted,
-  /// which is what keeps RPC rankings byte-identical to LocalShardClient.
-  uint64_t min_join_size = 0;
-};
-
-std::string EncodeSearchRequest(const SearchRequest& request);
-Result<SearchRequest> DecodeSearchRequest(const std::string& payload);
 
 struct SearchResponse {
   /// The shard-side Search outcome; `result` is meaningful only when OK.
@@ -104,16 +69,16 @@ Result<SearchResponse> DecodeSearchResponse(const std::string& payload);
 
 struct HealthResponse {
   uint64_t num_candidates = 0;
-  /// Search requests (single and batch frames) answered since the server
-  /// started — handshakes and health probes no longer inflate this, so
-  /// the gauge tracks real query traffic.
+  /// Batch search frames answered since the server started —
+  /// handshakes and health probes no longer inflate this, so the gauge
+  /// tracks real query traffic.
   uint64_t requests_served = 0;
 };
 
 std::string EncodeHealthResponse(const HealthResponse& response);
 Result<HealthResponse> DecodeHealthResponse(const std::string& payload);
 
-// -------------------------------------------------- Sketch upload (v2)
+// --------------------------------------------------------- Sketch upload
 
 struct SketchUploadRequest {
   /// wire::Checksum64 of `train_sketch` — the cache key. The server
@@ -139,7 +104,13 @@ std::string EncodeSketchUploadResponse(const SketchUploadResponse& response);
 Result<SketchUploadResponse> DecodeSketchUploadResponse(
     const std::string& payload);
 
-// --------------------------------------------------- Batch search (v2)
+/// \brief The refusal a server sends when a connection already caches
+/// `limit` sketches. Deterministic, so clients can recognize it
+/// (IsSketchCacheFull) and move the query to a fresh connection.
+Status SketchCacheFull(size_t limit);
+bool IsSketchCacheFull(const Status& status);
+
+// ---------------------------------------------------------- Batch search
 
 /// \brief One (k, min_join_size) variant evaluated against the cached
 /// sketch. Duplicates are legal and answered independently.
@@ -171,7 +142,7 @@ std::string EncodeBatchSearchResponse(const BatchSearchResponse& response);
 Result<BatchSearchResponse> DecodeBatchSearchResponse(
     const std::string& payload);
 
-// ---------------------------------------------------------- Stats (v2)
+// ----------------------------------------------------------------- Stats
 
 /// \brief Answer to kStatsRequest (whose payload is empty): the server's
 /// metrics snapshot. The JSON is opaque to the wire layer — its schema is
@@ -186,7 +157,7 @@ struct StatsResponse {
 std::string EncodeStatsResponse(const StatsResponse& response);
 Result<StatsResponse> DecodeStatsResponse(const std::string& payload);
 
-// --------------------------------------------------------- Reload (v2)
+// ---------------------------------------------------------------- Reload
 
 /// \brief Answer to kReloadRequest (whose payload is empty): the server
 /// re-resolved its deployment reference (directory / CURRENT pointer) and

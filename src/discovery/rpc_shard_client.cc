@@ -1,7 +1,5 @@
 #include "src/discovery/rpc_shard_client.h"
 
-#include <algorithm>
-#include <sstream>
 #include <utility>
 
 #include "src/net/frame.h"
@@ -50,9 +48,6 @@ Result<ShardEndpoint> ParseShardEndpoint(const std::string& spec) {
   return endpoint;
 }
 
-// ReadEndpointsFile is now a deprecated projection of ReadShardEndpoints;
-// both live in replica_router.cc so the parse loop exists exactly once.
-
 Status ValidateServingManifest(const ShardManifest& manifest,
                                size_t num_entries) {
   if (!manifest.config.has_value()) {
@@ -80,31 +75,14 @@ RpcShardClient::RpcShardClient(ShardEndpoint endpoint,
       config_(std::move(expected_config)),
       num_candidates_(expected_candidates),
       options_(options) {
-  net::ConnPoolOptions pool_options;
-  pool_options.max_connections = options_.pool_size;
-  // The dialer runs the full handshake, so every connection the pool ever
+  // The dialer runs the full handshake, so every channel the set ever
   // hands out has already proven it serves this manifest entry.
-  pool_ = std::make_unique<net::ConnPool>(
-      [this] { return DialAndHandshake(); }, pool_options);
   channels_ = std::make_unique<rpc::ChannelSet>(
-      [this]() -> Result<std::shared_ptr<rpc::Channel>> {
-        JOINMI_ASSIGN_OR_RETURN(net::ConnPool::Lease lease,
-                                pool_->Acquire());
-        // The Acquire either reused a handshaken connection or dialed a
-        // fresh one — either way server_version_ reflects this server.
-        uint32_t version = server_version_.load();
-        if (version == 0) version = 1;
-        return std::make_shared<rpc::Channel>(std::move(lease), version,
-                                              options_.io_timeout_ms,
-                                              &pipeline_hwm_);
-      },
-      options_.pool_size);
+      [this] { return DialAndHandshake(); }, options_.pool_size,
+      options_.io_timeout_ms);
 }
 
-RpcShardClient::~RpcShardClient() {
-  channels_->Close();
-  pool_->Close();
-}
+RpcShardClient::~RpcShardClient() { channels_->Close(); }
 
 Result<std::unique_ptr<RpcShardClient>> RpcShardClient::Create(
     ShardEndpoint endpoint, JoinMIConfig expected_config,
@@ -117,11 +95,10 @@ Result<std::unique_ptr<RpcShardClient>> RpcShardClient::Create(
   // InvalidArgument) is a deployment error and fails Create; an
   // unreachable one (IOError) is an outage the router must survive, so
   // the client is returned disconnected and re-dials per request. On
-  // success the lease's destructor parks the verified connection in the
-  // pool, where the first channel adopts it.
-  auto lease = client->pool_->Acquire();
-  if (!lease.ok() && lease.status().IsInvalidArgument()) {
-    return lease.status();
+  // success the verified connection becomes the set's first channel.
+  auto first = client->channels_->Pick();
+  if (!first.ok() && first.status().IsInvalidArgument()) {
+    return first.status();
   }
   return client;
 }
@@ -137,15 +114,8 @@ Result<net::Socket> RpcShardClient::DialAndHandshake() const {
   net::Socket socket = std::move(*connected);
   JOINMI_RETURN_NOT_OK(
       socket.SetTimeouts(options_.io_timeout_ms, options_.io_timeout_ms));
-  rpc::HandshakeRequest hello;
-  hello.max_version = std::min<uint32_t>(
-      std::max<uint32_t>(options_.max_protocol_version, 1),
-      net::kProtocolVersion);
-  // The handshake frame itself is always v1 — it must parse on any
-  // server; the versions only diverge after both sides agree.
-  JOINMI_RETURN_NOT_OK(net::SendFrame(&socket,
-                                      net::FrameType::kHandshakeRequest,
-                                      rpc::EncodeHandshakeRequest(hello)));
+  JOINMI_RETURN_NOT_OK(net::SendFrame(
+      &socket, net::FrameType::kHandshakeRequest, /*request_id=*/0, ""));
   JOINMI_ASSIGN_OR_RETURN(net::Frame frame, net::RecvFrame(&socket));
   if (frame.type == net::FrameType::kError) {
     Status server_error;
@@ -177,10 +147,6 @@ Result<net::Socket> RpcShardClient::DialAndHandshake() const {
         " candidates but the manifest records " +
         std::to_string(num_candidates_));
   }
-  // Belt and braces: never speak above what we offered, whatever the
-  // server claims.
-  server_version_.store(
-      std::min<uint32_t>(handshake.protocol_version, hello.max_version));
   return socket;
 }
 
@@ -239,7 +205,8 @@ Result<std::vector<ShardSearchResult>> RpcShardClient::SearchVariants(
   if (variants.empty()) return std::vector<ShardSearchResult>{};
 
   Status last = Status::IOError("no attempt made");
-  for (int attempt = 0; attempt < options_.max_attempts; ++attempt) {
+  int attempt = 0;
+  while (attempt < options_.max_attempts) {
     auto channel = channels_->Pick();
     if (!channel.ok()) {
       // Dial or handshake failed — nothing of this request reached the
@@ -247,12 +214,21 @@ Result<std::vector<ShardSearchResult>> RpcShardClient::SearchVariants(
       // deterministic deployment error another attempt cannot fix.
       if (channel.status().IsInvalidArgument()) return channel.status();
       last = channel.status();
+      ++attempt;
       continue;
     }
     bool attempt_reached = false;
     auto result = RunVariants(**channel, query, variants, &attempt_reached);
     if (attempt_reached && reached_wire != nullptr) *reached_wire = true;
     if (result.ok()) return result;
+    // The connection's sketch cache was full and the channel retired
+    // before any search byte left: move to a fresh connection without
+    // spending an attempt. Each such retry retired a channel that had
+    // accepted sketches, so the loop cannot spin on a server that refuses
+    // everything.
+    if (rpc::IsSketchCacheFull(result.status()) && (*channel)->retired()) {
+      continue;
+    }
     // Anything non-IO is deterministic (bad request, server-side
     // validation); anything IO after the request may have reached the
     // server must not be re-sent — "maybe executed twice" stays
@@ -260,6 +236,7 @@ Result<std::vector<ShardSearchResult>> RpcShardClient::SearchVariants(
     if (!result.status().IsIOError()) return result.status();
     if (attempt_reached) return result.status();
     last = result.status();
+    ++attempt;
   }
   return last;
 }
@@ -268,98 +245,58 @@ Result<std::vector<ShardSearchResult>> RpcShardClient::RunVariants(
     rpc::Channel& channel, const JoinMIQuery& query,
     const std::vector<ShardSearchVariant>& variants,
     bool* reached_wire) const {
+  // Make sure the sketch is cached server-side (uploaded at most once per
+  // connection, idempotent by digest — its reached-ness never taints the
+  // search's retry eligibility), then send the digest-only batch.
+  const std::string& sketch_bytes = query.SerializedTrainSketch();
+  const uint64_t digest = wire::Checksum64(sketch_bytes);
+  JOINMI_RETURN_NOT_OK(channel.EnsureSketchUploaded(digest, sketch_bytes));
+  rpc::BatchSearchRequest request;
+  request.sketch_digest = digest;
+  request.variants.reserve(variants.size());
+  for (const ShardSearchVariant& variant : variants) {
+    rpc::BatchSearchVariant wire_variant;
+    wire_variant.k = variant.k;
+    wire_variant.min_join_size = variant.min_join_size;
+    request.variants.push_back(wire_variant);
+  }
+  auto frame = channel.Call(net::FrameType::kBatchSearchRequest,
+                            rpc::EncodeBatchSearchRequest(request),
+                            reached_wire);
+  if (!frame.ok()) {
+    if (*reached_wire) {
+      return Status::IOError("no response from shard server " +
+                             endpoint_.ToString() + " (not retried): " +
+                             frame.status().message());
+    }
+    return frame.status();
+  }
+  if (frame->type == net::FrameType::kError) {
+    Status server_error;
+    JOINMI_RETURN_NOT_OK(
+        rpc::DecodeErrorPayload(frame->payload, &server_error));
+    return server_error;
+  }
+  if (frame->type != net::FrameType::kBatchSearchResponse) {
+    return Status::IOError(
+        "shard server " + endpoint_.ToString() +
+        " answered a batch search with a " +
+        std::string(net::FrameTypeToString(frame->type)) + " frame");
+  }
+  JOINMI_ASSIGN_OR_RETURN(rpc::BatchSearchResponse response,
+                          rpc::DecodeBatchSearchResponse(frame->payload));
+  JOINMI_RETURN_NOT_OK(response.status);
+  if (response.responses.size() != variants.size()) {
+    return Status::IOError(
+        "shard server " + endpoint_.ToString() + " answered " +
+        std::to_string(response.responses.size()) + " variants for a " +
+        std::to_string(variants.size()) + "-variant batch");
+  }
   std::vector<ShardSearchResult> results;
   results.reserve(variants.size());
-  if (channel.pipelined()) {
-    // v2: make sure the sketch is cached server-side (uploaded at most
-    // once per connection, idempotent by digest — its reached-ness never
-    // taints the search's retry eligibility), then send the digest-only
-    // batch.
-    const std::string& sketch_bytes = query.SerializedTrainSketch();
-    const uint64_t digest = wire::Checksum64(sketch_bytes);
-    JOINMI_RETURN_NOT_OK(
-        channel.EnsureSketchUploaded(digest, sketch_bytes));
-    rpc::BatchSearchRequest request;
-    request.sketch_digest = digest;
-    request.variants.reserve(variants.size());
-    for (const ShardSearchVariant& variant : variants) {
-      rpc::BatchSearchVariant wire_variant;
-      wire_variant.k = variant.k;
-      wire_variant.min_join_size = variant.min_join_size;
-      request.variants.push_back(wire_variant);
-    }
-    auto frame = channel.Call(net::FrameType::kBatchSearchRequest,
-                              rpc::EncodeBatchSearchRequest(request),
-                              reached_wire);
-    if (!frame.ok()) {
-      if (*reached_wire) {
-        return Status::IOError("no response from shard server " +
-                               endpoint_.ToString() + " (not retried): " +
-                               frame.status().message());
-      }
-      return frame.status();
-    }
-    if (frame->type == net::FrameType::kError) {
-      Status server_error;
-      JOINMI_RETURN_NOT_OK(
-          rpc::DecodeErrorPayload(frame->payload, &server_error));
-      return server_error;
-    }
-    if (frame->type != net::FrameType::kBatchSearchResponse) {
-      return Status::IOError(
-          "shard server " + endpoint_.ToString() +
-          " answered a batch search with a " +
-          std::string(net::FrameTypeToString(frame->type)) + " frame");
-    }
-    JOINMI_ASSIGN_OR_RETURN(rpc::BatchSearchResponse response,
-                            rpc::DecodeBatchSearchResponse(frame->payload));
-    JOINMI_RETURN_NOT_OK(response.status);
-    if (response.responses.size() != variants.size()) {
-      return Status::IOError(
-          "shard server " + endpoint_.ToString() + " answered " +
-          std::to_string(response.responses.size()) + " variants for a " +
-          std::to_string(variants.size()) + "-variant batch");
-    }
-    for (rpc::SearchResponse& one : response.responses) {
-      JOINMI_RETURN_NOT_OK(one.status);
-      results.push_back(std::move(one.result));
-    }
-    return results;
-  }
-  // v1: the legacy dialect — one kSearchRequest per variant, sketch bytes
-  // shipped every time, exchanges serialized on the channel.
-  for (const ShardSearchVariant& variant : variants) {
-    rpc::SearchRequest request;
-    request.train_sketch = query.SerializedTrainSketch();
-    request.k = variant.k;
-    request.min_join_size = variant.min_join_size;
-    auto frame = channel.Call(net::FrameType::kSearchRequest,
-                              rpc::EncodeSearchRequest(request),
-                              reached_wire);
-    if (!frame.ok()) {
-      if (*reached_wire) {
-        return Status::IOError("no response from shard server " +
-                               endpoint_.ToString() + " (not retried): " +
-                               frame.status().message());
-      }
-      return frame.status();
-    }
-    if (frame->type == net::FrameType::kError) {
-      Status server_error;
-      JOINMI_RETURN_NOT_OK(
-          rpc::DecodeErrorPayload(frame->payload, &server_error));
-      return server_error;
-    }
-    if (frame->type != net::FrameType::kSearchResponse) {
-      return Status::IOError(
-          "shard server " + endpoint_.ToString() +
-          " answered a search with a " +
-          std::string(net::FrameTypeToString(frame->type)) + " frame");
-    }
-    JOINMI_ASSIGN_OR_RETURN(rpc::SearchResponse response,
-                            rpc::DecodeSearchResponse(frame->payload));
-    JOINMI_RETURN_NOT_OK(response.status);
-    results.push_back(std::move(response.result));
+  for (rpc::SearchResponse& one : response.responses) {
+    JOINMI_RETURN_NOT_OK(one.status);
+    results.push_back(std::move(one.result));
   }
   return results;
 }
@@ -394,11 +331,6 @@ Result<std::string> RpcShardClient::Stats() const {
   if (!channel.ok()) {
     return channel.status();
   }
-  if (!(*channel)->pipelined()) {
-    return Status::NotImplemented(
-        "shard server " + endpoint_.ToString() +
-        " negotiated JMRP v1, which has no stats frame");
-  }
   auto frame = (*channel)->Call(net::FrameType::kStatsRequest, "", nullptr);
   if (!frame.ok()) {
     return frame.status();
@@ -425,11 +357,6 @@ Result<rpc::ReloadResponse> RpcShardClient::Reload() const {
   auto channel = channels_->Pick();
   if (!channel.ok()) {
     return channel.status();
-  }
-  if (!(*channel)->pipelined()) {
-    return Status::NotImplemented(
-        "shard server " + endpoint_.ToString() +
-        " negotiated JMRP v1, which has no reload frame");
   }
   auto frame = (*channel)->Call(net::FrameType::kReloadRequest, "", nullptr);
   if (!frame.ok()) {

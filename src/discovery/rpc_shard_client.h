@@ -3,25 +3,24 @@
 // host:port endpoints behave exactly like one assembled from local shard
 // files — same methods, same merged rankings, byte for byte.
 //
-// Connection model: a bounded ConnPool of lazily-dialed TCP connections
-// per client (RpcClientOptions::pool_size); every dial runs the JMRP
-// handshake (negotiating the protocol version) before the socket enters
-// the pool, and idle connections are staleness-probed before reuse. Each
-// pooled connection is wrapped in an rpc::Channel for its lifetime.
-// Against a v2 server a channel PIPELINES: concurrent Search calls stamp
-// distinct request ids, share one connection, and are demultiplexed as
-// responses arrive in any order — pool_size bounds connections, not
-// in-flight requests. Against a v1 server a channel serializes exchanges,
-// reproducing the historical one-request-per-connection discipline.
+// Connection model: an rpc::ChannelSet of at most
+// RpcClientOptions::pool_size lazily dialed TCP connections per client;
+// every dial runs the JMRP handshake before its channel serves a request.
+// Each channel PIPELINES: concurrent Search calls stamp distinct request
+// ids, share one connection, and are demultiplexed as responses arrive in
+// any order — pool_size bounds connections, not in-flight requests.
 // Requests route to the channel with the fewest calls in flight; a new
 // connection is dialed only when every existing channel is busy and
 // capacity remains.
 //
-// Sketch upload: on v2, Search and SearchVariants first ensure the
-// query's serialized train sketch is cached server-side (keyed by its
-// Checksum64 digest, uploaded once per connection) and then send
-// digest-only batch requests — a q-variant batch ships the sketch bytes
-// at most once, not q times.
+// Sketch upload: Search and SearchVariants first ensure the query's
+// serialized train sketch is cached server-side (keyed by its Checksum64
+// digest, uploaded once per connection) and then send digest-only batch
+// requests — a q-variant batch ships the sketch bytes at most once, not q
+// times. The server caches a bounded number of sketches per connection;
+// when a connection's cache is full the channel retires and the search
+// moves to a fresh connection, so a long-lived client can ask any number
+// of distinct queries.
 //
 // Creating a client against a *down* server succeeds (the router must be
 // able to assemble and serve degraded while a shard is being restarted);
@@ -37,14 +36,15 @@
 // is NOT retried: the server may have executed it, and "maybe executed
 // twice" is a property this layer refuses to introduce even for
 // idempotent searches. Sketch uploads are the one exception: they are
-// idempotent by digest, so a failed upload may retry on a fresh channel.
+// idempotent by digest, so a failed upload may retry on a fresh channel
+// (a full-cache refusal does so without spending an attempt: every such
+// refusal retired a connection that had accepted sketches).
 // The reached_wire out-parameters report whether any SEARCH byte left the
 // process — the signal replica failover keys on.
 
 #ifndef JOINMI_DISCOVERY_RPC_SHARD_CLIENT_H_
 #define JOINMI_DISCOVERY_RPC_SHARD_CLIENT_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -53,8 +53,6 @@
 #include "src/discovery/rpc_channel.h"
 #include "src/discovery/rpc_messages.h"
 #include "src/discovery/sharded_index.h"
-#include "src/net/conn_pool.h"
-#include "src/net/frame.h"
 #include "src/net/socket.h"
 
 namespace joinmi {
@@ -74,14 +72,6 @@ struct ShardEndpoint {
 /// IPv4 addresses).
 Result<ShardEndpoint> ParseShardEndpoint(const std::string& spec);
 
-/// \brief Deprecated: the single-endpoint-per-shard projection of
-/// ReadShardEndpoints (replica_router.h), kept one release. It reads the
-/// same file format but rejects any line listing several replicas — new
-/// code should read replica sets with ReadShardEndpoints and treat a
-/// one-endpoint line as a one-replica set.
-Result<std::vector<ShardEndpoint>> ReadEndpointsFile(
-    const std::string& path);
-
 /// \brief Client-side networking knobs.
 struct RpcClientOptions {
   /// Bound on dialing a shard server; a down server fails this fast.
@@ -91,15 +81,9 @@ struct RpcClientOptions {
   /// Attempts per request, counting the first; extra attempts are spent
   /// only on failures that provably precede the request reaching the wire.
   int max_attempts = 2;
-  /// Connections this client may hold to its shard server. Against a v1
-  /// server this also bounds in-flight requests; against a v2 server each
-  /// connection pipelines, so it bounds sockets, not concurrency.
+  /// Connections this client may hold to its shard server. Each
+  /// connection pipelines, so this bounds sockets, not concurrency.
   size_t pool_size = 4;
-  /// Highest JMRP version to offer in the handshake. The default
-  /// negotiates v2 (pipelining + batch) with servers that speak it and
-  /// falls back to v1 per connection otherwise; set 1 to force the legacy
-  /// dialect (benchmark baselines, drills against old servers).
-  uint32_t max_protocol_version = net::kProtocolVersion;
 };
 
 /// \brief Validates that `manifest` can back remote serving with
@@ -121,12 +105,12 @@ class RpcShardClient : public ShardClient {
       ShardEndpoint endpoint, JoinMIConfig expected_config,
       uint64_t expected_candidates, RpcClientOptions options = {});
 
-  /// Closes the channel set and the pool so any thread blocked on either
-  /// wakes with a deterministic error before members are torn down.
+  /// Closes the channel set so any thread waiting on a dial wakes with a
+  /// deterministic error before members are torn down.
   ~RpcShardClient() override;
 
-  // Pinned in place: the pool's dialer captures `this`, so a moved-from
-  // client would leave the pool dialing through a dangling pointer.
+  // Pinned in place: the channel set's dialer captures `this`, so a
+  // moved-from client would leave it dialing through a dangling pointer.
   // Create hands out unique_ptrs precisely so nobody needs to move the
   // object itself.
   RpcShardClient(const RpcShardClient&) = delete;
@@ -140,9 +124,8 @@ class RpcShardClient : public ShardClient {
   }
 
   /// \brief Remote search — byte-identical to LocalShardClient over the
-  /// same shard. On v2 this is a one-variant batch against the
-  /// connection-cached sketch; on v1 it ships the serialized sketch with
-  /// the request. `num_threads` is ignored: evaluation parallelism
+  /// same shard: a one-variant batch against the connection-cached
+  /// sketch. `num_threads` is ignored: evaluation parallelism
   /// belongs to the server. Queries whose config disagrees with the
   /// shard's (beyond min_join_size, which travels per variant) are
   /// rejected here — the server would silently answer under *its* config
@@ -159,8 +142,7 @@ class RpcShardClient : public ShardClient {
                                    bool* reached_wire) const;
 
   /// \brief Batched remote search: one frame carries every variant
-  /// against the uploaded sketch (v2), or a per-variant loop over plain
-  /// searches on one connection (v1). result[i] answers variants[i].
+  /// against the uploaded sketch. result[i] answers variants[i].
   Result<std::vector<ShardSearchResult>> SearchVariants(
       const JoinMIQuery& query,
       const std::vector<ShardSearchVariant>& variants,
@@ -176,19 +158,16 @@ class RpcShardClient : public ShardClient {
   /// \brief Liveness + identity probe: cheap, never retried.
   Result<rpc::HealthResponse> Health() const;
 
-  /// \brief The server's metrics snapshot as a JSON document (v2 only —
-  /// a v1 server has no stats frame, so this returns NotImplemented
-  /// instead of poisoning the connection with a type it must reject).
-  /// Never retried: stats are advisory telemetry.
+  /// \brief The server's metrics snapshot as a JSON document. Never
+  /// retried: stats are advisory telemetry.
   Result<std::string> Stats() const;
 
   /// \brief Asks the server to re-resolve its deployment reference and
-  /// swap in the newest manifest generation (v2 only; never retried —
-  /// reloads are idempotent but the caller should see every failure).
+  /// swap in the newest manifest generation (never retried — reloads are idempotent but the caller should see every failure).
   /// On OK the response reports the epoch and candidate count now
   /// serving. NOTE: after a successful reload the server's candidate
   /// count may no longer match the manifest this client was created
-  /// from — existing pooled connections keep working, but fresh dials
+  /// from — existing connections keep working, but fresh dials
   /// re-verify against the stale expectation. Callers that keep
   /// searching should rebuild their clients from the new manifest (the
   /// router's Reload() does exactly that).
@@ -196,21 +175,16 @@ class RpcShardClient : public ShardClient {
 
   const ShardEndpoint& endpoint() const { return endpoint_; }
 
-  /// \brief The connection pool, exposed for instrumentation: tests and
-  /// benchmarks read max_in_flight()/total_dials() to prove connection
-  /// reuse (or the absence of over-dialing) rather than inferring it from
-  /// timing. With channels, in_flight gauges live channels, not requests.
-  const net::ConnPool& pool() const { return *pool_; }
-
-  /// \brief Protocol version negotiated with the server by the most
-  /// recent handshake; 0 until any dial succeeded.
-  uint32_t negotiated_version() const { return server_version_.load(); }
+  /// \brief Connections successfully dialed (and handshaken) so far —
+  /// tests and benchmarks read it to prove connection reuse (or the
+  /// absence of over-dialing) rather than inferring it from timing.
+  uint64_t dials() const { return channels_->dials(); }
 
   /// \brief High-water mark of requests simultaneously in flight on ONE
   /// connection — >= 2 proves pipelining actually happened.
-  size_t max_pipelined() const { return pipeline_hwm_.load(); }
+  size_t max_pipelined() const { return channels_->max_pipelined(); }
 
-  /// \brief Channels currently alive (each holds one pooled connection).
+  /// \brief Channels currently alive (each owns one connection).
   size_t live_channels() const { return channels_->live_channels(); }
 
   /// \brief ShardClientFactory dialing `endpoints[shard]` for each shard.
@@ -223,13 +197,13 @@ class RpcShardClient : public ShardClient {
   RpcShardClient(ShardEndpoint endpoint, JoinMIConfig expected_config,
                  uint64_t expected_candidates, RpcClientOptions options);
 
-  /// \brief The pool's dialer: TCP connect + JMRP handshake (version
-  /// negotiation included), verifying the server against the
-  /// manifest-expected config and candidate count.
+  /// \brief The channel set's dialer: TCP connect + JMRP handshake,
+  /// verifying the server against the manifest-expected config and
+  /// candidate count.
   Result<net::Socket> DialAndHandshake() const;
 
-  /// \brief One attempt of a variant batch on `channel`; dispatches to
-  /// the batch frame (v2) or a sequential per-variant loop (v1).
+  /// \brief One attempt of a variant batch on `channel`: upload the
+  /// sketch if this connection lacks it, then send the batch frame.
   Result<std::vector<ShardSearchResult>> RunVariants(
       rpc::Channel& channel, const JoinMIQuery& query,
       const std::vector<ShardSearchVariant>& variants,
@@ -240,16 +214,10 @@ class RpcShardClient : public ShardClient {
   uint64_t num_candidates_ = 0;
   RpcClientOptions options_;
 
-  // Leases one connection per live channel; pool_size bounds the client's
-  // sockets against this shard. unique_ptr because the pool captures
-  // `this` in its dialer (stable for a heap-allocated client).
-  mutable std::unique_ptr<net::ConnPool> pool_;
-  mutable std::unique_ptr<rpc::ChannelSet> channels_;
-  // 0 = no dial has succeeded yet; otherwise the latest negotiated
-  // version. All connections of one client negotiate against the same
-  // server, so the latest answer is authoritative.
-  mutable std::atomic<uint32_t> server_version_{0};
-  mutable std::atomic<size_t> pipeline_hwm_{0};
+  // Owns every connection to this shard; pool_size bounds them.
+  // unique_ptr because the dialer captures `this` (stable for a
+  // heap-allocated client).
+  std::unique_ptr<rpc::ChannelSet> channels_;
 };
 
 }  // namespace joinmi

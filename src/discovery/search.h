@@ -71,29 +71,6 @@ Result<TopKSearchResult> TopKJoinMISearch(
     size_t k, size_t num_threads = 0,
     ShardQueryMode mode = ShardQueryMode::kStrict);
 
-/// \brief Deprecated: the SketchIndex-specific overload, kept one release
-/// as an inline forwarder. Use the Searchable overload above.
-inline Result<TopKSearchResult> TopKJoinMISearch(const Table& base_table,
-                                                 const SearchSpec& spec,
-                                                 const SketchIndex& index,
-                                                 size_t k,
-                                                 size_t num_threads = 0) {
-  return TopKJoinMISearch(base_table, spec,
-                          static_cast<const Searchable&>(index), k,
-                          num_threads, ShardQueryMode::kStrict);
-}
-
-/// \brief Deprecated: the ShardedSketchIndex-specific overload, kept one
-/// release as an inline forwarder. Use the Searchable overload above.
-inline Result<TopKSearchResult> TopKJoinMISearch(
-    const Table& base_table, const SearchSpec& spec,
-    const ShardedSketchIndex& index, size_t k, size_t num_threads = 0,
-    ShardQueryMode mode = ShardQueryMode::kStrict) {
-  return TopKJoinMISearch(base_table, spec,
-                          static_cast<const Searchable&>(index), k,
-                          num_threads, mode);
-}
-
 }  // namespace joinmi
 
 #endif  // JOINMI_DISCOVERY_SEARCH_H_

@@ -18,7 +18,6 @@
 #include "src/discovery/replica_router.h"
 #include "src/discovery/rpc_shard_client.h"
 #include "src/discovery/sharded_index.h"
-#include "src/net/frame.h"
 
 namespace joinmi {
 
@@ -33,8 +32,6 @@ struct ServingOptions {
   int max_attempts = 2;
   /// Connections each shard client may hold to one server.
   size_t pool_size = 4;
-  /// Highest JMRP version to offer in the handshake.
-  uint32_t max_protocol_version = net::kProtocolVersion;
 
   // ---- replica selection ----
   /// How long a failed replica sits out before a Health() reprobe.
@@ -51,7 +48,6 @@ struct ServingOptions {
     options.io_timeout_ms = io_timeout_ms;
     options.max_attempts = max_attempts;
     options.pool_size = pool_size;
-    options.max_protocol_version = max_protocol_version;
     return options;
   }
 

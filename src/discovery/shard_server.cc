@@ -200,17 +200,14 @@ Status ShardServer::Start() {
             // else (handshake, health, upload, stats, reload) bypasses
             // the gate: it is exactly what a backing-off client needs.
             AdmissionGate::Ticket ticket;
-            const bool gated =
-                frame.type == net::FrameType::kSearchRequest ||
-                frame.type == net::FrameType::kBatchSearchRequest;
-            if (gated) {
+            if (frame.type == net::FrameType::kBatchSearchRequest) {
               auto admitted = gate_.TryEnter();
               if (!admitted.ok()) {
-                loop_->Send(conn,
-                            net::EncodeFrameAs(
-                                frame.version, net::FrameType::kError,
-                                frame.request_id,
-                                rpc::EncodeErrorPayload(admitted.status())));
+                loop_->Send(conn, net::EncodeFrame(
+                                      net::FrameType::kError,
+                                      frame.request_id,
+                                      rpc::EncodeErrorPayload(
+                                          admitted.status())));
                 return;
               }
               ticket = std::move(*admitted);
@@ -258,8 +255,7 @@ void ShardServer::Stop() {
 void ShardServer::Reply(net::EventLoop::ConnId conn,
                         const net::Frame& request, net::FrameType type,
                         const std::string& payload) {
-  loop_->Send(conn, net::EncodeFrameAs(request.version, type,
-                                       request.request_id, payload));
+  loop_->Send(conn, net::EncodeFrame(type, request.request_id, payload));
 }
 
 void ShardServer::HandleFrame(net::EventLoop::ConnId conn,
@@ -271,19 +267,9 @@ void ShardServer::HandleFrame(net::EventLoop::ConnId conn,
   switch (frame.type) {
     case net::FrameType::kHandshakeRequest: {
       handshakes_served_->Add();
-      auto decoded = rpc::DecodeHandshakeRequest(frame.payload);
-      if (!decoded.ok()) {
-        Reply(conn, frame, net::FrameType::kError,
-              rpc::EncodeErrorPayload(decoded.status()));
-        return;
-      }
       rpc::HandshakeResponse response;
       response.config = snapshot->config();
       response.num_candidates = snapshot->num_candidates();
-      // Negotiate down to what both sides speak; an undeclared (v1)
-      // request keeps protocol_version 1 and the legacy payload shape.
-      response.protocol_version =
-          std::min<uint32_t>(decoded->max_version, net::kProtocolVersion);
       Reply(conn, frame, net::FrameType::kHandshakeResponse,
             rpc::EncodeHandshakeResponse(response));
       return;
@@ -295,13 +281,6 @@ void ShardServer::HandleFrame(net::EventLoop::ConnId conn,
       response.requests_served = searches_served_->value();
       Reply(conn, frame, net::FrameType::kHealthResponse,
             rpc::EncodeHealthResponse(response));
-      return;
-    }
-    case net::FrameType::kSearchRequest: {
-      searches_served_->Add();
-      metrics::ScopedTimer timer(search_latency_);
-      Reply(conn, frame, net::FrameType::kSearchResponse,
-            HandleSearch(frame, *snapshot));
       return;
     }
     case net::FrameType::kSketchUploadRequest: {
@@ -348,35 +327,6 @@ void ShardServer::HandleFrame(net::EventLoop::ConnId conn,
   }
 }
 
-std::string ShardServer::HandleSearch(const net::Frame& frame,
-                                      const ShardClient& client) {
-  rpc::SearchResponse response;
-  auto run = [&]() -> Result<ShardSearchResult> {
-    JOINMI_ASSIGN_OR_RETURN(rpc::SearchRequest request,
-                            rpc::DecodeSearchRequest(frame.payload));
-    JOINMI_ASSIGN_OR_RETURN(Sketch train_sketch,
-                            DeserializeSketch(request.train_sketch));
-    // The shard's own config governs the evaluation, with only the
-    // caller's min_join_size substituted — the one knob that travels
-    // per request (see rpc_messages.h).
-    JoinMIConfig query_config = client.config();
-    query_config.min_join_size = static_cast<size_t>(request.min_join_size);
-    JOINMI_ASSIGN_OR_RETURN(
-        JoinMIQuery query,
-        JoinMIQuery::FromTrainSketch(std::move(train_sketch), query_config));
-    return client.Search(query, static_cast<size_t>(request.k),
-                         options_.eval_threads);
-  };
-  auto result = run();
-  if (result.ok()) {
-    response.status = Status::OK();
-    response.result = std::move(*result);
-  } else {
-    response.status = result.status();
-  }
-  return rpc::EncodeSearchResponse(response);
-}
-
 std::string ShardServer::HandleSketchUpload(net::EventLoop::ConnId conn,
                                             const net::Frame& frame) {
   rpc::SketchUploadResponse response;
@@ -400,10 +350,7 @@ std::string ShardServer::HandleSketchUpload(net::EventLoop::ConnId conn,
     auto& cache = sketch_cache_[conn];
     if (cache.count(request.digest) > 0) return Status::OK();  // idempotent
     if (cache.size() >= kMaxCachedSketches) {
-      return Status::InvalidArgument(
-          "connection sketch cache is full (" +
-          std::to_string(kMaxCachedSketches) +
-          " sketches); open a new connection for new queries");
+      return rpc::SketchCacheFull(kMaxCachedSketches);
     }
     cache.emplace(request.digest,
                   std::make_shared<const Sketch>(std::move(sketch)));

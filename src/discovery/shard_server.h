@@ -2,27 +2,28 @@
 // index. Loads a single shard file named by a manifest (checksum- and
 // count-verified against the manifest entry, exactly like the local
 // loader — a server can no more serve a corrupt shard than a router can
-// load one), binds a TCP port, and answers JMRP requests: handshakes (v1
-// and v2), serialized-train-sketch searches, once-per-connection sketch
-// uploads, batched multi-variant searches, and health probes.
+// load one), binds a TCP port, and answers JMRP requests: handshakes,
+// once-per-connection sketch uploads, batched multi-variant searches,
+// health probes, stats and reloads.
 //
 // Concurrency: a single epoll event loop (net::EventLoop) owns every
 // connection's reads and writes; each decoded frame becomes one task on a
 // bounded ThreadPool of request workers, and the worker's reply is queued
 // back through the loop. Responses therefore complete out of order and
-// are paired by the v2 request_id — one connection can have num_workers
+// are paired by the request_id — one connection can have num_workers
 // requests in flight, where the old thread-per-connection design served
 // each connection strictly sequentially. Every search evaluates with a
 // fixed per-request thread count, so total parallelism is bounded by
 // num_workers x eval_threads regardless of how many routers connect.
 // Rankings do not depend on either knob.
 //
-// Sketch cache: a v2 client uploads its serialized train sketch once
+// Sketch cache: a client uploads its serialized train sketch once
 // (keyed by wire::Checksum64 digest, recomputed server-side) and then
 // sends digest-only batch requests. The cache is strictly per-connection
 // — entries die with the connection, at most kMaxCachedSketches live per
 // connection — so one router can never read or evict another's sketch and
-// a dead client leaks nothing.
+// a dead client leaks nothing. An upload past the bound is refused with
+// rpc::SketchCacheFull, and the client moves on to a fresh connection.
 //
 // This class is the in-process embedding (tests, benchmarks host real
 // socket servers without fork/exec); tools/shard_server.cc is the
@@ -73,7 +74,7 @@ struct ShardServerOptions {
   /// the operator asked for bounded-memory serving, so silently falling
   /// back to full materialization would defeat the point.
   bool require_paged = false;
-  /// Search frames (single and batch) concurrently queued or executing
+  /// Batch search frames concurrently queued or executing
   /// before new ones are rejected with kOverloaded + a retry-after hint;
   /// 0 = unbounded (the historical queue-forever behavior). Handshakes,
   /// health probes, sketch uploads, and stats requests always bypass the
@@ -139,7 +140,7 @@ class ShardServer {
   /// \brief Successful Reload() swaps since Create (counting ones that
   /// re-resolved to the same generation).
   uint64_t reloads_served() const { return reloads_served_->value(); }
-  /// \brief Search frames answered (single and batch) since Start —
+  /// \brief Batch search frames answered since Start —
   /// query traffic only; handshakes and health probes have their own
   /// counters below and no longer inflate this.
   uint64_t requests_served() const { return searches_served_->value(); }
@@ -204,11 +205,9 @@ class ShardServer {
 
   /// Runs on a worker thread: decode, evaluate, queue the reply.
   void HandleFrame(net::EventLoop::ConnId conn, net::Frame frame);
-  /// Echoes the request's header dialect (version + request id).
+  /// Answers `request` under its request id.
   void Reply(net::EventLoop::ConnId conn, const net::Frame& request,
              net::FrameType type, const std::string& payload);
-  std::string HandleSearch(const net::Frame& frame,
-                           const ShardClient& client);
   std::string HandleSketchUpload(net::EventLoop::ConnId conn,
                                  const net::Frame& frame);
   std::string HandleBatchSearch(net::EventLoop::ConnId conn,

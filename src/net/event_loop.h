@@ -1,7 +1,7 @@
 // EventLoop: a single-threaded epoll reactor that owns every serving
 // connection's reads and writes, replacing the thread-per-connection
-// accept loop. The loop thread accepts, assembles JMRP frames (both
-// protocol versions) from nonblocking reads, and hands each complete
+// accept loop. The loop thread accepts, assembles JMRP frames from
+// nonblocking reads, and hands each complete
 // frame to an injected callback; actual request execution belongs on a
 // worker pool — the callback must not block. Responses come back through
 // Send(), which is safe from any thread: bytes are queued to the
@@ -10,7 +10,7 @@
 // while a partial write is pending). Because the loop never waits for one
 // connection's response before reading the next frame, responses complete
 // out of order and callers pair them by request_id — the server side of
-// JMRP v2 pipelining.
+// JMRP pipelining.
 //
 // Connections are named by a monotonically increasing ConnId that is
 // never reused, so a worker finishing a request for a connection that
@@ -21,7 +21,8 @@
 // accepting and reading (no new work is created) while writes keep
 // flushing, then Stop(flush_timeout_ms) bounds the final flush and joins
 // the loop thread. A frame-stream error (bad magic, oversized length,
-// unsupported version) closes that connection only.
+// unsupported version, including a retired v1 header) closes that
+// connection only.
 
 #ifndef JOINMI_NET_EVENT_LOOP_H_
 #define JOINMI_NET_EVENT_LOOP_H_

@@ -9,41 +9,47 @@ namespace net {
 
 namespace {
 
+// The validated prefix of every header: magic + version + type + length.
+// The request id that completes the header carries no constraints, so a
+// bad prefix is rejected before those 8 bytes are even read.
+constexpr size_t kHeaderPrefixSize = 4 + 4 + 1 + 4;
+
 struct FrameHeader {
   FrameType type;
-  uint32_t version;
   uint32_t payload_len;
 };
 
-// Validates everything knowable from the fixed header prefix alone —
-// magic, version, type tag (against that version), payload bound — shared
-// by the buffer, socket, and incremental decode paths so they cannot
-// drift. The v2 request id rides after this prefix and carries no
-// validity constraints of its own.
-Result<FrameHeader> ParseHeader(const char (&raw)[kFrameHeaderSize]) {
+bool IsKnownFrameType(uint8_t type) {
+  // Tags 3 and 4 are the retired per-variant search exchange.
+  return type >= static_cast<uint8_t>(FrameType::kHandshakeRequest) &&
+         type <= static_cast<uint8_t>(FrameType::kReloadResponse) &&
+         type != 3 && type != 4;
+}
+
+// Validates everything knowable from the header prefix alone — magic,
+// version, type tag, payload bound — shared by the buffer, socket, and
+// incremental decode paths so they cannot drift.
+Result<FrameHeader> ParseHeader(const char (&raw)[kHeaderPrefixSize]) {
   if (std::memcmp(raw, kFrameMagic, sizeof(kFrameMagic)) != 0) {
     return Status::IOError("bad JMRP frame magic");
   }
   uint32_t version = 0;
   std::memcpy(&version, raw + 4, sizeof(version));
-  if (version < kMinProtocolVersion || version > kProtocolVersion) {
+  if (version == 1) {
+    return Status::IOError(
+        "JMRP v1 is no longer served; this build speaks only JMRP v2");
+  }
+  if (version != kProtocolVersion) {
     return Status::IOError("unsupported JMRP protocol version " +
-                           std::to_string(version) + " (this build speaks " +
-                           std::to_string(kMinProtocolVersion) + ".." +
-                           std::to_string(kProtocolVersion) + ")");
+                           std::to_string(version) +
+                           " (this build speaks only JMRP v2)");
   }
   const uint8_t type = static_cast<uint8_t>(raw[8]);
-  const uint8_t max_type =
-      version >= 2 ? static_cast<uint8_t>(FrameType::kReloadResponse)
-                   : static_cast<uint8_t>(FrameType::kError);
-  if (type < static_cast<uint8_t>(FrameType::kHandshakeRequest) ||
-      type > max_type) {
-    return Status::IOError("unknown JMRP frame type " + std::to_string(type) +
-                           " for protocol version " + std::to_string(version));
+  if (!IsKnownFrameType(type)) {
+    return Status::IOError("unknown JMRP frame type " + std::to_string(type));
   }
   FrameHeader header;
   header.type = static_cast<FrameType>(type);
-  header.version = version;
   std::memcpy(&header.payload_len, raw + 9, sizeof(header.payload_len));
   if (header.payload_len > kMaxFramePayload) {
     return Status::IOError(
@@ -51,10 +57,6 @@ Result<FrameHeader> ParseHeader(const char (&raw)[kFrameHeaderSize]) {
         " exceeds the " + std::to_string(kMaxFramePayload) + "-byte bound");
   }
   return header;
-}
-
-size_t HeaderSizeFor(uint32_t version) {
-  return version >= 2 ? kFrameV2HeaderSize : kFrameHeaderSize;
 }
 
 }  // namespace
@@ -65,10 +67,6 @@ const char* FrameTypeToString(FrameType type) {
       return "handshake_request";
     case FrameType::kHandshakeResponse:
       return "handshake_response";
-    case FrameType::kSearchRequest:
-      return "search_request";
-    case FrameType::kSearchResponse:
-      return "search_response";
     case FrameType::kHealthRequest:
       return "health_request";
     case FrameType::kHealthResponse:
@@ -95,91 +93,63 @@ const char* FrameTypeToString(FrameType type) {
   return "unknown";
 }
 
-std::string EncodeFrameAs(uint32_t version, FrameType type,
-                          uint64_t request_id, const std::string& payload) {
+std::string EncodeFrame(FrameType type, uint64_t request_id,
+                        const std::string& payload) {
   std::string out;
-  out.reserve(HeaderSizeFor(version) + payload.size());
+  out.reserve(kFrameHeaderSize + payload.size());
   wire::AppendRaw(&out, kFrameMagic, sizeof(kFrameMagic));
-  wire::AppendPod<uint32_t>(&out, version);
+  wire::AppendPod<uint32_t>(&out, kProtocolVersion);
   wire::AppendPod<uint8_t>(&out, static_cast<uint8_t>(type));
   wire::AppendPod<uint32_t>(&out, static_cast<uint32_t>(payload.size()));
-  if (version >= 2) wire::AppendPod<uint64_t>(&out, request_id);
+  wire::AppendPod<uint64_t>(&out, request_id);
   wire::AppendRaw(&out, payload.data(), payload.size());
   return out;
 }
 
-std::string EncodeFrame(FrameType type, const std::string& payload) {
-  return EncodeFrameAs(1, type, 0, payload);
-}
-
-std::string EncodeFrameV2(FrameType type, uint64_t request_id,
-                          const std::string& payload) {
-  return EncodeFrameAs(2, type, request_id, payload);
-}
-
 Result<Frame> DecodeFrame(const std::string& buffer) {
-  if (buffer.size() < kFrameHeaderSize) {
+  if (buffer.size() < kHeaderPrefixSize) {
     return Status::IOError("truncated JMRP frame header");
   }
-  char raw[kFrameHeaderSize];
-  std::memcpy(raw, buffer.data(), kFrameHeaderSize);
+  char raw[kHeaderPrefixSize];
+  std::memcpy(raw, buffer.data(), kHeaderPrefixSize);
   JOINMI_ASSIGN_OR_RETURN(FrameHeader header, ParseHeader(raw));
-  const size_t header_size = HeaderSizeFor(header.version);
-  if (buffer.size() < header_size) {
-    return Status::IOError("truncated JMRP v2 frame header (request id)");
+  if (buffer.size() < kFrameHeaderSize) {
+    return Status::IOError("truncated JMRP frame header (request id)");
   }
   Frame frame;
   frame.type = header.type;
-  frame.version = header.version;
-  if (header.version >= 2) {
-    std::memcpy(&frame.request_id, buffer.data() + kFrameHeaderSize,
-                sizeof(frame.request_id));
-  }
-  if (buffer.size() - header_size < header.payload_len) {
+  std::memcpy(&frame.request_id, buffer.data() + kHeaderPrefixSize,
+              sizeof(frame.request_id));
+  if (buffer.size() - kFrameHeaderSize < header.payload_len) {
     return Status::IOError("truncated JMRP frame payload");
   }
-  if (buffer.size() - header_size > header.payload_len) {
+  if (buffer.size() - kFrameHeaderSize > header.payload_len) {
     return Status::IOError("trailing bytes after JMRP frame payload");
   }
-  frame.payload = buffer.substr(header_size);
+  frame.payload = buffer.substr(kFrameHeaderSize);
   return frame;
 }
 
-Status SendFrame(Socket* socket, FrameType type, const std::string& payload,
-                 size_t* bytes_written) {
+Status SendFrame(Socket* socket, FrameType type, uint64_t request_id,
+                 const std::string& payload, size_t* bytes_written) {
   if (payload.size() > kMaxFramePayload) {
     return Status::InvalidArgument(
         "refusing to send a JMRP frame with a " +
         std::to_string(payload.size()) + "-byte payload (bound " +
         std::to_string(kMaxFramePayload) + ")");
   }
-  const std::string encoded = EncodeFrame(type, payload);
-  return socket->WriteAll(encoded.data(), encoded.size(), bytes_written);
-}
-
-Status SendFrameV2(Socket* socket, FrameType type, uint64_t request_id,
-                   const std::string& payload, size_t* bytes_written) {
-  if (payload.size() > kMaxFramePayload) {
-    return Status::InvalidArgument(
-        "refusing to send a JMRP frame with a " +
-        std::to_string(payload.size()) + "-byte payload (bound " +
-        std::to_string(kMaxFramePayload) + ")");
-  }
-  const std::string encoded = EncodeFrameV2(type, request_id, payload);
+  const std::string encoded = EncodeFrame(type, request_id, payload);
   return socket->WriteAll(encoded.data(), encoded.size(), bytes_written);
 }
 
 Result<Frame> RecvFrame(Socket* socket) {
-  char raw[kFrameHeaderSize];
+  char raw[kHeaderPrefixSize];
   JOINMI_RETURN_NOT_OK(socket->ReadExact(raw, sizeof(raw)));
   JOINMI_ASSIGN_OR_RETURN(FrameHeader header, ParseHeader(raw));
   Frame frame;
   frame.type = header.type;
-  frame.version = header.version;
-  if (header.version >= 2) {
-    JOINMI_RETURN_NOT_OK(socket->ReadExact(
-        reinterpret_cast<char*>(&frame.request_id), sizeof(frame.request_id)));
-  }
+  JOINMI_RETURN_NOT_OK(socket->ReadExact(
+      reinterpret_cast<char*>(&frame.request_id), sizeof(frame.request_id)));
   frame.payload.resize(header.payload_len);
   if (header.payload_len > 0) {
     JOINMI_RETURN_NOT_OK(
@@ -204,25 +174,22 @@ void FrameAssembler::Feed(const char* data, size_t len) {
 Result<bool> FrameAssembler::Next(Frame* out) {
   if (!poisoned_.ok()) return poisoned_;
   const size_t available = buffer_.size() - consumed_;
-  if (available < kFrameHeaderSize) return false;
-  char raw[kFrameHeaderSize];
-  std::memcpy(raw, buffer_.data() + consumed_, kFrameHeaderSize);
+  if (available < kHeaderPrefixSize) return false;
+  char raw[kHeaderPrefixSize];
+  std::memcpy(raw, buffer_.data() + consumed_, kHeaderPrefixSize);
   auto header = ParseHeader(raw);
   if (!header.ok()) {
     poisoned_ = header.status();
     return poisoned_;
   }
-  const size_t header_size = HeaderSizeFor(header->version);
-  if (available < header_size + header->payload_len) return false;
+  if (available < kFrameHeaderSize + header->payload_len) return false;
   out->type = header->type;
-  out->version = header->version;
-  out->request_id = 0;
-  if (header->version >= 2) {
-    std::memcpy(&out->request_id, buffer_.data() + consumed_ + kFrameHeaderSize,
-                sizeof(out->request_id));
-  }
-  out->payload.assign(buffer_, consumed_ + header_size, header->payload_len);
-  consumed_ += header_size + header->payload_len;
+  std::memcpy(&out->request_id,
+              buffer_.data() + consumed_ + kHeaderPrefixSize,
+              sizeof(out->request_id));
+  out->payload.assign(buffer_, consumed_ + kFrameHeaderSize,
+                      header->payload_len);
+  consumed_ += kFrameHeaderSize + header->payload_len;
   return true;
 }
 

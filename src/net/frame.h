@@ -1,30 +1,26 @@
 // JMRP ("JoinMI RPC") framing: every message on a shard-serving connection
-// is one length-prefixed, version-tagged frame.
+// is one length-prefixed, version-tagged frame with one header layout:
 //
-//   v1: magic "JMRP" | u32 version=1 | u8 frame_type | u32 payload_len
-//       | payload_len bytes of payload
-//   v2: magic "JMRP" | u32 version=2 | u8 frame_type | u32 payload_len
-//       | u64 request_id | payload_len bytes of payload
+//   magic "JMRP" | u32 version=2 | u8 frame_type | u32 payload_len
+//   | u64 request_id | payload_len bytes of payload
 //
 // little-endian, built on the same wire:: primitives as the sketch and
 // index formats. The frame layer knows nothing about payload contents —
 // typed message encode/decode lives in src/discovery/rpc_messages.h, so
 // the codec below is testable without any discovery type.
 //
-// Versioning: the protocol version rides in every frame header (not just a
-// hello) so a mismatched peer is rejected on the first frame either side
-// reads, whichever direction speaks first. A v2-aware peer accepts both
-// versions on the same connection — rolling upgrades interleave them — but
-// v2-only frame types (sketch upload, batch search) are rejected inside a
-// v1 header, so a v1 peer can never be tricked into half-speaking v2.
-// Payloads are bounded by kMaxFramePayload; a length prefix past the bound
-// is rejected before any allocation, so a corrupt or hostile peer cannot
-// make a server reserve gigabytes.
+// Versioning: the protocol version rides in every frame header, so a
+// mismatched peer is rejected on the first frame either side reads,
+// whichever direction speaks first. Only version 2 is served; a version-1
+// header (the retired dialect, which had no request id) is rejected with
+// an error naming v2, and the server drops that connection. Payloads are
+// bounded by kMaxFramePayload; a length prefix past the bound is rejected
+// before any allocation, so a corrupt or hostile peer cannot make a server
+// reserve gigabytes.
 //
-// request_id: v2 responses may complete out of order (the server hands
-// frames to a worker pool and replies as results land), so every v2 frame
+// request_id: responses may complete out of order (the server hands
+// frames to a worker pool and replies as results land), so every frame
 // carries the caller-chosen id that pairs a response with its request.
-// v1 frames decode with request_id 0.
 
 #ifndef JOINMI_NET_FRAME_H_
 #define JOINMI_NET_FRAME_H_
@@ -40,45 +36,40 @@ namespace joinmi {
 namespace net {
 
 inline constexpr char kFrameMagic[4] = {'J', 'M', 'R', 'P'};
-/// Highest protocol version this build speaks (and the one EncodeFrameV2
-/// stamps). Decoding accepts [kMinProtocolVersion, kProtocolVersion].
+/// The one protocol version this build speaks and accepts.
 inline constexpr uint32_t kProtocolVersion = 2;
-inline constexpr uint32_t kMinProtocolVersion = 1;
-/// Wire size of the fixed header prefix shared by both versions
-/// (magic + version + type + length).
-inline constexpr size_t kFrameHeaderSize = 4 + 4 + 1 + 4;
-/// Wire size of a complete v2 header (prefix + u64 request_id).
-inline constexpr size_t kFrameV2HeaderSize = kFrameHeaderSize + 8;
+/// Wire size of a complete frame header (magic + version + type + length
+/// + request id).
+inline constexpr size_t kFrameHeaderSize = 4 + 4 + 1 + 4 + 8;
 /// Hard payload bound: a serialized train sketch plus headroom; far above
 /// any legitimate message, far below an allocation attack.
 inline constexpr uint32_t kMaxFramePayload = 64u * 1024u * 1024u;
 
-/// \brief Message kinds carried over a serving connection. Types 1–7 are
-/// valid in v1 and v2 frames; types 8+ require a v2 header.
+/// \brief Message kinds carried over a serving connection. Tags 3 and 4
+/// belonged to the retired per-variant search exchange; they decode as
+/// unknown and are never reused.
 enum class FrameType : uint8_t {
   kHandshakeRequest = 1,
   kHandshakeResponse = 2,
-  kSearchRequest = 3,
-  kSearchResponse = 4,
   kHealthRequest = 5,
   kHealthResponse = 6,
   /// Server-side failure to even parse/dispatch a request (a well-formed
   /// response frame carries its own Status instead).
   kError = 7,
-  /// v2 only: upload + cache the train sketch once per connection.
+  /// Upload + cache the train sketch once per connection.
   kSketchUploadRequest = 8,
   kSketchUploadResponse = 9,
-  /// v2 only: many (k, min_join_size) variants against one cached sketch.
+  /// Many (k, min_join_size) variants against one cached sketch.
   kBatchSearchRequest = 10,
   kBatchSearchResponse = 11,
-  /// v2 only: ask the server for its metrics snapshot (empty payload ->
-  /// a Status + JSON document; see rpc::StatsResponse).
+  /// Ask the server for its metrics snapshot (empty payload -> a Status +
+  /// JSON document; see rpc::StatsResponse).
   kStatsRequest = 12,
   kStatsResponse = 13,
-  /// v2 only: ask the server to re-resolve its deployment reference and
-  /// swap in the newest manifest generation (empty payload -> a Status +
-  /// the served epoch; see rpc::ReloadResponse). In-flight queries
-  /// complete against their admission-time snapshot.
+  /// Ask the server to re-resolve its deployment reference and swap in
+  /// the newest manifest generation (empty payload -> a Status + the
+  /// served epoch; see rpc::ReloadResponse). In-flight queries complete
+  /// against their admission-time snapshot.
   kReloadRequest = 14,
   kReloadResponse = 15,
 };
@@ -88,50 +79,33 @@ const char* FrameTypeToString(FrameType type);
 /// \brief One decoded frame.
 struct Frame {
   FrameType type = FrameType::kError;
-  /// Header version this frame was encoded with (1 or 2).
-  uint32_t version = kMinProtocolVersion;
-  /// Caller-chosen response-pairing id; always 0 for v1 frames.
+  /// Caller-chosen response-pairing id.
   uint64_t request_id = 0;
   std::string payload;
 };
 
-/// \brief Encodes a complete v1 frame (header + payload). The payload
-/// bound is enforced at the send/decode layer, not here, so tests can
-/// craft oversized frames.
-std::string EncodeFrame(FrameType type, const std::string& payload);
+/// \brief Encodes a complete frame (header + payload). The payload bound
+/// is enforced at the send/decode layer, not here, so tests can craft
+/// oversized frames.
+std::string EncodeFrame(FrameType type, uint64_t request_id,
+                        const std::string& payload);
 
-/// \brief Encodes a complete v2 frame carrying `request_id`.
-std::string EncodeFrameV2(FrameType type, uint64_t request_id,
-                          const std::string& payload);
-
-/// \brief Encodes with the given header version: version 1 drops the
-/// request id (callers must only do this for v1-legal types), version 2
-/// carries it. The echo path servers use to answer in the caller's dialect.
-std::string EncodeFrameAs(uint32_t version, FrameType type,
-                          uint64_t request_id, const std::string& payload);
-
-/// \brief Decodes a buffer holding exactly one frame (either version).
-/// Validates magic, protocol version, frame type tag (against that
-/// version), the payload bound, and that the buffer length matches the
-/// declared payload length (no trailing bytes).
+/// \brief Decodes a buffer holding exactly one frame. Validates magic,
+/// protocol version, frame type tag, the payload bound, and that the
+/// buffer length matches the declared payload length (no trailing bytes).
 Result<Frame> DecodeFrame(const std::string& buffer);
 
-/// \brief Writes one v1 frame to the socket. On failure `*bytes_written`
+/// \brief Writes one frame to the socket. On failure `*bytes_written`
 /// (optional) reports how many frame bytes reached the wire — zero means
 /// the request never left this process, which is the only case a retrying
 /// caller may treat as safe to resend unconditionally.
-Status SendFrame(Socket* socket, FrameType type, const std::string& payload,
+Status SendFrame(Socket* socket, FrameType type, uint64_t request_id,
+                 const std::string& payload,
                  size_t* bytes_written = nullptr);
 
-/// \brief Writes one v2 frame to the socket; same `*bytes_written`
-/// contract as SendFrame.
-Status SendFrameV2(Socket* socket, FrameType type, uint64_t request_id,
-                   const std::string& payload,
-                   size_t* bytes_written = nullptr);
-
-/// \brief Reads one frame (either version) from the socket, applying the
-/// same validation as DecodeFrame before the payload is read (so an
-/// oversized length prefix is rejected without allocating or draining it).
+/// \brief Reads one frame from the socket, applying the same validation
+/// as DecodeFrame before the payload is read (so an oversized length
+/// prefix is rejected without allocating or draining it).
 Result<Frame> RecvFrame(Socket* socket);
 
 /// \brief Incremental frame decoder for nonblocking readers: feed whatever

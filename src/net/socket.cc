@@ -117,24 +117,14 @@ Status Socket::ReadExact(void* data, size_t len) {
   return Status::OK();
 }
 
-bool Socket::StaleForReuse() const {
+bool Socket::PeerClosed() const {
   if (!valid()) return true;
   struct pollfd pfd;
   pfd.fd = fd_;
-  pfd.events = POLLIN;
+  pfd.events = POLLRDHUP;
   pfd.revents = 0;
-  const int ready = ::poll(&pfd, 1, 0);
-  if (ready < 0) return true;
-  if (ready == 0) return false;  // idle and healthy
-  if ((pfd.revents & (POLLERR | POLLHUP | POLLNVAL)) != 0) return true;
-  if ((pfd.revents & POLLIN) != 0) {
-    char byte;
-    const ssize_t n = ::recv(fd_, &byte, 1, MSG_PEEK | MSG_DONTWAIT);
-    if (n == 0) return true;   // orderly FIN
-    if (n > 0) return true;    // unsolicited bytes: framing is unsafe
-    return errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR;
-  }
-  return false;
+  if (::poll(&pfd, 1, 0) < 0) return errno != EINTR;
+  return (pfd.revents & (POLLRDHUP | POLLHUP | POLLERR | POLLNVAL)) != 0;
 }
 
 Result<Socket> Socket::Connect(const std::string& host, uint16_t port,

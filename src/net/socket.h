@@ -62,14 +62,13 @@ class Socket {
   /// before `len` bytes is an IOError mentioning "closed".
   Status ReadExact(void* data, size_t len);
 
-  /// \brief Zero-timeout probe for whether a cached, request-idle
-  /// connection is still usable. True on peer close (FIN), socket error,
-  /// or any unsolicited readable bytes (with no request outstanding those
-  /// can only desync the framing). TCP accepts writes on a half-closed
-  /// connection, so a send-side check cannot detect this — the probe is
-  /// what lets a client re-dial a restarted server transparently instead
-  /// of failing one request per stale connection.
-  bool StaleForReuse() const;
+  /// \brief Zero-timeout probe for whether the peer has closed or reset
+  /// the connection. Reads nothing, so bytes a concurrent reader is about
+  /// to consume (an in-flight response) are left alone. TCP accepts writes
+  /// on a half-closed connection, so a send-side check cannot detect this
+  /// — the probe is what lets a client re-dial a restarted server instead
+  /// of sending its next request into a dead connection.
+  bool PeerClosed() const;
 
   /// \brief Opens a TCP connection to host:port, bounding the connect
   /// itself by `connect_timeout_ms` (the returned socket has no I/O

@@ -1,5 +1,5 @@
 // EventLoop tests over real loopback TCP: echo serving, out-of-order
-// completion matched by request_id (the v2 pipelining substrate),
+// completion matched by request_id (the pipelining substrate),
 // per-connection isolation of frame-stream corruption, idle reaping, and
 // prompt/idempotent shutdown. Handlers run on the loop thread here (the
 // real server dispatches to a pool; the loop does not care).
@@ -39,8 +39,8 @@ struct LoopFixture {
           const std::string encoded =
               reply != nullptr
                   ? reply(frame)
-                  : EncodeFrameAs(frame.version, frame.type,
-                                  frame.request_id, frame.payload);
+                  : EncodeFrame(frame.type, frame.request_id,
+                                frame.payload);
           loop->Send(conn, encoded);
         },
         [this](EventLoop::ConnId conn) {
@@ -74,10 +74,12 @@ TEST(EventLoopTest, EchoesFramesOnManyConnections) {
       const std::string payload =
           "conn " + std::to_string(c) + " frame " + std::to_string(q);
       ASSERT_TRUE(
-          SendFrame(&*socket, FrameType::kSearchRequest, payload).ok());
+          SendFrame(&*socket, FrameType::kBatchSearchRequest, q, payload)
+              .ok());
       auto echoed = RecvFrame(&*socket);
       ASSERT_TRUE(echoed.ok()) << echoed.status();
-      EXPECT_EQ(echoed->type, FrameType::kSearchRequest);
+      EXPECT_EQ(echoed->type, FrameType::kBatchSearchRequest);
+      EXPECT_EQ(echoed->request_id, static_cast<uint64_t>(q));
       EXPECT_EQ(echoed->payload, payload);
     }
   }
@@ -86,12 +88,12 @@ TEST(EventLoopTest, EchoesFramesOnManyConnections) {
 
 TEST(EventLoopTest, ResponsesCompleteOutOfOrderMatchedByRequestId) {
   // Two requests are pipelined before any response is read; each answer is
-  // paired to its request solely by the request_id echoed in the v2 header,
+  // paired to its request solely by the request_id echoed in the header,
   // regardless of the order the responses arrive in.
   LoopFixture fixture;
   fixture.Start([&](const Frame& frame) -> std::string {
-    return EncodeFrameV2(FrameType::kSearchResponse, frame.request_id,
-                         "answer " + std::to_string(frame.request_id));
+    return EncodeFrame(FrameType::kBatchSearchResponse, frame.request_id,
+                       "answer " + std::to_string(frame.request_id));
   });
 
   auto socket = fixture.Dial();
@@ -99,9 +101,9 @@ TEST(EventLoopTest, ResponsesCompleteOutOfOrderMatchedByRequestId) {
   ASSERT_TRUE(socket->SetTimeouts(2000, 2000).ok());
   // Pipeline both requests before reading anything.
   ASSERT_TRUE(
-      SendFrameV2(&*socket, FrameType::kSearchRequest, 1, "one").ok());
+      SendFrame(&*socket, FrameType::kBatchSearchRequest, 1, "one").ok());
   ASSERT_TRUE(
-      SendFrameV2(&*socket, FrameType::kSearchRequest, 2, "two").ok());
+      SendFrame(&*socket, FrameType::kBatchSearchRequest, 2, "two").ok());
   std::map<uint64_t, std::string> answers;
   for (int i = 0; i < 2; ++i) {
     auto frame = RecvFrame(&*socket);
@@ -129,7 +131,7 @@ TEST(EventLoopTest, CorruptStreamDropsThatConnectionOnly) {
   char byte = 0;
   EXPECT_FALSE(bad->ReadExact(&byte, 1).ok());
   // ...while the good one keeps serving.
-  ASSERT_TRUE(SendFrame(&*good, FrameType::kHealthRequest, "ok?").ok());
+  ASSERT_TRUE(SendFrame(&*good, FrameType::kHealthRequest, 1, "ok?").ok());
   auto echoed = RecvFrame(&*good);
   ASSERT_TRUE(echoed.ok()) << echoed.status();
   EXPECT_EQ(echoed->payload, "ok?");
@@ -184,7 +186,7 @@ TEST(EventLoopTest, QuiesceStopsNewFramesButFlushesPendingWrites) {
   auto socket = fixture.Dial();
   ASSERT_TRUE(socket.ok());
   ASSERT_TRUE(socket->SetTimeouts(2000, 2000).ok());
-  ASSERT_TRUE(SendFrame(&*socket, FrameType::kHealthRequest, "pre").ok());
+  ASSERT_TRUE(SendFrame(&*socket, FrameType::kHealthRequest, 1, "pre").ok());
   auto echoed = RecvFrame(&*socket);
   ASSERT_TRUE(echoed.ok()) << echoed.status();
   fixture.loop->Quiesce();
@@ -192,7 +194,7 @@ TEST(EventLoopTest, QuiesceStopsNewFramesButFlushesPendingWrites) {
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   // A frame sent after quiesce gets no answer. (The write itself succeeds —
   // the kernel buffers it — but the loop never reads it.)
-  ASSERT_TRUE(SendFrame(&*socket, FrameType::kHealthRequest, "post").ok());
+  ASSERT_TRUE(SendFrame(&*socket, FrameType::kHealthRequest, 2, "post").ok());
   ASSERT_TRUE(socket->SetTimeouts(300, 300).ok());
   EXPECT_FALSE(RecvFrame(&*socket).ok());
   fixture.loop->Stop(500);

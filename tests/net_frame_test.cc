@@ -1,8 +1,8 @@
 // Tests for the JMRP wire layer: frame decoding under truncation,
-// oversized length prefixes, bad magic/version/type tags; frame transport
-// over a real socketpair; and the typed rpc message codecs (handshake,
-// search request/response, health, error) including their corruption
-// rejection. The shard-serving protocol's safety against a corrupt or
+// oversized length prefixes, bad magic/version/type tags (a retired v1
+// header included); frame transport over a real socketpair; and the typed
+// rpc message codecs (handshake, upload, batch search, health, error)
+// including their corruption rejection. The shard-serving protocol's safety against a corrupt or
 // hostile peer lives entirely in these decoders.
 
 #include <gtest/gtest.h>
@@ -31,29 +31,34 @@ using net::FrameType;
 TEST(FrameCodecTest, RoundTripsEveryType) {
   for (FrameType type :
        {FrameType::kHandshakeRequest, FrameType::kHandshakeResponse,
-        FrameType::kSearchRequest, FrameType::kSearchResponse,
         FrameType::kHealthRequest, FrameType::kHealthResponse,
-        FrameType::kError}) {
+        FrameType::kError, FrameType::kSketchUploadRequest,
+        FrameType::kSketchUploadResponse, FrameType::kBatchSearchRequest,
+        FrameType::kBatchSearchResponse, FrameType::kStatsRequest,
+        FrameType::kStatsResponse, FrameType::kReloadRequest,
+        FrameType::kReloadResponse}) {
+    const uint64_t id = 0x1122334455667788ULL;
     const std::string payload = "payload for " +
                                 std::string(net::FrameTypeToString(type));
-    const std::string encoded = EncodeFrame(type, payload);
+    const std::string encoded = EncodeFrame(type, id, payload);
     EXPECT_EQ(encoded.size(), net::kFrameHeaderSize + payload.size());
     auto decoded = DecodeFrame(encoded);
     ASSERT_TRUE(decoded.ok()) << decoded.status();
     EXPECT_EQ(decoded->type, type);
+    EXPECT_EQ(decoded->request_id, id);
     EXPECT_EQ(decoded->payload, payload);
   }
 }
 
 TEST(FrameCodecTest, RoundTripsEmptyPayload) {
-  const std::string encoded = EncodeFrame(FrameType::kHealthRequest, "");
+  const std::string encoded = EncodeFrame(FrameType::kHealthRequest, 0, "");
   auto decoded = DecodeFrame(encoded);
   ASSERT_TRUE(decoded.ok());
   EXPECT_TRUE(decoded->payload.empty());
 }
 
 TEST(FrameCodecTest, RejectsBadMagic) {
-  std::string encoded = EncodeFrame(FrameType::kSearchRequest, "x");
+  std::string encoded = EncodeFrame(FrameType::kBatchSearchRequest, 1, "x");
   encoded[0] = 'X';
   auto decoded = DecodeFrame(encoded);
   ASSERT_FALSE(decoded.ok());
@@ -61,25 +66,41 @@ TEST(FrameCodecTest, RejectsBadMagic) {
 }
 
 TEST(FrameCodecTest, RejectsWrongProtocolVersion) {
-  std::string encoded = EncodeFrame(FrameType::kSearchRequest, "x");
-  const uint32_t bogus = net::kProtocolVersion + 1;
-  std::memcpy(&encoded[4], &bogus, sizeof(bogus));
-  auto decoded = DecodeFrame(encoded);
+  for (uint32_t bogus : {0u, net::kProtocolVersion + 1}) {
+    std::string encoded = EncodeFrame(FrameType::kBatchSearchRequest, 1, "x");
+    std::memcpy(&encoded[4], &bogus, sizeof(bogus));
+    auto decoded = DecodeFrame(encoded);
+    ASSERT_FALSE(decoded.ok()) << bogus;
+    EXPECT_NE(decoded.status().message().find("version"), std::string::npos)
+        << decoded.status();
+  }
+  // The retired dialect gets a message that says so and names v2.
+  std::string v1 = EncodeFrame(FrameType::kHealthRequest, 0, "");
+  const uint32_t one = 1;
+  std::memcpy(&v1[4], &one, sizeof(one));
+  auto decoded = DecodeFrame(v1);
   ASSERT_FALSE(decoded.ok());
-  EXPECT_NE(decoded.status().message().find("version"), std::string::npos);
+  EXPECT_NE(decoded.status().message().find("JMRP v1 is no longer served"),
+            std::string::npos)
+      << decoded.status();
+  EXPECT_NE(decoded.status().message().find("v2"), std::string::npos)
+      << decoded.status();
 }
 
 TEST(FrameCodecTest, RejectsUnknownFrameType) {
-  std::string encoded = EncodeFrame(FrameType::kSearchRequest, "x");
-  encoded[8] = 0;  // below the first valid tag
-  EXPECT_FALSE(DecodeFrame(encoded).ok());
-  encoded[8] = 99;  // above the last valid tag
-  EXPECT_FALSE(DecodeFrame(encoded).ok());
+  std::string encoded = EncodeFrame(FrameType::kBatchSearchRequest, 1, "x");
+  // Below the first valid tag, the two retired search tags, and above the
+  // last valid tag.
+  for (char tag : {0, 3, 4, 16, 99}) {
+    encoded[8] = tag;
+    EXPECT_FALSE(DecodeFrame(encoded).ok()) << static_cast<int>(tag);
+  }
 }
 
 TEST(FrameCodecTest, RejectsTruncationAtEveryLength) {
+  // Covers every field boundary: bytes 13..20 are the request_id.
   const std::string encoded =
-      EncodeFrame(FrameType::kSearchRequest, "some payload bytes");
+      EncodeFrame(FrameType::kBatchSearchRequest, 77, "some payload bytes");
   for (size_t len = 0; len < encoded.size(); ++len) {
     EXPECT_FALSE(DecodeFrame(encoded.substr(0, len)).ok()) << len;
   }
@@ -87,14 +108,14 @@ TEST(FrameCodecTest, RejectsTruncationAtEveryLength) {
 }
 
 TEST(FrameCodecTest, RejectsTrailingBytes) {
-  const std::string encoded = EncodeFrame(FrameType::kError, "abc");
+  const std::string encoded = EncodeFrame(FrameType::kError, 1, "abc");
   EXPECT_FALSE(DecodeFrame(encoded + "z").ok());
 }
 
 TEST(FrameCodecTest, RejectsOversizedLengthPrefix) {
   // A header whose declared payload length exceeds the hard bound must be
   // rejected before any allocation happens — craft it by hand.
-  std::string encoded = EncodeFrame(FrameType::kSearchRequest, "");
+  std::string encoded = EncodeFrame(FrameType::kBatchSearchRequest, 1, "");
   const uint32_t huge = net::kMaxFramePayload + 1;
   std::memcpy(&encoded[9], &huge, sizeof(huge));
   auto decoded = DecodeFrame(encoded);
@@ -109,7 +130,7 @@ TEST(FrameCodecTest, SendRefusesOversizedPayload) {
   std::string big;
   big.resize(net::kMaxFramePayload + 1);
   const Status status =
-      net::SendFrame(&invalid, FrameType::kSearchRequest, big);
+      net::SendFrame(&invalid, FrameType::kBatchSearchRequest, 1, big);
   ASSERT_FALSE(status.ok());
   EXPECT_TRUE(status.IsInvalidArgument());
 }
@@ -135,13 +156,15 @@ TEST(FrameTransportTest, SendsAndReceivesOverSocketPair) {
   SocketPair pair = MakeSocketPair();
   const std::string payload(100000, 'q');  // bigger than one segment
   std::thread sender([&pair, &payload] {
-    ASSERT_TRUE(net::SendFrame(&pair.a, FrameType::kSearchResponse, payload)
+    ASSERT_TRUE(net::SendFrame(&pair.a, FrameType::kBatchSearchResponse,
+                               31337, payload)
                     .ok());
   });
   auto frame = net::RecvFrame(&pair.b);
   sender.join();
   ASSERT_TRUE(frame.ok()) << frame.status();
-  EXPECT_EQ(frame->type, FrameType::kSearchResponse);
+  EXPECT_EQ(frame->type, FrameType::kBatchSearchResponse);
+  EXPECT_EQ(frame->request_id, 31337u);
   EXPECT_EQ(frame->payload, payload);
 }
 
@@ -209,30 +232,12 @@ TEST(RpcMessageTest, HandshakeResponseRoundTrips) {
   response.config.min_join_size = 100;
   response.config.estimator = MIEstimatorKind::kMixedKSG;
   response.num_candidates = 12345;
-  auto decoded =
-      rpc::DecodeHandshakeResponse(rpc::EncodeHandshakeResponse(response));
+  const std::string payload = rpc::EncodeHandshakeResponse(response);
+  auto decoded = rpc::DecodeHandshakeResponse(payload);
   ASSERT_TRUE(decoded.ok()) << decoded.status();
   EXPECT_TRUE(decoded->config == response.config);
   EXPECT_EQ(decoded->num_candidates, 12345u);
-}
-
-TEST(RpcMessageTest, SearchRequestRoundTripsAndRejectsCorruption) {
-  rpc::SearchRequest request;
-  request.train_sketch = std::string("\x01\x02\x03sketchy", 10);
-  request.k = 7;
-  request.min_join_size = 64;
-  const std::string payload = rpc::EncodeSearchRequest(request);
-  auto decoded = rpc::DecodeSearchRequest(payload);
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded->train_sketch, request.train_sketch);
-  EXPECT_EQ(decoded->k, 7u);
-  EXPECT_EQ(decoded->min_join_size, 64u);
-
-  for (size_t len = 0; len < payload.size(); ++len) {
-    EXPECT_FALSE(rpc::DecodeSearchRequest(payload.substr(0, len)).ok())
-        << len;
-  }
-  EXPECT_FALSE(rpc::DecodeSearchRequest(payload + "x").ok());
+  EXPECT_FALSE(rpc::DecodeHandshakeResponse(payload + "x").ok());
 }
 
 TEST(RpcMessageTest, SearchResponseRoundTripsHitsExactly) {
@@ -324,94 +329,13 @@ TEST(RpcMessageTest, HealthAndErrorRoundTrip) {
   EXPECT_EQ(decoded_error.message(), "shard on fire");
 }
 
-// --------------------------------------------------------- v2 frame codec
-
-TEST(FrameV2CodecTest, RoundTripsRequestIdOnEveryType) {
-  for (FrameType type :
-       {FrameType::kHandshakeRequest, FrameType::kSearchRequest,
-        FrameType::kSketchUploadRequest, FrameType::kSketchUploadResponse,
-        FrameType::kBatchSearchRequest, FrameType::kBatchSearchResponse,
-        FrameType::kError}) {
-    const uint64_t id = 0x1122334455667788ULL;
-    const std::string encoded = net::EncodeFrameV2(type, id, "abc");
-    EXPECT_EQ(encoded.size(), net::kFrameV2HeaderSize + 3);
-    auto decoded = DecodeFrame(encoded);
-    ASSERT_TRUE(decoded.ok()) << decoded.status();
-    EXPECT_EQ(decoded->type, type);
-    EXPECT_EQ(decoded->version, 2u);
-    EXPECT_EQ(decoded->request_id, id);
-    EXPECT_EQ(decoded->payload, "abc");
-  }
-}
-
-TEST(FrameV2CodecTest, V1FrameDecodesAsVersion1WithZeroRequestId) {
-  auto decoded = DecodeFrame(EncodeFrame(FrameType::kSearchRequest, "x"));
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded->version, 1u);
-  EXPECT_EQ(decoded->request_id, 0u);
-}
-
-TEST(FrameV2CodecTest, V2OnlyTypesRejectedInV1Header) {
-  // A v1 header has no request_id to demux by, so the batched/upload
-  // types must not parse under it.
-  for (FrameType type :
-       {FrameType::kSketchUploadRequest, FrameType::kSketchUploadResponse,
-        FrameType::kBatchSearchRequest, FrameType::kBatchSearchResponse}) {
-    const std::string encoded =
-        net::EncodeFrameAs(1, type, /*request_id=*/0, "p");
-    EXPECT_FALSE(DecodeFrame(encoded).ok())
-        << net::FrameTypeToString(type);
-  }
-}
-
-TEST(FrameV2CodecTest, RejectsTruncationAtEveryLength) {
-  // Covers every new field boundary: bytes 13..20 are the request_id.
-  const std::string encoded =
-      net::EncodeFrameV2(FrameType::kBatchSearchRequest, 77, "payload");
-  for (size_t len = 0; len < encoded.size(); ++len) {
-    EXPECT_FALSE(DecodeFrame(encoded.substr(0, len)).ok()) << len;
-  }
-  ASSERT_TRUE(DecodeFrame(encoded).ok());
-}
-
-TEST(FrameV2CodecTest, RejectsVersion3) {
-  std::string encoded = net::EncodeFrameV2(FrameType::kSearchRequest, 1, "");
-  const uint32_t bogus = 3;
-  std::memcpy(&encoded[4], &bogus, sizeof(bogus));
-  EXPECT_FALSE(DecodeFrame(encoded).ok());
-}
-
-TEST(FrameV2CodecTest, EncodeFrameAsMatchesBothEncoders) {
-  EXPECT_EQ(net::EncodeFrameAs(1, FrameType::kError, 99, "e"),
-            EncodeFrame(FrameType::kError, "e"));  // id dropped in v1
-  EXPECT_EQ(net::EncodeFrameAs(2, FrameType::kError, 99, "e"),
-            net::EncodeFrameV2(FrameType::kError, 99, "e"));
-}
-
-TEST(FrameTransportTest, SendFrameV2RoundTripsOverSocketPair) {
-  SocketPair pair = MakeSocketPair();
-  const std::string payload(50000, 'v');
-  std::thread sender([&pair, &payload] {
-    ASSERT_TRUE(net::SendFrameV2(&pair.a, FrameType::kBatchSearchResponse,
-                                 31337, payload)
-                    .ok());
-  });
-  auto frame = net::RecvFrame(&pair.b);
-  sender.join();
-  ASSERT_TRUE(frame.ok()) << frame.status();
-  EXPECT_EQ(frame->type, FrameType::kBatchSearchResponse);
-  EXPECT_EQ(frame->version, 2u);
-  EXPECT_EQ(frame->request_id, 31337u);
-  EXPECT_EQ(frame->payload, payload);
-}
-
 // --------------------------------------------------------- FrameAssembler
 
-TEST(FrameAssemblerTest, AssemblesMixedVersionsFedByteAtATime) {
+TEST(FrameAssemblerTest, AssemblesFramesFedByteAtATime) {
   const std::string stream =
-      EncodeFrame(FrameType::kSearchRequest, "first") +
-      net::EncodeFrameV2(FrameType::kBatchSearchRequest, 5, "second") +
-      EncodeFrame(FrameType::kHealthRequest, "");
+      EncodeFrame(FrameType::kSketchUploadRequest, 4, "first") +
+      EncodeFrame(FrameType::kBatchSearchRequest, 5, "second") +
+      EncodeFrame(FrameType::kHealthRequest, 6, "");
   net::FrameAssembler assembler;
   std::vector<Frame> frames;
   for (char byte : stream) {
@@ -422,7 +346,8 @@ TEST(FrameAssemblerTest, AssemblesMixedVersionsFedByteAtATime) {
     if (*ready) frames.push_back(std::move(frame));
   }
   ASSERT_EQ(frames.size(), 3u);
-  EXPECT_EQ(frames[0].type, FrameType::kSearchRequest);
+  EXPECT_EQ(frames[0].type, FrameType::kSketchUploadRequest);
+  EXPECT_EQ(frames[0].request_id, 4u);
   EXPECT_EQ(frames[0].payload, "first");
   EXPECT_EQ(frames[1].type, FrameType::kBatchSearchRequest);
   EXPECT_EQ(frames[1].request_id, 5u);
@@ -434,8 +359,8 @@ TEST(FrameAssemblerTest, AssemblesMixedVersionsFedByteAtATime) {
 TEST(FrameAssemblerTest, DrainsManyFramesFromOneFeed) {
   std::string stream;
   for (uint64_t id = 0; id < 20; ++id) {
-    stream += net::EncodeFrameV2(FrameType::kSearchRequest, id,
-                                 std::string(id, 'x'));
+    stream += EncodeFrame(FrameType::kBatchSearchRequest, id,
+                          std::string(id, 'x'));
   }
   net::FrameAssembler assembler;
   assembler.Feed(stream.data(), stream.size());
@@ -453,64 +378,36 @@ TEST(FrameAssemblerTest, DrainsManyFramesFromOneFeed) {
   EXPECT_FALSE(*ready);
 }
 
-TEST(FrameAssemblerTest, PoisonsOnCorruptHeaderAndStaysPoisoned) {
+// Feeds `bad`, expects the assembler to reject it, then checks that a
+// later valid frame cannot resynchronize the corrupt byte stream.
+Status ExpectPoisoned(const std::string& bad) {
   net::FrameAssembler assembler;
-  std::string bad = EncodeFrame(FrameType::kSearchRequest, "x");
-  bad[0] = 'Z';
   assembler.Feed(bad.data(), bad.size());
   Frame frame;
-  EXPECT_FALSE(assembler.Next(&frame).ok());
-  // A later valid frame cannot resynchronize a corrupt byte stream.
-  const std::string good = EncodeFrame(FrameType::kHealthRequest, "");
+  auto first = assembler.Next(&frame);
+  EXPECT_FALSE(first.ok());
+  const std::string good = EncodeFrame(FrameType::kHealthRequest, 2, "");
   assembler.Feed(good.data(), good.size());
   EXPECT_FALSE(assembler.Next(&frame).ok());
+  return first.ok() ? Status::OK() : first.status();
 }
 
-// ------------------------------------------------------ v2 message codecs
-
-TEST(RpcMessageTest, HandshakeRequestV1ShapeIsEmptyAndDecodesAsV1) {
-  rpc::HandshakeRequest legacy;
-  legacy.max_version = 1;
-  EXPECT_TRUE(rpc::EncodeHandshakeRequest(legacy).empty());
-  // The empty payload — exactly what a v1 client sends — reads back as
-  // max_version 1.
-  auto decoded = rpc::DecodeHandshakeRequest("");
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded->max_version, 1u);
+TEST(FrameAssemblerTest, PoisonsOnCorruptHeaderAndStaysPoisoned) {
+  std::string bad_magic = EncodeFrame(FrameType::kBatchSearchRequest, 1, "x");
+  bad_magic[0] = 'Z';
+  ExpectPoisoned(bad_magic);
+  // A retired v1 header poisons the stream as soon as its version field
+  // arrives — before the bytes a v1 frame never had — and says why.
+  std::string v1 = EncodeFrame(FrameType::kHealthRequest, 0, "");
+  const uint32_t one = 1;
+  std::memcpy(&v1[4], &one, sizeof(one));
+  const Status status = ExpectPoisoned(v1.substr(0, 13));
+  EXPECT_NE(status.message().find("JMRP v1 is no longer served"),
+            std::string::npos)
+      << status;
 }
 
-TEST(RpcMessageTest, HandshakeRequestV2RoundTripsAndRejectsCorruption) {
-  rpc::HandshakeRequest hello;
-  hello.max_version = 2;
-  const std::string payload = rpc::EncodeHandshakeRequest(hello);
-  ASSERT_FALSE(payload.empty());
-  auto decoded = rpc::DecodeHandshakeRequest(payload);
-  ASSERT_TRUE(decoded.ok()) << decoded.status();
-  EXPECT_EQ(decoded->max_version, 2u);
-  for (size_t len = 1; len < payload.size(); ++len) {
-    EXPECT_FALSE(rpc::DecodeHandshakeRequest(payload.substr(0, len)).ok())
-        << len;
-  }
-  EXPECT_FALSE(rpc::DecodeHandshakeRequest(payload + "x").ok());
-}
-
-TEST(RpcMessageTest, HandshakeResponseCarriesProtocolVersionWhenV2) {
-  rpc::HandshakeResponse response;
-  response.config.sketch_capacity = 64;
-  response.num_candidates = 5;
-  response.protocol_version = 2;
-  auto decoded =
-      rpc::DecodeHandshakeResponse(rpc::EncodeHandshakeResponse(response));
-  ASSERT_TRUE(decoded.ok()) << decoded.status();
-  EXPECT_EQ(decoded->protocol_version, 2u);
-  // The v1 shape (no trailing version field) decodes as version 1 — that
-  // is how a new client detects an old server.
-  response.protocol_version = 1;
-  auto legacy =
-      rpc::DecodeHandshakeResponse(rpc::EncodeHandshakeResponse(response));
-  ASSERT_TRUE(legacy.ok()) << legacy.status();
-  EXPECT_EQ(legacy->protocol_version, 1u);
-}
+// --------------------------------------------- Upload and batch codecs
 
 TEST(RpcMessageTest, SketchUploadRoundTripsAndRejectsCorruption) {
   rpc::SketchUploadRequest request;

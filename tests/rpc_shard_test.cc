@@ -14,6 +14,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -163,7 +164,7 @@ RpcClientOptions FastTimeouts() {
   return options;
 }
 
-// ------------------------------------------------------- Endpoint file v1
+// ----------------------------------------------------------- Endpoint file
 
 std::string WriteEndpointsFixture(const std::string& name,
                                   const std::string& contents) {
@@ -210,21 +211,6 @@ TEST(EndpointsFileTest, MalformedLineReportsItsLineNumber) {
   ASSERT_FALSE(endpoints.ok());
   EXPECT_TRUE(endpoints.status().IsInvalidArgument()) << endpoints.status();
   EXPECT_NE(endpoints.status().message().find(path + ":5:"),
-            std::string::npos)
-      << endpoints.status();
-  std::filesystem::remove_all(
-      std::filesystem::path(path).parent_path().string());
-}
-
-TEST(EndpointsFileTest, DeprecatedFlatReaderRejectsReplicaLines) {
-  // The deprecated single-endpoint projection must refuse a replicated
-  // file and point callers at the unified reader by name.
-  const std::string path = WriteEndpointsFixture(
-      "v2line", "127.0.0.1:7001\n127.0.0.1:7002, 127.0.0.1:7003\n");
-  auto endpoints = ReadEndpointsFile(path);
-  ASSERT_FALSE(endpoints.ok());
-  EXPECT_TRUE(endpoints.status().IsInvalidArgument()) << endpoints.status();
-  EXPECT_NE(endpoints.status().message().find("ReadShardEndpoints"),
             std::string::npos)
       << endpoints.status();
   std::filesystem::remove_all(
@@ -393,14 +379,13 @@ TEST(RpcShardTest, ConcurrentRouterThreadsMultiplexOneShardViaThePool) {
     ExpectBitIdentical(*expected, results[i]);
     EXPECT_TRUE(results[i].shard_failures.empty());
   }
-  // The acceptance gate: pool instrumentation proves at least two
-  // requests were in flight to the single shard at the same instant —
-  // the old one-socket client could never exceed 1 here.
-  EXPECT_GE(client->pool().max_in_flight(), 2u)
-      << "8 threads x 4 queries never overlapped on the shard connection "
-         "pool";
-  EXPECT_LE(client->pool().max_in_flight(), options.pool_size);
-  EXPECT_LE(client->pool().total_dials(), options.pool_size);
+  // The acceptance gate: a second connection is dialed only while the
+  // first has a request in flight, so two dials prove at least two
+  // requests were in flight to the single shard at the same instant.
+  EXPECT_GE(client->dials(), 2u)
+      << "8 threads x 4 queries never overlapped on the shard connections";
+  EXPECT_LE(client->live_channels(), options.pool_size);
+  EXPECT_LE(client->dials(), options.pool_size);
 }
 
 TEST(RpcShardTest, PoolOfOneBlocksConcurrentQueriesInsteadOfOverdialing) {
@@ -443,11 +428,11 @@ TEST(RpcShardTest, PoolOfOneBlocksConcurrentQueriesInsteadOfOverdialing) {
   for (size_t t = 0; t < num_threads; ++t) {
     ASSERT_TRUE(statuses[t].ok()) << "thread " << t << ": " << statuses[t];
   }
-  // Leases blocked rather than over-dialed: never more than one in
-  // flight, exactly one connection ever dialed (Create's eager handshake
-  // connection, reused by all 16 queries)...
-  EXPECT_EQ(client->pool().max_in_flight(), 1u);
-  EXPECT_EQ(client->pool().total_dials(), 1u);
+  // Queries shared the connection rather than over-dialing: exactly one
+  // connection ever dialed (Create's eager handshake connection, reused
+  // by all 16 queries)...
+  EXPECT_EQ(client->live_channels(), 1u);
+  EXPECT_EQ(client->dials(), 1u);
   // ...which the server confirms independently: one handshake ever, and
   // every search accounted for on that single connection (the handshake
   // itself no longer counts as a request).
@@ -746,8 +731,8 @@ void ExpectShardBitIdentical(const ShardSearchResult& expected,
 
 TEST(RpcShardTest, PipelinedChannelOverlapsQueriesOnOneConnection) {
   // pool_size 1: a single TCP connection, shared by 8 concurrent router
-  // threads. The v1 client would serialize them whole-exchange; the v2
-  // channel interleaves requests and demuxes responses by request_id, so
+  // threads. The channel interleaves requests and demuxes responses by
+  // request_id, so
   // the in-flight high-water mark must exceed 1 while the dial count
   // stays at exactly one connection.
   Universe universe = MakeUniverse();
@@ -762,7 +747,6 @@ TEST(RpcShardTest, PipelinedChannelOverlapsQueriesOnOneConnection) {
   std::unique_ptr<ShardedSketchIndex> router;
   const RpcShardClient* client = nullptr;
   MakeSingleShardRouter(deployment, options, &router, &client);
-  ASSERT_EQ(client->negotiated_version(), net::kProtocolVersion);
 
   auto local = ShardedSketchIndex::Load(deployment.manifest_path);
   ASSERT_TRUE(local.ok());
@@ -795,7 +779,7 @@ TEST(RpcShardTest, PipelinedChannelOverlapsQueriesOnOneConnection) {
   EXPECT_GE(client->max_pipelined(), 2u)
       << "8 threads never had two requests in flight on the one connection";
   EXPECT_EQ(client->live_channels(), 1u);
-  EXPECT_EQ(client->pool().total_dials(), 1u);
+  EXPECT_EQ(client->dials(), 1u);
   // The sketch crossed the wire once; every query after the first reused
   // the connection-cached copy by digest.
   EXPECT_EQ(deployment.servers[0]->sketch_uploads_served(), 1u);
@@ -863,210 +847,99 @@ TEST(RpcShardTest, BatchedVariantsBitIdenticalAcrossShardsAndPolicies) {
   }
 }
 
-// --------------------------------------- Cross-version interoperability
-
-TEST(RpcShardTest, V1ClientAgainstV2ServerStaysBitIdentical) {
-  // A not-yet-upgraded client capped at protocol v1 talks to today's
-  // server: handshake negotiates down to 1, searches travel as legacy
-  // one-per-round-trip frames (no uploads), rankings stay bit-identical.
+TEST(RpcShardTest, DistinctQueriesBeyondOneConnectionsSketchCache) {
+  // A connection caches at most kMaxCachedSketches query sketches and
+  // refuses the next one; the client must then retire that connection
+  // and finish the search on a fresh one, so a long-lived client can ask
+  // any number of distinct queries. One connection allowed, 20 distinct
+  // sketches, serially and then from 4 threads, every ranking
+  // bit-identical to the in-process shard.
   Universe universe = MakeUniverse();
   SketchIndex index(MakeIndexConfig());
   ASSERT_TRUE(index.IndexRepository(universe.repository).ok());
   Deployment deployment;
-  StartDeployment(index, 2, ShardPartitionPolicy::kRoundRobin, "v1client",
-                  &deployment);
+  StartDeployment(index, 1, ShardPartitionPolicy::kRoundRobin, "sketches",
+                  &deployment, /*num_workers=*/4);
+  auto manifest = ReadManifestFile(deployment.manifest_path);
+  ASSERT_TRUE(manifest.ok()) << manifest.status();
+  ASSERT_TRUE(manifest->config.has_value());
+  auto local = ShardedSketchIndex::Load(deployment.manifest_path);
+  ASSERT_TRUE(local.ok()) << local.status();
 
   RpcClientOptions options = FastTimeouts();
-  options.max_protocol_version = 1;
-  auto local = ShardedSketchIndex::Load(deployment.manifest_path);
-  ASSERT_TRUE(local.ok());
-  auto remote = ShardedSketchIndex::Load(
-      deployment.manifest_path,
-      RpcShardClient::Factory(deployment.endpoints, options));
-  ASSERT_TRUE(remote.ok()) << remote.status();
+  options.pool_size = 1;
+  auto client = RpcShardClient::Create(deployment.endpoints[0],
+                                       *manifest->config,
+                                       manifest->shards[0].candidate_count,
+                                       options);
+  ASSERT_TRUE(client.ok()) << client.status();
 
-  auto query =
-      JoinMIQuery::Create(*universe.base, "K", "Y", index.config());
-  ASSERT_TRUE(query.ok());
-  for (size_t k : {1u, 3u, 7u}) {
-    auto expected = local->Search(*query, k, 1);
-    ASSERT_TRUE(expected.ok());
-    auto actual = remote->Search(*query, k, 1);
-    ASSERT_TRUE(actual.ok()) << actual.status();
-    ExpectShardBitIdentical(*expected, *actual);
-  }
-  // Batched variants still answer correctly — the v1 fallback loops one
-  // legacy frame per variant instead of sending a batch.
-  const std::vector<ShardSearchVariant> variants = {{1, 16}, {3, 1}};
-  auto local_batch = local->SearchVariants(*query, variants, 1);
-  ASSERT_TRUE(local_batch.ok());
-  auto remote_batch = remote->SearchVariants(*query, variants, 1);
-  ASSERT_TRUE(remote_batch.ok()) << remote_batch.status();
-  ASSERT_EQ(remote_batch->size(), variants.size());
-  for (size_t i = 0; i < variants.size(); ++i) {
-    ExpectShardBitIdentical((*local_batch)[i], (*remote_batch)[i]);
-  }
-  // Nothing v2 ever crossed the wire.
-  for (const auto& server : deployment.servers) {
-    EXPECT_EQ(server->sketch_uploads_served(), 0u);
-  }
-}
-
-/// A frozen v1 binary in miniature: blocking accept loop, a thread per
-/// connection, only the legacy frames — the handshake answered in the
-/// legacy shape (no protocol_version field), searches served one frame
-/// per round trip, anything newer answered with an error and a hangup.
-/// This is what a not-yet-upgraded shard looks like to a v2 client
-/// mid-rolling-upgrade.
-class LegacyServer {
- public:
-  static std::unique_ptr<LegacyServer> Start(const ShardManifest& manifest,
-                                             const std::string& dir) {
-    auto client = ShardedSketchIndex::LocalFileFactory()(manifest, 0, dir);
-    EXPECT_TRUE(client.ok()) << client.status();
-    auto listener = net::Listener::Bind("127.0.0.1", 0);
-    EXPECT_TRUE(listener.ok()) << listener.status();
-    std::unique_ptr<LegacyServer> server(new LegacyServer);
-    server->client_ = std::move(*client);
-    server->listener_ = std::move(*listener);
-    server->acceptor_ = std::thread([s = server.get()] { s->AcceptLoop(); });
-    return server;
-  }
-
-  ~LegacyServer() {
-    stop_.store(true);
-    if (acceptor_.joinable()) acceptor_.join();
-    for (std::thread& worker : workers_) worker.join();
-  }
-
-  uint16_t port() const { return listener_.port(); }
-
- private:
-  LegacyServer() = default;
-
-  void AcceptLoop() {
-    while (!stop_.load()) {
-      auto socket = listener_.AcceptWithTimeout(50);
-      if (!socket.ok()) continue;
-      auto shared = std::make_shared<net::Socket>(std::move(*socket));
-      workers_.emplace_back([this, shared] { Serve(shared.get()); });
+  // Same keys as the base table, a different random target per query, so
+  // every query uploads its own sketch.
+  const size_t num_queries = 20;
+  ASSERT_GT(num_queries, 2 * ShardServer::kMaxCachedSketches);
+  std::vector<JoinMIQuery> queries;
+  std::vector<ShardSearchResult> expected;
+  std::set<uint64_t> digests;
+  for (size_t q = 0; q < num_queries; ++q) {
+    Rng rng(500 + q);
+    std::vector<std::string> keys;
+    std::vector<int64_t> targets;
+    for (size_t i = 0; i < 160; ++i) {
+      keys.push_back("key" + std::to_string(i));
+      targets.push_back(static_cast<int64_t>(rng.NextBounded(7)));
     }
+    auto table = MakeTwoColumnTable("K", keys, "Y", targets);
+    auto query = JoinMIQuery::Create(*table, "K", "Y", index.config());
+    ASSERT_TRUE(query.ok()) << query.status();
+    digests.insert(wire::Checksum64(query->SerializedTrainSketch()));
+    auto reference = local->client(0).Search(*query, 3, 1);
+    ASSERT_TRUE(reference.ok()) << reference.status();
+    expected.push_back(std::move(*reference));
+    queries.push_back(std::move(*query));
+  }
+  ASSERT_EQ(digests.size(), num_queries);
+
+  for (size_t q = 0; q < num_queries; ++q) {
+    auto result = (*client)->Search(queries[q], 3, 1);
+    ASSERT_TRUE(result.ok()) << "serial query " << q << ": "
+                             << result.status();
+    ExpectShardBitIdentical(expected[q], *result);
   }
 
-  void Serve(net::Socket* socket) {
-    (void)socket->SetTimeouts(2000, 2000);
-    while (!stop_.load()) {
-      auto frame = net::RecvFrame(socket);
-      if (!frame.ok()) return;
-      switch (frame->type) {
-        case net::FrameType::kHandshakeRequest: {
-          rpc::HandshakeResponse response;
-          response.config = client_->config();
-          response.num_candidates = client_->num_candidates();
-          response.protocol_version = 1;  // encodes the legacy shape
-          if (!net::SendFrame(socket, net::FrameType::kHandshakeResponse,
-                              rpc::EncodeHandshakeResponse(response))
-                   .ok()) {
-            return;
-          }
-          break;
-        }
-        case net::FrameType::kSearchRequest: {
-          rpc::SearchResponse response;
-          auto run = [&]() -> Result<ShardSearchResult> {
-            JOINMI_ASSIGN_OR_RETURN(
-                rpc::SearchRequest request,
-                rpc::DecodeSearchRequest(frame->payload));
-            JOINMI_ASSIGN_OR_RETURN(Sketch train,
-                                    DeserializeSketch(request.train_sketch));
-            JoinMIConfig config = client_->config();
-            config.min_join_size =
-                static_cast<size_t>(request.min_join_size);
-            JOINMI_ASSIGN_OR_RETURN(
-                JoinMIQuery query,
-                JoinMIQuery::FromTrainSketch(std::move(train), config));
-            return client_->Search(query, static_cast<size_t>(request.k),
-                                   1);
-          };
-          auto result = run();
-          if (result.ok()) {
-            response.status = Status::OK();
-            response.result = std::move(*result);
-          } else {
-            response.status = result.status();
-          }
-          if (!net::SendFrame(socket, net::FrameType::kSearchResponse,
-                              rpc::EncodeSearchResponse(response))
-                   .ok()) {
-            return;
-          }
-          break;
-        }
-        default: {
-          // A v1 binary has never heard of uploads or batches.
-          (void)net::SendFrame(
-              socket, net::FrameType::kError,
-              rpc::EncodeErrorPayload(Status::InvalidArgument(
-                  "unknown frame type")));
+  const size_t num_threads = 4;
+  std::vector<Status> statuses(num_threads, Status::OK());
+  std::vector<std::vector<ShardSearchResult>> results(num_threads);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < num_threads; ++t) {
+    threads.emplace_back([&, t] {
+      for (size_t i = 0; i < num_queries; ++i) {
+        const size_t q = (i + t * 5) % num_queries;
+        auto result = (*client)->Search(queries[q], 3, 1);
+        if (!result.ok()) {
+          statuses[t] = result.status();
           return;
         }
+        results[t].push_back(std::move(*result));
       }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (size_t t = 0; t < num_threads; ++t) {
+    ASSERT_TRUE(statuses[t].ok()) << "thread " << t << ": " << statuses[t];
+    ASSERT_EQ(results[t].size(), num_queries);
+    for (size_t i = 0; i < num_queries; ++i) {
+      ExpectShardBitIdentical(expected[(i + t * 5) % num_queries],
+                              results[t][i]);
     }
   }
-
-  std::unique_ptr<ShardClient> client_;
-  net::Listener listener_;
-  std::atomic<bool> stop_{false};
-  std::thread acceptor_;
-  std::vector<std::thread> workers_;
-};
-
-TEST(RpcShardTest, V2ClientAgainstLegacyV1ServerNegotiatesDown) {
-  // Today's client dials a frozen v1 server. The legacy-shaped handshake
-  // response is how it learns the server can't speak v2: it must fall
-  // back to one-search-per-round-trip frames and still answer
-  // bit-identically.
-  Universe universe = MakeUniverse();
-  SketchIndex index(MakeIndexConfig());
-  ASSERT_TRUE(index.IndexRepository(universe.repository).ok());
-  const std::string dir = ScratchDir("legacy");
-  auto manifest_path =
-      BuildShards(index, 1, ShardPartitionPolicy::kRoundRobin, dir);
-  ASSERT_TRUE(manifest_path.ok()) << manifest_path.status();
-  auto manifest = ReadManifestFile(*manifest_path);
-  ASSERT_TRUE(manifest.ok());
-  auto legacy = LegacyServer::Start(*manifest, dir);
-
-  ASSERT_TRUE(manifest->config.has_value());
-  auto client = RpcShardClient::Create(
-      ShardEndpoint{"127.0.0.1", legacy->port()}, *manifest->config,
-      manifest->shards[0].candidate_count, FastTimeouts());
-  ASSERT_TRUE(client.ok()) << client.status();
-  EXPECT_EQ((*client)->negotiated_version(), 1u);
-
-  auto local = ShardedSketchIndex::Load(*manifest_path);
-  ASSERT_TRUE(local.ok());
-  auto query =
-      JoinMIQuery::Create(*universe.base, "K", "Y", index.config());
-  ASSERT_TRUE(query.ok());
-  auto expected = local->Search(*query, 3, 1);
-  ASSERT_TRUE(expected.ok());
-  auto actual = (*client)->Search(*query, 3, 1);
-  ASSERT_TRUE(actual.ok()) << actual.status();
-  ExpectShardBitIdentical(*expected, *actual);
-
-  // Variants fall back to the per-variant loop a v1 server understands.
-  const std::vector<ShardSearchVariant> variants = {{1, 16}, {3, 16}};
-  auto batch = (*client)->SearchVariants(*query, variants, 1);
-  ASSERT_TRUE(batch.ok()) << batch.status();
-  ASSERT_EQ(batch->size(), variants.size());
-  auto expected_one = local->Search(*query, 1, 1);
-  ASSERT_TRUE(expected_one.ok());
-  ExpectShardBitIdentical(*expected_one, (*batch)[0]);
-  ExpectShardBitIdentical(*expected, (*batch)[1]);
-
-  client->reset();  // hang up before the server object unwinds
-  std::filesystem::remove_all(dir);
+  // Full connections were replaced, never multiplied, and every search
+  // ran exactly once — a refused upload is retried, a search never.
+  EXPECT_GE((*client)->dials(), 3u);
+  EXPECT_LE((*client)->live_channels(), 1u);
+  EXPECT_EQ(deployment.servers[0]->handshakes_served(), (*client)->dials());
+  EXPECT_EQ(deployment.servers[0]->requests_served(),
+            num_queries * (1 + num_threads));
 }
 
 // ----------------------------------------------------- Shutdown safety
@@ -1093,9 +966,9 @@ TEST(RpcShardTest, ConcurrentStopCallsAreSerializedAndIdempotent) {
   auto probe = net::Socket::Connect("127.0.0.1", port, 250);
   if (probe.ok()) {
     (void)probe->SetTimeouts(250, 250);
-    EXPECT_FALSE(net::SendFrame(&*probe, net::FrameType::kHealthRequest, "")
-                     .ok() &&
-                 net::RecvFrame(&*probe).ok());
+    EXPECT_FALSE(
+        net::SendFrame(&*probe, net::FrameType::kHealthRequest, 1, "").ok() &&
+        net::RecvFrame(&*probe).ok());
   }
 }
 

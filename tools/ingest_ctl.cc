@@ -91,7 +91,7 @@ Status NotifyOne(const ShardEndpoint& endpoint, uint64_t* epoch,
                           net::Socket::Connect(endpoint.host, endpoint.port,
                                                /*timeout_ms=*/5000));
   JOINMI_RETURN_NOT_OK(socket.SetTimeouts(30000, 30000));
-  JOINMI_RETURN_NOT_OK(net::SendFrameV2(
+  JOINMI_RETURN_NOT_OK(net::SendFrame(
       &socket, net::FrameType::kReloadRequest, /*request_id=*/1, ""));
   JOINMI_ASSIGN_OR_RETURN(net::Frame frame, net::RecvFrame(&socket));
   if (frame.type == net::FrameType::kError) {
