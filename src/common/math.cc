@@ -27,6 +27,36 @@ double Digamma(double x) {
   return result;
 }
 
+namespace {
+
+struct IntTables {
+  double digamma[kIntTableSize];
+  double log[kIntTableSize];
+
+  IntTables() {
+    for (size_t n = 0; n < kIntTableSize; ++n) {
+      digamma[n] = Digamma(static_cast<double>(n));
+      log[n] = std::log(static_cast<double>(n));
+    }
+  }
+};
+
+const IntTables& Tables() {
+  static const IntTables tables;
+  return tables;
+}
+
+}  // namespace
+
+double DigammaOfInt(size_t n) {
+  return n < kIntTableSize ? Tables().digamma[n]
+                           : Digamma(static_cast<double>(n));
+}
+
+double LogOfInt(size_t n) {
+  return n < kIntTableSize ? Tables().log[n] : std::log(static_cast<double>(n));
+}
+
 double LogGamma(double x) { return std::lgamma(x); }
 
 double LogFactorial(uint64_t n) {

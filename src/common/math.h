@@ -5,6 +5,7 @@
 #define JOINMI_COMMON_MATH_H_
 
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -19,6 +20,14 @@ inline constexpr double kLn2 = 0.6931471805599453094;
 /// then the asymptotic series. Absolute error < 1e-12 for x >= 1e-3, which is
 /// far below the statistical error of any kNN entropy estimate.
 double Digamma(double x);
+
+/// \brief Digamma(n) and std::log(n) at an integer argument n >= 0 — the
+/// arguments the kNN estimators evaluate them at (neighbour counts). Read
+/// from tables below kIntTableSize, computed above it; either way bitwise
+/// equal to Digamma(double(n)) / std::log(double(n)).
+inline constexpr size_t kIntTableSize = 1024;
+double DigammaOfInt(size_t n);
+double LogOfInt(size_t n);
 
 /// \brief ln Gamma(x) for x > 0 (thin wrapper over std::lgamma, kept for a
 /// single point of substitution in tests).

@@ -1,8 +1,9 @@
 // Fixed-size thread pool with future-returning task submission. The pool is
 // deliberately minimal — a locked deque feeding N workers — because the
 // discovery workloads built on top of it are coarse-grained (one task per
-// candidate column pair), so queue contention is negligible next to the
-// sketch-probe work each task performs.
+// strip of 8 candidates, kCandidateStrip in discovery/topk_merge.h), so
+// queue contention is negligible next to the scoring work each task
+// performs.
 
 #ifndef JOINMI_COMMON_THREAD_POOL_H_
 #define JOINMI_COMMON_THREAD_POOL_H_

@@ -29,30 +29,19 @@ Result<JoinMIEstimate> FullJoinMI(const Table& train, const Table& cand,
   if (sample.size() < config.min_join_size) {
     return Status::OutOfRange("full join produced too few usable rows");
   }
+  PairedColumns buffer;
+  JOINMI_ASSIGN_OR_RETURN(SampleColumns columns, buffer.Fill(sample));
   JoinMIEstimate estimate;
   estimate.sample_size = sample.size();
   estimate.sketched = false;
   if (config.estimator.has_value()) {
     estimate.estimator = *config.estimator;
-    JOINMI_ASSIGN_OR_RETURN(
-        estimate.mi, EstimateMI(*config.estimator, sample, config.mi_options));
   } else {
-    auto all_numeric = [](const std::vector<Value>& values) {
-      for (const Value& v : values) {
-        if (!IsNumeric(v.type())) return false;
-      }
-      return true;
-    };
-    JOINMI_ASSIGN_OR_RETURN(
-        estimate.estimator,
-        ChooseEstimator(all_numeric(sample.x) ? DataType::kDouble
-                                              : DataType::kString,
-                        all_numeric(sample.y) ? DataType::kDouble
-                                              : DataType::kString));
-    JOINMI_ASSIGN_OR_RETURN(
-        estimate.mi,
-        EstimateMI(estimate.estimator, sample, config.mi_options));
+    JOINMI_ASSIGN_OR_RETURN(estimate.estimator,
+                            ChooseEstimatorForSample(columns));
   }
+  JOINMI_ASSIGN_OR_RETURN(
+      estimate.mi, EstimateMI(estimate.estimator, columns, config.mi_options));
   return estimate;
 }
 
@@ -101,8 +90,14 @@ Result<JoinMIQuery> JoinMIQuery::FromTrainSketch(Sketch train_sketch,
 const std::string& JoinMIQuery::SerializedTrainSketch() const {
   std::call_once(serialized_->once, [this] {
     serialized_->bytes = SerializeSketch(train_sketch_);
+    serialized_->digest = wire::Checksum64(serialized_->bytes);
   });
   return serialized_->bytes;
+}
+
+uint64_t JoinMIQuery::SerializedTrainSketchDigest() const {
+  SerializedTrainSketch();
+  return serialized_->digest;
 }
 
 Result<Sketch> JoinMIQuery::SketchCandidate(
@@ -117,11 +112,10 @@ Result<Sketch> JoinMIQuery::SketchCandidate(
 
 Result<JoinMIEstimate> JoinMIQuery::Estimate(const Sketch& candidate) const {
   JOINMI_RETURN_NOT_OK(CheckJoinable(train_sketch_, candidate));
-  thread_local std::vector<uint64_t> keys;
-  keys.clear();
-  JOINMI_RETURN_NOT_OK(AppendCandidateKeys(candidate, &keys));
+  JOINMI_ASSIGN_OR_RETURN(CandidateColumns columns,
+                          ScratchCandidateColumns(candidate));
   MergeJoinScore score = ScoreMergeJoin(
-      train_sketch_, train_runs_, candidate, keys.data(), config_.estimator,
+      train_sketch_, train_runs_, candidate, columns, config_.estimator,
       config_.mi_options, config_.min_join_size);
   if (!score.scored.has_value()) {
     return JoinBelowMinimum(score.join_size, config_.min_join_size);

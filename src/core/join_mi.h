@@ -98,6 +98,10 @@ class JoinMIQuery {
   /// same bytes to every shard, so serialization must not scale with N.
   /// Thread-safe; copies of the query share the cache.
   const std::string& SerializedTrainSketch() const;
+  /// \brief wire::Checksum64 of SerializedTrainSketch(), cached with it:
+  /// the digest that keys the router's result cache and the shard servers'
+  /// sketch caches, so a cache hit does not rehash the sketch bytes.
+  uint64_t SerializedTrainSketchDigest() const;
 
  private:
   JoinMIQuery(Sketch train_sketch, TrainKeyRuns train_runs,
@@ -113,6 +117,7 @@ class JoinMIQuery {
   struct SerializedCache {
     std::once_flag once;
     std::string bytes;
+    uint64_t digest = 0;
   };
   std::shared_ptr<SerializedCache> serialized_ =
       std::make_shared<SerializedCache>();

@@ -86,20 +86,17 @@ Result<ShardSearchResult> PagedShardClient::Search(const JoinMIQuery& query,
   std::vector<ColumnPairRef> refs(count);
   const JoinMIConfig& cfg = config();
   auto score_strip = [&](size_t begin, size_t end) {
-    thread_local std::vector<uint64_t> keys;
     for (size_t i = begin; i < end; ++i) {
       auto bytes = file_->ReadRecord(i);
       if (!bytes.ok()) continue;
       auto record = DecodeCandidateRecord(*bytes);
       if (!record.ok()) continue;
-      keys.clear();
-      if (!CheckJoinable(query.train_sketch(), record->sketch).ok() ||
-          !AppendCandidateKeys(record->sketch, &keys).ok()) {
-        continue;
-      }
+      if (!CheckJoinable(query.train_sketch(), record->sketch).ok()) continue;
+      auto columns = ScratchCandidateColumns(record->sketch);
+      if (!columns.ok()) continue;
       outcomes[i].Record(ScoreMergeJoin(
-          query.train_sketch(), query.train_runs(), record->sketch,
-          keys.data(), cfg.estimator, cfg.mi_options, cfg.min_join_size));
+          query.train_sketch(), query.train_runs(), record->sketch, *columns,
+          cfg.estimator, cfg.mi_options, cfg.min_join_size));
       if (outcomes[i].estimate.has_value()) refs[i] = std::move(record->ref);
     }
   };

@@ -112,8 +112,7 @@ std::string Router::CacheKey(const JoinMIQuery& query, size_t k) const {
   std::string key;
   wire::AppendPod<uint64_t>(&key, epoch_.load(std::memory_order_acquire));
   AppendJoinMIConfig(&key, query.config());
-  wire::AppendPod<uint64_t>(&key,
-                            wire::Checksum64(query.SerializedTrainSketch()));
+  wire::AppendPod<uint64_t>(&key, query.SerializedTrainSketchDigest());
   wire::AppendPod<uint64_t>(&key, static_cast<uint64_t>(k));
   wire::AppendPod<uint64_t>(
       &key, static_cast<uint64_t>(query.config().min_join_size));

@@ -249,7 +249,7 @@ Result<std::vector<ShardSearchResult>> RpcShardClient::RunVariants(
   // connection, idempotent by digest — its reached-ness never taints the
   // search's retry eligibility), then send the digest-only batch.
   const std::string& sketch_bytes = query.SerializedTrainSketch();
-  const uint64_t digest = wire::Checksum64(sketch_bytes);
+  const uint64_t digest = query.SerializedTrainSketchDigest();
   JOINMI_RETURN_NOT_OK(channel.EnsureSketchUploaded(digest, sketch_bytes));
   rpc::BatchSearchRequest request;
   request.sketch_digest = digest;

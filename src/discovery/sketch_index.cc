@@ -35,6 +35,7 @@ Status SketchIndex::AddSketch(const ColumnPairRef& ref, Sketch sketch) {
     return keys;
   }
   key_offsets_.push_back(offset);
+  AppendValueHashes(sketch, &value_hashes_);
   candidates_.push_back(IndexedCandidate{ref, std::move(sketch)});
   return Status::OK();
 }
@@ -68,10 +69,13 @@ Result<IndexEvaluation> SketchIndex::EvaluateAll(const JoinMIQuery& query,
       candidates_.size(), num_threads,
       [this, &query, &outcomes](size_t begin, size_t end) {
         for (size_t c = begin; c < end; ++c) {
+          CandidateColumns columns;
+          columns.keys = key_hashes_.data() + key_offsets_[c];
+          columns.value_hashes = value_hashes_.data() + key_offsets_[c];
           outcomes[c].Record(ScoreMergeJoin(
               query.train_sketch(), query.train_runs(),
-              candidates_[c].sketch(), key_hashes_.data() + key_offsets_[c],
-              config_.estimator, config_.mi_options, config_.min_join_size));
+              candidates_[c].sketch(), columns, config_.estimator,
+              config_.mi_options, config_.min_join_size));
         }
       });
   IndexEvaluation evaluation;
@@ -196,13 +200,14 @@ Result<SketchIndex> DeserializeIndex(const std::string& data) {
   JOINMI_RETURN_NOT_OK(reader.Read(&count));
   // Each candidate needs at least 4 length prefixes (16 bytes) on the
   // wire; divide rather than multiply so a crafted count cannot overflow
-  // past the check.
+  // past the check — nor in the message, which gives the per-candidate
+  // minimum instead of a product that would wrap for such counts.
   if (count > reader.remaining() / 16) {
     return Status::IOError(
         "index header promises " + std::to_string(count) +
         " candidates but only " + std::to_string(reader.remaining()) +
-        " bytes follow the header (at least " + std::to_string(count * 16) +
-        " required) — file truncated after the header");
+        " bytes follow the header (each candidate needs at least 16) — "
+        "file truncated after the header");
   }
   SketchIndex index(std::move(config));
   for (uint64_t i = 0; i < count; ++i) {

@@ -124,14 +124,19 @@ class SketchIndex : public Searchable {
   JoinMIConfig config_;
   std::vector<IndexedCandidate> candidates_;
   // Every candidate's key hashes back to back, so the merge reads a dense
-  // u64 array; candidate c's slice starts at key_offsets_[c]. Values are
-  // read from the candidate's own sketch entries. The keys are thus held
-  // twice (8 bytes per entry) on purpose: merging over the 56-byte
-  // SketchEntry stride instead made the batched probe 1.5x slower
+  // u64 array; candidate c's slice starts at key_offsets_[c]. The keys are
+  // thus held twice (8 bytes per entry) on purpose: merging over the
+  // 56-byte SketchEntry stride instead made the batched probe 1.5x slower
   // (bench_topk_search part 9, full mode, 15 alternating runs on a 4-vCPU
   // Xeon: median 2.12 vs 1.42 ms/query, below the bench's 2x gate).
   std::vector<uint64_t> key_hashes_;
   std::vector<size_t> key_offsets_;
+  // Value::Hash() of every entry's value, at the same offsets: the gather
+  // copies a stored hash instead of hashing each matched value per probe
+  // (hashing at gather time cost ~1 ms/query on discovery_bench
+  // dense_join). Numeric values and types are read from the candidate's
+  // own sketch entries.
+  std::vector<uint64_t> value_hashes_;
 };
 
 /// \brief Serializes the index (config, refs, sketches) to a binary string.

@@ -17,8 +17,13 @@
 
 namespace joinmi {
 
-/// \brief DC-KSG MI estimate in nats; X discrete (any hashable Value),
-/// Y continuous.
+/// \brief DC-KSG MI estimate in nats over n paired observations: X
+/// discrete, given as one u64 class key per observation (equal keys, same
+/// class — e.g. Value::Hash()), Y continuous.
+Result<double> MutualInformationDCKSG(const uint64_t* x_keys, const double* ys,
+                                      size_t n, int k = 3);
+
+/// \brief X discrete as any hashable Value, Y continuous.
 Result<double> MutualInformationDCKSG(const std::vector<Value>& xs_discrete,
                                       const std::vector<double>& ys,
                                       int k = 3);

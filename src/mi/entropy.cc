@@ -47,18 +47,6 @@ double EntropyLaplace(const Histogram& hist, double alpha) {
   return h;
 }
 
-double JointEntropyMLE(const JointHistogram& joint) {
-  if (joint.total == 0) return 0.0;
-  const double n = static_cast<double>(joint.total);
-  double h = 0.0;
-  for (const auto& [cell, count] : joint.counts) {
-    (void)cell;
-    const double p = static_cast<double>(count) / n;
-    h -= p * std::log(p);
-  }
-  return h;
-}
-
 Result<double> DifferentialEntropyKnn(const std::vector<double>& xs, int k) {
   const size_t n = xs.size();
   if (k < 1) return Status::InvalidArgument("k must be >= 1");

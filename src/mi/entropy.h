@@ -25,9 +25,6 @@ double EntropyMillerMadow(const Histogram& hist);
 /// for controlling false discoveries.
 double EntropyLaplace(const Histogram& hist, double alpha = 1.0);
 
-/// \brief Plug-in joint entropy of a contingency table.
-double JointEntropyMLE(const JointHistogram& joint);
-
 /// \brief Kozachenko–Leonenko differential entropy of a 1-D sample:
 /// H = psi(N) - psi(k) + log(2) + (1/N) sum log(eps_i), where eps_i is the
 /// distance to the k-th nearest neighbor. Zero-distance neighbors are

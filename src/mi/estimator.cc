@@ -3,6 +3,7 @@
 #include "src/common/random.h"
 #include "src/common/string_util.h"
 #include "src/mi/dc_ksg.h"
+#include "src/mi/estimator_internal.h"
 #include "src/mi/ksg.h"
 #include "src/mi/mixed_ksg.h"
 #include "src/mi/mle.h"
@@ -53,95 +54,122 @@ Result<MIEstimatorKind> ChooseEstimator(DataType x_type, DataType y_type) {
   return MIEstimatorKind::kDCKSG;
 }
 
-Result<std::vector<double>> ToNumericVector(const std::vector<Value>& values) {
-  std::vector<double> out;
-  out.reserve(values.size());
-  for (const Value& v : values) {
-    JOINMI_ASSIGN_OR_RETURN(double d, v.AsDouble());
-    out.push_back(d);
+Result<MIEstimatorKind> ChooseEstimatorForSample(const SampleColumns& sample) {
+  return ChooseEstimator(
+      sample.x_types.all_numeric ? DataType::kDouble : DataType::kString,
+      sample.y_types.all_numeric ? DataType::kDouble : DataType::kString);
+}
+
+Result<SampleColumns> PairedColumns::Fill(const PairedSample& sample) {
+  if (sample.x.size() != sample.y.size()) {
+    return Status::InvalidArgument("paired sample arity mismatch");
   }
-  return out;
+  const size_t n = sample.size();
+  SampleColumns columns;
+  columns.size = n;
+  x_hashes_.resize(n);
+  y_hashes_.resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    x_hashes_[i] = sample.x[i].Hash();
+    y_hashes_[i] = sample.y[i].Hash();
+    columns.x_types.Add(sample.x[i]);
+    columns.y_types.Add(sample.y[i]);
+  }
+  columns.x_hashes = x_hashes_.data();
+  columns.y_hashes = y_hashes_.data();
+  // Numbers are only read on numeric sides, so only those get a column.
+  auto numbers = [n](const std::vector<Value>& values, const ValueTypes& types,
+                     std::vector<double>* out) -> const double* {
+    if (!types.all_numeric) return nullptr;
+    out->resize(n);
+    for (size_t i = 0; i < n; ++i) (*out)[i] = values[i].NumericOr(0.0);
+    return out->data();
+  };
+  columns.x_numbers = numbers(sample.x, columns.x_types, &x_numbers_);
+  columns.y_numbers = numbers(sample.y, columns.y_types, &y_numbers_);
+  return columns;
+}
+
+void PerturbForTies(const double* xs, size_t n, double sigma, uint64_t seed,
+                    double* out) {
+  Rng rng(seed);
+  for (size_t i = 0; i < n; ++i) out[i] = xs[i] + rng.Gaussian(0.0, sigma);
 }
 
 std::vector<double> PerturbForTies(const std::vector<double>& xs, double sigma,
                                    uint64_t seed) {
-  Rng rng(seed);
-  std::vector<double> out(xs);
-  for (double& x : out) x += rng.Gaussian(0.0, sigma);
+  std::vector<double> out(xs.size());
+  PerturbForTies(xs.data(), xs.size(), sigma, seed, out.data());
   return out;
 }
 
 namespace {
 
-Status CheckSample(const PairedSample& sample) {
-  if (sample.x.size() != sample.y.size()) {
-    return Status::InvalidArgument("paired sample arity mismatch");
+// One side's numbers for the KSG family: an error unless the side is
+// numeric, perturbed into `scratch` when options ask for tie-breaking.
+Result<const double*> NumericSide(const double* numbers,
+                                  const ValueTypes& types, size_t n,
+                                  const MIOptions& options, uint64_t seed_salt,
+                                  std::vector<double>* scratch) {
+  if (!types.all_numeric) {
+    // Nulls were rejected already, so the first non-numeric value is a
+    // string — the message Value::AsDouble gives for one.
+    return Status::TypeError("value of type string is not numeric");
   }
-  if (sample.x.empty()) {
-    return Status::InvalidArgument("empty paired sample");
-  }
-  for (size_t i = 0; i < sample.x.size(); ++i) {
-    if (sample.x[i].is_null() || sample.y[i].is_null()) {
-      return Status::InvalidArgument("paired sample contains nulls");
-    }
-  }
-  return Status::OK();
+  if (options.perturb_sigma <= 0.0) return numbers;
+  if (scratch->size() < n) scratch->resize(n);
+  PerturbForTies(numbers, n, options.perturb_sigma,
+                 options.perturb_seed ^ seed_salt, scratch->data());
+  return scratch->data();
 }
 
-bool AllNumeric(const std::vector<Value>& values) {
-  for (const Value& v : values) {
-    if (!IsNumeric(v.type())) return false;
-  }
-  return true;
-}
+// Perturbed copies of the numeric sides, when options ask for them.
+struct PerturbScratch {
+  std::vector<double> x, y;
+};
 
-Result<std::vector<double>> NumericSide(const std::vector<Value>& values,
-                                        const MIOptions& options,
-                                        uint64_t seed_salt) {
-  JOINMI_ASSIGN_OR_RETURN(std::vector<double> xs, ToNumericVector(values));
-  if (options.perturb_sigma > 0.0) {
-    xs = PerturbForTies(xs, options.perturb_sigma,
-                        options.perturb_seed ^ seed_salt);
-  }
-  return xs;
-}
-
-}  // namespace
-
-Result<double> EstimateMI(MIEstimatorKind kind, const PairedSample& sample,
-                          const MIOptions& options) {
-  JOINMI_RETURN_NOT_OK(CheckSample(sample));
+// EstimateMI after its checks, perturbing into `perturbed`.
+Result<double> Dispatch(MIEstimatorKind kind, const SampleColumns& sample,
+                        const MIOptions& options, PerturbScratch* perturbed) {
+  const size_t n = sample.size;
+  auto x_side = [&] {
+    return NumericSide(sample.x_numbers, sample.x_types, n, options, 0xA,
+                       &perturbed->x);
+  };
+  auto y_side = [&] {
+    return NumericSide(sample.y_numbers, sample.y_types, n, options, 0xB,
+                       &perturbed->y);
+  };
   switch (kind) {
     case MIEstimatorKind::kMLE:
-      return MutualInformationMLE(sample.x, sample.y);
+      return MutualInformationMLE(sample.x_hashes, sample.y_hashes, n);
     case MIEstimatorKind::kMillerMadow:
-      return MutualInformationMillerMadow(sample.x, sample.y);
+      return MutualInformationMillerMadow(sample.x_hashes, sample.y_hashes, n);
     case MIEstimatorKind::kLaplace:
-      return MutualInformationLaplace(sample.x, sample.y,
+      return MutualInformationLaplace(sample.x_hashes, sample.y_hashes, n,
                                       options.laplace_alpha);
     case MIEstimatorKind::kKSG: {
-      JOINMI_ASSIGN_OR_RETURN(auto xs, NumericSide(sample.x, options, 0xA));
-      JOINMI_ASSIGN_OR_RETURN(auto ys, NumericSide(sample.y, options, 0xB));
-      return MutualInformationKSG(xs, ys, options.k);
+      JOINMI_ASSIGN_OR_RETURN(const double* xs, x_side());
+      JOINMI_ASSIGN_OR_RETURN(const double* ys, y_side());
+      return MutualInformationKSG(xs, ys, n, options.k);
     }
     case MIEstimatorKind::kMixedKSG: {
       // MixedKSG handles ties natively; perturbation (if requested) is
       // still honored for apples-to-apples estimator comparisons.
-      JOINMI_ASSIGN_OR_RETURN(auto xs, NumericSide(sample.x, options, 0xA));
-      JOINMI_ASSIGN_OR_RETURN(auto ys, NumericSide(sample.y, options, 0xB));
-      return MutualInformationMixedKSG(xs, ys, options.k);
+      JOINMI_ASSIGN_OR_RETURN(const double* xs, x_side());
+      JOINMI_ASSIGN_OR_RETURN(const double* ys, y_side());
+      return MutualInformationMixedKSG(xs, ys, n, options.k);
     }
     case MIEstimatorKind::kDCKSG: {
       // The numeric side is continuous; the other side is discrete. When
       // both are numeric, X is treated as the discrete side.
-      const bool y_numeric = AllNumeric(sample.y);
-      if (y_numeric) {
-        JOINMI_ASSIGN_OR_RETURN(auto ys, NumericSide(sample.y, options, 0xB));
-        return MutualInformationDCKSG(sample.x, ys, options.k);
+      if (sample.y_types.all_numeric) {
+        JOINMI_ASSIGN_OR_RETURN(const double* ys, y_side());
+        return MutualInformationDCKSG(sample.x_hashes, ys, n, options.k);
       }
-      if (AllNumeric(sample.x)) {
-        JOINMI_ASSIGN_OR_RETURN(auto xs, NumericSide(sample.x, options, 0xA));
-        return MutualInformationDCKSG(sample.y, xs, options.k);
+      if (sample.x_types.all_numeric) {
+        JOINMI_ASSIGN_OR_RETURN(const double* xs, x_side());
+        return MutualInformationDCKSG(sample.y_hashes, xs, n, options.k);
       }
       return Status::TypeError("DC-KSG requires one numeric side");
     }
@@ -149,17 +177,36 @@ Result<double> EstimateMI(MIEstimatorKind kind, const PairedSample& sample,
   return Status::InvalidArgument("unknown estimator kind");
 }
 
+}  // namespace
+
+Result<double> EstimateMI(MIEstimatorKind kind, const SampleColumns& sample,
+                          const MIOptions& options) {
+  if (sample.size == 0) {
+    return Status::InvalidArgument("empty paired sample");
+  }
+  if (sample.x_types.has_null || sample.y_types.has_null) {
+    return Status::InvalidArgument("paired sample contains nulls");
+  }
+  return internal::WithScratch<PerturbScratch>(
+      sample.size, [&](PerturbScratch& perturbed) {
+        return Dispatch(kind, sample, options, &perturbed);
+      });
+}
+
+Result<double> EstimateMI(MIEstimatorKind kind, const PairedSample& sample,
+                          const MIOptions& options) {
+  PairedColumns buffer;
+  JOINMI_ASSIGN_OR_RETURN(SampleColumns columns, buffer.Fill(sample));
+  return EstimateMI(kind, columns, options);
+}
+
 Result<double> EstimateMIAuto(const PairedSample& sample,
                               const MIOptions& options) {
-  JOINMI_RETURN_NOT_OK(CheckSample(sample));
-  // Infer side types: numeric iff every value is numeric.
-  const DataType x_type =
-      AllNumeric(sample.x) ? DataType::kDouble : DataType::kString;
-  const DataType y_type =
-      AllNumeric(sample.y) ? DataType::kDouble : DataType::kString;
+  PairedColumns buffer;
+  JOINMI_ASSIGN_OR_RETURN(SampleColumns columns, buffer.Fill(sample));
   JOINMI_ASSIGN_OR_RETURN(MIEstimatorKind kind,
-                          ChooseEstimator(x_type, y_type));
-  return EstimateMI(kind, sample, options);
+                          ChooseEstimatorForSample(columns));
+  return EstimateMI(kind, columns, options);
 }
 
 }  // namespace joinmi

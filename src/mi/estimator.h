@@ -2,10 +2,20 @@
 // samples, so the materialized-join path and the sketch path share them —
 // the property the paper's sketches rely on ("can be used with any existing
 // sample-based MI estimator").
+//
+// Every estimate runs on SampleColumns: per observation a u64 value hash
+// and, on numeric sides, a double. The sketch merge kernel gathers those
+// columns straight from precomputed per-entry hashes; the Value-based
+// EstimateMI/EstimateMIAuto overloads hash and convert their PairedSample
+// into the same columns first (PairedColumns). One implementation per
+// estimator therefore serves every path, and equal inputs give equal bits
+// and equal errors.
 
 #ifndef JOINMI_MI_ESTIMATOR_H_
 #define JOINMI_MI_ESTIMATOR_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -48,9 +58,69 @@ struct PairedSample {
   size_t size() const { return x.size(); }
 };
 
+/// \brief What a set of values holds, by type — the sample-type inference
+/// every path shares: a side is numeric iff all of its values are numeric.
+/// Summarizing a whole sketch tells the numeric-ness of any non-empty subset
+/// of it whenever the sketch is homogeneous (all numeric, or no numeric and
+/// no null), which is what lets the merge kernel skip scanning the train
+/// values it gathers.
+struct ValueTypes {
+  bool all_numeric = true;  ///< vacuously true when empty
+  bool any_numeric = false;
+  bool has_null = false;
+
+  void Add(const Value& value) {
+    const bool numeric = IsNumeric(value.type());
+    all_numeric = all_numeric && numeric;
+    any_numeric = any_numeric || numeric;
+    has_null = has_null || value.is_null();
+  }
+  /// \brief True when every non-empty subset has these same types.
+  bool homogeneous() const {
+    return all_numeric || (!any_numeric && !has_null);
+  }
+};
+
+/// \brief A paired sample in typed columns, the form every estimator runs
+/// on. `x_hashes[i]` is Value::Hash() of the i-th x (the identity the
+/// discrete estimators code by) and `x_numbers[i]` its numeric value, read
+/// only when x is numeric (PairedColumns leaves it null otherwise);
+/// likewise for y.
+struct SampleColumns {
+  size_t size = 0;
+  const uint64_t* x_hashes = nullptr;
+  const double* x_numbers = nullptr;
+  const uint64_t* y_hashes = nullptr;
+  const double* y_numbers = nullptr;
+  ValueTypes x_types;
+  ValueTypes y_types;
+};
+
+/// \brief Owns the typed columns of a PairedSample — the adapter every
+/// Value-based entry point scores through. Not copyable, so the
+/// SampleColumns it hands out cannot outlive or alias its storage.
+class PairedColumns {
+ public:
+  PairedColumns() = default;
+  PairedColumns(const PairedColumns&) = delete;
+  PairedColumns& operator=(const PairedColumns&) = delete;
+
+  /// \brief Hashes and converts `sample` into this buffer. The returned
+  /// columns stay valid until the next Fill or this buffer's destruction.
+  /// InvalidArgument if the sides differ in length.
+  Result<SampleColumns> Fill(const PairedSample& sample);
+
+ private:
+  std::vector<uint64_t> x_hashes_, y_hashes_;
+  std::vector<double> x_numbers_, y_numbers_;
+};
+
 /// \brief The paper's estimator-selection policy (Section V): string x
 /// string -> MLE; numeric x numeric -> MixedKSG; mixed -> DC-KSG.
 Result<MIEstimatorKind> ChooseEstimator(DataType x_type, DataType y_type);
+
+/// \brief ChooseEstimator applied to the inferred side types.
+Result<MIEstimatorKind> ChooseEstimatorForSample(const SampleColumns& sample);
 
 /// \brief Estimates MI (in nats) over the paired sample with the given
 /// estimator. Type requirements:
@@ -58,6 +128,8 @@ Result<MIEstimatorKind> ChooseEstimator(DataType x_type, DataType y_type);
 ///  - kKSG/kMixedKSG: numeric on both sides;
 ///  - kDCKSG: exactly one side numeric (the discrete side may be anything;
 ///    if both sides are eligible, X is treated as discrete).
+Result<double> EstimateMI(MIEstimatorKind kind, const SampleColumns& sample,
+                          const MIOptions& options = {});
 Result<double> EstimateMI(MIEstimatorKind kind, const PairedSample& sample,
                           const MIOptions& options = {});
 
@@ -66,13 +138,12 @@ Result<double> EstimateMI(MIEstimatorKind kind, const PairedSample& sample,
 Result<double> EstimateMIAuto(const PairedSample& sample,
                               const MIOptions& options = {});
 
-/// \brief Extracts a numeric vector from values (int64 widened); error if a
-/// value is non-numeric or null.
-Result<std::vector<double>> ToNumericVector(const std::vector<Value>& values);
-
 /// \brief Adds seeded Gaussian noise to break ties (paper Section V-A).
 std::vector<double> PerturbForTies(const std::vector<double>& xs, double sigma,
                                    uint64_t seed);
+/// \brief out[i] = xs[i] + noise_i, the same noise as the vector form.
+void PerturbForTies(const double* xs, size_t n, double sigma, uint64_t seed,
+                    double* out);
 
 }  // namespace joinmi
 

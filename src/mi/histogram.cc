@@ -1,5 +1,7 @@
 #include "src/mi/histogram.h"
 
+#include <algorithm>
+
 namespace joinmi {
 
 uint32_t ValueCoder::Encode(const Value& v) {
@@ -11,6 +13,48 @@ uint32_t ValueCoder::Encode(const Value& v) {
 int64_t ValueCoder::Lookup(const Value& v) const {
   const auto it = codes_.find(v.Hash());
   return it == codes_.end() ? -1 : static_cast<int64_t>(it->second);
+}
+
+void KeyCoder::Reset(size_t expected_keys) {
+  // A power of two at least twice the expected keys keeps probes short;
+  // only that prefix of a table grown by an earlier, larger sample is
+  // used, so small samples stay cache-resident.
+  expected_keys = std::min(expected_keys, kMaxInitialKeys);
+  size_t capacity = 16;
+  int bits = 4;
+  while (capacity < 2 * expected_keys) {
+    capacity *= 2;
+    ++bits;
+  }
+  UseSlots(capacity, bits);
+  next_code_ = 0;
+}
+
+void KeyCoder::UseSlots(size_t capacity, int bits) {
+  if (slots_.size() < capacity) {
+    slots_.assign(capacity, Slot{0, 0, 0});
+    stamp_ = 0;
+  }
+  if (counts_.size() < capacity / 2) {
+    keys_.resize(capacity / 2);
+    counts_.resize(capacity / 2);
+  }
+  if (++stamp_ == 0) {
+    for (Slot& slot : slots_) slot.stamp = 0;
+    stamp_ = 1;
+  }
+  mask_ = capacity - 1;
+  shift_ = 64 - bits;
+  max_codes_ = static_cast<uint32_t>(capacity / 2);
+}
+
+void KeyCoder::Grow() {
+  UseSlots(2 * (mask_ + 1), 64 - shift_ + 1);
+  for (uint32_t code = 0; code < next_code_; ++code) {
+    size_t slot = Home(keys_[code]);
+    while (slots_[slot].stamp == stamp_) slot = (slot + 1) & mask_;
+    slots_[slot] = Slot{keys_[code], stamp_, code};
+  }
 }
 
 std::vector<uint32_t> EncodeValues(const std::vector<Value>& values,
@@ -29,20 +73,6 @@ Histogram BuildHistogram(const std::vector<uint32_t>& codes) {
     ++hist.total;
   }
   return hist;
-}
-
-Result<JointHistogram> BuildJointHistogram(const std::vector<uint32_t>& xs,
-                                           const std::vector<uint32_t>& ys) {
-  if (xs.size() != ys.size()) {
-    return Status::InvalidArgument("joint histogram inputs must be paired");
-  }
-  JointHistogram joint;
-  joint.counts.reserve(xs.size());
-  for (size_t i = 0; i < xs.size(); ++i) {
-    ++joint.counts[PackCodes(xs[i], ys[i])];
-    ++joint.total;
-  }
-  return joint;
 }
 
 }  // namespace joinmi

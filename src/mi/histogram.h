@@ -1,6 +1,7 @@
 // Frequency statistics for discrete (plug-in) entropy and MI estimation:
-// dense integer coding of type-erased values, marginal histograms, and joint
-// contingency tables.
+// dense integer coding of type-erased values and marginal histograms, plus
+// KeyCoder, the allocation-free counting coder the MI estimators run on
+// (their joint tables are a KeyCoder over packed code pairs).
 
 #ifndef JOINMI_MI_HISTOGRAM_H_
 #define JOINMI_MI_HISTOGRAM_H_
@@ -31,6 +32,76 @@ class ValueCoder {
   uint32_t next_code_ = 0;
 };
 
+/// \brief Dense first-appearance coding of u64 keys (value hashes, class
+/// keys, packed code pairs) with a count per code, in flat storage reused
+/// across Reset: an open-addressing table whose slots are invalidated by
+/// bumping a generation stamp, so Reset is O(1) and a warmed coder never
+/// allocates. The table doubles whenever it passes half full, so its size
+/// follows the distinct keys seen, not the number of Adds.
+class KeyCoder {
+ public:
+  /// \brief Forgets every key, starting the table sized for
+  /// min(expected_keys, kMaxInitialKeys) distinct keys.
+  void Reset(size_t expected_keys);
+
+  /// \brief Code of `key` — the next unused one on first sight — counting
+  /// one occurrence of it.
+  uint32_t Add(uint64_t key) {
+    size_t slot = Home(key);
+    while (true) {
+      Slot& s = slots_[slot];
+      if (s.stamp != stamp_) {
+        if (next_code_ == max_codes_) {
+          Grow();
+          return Add(key);
+        }
+        s = Slot{key, stamp_, next_code_};
+        keys_[next_code_] = key;
+        counts_[next_code_] = 1;
+        return next_code_++;
+      }
+      if (s.key == key) {
+        ++counts_[s.code];
+        return s.code;
+      }
+      slot = (slot + 1) & mask_;
+    }
+  }
+
+  /// \brief Distinct keys since Reset; codes are 0..size()-1.
+  size_t size() const { return next_code_; }
+  /// \brief counts()[c] = occurrences of code c since Reset.
+  const uint32_t* counts() const { return counts_.data(); }
+
+  /// \brief Initial table size cap: a large sample with few distinct keys
+  /// gets a small table.
+  static constexpr size_t kMaxInitialKeys = 1024;
+
+ private:
+  struct Slot {
+    uint64_t key;
+    uint32_t stamp;
+    uint32_t code;
+  };
+
+  size_t Home(uint64_t key) const {
+    return static_cast<size_t>((key * 0x9E3779B97F4A7C15ULL) >> shift_);
+  }
+  // Uses the first `capacity` slots (a power of two, 2^bits), all empty.
+  void UseSlots(size_t capacity, int bits);
+  // Doubles the table, re-placing every key under its code.
+  void Grow();
+
+  std::vector<Slot> slots_;
+  std::vector<uint64_t> keys_;  // keys_[c] = the key of code c
+  std::vector<uint32_t> counts_;
+  uint32_t stamp_ = 0;
+  uint32_t next_code_ = 0;
+  uint32_t max_codes_ = 0;  // half the slots in use
+  size_t mask_ = 0;
+  int shift_ = 64;
+};
+
 /// \brief Encodes a value vector to dense codes.
 std::vector<uint32_t> EncodeValues(const std::vector<Value>& values,
                                    ValueCoder* coder);
@@ -45,23 +116,6 @@ struct Histogram {
 
 /// \brief Builds a histogram over codes (bins sized to max code + 1).
 Histogram BuildHistogram(const std::vector<uint32_t>& codes);
-
-/// \brief Sparse joint contingency table over code pairs.
-struct JointHistogram {
-  /// (x_code, y_code) packed into 64 bits -> joint count.
-  std::unordered_map<uint64_t, uint64_t> counts;
-  uint64_t total = 0;
-  size_t num_cells() const { return counts.size(); }
-};
-
-/// \brief Builds the joint table for paired code vectors (equal length).
-Result<JointHistogram> BuildJointHistogram(const std::vector<uint32_t>& xs,
-                                           const std::vector<uint32_t>& ys);
-
-/// \brief Packs a code pair into the joint-table key.
-inline uint64_t PackCodes(uint32_t x, uint32_t y) {
-  return (static_cast<uint64_t>(x) << 32) | y;
-}
 
 }  // namespace joinmi
 

@@ -1,11 +1,13 @@
 // Nearest-neighbor machinery for the KSG family of estimators: 1-D sorted
-// point sets with windowed k-NN / range counting, and a 2-D kd-tree under the
-// Chebyshev (max) norm.
+// point sets with windowed k-NN / range counting, a 2-D kd-tree under the
+// Chebyshev (max) norm, and the exact brute-force primitives that replace
+// both on small samples.
 
 #ifndef JOINMI_MI_KNN_H_
 #define JOINMI_MI_KNN_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "src/common/status.h"
@@ -16,7 +18,11 @@ namespace joinmi {
 /// O(log n + k) per query.
 class SortedPoints1D {
  public:
+  SortedPoints1D() = default;
   explicit SortedPoints1D(std::vector<double> points);
+
+  /// \brief Rebuilds over points[0, n), reusing this set's storage.
+  void Assign(const double* points, size_t n);
 
   size_t size() const { return points_.size(); }
 
@@ -43,7 +49,12 @@ class SortedPoints1D {
 /// can exclude the query point itself.
 class KdTree2D {
  public:
+  KdTree2D() = default;
   KdTree2D(std::vector<double> xs, std::vector<double> ys);
+
+  /// \brief Rebuilds over the points (xs[i], ys[i]), i < n, reusing this
+  /// tree's storage — a warmed tree rebuilds without allocating.
+  void Assign(const double* xs, const double* ys, size_t n);
 
   size_t size() const { return xs_.size(); }
 
@@ -68,6 +79,7 @@ class KdTree2D {
     size_t right = 0;        // child node index or range end (leaf)
   };
 
+  void BuildAll();
   size_t Build(size_t begin, size_t end, int depth);
   void QueryKth(size_t node, size_t self, double px, double py, int k,
                 std::vector<double>* heap) const;
@@ -81,6 +93,16 @@ class KdTree2D {
   std::vector<Node> nodes_;
   size_t root_ = 0;
 };
+
+/// \brief The k-th smallest of values[0, n), 1 <= k <= n — an order
+/// statistic, so exact for any k and ties. May reorder `values`.
+double KthSmallest(double* values, size_t n, int k);
+
+/// \brief Number of points p in [0, n) with lo < p < hi (strict) or
+/// lo <= p <= hi. With (lo, hi) = (x - r, x + r) this is the interval
+/// SortedPoints1D::CountWithin counts, with no point excluded.
+size_t CountInInterval(const double* points, size_t n, double lo, double hi,
+                       bool strict);
 
 }  // namespace joinmi
 

@@ -13,11 +13,17 @@
 
 namespace joinmi {
 
-/// \brief KSG-1 MI estimate in nats. Requires N > k samples.
+/// \brief KSG-1 MI estimate in nats over n paired observations. Requires
+/// n > k. Neighbours are found by brute force on small samples and with
+/// SortedPoints1D/KdTree2D above that; both give the same bits.
 ///
 /// Ties in the data yield eps_i = 0 for some points, which degrades the
 /// estimate (the KSG model assumes continuous marginals); callers should
 /// perturb tied data or use MixedKSG.
+Result<double> MutualInformationKSG(const double* xs, const double* ys,
+                                    size_t n, int k = 3);
+
+/// \brief Vector form of the above.
 Result<double> MutualInformationKSG(const std::vector<double>& xs,
                                     const std::vector<double>& ys, int k = 3);
 

@@ -16,8 +16,12 @@
 
 namespace joinmi {
 
-/// \brief MixedKSG MI estimate in nats. Requires N > k samples. Handles
-/// ties natively; no perturbation needed.
+/// \brief MixedKSG MI estimate in nats over n paired observations. Requires
+/// n > k. Handles ties natively; no perturbation needed.
+Result<double> MutualInformationMixedKSG(const double* xs, const double* ys,
+                                         size_t n, int k = 3);
+
+/// \brief Vector form of the above.
 Result<double> MutualInformationMixedKSG(const std::vector<double>& xs,
                                          const std::vector<double>& ys,
                                          int k = 3);

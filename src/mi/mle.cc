@@ -2,56 +2,161 @@
 
 #include <cmath>
 
-#include "src/mi/entropy.h"
+#include "src/mi/estimator_internal.h"
 #include "src/mi/histogram.h"
 
 namespace joinmi {
 
 namespace {
 
-struct DiscretePrep {
-  Histogram hx;
-  Histogram hy;
-  JointHistogram hxy;
+// Marginal and joint counts of one sample, each in first-appearance order.
+struct DiscreteCounts {
+  const uint32_t* x;
+  size_t mx;
+  const uint32_t* y;
+  size_t my;
+  const uint32_t* xy;
+  size_t mxy;
+  double n;
 };
 
-Result<DiscretePrep> Prepare(const std::vector<Value>& xs,
-                             const std::vector<Value>& ys) {
+struct CountScratch {
+  KeyCoder x, y, joint;
+};
+
+// Counts the sample and returns fn(counts); the counts live in scratch
+// until fn returns.
+template <typename Fn>
+Result<double> WithCounts(const uint64_t* x_keys, const uint64_t* y_keys,
+                          size_t n, Fn&& fn) {
+  if (n == 0) return Status::InvalidArgument("MI of empty sample");
+  return internal::WithScratch<CountScratch>(n, [&](CountScratch& s) {
+    s.x.Reset(n);
+    s.y.Reset(n);
+    s.joint.Reset(n);
+    for (size_t i = 0; i < n; ++i) {
+      const uint64_t cx = s.x.Add(x_keys[i]);
+      const uint64_t cy = s.y.Add(y_keys[i]);
+      s.joint.Add((cx << 32) | cy);
+    }
+    return fn(DiscreteCounts{s.x.counts(), s.x.size(), s.y.counts(),
+                             s.y.size(), s.joint.counts(), s.joint.size(),
+                             static_cast<double>(n)});
+  });
+}
+
+// -sum (c/n) log(c/n): EntropyMLE's arithmetic, term for term.
+double PlugInEntropy(const uint32_t* counts, size_t m, double n) {
+  double h = 0.0;
+  for (size_t c = 0; c < m; ++c) {
+    const double p = static_cast<double>(counts[c]) / n;
+    h -= p * std::log(p);
+  }
+  return h;
+}
+
+// Value::Hash() of each value: the keys the estimators code by
+// (ValueCoder codes by Value::Hash() too).
+struct HashedPairs {
+  std::vector<uint64_t> x, y;
+};
+
+Result<HashedPairs> HashPairs(const std::vector<Value>& xs,
+                              const std::vector<Value>& ys) {
   if (xs.size() != ys.size()) {
     return Status::InvalidArgument("MI inputs must be paired");
   }
-  if (xs.empty()) {
-    return Status::InvalidArgument("MI of empty sample");
+  HashedPairs pairs;
+  pairs.x.reserve(xs.size());
+  pairs.y.reserve(ys.size());
+  for (size_t i = 0; i < xs.size(); ++i) {
+    pairs.x.push_back(xs[i].Hash());
+    pairs.y.push_back(ys[i].Hash());
   }
-  ValueCoder cx, cy;
-  const std::vector<uint32_t> x_codes = EncodeValues(xs, &cx);
-  const std::vector<uint32_t> y_codes = EncodeValues(ys, &cy);
-  DiscretePrep prep;
-  prep.hx = BuildHistogram(x_codes);
-  prep.hy = BuildHistogram(y_codes);
-  JOINMI_ASSIGN_OR_RETURN(prep.hxy, BuildJointHistogram(x_codes, y_codes));
-  return prep;
+  return pairs;
 }
 
 }  // namespace
 
+Result<double> MutualInformationMLE(const uint64_t* x_keys,
+                                    const uint64_t* y_keys, size_t n) {
+  return WithCounts(x_keys, y_keys, n, [](const DiscreteCounts& counts) {
+    const double mi = PlugInEntropy(counts.x, counts.mx, counts.n) +
+                      PlugInEntropy(counts.y, counts.my, counts.n) -
+                      PlugInEntropy(counts.xy, counts.mxy, counts.n);
+    // Plug-in MI is non-negative analytically; clamp away float round-off.
+    return mi < 0.0 ? 0.0 : mi;
+  });
+}
+
+Result<double> MutualInformationMillerMadow(const uint64_t* x_keys,
+                                            const uint64_t* y_keys,
+                                            size_t n) {
+  return WithCounts(x_keys, y_keys, n, [](const DiscreteCounts& counts) {
+    // Each entropy term gets its own (m - 1) / (2N) support correction.
+    auto corrected = [&counts](const uint32_t* c, size_t m) {
+      return PlugInEntropy(c, m, counts.n) +
+             (static_cast<double>(m) - 1.0) / (2.0 * counts.n);
+    };
+    const double mi = corrected(counts.x, counts.mx) +
+                      corrected(counts.y, counts.my) -
+                      corrected(counts.xy, counts.mxy);
+    return mi < 0.0 ? 0.0 : mi;
+  });
+}
+
+Result<double> MutualInformationLaplace(const uint64_t* x_keys,
+                                        const uint64_t* y_keys, size_t n,
+                                        double alpha) {
+  if (alpha < 0.0) {
+    return Status::InvalidArgument("Laplace alpha must be >= 0");
+  }
+  return WithCounts(x_keys, y_keys, n, [alpha](const DiscreteCounts& counts) {
+    // Smooth the joint over the product support m_X * m_Y so marginal and
+    // joint smoothing are consistent (marginals of the smoothed joint equal
+    // the smoothed marginals with alpha' = alpha * m_other).
+    const double mx = static_cast<double>(counts.mx);
+    const double my = static_cast<double>(counts.my);
+    const double denom = counts.n + alpha * mx * my;
+
+    double h_joint = 0.0;
+    for (size_t c = 0; c < counts.mxy; ++c) {
+      const double p = (static_cast<double>(counts.xy[c]) + alpha) / denom;
+      h_joint -= p * std::log(p);
+    }
+    // Unobserved joint cells each carry probability alpha / denom.
+    const double unseen = mx * my - static_cast<double>(counts.mxy);
+    if (unseen > 0.0 && alpha > 0.0) {
+      const double p = alpha / denom;
+      h_joint -= unseen * p * std::log(p);
+    }
+
+    auto smoothed_marginal = [alpha, denom](const uint32_t* c, size_t m,
+                                            double other_m) {
+      double h = 0.0;
+      for (size_t i = 0; i < m; ++i) {
+        const double p = (static_cast<double>(c[i]) + alpha * other_m) / denom;
+        if (p > 0.0) h -= p * std::log(p);
+      }
+      return h;
+    };
+    const double mi = smoothed_marginal(counts.x, counts.mx, my) +
+                      smoothed_marginal(counts.y, counts.my, mx) - h_joint;
+    return mi < 0.0 ? 0.0 : mi;
+  });
+}
+
 Result<double> MutualInformationMLE(const std::vector<Value>& xs,
                                     const std::vector<Value>& ys) {
-  JOINMI_ASSIGN_OR_RETURN(DiscretePrep prep, Prepare(xs, ys));
-  const double mi = EntropyMLE(prep.hx) + EntropyMLE(prep.hy) -
-                    JointEntropyMLE(prep.hxy);
-  // Plug-in MI is non-negative analytically; clamp away float round-off.
-  return mi < 0.0 ? 0.0 : mi;
+  JOINMI_ASSIGN_OR_RETURN(HashedPairs keys, HashPairs(xs, ys));
+  return MutualInformationMLE(keys.x.data(), keys.y.data(), xs.size());
 }
 
 Result<double> MutualInformationMillerMadow(const std::vector<Value>& xs,
                                             const std::vector<Value>& ys) {
-  JOINMI_ASSIGN_OR_RETURN(DiscretePrep prep, Prepare(xs, ys));
-  const double mi = EntropyMillerMadow(prep.hx) + EntropyMillerMadow(prep.hy) -
-                    (JointEntropyMLE(prep.hxy) +
-                     (static_cast<double>(prep.hxy.num_cells()) - 1.0) /
-                         (2.0 * static_cast<double>(prep.hxy.total)));
-  return mi < 0.0 ? 0.0 : mi;
+  JOINMI_ASSIGN_OR_RETURN(HashedPairs keys, HashPairs(xs, ys));
+  return MutualInformationMillerMadow(keys.x.data(), keys.y.data(),
+                                      xs.size());
 }
 
 Result<double> MutualInformationLaplace(const std::vector<Value>& xs,
@@ -60,41 +165,9 @@ Result<double> MutualInformationLaplace(const std::vector<Value>& xs,
   if (alpha < 0.0) {
     return Status::InvalidArgument("Laplace alpha must be >= 0");
   }
-  JOINMI_ASSIGN_OR_RETURN(DiscretePrep prep, Prepare(xs, ys));
-  // Smooth the joint over the product support m_X * m_Y so marginal and
-  // joint smoothing are consistent (marginals of the smoothed joint equal
-  // the smoothed marginals with alpha' = alpha * m_other).
-  const double n = static_cast<double>(prep.hxy.total);
-  const double mx = static_cast<double>(prep.hx.num_bins());
-  const double my = static_cast<double>(prep.hy.num_bins());
-  const double joint_denom = n + alpha * mx * my;
-
-  double h_joint = 0.0;
-  for (const auto& [cell, count] : prep.hxy.counts) {
-    (void)cell;
-    const double p = (static_cast<double>(count) + alpha) / joint_denom;
-    h_joint -= p * std::log(p);
-  }
-  // Unobserved joint cells each carry probability alpha / joint_denom.
-  const double unseen =
-      mx * my - static_cast<double>(prep.hxy.num_cells());
-  if (unseen > 0.0 && alpha > 0.0) {
-    const double p = alpha / joint_denom;
-    h_joint -= unseen * p * std::log(p);
-  }
-
-  auto smoothed_marginal = [&](const Histogram& hist, double other_m) {
-    const double denom = n + alpha * mx * my;
-    double h = 0.0;
-    for (uint64_t count : hist.counts) {
-      const double p = (static_cast<double>(count) + alpha * other_m) / denom;
-      if (p > 0.0) h -= p * std::log(p);
-    }
-    return h;
-  };
-  const double mi = smoothed_marginal(prep.hx, my) +
-                    smoothed_marginal(prep.hy, mx) - h_joint;
-  return mi < 0.0 ? 0.0 : mi;
+  JOINMI_ASSIGN_OR_RETURN(HashedPairs keys, HashPairs(xs, ys));
+  return MutualInformationLaplace(keys.x.data(), keys.y.data(), xs.size(),
+                                  alpha);
 }
 
 double MleMIBiasApproximation(size_t m_x, size_t m_y, size_t m_xy, size_t n) {

@@ -13,19 +13,23 @@ namespace joinmi {
 
 namespace {
 
-// Mirrors EstimateMIAuto's type inference to report the chosen estimator.
-Result<MIEstimatorKind> ChooseEstimatorForSample(const PairedSample& sample) {
-  auto all_numeric = [](const std::vector<Value>& values) {
-    for (const Value& v : values) {
-      if (!IsNumeric(v.type())) return false;
-    }
-    return true;
-  };
-  const DataType x_type =
-      all_numeric(sample.x) ? DataType::kDouble : DataType::kString;
-  const DataType y_type =
-      all_numeric(sample.y) ? DataType::kDouble : DataType::kString;
-  return ChooseEstimator(x_type, y_type);
+// The scoring tail after the min_join_size guard, shared by the Value
+// reference (ScoreSketchJoinSample) and the merge kernel.
+Result<SketchMIResult> ScoreColumns(
+    const SampleColumns& columns, size_t join_size,
+    const std::optional<MIEstimatorKind>& estimator,
+    const MIOptions& options) {
+  SketchMIResult result;
+  result.join_size = join_size;
+  if (estimator.has_value()) {
+    result.estimator = *estimator;
+  } else {
+    JOINMI_ASSIGN_OR_RETURN(result.estimator,
+                            ChooseEstimatorForSample(columns));
+  }
+  JOINMI_ASSIGN_OR_RETURN(result.mi,
+                          EstimateMI(result.estimator, columns, options));
+  return result;
 }
 
 }  // namespace
@@ -71,17 +75,9 @@ Result<SketchMIResult> ScoreSketchJoinSample(
   if (join_size < min_join_size) {
     return JoinBelowMinimum(join_size, min_join_size);
   }
-  SketchMIResult result;
-  result.join_size = join_size;
-  if (estimator.has_value()) {
-    result.estimator = *estimator;
-  } else {
-    JOINMI_ASSIGN_OR_RETURN(result.estimator,
-                            ChooseEstimatorForSample(sample));
-  }
-  JOINMI_ASSIGN_OR_RETURN(result.mi,
-                          EstimateMI(result.estimator, sample, options));
-  return result;
+  PairedColumns buffer;
+  JOINMI_ASSIGN_OR_RETURN(SampleColumns columns, buffer.Fill(sample));
+  return ScoreColumns(columns, join_size, estimator, options);
 }
 
 Result<SketchJoinResult> JoinSketches(const Sketch& train,
@@ -156,6 +152,13 @@ Result<TrainKeyRuns> TrainKeyRuns::Build(const Sketch& train) {
     runs.spans.emplace_back(i, end);
     i = end;
   }
+  runs.hashes.reserve(entries.size());
+  runs.numbers.reserve(entries.size());
+  for (const SketchEntry& entry : entries) {
+    runs.hashes.push_back(entry.value.Hash());
+    runs.numbers.push_back(entry.value.NumericOr(0.0));
+    runs.types.Add(entry.value);
+  }
   return runs;
 }
 
@@ -185,13 +188,33 @@ Status AppendCandidateKeys(const Sketch& candidate,
   return Status::OK();
 }
 
+void AppendValueHashes(const Sketch& candidate,
+                       std::vector<uint64_t>* hashes) {
+  for (const SketchEntry& entry : candidate.entries) {
+    hashes->push_back(entry.value.Hash());
+  }
+}
+
+Result<CandidateColumns> ScratchCandidateColumns(const Sketch& candidate) {
+  thread_local std::vector<uint64_t> keys, value_hashes;
+  keys.clear();
+  value_hashes.clear();
+  JOINMI_RETURN_NOT_OK(AppendCandidateKeys(candidate, &keys));
+  AppendValueHashes(candidate, &value_hashes);
+  CandidateColumns columns;
+  columns.keys = keys.data();
+  columns.value_hashes = value_hashes.data();
+  return columns;
+}
+
 MergeJoinScore ScoreMergeJoin(const Sketch& train, const TrainKeyRuns& runs,
                               const Sketch& candidate,
-                              const uint64_t* candidate_keys,
+                              const CandidateColumns& columns,
                               const std::optional<MIEstimatorKind>& estimator,
                               const MIOptions& options, size_t min_join_size) {
   thread_local Arena arena;
-  thread_local PairedSample sample;
+  thread_local std::vector<uint64_t> x_hashes, y_hashes;
+  thread_local std::vector<double> x_numbers, y_numbers;
   arena.Reset();
 
   struct MatchRun {
@@ -210,6 +233,7 @@ MergeJoinScore ScoreMergeJoin(const Sketch& train, const TrainKeyRuns& runs,
   // out in ascending key order, which is train-entry order: the order
   // JoinSketches emits.
   const uint64_t* train_keys = runs.keys.data();
+  const uint64_t* candidate_keys = columns.keys;
   size_t i = 0;
   size_t j = 0;
   while (i < num_runs && j < cand_len) {
@@ -229,19 +253,42 @@ MergeJoinScore ScoreMergeJoin(const Sketch& train, const TrainKeyRuns& runs,
     }
   }
   if (score.join_size < min_join_size) return score;
-  sample.x.clear();
-  sample.y.clear();
-  sample.x.reserve(score.join_size);
-  sample.y.reserve(score.join_size);
+
+  const size_t n = score.join_size;
+  if (x_hashes.size() < n) {
+    x_hashes.resize(n);
+    y_hashes.resize(n);
+    x_numbers.resize(n);
+    y_numbers.resize(n);
+  }
+  SampleColumns sample;
+  sample.size = n;
+  sample.x_hashes = x_hashes.data();
+  sample.x_numbers = x_numbers.data();
+  sample.y_hashes = y_hashes.data();
+  sample.y_numbers = y_numbers.data();
+  // The candidate side's types come from the matched values the gather
+  // reads anyway. The train side's come from its summary when that is
+  // homogeneous — it then gives the types of any non-empty subset — and
+  // otherwise from the matched train values, the subset the per-sample
+  // inference would see.
+  const bool scan_y = !runs.types.homogeneous();
+  if (!scan_y) sample.y_types = runs.types;
+  size_t p = 0;
   for (size_t m = 0; m < num_matches; ++m) {
     const Value& x = candidate.entries[matches[m].local].value;
-    for (uint32_t e = matches[m].begin; e < matches[m].end; ++e) {
-      sample.x.push_back(x);
-      sample.y.push_back(train.entries[e].value);
+    const uint64_t x_hash = columns.value_hashes[matches[m].local];
+    const double x_number = x.NumericOr(0.0);
+    sample.x_types.Add(x);
+    for (uint32_t e = matches[m].begin; e < matches[m].end; ++e, ++p) {
+      x_hashes[p] = x_hash;
+      x_numbers[p] = x_number;
+      y_hashes[p] = runs.hashes[e];
+      y_numbers[p] = runs.numbers[e];
+      if (scan_y) sample.y_types.Add(train.entries[e].value);
     }
   }
-  score.scored = ScoreSketchJoinSample(sample, score.join_size, estimator,
-                                       options, min_join_size);
+  score.scored = ScoreColumns(sample, n, estimator, options);
   return score;
 }
 

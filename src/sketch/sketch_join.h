@@ -46,10 +46,10 @@ struct SketchMIResult {
 /// \brief Scores an already-recovered join sample exactly as the
 /// EstimateSketchMI* entry points do: the min_join_size guard first
 /// (OutOfRange — the paper's meaningless-estimate cutoff), then estimator
-/// dispatch (`estimator` if set, otherwise the auto policy inferred from
-/// the sample's value types), then EstimateMI. This is the single scoring
-/// tail shared by the JoinSketches reference and the merge kernel —
-/// sharing it is what keeps their results bit-identical.
+/// dispatch (`estimator` if set, otherwise ChooseEstimatorForSample), then
+/// EstimateMI on the sample's columns (PairedColumns) — the same scoring
+/// tail the merge kernel runs on its gathered columns, which is what keeps
+/// their results bit-identical.
 Result<SketchMIResult> ScoreSketchJoinSample(
     const PairedSample& sample, size_t join_size,
     const std::optional<MIEstimatorKind>& estimator, const MIOptions& options,
@@ -73,17 +73,23 @@ Result<SketchMIResult> EstimateSketchMIAuto(const Sketch& train,
                                             size_t min_join_size = 1);
 
 /// \brief A train sketch's runs of equal key_hash in structure-of-arrays
-/// form: keys[i] is the i-th distinct key and spans[i] its [begin, end)
-/// slice of the train entries. Built once per query and shared by every
-/// candidate it is scored against; two parallel arrays so the merge scans
-/// a dense u64 key array (8 keys per cache line).
+/// form, plus the typed columns the merge kernel gathers samples from.
+/// keys[i] is the i-th distinct key and spans[i] its [begin, end) slice of
+/// the train entries; hashes[e] and numbers[e] are entry e's Value::Hash()
+/// and numeric value (0 when not numeric), and `types` summarizes every
+/// entry's value. Built once per query and shared by every candidate it is
+/// scored against; parallel arrays so the merge scans a dense u64 key array
+/// (8 keys per cache line) and the gather copies flat words, not Values.
 struct TrainKeyRuns {
   std::vector<uint64_t> keys;
   std::vector<std::pair<uint32_t, uint32_t>> spans;
+  std::vector<uint64_t> hashes;
+  std::vector<double> numbers;
+  ValueTypes types;
 
-  /// \brief Collects the runs of `train`. Fails with InvalidArgument
-  /// unless the run keys strictly ascend — entries sorted by key_hash, the
-  /// builder invariant the merge depends on.
+  /// \brief Collects the runs and columns of `train`. Fails with
+  /// InvalidArgument unless the run keys strictly ascend — entries sorted
+  /// by key_hash, the builder invariant the merge depends on.
   static Result<TrainKeyRuns> Build(const Sketch& train);
 };
 
@@ -95,12 +101,31 @@ struct TrainKeyRuns {
 Status AppendCandidateKeys(const Sketch& candidate,
                            std::vector<uint64_t>* keys);
 
+/// \brief Appends Value::Hash() of each of the candidate's entry values to
+/// `*hashes`.
+void AppendValueHashes(const Sketch& candidate,
+                       std::vector<uint64_t>* hashes);
+
+/// \brief A candidate as the merge kernel reads it, beside its sketch:
+/// `keys[j]` and `value_hashes[j]` are entry j's key hash (strictly
+/// ascending) and Value::Hash(). SketchIndex points into its per-index
+/// columns; other callers use ScratchCandidateColumns.
+struct CandidateColumns {
+  const uint64_t* keys = nullptr;
+  const uint64_t* value_hashes = nullptr;
+};
+
+/// \brief Checks the merge contract (AppendCandidateKeys) and fills the
+/// candidate's columns in thread-local scratch, valid until this thread's
+/// next call — for callers that decode or receive a sketch per probe.
+Result<CandidateColumns> ScratchCandidateColumns(const Sketch& candidate);
+
 /// \brief One candidate's outcome from ScoreMergeJoin.
 struct MergeJoinScore {
   /// Joined pairs, train-side multiplicity included.
   size_t join_size = 0;
   /// Empty when join_size < min_join_size: the common skip costs the merge
-  /// alone, with no value copied and no Status built. Otherwise the
+  /// alone, with no value gathered and no Status built. Otherwise the
   /// estimate, or the estimator's error.
   std::optional<Result<SketchMIResult>> scored;
 };
@@ -108,22 +133,26 @@ struct MergeJoinScore {
 /// \brief The merge-scoring kernel: every discovery path (SketchIndex,
 /// paged shards, JoinMIQuery::Estimate) scores a candidate through here.
 /// Intersects the train runs with the candidate's key hashes by a linear
-/// merge of two ascending u64 arrays, assembles the join sample in
-/// train-entry order with train multiplicity, and scores it with
-/// ScoreSketchJoinSample — so the result is bit-identical to
-/// JoinSketches + ScoreSketchJoinSample on the same sketches.
+/// merge of two ascending u64 arrays, then gathers the join sample in
+/// train-entry order with train multiplicity as SampleColumns — hashes and
+/// doubles copied from `runs` and `columns` (candidate doubles read from
+/// its entries), never a Value. The estimator is `estimator` if set, else
+/// the auto policy on the sample's types: the candidate side's from the
+/// matched values, the train side's from `runs.types` when that is
+/// homogeneous and from the matched values otherwise — the same answer
+/// ChooseEstimatorForSample gives on the Value sample. Scoring then runs
+/// the same EstimateMI the Value path adapts onto, so the result —
+/// estimate or error status — is bit-identical to JoinSketches +
+/// ScoreSketchJoinSample on the same sketches.
 ///
-/// `runs` must come from TrainKeyRuns::Build(train); `candidate_keys`
-/// holds candidate.entries' key hashes, strictly ascending (see
-/// AppendCandidateKeys) — a dense copy rather than candidate.entries
-/// itself, because the merge is bound by the stride it scans (SketchIndex
-/// passes a slice of its key column). Sides and seeds are the caller's to
-/// check.
-/// Scratch lives in thread_local storage that keeps its capacity, so a
-/// warmed thread scores candidates without heap allocation.
+/// `runs` must come from TrainKeyRuns::Build(train) and `columns` describe
+/// `candidate`. Sides and seeds are the caller's to check.
+/// Scratch lives in thread_local storage that keeps its capacity, and the
+/// estimators' scratch does too, so a warmed thread scores candidates
+/// without heap allocation.
 MergeJoinScore ScoreMergeJoin(const Sketch& train, const TrainKeyRuns& runs,
                               const Sketch& candidate,
-                              const uint64_t* candidate_keys,
+                              const CandidateColumns& columns,
                               const std::optional<MIEstimatorKind>& estimator,
                               const MIOptions& options, size_t min_join_size);
 

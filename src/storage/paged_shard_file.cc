@@ -86,17 +86,22 @@ Status ParseHeader(const std::string& header_bytes, const std::string& path,
                            std::to_string(kMinPageSize) + ", " +
                            std::to_string(kMaxPageSize) + "] range");
   }
-  const uint64_t expected_directory_offset =
-      kPagedShardHeaderSize + out->page_count * out->page_size;
-  if (out->directory_offset != expected_directory_offset) {
+  // Both layout checks divide instead of multiplying: a crafted count
+  // whose product wraps u64 would otherwise pass them, and the directory
+  // parse would then size a vector (or a page walk) by the count itself.
+  const uint64_t pages_bytes = out->directory_offset - kPagedShardHeaderSize;
+  if (out->directory_offset < kPagedShardHeaderSize ||
+      pages_bytes % out->page_size != 0 ||
+      pages_bytes / out->page_size != out->page_count) {
     return Status::IOError(
         "paged shard '" + path + "' directory offset " +
         std::to_string(out->directory_offset) + " disagrees with " +
         std::to_string(out->page_count) + " pages of " +
-        std::to_string(out->page_size) + " bytes (expected " +
-        std::to_string(expected_directory_offset) + ")");
+        std::to_string(out->page_size) + " bytes after the " +
+        std::to_string(kPagedShardHeaderSize) + "-byte header");
   }
-  if (out->directory_size != out->record_count * kDirectoryEntrySize) {
+  if (out->directory_size % kDirectoryEntrySize != 0 ||
+      out->directory_size / kDirectoryEntrySize != out->record_count) {
     return Status::IOError(
         "paged shard '" + path + "' directory size " +
         std::to_string(out->directory_size) + " does not hold exactly " +

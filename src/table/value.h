@@ -63,6 +63,13 @@ class Value {
 
   /// \brief Numeric view: int64 widened to double. Error for string/null.
   Result<double> AsDouble() const;
+  /// \brief Numeric view, or `fallback` for string/null — AsDouble without
+  /// building a Status, for callers that already know the type.
+  double NumericOr(double fallback) const {
+    if (is_double()) return dbl();
+    if (is_int64()) return static_cast<double>(int64());
+    return fallback;
+  }
 
   /// \brief Canonical string form ("" for null) used for hashing string keys
   /// and for CSV output.

@@ -1,15 +1,23 @@
 // Edge-case and stress tests for the kNN machinery (SortedPoints1D and
 // KdTree2D) beyond the core correctness checks in mi_test.cc: degenerate
 // geometries, duplicate-heavy data, leaf-boundary sizes, and randomized
-// brute-force differential sweeps.
+// brute-force differential sweeps. Also the oracle tests of the
+// estimators' small-sample kernels: brute-force KSG / MixedKSG / DC-KSG
+// against the SortedPoints1D / KdTree2D path bit for bit, and the
+// plug-in estimators against a std::map reference.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <map>
+#include <string>
 
 #include "src/common/random.h"
+#include "src/mi/dc_ksg.h"
 #include "src/mi/estimator.h"
+#include "src/mi/estimator_internal.h"
 #include "src/mi/knn.h"
 #include "src/mi/ksg.h"
 #include "src/mi/mixed_ksg.h"
@@ -339,6 +347,231 @@ TEST(KsgTiesTest, AllPointsIdenticalIsHandled) {
   ASSERT_TRUE(mixed.ok()) << mixed.status();
   EXPECT_TRUE(std::isfinite(*mixed));
   EXPECT_NEAR(*mixed, 0.0, 1e-9);
+}
+
+// ------------------------------------ Small-sample kernels vs oracles --
+
+enum class Shape { kRandom, kTieHeavy, kAllEqual, kSingletonClasses };
+
+const char* ShapeName(Shape shape) {
+  switch (shape) {
+    case Shape::kRandom:
+      return "random";
+    case Shape::kTieHeavy:
+      return "tie-heavy";
+    case Shape::kAllEqual:
+      return "all-equal";
+    case Shape::kSingletonClasses:
+      return "singleton-classes";
+  }
+  return "?";
+}
+
+struct OracleSample {
+  std::vector<double> xs, ys;
+  std::vector<uint64_t> classes;  // DC-KSG's discrete side
+};
+
+OracleSample MakeOracleSample(Shape shape, size_t n, uint64_t seed) {
+  Rng rng(seed);
+  OracleSample s;
+  for (size_t i = 0; i < n; ++i) {
+    switch (shape) {
+      case Shape::kRandom:
+        s.xs.push_back(rng.Gaussian());
+        s.ys.push_back(s.xs.back() + rng.Gaussian());
+        s.classes.push_back(rng.NextBounded(4));
+        break;
+      case Shape::kTieHeavy:
+        s.xs.push_back(static_cast<double>(rng.NextBounded(3)));
+        s.ys.push_back(static_cast<double>(rng.NextBounded(3)));
+        s.classes.push_back(rng.NextBounded(3));
+        break;
+      case Shape::kAllEqual:
+        s.xs.push_back(2.5);
+        s.ys.push_back(-1.0);
+        s.classes.push_back(7);
+        break;
+      case Shape::kSingletonClasses:
+        // Odd samples each own a class (dropped by DC-KSG); even ones share
+        // class 0.
+        s.xs.push_back(rng.Gaussian());
+        s.ys.push_back(rng.Uniform(0.0, 4.0));
+        s.classes.push_back(i % 2 == 0 ? 0 : 1000 + i);
+        break;
+    }
+  }
+  return s;
+}
+
+// Brute force and trees agree bit for bit, errors included.
+void ExpectSameBits(const Result<double>& brute, const Result<double>& trees,
+                    const std::string& where) {
+  ASSERT_EQ(brute.ok(), trees.ok()) << where;
+  if (!brute.ok()) {
+    EXPECT_EQ(brute.status().ToString(), trees.status().ToString()) << where;
+    return;
+  }
+  uint64_t brute_bits = 0, tree_bits = 0;
+  std::memcpy(&brute_bits, &*brute, sizeof(double));
+  std::memcpy(&tree_bits, &*trees, sizeof(double));
+  EXPECT_EQ(brute_bits, tree_bits)
+      << where << ": " << *brute << " vs " << *trees;
+}
+
+using internal::kBruteForceMaxPoints;
+using internal::NeighborSearch;
+
+TEST(SmallSampleKernelTest, KsgFamilyBruteForceMatchesTreesBitForBit) {
+  const std::vector<Shape> shapes = {Shape::kRandom, Shape::kTieHeavy,
+                                     Shape::kAllEqual,
+                                     Shape::kSingletonClasses};
+  for (int k : {1, 3, 5}) {
+    std::vector<size_t> sizes = {static_cast<size_t>(k),
+                                 static_cast<size_t>(k) + 1,
+                                 static_cast<size_t>(k) + 2,
+                                 17,
+                                 kBruteForceMaxPoints - 1,
+                                 kBruteForceMaxPoints,
+                                 kBruteForceMaxPoints + 1};
+    for (Shape shape : shapes) {
+      for (size_t n : sizes) {
+        for (double sigma : {0.0, 1e-3}) {
+          OracleSample s = MakeOracleSample(shape, n, 1000 * k + n);
+          if (sigma > 0.0) {
+            s.xs = PerturbForTies(s.xs, sigma, 11);
+            s.ys = PerturbForTies(s.ys, sigma, 12);
+          }
+          const std::string where = std::string(ShapeName(shape)) +
+                                    " k=" + std::to_string(k) +
+                                    " n=" + std::to_string(n) +
+                                    " sigma=" + std::to_string(sigma);
+          for (auto estimate :
+               {+[](const OracleSample& o, size_t m, int kk,
+                    NeighborSearch search) {
+                  return internal::MutualInformationMixedKSG(
+                      o.xs.data(), o.ys.data(), m, kk, search);
+                },
+                +[](const OracleSample& o, size_t m, int kk,
+                    NeighborSearch search) {
+                  return internal::MutualInformationKSG(
+                      o.xs.data(), o.ys.data(), m, kk, search);
+                },
+                +[](const OracleSample& o, size_t m, int kk,
+                    NeighborSearch search) {
+                  return internal::MutualInformationDCKSG(
+                      o.classes.data(), o.ys.data(), m, kk, search);
+                }}) {
+            const Result<double> brute =
+                estimate(s, n, k, NeighborSearch::kBruteForce);
+            ExpectSameBits(brute, estimate(s, n, k, NeighborSearch::kTrees),
+                           where);
+            ExpectSameBits(brute, estimate(s, n, k, NeighborSearch::kAuto),
+                           where + " (auto)");
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SmallSampleKernelTest, KthSmallestIsExactForAnyK) {
+  Rng rng(5);
+  for (size_t n : {1, 2, 9, 40}) {
+    std::vector<double> values;
+    for (size_t i = 0; i < n; ++i) {
+      values.push_back(static_cast<double>(rng.NextBounded(6)));
+    }
+    std::vector<double> sorted = values;
+    std::sort(sorted.begin(), sorted.end());
+    for (size_t k = 1; k <= n; ++k) {
+      std::vector<double> scratch = values;
+      EXPECT_EQ(KthSmallest(scratch.data(), n, static_cast<int>(k)),
+                sorted[k - 1])
+          << "n=" << n << " k=" << k;
+    }
+  }
+}
+
+// Plug-in MI from ordered-map counts, summing cells in key order.
+struct MapReference {
+  double mle, miller_madow, laplace;
+};
+
+MapReference ReferenceDiscreteMI(const std::vector<Value>& xs,
+                                 const std::vector<Value>& ys,
+                                 double alpha) {
+  std::map<Value, double> cx, cy;
+  std::map<std::pair<Value, Value>, double> cxy;
+  for (size_t i = 0; i < xs.size(); ++i) {
+    cx[xs[i]] += 1.0;
+    cy[ys[i]] += 1.0;
+    cxy[{xs[i], ys[i]}] += 1.0;
+  }
+  const double n = static_cast<double>(xs.size());
+  auto entropy = [n](const auto& counts) {
+    double h = 0.0;
+    for (const auto& entry : counts) {
+      const double p = entry.second / n;
+      h -= p * std::log(p);
+    }
+    return h;
+  };
+  const double mx = static_cast<double>(cx.size());
+  const double my = static_cast<double>(cy.size());
+  const double mxy = static_cast<double>(cxy.size());
+  MapReference ref;
+  ref.mle = std::max(0.0, entropy(cx) + entropy(cy) - entropy(cxy));
+  ref.miller_madow = std::max(
+      0.0, ref.mle + (mx - 1.0) / (2.0 * n) + (my - 1.0) / (2.0 * n) -
+               (mxy - 1.0) / (2.0 * n));
+  // Laplace smoothing over the product support (mle.cc's model).
+  const double denom = n + alpha * mx * my;
+  double h_joint = 0.0;
+  for (const auto& entry : cxy) {
+    const double p = (entry.second + alpha) / denom;
+    h_joint -= p * std::log(p);
+  }
+  const double unseen = mx * my - mxy;
+  if (unseen > 0.0) {
+    const double p = alpha / denom;
+    h_joint -= unseen * p * std::log(p);
+  }
+  auto marginal = [&](const std::map<Value, double>& counts, double other) {
+    double h = 0.0;
+    for (const auto& entry : counts) {
+      const double p = (entry.second + alpha * other) / denom;
+      h -= p * std::log(p);
+    }
+    return h;
+  };
+  ref.laplace = std::max(0.0, marginal(cx, my) + marginal(cy, mx) - h_joint);
+  return ref;
+}
+
+TEST(SmallSampleKernelTest, PlugInEstimatorsMatchAMapReference) {
+  Rng rng(21);
+  for (size_t n : {1, 2, 39, 500}) {
+    for (int distinct : {1, 3, 40}) {
+      std::vector<Value> xs, ys;
+      for (size_t i = 0; i < n; ++i) {
+        const uint64_t a = rng.NextBounded(distinct);
+        // Strings on x, integers on y correlated with x.
+        xs.push_back(Value("v" + std::to_string(a)));
+        ys.push_back(Value(static_cast<int64_t>(
+            (a + rng.NextBounded(2)) % static_cast<uint64_t>(distinct))));
+      }
+      const MapReference ref = ReferenceDiscreteMI(xs, ys, 1.0);
+      const std::string where =
+          "n=" + std::to_string(n) + " distinct=" + std::to_string(distinct);
+      EXPECT_NEAR(*MutualInformationMLE(xs, ys), ref.mle, 1e-12) << where;
+      EXPECT_NEAR(*MutualInformationMillerMadow(xs, ys), ref.miller_madow,
+                  1e-12)
+          << where;
+      EXPECT_NEAR(*MutualInformationLaplace(xs, ys, 1.0), ref.laplace, 1e-12)
+          << where;
+    }
+  }
 }
 
 }  // namespace

@@ -20,6 +20,12 @@
 namespace joinmi {
 namespace {
 
+std::vector<Value> ToValues(const std::vector<int>& xs) {
+  std::vector<Value> out;
+  for (int x : xs) out.emplace_back(int64_t{x});
+  return out;
+}
+
 // -------------------------------------------------------------- Histogram --
 
 TEST(HistogramTest, ValueCoderDenseFirstAppearance) {
@@ -42,12 +48,39 @@ TEST(HistogramTest, BuildHistogramCounts) {
 }
 
 TEST(HistogramTest, JointHistogram) {
-  auto joint = BuildJointHistogram({0, 0, 1}, {0, 0, 1});
-  ASSERT_TRUE(joint.ok());
-  EXPECT_EQ(joint->total, 3u);
-  EXPECT_EQ(joint->num_cells(), 2u);
-  EXPECT_EQ(joint->counts.at(PackCodes(0, 0)), 2u);
-  EXPECT_FALSE(BuildJointHistogram({0}, {0, 1}).ok());
+  // The plug-in estimators' joint table: a KeyCoder over packed code pairs.
+  KeyCoder x_coder, y_coder, joint;
+  x_coder.Reset(3);
+  y_coder.Reset(3);
+  joint.Reset(3);
+  const std::vector<uint64_t> xs = {0, 0, 1};
+  const std::vector<uint64_t> ys = {0, 0, 1};
+  for (size_t i = 0; i < xs.size(); ++i) {
+    const uint64_t cx = x_coder.Add(xs[i]);
+    joint.Add((cx << 32) | y_coder.Add(ys[i]));
+  }
+  ASSERT_EQ(joint.size(), 2u);
+  EXPECT_EQ(joint.counts()[0], 2u);
+  EXPECT_EQ(joint.counts()[1], 1u);
+  EXPECT_FALSE(MutualInformationMLE(ToValues({0}), ToValues({0, 1})).ok());
+}
+
+TEST(HistogramTest, KeyCoderGrowsPastItsInitialTable) {
+  // Far more distinct keys than the table starts with: codes stay in
+  // first-appearance order and counts survive every rehash.
+  const size_t distinct = 3 * KeyCoder::kMaxInitialKeys + 7;
+  KeyCoder coder;
+  coder.Reset(2);
+  for (int round = 0; round < 2; ++round) {
+    for (size_t i = 0; i < distinct; ++i) {
+      EXPECT_EQ(coder.Add(i * 0x9E3779B97F4A7C15ULL + 1), i);
+    }
+  }
+  ASSERT_EQ(coder.size(), distinct);
+  for (size_t c = 0; c < distinct; ++c) EXPECT_EQ(coder.counts()[c], 2u);
+  coder.Reset(4);
+  EXPECT_EQ(coder.Add(42), 0u);
+  EXPECT_EQ(coder.size(), 1u);
 }
 
 // ---------------------------------------------------------------- Entropy --
@@ -89,9 +122,24 @@ TEST(EntropyTest, LaplaceSmoothingShrinksTowardUniform) {
 }
 
 TEST(EntropyTest, JointEntropyMLEIndependentFactorization) {
-  // Independent uniform bits: H(X, Y) = ln 4.
-  auto joint = *BuildJointHistogram({0, 0, 1, 1}, {0, 1, 0, 1});
-  EXPECT_NEAR(JointEntropyMLE(joint), std::log(4.0), 1e-12);
+  // Independent uniform bits: H(X, Y) = ln 4 = H(X) + H(Y).
+  const std::vector<uint64_t> xs = {0, 0, 1, 1};
+  const std::vector<uint64_t> ys = {0, 1, 0, 1};
+  KeyCoder joint;
+  joint.Reset(xs.size());
+  for (size_t i = 0; i < xs.size(); ++i) joint.Add((xs[i] << 32) | ys[i]);
+  Histogram cells;
+  cells.counts.assign(joint.counts(), joint.counts() + joint.size());
+  cells.total = xs.size();
+  EXPECT_NEAR(EntropyMLE(cells), std::log(4.0), 1e-12);
+  const std::vector<Value> x_values = ToValues({0, 0, 1, 1});
+  const std::vector<Value> y_values = ToValues({0, 1, 0, 1});
+  EXPECT_NEAR(*MutualInformationMLE(x_values, y_values), 0.0, 1e-12);
+  // Miller-Madow: ln 2 + 1/8 twice minus (ln 4 + 3/8) is -1/8, clamped.
+  EXPECT_EQ(*MutualInformationMillerMadow(x_values, y_values), 0.0);
+  // Y = X: each term keeps its own (m - 1) / 2N, leaving ln 2 + 1/8.
+  EXPECT_NEAR(*MutualInformationMillerMadow(x_values, x_values),
+              std::log(2.0) + 1.0 / 8.0, 1e-12);
 }
 
 TEST(EntropyTest, KnnEntropyGaussianCloseToAnalytic) {
@@ -215,12 +263,6 @@ TEST(KdTree2DTest, CoincidentPoints) {
 }
 
 // ------------------------------------------------------------------- MLE --
-
-std::vector<Value> ToValues(const std::vector<int>& xs) {
-  std::vector<Value> out;
-  for (int x : xs) out.emplace_back(int64_t{x});
-  return out;
-}
 
 TEST(MleMITest, IdenticalVariablesGiveEntropy) {
   // I(X, X) = H(X). Uniform over 4 symbols repeated many times so the MLE

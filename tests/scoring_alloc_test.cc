@@ -1,0 +1,187 @@
+// Allocation regression tests for MI scoring. Once a thread is warm,
+// SketchIndex::EvaluateAll must make the same number of heap allocations
+// whether 8 or 32 candidates reach an estimator — the merge, the typed
+// gather and every estimator run in reused thread-local scratch, so only
+// the per-query outcome vectors allocate. And an estimate on a sample too
+// large for that scratch (a materialized join) must leave no heap behind.
+//
+// Every heap allocation in this binary bumps one counter and the live-byte
+// total (a replaced global operator new), which catches allocations hidden
+// inside containers that counting at call sites would miss.
+
+#include <gtest/gtest.h>
+#include <malloc.h>
+
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <memory>
+#include <new>
+#include <string>
+#include <vector>
+
+#include "src/common/random.h"
+#include "src/discovery/sketch_index.h"
+#include "src/mi/estimator.h"
+#include "src/mi/estimator_internal.h"
+#include "src/table/table.h"
+
+namespace {
+
+std::atomic<uint64_t> g_heap_allocs{0};
+std::atomic<int64_t> g_live_bytes{0};
+
+void* CountedAlloc(std::size_t size) {
+  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size ? size : 1)) {
+    g_live_bytes.fetch_add(static_cast<int64_t>(malloc_usable_size(p)),
+                           std::memory_order_relaxed);
+    return p;
+  }
+  throw std::bad_alloc();
+}
+
+void CountedFree(void* p) {
+  if (p == nullptr) return;
+  g_live_bytes.fetch_sub(static_cast<int64_t>(malloc_usable_size(p)),
+                         std::memory_order_relaxed);
+  std::free(p);
+}
+
+}  // namespace
+
+void* operator new(std::size_t size) { return CountedAlloc(size); }
+void* operator new[](std::size_t size) { return CountedAlloc(size); }
+void operator delete(void* p) noexcept { CountedFree(p); }
+void operator delete(void* p, std::size_t) noexcept { CountedFree(p); }
+void operator delete[](void* p) noexcept { CountedFree(p); }
+void operator delete[](void* p, std::size_t) noexcept { CountedFree(p); }
+
+namespace joinmi {
+namespace {
+
+using internal::kBruteForceMaxPoints;
+
+constexpr size_t kKeys = 400;
+
+std::string Key(size_t i) { return "key-" + std::to_string(i); }
+
+// A query table over every key, its target numeric or categorical.
+JoinMIQuery MakeQuery(bool numeric_target, const JoinMIConfig& config) {
+  std::vector<std::string> keys;
+  std::vector<int64_t> numbers;
+  std::vector<std::string> labels;
+  for (size_t row = 0; row < 4 * kKeys; ++row) {
+    const size_t k = (row * 7919) % kKeys;
+    keys.push_back(Key(k));
+    numbers.push_back(static_cast<int64_t>(k % 13 + row % 3));
+    labels.push_back("y" + std::to_string(k % 5));
+  }
+  auto table = *Table::FromColumns(
+      {{"K", Column::MakeString(keys)},
+       {"Y", numeric_target ? Column::MakeInt64(numbers)
+                            : Column::MakeString(labels)}});
+  return *JoinMIQuery::Create(*table, "K", "Y", config);
+}
+
+// Candidate c covers a prefix of the key domain whose length varies with
+// c, so joins land both below and above kBruteForceMaxPoints; even
+// candidates carry numbers, odd ones labels, so with either query target
+// two estimators run (MixedKSG and DC-KSG, or DC-KSG and MLE).
+SketchIndex MakeIndex(size_t num_candidates, const JoinMIConfig& config) {
+  SketchIndex index(config);
+  for (size_t c = 0; c < num_candidates; ++c) {
+    const size_t covered = 40 + (c * 37) % (kKeys - 40);
+    std::vector<std::string> keys;
+    std::vector<double> numbers;
+    std::vector<std::string> labels;
+    for (size_t k = 0; k < covered; ++k) {
+      keys.push_back(Key(k));
+      numbers.push_back(static_cast<double>((k * (c + 3)) % 17) + 0.5 * c);
+      labels.push_back("z" + std::to_string((k + c) % 6));
+    }
+    const std::string name = "t" + std::to_string(c);
+    auto table = *Table::FromColumns(
+        {{"K", Column::MakeString(keys)},
+         {"Z", c % 2 == 0 ? Column::MakeDouble(numbers)
+                          : Column::MakeString(labels)}});
+    EXPECT_TRUE(
+        index.AddCandidate(*table, ColumnPairRef{name, "K", "Z"}).ok());
+  }
+  return index;
+}
+
+uint64_t AllocationsOf(const SketchIndex& index, const JoinMIQuery& query) {
+  const uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
+  auto evaluation = index.EvaluateAll(query, 1);
+  const uint64_t after = g_heap_allocs.load(std::memory_order_relaxed);
+  EXPECT_TRUE(evaluation.ok()) << evaluation.status();
+  // Every candidate joined and reached an estimator.
+  EXPECT_EQ(evaluation->num_evaluated, index.size());
+  return after - before;
+}
+
+TEST(ScoringAllocationTest, EvaluateAllAllocationsDoNotGrowWithCandidates) {
+  JoinMIConfig config;
+  config.aggregation = AggKind::kFirst;  // label candidates cannot average
+  config.min_join_size = 8;
+  const SketchIndex small = MakeIndex(8, config);
+  const SketchIndex large = MakeIndex(32, config);
+  for (bool numeric_target : {true, false}) {
+    const JoinMIQuery query = MakeQuery(numeric_target, config);
+    // The samples straddle the brute-force cutoff, so both neighbour
+    // searches are on the path being counted.
+    auto check = large.EvaluateAll(query, 1);
+    ASSERT_TRUE(check.ok()) << check.status();
+    bool below = false, above = false;
+    for (const auto& estimate : check->estimates) {
+      ASSERT_TRUE(estimate.has_value());
+      below = below || estimate->sample_size <= kBruteForceMaxPoints;
+      above = above || estimate->sample_size > kBruteForceMaxPoints;
+    }
+    EXPECT_TRUE(below && above);
+
+    // Warm-up: thread-local scratch grows to the largest sample once.
+    AllocationsOf(large, query);
+    AllocationsOf(small, query);
+    const uint64_t small_allocs = AllocationsOf(small, query);
+    const uint64_t large_allocs = AllocationsOf(large, query);
+    EXPECT_EQ(small_allocs, large_allocs)
+        << (numeric_target ? "numeric" : "categorical") << " target";
+  }
+}
+
+// n paired observations: x numeric with repeats, y its noisy copy, and
+// the same sample with x as labels (for DC-KSG and the plug-in family).
+PairedSample MakeSample(size_t n, bool label_x) {
+  Rng rng(7);
+  PairedSample sample;
+  for (size_t i = 0; i < n; ++i) {
+    const int64_t x = static_cast<int64_t>(rng.NextBounded(50));
+    sample.x.push_back(label_x ? Value("x" + std::to_string(x)) : Value(x));
+    sample.y.push_back(Value(static_cast<double>(x) + rng.Gaussian()));
+  }
+  return sample;
+}
+
+TEST(ScoringAllocationTest, LargeSampleLeavesNoScratchBehind) {
+  const size_t large_n = 4 * internal::kMaxRetainedScratchPoints;
+  for (MIEstimatorKind kind :
+       {MIEstimatorKind::kMLE, MIEstimatorKind::kMillerMadow,
+        MIEstimatorKind::kLaplace, MIEstimatorKind::kKSG,
+        MIEstimatorKind::kMixedKSG, MIEstimatorKind::kDCKSG}) {
+    const bool label_x = kind == MIEstimatorKind::kDCKSG;
+    const PairedSample small = MakeSample(200, label_x);
+    const PairedSample large = MakeSample(large_n, label_x);
+    // Warm-up: the thread keeps scratch for small samples only.
+    ASSERT_TRUE(EstimateMI(kind, small).ok());
+    const int64_t before = g_live_bytes.load(std::memory_order_relaxed);
+    auto estimate = EstimateMI(kind, large);
+    const int64_t after = g_live_bytes.load(std::memory_order_relaxed);
+    ASSERT_TRUE(estimate.ok()) << estimate.status();
+    EXPECT_EQ(after, before) << MIEstimatorKindToString(kind);
+  }
+}
+
+}  // namespace
+}  // namespace joinmi

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -339,6 +340,23 @@ TEST(SketchIndexPersistenceTest, TruncationErrorsSayWhereAndHowMuch) {
                 "promises 3 candidates but only 0 bytes"),
             std::string::npos)
       << header_only.status();
+
+  // A count whose byte minimum (count * 16) wraps u64 is reported as the
+  // count itself, never as the wrapped product.
+  std::string huge = data.substr(0, header_size) + std::string(20, '\0');
+  const uint64_t huge_count = (uint64_t{1} << 60) + 1;
+  std::memcpy(&huge[header_size - sizeof(huge_count)], &huge_count,
+              sizeof(huge_count));
+  auto wrapped = DeserializeIndex(huge);
+  ASSERT_FALSE(wrapped.ok());
+  EXPECT_NE(wrapped.status().message().find(
+                "promises " + std::to_string(huge_count) +
+                " candidates but only 20 bytes"),
+            std::string::npos)
+      << wrapped.status();
+  EXPECT_EQ(wrapped.status().message().find("at least 16 required"),
+            std::string::npos)
+      << wrapped.status();
 
   // Mid-candidate: the file ends one byte inside the last candidate.
   auto mid = DeserializeIndex(data.substr(0, data.size() - 1));

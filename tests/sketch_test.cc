@@ -666,15 +666,15 @@ INSTANTIATE_TEST_SUITE_P(
 // ------------------------------------------------- Merge-scoring kernel ---
 
 // Scores `candidate` through the merge kernel the way every discovery path
-// does: train runs built once, candidate keys checked and gathered.
+// does: train runs built once, candidate columns checked and gathered.
 MergeJoinScore ScoreThroughKernel(
     const Sketch& train, const Sketch& candidate,
     const std::optional<MIEstimatorKind>& estimator, size_t min_join_size) {
   auto runs = TrainKeyRuns::Build(train);
   EXPECT_TRUE(runs.ok()) << runs.status();
-  std::vector<uint64_t> keys;
-  EXPECT_TRUE(AppendCandidateKeys(candidate, &keys).ok());
-  return ScoreMergeJoin(train, *runs, candidate, keys.data(), estimator, {},
+  auto columns = ScratchCandidateColumns(candidate);
+  EXPECT_TRUE(columns.ok()) << columns.status();
+  return ScoreMergeJoin(train, *runs, candidate, *columns, estimator, {},
                         min_join_size);
 }
 
@@ -722,6 +722,61 @@ TEST(MergeKernelTest, MatchesJoinSketchesForEveryMethod) {
           << SketchMethodToString(method);
       EXPECT_EQ((*fast.scored)->join_size, reference->join_size);
       EXPECT_EQ((*fast.scored)->estimator, reference->estimator);
+    }
+  }
+}
+
+TEST(MergeKernelTest, MixedTypeSketchesChooseFromTheMatchedValues) {
+  // A sketch whose values mix types (or hold nulls) gives no type for its
+  // subsets, so the kernel infers the sample's types from the values that
+  // actually matched — the same estimator, estimate and error status as
+  // the Value reference, whichever entries the train side hits.
+  Sketch cand;
+  cand.side = SketchSide::kCandidate;
+  for (uint64_t key = 1; key <= 40; ++key) {
+    Value value = key % 10 == 0   ? Value("label" + std::to_string(key % 3))
+                  : key == 33     ? Value()
+                                  : Value(static_cast<double>(key % 7));
+    cand.entries.push_back(SketchEntry{key, 0.1, value});
+  }
+  auto make_train = [](uint64_t first, uint64_t last, bool mixed) {
+    Sketch train;
+    train.side = SketchSide::kTrain;
+    for (uint64_t key = first; key <= last; ++key) {
+      for (int copy = 0; copy < 2; ++copy) {
+        Value value = mixed && key % 4 == 0
+                          ? Value("y" + std::to_string(copy))
+                          : Value(static_cast<int64_t>(key % 5 + copy));
+        train.entries.push_back(SketchEntry{key, 0.1 * copy, value});
+      }
+    }
+    return train;
+  };
+  // Numeric matches only, a string among the matches, a null among them;
+  // each with a numeric and a mixed train side.
+  for (const auto& [first, last] : {std::pair<uint64_t, uint64_t>{1, 9},
+                                    {11, 19},
+                                    {1, 29},
+                                    {31, 39}}) {
+    for (bool mixed_train : {false, true}) {
+      const Sketch train = make_train(first, last, mixed_train);
+      auto joined = *JoinSketches(train, cand);
+      auto reference = ScoreSketchJoinSample(joined.sample, joined.join_size,
+                                             std::nullopt, {}, 1);
+      MergeJoinScore fast = ScoreThroughKernel(train, cand, std::nullopt, 1);
+      const std::string where = std::to_string(first) + ".." +
+                                std::to_string(last) +
+                                (mixed_train ? " mixed train" : "");
+      ASSERT_TRUE(fast.scored.has_value()) << where;
+      ASSERT_EQ(fast.scored->ok(), reference.ok()) << where;
+      if (!reference.ok()) {
+        EXPECT_EQ(fast.scored->status().ToString(),
+                  reference.status().ToString())
+            << where;
+        continue;
+      }
+      EXPECT_EQ((*fast.scored)->estimator, reference->estimator) << where;
+      EXPECT_EQ((*fast.scored)->mi, reference->mi) << where;
     }
   }
 }

@@ -2,21 +2,25 @@
 // round-trips and corruption detection, and the pool's hard invariants —
 // budget never exceeded, pinned pages never evicted, one fetch per
 // residency, fetch failures leaving no residue — including under
-// concurrent hammering (run under TSan to certify the locking).
+// concurrent hammering (run under TSan to certify the locking). Also the
+// JMPS header's layout checks against counts whose products wrap u64.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <filesystem>
 #include <map>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "src/sketch/serialize.h"
 #include "src/storage/buffer_pool.h"
 #include "src/storage/page.h"
+#include "src/storage/paged_shard_file.h"
 
 namespace joinmi {
 namespace storage {
@@ -287,6 +291,63 @@ TEST(BufferPoolTest, BlocksWhenAllPinnedThenRecovers) {
   ref_a = BufferPool::PageRef();  // free one frame
   waiter.join();
   EXPECT_TRUE(acquired.load());
+}
+
+// ------------------------------------------------------- JMPS header sizes
+
+// Header field offsets (paged_shard_file.h layout).
+constexpr size_t kPageCountOffset = 12;
+constexpr size_t kRecordCountOffset = 20;
+
+// A valid one-record JMPS image with 64-byte pages whose u64 header field
+// at `offset` is overwritten with `value`, header checksum recomputed — a
+// file that is corrupt only in that one count.
+std::string WithHeaderField(size_t offset, uint64_t value) {
+  auto bytes = BuildPagedShardBytes(JoinMIConfig(), {std::string(100, 'r')},
+                                    kMinPageSize);
+  EXPECT_TRUE(bytes.ok()) << bytes.status();
+  std::string out = *bytes;
+  std::memcpy(&out[offset], &value, sizeof(value));
+  const uint64_t checksum = wire::Checksum64(
+      out.substr(0, kPagedShardHeaderSize - sizeof(uint64_t)));
+  std::memcpy(&out[kPagedShardHeaderSize - sizeof(uint64_t)], &checksum,
+              sizeof(checksum));
+  return out;
+}
+
+// Open and Verify both return IOError for the file — no exception, no
+// allocation sized by the crafted count.
+void ExpectBothRejectWithIOError(const std::string& bytes,
+                                 const std::string& name) {
+  const std::string path = testing::TempDir() + "/joinmi_storage_" + name;
+  ASSERT_TRUE(wire::WriteFileBytes(bytes, path).ok());
+  auto opened = PagedShardFile::Open(path, 2);
+  EXPECT_TRUE(opened.status().IsIOError()) << opened.status();
+  uint64_t bad_page = 0;
+  const Status verified = VerifyPagedShardFile(path, &bad_page);
+  EXPECT_TRUE(verified.IsIOError()) << verified;
+  std::filesystem::remove(path);
+}
+
+TEST(PagedShardHeaderTest, RecordCountWhoseDirectorySizeWrapsIsRejected) {
+  // (2^60 + 1) * 16 wraps to 16, the one-record directory's real size.
+  ExpectBothRejectWithIOError(
+      WithHeaderField(kRecordCountOffset, (uint64_t{1} << 60) + 1),
+      "record_count.jmps");
+}
+
+TEST(PagedShardHeaderTest, PageCountWhosePagesSizeWrapsIsRejected) {
+  // 2^58 more pages of 64 bytes add exactly 2^64, so the product still
+  // lands on the real directory offset.
+  auto bytes = BuildPagedShardBytes(JoinMIConfig(), {std::string(100, 'r')},
+                                    kMinPageSize);
+  ASSERT_TRUE(bytes.ok());
+  uint64_t page_count = 0;
+  std::memcpy(&page_count, bytes->data() + kPageCountOffset,
+              sizeof(page_count));
+  ExpectBothRejectWithIOError(
+      WithHeaderField(kPageCountOffset, page_count + (uint64_t{1} << 58)),
+      "page_count.jmps");
 }
 
 }  // namespace
