@@ -1183,7 +1183,8 @@ void RunFrontTier(const BenchParams& params, bool smoke, Rng* rng) {
 //
 // Both are cross-checked bit-identical before any timing, every query. Timed single-threaded: this measures the probe path itself, not
 // the thread pool (the CI container has 1 CPU anyway).
-void RunFlatHotPath(const BenchParams& params, bool smoke, Rng* rng) {
+void RunFlatHotPath(const BenchParams& params, size_t threads, bool smoke,
+                    Rng* rng) {
   JoinMIConfig config = MakeJoinConfig(params);
   config.estimator = MIEstimatorKind::kMLE;
   const size_t num_candidates = smoke ? 24 : 200;
@@ -1343,6 +1344,32 @@ void RunFlatHotPath(const BenchParams& params, bool smoke, Rng* rng) {
     std::abort();
   }
 
+  // The same evaluation at the bench's thread count, once the shared
+  // pool's workers are warm: a fan-out that allocated per strip or spawned
+  // threads per call would show here, scaled by the strip count.
+  for (int round = 0; round < 8; ++round) {
+    for (const JoinMIQuery& query : queries) {
+      index.EvaluateAll(query, threads).status().Abort("part 9 xT warm-up");
+    }
+  }
+  const uint64_t xt_allocs_before =
+      g_heap_allocs.load(std::memory_order_relaxed);
+  size_t xt_evaluated = 0;
+  for (const JoinMIQuery& query : queries) {
+    auto evaluation = index.EvaluateAll(query, threads);
+    evaluation.status().Abort("part 9 xT evaluation");
+    xt_evaluated += evaluation->num_evaluated;
+  }
+  const double xt_allocs_per_query =
+      static_cast<double>(g_heap_allocs.load(std::memory_order_relaxed) -
+                          xt_allocs_before) /
+      static_cast<double>(num_queries);
+  if (xt_evaluated != batched_evaluated) {
+    std::fprintf(stderr, "FATAL: part 9 x%zu evaluated counts disagree\n",
+                 threads);
+    std::abort();
+  }
+
   // Steady-state probe-phase allocations, isolated from scoring: a query
   // whose key domain overlaps no candidate exercises the full probe sweep
   // (every candidate walked, every key looked up) while every candidate
@@ -1415,6 +1442,8 @@ void RunFlatHotPath(const BenchParams& params, bool smoke, Rng* rng) {
               "%.0f allocs/query = %.2f/candidate)  %.2fx vs legacy\n",
               batched_ms, batched_ms / num_queries, batched_apq,
               allocs_per_candidate, batched_speedup);
+  std::printf("batched at x%-2zu (warm shared pool) : %.1f allocs/query\n",
+              threads, xt_allocs_per_query);
   std::printf("probe phase only (no-join query) : %.1f allocs/query across "
               "%zu candidates\n",
               probe_allocs_per_query, index.size());
@@ -1435,6 +1464,7 @@ void RunFlatHotPath(const BenchParams& params, bool smoke, Rng* rng) {
   RecordMetric("part9_legacy_allocs_per_query", legacy_apq);
   RecordMetric("part9_batched_allocs_per_query", batched_apq);
   RecordMetric("part9_allocs_per_candidate", allocs_per_candidate);
+  RecordMetric("part9_allocs_per_query_xT", xt_allocs_per_query);
   RecordMetric("part9_probe_allocs_per_query", probe_allocs_per_query);
   RecordMetric("part9_index_bytes_per_candidate", index_bytes_per_candidate);
 
@@ -1689,7 +1719,7 @@ int Run(size_t threads, bool smoke) {
   RunBatchedPipelinedServing(params, repository, smoke, &rng);
   RunPagedStorage(params, repository, threads, smoke, &rng);
   RunFrontTier(params, smoke, &rng);
-  RunFlatHotPath(params, smoke, &rng);
+  RunFlatHotPath(params, threads, smoke, &rng);
   RunOnlineIngest(params, repository, threads, smoke, &rng);
   return 0;
 }

@@ -1,15 +1,25 @@
-// Fixed-size thread pool with future-returning task submission. The pool is
-// deliberately minimal — a locked deque feeding N workers — because the
-// discovery workloads built on top of it are coarse-grained (one task per
-// strip of 8 candidates, kCandidateStrip in discovery/topk_merge.h), so
-// queue contention is negligible next to the scoring work each task
-// performs.
+// Thread pools. Two shapes, for two kinds of work:
+//
+//  - ParallelFor / WorkSharingPool: the query path's fan-out (candidate
+//    strips, shards, repository pairs). One process-wide pool, created on
+//    first use and never destroyed, runs every fan-out. The calling thread
+//    claims indices itself and up to `max_threads - 1` pool workers help
+//    it, all drawing from one atomic counter, so a worker that finishes
+//    one shard's strips early moves on to another's. Because the caller
+//    never waits for a worker to *start*, calls may nest (a shard's strips
+//    fan out from inside a worker running the shard) without deadlock, and
+//    the workers keep their thread-local scratch warm across queries. A
+//    call allocates nothing: its job lives on the caller's stack.
+//  - ThreadPool: a locked task queue with futures, for long-lived
+//    independent tasks (a server's request workers).
 
 #ifndef JOINMI_COMMON_THREAD_POOL_H_
 #define JOINMI_COMMON_THREAD_POOL_H_
 
+#include <atomic>
 #include <condition_variable>
 #include <deque>
+#include <exception>
 #include <functional>
 #include <future>
 #include <memory>
@@ -27,10 +37,9 @@ namespace joinmi {
 /// queued and running tasks to finish before joining the workers.
 class ThreadPool {
  public:
-  /// \brief Starts `num_threads` workers; 0 means hardware concurrency
-  /// (itself clamped to at least one). Requests are capped at
-  /// `kMaxThreads` so a miscomputed count degrades instead of exhausting
-  /// the process thread limit.
+  /// \brief Starts `num_threads` workers; 0 means DefaultThreadCount().
+  /// Requests are capped at `kMaxThreads` so a miscomputed count degrades
+  /// instead of exhausting the process thread limit.
   explicit ThreadPool(size_t num_threads = 0);
 
   /// Upper bound on workers per pool.
@@ -66,7 +75,8 @@ class ThreadPool {
   /// \brief Blocks until every queued and running task has completed.
   void Wait();
 
-  /// \brief Hardware concurrency, never zero.
+  /// \brief CPUs this process may run on (its affinity mask, so a
+  /// taskset- or cpuset-limited process counts only its own), never zero.
   static size_t DefaultThreadCount();
 
  private:
@@ -80,6 +90,90 @@ class ThreadPool {
   size_t active_ = 0;   // tasks currently executing
   bool stopping_ = false;
 };
+
+/// \brief Workers that help callers run `fn(0..n-1)`; see the file
+/// comment. There is no global Wait(): each ParallelFor call waits for
+/// exactly its own indices.
+class WorkSharingPool {
+ public:
+  /// \brief Starts `num_threads` workers (0 = DefaultThreadCount(), capped
+  /// at ThreadPool::kMaxThreads).
+  explicit WorkSharingPool(size_t num_threads);
+
+  WorkSharingPool(const WorkSharingPool&) = delete;
+  WorkSharingPool& operator=(const WorkSharingPool&) = delete;
+
+  /// \brief Joins the workers; no ParallelFor call may be in flight.
+  ~WorkSharingPool();
+
+  size_t num_threads() const { return workers_.size(); }
+
+  /// \brief Runs `fn(i)` exactly once for every i in [0, n), on the
+  /// calling thread plus up to `max_threads - 1` workers (0 =
+  /// DefaultThreadCount()), and returns when all have run. Index order
+  /// across threads is unspecified. If `fn` throws, no further indices
+  /// start, and the first exception is rethrown here once every helper
+  /// has left.
+  template <typename Fn>
+  void ParallelFor(size_t n, size_t max_threads, Fn&& fn) {
+    const size_t helpers = HelpersFor(n, max_threads);
+    if (helpers == 0) {
+      for (size_t i = 0; i < n; ++i) fn(i);
+      return;
+    }
+    using F = std::remove_reference_t<Fn>;
+    Job job(n, helpers,
+            [](void* ctx, size_t i) { (*static_cast<F*>(ctx))(i); },
+            const_cast<void*>(static_cast<const void*>(std::addressof(fn))));
+    Run(&job);
+  }
+
+  /// \brief The process-wide pool: DefaultThreadCount() workers, created
+  /// on first use and never destroyed.
+  static WorkSharingPool& Shared();
+
+ private:
+  // One ParallelFor call, on the caller's stack. Workers find it through
+  // the intrusive list `jobs_`; the caller unlinks it before waiting, so
+  // no worker can reach it after Run returns.
+  struct Job {
+    Job(size_t n_in, size_t helpers_in, void (*invoke_in)(void*, size_t),
+        void* ctx_in)
+        : n(n_in), helpers_wanted(helpers_in), invoke(invoke_in),
+          ctx(ctx_in) {}
+
+    const size_t n;
+    const size_t helpers_wanted;
+    void (*const invoke)(void* ctx, size_t i);
+    void* const ctx;
+    std::atomic<size_t> next_index{0};
+    // Guarded by the pool mutex.
+    size_t helpers_joined = 0;
+    size_t helpers_active = 0;
+    std::exception_ptr error;
+    Job* next_job = nullptr;
+    std::condition_variable helpers_left;
+  };
+
+  size_t HelpersFor(size_t n, size_t max_threads) const;
+  void Run(Job* job);
+  // Claims and runs indices until none are left.
+  void Drain(Job* job);
+  void WorkerLoop();
+
+  std::mutex mutex_;
+  std::condition_variable wake_;
+  Job* jobs_ = nullptr;  // jobs still accepting helpers, newest first
+  bool stopping_ = false;
+  std::vector<std::thread> workers_;  // last: the workers use the above
+};
+
+/// \brief WorkSharingPool::Shared().ParallelFor(n, max_threads, fn): the
+/// one fan-out every query path uses.
+template <typename Fn>
+void ParallelFor(size_t n, size_t max_threads, Fn&& fn) {
+  WorkSharingPool::Shared().ParallelFor(n, max_threads, std::forward<Fn>(fn));
+}
 
 }  // namespace joinmi
 

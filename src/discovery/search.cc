@@ -73,22 +73,9 @@ Result<TopKSearchResult> TopKJoinMISearch(const Table& base_table,
   const std::vector<ColumnPairRef> pairs = repository.ExtractColumnPairs();
   std::vector<CandidateOutcome> outcomes(pairs.size());
 
-  const size_t num_threads = config.num_threads == 0
-                                 ? ThreadPool::DefaultThreadCount()
-                                 : config.num_threads;
-  if (num_threads <= 1 || pairs.size() <= 1) {
-    for (size_t i = 0; i < pairs.size(); ++i) {
-      EvaluateCandidate(query, repository, pairs[i], &outcomes[i]);
-    }
-  } else {
-    ThreadPool pool(num_threads);
-    for (size_t i = 0; i < pairs.size(); ++i) {
-      pool.Submit([&query, &repository, &pairs, &outcomes, i] {
-        EvaluateCandidate(query, repository, pairs[i], &outcomes[i]);
-      });
-    }
-    pool.Wait();
-  }
+  ParallelFor(pairs.size(), config.num_threads, [&](size_t i) {
+    EvaluateCandidate(query, repository, pairs[i], &outcomes[i]);
+  });
 
   TopKSearchResult result;
   result.num_candidates = pairs.size();

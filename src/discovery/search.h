@@ -32,8 +32,8 @@ namespace joinmi {
 
 /// \brief Execution knobs for the repository-scan TopKJoinMISearch.
 struct SearchConfig {
-  /// Worker threads; 0 means hardware concurrency, 1 runs inline without a
-  /// pool. Rankings do not depend on this value.
+  /// Threads per call (the caller plus shared-pool workers); 0 means
+  /// DefaultThreadCount(), 1 runs inline. Rankings do not depend on it.
   size_t num_threads = 0;
   /// Per-query sketching/estimation configuration.
   JoinMIConfig join_config;

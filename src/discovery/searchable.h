@@ -95,7 +95,7 @@ class Searchable {
 
   /// \brief Ranks the target's candidates against `query` and returns the
   /// top k by (MI desc, enumeration order asc). `num_threads` 0 means
-  /// hardware concurrency; rankings never depend on it. `mode` matters
+  /// DefaultThreadCount(); rankings never depend on it. `mode` matters
   /// only for sharded targets (unsharded ones have no shard to lose).
   virtual Result<TopKSearchResult> SearchQuery(
       const JoinMIQuery& query, size_t k, size_t num_threads,

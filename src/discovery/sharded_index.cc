@@ -261,33 +261,16 @@ Result<ShardSearchResult> ShardedSketchIndex::Search(
   const size_t num_shards = clients_.size();
   std::vector<ShardSearchResult> per_shard(num_shards);
   std::vector<Status> statuses(num_shards, Status::OK());
-  auto run_shard = [this, &query, k, &per_shard, &statuses](
-                       size_t s, size_t shard_threads) {
-    auto result = clients_[s]->Search(query, k, shard_threads);
+  // Every shard gets the whole thread budget: its strips fan out on the
+  // same shared pool, so workers idle after a small shard help a large one.
+  ParallelFor(num_shards, num_threads, [&](size_t s) {
+    auto result = clients_[s]->Search(query, k, num_threads);
     if (result.ok()) {
       per_shard[s] = std::move(*result);
     } else {
       statuses[s] = result.status();
     }
-  };
-  const size_t threads = num_threads == 0 ? ThreadPool::DefaultThreadCount()
-                                          : num_threads;
-  if (threads <= 1 || num_shards <= 1) {
-    for (size_t s = 0; s < num_shards; ++s) run_shard(s, threads);
-  } else {
-    // One task per shard, with the thread budget divided among the shard
-    // evaluations (each gets >= 1) so total concurrency stays ~threads
-    // whether the index has 2 shards or 200 — never fewer workers than the
-    // unsharded path would use, never oversubscribed by nesting.
-    const size_t per_shard_threads = std::max<size_t>(1, threads / num_shards);
-    ThreadPool pool(std::min(threads, num_shards));
-    for (size_t s = 0; s < num_shards; ++s) {
-      pool.Submit([&run_shard, s, per_shard_threads] {
-        run_shard(s, per_shard_threads);
-      });
-    }
-    pool.Wait();
-  }
+  });
   ShardSearchResult merged;
   if (mode == ShardQueryMode::kStrict) {
     // First failure in shard order wins, so errors are deterministic too.
@@ -346,9 +329,8 @@ Result<std::vector<ShardSearchResult>> ShardedSketchIndex::SearchVariants(
   const size_t num_shards = clients_.size();
   std::vector<std::vector<ShardSearchResult>> per_shard(num_shards);
   std::vector<Status> statuses(num_shards, Status::OK());
-  auto run_shard = [this, &query, &variants, &per_shard, &statuses](
-                       size_t s, size_t shard_threads) {
-    auto result = clients_[s]->SearchVariants(query, variants, shard_threads);
+  ParallelFor(num_shards, num_threads, [&](size_t s) {
+    auto result = clients_[s]->SearchVariants(query, variants, num_threads);
     if (result.ok() && result->size() != variants.size()) {
       statuses[s] = Status::IOError(
           "shard answered " + std::to_string(result->size()) +
@@ -359,21 +341,7 @@ Result<std::vector<ShardSearchResult>> ShardedSketchIndex::SearchVariants(
     } else {
       statuses[s] = result.status();
     }
-  };
-  const size_t threads = num_threads == 0 ? ThreadPool::DefaultThreadCount()
-                                          : num_threads;
-  if (threads <= 1 || num_shards <= 1) {
-    for (size_t s = 0; s < num_shards; ++s) run_shard(s, threads);
-  } else {
-    const size_t per_shard_threads = std::max<size_t>(1, threads / num_shards);
-    ThreadPool pool(std::min(threads, num_shards));
-    for (size_t s = 0; s < num_shards; ++s) {
-      pool.Submit([&run_shard, s, per_shard_threads] {
-        run_shard(s, per_shard_threads);
-      });
-    }
-    pool.Wait();
-  }
+  });
   // Failure handling mirrors Search: a shard fails or answers the whole
   // batch, so strict mode fails everything on the first bad shard and
   // degraded mode drops that shard from every variant's merge.

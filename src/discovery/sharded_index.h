@@ -97,7 +97,7 @@ class ShardClient {
   virtual size_t num_candidates() const = 0;
 
   /// \brief This shard's top-k for the query, ordered by
-  /// (MI desc, global index asc). `num_threads` 0 = hardware concurrency.
+  /// (MI desc, global index asc). `num_threads` 0 = DefaultThreadCount().
   virtual Result<ShardSearchResult> Search(const JoinMIQuery& query,
                                            size_t k,
                                            size_t num_threads) const = 0;
@@ -203,9 +203,10 @@ class ShardedSketchIndex : public Searchable {
   /// \brief Total candidates across all shards.
   size_t size() const { return static_cast<size_t>(manifest_.total_candidates); }
 
-  /// \brief Fans the query out to every shard (one ThreadPool task per
-  /// shard when `num_threads` > 1) and merges the per-shard top-k lists by
-  /// (MI desc, global index asc). Identical results for any thread count.
+  /// \brief Fans the query out to every shard through ParallelFor (each
+  /// shard's own strips share the same `num_threads` budget and pool) and
+  /// merges the per-shard top-k lists by (MI desc, global index asc).
+  /// Identical results for any thread count.
   /// See ShardQueryMode for how shard failures are handled.
   Result<ShardSearchResult> Search(
       const JoinMIQuery& query, size_t k, size_t num_threads = 0,

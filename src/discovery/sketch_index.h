@@ -91,8 +91,9 @@ class SketchIndex : public Searchable {
   /// returns the number indexed.
   Result<size_t> IndexRepository(const TableRepository& repository);
 
-  /// \brief Evaluates the query against every candidate, fanning out on a
-  /// thread pool (`num_threads` 0 = hardware concurrency, 1 = inline).
+  /// \brief Evaluates the query against every candidate, fanning out
+  /// through ParallelFor (`num_threads` 0 = DefaultThreadCount(), 1 =
+  /// inline).
   /// Outcomes land in enumeration order, so results never depend on the
   /// thread count. Fails fast on a query/index hash-seed mismatch.
   ///

@@ -46,29 +46,22 @@ struct CandidateOutcome {
   }
 };
 
-/// \brief Candidates scored per ThreadPool task. Small enough that a
-/// task's working set (one strip of candidates + the shared train runs)
-/// stays cache-resident; large enough to amortize task dispatch.
+/// \brief Candidates scored per claimed ParallelFor index. Small enough
+/// that a strip's working set (its candidates + the shared train runs)
+/// stays cache-resident; large enough to amortize the claim.
 constexpr size_t kCandidateStrip = 8;
 
 /// \brief Calls `score_strip(begin, end)` over [0, count) in strips of
-/// kCandidateStrip, fanned out on a pool of `num_threads` (0 = hardware
-/// concurrency) or inline when one thread or one strip suffices.
+/// kCandidateStrip through ParallelFor: the caller plus up to
+/// `num_threads - 1` shared-pool workers (0 = DefaultThreadCount()).
 template <typename ScoreStrip>
 void ForEachCandidateStrip(size_t count, size_t num_threads,
                            ScoreStrip&& score_strip) {
-  const size_t threads =
-      num_threads == 0 ? ThreadPool::DefaultThreadCount() : num_threads;
-  if (threads <= 1 || count <= kCandidateStrip) {
-    score_strip(size_t{0}, count);
-    return;
-  }
-  ThreadPool pool(threads);
-  for (size_t begin = 0; begin < count; begin += kCandidateStrip) {
-    const size_t end = std::min(begin + kCandidateStrip, count);
-    pool.Submit([&score_strip, begin, end] { score_strip(begin, end); });
-  }
-  pool.Wait();
+  const size_t strips = (count + kCandidateStrip - 1) / kCandidateStrip;
+  ParallelFor(strips, num_threads, [count, &score_strip](size_t strip) {
+    const size_t begin = strip * kCandidateStrip;
+    score_strip(begin, std::min(begin + kCandidateStrip, count));
+  });
 }
 
 /// \brief True iff (mi_a, key_a) ranks strictly before (mi_b, key_b).

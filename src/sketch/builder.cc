@@ -1,14 +1,12 @@
 #include "src/sketch/builder.h"
 
-#include <unordered_set>
-
 #include "src/sketch/key_hash.h"
 
 namespace joinmi {
 
-Result<Sketch> SketchBuilder::InitSketch(const Column& keys,
-                                         const Column& values,
-                                         SketchSide side) const {
+Result<Sketch> SketchBuilder::NewSketch(const Column& keys,
+                                        const Column& values,
+                                        SketchSide side) const {
   if (keys.size() != values.size()) {
     return Status::InvalidArgument("key/value column length mismatch");
   }
@@ -20,25 +18,44 @@ Result<Sketch> SketchBuilder::InitSketch(const Column& keys,
   sketch.side = side;
   sketch.capacity = options_.capacity;
   sketch.hash_seed = options_.hash_seed;
-  std::unordered_set<uint64_t> distinct;
-  distinct.reserve(keys.size());
+  return sketch;
+}
+
+Result<Sketch> SketchBuilder::InitSketch(const Column& keys,
+                                         const Column& values,
+                                         SketchSide side) const {
+  JOINMI_ASSIGN_OR_RETURN(Sketch sketch, NewSketch(keys, values, side));
+  KeyCoder& distinct = internal::BuildKeyCoder();
+  distinct.Reset(keys.size());
   for (size_t row = 0; row < keys.size(); ++row) {
     if (!keys.IsValid(row) || !values.IsValid(row)) continue;
     ++sketch.source_rows;
-    distinct.insert(HashKey(keys.GetValue(row), options_.hash_seed));
+    distinct.Add(HashKeyAt(keys, row, options_.hash_seed));
   }
   sketch.source_distinct_keys = distinct.size();
+  return sketch;
+}
+
+Result<Sketch> SketchBuilder::AggregateCandidate(
+    const Column& keys, const Column& values, AggKind agg,
+    std::vector<AggregatedKey>* aggregated) const {
+  JOINMI_ASSIGN_OR_RETURN(Sketch sketch,
+                          NewSketch(keys, values, SketchSide::kCandidate));
+  JOINMI_ASSIGN_OR_RETURN(
+      *aggregated, AggregateByKey(keys, values, agg, options_.hash_seed));
+  sketch.source_distinct_keys = aggregated->size();
+  for (const AggregatedKey& entry : *aggregated) {
+    sketch.source_rows += entry.frequency;
+  }
   return sketch;
 }
 
 Result<Sketch> SketchBuilder::SketchCandidate(const Column& keys,
                                               const Column& values,
                                               AggKind agg) const {
+  std::vector<AggregatedKey> aggregated;
   JOINMI_ASSIGN_OR_RETURN(Sketch sketch,
-                          InitSketch(keys, values, SketchSide::kCandidate));
-  JOINMI_ASSIGN_OR_RETURN(
-      auto aggregated,
-      AggregateByKey(keys, values, agg, options_.hash_seed));
+                          AggregateCandidate(keys, values, agg, &aggregated));
   // Aggregation leaves unique keys, so every coordinated method reduces to
   // KMV over the method's key rank (the paper's observation that the
   // candidate-side selection probability is uniform because m_K = N after

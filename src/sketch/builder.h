@@ -10,6 +10,7 @@
 #define JOINMI_SKETCH_BUILDER_H_
 
 #include <memory>
+#include <vector>
 
 #include "src/common/status.h"
 #include "src/sketch/sketch.h"
@@ -50,9 +51,21 @@ class SketchBuilder {
  protected:
   explicit SketchBuilder(SketchOptions options) : options_(options) {}
 
-  /// \brief Validates paired columns and counts usable rows/distinct keys.
+  /// \brief Validates paired columns and returns an empty sketch carrying
+  /// this builder's metadata; the source counts are left at zero.
+  Result<Sketch> NewSketch(const Column& keys, const Column& values,
+                           SketchSide side) const;
+
+  /// \brief NewSketch plus the usable-row and distinct-key counts.
   Result<Sketch> InitSketch(const Column& keys, const Column& values,
                             SketchSide side) const;
+
+  /// \brief NewSketch for the candidate side plus the per-key aggregates
+  /// into `aggregated`; the source counts are read off the aggregates.
+  Result<Sketch> AggregateCandidate(const Column& keys, const Column& values,
+                                    AggKind agg,
+                                    std::vector<AggregatedKey>* aggregated)
+      const;
 
   /// \brief Rank used for candidate-side key selection. Must match the
   /// train side's key rank for sample coordination: h_u(h(k)) for the

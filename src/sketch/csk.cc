@@ -26,7 +26,7 @@ Result<Sketch> FirstValuePerKeyKmv(const SketchBuilder& builder,
   KmvHeap heap(options.capacity);
   for (size_t row = 0; row < keys.size(); ++row) {
     if (!keys.IsValid(row) || !values.IsValid(row)) continue;
-    const uint64_t key_hash = HashKey(keys.GetValue(row), options.hash_seed);
+    const uint64_t key_hash = HashKeyAt(keys, row, options.hash_seed);
     if (!seen.insert(key_hash).second) continue;  // repeated key: keep first
     const double rank = KeyUnitHash(key_hash);
     if (!heap.WouldAdmit(rank)) continue;

@@ -25,7 +25,7 @@ Result<Sketch> ReservoirRows(const SketchBuilder& builder, const Column& keys,
   size_t seen = 0;
   for (size_t row = 0; row < keys.size(); ++row) {
     if (!keys.IsValid(row) || !values.IsValid(row)) continue;
-    const uint64_t key_hash = HashKey(keys.GetValue(row), options.hash_seed);
+    const uint64_t key_hash = HashKeyAt(keys, row, options.hash_seed);
     ++seen;
     if (reservoir.size() < options.capacity) {
       reservoir.push_back(SketchEntry{key_hash, 0.0, values.GetValue(row)});
@@ -57,10 +57,9 @@ Result<Sketch> IndskBuilder::SketchTrain(const Column& keys,
 Result<Sketch> IndskBuilder::SketchCandidate(const Column& keys,
                                              const Column& values,
                                              AggKind agg) const {
+  std::vector<AggregatedKey> aggregated;
   JOINMI_ASSIGN_OR_RETURN(Sketch sketch,
-                          InitSketch(keys, values, SketchSide::kCandidate));
-  JOINMI_ASSIGN_OR_RETURN(
-      auto aggregated, AggregateByKey(keys, values, agg, options_.hash_seed));
+                          AggregateCandidate(keys, values, agg, &aggregated));
   // Uniform reservoir over the aggregated (unique) keys, independent seed.
   Rng rng(options_.sampling_seed ^ 0xC0FFEEULL);
   std::vector<SketchEntry> reservoir;

@@ -4,14 +4,34 @@
 
 namespace joinmi {
 
+namespace {
+
+uint64_t HashStringKey(const std::string& key, uint32_t seed) {
+  const uint32_t h = MurmurHash3_32(key, seed);
+  return Mix64((static_cast<uint64_t>(h) << 32) |
+               (key.size() & 0xFFFFFFFFULL));
+}
+
+}  // namespace
+
 uint64_t HashKey(const Value& key, uint32_t seed) {
-  if (key.is_string()) {
-    const uint32_t h = MurmurHash3_32(key.str(), seed);
-    return Mix64((static_cast<uint64_t>(h) << 32) |
-                 (key.str().size() & 0xFFFFFFFFULL));
-  }
+  if (key.is_string()) return HashStringKey(key.str(), seed);
   // Numeric / null keys: mix the canonical value hash with the seed.
   return Mix64(key.Hash() ^ (static_cast<uint64_t>(seed) * 0x9E3779B9ULL));
+}
+
+uint64_t HashKeyAt(const Column& keys, size_t row, uint32_t seed) {
+  switch (keys.type()) {
+    case DataType::kString:
+      return HashStringKey(keys.StringAt(row), seed);
+    case DataType::kInt64:
+      return HashKey(Value(keys.Int64At(row)), seed);
+    case DataType::kDouble:
+      return HashKey(Value(keys.DoubleAt(row)), seed);
+    case DataType::kNull:
+      break;
+  }
+  return HashKey(keys.GetValue(row), seed);
 }
 
 double KeyUnitHash(uint64_t key_hash) { return FibonacciUnitHash(key_hash); }
@@ -19,5 +39,14 @@ double KeyUnitHash(uint64_t key_hash) { return FibonacciUnitHash(key_hash); }
 double TupleUnitHash(uint64_t key_hash, uint64_t occurrence) {
   return FibonacciUnitHash(HashCombine(key_hash, occurrence));
 }
+
+namespace internal {
+
+KeyCoder& BuildKeyCoder() {
+  thread_local KeyCoder coder;
+  return coder;
+}
+
+}  // namespace internal
 
 }  // namespace joinmi

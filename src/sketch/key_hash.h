@@ -5,8 +5,11 @@
 #ifndef JOINMI_SKETCH_KEY_HASH_H_
 #define JOINMI_SKETCH_KEY_HASH_H_
 
+#include <cstddef>
 #include <cstdint>
 
+#include "src/mi/histogram.h"
+#include "src/table/column.h"
 #include "src/table/value.h"
 
 namespace joinmi {
@@ -16,6 +19,11 @@ namespace joinmi {
 /// Seeded so independent sketch universes can coexist.
 uint64_t HashKey(const Value& key, uint32_t seed = 0);
 
+/// \brief HashKey(keys.GetValue(row), seed), read through the column's
+/// typed storage so a string key is hashed in place, not copied into a
+/// Value. Precondition: keys.IsValid(row).
+uint64_t HashKeyAt(const Column& keys, size_t row, uint32_t seed);
+
 /// \brief h_u(h(k)): unit-interval rank of a key hash (Fibonacci hashing).
 double KeyUnitHash(uint64_t key_hash);
 
@@ -23,6 +31,16 @@ double KeyUnitHash(uint64_t key_hash);
 /// TUPSK's sampling frame; ⟨k, 1⟩ coincides with the candidate-side rank so
 /// first occurrences stay coordinated.
 double TupleUnitHash(uint64_t key_hash, uint64_t occurrence);
+
+namespace internal {
+
+/// \brief The calling thread's KeyCoder for sketch builds: dense
+/// first-appearance codes of key hashes with a count per code. A build
+/// Resets it and must not call anything else that uses it; it keeps its
+/// capacity, so a warmed thread builds without growing it again.
+KeyCoder& BuildKeyCoder();
+
+}  // namespace internal
 
 }  // namespace joinmi
 

@@ -35,7 +35,7 @@ Result<Sketch> BuildTwoLevelTrain(const SketchBuilder& builder,
   size_t total_rows = 0;
   for (size_t row = 0; row < keys.size(); ++row) {
     if (!keys.IsValid(row) || !values.IsValid(row)) continue;
-    const uint64_t h = HashKey(keys.GetValue(row), options.hash_seed);
+    const uint64_t h = HashKeyAt(keys, row, options.hash_seed);
     auto [it, inserted] = index.emplace(h, groups.size());
     if (inserted) {
       groups.push_back(KeyedRows{h, KeyUnitHash(h), {}});

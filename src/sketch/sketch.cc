@@ -1,7 +1,6 @@
 #include "src/sketch/sketch.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "src/common/string_util.h"
 #include "src/sketch/key_hash.h"
@@ -83,21 +82,21 @@ Result<std::vector<AggregatedKey>> AggregateByKey(const Column& keys,
   }
   std::vector<AggregatedKey> result;
   std::vector<AggregatorState> states;
-  std::unordered_map<uint64_t, size_t> index;  // key hash -> position
-  index.reserve(keys.size());
+  // Codes come in first-appearance order, so a key's code is its position.
+  KeyCoder& positions = internal::BuildKeyCoder();
+  positions.Reset(keys.size());
   for (size_t row = 0; row < keys.size(); ++row) {
     if (!keys.IsValid(row) || !values.IsValid(row)) continue;
-    const uint64_t h = HashKey(keys.GetValue(row), hash_seed);
-    auto [it, inserted] = index.emplace(h, result.size());
-    if (inserted) {
+    const uint64_t h = HashKeyAt(keys, row, hash_seed);
+    const uint32_t pos = positions.Add(h);
+    if (pos == result.size()) {
       result.push_back(AggregatedKey{h, Value::Null(), 0});
       states.emplace_back(agg);
     }
-    const size_t pos = it->second;
     JOINMI_RETURN_NOT_OK(states[pos].Update(values.GetValue(row)));
-    ++result[pos].frequency;
   }
   for (size_t i = 0; i < result.size(); ++i) {
+    result[i].frequency = positions.counts()[i];
     JOINMI_ASSIGN_OR_RETURN(result[i].value, states[i].Finish());
   }
   return result;

@@ -5,8 +5,6 @@
 // which is the property that removes the estimator bias LV2SK suffers under
 // key-target dependence.
 
-#include <unordered_map>
-
 #include "src/sketch/builder.h"
 #include "src/sketch/key_hash.h"
 
@@ -15,20 +13,25 @@ namespace joinmi {
 Result<Sketch> TupskBuilder::SketchTrain(const Column& keys,
                                          const Column& values) const {
   JOINMI_ASSIGN_OR_RETURN(Sketch sketch,
-                          InitSketch(keys, values, SketchSide::kTrain));
-  // Single pass: track the running occurrence index j per key; offer every
-  // row at rank h_u(⟨k, j⟩).
-  std::unordered_map<uint64_t, uint64_t> occurrence;
-  occurrence.reserve(keys.size());
+                          NewSketch(keys, values, SketchSide::kTrain));
+  // One pass: each key is hashed once, and one coder yields both the
+  // running occurrence index j of every key and the distinct-key count.
+  // Only rows the heap admits build a Value.
+  KeyCoder& occurrences = internal::BuildKeyCoder();
+  occurrences.Reset(keys.size());
   KmvHeap heap(options_.capacity);
   for (size_t row = 0; row < keys.size(); ++row) {
     if (!keys.IsValid(row) || !values.IsValid(row)) continue;
-    const uint64_t key_hash = HashKey(keys.GetValue(row), options_.hash_seed);
-    const uint64_t j = ++occurrence[key_hash];
+    ++sketch.source_rows;
+    const uint64_t key_hash = HashKeyAt(keys, row, options_.hash_seed);
+    // Add may grow the coder's storage: read counts() only after it.
+    const uint32_t code = occurrences.Add(key_hash);
+    const uint64_t j = occurrences.counts()[code];
     const double rank = TupleUnitHash(key_hash, j);
     if (!heap.WouldAdmit(rank)) continue;
     heap.Offer(SketchEntry{key_hash, rank, values.GetValue(row)});
   }
+  sketch.source_distinct_keys = occurrences.size();
   sketch.entries = heap.TakeSorted();
   return sketch;
 }

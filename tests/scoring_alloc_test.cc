@@ -2,8 +2,11 @@
 // SketchIndex::EvaluateAll must make the same number of heap allocations
 // whether 8 or 32 candidates reach an estimator — the merge, the typed
 // gather and every estimator run in reused thread-local scratch, so only
-// the per-query outcome vectors allocate. And an estimate on a sample too
-// large for that scratch (a materialized join) must leave no heap behind.
+// the per-query outcome vectors allocate. The same holds at 4 threads, for
+// an index and for a 4-shard fan-out: the shared pool's workers keep their
+// scratch warm, and a ParallelFor call allocates nothing per index. And an
+// estimate on a sample too large for that scratch (a materialized join)
+// must leave no heap behind.
 //
 // Every heap allocation in this binary bumps one counter and the live-byte
 // total (a replaced global operator new), which catches allocations hidden
@@ -15,12 +18,14 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <filesystem>
 #include <memory>
 #include <new>
 #include <string>
 #include <vector>
 
 #include "src/common/random.h"
+#include "src/discovery/sharded_index.h"
 #include "src/discovery/sketch_index.h"
 #include "src/mi/estimator.h"
 #include "src/mi/estimator_internal.h"
@@ -149,6 +154,52 @@ TEST(ScoringAllocationTest, EvaluateAllAllocationsDoNotGrowWithCandidates) {
     EXPECT_EQ(small_allocs, large_allocs)
         << (numeric_target ? "numeric" : "categorical") << " target";
   }
+}
+
+// Heap allocations of one call, once 20 earlier calls have warmed
+// the caller and the shared pool's workers.
+template <typename Call>
+uint64_t WarmAllocationsOf(Call&& call) {
+  for (int round = 0; round < 20; ++round) call();
+  const uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
+  call();
+  return g_heap_allocs.load(std::memory_order_relaxed) - before;
+}
+
+TEST(ScoringAllocationTest, FanOutAllocationsDoNotGrowWithCandidatesAtFourThreads) {
+  JoinMIConfig config;
+  config.aggregation = AggKind::kFirst;
+  config.min_join_size = 8;
+  const JoinMIQuery query = MakeQuery(/*numeric_target=*/true, config);
+  uint64_t index_allocs[2];
+  uint64_t sharded_allocs[2];
+  const size_t sizes[2] = {64, 256};
+  for (int i = 0; i < 2; ++i) {
+    const SketchIndex index = MakeIndex(sizes[i], config);
+    index_allocs[i] = WarmAllocationsOf([&] {
+      auto evaluation = index.EvaluateAll(query, 4);
+      ASSERT_TRUE(evaluation.ok()) << evaluation.status();
+      // Every candidate joined and reached an estimator.
+      ASSERT_EQ(evaluation->num_evaluated, index.size());
+    });
+
+    const std::string dir = testing::TempDir() + "/joinmi_alloc_shards_" +
+                            std::to_string(sizes[i]);
+    std::filesystem::remove_all(dir);
+    auto manifest =
+        BuildShards(index, 4, ShardPartitionPolicy::kRoundRobin, dir);
+    ASSERT_TRUE(manifest.ok()) << manifest.status();
+    auto sharded = ShardedSketchIndex::Load(*manifest);
+    ASSERT_TRUE(sharded.ok()) << sharded.status();
+    sharded_allocs[i] = WarmAllocationsOf([&] {
+      auto result = sharded->Search(query, 10, 4);
+      ASSERT_TRUE(result.ok()) << result.status();
+      ASSERT_EQ(result->num_evaluated, index.size());
+    });
+    std::filesystem::remove_all(dir);
+  }
+  EXPECT_EQ(index_allocs[0], index_allocs[1]);
+  EXPECT_EQ(sharded_allocs[0], sharded_allocs[1]);
 }
 
 // n paired observations: x numeric with repeats, y its noisy copy, and

@@ -158,6 +158,94 @@ TEST(ShardedSearchTest, AgreesWithUnshardedForEveryShardCountAndPolicy) {
   }
 }
 
+// Sixty candidates — many strips per shard — over prefixes of the base
+// table's keys, each carrying the target through a different lossy map,
+// several of them exact duplicates of another.
+TableRepository MakeWideRepository(const Universe& universe) {
+  const Table& base = *universe.base;
+  const Column& keys = **base.GetColumn("K");
+  TableRepository repository;
+  for (size_t t = 0; t < 60; ++t) {
+    const size_t rows = 40 + (t * 13) % (keys.size() - 40);
+    std::vector<std::string> candidate_keys;
+    std::vector<int64_t> values;
+    for (size_t i = 0; i < rows; ++i) {
+      candidate_keys.push_back(keys.StringAt(i));
+      values.push_back(static_cast<int64_t>((i % 7) / (1 + t % 5) + t % 3));
+    }
+    repository
+        .AddTable("w" + std::to_string(t),
+                  MakeTwoColumnTable("K", std::move(candidate_keys), "V",
+                                     std::move(values)))
+        .Abort();
+  }
+  return repository;
+}
+
+TEST(ShardedSearchTest, ThreadAndShardGridMatchesUnshardedSingleThread) {
+  // However the shared pool splits shards and strips between the caller
+  // and its helpers, rankings stay bit-identical to one thread, unsharded:
+  // whole-file and paged shards, and the repository scan.
+  Universe universe = MakeUniverse();
+  const TableRepository repository = MakeWideRepository(universe);
+  SketchIndex index(MakeIndexConfig());
+  ASSERT_TRUE(index.IndexRepository(repository).ok());
+  ASSERT_EQ(index.size(), 60u);
+  const size_t k = 60;
+  auto reference = TopKJoinMISearch(*universe.base, {"K", "Y"}, index, k, 1);
+  ASSERT_TRUE(reference.ok()) << reference.status();
+  ASSERT_GT(reference->hits.size(), 30u);
+
+  ShardBuildOptions paged_build;
+  paged_build.format = ShardFileFormat::kPaged;
+  paged_build.page_size = 512;
+  ShardedSketchIndex::LocalShardLoadOptions small_pool;
+  small_pool.pool_pages = 4;
+  const std::pair<size_t, size_t> grid[] = {{1, 8}, {4, 4}, {7, 3}};
+  for (const auto& [num_shards, num_threads] : grid) {
+    const std::string tag = std::to_string(num_shards) + "x" +
+                            std::to_string(num_threads);
+    SCOPED_TRACE(tag);
+    const std::string whole_dir = ScratchDir("grid_whole_" + tag);
+    const std::string paged_dir = ScratchDir("grid_paged_" + tag);
+    auto whole_manifest = BuildShards(
+        index, num_shards, ShardPartitionPolicy::kRoundRobin, whole_dir);
+    ASSERT_TRUE(whole_manifest.ok()) << whole_manifest.status();
+    auto paged_manifest =
+        BuildShards(index, num_shards, ShardPartitionPolicy::kRoundRobin,
+                    paged_dir, paged_build);
+    ASSERT_TRUE(paged_manifest.ok()) << paged_manifest.status();
+    auto whole = ShardedSketchIndex::Load(*whole_manifest);
+    ASSERT_TRUE(whole.ok()) << whole.status();
+    auto paged = ShardedSketchIndex::Load(
+        *paged_manifest, ShardedSketchIndex::LocalFileFactory(small_pool));
+    ASSERT_TRUE(paged.ok()) << paged.status();
+    for (int rep = 0; rep < 3; ++rep) {
+      auto via_index = TopKJoinMISearch(*universe.base, {"K", "Y"}, index, k,
+                                        num_threads);
+      ASSERT_TRUE(via_index.ok()) << via_index.status();
+      ExpectBitIdentical(*reference, *via_index);
+      auto via_whole = TopKJoinMISearch(*universe.base, {"K", "Y"}, *whole,
+                                        k, num_threads);
+      ASSERT_TRUE(via_whole.ok()) << via_whole.status();
+      ExpectBitIdentical(*reference, *via_whole);
+      auto via_paged = TopKJoinMISearch(*universe.base, {"K", "Y"}, *paged,
+                                        k, num_threads);
+      ASSERT_TRUE(via_paged.ok()) << via_paged.status();
+      ExpectBitIdentical(*reference, *via_paged);
+      SearchConfig scan;
+      scan.join_config = MakeIndexConfig();
+      scan.num_threads = num_threads;
+      auto via_scan =
+          TopKJoinMISearch(*universe.base, {"K", "Y"}, repository, k, scan);
+      ASSERT_TRUE(via_scan.ok()) << via_scan.status();
+      ExpectBitIdentical(*reference, *via_scan);
+    }
+    std::filesystem::remove_all(whole_dir);
+    std::filesystem::remove_all(paged_dir);
+  }
+}
+
 TEST(ShardedSearchTest, SmallKTruncatesIdenticallyToUnsharded) {
   // k smaller than the hit count forces per-shard truncation; the global
   // merge must still pick exactly what the unsharded partial sort picks —

@@ -13,6 +13,7 @@
 #include "src/join/left_join.h"
 #include "src/sketch/builder.h"
 #include "src/sketch/key_hash.h"
+#include "src/sketch/serialize.h"
 #include "src/sketch/sketch_join.h"
 
 namespace joinmi {
@@ -888,6 +889,217 @@ TEST(SketchJoinTest, MatchedKeysDistinctEvenForUnsortedTrainSketch) {
   ASSERT_TRUE(joined.ok()) << joined.status();
   EXPECT_EQ(joined->join_size, 3u);
   EXPECT_EQ(joined->matched_keys, 2u);
+}
+
+// ----------------------------------------------------- Builder oracles ---
+
+// The builders hash keys through typed column access and count them in a
+// KeyCoder; the tests below hold them to the Value-based two-pass build
+// they replaced.
+
+// Every `period`-th row is null in the key column and every
+// (period+1)-th in the value column, so both kinds of skipped row occur.
+std::vector<bool> NullEvery(size_t rows, size_t period, size_t phase) {
+  std::vector<bool> validity(rows, true);
+  for (size_t row = phase; row < rows; row += period) validity[row] = false;
+  return validity;
+}
+
+TEST(KeyHashTest, TypedHashEqualsValueHash) {
+  const std::vector<bool> validity = {true, false, true, true, true,
+                                      true, true};
+  auto strings = Column::MakeString({"", "null", "k1", "a longer key",
+                                     "\xc3\xa9t\xc3\xa9", "k1", "0"},
+                                    validity);
+  auto ints = Column::MakeInt64(
+      {0, 7, -1, 3, int64_t{1} << 40, -(int64_t{1} << 52), 42}, validity);
+  // Integral doubles must hash like their int64; -0.0 like 0.
+  auto doubles = Column::MakeDouble({-0.0, 7.0, -1.0, 3.0, 0.5, 1e300,
+                                     std::nan("")},
+                                    validity);
+  for (uint32_t seed : {0u, 17u}) {
+    for (const auto& column : {strings, ints, doubles}) {
+      for (size_t row = 0; row < column->size(); ++row) {
+        if (!column->IsValid(row)) continue;
+        EXPECT_EQ(HashKeyAt(*column, row, seed),
+                  HashKey(column->GetValue(row), seed))
+            << DataTypeToString(column->type()) << " row " << row;
+      }
+    }
+    EXPECT_EQ(HashKeyAt(*doubles, 0, seed), HashKeyAt(*ints, 0, seed));
+    EXPECT_EQ(HashKeyAt(*doubles, 2, seed), HashKeyAt(*ints, 2, seed));
+    EXPECT_EQ(HashKeyAt(*doubles, 3, seed), HashKeyAt(*ints, 3, seed));
+  }
+}
+
+// The TUPSK train build as it was before the one-pass rewrite: one pass
+// counting distinct keys in an unordered_set, a second numbering
+// occurrences in an unordered_map, both hashing Value copies.
+Sketch TwoPassTupskTrain(const Column& keys, const Column& values,
+                         const SketchOptions& options) {
+  Sketch sketch;
+  sketch.method = SketchMethod::kTupsk;
+  sketch.side = SketchSide::kTrain;
+  sketch.capacity = options.capacity;
+  sketch.hash_seed = options.hash_seed;
+  std::unordered_set<uint64_t> distinct;
+  for (size_t row = 0; row < keys.size(); ++row) {
+    if (!keys.IsValid(row) || !values.IsValid(row)) continue;
+    ++sketch.source_rows;
+    distinct.insert(HashKey(keys.GetValue(row), options.hash_seed));
+  }
+  sketch.source_distinct_keys = distinct.size();
+  std::unordered_map<uint64_t, uint64_t> occurrence;
+  KmvHeap heap(options.capacity);
+  for (size_t row = 0; row < keys.size(); ++row) {
+    if (!keys.IsValid(row) || !values.IsValid(row)) continue;
+    const uint64_t key_hash = HashKey(keys.GetValue(row), options.hash_seed);
+    const uint64_t j = ++occurrence[key_hash];
+    const double rank = TupleUnitHash(key_hash, j);
+    if (!heap.WouldAdmit(rank)) continue;
+    heap.Offer(SketchEntry{key_hash, rank, values.GetValue(row)});
+  }
+  sketch.entries = heap.TakeSorted();
+  return sketch;
+}
+
+TEST(TupskTest, OnePassTrainEqualsTwoPassOracle) {
+  // 9000 and 100k rows carry far more than KeyCoder::kMaxInitialKeys
+  // distinct keys, so the coder grows mid-build (reading a count through a
+  // pointer taken before Add would dangle there); keys repeat, so the
+  // occurrence index j climbs past 1.
+  for (size_t rows : {size_t{1}, size_t{9000}, size_t{100000}}) {
+    Rng rng(rows);
+    const size_t domain = std::max<size_t>(1, rows / 3);
+    std::vector<std::string> string_keys;
+    std::vector<int64_t> int_keys;
+    std::vector<double> targets;
+    for (size_t row = 0; row < rows; ++row) {
+      const uint64_t k = rng.NextBounded(domain);
+      string_keys.push_back("key" + std::to_string(k));
+      int_keys.push_back(static_cast<int64_t>(k) - 50);
+      targets.push_back(static_cast<double>(rng.NextBounded(1000)) / 8.0);
+    }
+    // Row 0 stays valid so the 1-row table is not empty.
+    const std::vector<bool> key_validity = NullEvery(rows, 7, 5);
+    const std::vector<bool> value_validity = NullEvery(rows, 11, 3);
+    auto values = Column::MakeDouble(targets, value_validity);
+    for (const auto& keys :
+         {Column::MakeString(string_keys, key_validity),
+          Column::MakeInt64(int_keys, key_validity)}) {
+      // Capacity `rows` keeps every row, so every row's j shows in the
+      // sketch; it runs first, while the coder still has to grow.
+      for (size_t capacity : {rows, size_t{64}}) {
+        SketchOptions options = Options(capacity);
+        options.hash_seed = 3;
+        const Sketch oracle = TwoPassTupskTrain(*keys, *values, options);
+        auto sketch = TupskBuilder(options).SketchTrain(*keys, *values);
+        ASSERT_TRUE(sketch.ok()) << sketch.status();
+        const std::string where = std::to_string(rows) + " rows, " +
+                                  DataTypeToString(keys->type()) +
+                                  " keys, capacity " +
+                                  std::to_string(capacity);
+        EXPECT_EQ(sketch->source_rows, oracle.source_rows) << where;
+        EXPECT_EQ(sketch->source_distinct_keys, oracle.source_distinct_keys)
+            << where;
+        EXPECT_EQ(SerializeSketch(*sketch), SerializeSketch(oracle)) << where;
+      }
+    }
+  }
+}
+
+// AggregateByKey as it was: an unordered_map from key hash to position.
+std::vector<AggregatedKey> MapAggregateByKey(const Column& keys,
+                                             const Column& values,
+                                             AggKind agg, uint32_t seed) {
+  std::vector<AggregatedKey> result;
+  std::vector<AggregatorState> states;
+  std::unordered_map<uint64_t, size_t> index;
+  for (size_t row = 0; row < keys.size(); ++row) {
+    if (!keys.IsValid(row) || !values.IsValid(row)) continue;
+    const uint64_t h = HashKey(keys.GetValue(row), seed);
+    auto [it, inserted] = index.emplace(h, result.size());
+    if (inserted) {
+      result.push_back(AggregatedKey{h, Value::Null(), 0});
+      states.emplace_back(agg);
+    }
+    EXPECT_TRUE(states[it->second].Update(values.GetValue(row)).ok());
+    ++result[it->second].frequency;
+  }
+  for (size_t i = 0; i < result.size(); ++i) {
+    result[i].value = *states[i].Finish();
+  }
+  return result;
+}
+
+TEST(AggregateByKeyTest, CoderAggregationEqualsMapOracle) {
+  Rng rng(77);
+  const size_t rows = 12000;  // ~3000 distinct keys: the coder grows
+  std::vector<std::string> keys;
+  std::vector<int64_t> numbers;
+  for (size_t row = 0; row < rows; ++row) {
+    keys.push_back("k" + std::to_string(rng.NextBounded(3000)));
+    numbers.push_back(static_cast<int64_t>(rng.NextBounded(40)));
+  }
+  auto key_column = Column::MakeString(keys, NullEvery(rows, 13, 2));
+  auto value_column = Column::MakeInt64(numbers, NullEvery(rows, 9, 4));
+  for (AggKind agg : {AggKind::kFirst, AggKind::kAvg, AggKind::kCount,
+                      AggKind::kMode}) {
+    const std::vector<AggregatedKey> oracle =
+        MapAggregateByKey(*key_column, *value_column, agg, 5);
+    auto aggregated = AggregateByKey(*key_column, *value_column, agg, 5);
+    ASSERT_TRUE(aggregated.ok()) << aggregated.status();
+    ASSERT_EQ(aggregated->size(), oracle.size());
+    for (size_t i = 0; i < oracle.size(); ++i) {
+      EXPECT_EQ((*aggregated)[i].key_hash, oracle[i].key_hash) << i;
+      EXPECT_EQ((*aggregated)[i].frequency, oracle[i].frequency) << i;
+      EXPECT_EQ((*aggregated)[i].value, oracle[i].value) << i;
+    }
+  }
+}
+
+// Serialized train and candidate sketches of every method over one fixed
+// table: the bytes the Value-based builders produced, as 64-bit digests.
+// Any change in hashing, occurrence numbering, aggregation order or source
+// counts changes a digest.
+TEST_P(SketchMethodTest, SerializedSketchesMatchGoldenDigests) {
+  const size_t rows = 6000;  // ~2000 distinct keys: the coder grows
+  Rng rng(2024);
+  std::vector<std::string> keys;
+  std::vector<double> numbers;
+  for (size_t row = 0; row < rows; ++row) {
+    keys.push_back("g" + std::to_string(rng.NextBounded(2000)));
+    numbers.push_back(static_cast<double>(rng.NextBounded(500)) / 4.0);
+  }
+  auto key_column = Column::MakeString(keys, NullEvery(rows, 10, 1));
+  auto value_column = Column::MakeDouble(numbers, NullEvery(rows, 17, 6));
+  SketchOptions options = Options(256, 4242);
+  options.hash_seed = 9;
+  auto builder = MakeSketchBuilder(GetParam(), options);
+  auto train = builder->SketchTrain(*key_column, *value_column);
+  ASSERT_TRUE(train.ok()) << train.status();
+  auto candidate =
+      builder->SketchCandidate(*key_column, *value_column, AggKind::kAvg);
+  ASSERT_TRUE(candidate.ok()) << candidate.status();
+  struct Golden {
+    SketchMethod method;
+    uint64_t train;
+    uint64_t candidate;
+  };
+  const Golden golden[] = {
+      {SketchMethod::kTupsk, 0x18f589b94396c2b0ULL, 0x7a619143144a7039ULL},
+      {SketchMethod::kLv2sk, 0x15eed0b5db680c64ULL, 0x3d95dbc8736ff0d6ULL},
+      {SketchMethod::kPrisk, 0x31c771c9b82e0e00ULL, 0x65019d309252a8edULL},
+      {SketchMethod::kIndsk, 0x7b4fe7ec3b6be692ULL, 0x8a7692d95d1620bcULL},
+      {SketchMethod::kCsk, 0x2fbcdbe48b1be2cdULL, 0x6fdffe78387cf83aULL},
+  };
+  for (const Golden& g : golden) {
+    if (g.method != GetParam()) continue;
+    EXPECT_EQ(wire::Checksum64(SerializeSketch(*train)), g.train)
+        << std::hex << wire::Checksum64(SerializeSketch(*train));
+    EXPECT_EQ(wire::Checksum64(SerializeSketch(*candidate)), g.candidate)
+        << std::hex << wire::Checksum64(SerializeSketch(*candidate));
+  }
 }
 
 }  // namespace

@@ -1,12 +1,19 @@
-// Tests for the fixed-size thread pool: task execution, future plumbing,
-// draining semantics, nested submission, and exception propagation.
+// Tests for the thread pools: the task-queue ThreadPool (task execution,
+// future plumbing, draining semantics, nested submission, exception
+// propagation), ParallelFor on the work-sharing pool (every index once,
+// nesting, exceptions, concurrent callers), and the affinity-aware
+// default thread count.
 
 #include <gtest/gtest.h>
+#include <pthread.h>
+#include <sched.h>
 
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "src/common/thread_pool.h"
@@ -101,6 +108,131 @@ TEST(ThreadPoolTest, SingleThreadPreservesSubmissionOrder) {
   std::vector<int> expected(32);
   std::iota(expected.begin(), expected.end(), 0);
   EXPECT_EQ(order, expected);
+}
+
+TEST(ThreadPoolTest, DefaultThreadCountFollowsCpuAffinity) {
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(allowed), &allowed), 0);
+  EXPECT_EQ(ThreadPool::DefaultThreadCount(),
+            static_cast<size_t>(CPU_COUNT(&allowed)));
+  int first_cpu = 0;
+  while (!CPU_ISSET(first_cpu, &allowed)) ++first_cpu;
+  // A thread pinned to one CPU sees a budget of one, however many CPUs
+  // the host has online.
+  size_t pinned_count = 0;
+  std::thread pinned([first_cpu, &pinned_count] {
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(first_cpu, &one);
+    if (pthread_setaffinity_np(pthread_self(), sizeof(one), &one) == 0) {
+      pinned_count = ThreadPool::DefaultThreadCount();
+    }
+  });
+  pinned.join();
+  EXPECT_EQ(pinned_count, 1u);
+}
+
+// ------------------------------------------------------------ ParallelFor
+
+// Runs ParallelFor(n, max_threads) on `pool` and checks every index ran
+// exactly once.
+void ExpectEveryIndexOnce(WorkSharingPool& pool, size_t n,
+                          size_t max_threads) {
+  std::unique_ptr<std::atomic<int>[]> hits(new std::atomic<int>[n + 1]);
+  for (size_t i = 0; i < n; ++i) hits[i] = 0;
+  pool.ParallelFor(n, max_threads, [&hits](size_t i) { hits[i]++; });
+  for (size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(hits[i].load(), 1) << "index " << i << " of " << n
+                                 << ", max_threads " << max_threads;
+  }
+}
+
+TEST(ParallelForTest, RunsEveryIndexExactlyOnce) {
+  WorkSharingPool pool(3);
+  EXPECT_EQ(pool.num_threads(), 3u);
+  for (size_t n : {0u, 1u, 2u, 7u, 1000u}) {
+    for (size_t max_threads : {1u, 2u, 4u, 16u, 0u}) {
+      ExpectEveryIndexOnce(pool, n, max_threads);
+    }
+  }
+}
+
+TEST(ParallelForTest, SharedPoolIsOneProcessWidePool) {
+  WorkSharingPool& shared = WorkSharingPool::Shared();
+  EXPECT_EQ(&shared, &WorkSharingPool::Shared());
+  EXPECT_GE(shared.num_threads(), 1u);
+  std::atomic<size_t> sum{0};
+  ParallelFor(100, 0, [&sum](size_t i) { sum += i; });
+  EXPECT_EQ(sum.load(), 99u * 100u / 2u);
+}
+
+TEST(ParallelForTest, HelpersShareTheWorkOfOneCall) {
+  // With two workers and a body that waits until three threads are
+  // inside it, the call can only finish if both workers help the caller.
+  WorkSharingPool pool(2);
+  std::atomic<int> inside{0};
+  pool.ParallelFor(3, 3, [&inside](size_t) {
+    ++inside;
+    while (inside.load() < 3) std::this_thread::yield();
+  });
+  EXPECT_EQ(inside.load(), 3);
+}
+
+TEST(ParallelForTest, NestsThreeDeepFromInsidePoolWorkers) {
+  for (size_t workers : {1u, 2u}) {
+    WorkSharingPool pool(workers);
+    // The outer call has one index per thread and holds each until every
+    // worker has joined, so every worker nests from inside a ParallelFor
+    // body while no worker is free to help it.
+    const size_t outer = workers + 1;
+    std::atomic<size_t> inside{0};
+    std::atomic<int> leaves{0};
+    pool.ParallelFor(outer, outer, [&](size_t) {
+      ++inside;
+      while (inside.load() < outer) std::this_thread::yield();
+      pool.ParallelFor(5, 8, [&](size_t) {
+        pool.ParallelFor(4, 8, [&](size_t) { ++leaves; });
+      });
+    });
+    EXPECT_EQ(leaves.load(), static_cast<int>(outer * 5 * 4))
+        << workers << " workers";
+  }
+}
+
+TEST(ParallelForTest, BodyExceptionReachesTheCaller) {
+  WorkSharingPool pool(3);
+  for (size_t max_threads : {1u, 4u}) {
+    std::atomic<int> ran{0};
+    EXPECT_THROW(pool.ParallelFor(200, max_threads,
+                                  [&ran](size_t i) {
+                                    ++ran;
+                                    if (i == 37) {
+                                      throw std::runtime_error("strip failed");
+                                    }
+                                  }),
+                 std::runtime_error);
+    EXPECT_GE(ran.load(), 1);
+  }
+  // The pool keeps serving after a failed call.
+  ExpectEveryIndexOnce(pool, 64, 4);
+}
+
+TEST(ParallelForTest, ConcurrentExternalCallers) {
+  WorkSharingPool pool(4);
+  std::vector<std::thread> callers;
+  std::vector<size_t> sums(8, 0);
+  for (size_t t = 0; t < 8; ++t) {
+    callers.emplace_back([&pool, &sums, t] {
+      for (int rep = 0; rep < 50; ++rep) {
+        std::atomic<size_t> sum{0};
+        pool.ParallelFor(64, 4, [&sum](size_t i) { sum += i + 1; });
+        sums[t] += sum.load();
+      }
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+  for (size_t t = 0; t < 8; ++t) EXPECT_EQ(sums[t], 50u * 64u * 65u / 2u);
 }
 
 }  // namespace
