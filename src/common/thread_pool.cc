@@ -1,6 +1,7 @@
 #include "src/common/thread_pool.h"
 
 #include <sched.h>
+#include <unistd.h>
 
 #include <algorithm>
 
@@ -37,10 +38,13 @@ void ThreadPool::Wait() {
 
 size_t ThreadPool::DefaultThreadCount() {
   // hardware_concurrency() counts the host's online CPUs, which
-  // oversubscribes a process confined by taskset or a cpuset.
+  // oversubscribes a process confined by taskset or a cpuset. The mask is
+  // the main thread's (pid == its tid): the one the process was started
+  // with, not whichever thread asks, so a thread that pins itself cannot
+  // shrink the shared pool by being the first to fan out.
   cpu_set_t allowed;
   CPU_ZERO(&allowed);
-  if (sched_getaffinity(0, sizeof(allowed), &allowed) == 0) {
+  if (sched_getaffinity(getpid(), sizeof(allowed), &allowed) == 0) {
     const int count = CPU_COUNT(&allowed);
     if (count > 0) return static_cast<size_t>(count);
   }

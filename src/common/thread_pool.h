@@ -75,8 +75,9 @@ class ThreadPool {
   /// \brief Blocks until every queued and running task has completed.
   void Wait();
 
-  /// \brief CPUs this process may run on (its affinity mask, so a
-  /// taskset- or cpuset-limited process counts only its own), never zero.
+  /// \brief CPUs this process may run on, never zero: the affinity mask
+  /// of its main thread, so a taskset- or cpuset-limited process counts
+  /// only its own, and a thread that pins only itself changes nothing.
   static size_t DefaultThreadCount();
 
  private:

@@ -25,14 +25,13 @@ Result<Sketch> SketchBuilder::InitSketch(const Column& keys,
                                          const Column& values,
                                          SketchSide side) const {
   JOINMI_ASSIGN_OR_RETURN(Sketch sketch, NewSketch(keys, values, side));
-  KeyCoder& distinct = internal::BuildKeyCoder();
-  distinct.Reset(keys.size());
+  internal::ScopedKeyCoder distinct(keys.size());
   for (size_t row = 0; row < keys.size(); ++row) {
     if (!keys.IsValid(row) || !values.IsValid(row)) continue;
     ++sketch.source_rows;
-    distinct.Add(HashKeyAt(keys, row, options_.hash_seed));
+    distinct->Add(HashKeyAt(keys, row, options_.hash_seed));
   }
-  sketch.source_distinct_keys = distinct.size();
+  sketch.source_distinct_keys = distinct->size();
   return sketch;
 }
 

@@ -42,9 +42,10 @@ double TupleUnitHash(uint64_t key_hash, uint64_t occurrence) {
 
 namespace internal {
 
-KeyCoder& BuildKeyCoder() {
-  thread_local KeyCoder coder;
-  return coder;
+ScopedKeyCoder::ScopedKeyCoder(size_t rows) {
+  thread_local KeyCoder retained;
+  coder_ = rows <= kMaxRetainedCoderRows ? &retained : &local_;
+  coder_->Reset(rows);
 }
 
 }  // namespace internal

@@ -34,11 +34,31 @@ double TupleUnitHash(uint64_t key_hash, uint64_t occurrence);
 
 namespace internal {
 
-/// \brief The calling thread's KeyCoder for sketch builds: dense
-/// first-appearance codes of key hashes with a count per code. A build
-/// Resets it and must not call anything else that uses it; it keeps its
-/// capacity, so a warmed thread builds without growing it again.
-KeyCoder& BuildKeyCoder();
+/// \brief Largest column (in rows, which bound its distinct keys) whose
+/// KeyCoder a thread keeps between sketch builds: about 0.7 MB of slots,
+/// keys and counts. Query and candidate tables on the serving path stay
+/// below it, so a warmed thread sketches them without allocating; a larger
+/// column gets a call-local coder that is freed on return, so no thread
+/// keeps the table of the largest column it ever sketched.
+inline constexpr size_t kMaxRetainedCoderRows = 16384;
+
+/// \brief The KeyCoder of one sketch build — dense first-appearance codes
+/// of key hashes with a count per code — Reset for a column of `rows`
+/// rows: the calling thread's reused coder up to kMaxRetainedCoderRows, a
+/// call-local one above. Builds on one thread must not nest.
+class ScopedKeyCoder {
+ public:
+  explicit ScopedKeyCoder(size_t rows);
+
+  ScopedKeyCoder(const ScopedKeyCoder&) = delete;
+  ScopedKeyCoder& operator=(const ScopedKeyCoder&) = delete;
+
+  KeyCoder* operator->() { return coder_; }
+
+ private:
+  KeyCoder local_;  // empty (no storage) unless the column is large
+  KeyCoder* coder_;
+};
 
 }  // namespace internal
 

@@ -83,12 +83,11 @@ Result<std::vector<AggregatedKey>> AggregateByKey(const Column& keys,
   std::vector<AggregatedKey> result;
   std::vector<AggregatorState> states;
   // Codes come in first-appearance order, so a key's code is its position.
-  KeyCoder& positions = internal::BuildKeyCoder();
-  positions.Reset(keys.size());
+  internal::ScopedKeyCoder positions(keys.size());
   for (size_t row = 0; row < keys.size(); ++row) {
     if (!keys.IsValid(row) || !values.IsValid(row)) continue;
     const uint64_t h = HashKeyAt(keys, row, hash_seed);
-    const uint32_t pos = positions.Add(h);
+    const uint32_t pos = positions->Add(h);
     if (pos == result.size()) {
       result.push_back(AggregatedKey{h, Value::Null(), 0});
       states.emplace_back(agg);
@@ -96,7 +95,7 @@ Result<std::vector<AggregatedKey>> AggregateByKey(const Column& keys,
     JOINMI_RETURN_NOT_OK(states[pos].Update(values.GetValue(row)));
   }
   for (size_t i = 0; i < result.size(); ++i) {
-    result[i].frequency = positions.counts()[i];
+    result[i].frequency = positions->counts()[i];
     JOINMI_ASSIGN_OR_RETURN(result[i].value, states[i].Finish());
   }
   return result;

@@ -17,21 +17,20 @@ Result<Sketch> TupskBuilder::SketchTrain(const Column& keys,
   // One pass: each key is hashed once, and one coder yields both the
   // running occurrence index j of every key and the distinct-key count.
   // Only rows the heap admits build a Value.
-  KeyCoder& occurrences = internal::BuildKeyCoder();
-  occurrences.Reset(keys.size());
+  internal::ScopedKeyCoder occurrences(keys.size());
   KmvHeap heap(options_.capacity);
   for (size_t row = 0; row < keys.size(); ++row) {
     if (!keys.IsValid(row) || !values.IsValid(row)) continue;
     ++sketch.source_rows;
     const uint64_t key_hash = HashKeyAt(keys, row, options_.hash_seed);
     // Add may grow the coder's storage: read counts() only after it.
-    const uint32_t code = occurrences.Add(key_hash);
-    const uint64_t j = occurrences.counts()[code];
+    const uint32_t code = occurrences->Add(key_hash);
+    const uint64_t j = occurrences->counts()[code];
     const double rank = TupleUnitHash(key_hash, j);
     if (!heap.WouldAdmit(rank)) continue;
     heap.Offer(SketchEntry{key_hash, rank, values.GetValue(row)});
   }
-  sketch.source_distinct_keys = occurrences.size();
+  sketch.source_distinct_keys = occurrences->size();
   sketch.entries = heap.TakeSorted();
   return sketch;
 }

@@ -5,8 +5,9 @@
 // the per-query outcome vectors allocate. The same holds at 4 threads, for
 // an index and for a 4-shard fan-out: the shared pool's workers keep their
 // scratch warm, and a ParallelFor call allocates nothing per index. And an
-// estimate on a sample too large for that scratch (a materialized join)
-// must leave no heap behind.
+// estimate on a sample too large for that scratch (a materialized join),
+// or a sketch of a column too large for the reused key coder, must leave
+// no heap behind — on the caller and on the pool's workers.
 //
 // Every heap allocation in this binary bumps one counter and the live-byte
 // total (a replaced global operator new), which catches allocations hidden
@@ -22,13 +23,19 @@
 #include <memory>
 #include <new>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/common/random.h"
+#include "src/common/thread_pool.h"
+#include "src/discovery/repository.h"
+#include "src/discovery/search.h"
 #include "src/discovery/sharded_index.h"
 #include "src/discovery/sketch_index.h"
 #include "src/mi/estimator.h"
 #include "src/mi/estimator_internal.h"
+#include "src/sketch/builder.h"
+#include "src/sketch/key_hash.h"
 #include "src/table/table.h"
 
 namespace {
@@ -232,6 +239,101 @@ TEST(ScoringAllocationTest, LargeSampleLeavesNoScratchBehind) {
     ASSERT_TRUE(estimate.ok()) << estimate.status();
     EXPECT_EQ(after, before) << MIEstimatorKindToString(kind);
   }
+}
+
+// `rows` rows with one distinct string key each ("k<first_key>",
+// "k<first_key + 1>", ...) and a numeric value.
+std::shared_ptr<Table> DistinctKeyTable(size_t rows, size_t first_key) {
+  std::vector<std::string> keys(rows);
+  std::vector<double> values(rows);
+  for (size_t i = 0; i < rows; ++i) {
+    keys[i] = "k" + std::to_string(first_key + i);
+    values[i] = static_cast<double>((i * 7919) % 1000);
+  }
+  return *Table::FromColumns({{"K", Column::MakeString(std::move(keys))},
+                              {"Z", Column::MakeDouble(std::move(values))}});
+}
+
+constexpr size_t kLargeKeyRows = 200000;
+static_assert(kLargeKeyRows > internal::kMaxRetainedCoderRows);
+
+TEST(ScoringAllocationTest, LargeKeyColumnLeavesNoCoderBehind) {
+  const std::shared_ptr<Table> small = DistinctKeyTable(1000, 0);
+  const std::shared_ptr<Table> large = DistinctKeyTable(kLargeKeyRows, 0);
+  const Column& small_keys = **small->GetColumn("K");
+  const Column& small_values = **small->GetColumn("Z");
+  const Column& large_keys = **large->GetColumn("K");
+  const Column& large_values = **large->GetColumn("Z");
+  for (SketchMethod method :
+       {SketchMethod::kTupsk, SketchMethod::kLv2sk, SketchMethod::kPrisk,
+        SketchMethod::kIndsk, SketchMethod::kCsk}) {
+    const std::unique_ptr<SketchBuilder> builder =
+        MakeSketchBuilder(method, SketchOptions{});
+    // Warm-up: the thread keeps a coder for small columns only.
+    ASSERT_TRUE(builder->SketchTrain(small_keys, small_values).ok());
+    ASSERT_TRUE(
+        builder->SketchCandidate(small_keys, small_values, AggKind::kAvg)
+            .ok());
+    const int64_t before = g_live_bytes.load(std::memory_order_relaxed);
+    {
+      auto train = builder->SketchTrain(large_keys, large_values);
+      ASSERT_TRUE(train.ok()) << train.status();
+      auto candidate =
+          builder->SketchCandidate(large_keys, large_values, AggKind::kAvg);
+      ASSERT_TRUE(candidate.ok()) << candidate.status();
+    }
+    EXPECT_EQ(g_live_bytes.load(std::memory_order_relaxed), before)
+        << SketchMethodToString(method);
+  }
+}
+
+TEST(ScoringAllocationTest, PooledRepositoryScanOfLargeTablesLeavesNoCoderBehind) {
+  // Candidate keys are disjoint from the query's, so no estimator runs:
+  // the scan sketches the query on the caller and every candidate on
+  // whichever thread claims it, probes, and skips.
+  constexpr size_t kCandidates = 4;
+  auto make_repository = [](size_t rows) {
+    auto repository = std::make_unique<TableRepository>();
+    for (size_t c = 0; c < kCandidates; ++c) {
+      const size_t first_key = 1000000000 + c * rows;
+      EXPECT_TRUE(repository
+                      ->AddTable("t" + std::to_string(c),
+                                 DistinctKeyTable(rows, first_key))
+                      .ok());
+    }
+    return repository;
+  };
+  const std::shared_ptr<Table> small_query = DistinctKeyTable(1000, 0);
+  const std::shared_ptr<Table> large_query = DistinctKeyTable(kLargeKeyRows, 0);
+  const auto small_repository = make_repository(1000);
+  const auto large_repository = make_repository(kLargeKeyRows);
+  const SearchSpec spec{"K", "Z"};
+  SearchConfig config;
+  config.num_threads = 4;
+  // Warm-up on every thread that can take part: each pool worker and the
+  // caller hold one index until all have arrived, then scan inline, so
+  // each keeps its small-column coder and scratch before the measurement.
+  WorkSharingPool& pool = WorkSharingPool::Shared();
+  const size_t participants = pool.num_threads() + 1;
+  std::atomic<size_t> arrived{0};
+  pool.ParallelFor(participants, participants, [&](size_t) {
+    arrived.fetch_add(1);
+    while (arrived.load() < participants) std::this_thread::yield();
+    SearchConfig inline_config;
+    inline_config.num_threads = 1;
+    EXPECT_TRUE(TopKJoinMISearch(*small_query, spec, *small_repository, 5,
+                                 inline_config)
+                    .ok());
+  });
+  const int64_t before = g_live_bytes.load(std::memory_order_relaxed);
+  {
+    auto result =
+        TopKJoinMISearch(*large_query, spec, *large_repository, 5, config);
+    ASSERT_TRUE(result.ok()) << result.status();
+    EXPECT_EQ(result->num_candidates, kCandidates);
+    EXPECT_EQ(result->num_skipped, kCandidates);
+  }
+  EXPECT_EQ(g_live_bytes.load(std::memory_order_relaxed), before);
 }
 
 }  // namespace

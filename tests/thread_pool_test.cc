@@ -1,12 +1,14 @@
 // Tests for the thread pools: the task-queue ThreadPool (task execution,
 // future plumbing, draining semantics, nested submission, exception
 // propagation), ParallelFor on the work-sharing pool (every index once,
-// nesting, exceptions, concurrent callers), and the affinity-aware
-// default thread count.
+// nesting, exceptions, concurrent callers), and the default thread count,
+// which follows the process's CPU affinity.
 
 #include <gtest/gtest.h>
 #include <pthread.h>
 #include <sched.h>
+#include <sys/syscall.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
@@ -110,27 +112,44 @@ TEST(ThreadPoolTest, SingleThreadPreservesSubmissionOrder) {
   EXPECT_EQ(order, expected);
 }
 
-TEST(ThreadPoolTest, DefaultThreadCountFollowsCpuAffinity) {
+// Restricts the calling thread to the single CPU `cpu`; false if the
+// kernel refuses.
+bool PinToCpu(int cpu) {
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  return pthread_setaffinity_np(pthread_self(), sizeof(one), &one) == 0;
+}
+
+TEST(ThreadPoolTest, DefaultThreadCountFollowsProcessCpuAffinity) {
+  // The process's mask is its main thread's, which gtest runs tests on.
+  ASSERT_EQ(static_cast<pid_t>(syscall(SYS_gettid)), getpid());
   cpu_set_t allowed;
   CPU_ZERO(&allowed);
   ASSERT_EQ(sched_getaffinity(0, sizeof(allowed), &allowed), 0);
-  EXPECT_EQ(ThreadPool::DefaultThreadCount(),
-            static_cast<size_t>(CPU_COUNT(&allowed)));
+  const size_t process_count = static_cast<size_t>(CPU_COUNT(&allowed));
+  EXPECT_EQ(ThreadPool::DefaultThreadCount(), process_count);
   int first_cpu = 0;
   while (!CPU_ISSET(first_cpu, &allowed)) ++first_cpu;
-  // A thread pinned to one CPU sees a budget of one, however many CPUs
-  // the host has online.
-  size_t pinned_count = 0;
-  std::thread pinned([first_cpu, &pinned_count] {
-    cpu_set_t one;
-    CPU_ZERO(&one);
-    CPU_SET(first_cpu, &one);
-    if (pthread_setaffinity_np(pthread_self(), sizeof(one), &one) == 0) {
-      pinned_count = ThreadPool::DefaultThreadCount();
+
+  // A thread that pins only itself does not shrink the count, so it cannot
+  // shrink the shared pool by being the first to fan out.
+  size_t pinned_thread_count = 0;
+  std::thread pinned([first_cpu, &pinned_thread_count] {
+    if (PinToCpu(first_cpu)) {
+      pinned_thread_count = ThreadPool::DefaultThreadCount();
     }
   });
   pinned.join();
-  EXPECT_EQ(pinned_count, 1u);
+  EXPECT_EQ(pinned_thread_count, process_count);
+
+  // A process confined to one CPU (as `taskset -c 0` starts it) counts one,
+  // however many CPUs the host has online.
+  ASSERT_TRUE(PinToCpu(first_cpu));
+  const size_t confined_count = ThreadPool::DefaultThreadCount();
+  ASSERT_EQ(pthread_setaffinity_np(pthread_self(), sizeof(allowed), &allowed),
+            0);
+  EXPECT_EQ(confined_count, 1u);
 }
 
 // ------------------------------------------------------------ ParallelFor
