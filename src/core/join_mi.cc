@@ -111,12 +111,11 @@ Result<Sketch> JoinMIQuery::SketchCandidate(
 }
 
 Result<JoinMIEstimate> JoinMIQuery::Estimate(const Sketch& candidate) const {
-  JOINMI_RETURN_NOT_OK(CheckJoinable(train_sketch_, candidate));
-  JOINMI_ASSIGN_OR_RETURN(CandidateColumns columns,
-                          ScratchCandidateColumns(candidate));
-  MergeJoinScore score = ScoreMergeJoin(
-      train_sketch_, train_runs_, candidate, columns, config_.estimator,
-      config_.mi_options, config_.min_join_size);
+  JOINMI_ASSIGN_OR_RETURN(
+      MergeJoinScore score,
+      ScoreCandidateSketch(train_sketch_, train_runs_, candidate,
+                           config_.estimator, config_.mi_options,
+                           config_.min_join_size));
   if (!score.scored.has_value()) {
     return JoinBelowMinimum(score.join_size, config_.min_join_size);
   }

@@ -78,7 +78,7 @@ class JoinMIQuery {
 
   /// \brief Estimates MI against a pre-built candidate sketch. Checks sides,
   /// seeds and the candidate's key order (strictly ascending, no
-  /// duplicates), then scores through the same merge kernel SketchIndex
+  /// duplicates), then scores through the same scoring kernel SketchIndex
   /// and paged shards use.
   Result<JoinMIEstimate> Estimate(const Sketch& candidate) const;
 

@@ -91,12 +91,11 @@ Result<ShardSearchResult> PagedShardClient::Search(const JoinMIQuery& query,
       if (!bytes.ok()) continue;
       auto record = DecodeCandidateRecord(*bytes);
       if (!record.ok()) continue;
-      if (!CheckJoinable(query.train_sketch(), record->sketch).ok()) continue;
-      auto columns = ScratchCandidateColumns(record->sketch);
-      if (!columns.ok()) continue;
-      outcomes[i].Record(ScoreMergeJoin(
-          query.train_sketch(), query.train_runs(), record->sketch, *columns,
-          cfg.estimator, cfg.mi_options, cfg.min_join_size));
+      auto score = ScoreCandidateSketch(
+          query.train_sketch(), query.train_runs(), record->sketch,
+          cfg.estimator, cfg.mi_options, cfg.min_join_size);
+      if (!score.ok()) continue;
+      outcomes[i].Record(*score);
       if (outcomes[i].estimate.has_value()) refs[i] = std::move(record->ref);
     }
   };

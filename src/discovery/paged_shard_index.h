@@ -3,7 +3,7 @@
 // load, this client opens the paged file by header + directory only and
 // reads candidates lazily: a query faults each candidate's record bytes
 // through the file's buffer pool, decodes the sketch, scores it with the
-// same merge kernel SketchIndex uses (in the same strips of 8), and drops
+// same scoring kernel SketchIndex uses (in the same strips of 8), and drops
 // it. Memory is bounded by the pool's page budget, not by shard size, and
 // startup cost is O(directory) — the properties that let one server hold
 // shards bigger than RAM and restart near-instantly.

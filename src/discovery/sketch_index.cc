@@ -34,7 +34,7 @@ Status SketchIndex::AddSketch(const ColumnPairRef& ref, Sketch sketch) {
     key_hashes_.resize(offset);
     return keys;
   }
-  key_offsets_.push_back(offset);
+  key_offsets_.push_back(key_hashes_.size());
   AppendValueHashes(sketch, &value_hashes_);
   candidates_.push_back(IndexedCandidate{ref, std::move(sketch)});
   return Status::OK();
@@ -72,6 +72,7 @@ Result<IndexEvaluation> SketchIndex::EvaluateAll(const JoinMIQuery& query,
           CandidateColumns columns;
           columns.keys = key_hashes_.data() + key_offsets_[c];
           columns.value_hashes = value_hashes_.data() + key_offsets_[c];
+          columns.size = key_offsets_[c + 1] - key_offsets_[c];
           outcomes[c].Record(ScoreMergeJoin(
               query.train_sketch(), query.train_runs(),
               candidates_[c].sketch(), columns, config_.estimator,

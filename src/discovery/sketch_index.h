@@ -5,7 +5,7 @@
 //
 // The index is the persisted backbone of that deployment: each candidate is
 // stored once, as its sketch, next to one contiguous column of every
-// candidate's key hashes that the merge-scoring kernel scans; queries fan
+// candidate's key hashes that the scoring kernel probes with; queries fan
 // out across a thread pool with a deterministic merge, and the whole index
 // (config + provenance + sketches) serializes to a versioned binary format
 // so it can be built offline and served after a restart.
@@ -98,9 +98,10 @@ class SketchIndex : public Searchable {
   /// thread count. Fails fast on a query/index hash-seed mismatch.
   ///
   /// Hot path: candidates are scored in strips of 8 by ScoreMergeJoin,
-  /// merging the query's train runs with each candidate's slice of the
-  /// key-hash column. It is the kernel `query.Estimate(sketch)` and paged
-  /// shards call too, so every path produces bit-identical results.
+  /// which looks each key of a candidate's slice of the key-hash column up
+  /// in the query's train-key bucket directory (built once per query). It
+  /// is the kernel `query.Estimate(sketch)` and paged shards call too, so
+  /// every path produces bit-identical results.
   Result<IndexEvaluation> EvaluateAll(const JoinMIQuery& query,
                                       size_t num_threads = 0) const;
 
@@ -124,14 +125,16 @@ class SketchIndex : public Searchable {
  private:
   JoinMIConfig config_;
   std::vector<IndexedCandidate> candidates_;
-  // Every candidate's key hashes back to back, so the merge reads a dense
-  // u64 array; candidate c's slice starts at key_offsets_[c]. The keys are
-  // thus held twice (8 bytes per entry) on purpose: merging over the
-  // 56-byte SketchEntry stride instead made the batched probe 1.5x slower
-  // (bench_topk_search part 9, full mode, 15 alternating runs on a 4-vCPU
-  // Xeon: median 2.12 vs 1.42 ms/query, below the bench's 2x gate).
+  // Every candidate's key hashes back to back, so the probe reads a dense
+  // u64 array; candidate c's slice is [key_offsets_[c],
+  // key_offsets_[c + 1]), which gives the probe its length without
+  // touching the sketch. The keys are thus held twice (8 bytes per entry)
+  // on purpose: reading them at the 56-byte SketchEntry stride instead
+  // made the bucket-directory probe 2-3x slower per candidate
+  // (ScoreMergeJoin alone over 1536 no-join candidates of 256 keys, 8
+  // alternating runs on a 4-vCPU Xeon: best 646 vs 1520 ns).
   std::vector<uint64_t> key_hashes_;
-  std::vector<size_t> key_offsets_;
+  std::vector<size_t> key_offsets_{0};
   // Value::Hash() of every entry's value, at the same offsets: the gather
   // copies a stored hash instead of hashing each matched value per probe
   // (hashing at gather time cost ~1 ms/query on discovery_bench

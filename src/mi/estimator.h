@@ -4,7 +4,7 @@
 // sample-based MI estimator").
 //
 // Every estimate runs on SampleColumns: per observation a u64 value hash
-// and, on numeric sides, a double. The sketch merge kernel gathers those
+// and, on numeric sides, a double. The sketch scoring kernel gathers those
 // columns straight from precomputed per-entry hashes; the Value-based
 // EstimateMI/EstimateMIAuto overloads hash and convert their PairedSample
 // into the same columns first (PairedColumns). One implementation per
@@ -62,7 +62,7 @@ struct PairedSample {
 /// every path shares: a side is numeric iff all of its values are numeric.
 /// Summarizing a whole sketch tells the numeric-ness of any non-empty subset
 /// of it whenever the sketch is homogeneous (all numeric, or no numeric and
-/// no null), which is what lets the merge kernel skip scanning the train
+/// no null), which is what lets the scoring kernel skip scanning the train
 /// values it gathers.
 struct ValueTypes {
   bool all_numeric = true;  ///< vacuously true when empty

@@ -7,14 +7,14 @@
 #include <unordered_set>
 #include <vector>
 
-#include "src/common/arena.h"
+#include "src/mi/estimator_internal.h"
 
 namespace joinmi {
 
 namespace {
 
 // The scoring tail after the min_join_size guard, shared by the Value
-// reference (ScoreSketchJoinSample) and the merge kernel.
+// reference (ScoreSketchJoinSample) and the scoring kernel.
 Result<SketchMIResult> ScoreColumns(
     const SampleColumns& columns, size_t join_size,
     const std::optional<MIEstimatorKind>& estimator,
@@ -98,7 +98,7 @@ Result<SketchJoinResult> JoinSketches(const Sketch& train,
   result.sample.y.reserve(train.entries.size());
   // A set, not an adjacency counter: this reference stays correct for
   // hand-built or deserialized train sketches that violate the sortedness
-  // invariant (TrainKeyRuns::Build rejects those for the merge kernel).
+  // invariant (TrainKeyRuns::Build rejects those for the scoring kernel).
   std::unordered_set<uint64_t> matched;
   matched.reserve(train.entries.size());
   for (const SketchEntry& entry : train.entries) {
@@ -152,6 +152,20 @@ Result<TrainKeyRuns> TrainKeyRuns::Build(const Sketch& train) {
     runs.spans.emplace_back(i, end);
     i = end;
   }
+  unsigned bits = 3;
+  while (bits < 16 && (size_t{1} << bits) < 8 * runs.keys.size()) ++bits;
+  runs.bucket_shift = 64 - bits;
+  // Keys ascend, so bucket indices do too: bucket b begins at the first
+  // run whose bucket is >= b.
+  const size_t num_buckets = size_t{1} << bits;
+  runs.bucket_begin.resize(num_buckets + 1);
+  uint32_t r = 0;
+  for (size_t b = 0; b <= num_buckets; ++b) {
+    while (r < runs.keys.size() && (runs.keys[r] >> runs.bucket_shift) < b) {
+      ++r;
+    }
+    runs.bucket_begin[b] = r;
+  }
   runs.hashes.reserve(entries.size());
   runs.numbers.reserve(entries.size());
   for (const SketchEntry& entry : entries) {
@@ -171,7 +185,7 @@ Status AppendCandidateKeys(const Sketch& candidate,
   const std::vector<SketchEntry>& entries = candidate.entries;
   if (entries.size() > std::numeric_limits<uint32_t>::max()) {
     return Status::InvalidArgument(
-        "candidate sketch exceeds the merge kernel's entry limit");
+        "candidate sketch exceeds the scoring kernel's entry limit");
   }
   for (size_t i = 0; i < entries.size(); ++i) {
     if (i > 0 && entries[i].key_hash <= entries[i - 1].key_hash) {
@@ -195,101 +209,155 @@ void AppendValueHashes(const Sketch& candidate,
   }
 }
 
-Result<CandidateColumns> ScratchCandidateColumns(const Sketch& candidate) {
-  thread_local std::vector<uint64_t> keys, value_hashes;
-  keys.clear();
-  value_hashes.clear();
-  JOINMI_RETURN_NOT_OK(AppendCandidateKeys(candidate, &keys));
-  AppendValueHashes(candidate, &value_hashes);
-  CandidateColumns columns;
-  columns.keys = keys.data();
-  columns.value_hashes = value_hashes.data();
-  return columns;
+namespace {
+
+// A matched train run [begin, end) and the candidate entry it joins.
+struct RunMatch {
+  uint32_t begin;
+  uint32_t end;
+  uint32_t local;
+};
+
+struct MatchScratch {
+  std::vector<RunMatch> matches;
+};
+
+struct GatherScratch {
+  std::vector<uint64_t> x_hashes, y_hashes;
+  std::vector<double> x_numbers, y_numbers;
+};
+
+struct CandidateScratch {
+  std::vector<uint64_t> keys, value_hashes;
+};
+
+// Grows `v` to at least `n` elements; a warm thread's scratch never
+// shrinks or reinitializes.
+template <typename T>
+void EnsureSize(std::vector<T>& v, size_t n) {
+  if (v.size() < n) v.resize(n);
 }
+
+// The gather and scoring tail of ScoreMergeJoin, on `num_matches` probe
+// matches totalling n joined pairs.
+Result<SketchMIResult> GatherAndScore(
+    const Sketch& train, const TrainKeyRuns& runs, const Sketch& candidate,
+    const CandidateColumns& columns, const RunMatch* matches,
+    size_t num_matches, size_t n,
+    const std::optional<MIEstimatorKind>& estimator,
+    const MIOptions& options) {
+  return internal::WithScratch<GatherScratch>(n, [&](GatherScratch& g) {
+    EnsureSize(g.x_hashes, n);
+    EnsureSize(g.y_hashes, n);
+    EnsureSize(g.x_numbers, n);
+    EnsureSize(g.y_numbers, n);
+    SampleColumns sample;
+    sample.size = n;
+    sample.x_hashes = g.x_hashes.data();
+    sample.x_numbers = g.x_numbers.data();
+    sample.y_hashes = g.y_hashes.data();
+    sample.y_numbers = g.y_numbers.data();
+    // The candidate side's types come from the matched values the gather
+    // reads anyway. The train side's come from its summary when that is
+    // homogeneous — it then gives the types of any non-empty subset — and
+    // otherwise from the matched train values, the subset the per-sample
+    // inference would see.
+    const bool scan_y = !runs.types.homogeneous();
+    if (!scan_y) sample.y_types = runs.types;
+    size_t p = 0;
+    for (size_t m = 0; m < num_matches; ++m) {
+      const Value& x = candidate.entries[matches[m].local].value;
+      const uint64_t x_hash = columns.value_hashes[matches[m].local];
+      const double x_number = x.NumericOr(0.0);
+      sample.x_types.Add(x);
+      for (uint32_t e = matches[m].begin; e < matches[m].end; ++e, ++p) {
+        g.x_hashes[p] = x_hash;
+        g.x_numbers[p] = x_number;
+        g.y_hashes[p] = runs.hashes[e];
+        g.y_numbers[p] = runs.numbers[e];
+        if (scan_y) sample.y_types.Add(train.entries[e].value);
+      }
+    }
+    return ScoreColumns(sample, n, estimator, options);
+  });
+}
+
+}  // namespace
 
 MergeJoinScore ScoreMergeJoin(const Sketch& train, const TrainKeyRuns& runs,
                               const Sketch& candidate,
                               const CandidateColumns& columns,
                               const std::optional<MIEstimatorKind>& estimator,
                               const MIOptions& options, size_t min_join_size) {
-  thread_local Arena arena;
-  thread_local std::vector<uint64_t> x_hashes, y_hashes;
-  thread_local std::vector<double> x_numbers, y_numbers;
-  arena.Reset();
-
-  struct MatchRun {
-    uint32_t begin;
-    uint32_t end;
-    uint32_t local;
-  };
   const size_t num_runs = runs.keys.size();
-  const size_t cand_len = candidate.entries.size();
-  MatchRun* matches =
-      arena.AllocateArray<MatchRun>(std::min(num_runs, cand_len));
-  size_t num_matches = 0;
-  MergeJoinScore score;
-  // Both key arrays ascend, so the intersection is a linear merge over two
-  // contiguous u64 arrays — no hashing, no pointer chasing. Matches fall
-  // out in ascending key order, which is train-entry order: the order
-  // JoinSketches emits.
-  const uint64_t* train_keys = runs.keys.data();
-  const uint64_t* candidate_keys = columns.keys;
-  size_t i = 0;
-  size_t j = 0;
-  while (i < num_runs && j < cand_len) {
-    const uint64_t tk = train_keys[i];
-    const uint64_t ck = candidate_keys[j];
-    if (tk < ck) {
-      ++i;
-    } else if (ck < tk) {
-      ++j;
-    } else {
-      const std::pair<uint32_t, uint32_t>& span = runs.spans[i];
-      matches[num_matches++] =
-          MatchRun{span.first, span.second, static_cast<uint32_t>(j)};
-      score.join_size += span.second - span.first;
-      ++i;
-      ++j;
-    }
-  }
-  if (score.join_size < min_join_size) return score;
+  // An empty train joins nothing; skipping its probe keeps `last` valid.
+  const size_t probe_len = num_runs == 0 ? 0 : columns.size;
+  const size_t max_matches = std::min(num_runs, probe_len);
+  return internal::WithScratch<MatchScratch>(
+      max_matches, [&](MatchScratch& scratch) {
+        MergeJoinScore score;
+        // One slot past the last possible match: every key writes its
+        // candidate match and only a hit advances the count.
+        EnsureSize(scratch.matches, max_matches + 1);
+        RunMatch* matches = scratch.matches.data();
+        size_t num_matches = 0;
+        size_t join_size = 0;
+        // Each candidate key reads only its own bucket, so lookups carry
+        // no dependency from key to key, and a bucket holds 0 or 1 runs
+        // but for a rare collision, so the common lookup is branch-free:
+        // one compare against the run at the bucket's start. An empty
+        // bucket's start is the next bucket's first run (clamped to the
+        // last run past the end), whose key lies in another bucket and so
+        // cannot match: no bounds test is needed. Candidate keys ascend,
+        // so matches come out in train-entry order, the order
+        // JoinSketches emits.
+        const uint64_t* train_keys = runs.keys.data();
+        const uint32_t* bucket_begin = runs.bucket_begin.data();
+        const unsigned shift = runs.bucket_shift;
+        const uint32_t last = static_cast<uint32_t>(num_runs - 1);
+        for (uint32_t j = 0; j < probe_len; ++j) {
+          const uint64_t key = columns.keys[j];
+          const uint64_t b = key >> shift;
+          uint32_t r = bucket_begin[b];
+          const uint32_t end = bucket_begin[b + 1];
+          if (end - r > 1) {
+            while (r + 1 < end && train_keys[r] < key) ++r;
+          }
+          r = std::min(r, last);
+          const bool hit = train_keys[r] == key;
+          const std::pair<uint32_t, uint32_t> span = runs.spans[r];
+          matches[num_matches] = RunMatch{span.first, span.second, j};
+          num_matches += hit;
+          join_size += hit ? span.second - span.first : 0;
+        }
+        score.join_size = join_size;
+        if (join_size < min_join_size) return score;
+        score.scored =
+            GatherAndScore(train, runs, candidate, columns, matches,
+                           num_matches, join_size, estimator, options);
+        return score;
+      });
+}
 
-  const size_t n = score.join_size;
-  if (x_hashes.size() < n) {
-    x_hashes.resize(n);
-    y_hashes.resize(n);
-    x_numbers.resize(n);
-    y_numbers.resize(n);
-  }
-  SampleColumns sample;
-  sample.size = n;
-  sample.x_hashes = x_hashes.data();
-  sample.x_numbers = x_numbers.data();
-  sample.y_hashes = y_hashes.data();
-  sample.y_numbers = y_numbers.data();
-  // The candidate side's types come from the matched values the gather
-  // reads anyway. The train side's come from its summary when that is
-  // homogeneous — it then gives the types of any non-empty subset — and
-  // otherwise from the matched train values, the subset the per-sample
-  // inference would see.
-  const bool scan_y = !runs.types.homogeneous();
-  if (!scan_y) sample.y_types = runs.types;
-  size_t p = 0;
-  for (size_t m = 0; m < num_matches; ++m) {
-    const Value& x = candidate.entries[matches[m].local].value;
-    const uint64_t x_hash = columns.value_hashes[matches[m].local];
-    const double x_number = x.NumericOr(0.0);
-    sample.x_types.Add(x);
-    for (uint32_t e = matches[m].begin; e < matches[m].end; ++e, ++p) {
-      x_hashes[p] = x_hash;
-      x_numbers[p] = x_number;
-      y_hashes[p] = runs.hashes[e];
-      y_numbers[p] = runs.numbers[e];
-      if (scan_y) sample.y_types.Add(train.entries[e].value);
-    }
-  }
-  score.scored = ScoreColumns(sample, n, estimator, options);
-  return score;
+Result<MergeJoinScore> ScoreCandidateSketch(
+    const Sketch& train, const TrainKeyRuns& runs, const Sketch& candidate,
+    const std::optional<MIEstimatorKind>& estimator, const MIOptions& options,
+    size_t min_join_size) {
+  JOINMI_RETURN_NOT_OK(CheckJoinable(train, candidate));
+  return internal::WithScratch<CandidateScratch>(
+      candidate.entries.size(),
+      [&](CandidateScratch& scratch) -> Result<MergeJoinScore> {
+        scratch.keys.clear();
+        scratch.value_hashes.clear();
+        JOINMI_RETURN_NOT_OK(AppendCandidateKeys(candidate, &scratch.keys));
+        AppendValueHashes(candidate, &scratch.value_hashes);
+        CandidateColumns columns;
+        columns.keys = scratch.keys.data();
+        columns.value_hashes = scratch.value_hashes.data();
+        columns.size = scratch.keys.size();
+        return ScoreMergeJoin(train, runs, candidate, columns, estimator,
+                              options, min_join_size);
+      });
 }
 
 }  // namespace joinmi

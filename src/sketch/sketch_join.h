@@ -47,9 +47,9 @@ struct SketchMIResult {
 /// EstimateSketchMI* entry points do: the min_join_size guard first
 /// (OutOfRange — the paper's meaningless-estimate cutoff), then estimator
 /// dispatch (`estimator` if set, otherwise ChooseEstimatorForSample), then
-/// EstimateMI on the sample's columns (PairedColumns) — the same scoring
-/// tail the merge kernel runs on its gathered columns, which is what keeps
-/// their results bit-identical.
+/// EstimateMI on the sample's columns (PairedColumns) — the same tail the
+/// scoring kernel runs on its gathered columns, which is what keeps their
+/// results bit-identical.
 Result<SketchMIResult> ScoreSketchJoinSample(
     const PairedSample& sample, size_t join_size,
     const std::optional<MIEstimatorKind>& estimator, const MIOptions& options,
@@ -73,27 +73,36 @@ Result<SketchMIResult> EstimateSketchMIAuto(const Sketch& train,
                                             size_t min_join_size = 1);
 
 /// \brief A train sketch's runs of equal key_hash in structure-of-arrays
-/// form, plus the typed columns the merge kernel gathers samples from.
-/// keys[i] is the i-th distinct key and spans[i] its [begin, end) slice of
-/// the train entries; hashes[e] and numbers[e] are entry e's Value::Hash()
-/// and numeric value (0 when not numeric), and `types` summarizes every
-/// entry's value. Built once per query and shared by every candidate it is
-/// scored against; parallel arrays so the merge scans a dense u64 key array
-/// (8 keys per cache line) and the gather copies flat words, not Values.
+/// form, a bucket directory over their keys, and the typed columns the
+/// scoring kernel gathers samples from. keys[r] is the r-th distinct key
+/// and spans[r] its [begin, end) slice of the train entries; hashes[e] and
+/// numbers[e] are entry e's Value::Hash() and numeric value (0 when not
+/// numeric), and `types` summarizes every entry's value. Built once per
+/// query and shared by every candidate it is scored against.
+///
+/// The directory is CSR over the ascending run keys: run r lives in bucket
+/// keys[r] >> bucket_shift, and bucket b holds runs
+/// [bucket_begin[b], bucket_begin[b + 1]). Its 2^B buckets take the
+/// smallest B >= 3 with 2^B >= 8 x runs, capped at 2^16. Key hashes are
+/// Mix64 outputs, so their top bits are uniform: at sketch capacity 256 the
+/// directory is at most 2048 buckets (8 KB, L1-resident), and all but a
+/// few hold 0 or 1 run.
 struct TrainKeyRuns {
   std::vector<uint64_t> keys;
   std::vector<std::pair<uint32_t, uint32_t>> spans;
+  std::vector<uint32_t> bucket_begin;
+  unsigned bucket_shift = 0;
   std::vector<uint64_t> hashes;
   std::vector<double> numbers;
   ValueTypes types;
 
-  /// \brief Collects the runs and columns of `train`. Fails with
-  /// InvalidArgument unless the run keys strictly ascend — entries sorted
-  /// by key_hash, the builder invariant the merge depends on.
+  /// \brief Collects the runs, directory and columns of `train`. Fails
+  /// with InvalidArgument unless the run keys strictly ascend — entries
+  /// sorted by key_hash, the builder invariant the kernel depends on.
   static Result<TrainKeyRuns> Build(const Sketch& train);
 };
 
-/// \brief Checks the candidate side of the merge contract — a
+/// \brief Checks the candidate side of the kernel's contract — a
 /// candidate-side sketch whose key hashes strictly ascend, which rejects
 /// both duplicate keys and unsorted entries in one linear pass — and
 /// appends those key hashes to `*keys`. On failure `*keys` may hold a
@@ -106,55 +115,63 @@ Status AppendCandidateKeys(const Sketch& candidate,
 void AppendValueHashes(const Sketch& candidate,
                        std::vector<uint64_t>* hashes);
 
-/// \brief A candidate as the merge kernel reads it, beside its sketch:
-/// `keys[j]` and `value_hashes[j]` are entry j's key hash (strictly
-/// ascending) and Value::Hash(). SketchIndex points into its per-index
-/// columns; other callers use ScratchCandidateColumns.
+/// \brief A candidate as the scoring kernel reads it, beside its sketch:
+/// `size` entries, where `keys[j]` and `value_hashes[j]` are entry j's key
+/// hash (strictly ascending) and Value::Hash(). SketchIndex points into its
+/// per-index columns; ScoreCandidateSketch fills them per call.
 struct CandidateColumns {
   const uint64_t* keys = nullptr;
   const uint64_t* value_hashes = nullptr;
+  size_t size = 0;
 };
-
-/// \brief Checks the merge contract (AppendCandidateKeys) and fills the
-/// candidate's columns in thread-local scratch, valid until this thread's
-/// next call — for callers that decode or receive a sketch per probe.
-Result<CandidateColumns> ScratchCandidateColumns(const Sketch& candidate);
 
 /// \brief One candidate's outcome from ScoreMergeJoin.
 struct MergeJoinScore {
   /// Joined pairs, train-side multiplicity included.
   size_t join_size = 0;
-  /// Empty when join_size < min_join_size: the common skip costs the merge
+  /// Empty when join_size < min_join_size: the common skip costs the probe
   /// alone, with no value gathered and no Status built. Otherwise the
   /// estimate, or the estimator's error.
   std::optional<Result<SketchMIResult>> scored;
 };
 
-/// \brief The merge-scoring kernel: every discovery path (SketchIndex,
-/// paged shards, JoinMIQuery::Estimate) scores a candidate through here.
-/// Intersects the train runs with the candidate's key hashes by a linear
-/// merge of two ascending u64 arrays, then gathers the join sample in
-/// train-entry order with train multiplicity as SampleColumns — hashes and
-/// doubles copied from `runs` and `columns` (candidate doubles read from
-/// its entries), never a Value. The estimator is `estimator` if set, else
-/// the auto policy on the sample's types: the candidate side's from the
-/// matched values, the train side's from `runs.types` when that is
-/// homogeneous and from the matched values otherwise — the same answer
-/// ChooseEstimatorForSample gives on the Value sample. Scoring then runs
-/// the same EstimateMI the Value path adapts onto, so the result —
-/// estimate or error status — is bit-identical to JoinSketches +
-/// ScoreSketchJoinSample on the same sketches.
+/// \brief The scoring kernel: every discovery path (SketchIndex, paged
+/// shards, JoinMIQuery::Estimate) scores a candidate through here. Walks
+/// the candidate's ascending keys and looks each up in its bucket of the
+/// train directory — no loop-carried dependency between keys, and a
+/// candidate that joins nothing never reads its Sketch. Matches come out
+/// in ascending key order, which is train-entry order, so the join sample
+/// is gathered exactly as JoinSketches emits it, with train multiplicity,
+/// as SampleColumns — hashes and doubles copied from `runs` and `columns`
+/// (candidate doubles read from its entries), never a Value. The estimator
+/// is `estimator` if set, else the auto policy on the sample's types: the
+/// candidate side's from the matched values, the train side's from
+/// `runs.types` when that is homogeneous and from the matched values
+/// otherwise — the same answer ChooseEstimatorForSample gives on the Value
+/// sample. Scoring then runs the same EstimateMI the Value path adapts
+/// onto, so the result — estimate or error status — is bit-identical to
+/// JoinSketches + ScoreSketchJoinSample on the same sketches.
 ///
 /// `runs` must come from TrainKeyRuns::Build(train) and `columns` describe
 /// `candidate`. Sides and seeds are the caller's to check.
-/// Scratch lives in thread_local storage that keeps its capacity, and the
-/// estimators' scratch does too, so a warmed thread scores candidates
-/// without heap allocation.
+/// Scratch follows the estimators' rule (internal::WithScratch): a thread
+/// reuses its own for joins of up to kMaxRetainedScratchPoints, so a warmed
+/// thread scores sketch joins without heap allocation, and a larger join
+/// gets call-local scratch that is freed on return.
 MergeJoinScore ScoreMergeJoin(const Sketch& train, const TrainKeyRuns& runs,
                               const Sketch& candidate,
                               const CandidateColumns& columns,
                               const std::optional<MIEstimatorKind>& estimator,
                               const MIOptions& options, size_t min_join_size);
+
+/// \brief ScoreMergeJoin for a candidate with no stored columns — one
+/// decoded or received per probe. Checks sides and seeds (CheckJoinable)
+/// and the candidate's key order (AppendCandidateKeys), then fills its
+/// columns in scratch under the same retention rule as the kernel's.
+Result<MergeJoinScore> ScoreCandidateSketch(
+    const Sketch& train, const TrainKeyRuns& runs, const Sketch& candidate,
+    const std::optional<MIEstimatorKind>& estimator, const MIOptions& options,
+    size_t min_join_size);
 
 /// \brief The OutOfRange status ScoreSketchJoinSample returns for a join
 /// below min_join_size.

@@ -1,10 +1,10 @@
-// Tests for the discovery hot path: Arena alignment / reset /
-// oversized-allocation behavior, the merge kernel's key-order contract as
-// every entry point enforces it (unsorted or duplicated candidates and
-// unsorted train sketches fail with a structured error instead of a
-// silently wrong join), and bit-identity of every path that scores
-// through the kernel — SketchIndex::EvaluateAll, PagedShardClient::Search
-// and JoinMIQuery::Estimate — against the JoinSketches reference.
+// Tests for the discovery hot path: the scoring kernel's key-order
+// contract as every entry point enforces it (unsorted or duplicated
+// candidates and unsorted train sketches fail with a structured error
+// instead of a silently wrong join), and bit-identity of every path that
+// scores through the kernel — SketchIndex::EvaluateAll,
+// PagedShardClient::Search and JoinMIQuery::Estimate — against the
+// JoinSketches reference.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "src/common/arena.h"
 #include "src/common/random.h"
 #include "src/discovery/paged_shard_index.h"
 #include "src/discovery/sharded_index.h"
@@ -26,98 +25,7 @@
 namespace joinmi {
 namespace {
 
-// ------------------------------------------------------------------ Arena
-
-TEST(ArenaTest, RespectsAlignment) {
-  Arena arena;
-  // Interleave odd-sized and aligned requests so alignment padding is
-  // actually needed.
-  for (size_t i = 0; i < 64; ++i) {
-    char* bytes = static_cast<char*>(arena.AllocateBytes(3, 1));
-    bytes[0] = 'x';
-    double* d = arena.AllocateArray<double>(2);
-    EXPECT_EQ(reinterpret_cast<uintptr_t>(d) % alignof(double), 0u);
-    d[0] = 1.0;
-    d[1] = 2.0;
-    uint64_t* u = arena.AllocateArray<uint64_t>(1);
-    EXPECT_EQ(reinterpret_cast<uintptr_t>(u) % alignof(uint64_t), 0u);
-    *u = i;
-  }
-}
-
-TEST(ArenaTest, AllocationsDoNotOverlap) {
-  Arena arena(256);  // small blocks: force several block transitions
-  std::vector<uint64_t*> slots;
-  for (uint64_t i = 0; i < 500; ++i) {
-    uint64_t* p = arena.AllocateArray<uint64_t>(1);
-    *p = i;
-    slots.push_back(p);
-  }
-  for (uint64_t i = 0; i < slots.size(); ++i) {
-    EXPECT_EQ(*slots[i], i);
-  }
-}
-
-TEST(ArenaTest, ResetRetainsBlocksForSteadyStateReuse) {
-  Arena arena(1024);
-  for (size_t i = 0; i < 10; ++i) {
-    arena.AllocateBytes(3000, 8);
-    arena.AllocateBytes(512, 8);
-  }
-  const size_t reserved = arena.bytes_reserved();
-  const size_t blocks = arena.num_blocks();
-  ASSERT_GT(reserved, 0u);
-  arena.Reset();
-  EXPECT_EQ(arena.bytes_allocated(), 0u);
-  EXPECT_EQ(arena.bytes_reserved(), reserved);
-  EXPECT_EQ(arena.num_blocks(), blocks);
-  // The same allocation pattern after Reset must be served entirely from
-  // retained blocks: no growth.
-  for (size_t i = 0; i < 10; ++i) {
-    arena.AllocateBytes(3000, 8);
-    arena.AllocateBytes(512, 8);
-  }
-  EXPECT_EQ(arena.bytes_reserved(), reserved);
-  EXPECT_EQ(arena.num_blocks(), blocks);
-}
-
-TEST(ArenaTest, OversizedAllocationGetsDedicatedBlock) {
-  Arena arena(1024);
-  const size_t huge = 1024 * 1024;
-  char* p = static_cast<char*>(arena.AllocateBytes(huge, 8));
-  ASSERT_NE(p, nullptr);
-  p[0] = 'a';
-  p[huge - 1] = 'z';
-  EXPECT_GE(arena.bytes_reserved(), huge);
-  // Small allocations still work after the oversized one, and the
-  // oversized block is reusable after Reset.
-  arena.AllocateBytes(64, 8);
-  arena.Reset();
-  char* again = static_cast<char*>(arena.AllocateBytes(huge, 8));
-  ASSERT_NE(again, nullptr);
-  again[huge - 1] = 'y';
-  EXPECT_EQ(arena.num_blocks(), 2u);  // one standard + one dedicated
-}
-
-TEST(ArenaTest, ZeroByteAllocationIsValid) {
-  Arena arena;
-  void* p = arena.AllocateBytes(0, 1);
-  EXPECT_NE(p, nullptr);
-}
-
-TEST(ArenaTest, MoveTransfersOwnership) {
-  Arena a(512);
-  uint64_t* p = a.AllocateArray<uint64_t>(4);
-  p[0] = 77;
-  Arena b(std::move(a));
-  EXPECT_EQ(p[0], 77u);  // block now owned by b, still alive
-  EXPECT_GT(b.bytes_reserved(), 0u);
-  Arena c(128);
-  c = std::move(b);
-  EXPECT_EQ(p[0], 77u);
-}
-
-// ------------------------------------------------ merge key-order contract
+// ----------------------------------------------- kernel key-order contract
 
 Sketch MakeSketch(SketchSide side,
                   std::vector<std::pair<uint64_t, int64_t>> entries) {

@@ -1,13 +1,14 @@
 // Allocation regression tests for MI scoring. Once a thread is warm,
 // SketchIndex::EvaluateAll must make the same number of heap allocations
-// whether 8 or 32 candidates reach an estimator — the merge, the typed
+// whether 8 or 32 candidates reach an estimator — the probe, the typed
 // gather and every estimator run in reused thread-local scratch, so only
 // the per-query outcome vectors allocate. The same holds at 4 threads, for
 // an index and for a 4-shard fan-out: the shared pool's workers keep their
 // scratch warm, and a ParallelFor call allocates nothing per index. And an
 // estimate on a sample too large for that scratch (a materialized join),
-// or a sketch of a column too large for the reused key coder, must leave
-// no heap behind — on the caller and on the pool's workers.
+// a sketch join too large for the kernel's scratch, or a sketch of a
+// column too large for the reused key coder, must leave no heap behind —
+// on the caller and on the pool's workers.
 //
 // Every heap allocation in this binary bumps one counter and the live-byte
 // total (a replaced global operator new), which catches allocations hidden
@@ -252,6 +253,69 @@ std::shared_ptr<Table> DistinctKeyTable(size_t rows, size_t first_key) {
   }
   return *Table::FromColumns({{"K", Column::MakeString(std::move(keys))},
                               {"Z", Column::MakeDouble(std::move(values))}});
+}
+
+// Scores a sketch join far larger than the retained scratch (and its
+// match buffer), on the caller through JoinMIQuery::Estimate and on every
+// pool thread through a 4-thread EvaluateAll: neither may leave heap
+// behind once its result is gone.
+TEST(ScoringAllocationTest, LargeSketchJoinLeavesNoScratchBehind) {
+  constexpr size_t kLargeJoin = 20000;
+  static_assert(kLargeJoin > internal::kMaxRetainedScratchPoints);
+  JoinMIConfig config;
+  config.estimator = MIEstimatorKind::kMLE;
+  config.sketch_capacity = kLargeJoin;
+  const std::shared_ptr<Table> small = DistinctKeyTable(200, 0);
+  const std::shared_ptr<Table> large = DistinctKeyTable(kLargeJoin, 0);
+  const JoinMIQuery small_query =
+      *JoinMIQuery::Create(*small, "K", "Z", config);
+  const JoinMIQuery large_query =
+      *JoinMIQuery::Create(*large, "K", "Z", config);
+  const Sketch small_candidate =
+      *small_query.SketchCandidate(*small, "K", "Z");
+  const Sketch large_candidate =
+      *large_query.SketchCandidate(*large, "K", "Z");
+  ASSERT_EQ(large_query.train_sketch().size(), kLargeJoin);
+  ASSERT_EQ(large_candidate.size(), kLargeJoin);
+  // Four strips of fully matching candidates, one per thread.
+  constexpr size_t kCopies = 4 * 8;
+  SketchIndex small_index(config);
+  SketchIndex large_index(config);
+  for (size_t c = 0; c < kCopies; ++c) {
+    const ColumnPairRef ref{"t" + std::to_string(c), "K", "Z"};
+    ASSERT_TRUE(small_index.AddSketch(ref, small_candidate).ok());
+    ASSERT_TRUE(large_index.AddSketch(ref, large_candidate).ok());
+  }
+  // Warm-up on every thread that can take part, as in the pooled scan
+  // below: each keeps the scratch of small joins.
+  WorkSharingPool& pool = WorkSharingPool::Shared();
+  const size_t participants = pool.num_threads() + 1;
+  std::atomic<size_t> arrived{0};
+  pool.ParallelFor(participants, participants, [&](size_t) {
+    arrived.fetch_add(1);
+    while (arrived.load() < participants) std::this_thread::yield();
+    EXPECT_TRUE(small_query.Estimate(small_candidate).ok());
+    EXPECT_TRUE(small_index.EvaluateAll(small_query, 1).ok());
+  });
+
+  int64_t before = g_live_bytes.load(std::memory_order_relaxed);
+  {
+    auto estimate = large_query.Estimate(large_candidate);
+    ASSERT_TRUE(estimate.ok()) << estimate.status();
+    EXPECT_EQ(estimate->sample_size, kLargeJoin);
+  }
+  EXPECT_EQ(g_live_bytes.load(std::memory_order_relaxed), before)
+      << "caller";
+
+  before = g_live_bytes.load(std::memory_order_relaxed);
+  {
+    auto evaluation = large_index.EvaluateAll(large_query, 4);
+    ASSERT_TRUE(evaluation.ok()) << evaluation.status();
+    ASSERT_EQ(evaluation->num_evaluated, kCopies);
+    EXPECT_EQ(evaluation->estimates[0]->sample_size, kLargeJoin);
+  }
+  EXPECT_EQ(g_live_bytes.load(std::memory_order_relaxed), before)
+      << "4-thread EvaluateAll";
 }
 
 constexpr size_t kLargeKeyRows = 200000;

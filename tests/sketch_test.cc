@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
@@ -666,17 +669,17 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ------------------------------------------------- Merge-scoring kernel ---
 
-// Scores `candidate` through the merge kernel the way every discovery path
-// does: train runs built once, candidate columns checked and gathered.
+// Scores `candidate` through the scoring kernel the way every discovery
+// path does: train runs built once, candidate columns checked and gathered.
 MergeJoinScore ScoreThroughKernel(
     const Sketch& train, const Sketch& candidate,
     const std::optional<MIEstimatorKind>& estimator, size_t min_join_size) {
   auto runs = TrainKeyRuns::Build(train);
   EXPECT_TRUE(runs.ok()) << runs.status();
-  auto columns = ScratchCandidateColumns(candidate);
-  EXPECT_TRUE(columns.ok()) << columns.status();
-  return ScoreMergeJoin(train, *runs, candidate, *columns, estimator, {},
-                        min_join_size);
+  auto score = ScoreCandidateSketch(train, *runs, candidate, estimator, {},
+                                    min_join_size);
+  EXPECT_TRUE(score.ok()) << score.status();
+  return *score;
 }
 
 TEST(MergeKernelTest, MatchesJoinSketchesForEveryMethod) {
@@ -872,8 +875,237 @@ TEST(MergeKernelTest, CandidateKeysMustStrictlyAscend) {
   EXPECT_TRUE(AppendCandidateKeys(train_side, &keys).IsInvalidArgument());
 }
 
+// ------------------------------------- Bucket-directory probe oracles ---
+
+// A train sketch with one run per key of `run_keys` (ascending), run r
+// repeated `multiplicity(r)` times; int64 values from `rng`.
+template <typename Multiplicity>
+Sketch OracleTrain(const std::vector<uint64_t>& run_keys,
+                   Multiplicity&& multiplicity, Rng& rng) {
+  Sketch train;
+  train.side = SketchSide::kTrain;
+  for (size_t r = 0; r < run_keys.size(); ++r) {
+    for (size_t copy = 0; copy < multiplicity(r); ++copy) {
+      train.entries.push_back(SketchEntry{
+          run_keys[r], 0.1,
+          Value(static_cast<int64_t>(rng.NextBounded(6)))});
+    }
+  }
+  return train;
+}
+
+Sketch OracleTrain(const std::vector<uint64_t>& run_keys, Rng& rng) {
+  return OracleTrain(run_keys, [](size_t) { return size_t{1}; }, rng);
+}
+
+// A candidate sketch over `keys` (ascending, distinct).
+Sketch OracleCandidate(const std::vector<uint64_t>& keys, Rng& rng) {
+  Sketch cand;
+  cand.side = SketchSide::kCandidate;
+  for (uint64_t key : keys) {
+    cand.entries.push_back(SketchEntry{
+        key, 0.1, Value(static_cast<int64_t>(rng.NextBounded(5)))});
+  }
+  return cand;
+}
+
+std::vector<uint64_t> SortedDistinct(std::vector<uint64_t> keys) {
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  return keys;
+}
+
+uint64_t Bits(double x) {
+  uint64_t bits;
+  std::memcpy(&bits, &x, sizeof(bits));
+  return bits;
+}
+
+// The kernel against JoinSketches + ScoreSketchJoinSample, with an
+// explicit and the auto estimator: join size, estimator and the MI's bits,
+// or the same error status.
+void ExpectKernelMatchesOracle(const Sketch& train, const Sketch& cand,
+                               const std::string& where) {
+  auto joined = JoinSketches(train, cand);
+  ASSERT_TRUE(joined.ok()) << where << ": " << joined.status();
+  for (const std::optional<MIEstimatorKind>& estimator :
+       {std::optional<MIEstimatorKind>(MIEstimatorKind::kMLE),
+        std::optional<MIEstimatorKind>()}) {
+    MergeJoinScore fast = ScoreThroughKernel(train, cand, estimator, 1);
+    EXPECT_EQ(fast.join_size, joined->join_size) << where;
+    ASSERT_EQ(fast.scored.has_value(), joined->join_size >= 1) << where;
+    if (!fast.scored.has_value()) continue;
+    auto reference = ScoreSketchJoinSample(joined->sample, joined->join_size,
+                                           estimator, {}, 1);
+    ASSERT_EQ(fast.scored->ok(), reference.ok()) << where;
+    if (!reference.ok()) {
+      EXPECT_EQ(fast.scored->status().ToString(),
+                reference.status().ToString())
+          << where;
+      continue;
+    }
+    EXPECT_EQ(Bits((*fast.scored)->mi), Bits(reference->mi)) << where;
+    EXPECT_EQ((*fast.scored)->join_size, reference->join_size) << where;
+    EXPECT_EQ((*fast.scored)->estimator, reference->estimator) << where;
+  }
+}
+
+TEST(MergeKernelTest, KeysSharingTheirTopBitsFallInOneBucket) {
+  // 300 runs whose keys share their top 20 bits: the directory's 4096
+  // buckets put all of them in one, so every lookup scans that bucket.
+  Rng rng(11);
+  const uint64_t prefix = uint64_t{0xABCDE} << 44;
+  std::vector<uint64_t> pool;
+  for (int i = 0; i < 600; ++i) {
+    pool.push_back(prefix | (rng.Next64() >> 20));
+  }
+  pool = SortedDistinct(pool);
+  std::vector<uint64_t> train_keys, cand_keys;
+  for (size_t i = 0; i < pool.size(); ++i) {
+    if (i % 2 == 0) train_keys.push_back(pool[i]);
+    if (i % 3 == 0) cand_keys.push_back(pool[i]);
+  }
+  const Sketch train = OracleTrain(train_keys, rng);
+  auto runs = *TrainKeyRuns::Build(train);
+  EXPECT_EQ(runs.bucket_begin.size(), 4097u);
+  const uint32_t bucket = static_cast<uint32_t>(prefix >> runs.bucket_shift);
+  EXPECT_EQ(runs.bucket_begin[bucket], 0u);
+  EXPECT_EQ(runs.bucket_begin[bucket + 1], train_keys.size());
+  ExpectKernelMatchesOracle(train, OracleCandidate(cand_keys, rng),
+                            "one bucket");
+}
+
+TEST(MergeKernelTest, ExtremeKeysHitTheFirstAndLastBuckets) {
+  Rng rng(12);
+  const uint64_t max = std::numeric_limits<uint64_t>::max();
+  const std::vector<uint64_t> train_keys = {0, 1, uint64_t{1} << 63,
+                                            max - 1, max};
+  const Sketch train = OracleTrain(
+      train_keys, [](size_t r) { return r % 2 + 1; }, rng);
+  for (const std::vector<uint64_t>& cand_keys :
+       {std::vector<uint64_t>{0, max}, std::vector<uint64_t>{0},
+        std::vector<uint64_t>{max}, std::vector<uint64_t>{2, max - 2},
+        std::vector<uint64_t>{0, 1, 5, (uint64_t{1} << 63) - 1, max - 1,
+                              max}}) {
+    ExpectKernelMatchesOracle(train, OracleCandidate(cand_keys, rng),
+                              "extremes x" + std::to_string(cand_keys.size()));
+  }
+  // A train without the extremes, probed by them: the last buckets are
+  // empty and begin past the final run.
+  const Sketch inner = OracleTrain({5, 6, uint64_t{1} << 40}, rng);
+  ExpectKernelMatchesOracle(inner, OracleCandidate({0, 6, max}, rng),
+                            "extremes vs inner train");
+}
+
+TEST(MergeKernelTest, SingleRunTrain) {
+  Rng rng(13);
+  const uint64_t key = 0x5555555555555555ull;
+  const Sketch train = OracleTrain({key}, [](size_t) { return size_t{3}; },
+                                   rng);
+  for (const std::vector<uint64_t>& cand_keys :
+       {std::vector<uint64_t>{key}, std::vector<uint64_t>{key - 1, key + 1},
+        std::vector<uint64_t>{0, key, std::numeric_limits<uint64_t>::max()},
+        std::vector<uint64_t>{key + 1}}) {
+    ExpectKernelMatchesOracle(train, OracleCandidate(cand_keys, rng),
+                              "single run x" +
+                                  std::to_string(cand_keys.size()));
+  }
+}
+
+TEST(MergeKernelTest, MoreRunsThanTheBucketCap) {
+  // 20000 runs want 2^18 buckets; the cap leaves 2^16, ~0.3 runs each,
+  // so buckets with several runs are common. The 10000-pair join also
+  // exceeds the retained-scratch bound.
+  Rng rng(14);
+  std::vector<uint64_t> pool;
+  for (int i = 0; i < 30000; ++i) pool.push_back(rng.Next64());
+  pool = SortedDistinct(pool);
+  std::vector<uint64_t> train_keys(pool.begin(), pool.begin() + 20000);
+  std::vector<uint64_t> cand_keys(pool.begin() + 10000, pool.end());
+  const Sketch train = OracleTrain(train_keys, rng);
+  auto runs = *TrainKeyRuns::Build(train);
+  EXPECT_EQ(runs.bucket_begin.size(), (size_t{1} << 16) + 1);
+  EXPECT_EQ(runs.bucket_begin.back(), train_keys.size());
+  ExpectKernelMatchesOracle(train, OracleCandidate(cand_keys, rng),
+                            "over the bucket cap");
+}
+
+TEST(MergeKernelTest, TrainRunsWithMultiplicity) {
+  Rng rng(15);
+  std::vector<uint64_t> pool;
+  for (int i = 0; i < 400; ++i) pool.push_back(rng.Next64());
+  pool = SortedDistinct(pool);
+  std::vector<uint64_t> train_keys, cand_keys;
+  for (size_t i = 0; i < pool.size(); ++i) {
+    if (i % 4 != 3) train_keys.push_back(pool[i]);
+    if (i % 2 == 0) cand_keys.push_back(pool[i]);
+  }
+  const Sketch train = OracleTrain(
+      train_keys, [](size_t r) { return r % 5 + 1; }, rng);
+  ExpectKernelMatchesOracle(train, OracleCandidate(cand_keys, rng),
+                            "multiplicity 1..5");
+}
+
+TEST(MergeKernelTest, EmptyTrainAndEmptyCandidate) {
+  Rng rng(16);
+  const Sketch empty_train = OracleTrain({}, rng);
+  const Sketch empty_cand = OracleCandidate({}, rng);
+  const Sketch train = OracleTrain({3, 9, 27}, rng);
+  const Sketch cand = OracleCandidate({3, 9, 27}, rng);
+  ExpectKernelMatchesOracle(empty_train, cand, "empty train");
+  ExpectKernelMatchesOracle(train, empty_cand, "empty candidate");
+  ExpectKernelMatchesOracle(empty_train, empty_cand, "both empty");
+  // With no minimum, an empty join reaches the estimator and fails there
+  // exactly as the Value path does.
+  auto joined = *JoinSketches(empty_train, cand);
+  auto reference = ScoreSketchJoinSample(joined.sample, 0, std::nullopt, {},
+                                         0);
+  MergeJoinScore fast = ScoreThroughKernel(empty_train, cand, std::nullopt, 0);
+  ASSERT_TRUE(fast.scored.has_value());
+  ASSERT_EQ(fast.scored->ok(), reference.ok());
+  if (!reference.ok()) {
+    EXPECT_EQ(fast.scored->status().ToString(),
+              reference.status().ToString());
+  }
+}
+
+TEST(MergeKernelTest, RandomPairsMatchTheOracle) {
+  // 1200 seeded pairs: sizes from 0 to ~500 runs, overlap from none to
+  // full, multiplicities 1..3, and every fourth pair's keys squeezed into
+  // a few top-bit prefixes so buckets collide.
+  Rng rng(20240917);
+  for (int pair = 0; pair < 1200; ++pair) {
+    const size_t pool_size = 1 + rng.NextBounded(600);
+    const int clustered = pair % 4 == 0;
+    std::vector<uint64_t> pool;
+    for (size_t i = 0; i < pool_size; ++i) {
+      uint64_t key = rng.Next64();
+      if (clustered) key = (rng.NextBounded(3) << 61) | (key >> 24);
+      pool.push_back(key);
+    }
+    pool = SortedDistinct(pool);
+    const uint64_t train_share = rng.NextBounded(101);
+    const uint64_t cand_share = rng.NextBounded(101);
+    const uint64_t max_copies = 1 + rng.NextBounded(3);
+    std::vector<uint64_t> train_keys, cand_keys;
+    for (uint64_t key : pool) {
+      if (rng.NextBounded(100) < train_share) train_keys.push_back(key);
+      if (rng.NextBounded(100) < cand_share) cand_keys.push_back(key);
+    }
+    std::vector<size_t> copies;
+    for (size_t r = 0; r < train_keys.size(); ++r) {
+      copies.push_back(1 + rng.NextBounded(max_copies));
+    }
+    const Sketch train = OracleTrain(
+        train_keys, [&copies](size_t r) { return copies[r]; }, rng);
+    ExpectKernelMatchesOracle(train, OracleCandidate(cand_keys, rng),
+                              "pair " + std::to_string(pair));
+    if (HasFatalFailure()) return;
+  }
+}
+
 TEST(SketchJoinTest, MatchedKeysDistinctEvenForUnsortedTrainSketch) {
-  // JoinSketches (unlike the merge kernel) accepts train sketches that
+  // JoinSketches (unlike the scoring kernel) accepts train sketches that
   // violate the sorted-by-key-hash invariant, e.g. hand-built ones; the
   // distinct-key count must not rely on equal hashes being adjacent.
   Sketch train;

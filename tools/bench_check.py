@@ -27,10 +27,14 @@ CHECKS = [
     # Front tier: the result cache must keep repaying repeated queries.
     ("part8_cache_hit_rate", "higher", 0.25, 0.02),
     ("part8_repeat_speedup", "higher", 0.25, 0.50),
-    # Merge-scoring hot path: the batched kernel's measured win must not
+    # Scoring hot path: the batched kernel's measured win must not
     # erode, and the index must not grow back a second copy of candidates.
     ("part9_batched_speedup", "higher", 0.25, 0.20),
     ("part9_index_bytes_per_candidate", "lower", 0.25, 64.00),
+    # The no-join probe against JoinSketches (a hash map per candidate)
+    # over the same sweep: a probe that went back to a branchy merge or
+    # started touching each candidate's sketch falls below the floor.
+    ("part9_probe_speedup", "higher", 0.25, 1.00),
     # Allocation counts are deterministic, not timings: a jump means the
     # hot path started allocating again. Per candidate, the scoring tail
     # allocates nothing once warm; the slack is a quarter allocation, so
