@@ -69,8 +69,8 @@
 // sample/set builds) on an amortized-probe workload where almost nothing
 // joins — reporting per-query cost, the batched speedup, allocations per
 // query via a global operator-new counter, the no-join probe's cost per
-// candidate against JoinSketches, and the heap bytes the index holds per
-// candidate.
+// candidate against JoinSketches, MixedKSG's brute force against its
+// tree oracle at n = 40, and the heap bytes the index holds per candidate.
 //
 // Part 8 is the front tier: Router::Open over the simulated open-data
 // repository (opendata_sim), hammered with a skewed-popularity query
@@ -138,6 +138,7 @@
 #include "src/discovery/sketch_index.h"
 #include "src/ingest/coordinator.h"
 #include "src/ingest/generation.h"
+#include "src/mi/estimator_internal.h"
 #include "src/table/table.h"
 
 // Global-new interposition for part 9's allocations-per-query counter:
@@ -1175,8 +1176,9 @@ void RunFrontTier(const BenchParams& params, bool smoke, Rng* rng) {
 }
 
 // Part 9: the scoring hot path — what do the contiguous key-hash column,
-// the per-query bucket-directory probe and batched strip scoring buy, and
-// how many heap bytes does the index hold per candidate?
+// the per-query bucket-directory probe, batched strip scoring and the
+// branch-free brute-force k-NN buy, and how many heap bytes does the index
+// hold per candidate?
 //
 // The workload is the amortized-probe shape discovery hits at scale: one
 // query probed against many candidates whose key domains are
@@ -1491,6 +1493,49 @@ void RunFlatHotPath(const BenchParams& params, size_t threads, bool smoke,
       probe_ms * 1e6 / static_cast<double>(timed_passes * probe_index.size());
   const double probe_speedup = reference_ms / probe_ms;
 
+  // The estimator kernel: MixedKSG (k = 3) by brute force against its
+  // tree oracle, over a fixed seeded set of n = 40 Gaussian samples — the
+  // size sketch joins are scored at. Rounds alternate the two searches and
+  // each keeps its fastest, as above; the two must agree bit for bit.
+  constexpr size_t kKsgSamples = 128;
+  constexpr size_t kKsgPoints = 40;
+  std::vector<double> ksg_xs, ksg_ys;
+  {
+    Rng ksg_rng(40);
+    for (size_t i = 0; i < kKsgSamples * kKsgPoints; ++i) {
+      ksg_xs.push_back(ksg_rng.Gaussian());
+      ksg_ys.push_back(ksg_xs.back() + ksg_rng.Gaussian());
+    }
+  }
+  auto time_mixed_ksg = [&](internal::NeighborSearch search, double* sum) {
+    const auto start = std::chrono::steady_clock::now();
+    for (size_t s = 0; s < kKsgSamples; ++s) {
+      auto mi = internal::MutualInformationMixedKSG(
+          ksg_xs.data() + s * kKsgPoints, ksg_ys.data() + s * kKsgPoints,
+          kKsgPoints, 3, search);
+      mi.status().Abort("part 9 MixedKSG estimate");
+      *sum += *mi;
+    }
+    return MillisSince(start);
+  };
+  double ksg_brute_ms = std::numeric_limits<double>::infinity();
+  double ksg_tree_ms = std::numeric_limits<double>::infinity();
+  for (int round = 0; round < 5; ++round) {
+    double brute_sum = 0.0, tree_sum = 0.0;
+    ksg_brute_ms = std::min(
+        ksg_brute_ms,
+        time_mixed_ksg(internal::NeighborSearch::kBruteForce, &brute_sum));
+    ksg_tree_ms = std::min(
+        ksg_tree_ms, time_mixed_ksg(internal::NeighborSearch::kTrees,
+                                    &tree_sum));
+    if (brute_sum != tree_sum) {
+      std::fprintf(stderr,
+                   "FATAL: part 9 MixedKSG brute force and trees disagree\n");
+      std::abort();
+    }
+  }
+  const double ksg_brute_speedup = ksg_tree_ms / ksg_brute_ms;
+
   const double batched_speedup = legacy_ms / batched_ms;
 
   // Heap bytes the index holds: malloc's in-use count (arena plus mmapped
@@ -1532,6 +1577,10 @@ void RunFlatHotPath(const BenchParams& params, size_t threads, bool smoke,
               "%zu candidates, %.0f ns/candidate, %.1fx vs JoinSketches\n",
               probe_allocs_per_query, probe_index.size(),
               probe_ns_per_candidate, probe_speedup);
+  std::printf("MixedKSG k=3, n=%zu (%zu samples)   : brute %.2f us vs trees "
+              "%.2f us per estimate, %.2fx\n",
+              kKsgPoints, kKsgSamples, ksg_brute_ms * 1e3 / kKsgSamples,
+              ksg_tree_ms * 1e3 / kKsgSamples, ksg_brute_speedup);
   std::printf("index heap                        : %.0f bytes/candidate "
               "(%zu entries/candidate)\n",
               index_bytes_per_candidate, index_entries / index.size());
@@ -1554,6 +1603,11 @@ void RunFlatHotPath(const BenchParams& params, size_t threads, bool smoke,
   RecordMetric("part9_probe_ns_per_candidate", probe_ns_per_candidate);
   RecordMetric("part9_probe_speedup", probe_speedup);
   RecordMetric("part9_index_bytes_per_candidate", index_bytes_per_candidate);
+  RecordMetric("part9_ksg_brute_us_per_estimate",
+               ksg_brute_ms * 1e3 / kKsgSamples);
+  RecordMetric("part9_ksg_tree_us_per_estimate",
+               ksg_tree_ms * 1e3 / kKsgSamples);
+  RecordMetric("part9_ksg_brute_speedup", ksg_brute_speedup);
 
   // Hard gates. The probe-phase allocation bound holds in any mode (it is
   // a count, not a timing); the speedup gate runs full mode only — smoke

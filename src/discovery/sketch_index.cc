@@ -35,9 +35,15 @@ Status SketchIndex::AddSketch(const ColumnPairRef& ref, Sketch sketch) {
     return keys;
   }
   key_offsets_.push_back(key_hashes_.size());
-  AppendValueHashes(sketch, &value_hashes_);
+  value_types_.push_back(AppendValueWords(sketch, &value_words_));
   candidates_.push_back(IndexedCandidate{ref, std::move(sketch)});
   return Status::OK();
+}
+
+void SketchIndex::Reserve(size_t candidates) {
+  candidates_.reserve(candidates);
+  key_offsets_.reserve(candidates + 1);
+  value_types_.reserve(candidates);
 }
 
 Result<size_t> SketchIndex::IndexRepository(
@@ -71,8 +77,9 @@ Result<IndexEvaluation> SketchIndex::EvaluateAll(const JoinMIQuery& query,
         for (size_t c = begin; c < end; ++c) {
           CandidateColumns columns;
           columns.keys = key_hashes_.data() + key_offsets_[c];
-          columns.value_hashes = value_hashes_.data() + key_offsets_[c];
+          columns.value_words = value_words_.data() + key_offsets_[c];
           columns.size = key_offsets_[c + 1] - key_offsets_[c];
+          columns.types = value_types_[c];
           outcomes[c].Record(ScoreMergeJoin(
               query.train_sketch(), query.train_runs(),
               candidates_[c].sketch(), columns, config_.estimator,
@@ -211,6 +218,9 @@ Result<SketchIndex> DeserializeIndex(const std::string& data) {
         "file truncated after the header");
   }
   SketchIndex index(std::move(config));
+  // The check above bounds count by the bytes that follow, as
+  // DeserializeSketch bounds its entry count before reserving.
+  index.Reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
     // Attribute any parse failure to the candidate it happened in — "the
     // file ended inside candidate 37 of 100" localizes a truncation where

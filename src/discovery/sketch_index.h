@@ -4,11 +4,12 @@
 // deployment shape motivating the paper (Sections I, III, V-C).
 //
 // The index is the persisted backbone of that deployment: each candidate is
-// stored once, as its sketch, next to one contiguous column of every
-// candidate's key hashes that the scoring kernel probes with; queries fan
-// out across a thread pool with a deterministic merge, and the whole index
-// (config + provenance + sketches) serializes to a versioned binary format
-// so it can be built offline and served after a restart.
+// stored once, as its sketch, next to contiguous columns of every
+// candidate's key hashes and value words that the scoring kernel probes
+// and gathers from; queries fan out across a thread pool with a
+// deterministic merge, and the whole index (config + provenance +
+// sketches) serializes to a versioned binary format so it can be built
+// offline and served after a restart.
 //
 // On-disk format (little-endian, version-tagged):
 //   magic "JMIX" | u32 version
@@ -86,6 +87,10 @@ class SketchIndex : public Searchable {
   /// linear pass catches duplicates and unsorted entries alike).
   Status AddSketch(const ColumnPairRef& ref, Sketch sketch);
 
+  /// \brief Reserves room for `candidates` candidates in total, so adding
+  /// that many grows no per-candidate array (the loader knows the count).
+  void Reserve(size_t candidates);
+
   /// \brief Indexes every extractable column pair of the repository.
   /// Column pairs that cannot be sketched (e.g. all-null) are skipped;
   /// returns the number indexed.
@@ -135,12 +140,16 @@ class SketchIndex : public Searchable {
   // alternating runs on a 4-vCPU Xeon: best 646 vs 1520 ns).
   std::vector<uint64_t> key_hashes_;
   std::vector<size_t> key_offsets_{0};
-  // Value::Hash() of every entry's value, at the same offsets: the gather
-  // copies a stored hash instead of hashing each matched value per probe
-  // (hashing at gather time cost ~1 ms/query on discovery_bench
-  // dense_join). Numeric values and types are read from the candidate's
-  // own sketch entries.
-  std::vector<uint64_t> value_hashes_;
+  // One value word per entry, at the same offsets, and one ValueTypes per
+  // candidate (AppendValueWords): the word is the double's bits when all
+  // of the candidate's values are numeric and Value::Hash() otherwise, so
+  // the gather reads a matched value's number or hash from this column
+  // and its types from the summary, never touching the 56-byte
+  // SketchEntry the value sits in (that read was ~24% of single-thread
+  // evaluate time on discovery_bench dense_join). Only a candidate whose
+  // values mix types or hold a null still reads its entries.
+  std::vector<uint64_t> value_words_;
+  std::vector<ValueTypes> value_types_;
 };
 
 /// \brief Serializes the index (config, refs, sketches) to a binary string.
@@ -148,7 +157,7 @@ std::string SerializeIndex(const SketchIndex& index);
 
 /// \brief Parses a serialized index; validates magic, version, enum tags,
 /// and every embedded sketch, so corrupted inputs fail cleanly. The
-/// candidate key-hash column is rebuilt on load.
+/// candidate key-hash and value-word columns are rebuilt on load.
 Result<SketchIndex> DeserializeIndex(const std::string& data);
 
 /// \brief Writes the index to a file.

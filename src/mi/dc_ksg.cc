@@ -91,7 +91,7 @@ Result<double> MutualInformationDCKSG(const uint64_t* x_keys,
       acc_class += DigammaOfInt(class_count[cls[i]]);
       acc_m += DigammaOfInt(m_i + 1);
     };
-    if (UseBruteForce(search, n)) {
+    if (UseBruteForce(search, n, kDcKsgBruteForceMaxPoints)) {
       if (s.dist.size() < n) s.dist.resize(n);
       double* dist = s.dist.data();
       for (size_t i = 0; i < n; ++i) {

@@ -1,5 +1,7 @@
 #include "src/mi/estimator.h"
 
+#include <cmath>
+
 #include "src/common/random.h"
 #include "src/common/string_util.h"
 #include "src/mi/dc_ksg.h"
@@ -106,7 +108,10 @@ std::vector<double> PerturbForTies(const std::vector<double>& xs, double sigma,
 namespace {
 
 // One side's numbers for the KSG family: an error unless the side is
-// numeric, perturbed into `scratch` when options ask for tie-breaking.
+// numeric and every number finite, perturbed into `scratch` when options
+// ask for tie-breaking. An infinite or NaN distance has no neighbour
+// order the estimators could agree on (MixedKSG would return +inf MI, and
+// brute force and trees would disagree), so such a sample is rejected.
 Result<const double*> NumericSide(const double* numbers,
                                   const ValueTypes& types, size_t n,
                                   const MIOptions& options, uint64_t seed_salt,
@@ -115,6 +120,13 @@ Result<const double*> NumericSide(const double* numbers,
     // Nulls were rejected already, so the first non-numeric value is a
     // string — the message Value::AsDouble gives for one.
     return Status::TypeError("value of type string is not numeric");
+  }
+  for (size_t i = 0; i < n; ++i) {
+    if (!std::isfinite(numbers[i])) {
+      return Status::InvalidArgument(
+          "the KSG-family estimators need finite numbers; the sample holds " +
+          std::to_string(numbers[i]));
+    }
   }
   if (options.perturb_sigma <= 0.0) return numbers;
   if (scratch->size() < n) scratch->resize(n);

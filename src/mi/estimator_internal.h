@@ -42,21 +42,28 @@ auto WithScratch(size_t n, Fn&& fn) {
 /// exact and give bitwise-equal estimates — the trees are the brute force's
 /// test oracle — so the choice only trades speed.
 enum class NeighborSearch : uint8_t {
-  kAuto = 0,    ///< brute force up to kBruteForceMaxPoints, trees above
+  kAuto = 0,    ///< brute force up to the estimator's limit, trees above
   kBruteForce,  ///< O(n) scan per query point
   kTrees,       ///< SortedPoints1D / KdTree2D, rebuilt per estimate
 };
 
-/// \brief Largest sample kAuto scores by brute force: about the crossover.
-/// Brute vs trees in us per MixedKSG estimate (k=3, Gaussian pairs, one
-/// core of a 4-vCPU Xeon): 1.7 vs 2.5 at n=24, 4.3 vs 4.9 at n=40, 6.4 vs
-/// 6.2 at n=48, 11.3 vs 8.5 at n=64. KSG crosses near n=64, DC-KSG near
-/// n=32-48 depending on class sizes.
-inline constexpr size_t kBruteForceMaxPoints = 48;
+/// \brief Largest sample kAuto scores by brute force, per estimator: about
+/// where the trees catch up with the branch-free brute force. Brute vs
+/// trees in us per estimate (k=3, 64 seeded Gaussian samples, best of 15
+/// alternating rounds, one core of a 4-vCPU Xeon): KSG 5.5 vs 19.1 at
+/// n=40, 187 vs 188 at n=224, 327 vs 302 at n=256; MixedKSG 6.5 vs 17.5
+/// at n=40, 104 vs 109 at n=160, 133 vs 125 at n=176; DC-KSG over 4
+/// classes 3.0 vs 7.2 at n=40, 112 vs 105 at n=256, and over n/3 classes
+/// 53 vs 64 at n=256. Sketch-join samples stay below all three at the
+/// default capacity of 256, so discovery scores by brute force.
+inline constexpr size_t kKsgBruteForceMaxPoints = 224;
+inline constexpr size_t kMixedKsgBruteForceMaxPoints = 160;
+inline constexpr size_t kDcKsgBruteForceMaxPoints = 256;
 
-inline bool UseBruteForce(NeighborSearch search, size_t n) {
+inline bool UseBruteForce(NeighborSearch search, size_t n,
+                          size_t max_points) {
   return search == NeighborSearch::kBruteForce ||
-         (search == NeighborSearch::kAuto && n <= kBruteForceMaxPoints);
+         (search == NeighborSearch::kAuto && n <= max_points);
 }
 
 /// \brief MutualInformationKSG, MutualInformationMixedKSG and

@@ -191,68 +191,4 @@ size_t KdTree2D::CountCoincident(size_t i) const {
   return CountWithin(i, 0.0, /*strict=*/false);
 }
 
-namespace {
-
-// K-th smallest by one pass keeping the K smallest so far, ascending: a
-// value below the current K-th is merged in with min/max only (best'[t] is
-// min(best[t], max(best[t - 1], v))). Once the window fills, most values
-// fail the one comparison, so the pass costs about a compare per value.
-template <int K>
-double KthSmallestFixed(const double* values, size_t n) {
-  double best[K];
-  std::fill(best, best + K, std::numeric_limits<double>::infinity());
-  for (size_t j = 0; j < n; ++j) {
-    const double v = values[j];
-    if (!(v < best[K - 1])) continue;
-    for (int t = K - 1; t > 0; --t) {
-      best[t] = std::min(best[t], std::max(best[t - 1], v));
-    }
-    best[0] = std::min(best[0], v);
-  }
-  return best[K - 1];
-}
-
-}  // namespace
-
-double KthSmallest(double* values, size_t n, int k) {
-  switch (k) {
-    case 1:
-      return KthSmallestFixed<1>(values, n);
-    case 2:
-      return KthSmallestFixed<2>(values, n);
-    case 3:
-      return KthSmallestFixed<3>(values, n);
-    case 4:
-      return KthSmallestFixed<4>(values, n);
-    case 5:
-      return KthSmallestFixed<5>(values, n);
-    case 6:
-      return KthSmallestFixed<6>(values, n);
-    case 7:
-      return KthSmallestFixed<7>(values, n);
-    case 8:
-      return KthSmallestFixed<8>(values, n);
-    default:
-      std::nth_element(values, values + (k - 1), values + n);
-      return values[k - 1];
-  }
-}
-
-size_t CountInInterval(const double* points, size_t n, double lo, double hi,
-                       bool strict) {
-  // A double accumulator keeps the loop in one register type, which is
-  // what lets the compiler vectorize it; counts stay exact far past any n.
-  double count = 0.0;
-  if (strict) {
-    for (size_t j = 0; j < n; ++j) {
-      count += (points[j] > lo && points[j] < hi) ? 1.0 : 0.0;
-    }
-  } else {
-    for (size_t j = 0; j < n; ++j) {
-      count += (points[j] >= lo && points[j] <= hi) ? 1.0 : 0.0;
-    }
-  }
-  return static_cast<size_t>(count);
-}
-
 }  // namespace joinmi

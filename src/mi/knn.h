@@ -6,8 +6,10 @@
 #ifndef JOINMI_MI_KNN_H_
 #define JOINMI_MI_KNN_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "src/common/status.h"
@@ -94,15 +96,77 @@ class KdTree2D {
   size_t root_ = 0;
 };
 
+namespace internal {
+
+// The k-th smallest by one pass keeping the K smallest so far, ascending:
+// each value is merged in with min/max only (best'[t] is min(best[t],
+// max(best[t - 1], v))) and no branch on the data. A value at or above
+// best[K - 1] leaves the window as it was, so the result is the order
+// statistic; NaN is mapped to +inf first, so it leaves the window too.
+template <int K>
+inline double KthSmallestFixed(const double* values, size_t n) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  double best[K];
+  for (int t = 0; t < K; ++t) best[t] = kInf;
+  for (size_t j = 0; j < n; ++j) {
+    const double v = values[j] == values[j] ? values[j] : kInf;
+    for (int t = K - 1; t > 0; --t) {
+      best[t] = std::min(best[t], std::max(best[t - 1], v));
+    }
+    best[0] = std::min(best[0], v);
+  }
+  return best[K - 1];
+}
+
+}  // namespace internal
+
 /// \brief The k-th smallest of values[0, n), 1 <= k <= n — an order
-/// statistic, so exact for any k and ties. May reorder `values`.
-double KthSmallest(double* values, size_t n, int k);
+/// statistic, so exact for any k and ties. For k <= 8 a NaN counts as
+/// +inf. May reorder `values`. Defined here, as CountInInterval is, so
+/// the compiler can inline both into the estimators' brute-force loops.
+inline double KthSmallest(double* values, size_t n, int k) {
+  switch (k) {
+    case 1:
+      return internal::KthSmallestFixed<1>(values, n);
+    case 2:
+      return internal::KthSmallestFixed<2>(values, n);
+    case 3:
+      return internal::KthSmallestFixed<3>(values, n);
+    case 4:
+      return internal::KthSmallestFixed<4>(values, n);
+    case 5:
+      return internal::KthSmallestFixed<5>(values, n);
+    case 6:
+      return internal::KthSmallestFixed<6>(values, n);
+    case 7:
+      return internal::KthSmallestFixed<7>(values, n);
+    case 8:
+      return internal::KthSmallestFixed<8>(values, n);
+    default:
+      std::nth_element(values, values + (k - 1), values + n);
+      return values[k - 1];
+  }
+}
 
 /// \brief Number of points p in [0, n) with lo < p < hi (strict) or
 /// lo <= p <= hi. With (lo, hi) = (x - r, x + r) this is the interval
 /// SortedPoints1D::CountWithin counts, with no point excluded.
-size_t CountInInterval(const double* points, size_t n, double lo, double hi,
-                       bool strict);
+inline size_t CountInInterval(const double* points, size_t n, double lo,
+                              double hi, bool strict) {
+  // A double accumulator keeps the loop in one register type, which is
+  // what lets the compiler vectorize it; counts stay exact far past any n.
+  double count = 0.0;
+  if (strict) {
+    for (size_t j = 0; j < n; ++j) {
+      count += (points[j] > lo && points[j] < hi) ? 1.0 : 0.0;
+    }
+  } else {
+    for (size_t j = 0; j < n; ++j) {
+      count += (points[j] >= lo && points[j] <= hi) ? 1.0 : 0.0;
+    }
+  }
+  return static_cast<size_t>(count);
+}
 
 }  // namespace joinmi
 

@@ -30,7 +30,7 @@ Result<double> MutualInformationKSG(const double* xs, const double* ys,
   }
   const double acc = WithScratch<KsgScratch>(n, [&](KsgScratch& scratch) {
     double sum = 0.0;
-    if (UseBruteForce(search, n)) {
+    if (UseBruteForce(search, n, kKsgBruteForceMaxPoints)) {
       std::vector<double>& dist = scratch.dist;
       if (dist.size() < n) dist.resize(n);
       for (size_t i = 0; i < n; ++i) {

@@ -42,7 +42,7 @@ Result<double> MutualInformationMixedKSG(const double* xs, const double* ys,
     acc += DigammaOfInt(k_tilde) + log_n - LogOfInt(nx) - LogOfInt(ny);
   };
   WithScratch<MixedKsgScratch>(n, [&](MixedKsgScratch& scratch) {
-    if (UseBruteForce(search, n)) {
+    if (UseBruteForce(search, n, kMixedKsgBruteForceMaxPoints)) {
       std::vector<double>& dist = scratch.dist;
       if (dist.size() < n) dist.resize(n);
       for (size_t i = 0; i < n; ++i) {

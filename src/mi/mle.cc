@@ -45,13 +45,40 @@ Result<double> WithCounts(const uint64_t* x_keys, const uint64_t* y_keys,
   });
 }
 
-// -sum (c/n) log(c/n): EntropyMLE's arithmetic, term for term.
-double PlugInEntropy(const uint32_t* counts, size_t m, double n) {
-  double h = 0.0;
-  for (size_t c = 0; c < m; ++c) {
-    const double p = static_cast<double>(counts[c]) / n;
-    h -= p * std::log(p);
+// p log p with p = c / n for the counts c of one n-sample. Sketch-join
+// samples are small and their counts mostly 1-3, so each count below
+// kMemo has its term computed once, by the same expression, and reused
+// across the sample's marginal and joint entropies.
+class PlugInTerms {
+ public:
+  explicit PlugInTerms(double n) : n_(n) {}
+
+  double operator()(uint32_t c) {
+    if (c >= kMemo) return Term(c);
+    if ((known_ >> c & 1) == 0) {
+      memo_[c] = Term(c);
+      known_ |= uint64_t{1} << c;
+    }
+    return memo_[c];
   }
+
+ private:
+  static constexpr uint32_t kMemo = 64;
+
+  double Term(uint32_t c) const {
+    const double p = static_cast<double>(c) / n_;
+    return p * std::log(p);
+  }
+
+  double n_;
+  uint64_t known_ = 0;
+  double memo_[kMemo];
+};
+
+// -sum (c/n) log(c/n): EntropyMLE's arithmetic, term for term.
+double PlugInEntropy(const uint32_t* counts, size_t m, PlugInTerms& terms) {
+  double h = 0.0;
+  for (size_t c = 0; c < m; ++c) h -= terms(counts[c]);
   return h;
 }
 
@@ -81,9 +108,10 @@ Result<HashedPairs> HashPairs(const std::vector<Value>& xs,
 Result<double> MutualInformationMLE(const uint64_t* x_keys,
                                     const uint64_t* y_keys, size_t n) {
   return WithCounts(x_keys, y_keys, n, [](const DiscreteCounts& counts) {
-    const double mi = PlugInEntropy(counts.x, counts.mx, counts.n) +
-                      PlugInEntropy(counts.y, counts.my, counts.n) -
-                      PlugInEntropy(counts.xy, counts.mxy, counts.n);
+    PlugInTerms terms(counts.n);
+    const double mi = PlugInEntropy(counts.x, counts.mx, terms) +
+                      PlugInEntropy(counts.y, counts.my, terms) -
+                      PlugInEntropy(counts.xy, counts.mxy, terms);
     // Plug-in MI is non-negative analytically; clamp away float round-off.
     return mi < 0.0 ? 0.0 : mi;
   });
@@ -94,8 +122,9 @@ Result<double> MutualInformationMillerMadow(const uint64_t* x_keys,
                                             size_t n) {
   return WithCounts(x_keys, y_keys, n, [](const DiscreteCounts& counts) {
     // Each entropy term gets its own (m - 1) / (2N) support correction.
-    auto corrected = [&counts](const uint32_t* c, size_t m) {
-      return PlugInEntropy(c, m, counts.n) +
+    PlugInTerms terms(counts.n);
+    auto corrected = [&counts, &terms](const uint32_t* c, size_t m) {
+      return PlugInEntropy(c, m, terms) +
              (static_cast<double>(m) - 1.0) / (2.0 * counts.n);
     };
     const double mi = corrected(counts.x, counts.mx) +

@@ -46,7 +46,9 @@ bool KmvHeap::RankLess(const SketchEntry& a, const SketchEntry& b) {
 bool KmvHeap::WouldAdmit(double rank) const {
   if (capacity_ == 0) return false;
   if (heap_.size() < capacity_) return true;
-  return rank < heap_.front().rank;
+  // A rank equal to the maximum's may still win its tie (key_hash, then
+  // value hash): Offer's RankLess decides.
+  return rank <= heap_.front().rank;
 }
 
 void KmvHeap::Offer(SketchEntry entry) {

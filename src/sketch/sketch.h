@@ -72,7 +72,9 @@ class KmvHeap {
   size_t capacity() const { return capacity_; }
   size_t size() const { return heap_.size(); }
 
-  /// \brief True if an entry with this rank would be admitted right now.
+  /// \brief False if an entry with this rank would be rejected right now
+  /// whatever its key: the heap is full and the rank is above its maximum.
+  /// At an equal rank Offer breaks the tie, so callers offer the entry.
   bool WouldAdmit(double rank) const;
 
   /// \brief Offers an entry; evicts the current max-rank entry if full.

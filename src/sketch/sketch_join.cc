@@ -1,6 +1,7 @@
 #include "src/sketch/sketch_join.h"
 
 #include <algorithm>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <unordered_map>
@@ -12,6 +13,19 @@
 namespace joinmi {
 
 namespace {
+
+// A numeric value word and its double.
+uint64_t NumberBits(double number) {
+  uint64_t bits;
+  std::memcpy(&bits, &number, sizeof(bits));
+  return bits;
+}
+
+double WordNumber(uint64_t word) {
+  double number;
+  std::memcpy(&number, &word, sizeof(number));
+  return number;
+}
 
 // The scoring tail after the min_join_size guard, shared by the Value
 // reference (ScoreSketchJoinSample) and the scoring kernel.
@@ -202,11 +216,20 @@ Status AppendCandidateKeys(const Sketch& candidate,
   return Status::OK();
 }
 
-void AppendValueHashes(const Sketch& candidate,
-                       std::vector<uint64_t>* hashes) {
-  for (const SketchEntry& entry : candidate.entries) {
-    hashes->push_back(entry.value.Hash());
+ValueTypes AppendValueWords(const Sketch& candidate,
+                            std::vector<uint64_t>* words) {
+  ValueTypes types;
+  for (const SketchEntry& entry : candidate.entries) types.Add(entry.value);
+  if (types.all_numeric) {
+    for (const SketchEntry& entry : candidate.entries) {
+      words->push_back(NumberBits(entry.value.NumericOr(0.0)));
+    }
+  } else {
+    for (const SketchEntry& entry : candidate.entries) {
+      words->push_back(entry.value.Hash());
+    }
   }
+  return types;
 }
 
 namespace {
@@ -228,7 +251,7 @@ struct GatherScratch {
 };
 
 struct CandidateScratch {
-  std::vector<uint64_t> keys, value_hashes;
+  std::vector<uint64_t> keys, value_words;
 };
 
 // Grows `v` to at least `n` elements; a warm thread's scratch never
@@ -257,25 +280,39 @@ Result<SketchMIResult> GatherAndScore(
     sample.x_numbers = g.x_numbers.data();
     sample.y_hashes = g.y_hashes.data();
     sample.y_numbers = g.y_numbers.data();
-    // The candidate side's types come from the matched values the gather
-    // reads anyway. The train side's come from its summary when that is
-    // homogeneous — it then gives the types of any non-empty subset — and
-    // otherwise from the matched train values, the subset the per-sample
-    // inference would see.
+    // Each side's types come from its summary when that is homogeneous —
+    // it then gives the types of any non-empty subset — and otherwise from
+    // the matched values, the subset the per-sample inference would see.
     const bool scan_y = !runs.types.homogeneous();
     if (!scan_y) sample.y_types = runs.types;
     size_t p = 0;
-    for (size_t m = 0; m < num_matches; ++m) {
-      const Value& x = candidate.entries[matches[m].local].value;
-      const uint64_t x_hash = columns.value_hashes[matches[m].local];
-      const double x_number = x.NumericOr(0.0);
-      sample.x_types.Add(x);
-      for (uint32_t e = matches[m].begin; e < matches[m].end; ++e, ++p) {
+    auto emit = [&](const RunMatch& match, uint64_t x_hash, double x_number) {
+      for (uint32_t e = match.begin; e < match.end; ++e, ++p) {
         g.x_hashes[p] = x_hash;
         g.x_numbers[p] = x_number;
         g.y_hashes[p] = runs.hashes[e];
         g.y_numbers[p] = runs.numbers[e];
         if (scan_y) sample.y_types.Add(train.entries[e].value);
+      }
+    };
+    const uint64_t* words = columns.value_words;
+    if (columns.types.all_numeric) {
+      sample.x_types = columns.types;
+      for (size_t m = 0; m < num_matches; ++m) {
+        const double x = WordNumber(words[matches[m].local]);
+        emit(matches[m], NumericValueHash(x), x);
+      }
+    } else if (columns.types.homogeneous()) {
+      // No number is read on a side that is not all numeric.
+      sample.x_types = columns.types;
+      for (size_t m = 0; m < num_matches; ++m) {
+        emit(matches[m], words[matches[m].local], 0.0);
+      }
+    } else {
+      for (size_t m = 0; m < num_matches; ++m) {
+        const Value& x = candidate.entries[matches[m].local].value;
+        sample.x_types.Add(x);
+        emit(matches[m], words[matches[m].local], x.NumericOr(0.0));
       }
     }
     return ScoreColumns(sample, n, estimator, options);
@@ -348,12 +385,12 @@ Result<MergeJoinScore> ScoreCandidateSketch(
       candidate.entries.size(),
       [&](CandidateScratch& scratch) -> Result<MergeJoinScore> {
         scratch.keys.clear();
-        scratch.value_hashes.clear();
+        scratch.value_words.clear();
         JOINMI_RETURN_NOT_OK(AppendCandidateKeys(candidate, &scratch.keys));
-        AppendValueHashes(candidate, &scratch.value_hashes);
         CandidateColumns columns;
+        columns.types = AppendValueWords(candidate, &scratch.value_words);
         columns.keys = scratch.keys.data();
-        columns.value_hashes = scratch.value_hashes.data();
+        columns.value_words = scratch.value_words.data();
         columns.size = scratch.keys.size();
         return ScoreMergeJoin(train, runs, candidate, columns, estimator,
                               options, min_join_size);

@@ -110,19 +110,23 @@ struct TrainKeyRuns {
 Status AppendCandidateKeys(const Sketch& candidate,
                            std::vector<uint64_t>* keys);
 
-/// \brief Appends Value::Hash() of each of the candidate's entry values to
-/// `*hashes`.
-void AppendValueHashes(const Sketch& candidate,
-                       std::vector<uint64_t>* hashes);
+/// \brief Appends one value word per candidate entry to `*words` and
+/// returns the types of the entries' values: a word is the value's double
+/// bits when every value is numeric (ValueTypes::all_numeric), and its
+/// Value::Hash() otherwise.
+ValueTypes AppendValueWords(const Sketch& candidate,
+                            std::vector<uint64_t>* words);
 
 /// \brief A candidate as the scoring kernel reads it, beside its sketch:
-/// `size` entries, where `keys[j]` and `value_hashes[j]` are entry j's key
-/// hash (strictly ascending) and Value::Hash(). SketchIndex points into its
-/// per-index columns; ScoreCandidateSketch fills them per call.
+/// `size` entries, where `keys[j]` and `value_words[j]` are entry j's key
+/// hash (strictly ascending) and value word, and `types` summarizes every
+/// entry's value, as AppendValueWords gives them. SketchIndex points into
+/// its per-index columns; ScoreCandidateSketch fills them per call.
 struct CandidateColumns {
   const uint64_t* keys = nullptr;
-  const uint64_t* value_hashes = nullptr;
+  const uint64_t* value_words = nullptr;
   size_t size = 0;
+  ValueTypes types;
 };
 
 /// \brief One candidate's outcome from ScoreMergeJoin.
@@ -142,11 +146,14 @@ struct MergeJoinScore {
 /// candidate that joins nothing never reads its Sketch. Matches come out
 /// in ascending key order, which is train-entry order, so the join sample
 /// is gathered exactly as JoinSketches emits it, with train multiplicity,
-/// as SampleColumns — hashes and doubles copied from `runs` and `columns`
-/// (candidate doubles read from its entries), never a Value. The estimator
-/// is `estimator` if set, else the auto policy on the sample's types: the
-/// candidate side's from the matched values, the train side's from
-/// `runs.types` when that is homogeneous and from the matched values
+/// as SampleColumns — hashes and doubles copied from `runs` and `columns`,
+/// never a Value. A candidate's number and hash come from its value word:
+/// an all-numeric candidate's word is the double, hashed by
+/// NumericValueHash; any other's is the hash, and only a candidate whose
+/// values mix types (or hold a null) reads its numbers from its entries.
+/// The estimator is `estimator` if set, else the auto policy on the
+/// sample's types: each side's from its summary (`columns.types`,
+/// `runs.types`) when that is homogeneous and from the matched values
 /// otherwise — the same answer ChooseEstimatorForSample gives on the Value
 /// sample. Scoring then runs the same EstimateMI the Value path adapts
 /// onto, so the result — estimate or error status — is bit-identical to

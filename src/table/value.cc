@@ -21,10 +21,6 @@ const char* DataTypeToString(DataType type) {
   return "unknown";
 }
 
-bool IsNumeric(DataType type) {
-  return type == DataType::kInt64 || type == DataType::kDouble;
-}
-
 Result<double> Value::AsDouble() const {
   if (is_double()) return dbl();
   if (is_int64()) return static_cast<double>(int64());
@@ -86,11 +82,14 @@ uint64_t Value::Hash() const {
   // Hash numerics through their double representation so 3 == 3.0 hash
   // identically (consistent with operator== via AsDouble comparisons in
   // group-by keys; exact int64s beyond 2^53 are out of scope for this data).
-  const double d = is_double() ? dbl() : static_cast<double>(int64());
+  return NumericValueHash(is_double() ? dbl() : static_cast<double>(int64()));
+}
+
+uint64_t NumericValueHash(double number) {
   uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(d));
-  __builtin_memcpy(&bits, &d, sizeof(bits));
-  if (d == 0.0) bits = 0;  // +0.0 / -0.0 collapse
+  static_assert(sizeof(bits) == sizeof(number));
+  __builtin_memcpy(&bits, &number, sizeof(bits));
+  if (number == 0.0) bits = 0;  // +0.0 / -0.0 collapse
   return Mix64(bits ^ 0xD0B1E5ULL);
 }
 

@@ -28,7 +28,9 @@ enum class DataType : uint8_t {
 const char* DataTypeToString(DataType type);
 
 /// \brief True for kInt64 / kDouble.
-bool IsNumeric(DataType type);
+inline bool IsNumeric(DataType type) {
+  return type == DataType::kInt64 || type == DataType::kDouble;
+}
 
 /// \brief A nullable, type-erased cell.
 class Value {
@@ -91,6 +93,11 @@ class Value {
  private:
   std::variant<std::monostate, int64_t, double, std::string> data_;
 };
+
+/// \brief Value::Hash() of a numeric value, from its double (an int64
+/// hashes as its widened double). Value::Hash() calls it, so a caller
+/// holding only the number derives the same hash.
+uint64_t NumericValueHash(double number);
 
 }  // namespace joinmi
 

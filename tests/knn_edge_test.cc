@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <string>
 
@@ -419,55 +420,73 @@ void ExpectSameBits(const Result<double>& brute, const Result<double>& trees,
       << where << ": " << *brute << " vs " << *trees;
 }
 
-using internal::kBruteForceMaxPoints;
 using internal::NeighborSearch;
+
+// One KSG-family estimator with the neighbour search forced, and the
+// largest sample its kAuto search scores by brute force.
+struct ForcedEstimator {
+  const char* name;
+  Result<double> (*estimate)(const OracleSample&, size_t, int,
+                             NeighborSearch);
+  size_t brute_force_max_points;
+};
 
 TEST(SmallSampleKernelTest, KsgFamilyBruteForceMatchesTreesBitForBit) {
   const std::vector<Shape> shapes = {Shape::kRandom, Shape::kTieHeavy,
                                      Shape::kAllEqual,
                                      Shape::kSingletonClasses};
+  const ForcedEstimator estimators[] = {
+      {"MixedKSG",
+       [](const OracleSample& o, size_t m, int kk, NeighborSearch search) {
+         return internal::MutualInformationMixedKSG(o.xs.data(), o.ys.data(),
+                                                    m, kk, search);
+       },
+       internal::kMixedKsgBruteForceMaxPoints},
+      {"KSG",
+       [](const OracleSample& o, size_t m, int kk, NeighborSearch search) {
+         return internal::MutualInformationKSG(o.xs.data(), o.ys.data(), m,
+                                               kk, search);
+       },
+       internal::kKsgBruteForceMaxPoints},
+      {"DC-KSG",
+       [](const OracleSample& o, size_t m, int kk, NeighborSearch search) {
+         return internal::MutualInformationDCKSG(o.classes.data(),
+                                                 o.ys.data(), m, kk, search);
+       },
+       internal::kDcKsgBruteForceMaxPoints}};
   for (int k : {1, 3, 5}) {
-    std::vector<size_t> sizes = {static_cast<size_t>(k),
-                                 static_cast<size_t>(k) + 1,
-                                 static_cast<size_t>(k) + 2,
-                                 17,
-                                 kBruteForceMaxPoints - 1,
-                                 kBruteForceMaxPoints,
-                                 kBruteForceMaxPoints + 1};
-    for (Shape shape : shapes) {
-      for (size_t n : sizes) {
-        for (double sigma : {0.0, 1e-3}) {
-          OracleSample s = MakeOracleSample(shape, n, 1000 * k + n);
-          if (sigma > 0.0) {
-            s.xs = PerturbForTies(s.xs, sigma, 11);
-            s.ys = PerturbForTies(s.ys, sigma, 12);
-          }
-          const std::string where = std::string(ShapeName(shape)) +
-                                    " k=" + std::to_string(k) +
-                                    " n=" + std::to_string(n) +
-                                    " sigma=" + std::to_string(sigma);
-          for (auto estimate :
-               {+[](const OracleSample& o, size_t m, int kk,
-                    NeighborSearch search) {
-                  return internal::MutualInformationMixedKSG(
-                      o.xs.data(), o.ys.data(), m, kk, search);
-                },
-                +[](const OracleSample& o, size_t m, int kk,
-                    NeighborSearch search) {
-                  return internal::MutualInformationKSG(
-                      o.xs.data(), o.ys.data(), m, kk, search);
-                },
-                +[](const OracleSample& o, size_t m, int kk,
-                    NeighborSearch search) {
-                  return internal::MutualInformationDCKSG(
-                      o.classes.data(), o.ys.data(), m, kk, search);
-                }}) {
+    for (const ForcedEstimator& estimator : estimators) {
+      // Both sides of the estimator's cutoff, and twice it.
+      const size_t cutoff = estimator.brute_force_max_points;
+      const std::vector<size_t> sizes = {static_cast<size_t>(k),
+                                         static_cast<size_t>(k) + 1,
+                                         static_cast<size_t>(k) + 2,
+                                         17,
+                                         48,
+                                         cutoff - 1,
+                                         cutoff,
+                                         cutoff + 1,
+                                         2 * cutoff};
+      for (Shape shape : shapes) {
+        for (size_t n : sizes) {
+          for (double sigma : {0.0, 1e-3}) {
+            OracleSample s = MakeOracleSample(shape, n, 1000 * k + n);
+            if (sigma > 0.0) {
+              s.xs = PerturbForTies(s.xs, sigma, 11);
+              s.ys = PerturbForTies(s.ys, sigma, 12);
+            }
+            const std::string where =
+                std::string(estimator.name) + " " + ShapeName(shape) +
+                " k=" + std::to_string(k) + " n=" + std::to_string(n) +
+                " sigma=" + std::to_string(sigma);
             const Result<double> brute =
-                estimate(s, n, k, NeighborSearch::kBruteForce);
-            ExpectSameBits(brute, estimate(s, n, k, NeighborSearch::kTrees),
-                           where);
-            ExpectSameBits(brute, estimate(s, n, k, NeighborSearch::kAuto),
-                           where + " (auto)");
+                estimator.estimate(s, n, k, NeighborSearch::kBruteForce);
+            ExpectSameBits(
+                brute, estimator.estimate(s, n, k, NeighborSearch::kTrees),
+                where);
+            ExpectSameBits(
+                brute, estimator.estimate(s, n, k, NeighborSearch::kAuto),
+                where + " (auto)");
           }
         }
       }
@@ -476,19 +495,94 @@ TEST(SmallSampleKernelTest, KsgFamilyBruteForceMatchesTreesBitForBit) {
 }
 
 TEST(SmallSampleKernelTest, KthSmallestIsExactForAnyK) {
+  // Every k of the fixed windows (1-8) and the nth_element fallback (9 and
+  // up), over ties and infinities of either sign; and, for the windows,
+  // NaN, which counts as +inf there.
   Rng rng(5);
-  for (size_t n : {1, 2, 9, 40}) {
-    std::vector<double> values;
-    for (size_t i = 0; i < n; ++i) {
-      values.push_back(static_cast<double>(rng.NextBounded(6)));
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  enum class Specials { kNone, kInfinities, kNaN };
+  for (size_t n : {1, 2, 9, 10, 40}) {
+    for (Specials specials :
+         {Specials::kNone, Specials::kInfinities, Specials::kNaN}) {
+      std::vector<double> values;
+      for (size_t i = 0; i < n; ++i) {
+        const uint64_t draw =
+            rng.NextBounded(specials == Specials::kNone ? 6 : 8);
+        double value = static_cast<double>(draw);
+        if (draw == 6) value = specials == Specials::kNaN ? nan : inf;
+        if (draw == 7) value = -inf;
+        values.push_back(value);
+      }
+      std::vector<double> sorted = values;
+      for (double& value : sorted) {
+        if (std::isnan(value)) value = inf;
+      }
+      std::sort(sorted.begin(), sorted.end());
+      const size_t max_k = specials == Specials::kNaN ? std::min<size_t>(n, 8)
+                                                      : n;
+      for (size_t k = 1; k <= max_k; ++k) {
+        std::vector<double> scratch = values;
+        EXPECT_EQ(KthSmallest(scratch.data(), n, static_cast<int>(k)),
+                  sorted[k - 1])
+            << "n=" << n << " k=" << k
+            << " specials=" << static_cast<int>(specials);
+      }
     }
-    std::vector<double> sorted = values;
-    std::sort(sorted.begin(), sorted.end());
-    for (size_t k = 1; k <= n; ++k) {
-      std::vector<double> scratch = values;
-      EXPECT_EQ(KthSmallest(scratch.data(), n, static_cast<int>(k)),
-                sorted[k - 1])
-          << "n=" << n << " k=" << k;
+  }
+}
+
+TEST(SmallSampleKernelTest, KsgFamilyRejectsNonFiniteNumbers) {
+  // Gaussian pairs below and above each estimator's brute-force cutoff,
+  // with one or five +inf, -inf or NaN injected on a numeric side: the
+  // KSG family has no neighbour order to agree on, so every such estimate
+  // fails with InvalidArgument through EstimateMI, whichever search its
+  // size picks. The plug-in estimators hash the same numbers and score.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  struct Case {
+    MIEstimatorKind kind;
+    size_t cutoff;
+  };
+  for (const Case& c :
+       {Case{MIEstimatorKind::kKSG, internal::kKsgBruteForceMaxPoints},
+        Case{MIEstimatorKind::kMixedKSG,
+             internal::kMixedKsgBruteForceMaxPoints},
+        Case{MIEstimatorKind::kDCKSG, internal::kDcKsgBruteForceMaxPoints}}) {
+    const bool discrete_x = c.kind == MIEstimatorKind::kDCKSG;
+    for (size_t n : {size_t{30}, c.cutoff + 1}) {
+      Rng rng(n);
+      PairedSample finite;
+      for (size_t i = 0; i < n; ++i) {
+        const double x = rng.Gaussian();
+        finite.x.push_back(discrete_x ? Value("c" + std::to_string(i % 4))
+                                      : Value(x));
+        finite.y.push_back(Value(x + rng.Gaussian()));
+      }
+      const std::string base = std::string(MIEstimatorKindToString(c.kind)) +
+                               " n=" + std::to_string(n);
+      ASSERT_TRUE(EstimateMI(c.kind, finite).ok()) << base;
+      for (double special : {inf, -inf, nan}) {
+        for (size_t copies : {size_t{1}, size_t{5}}) {
+          for (bool on_x : {false, true}) {
+            if (on_x && discrete_x) continue;  // x is DC-KSG's discrete side
+            PairedSample sample = finite;
+            std::vector<Value>& side = on_x ? sample.x : sample.y;
+            for (size_t j = 0; j < copies; ++j) side[(7 * j + 3) % n] = special;
+            const std::string where = base + " special=" +
+                                      std::to_string(special) + " x" +
+                                      std::to_string(copies) +
+                                      (on_x ? " on x" : " on y");
+            const Result<double> estimate = EstimateMI(c.kind, sample);
+            EXPECT_TRUE(estimate.status().IsInvalidArgument())
+                << where << ": "
+                << (estimate.ok() ? std::to_string(*estimate)
+                                  : estimate.status().ToString());
+            EXPECT_TRUE(EstimateMI(MIEstimatorKind::kMLE, sample).ok())
+                << where;
+          }
+        }
+      }
     }
   }
 }

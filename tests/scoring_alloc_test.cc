@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
+#include <map>
 #include <memory>
 #include <new>
 #include <string>
@@ -73,7 +74,20 @@ void operator delete[](void* p, std::size_t) noexcept { CountedFree(p); }
 namespace joinmi {
 namespace {
 
-using internal::kBruteForceMaxPoints;
+// The largest sample the estimator scores by brute force (none for the
+// plug-in family, which searches no neighbours).
+size_t BruteForceMaxPoints(MIEstimatorKind kind) {
+  switch (kind) {
+    case MIEstimatorKind::kKSG:
+      return internal::kKsgBruteForceMaxPoints;
+    case MIEstimatorKind::kMixedKSG:
+      return internal::kMixedKsgBruteForceMaxPoints;
+    case MIEstimatorKind::kDCKSG:
+      return internal::kDcKsgBruteForceMaxPoints;
+    default:
+      return 0;
+  }
+}
 
 constexpr size_t kKeys = 400;
 
@@ -98,7 +112,8 @@ JoinMIQuery MakeQuery(bool numeric_target, const JoinMIConfig& config) {
 }
 
 // Candidate c covers a prefix of the key domain whose length varies with
-// c, so joins land both below and above kBruteForceMaxPoints; even
+// c, so at sketch capacity 1024 joins land both below and above each
+// KSG-family estimator's brute-force cutoff; even
 // candidates carry numbers, odd ones labels, so with either query target
 // two estimators run (MixedKSG and DC-KSG, or DC-KSG and MLE).
 SketchIndex MakeIndex(size_t num_candidates, const JoinMIConfig& config) {
@@ -138,21 +153,29 @@ TEST(ScoringAllocationTest, EvaluateAllAllocationsDoNotGrowWithCandidates) {
   JoinMIConfig config;
   config.aggregation = AggKind::kFirst;  // label candidates cannot average
   config.min_join_size = 8;
+  // Joins up to ~1000 pairs, past every estimator's brute-force cutoff.
+  config.sketch_capacity = 1024;
   const SketchIndex small = MakeIndex(8, config);
   const SketchIndex large = MakeIndex(32, config);
   for (bool numeric_target : {true, false}) {
     const JoinMIQuery query = MakeQuery(numeric_target, config);
-    // The samples straddle the brute-force cutoff, so both neighbour
-    // searches are on the path being counted.
+    // Each KSG-family estimator's samples straddle its brute-force cutoff,
+    // so both neighbour searches are on the path being counted.
     auto check = large.EvaluateAll(query, 1);
     ASSERT_TRUE(check.ok()) << check.status();
-    bool below = false, above = false;
+    std::map<MIEstimatorKind, std::pair<bool, bool>> below_above;
     for (const auto& estimate : check->estimates) {
       ASSERT_TRUE(estimate.has_value());
-      below = below || estimate->sample_size <= kBruteForceMaxPoints;
-      above = above || estimate->sample_size > kBruteForceMaxPoints;
+      const size_t cutoff = BruteForceMaxPoints(estimate->estimator);
+      if (cutoff == 0) continue;
+      std::pair<bool, bool>& seen = below_above[estimate->estimator];
+      seen.first = seen.first || estimate->sample_size <= cutoff;
+      seen.second = seen.second || estimate->sample_size > cutoff;
     }
-    EXPECT_TRUE(below && above);
+    EXPECT_FALSE(below_above.empty());
+    for (const auto& [kind, seen] : below_above) {
+      EXPECT_TRUE(seen.first && seen.second) << MIEstimatorKindToString(kind);
+    }
 
     // Warm-up: thread-local scratch grows to the largest sample once.
     AllocationsOf(large, query);

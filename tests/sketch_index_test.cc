@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -196,6 +198,79 @@ TEST(SketchIndexQueryTest, EvaluateAllSeparatesSkipsFromErrors) {
   EXPECT_EQ(ksg_eval.num_evaluated, 0u);
   EXPECT_EQ(ksg_eval.num_skipped, 0u);
   EXPECT_EQ(ksg_eval.num_errors, 1u);
+}
+
+TEST(SketchIndexQueryTest, NonFiniteCandidateNumbersCountAsErrors) {
+  // Candidates holding one +inf, -inf or NaN among finite doubles, with
+  // joins of 40 pairs and of 400 (past every KSG-family brute-force
+  // cutoff): each fails its KSG-family estimate and counts under
+  // num_errors, while its finite twin scores. MixedKSG and DC-KSG are the
+  // auto choices for a numeric and a string target; KSG is forced.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const size_t num_keys = 400;
+  std::vector<std::string> keys, labels;
+  std::vector<int64_t> targets;
+  for (size_t i = 0; i < num_keys; ++i) {
+    keys.push_back("key" + std::to_string(i));
+    targets.push_back(static_cast<int64_t>(i % 7));
+    labels.push_back("y" + std::to_string(i % 7));
+  }
+  const auto numeric_base = MakeTwoColumnTable("K", keys, "Y", targets);
+  const auto label_base = *Table::FromColumns(
+      {{"K", Column::MakeString(keys)}, {"Y", Column::MakeString(labels)}});
+  struct Case {
+    std::optional<MIEstimatorKind> forced;
+    std::shared_ptr<Table> base;
+    MIEstimatorKind expected;
+  };
+  for (const Case& c :
+       {Case{std::nullopt, numeric_base, MIEstimatorKind::kMixedKSG},
+        Case{std::nullopt, label_base, MIEstimatorKind::kDCKSG},
+        Case{MIEstimatorKind::kKSG, numeric_base, MIEstimatorKind::kKSG}}) {
+    JoinMIConfig config;
+    config.sketch_capacity = 1024;
+    config.aggregation = AggKind::kFirst;
+    config.estimator = c.forced;
+    SketchIndex index(config);
+    size_t finite_candidates = 0;
+    for (size_t rows : {size_t{40}, num_keys}) {
+      for (double special : {0.0, inf, -inf, nan}) {
+        std::vector<std::string> cand_keys(keys.begin(),
+                                           keys.begin() + rows);
+        std::vector<double> values;
+        for (size_t i = 0; i < rows; ++i) {
+          values.push_back(static_cast<double>(i % 7) + 0.01 * i);
+        }
+        if (special != 0.0) values[rows / 2] = special;
+        finite_candidates += special == 0.0;
+        auto table = *Table::FromColumns(
+            {{"K", Column::MakeString(cand_keys)},
+             {"V", Column::MakeDouble(values)}});
+        ASSERT_TRUE(index
+                        .AddCandidate(*table, {"t" + std::to_string(rows) +
+                                                   "_" + std::to_string(special),
+                                               "K", "V"})
+                        .ok());
+      }
+    }
+    auto query = *JoinMIQuery::Create(*c.base, "K", "Y", config);
+    auto evaluation = *index.EvaluateAll(query, 1);
+    const std::string where = MIEstimatorKindToString(c.expected);
+    EXPECT_EQ(evaluation.num_evaluated, finite_candidates) << where;
+    EXPECT_EQ(evaluation.num_errors, index.size() - finite_candidates)
+        << where;
+    EXPECT_EQ(evaluation.num_skipped, 0u) << where;
+    for (size_t i = 0; i < index.size(); ++i) {
+      const bool finite = i % 4 == 0;
+      ASSERT_EQ(evaluation.estimates[i].has_value(), finite)
+          << where << " candidate " << i;
+      if (!finite) continue;
+      EXPECT_EQ(evaluation.estimates[i]->estimator, c.expected) << where;
+      EXPECT_EQ(evaluation.estimates[i]->sample_size, i < 4 ? 40u : num_keys)
+          << where;
+    }
+  }
 }
 
 TEST(SketchIndexSeedTest, QueryWithMismatchedSeedIsRejected) {

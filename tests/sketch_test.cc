@@ -13,6 +13,7 @@
 #include <unordered_set>
 
 #include "src/common/random.h"
+#include "src/discovery/sketch_index.h"
 #include "src/join/left_join.h"
 #include "src/sketch/builder.h"
 #include "src/sketch/key_hash.h"
@@ -43,8 +44,37 @@ TEST(KmvHeapTest, WouldAdmitMatchesOfferBehavior) {
   EXPECT_TRUE(heap.WouldAdmit(0.9));  // not yet full
   heap.Offer(SketchEntry{2, 0.8, Value()});
   EXPECT_TRUE(heap.WouldAdmit(0.7));
-  EXPECT_FALSE(heap.WouldAdmit(0.8));  // equal rank not admitted
+  EXPECT_TRUE(heap.WouldAdmit(0.8));  // equal rank: Offer breaks the tie
   EXPECT_FALSE(heap.WouldAdmit(0.9));
+}
+
+TEST(KmvHeapTest, RankTiesAtTheMaximumBreakByKeyHashInEitherOrder) {
+  // Ties on rank break by key_hash: offered through the builders' loop
+  // (WouldAdmit, then Offer), (0.5, key 9) and (0.5, key 1) competing for
+  // the last slot leave key 1, whichever arrives first.
+  for (size_t capacity : {size_t{1}, size_t{256}}) {
+    for (bool small_key_first : {false, true}) {
+      KmvHeap heap(capacity);
+      for (size_t i = 0; i + 1 < capacity; ++i) {
+        heap.Offer(SketchEntry{100 + i, 0.4 * static_cast<double>(i) /
+                                            static_cast<double>(capacity),
+                               Value()});
+      }
+      const uint64_t order[2][2] = {{9, 1}, {1, 9}};
+      for (uint64_t key : order[small_key_first]) {
+        if (heap.WouldAdmit(0.5)) heap.Offer(SketchEntry{key, 0.5, Value()});
+      }
+      const std::vector<SketchEntry> entries = heap.TakeSorted();
+      ASSERT_EQ(entries.size(), capacity);
+      std::vector<uint64_t> tied;
+      for (const SketchEntry& entry : entries) {
+        if (entry.rank == 0.5) tied.push_back(entry.key_hash);
+      }
+      EXPECT_EQ(tied, std::vector<uint64_t>{1})
+          << "capacity " << capacity
+          << (small_key_first ? ", key 1 first" : ", key 9 first");
+    }
+  }
 }
 
 TEST(KmvHeapTest, ZeroCapacityAndUnderfill) {
@@ -924,19 +954,22 @@ uint64_t Bits(double x) {
 // The kernel against JoinSketches + ScoreSketchJoinSample, with an
 // explicit and the auto estimator: join size, estimator and the MI's bits,
 // or the same error status.
-void ExpectKernelMatchesOracle(const Sketch& train, const Sketch& cand,
-                               const std::string& where) {
+void ExpectKernelMatchesOracle(
+    const Sketch& train, const Sketch& cand, const std::string& where,
+    const std::vector<std::optional<MIEstimatorKind>>& estimators =
+        {MIEstimatorKind::kMLE, std::nullopt},
+    size_t min_join_size = 1) {
   auto joined = JoinSketches(train, cand);
   ASSERT_TRUE(joined.ok()) << where << ": " << joined.status();
-  for (const std::optional<MIEstimatorKind>& estimator :
-       {std::optional<MIEstimatorKind>(MIEstimatorKind::kMLE),
-        std::optional<MIEstimatorKind>()}) {
-    MergeJoinScore fast = ScoreThroughKernel(train, cand, estimator, 1);
+  for (const std::optional<MIEstimatorKind>& estimator : estimators) {
+    MergeJoinScore fast =
+        ScoreThroughKernel(train, cand, estimator, min_join_size);
     EXPECT_EQ(fast.join_size, joined->join_size) << where;
-    ASSERT_EQ(fast.scored.has_value(), joined->join_size >= 1) << where;
+    ASSERT_EQ(fast.scored.has_value(), joined->join_size >= min_join_size)
+        << where;
     if (!fast.scored.has_value()) continue;
     auto reference = ScoreSketchJoinSample(joined->sample, joined->join_size,
-                                           estimator, {}, 1);
+                                           estimator, {}, min_join_size);
     ASSERT_EQ(fast.scored->ok(), reference.ok()) << where;
     if (!reference.ok()) {
       EXPECT_EQ(fast.scored->status().ToString(),
@@ -1101,6 +1134,176 @@ TEST(MergeKernelTest, RandomPairsMatchTheOracle) {
     ExpectKernelMatchesOracle(train, OracleCandidate(cand_keys, rng),
                               "pair " + std::to_string(pair));
     if (HasFatalFailure()) return;
+  }
+}
+
+// ------------------------------------------------- Value-word gather ---
+
+// A candidate over keys 1..values.size(), entry j holding values[j].
+Sketch WordCandidate(const std::vector<Value>& values) {
+  Sketch cand;
+  cand.side = SketchSide::kCandidate;
+  for (size_t j = 0; j < values.size(); ++j) {
+    cand.entries.push_back(SketchEntry{j + 1, 0.1, values[j]});
+  }
+  return cand;
+}
+
+// A train over keys [first, last], two entries each, numeric or labelled.
+Sketch WordTrain(uint64_t first, uint64_t last, bool numeric) {
+  Sketch train;
+  train.side = SketchSide::kTrain;
+  for (uint64_t key = first; key <= last; ++key) {
+    for (int copy = 0; copy < 2; ++copy) {
+      train.entries.push_back(SketchEntry{
+          key, 0.1 * copy,
+          numeric ? Value(static_cast<double>(key % 5) + 0.25 * copy)
+                  : Value("y" + std::to_string((key + copy) % 3))});
+    }
+  }
+  return train;
+}
+
+// The kernel over SketchIndex's stored columns — the index path, beside
+// ScoreCandidateSketch's per-call columns — against the Value reference.
+void ExpectIndexMatchesOracle(const Sketch& train, const Sketch& cand,
+                              const std::string& where) {
+  JoinMIConfig config;
+  config.min_join_size = 1;
+  SketchIndex index(config);
+  ASSERT_TRUE(index.AddSketch({"cand", "K", "V"}, cand).ok()) << where;
+  auto query = JoinMIQuery::FromTrainSketch(train, config);
+  ASSERT_TRUE(query.ok()) << where << ": " << query.status();
+  auto evaluation = index.EvaluateAll(*query, 1);
+  ASSERT_TRUE(evaluation.ok()) << where;
+  auto joined = *JoinSketches(train, cand);
+  auto reference = ScoreSketchJoinSample(joined.sample, joined.join_size,
+                                         std::nullopt, {}, 1);
+  ASSERT_EQ(evaluation->estimates[0].has_value(), reference.ok()) << where;
+  if (!reference.ok()) return;
+  EXPECT_EQ(Bits(evaluation->estimates[0]->mi), Bits(reference->mi)) << where;
+  EXPECT_EQ(evaluation->estimates[0]->estimator, reference->estimator)
+      << where;
+  EXPECT_EQ(evaluation->estimates[0]->sample_size, joined.join_size) << where;
+}
+
+const std::vector<std::optional<MIEstimatorKind>> kEveryEstimator = {
+    std::nullopt,
+    MIEstimatorKind::kMLE,
+    MIEstimatorKind::kMillerMadow,
+    MIEstimatorKind::kLaplace,
+    MIEstimatorKind::kKSG,
+    MIEstimatorKind::kMixedKSG,
+    MIEstimatorKind::kDCKSG};
+
+TEST(MergeKernelTest, NumericWordsDeriveTheValueHash) {
+  // Int64s, doubles and both zeros: the word holds the double, and the
+  // hash derived from it is Value::Hash(), so -0.0 and +0.0 (and 3 and
+  // 3.0) hash alike while their numbers keep their bits.
+  std::vector<Value> values;
+  for (int64_t i = 0; i < 24; ++i) {
+    values.push_back(i % 3 == 0   ? Value(i % 5)
+                     : i % 3 == 1 ? Value(static_cast<double>(i % 5))
+                                  : Value(0.5 * static_cast<double>(i % 4)));
+  }
+  values[4] = Value(-0.0);
+  values[5] = Value(0.0);
+  values[6] = Value(int64_t{0});
+  values[7] = Value(-0.0);
+  const Sketch cand = WordCandidate(values);
+  std::vector<uint64_t> words = {77};  // appended after what is there
+  const ValueTypes types = AppendValueWords(cand, &words);
+  EXPECT_TRUE(types.all_numeric);
+  ASSERT_EQ(words.size(), values.size() + 1);
+  EXPECT_EQ(words[0], 77u);
+  for (size_t j = 0; j < values.size(); ++j) {
+    double number;
+    std::memcpy(&number, &words[j + 1], sizeof(number));
+    EXPECT_EQ(Bits(number), Bits(values[j].NumericOr(0.0))) << j;
+    EXPECT_EQ(NumericValueHash(number), values[j].Hash()) << j;
+  }
+  EXPECT_EQ(NumericValueHash(-0.0), NumericValueHash(0.0));
+  for (bool numeric_train : {true, false}) {
+    const Sketch train = WordTrain(2, 22, numeric_train);
+    const std::string where = numeric_train ? "numeric train" : "label train";
+    ExpectKernelMatchesOracle(train, cand, where, kEveryEstimator);
+    ExpectIndexMatchesOracle(train, cand, where);
+  }
+}
+
+TEST(MergeKernelTest, StringWordsAreValueHashes) {
+  std::vector<Value> values;
+  for (int i = 0; i < 24; ++i) values.push_back(Value("v" + std::to_string(i % 4)));
+  const Sketch cand = WordCandidate(values);
+  std::vector<uint64_t> words;
+  const ValueTypes types = AppendValueWords(cand, &words);
+  EXPECT_FALSE(types.any_numeric);
+  EXPECT_TRUE(types.homogeneous());
+  ASSERT_EQ(words.size(), values.size());
+  for (size_t j = 0; j < values.size(); ++j) {
+    EXPECT_EQ(words[j], values[j].Hash()) << j;
+  }
+  for (bool numeric_train : {true, false}) {
+    const Sketch train = WordTrain(3, 20, numeric_train);
+    const std::string where = numeric_train ? "numeric train" : "label train";
+    ExpectKernelMatchesOracle(train, cand, where, kEveryEstimator);
+    ExpectIndexMatchesOracle(train, cand, where);
+  }
+}
+
+TEST(MergeKernelTest, MixedCandidateReadsItsEntries) {
+  // Numbers on keys 1..20, labels from 21 (and one null at 27): the words
+  // are hashes, and the sample's types come from the matched values — all
+  // numeric for a query joining keys 2..18, mixed for one joining 12..26,
+  // null-bearing for one reaching 27.
+  std::vector<Value> values;
+  for (int i = 1; i <= 30; ++i) {
+    values.push_back(i <= 20    ? Value(static_cast<double>(i % 6))
+                     : i == 27  ? Value()
+                                : Value("label" + std::to_string(i % 3)));
+  }
+  const Sketch cand = WordCandidate(values);
+  std::vector<uint64_t> words;
+  const ValueTypes types = AppendValueWords(cand, &words);
+  EXPECT_FALSE(types.homogeneous());
+  for (size_t j = 0; j < values.size(); ++j) {
+    EXPECT_EQ(words[j], values[j].Hash()) << j;
+  }
+  for (const auto& [first, last] : {std::pair<uint64_t, uint64_t>{2, 18},
+                                    {12, 26},
+                                    {20, 30}}) {
+    for (bool numeric_train : {true, false}) {
+      const Sketch train = WordTrain(first, last, numeric_train);
+      const std::string where = std::to_string(first) + ".." +
+                                std::to_string(last) +
+                                (numeric_train ? " numeric" : " label");
+      ExpectKernelMatchesOracle(train, cand, where, kEveryEstimator);
+      ExpectIndexMatchesOracle(train, cand, where);
+    }
+  }
+  // The all-numeric subset scores as numeric x numeric.
+  MergeJoinScore numeric =
+      ScoreThroughKernel(WordTrain(2, 18, true), cand, std::nullopt, 1);
+  ASSERT_TRUE(numeric.scored.has_value() && numeric.scored->ok());
+  EXPECT_EQ((*numeric.scored)->estimator, MIEstimatorKind::kMixedKSG);
+  MergeJoinScore mixed =
+      ScoreThroughKernel(WordTrain(12, 26, true), cand, std::nullopt, 1);
+  ASSERT_TRUE(mixed.scored.has_value() && mixed.scored->ok());
+  EXPECT_EQ((*mixed.scored)->estimator, MIEstimatorKind::kDCKSG);
+}
+
+TEST(MergeKernelTest, EmptyCandidateWithNoMinimum) {
+  // No entry, no word; with min_join_size 0 the empty join reaches the
+  // estimators and fails as the Value path does, for every estimator.
+  const Sketch cand = WordCandidate({});
+  std::vector<uint64_t> words;
+  const ValueTypes types = AppendValueWords(cand, &words);
+  EXPECT_TRUE(words.empty());
+  EXPECT_TRUE(types.all_numeric);  // vacuously
+  for (bool numeric_train : {true, false}) {
+    ExpectKernelMatchesOracle(WordTrain(1, 9, numeric_train), cand,
+                              "empty candidate", kEveryEstimator,
+                              /*min_join_size=*/0);
   }
 }
 

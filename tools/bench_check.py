@@ -35,6 +35,11 @@ CHECKS = [
     # over the same sweep: a probe that went back to a branchy merge or
     # started touching each candidate's sketch falls below the floor.
     ("part9_probe_speedup", "higher", 0.25, 1.00),
+    # The estimator kernel: MixedKSG's branch-free brute force against its
+    # tree oracle at n = 40. A brute force that went back to a branchy
+    # selection or stopped inlining it, or a scan that started paying per
+    # point, falls below the floor.
+    ("part9_ksg_brute_speedup", "higher", 0.25, 0.10),
     # Allocation counts are deterministic, not timings: a jump means the
     # hot path started allocating again. Per candidate, the scoring tail
     # allocates nothing once warm; the slack is a quarter allocation, so
