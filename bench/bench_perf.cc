@@ -148,8 +148,9 @@ BENCHMARK(BM_SketchBuildTrain)
     ->Arg(static_cast<int>(SketchMethod::kCsk))
     ->Unit(benchmark::kMillisecond);
 
-// Ablation: KMV bounded heap vs sort-everything selection for TUPSK ranks.
-void BM_SelectionKmvHeap(benchmark::State& state) {
+// Ablation: bounded KMV selection vs sort-everything selection for TUPSK
+// ranks.
+void BM_SelectionKmv(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   Rng rng(9);
   std::vector<SketchEntry> entries(100000);
@@ -158,16 +159,16 @@ void BM_SelectionKmvHeap(benchmark::State& state) {
     e.rank = rng.NextDouble();
   }
   for (auto _ : state) {
-    KmvHeap heap(n);
-    for (const auto& e : entries) {
-      if (heap.WouldAdmit(e.rank)) heap.Offer(e);
+    KmvSelection selection(n, [&entries](size_t i) { return entries[i].value; });
+    for (size_t i = 0; i < entries.size(); ++i) {
+      selection.Offer(entries[i].rank, entries[i].key_hash, i);
     }
-    auto out = heap.TakeSorted();
+    auto out = selection.TakeSorted();
     benchmark::DoNotOptimize(out);
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(entries.size()));
 }
-BENCHMARK(BM_SelectionKmvHeap)->Arg(256)->Arg(4096)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SelectionKmv)->Arg(256)->Arg(4096)->Unit(benchmark::kMillisecond);
 
 void BM_SelectionFullSort(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));

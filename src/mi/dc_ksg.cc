@@ -18,7 +18,7 @@ struct DcKsgScratch {
   KeyCoder coder;
   std::vector<uint32_t> cls, class_begin, fill, grouped_index;
   std::vector<uint8_t> keep;
-  std::vector<double> grouped, kept_ys, dist, radius;
+  std::vector<double> grouped, kept_ys, dist, radius, counts;
   SortedPoints1D class_points, kept_points;
 };
 
@@ -26,7 +26,8 @@ struct DcKsgScratch {
 
 Result<double> MutualInformationDCKSG(const uint64_t* x_keys,
                                       const double* ys, size_t n, int k,
-                                      NeighborSearch search) {
+                                      NeighborSearch search,
+                                      const BruteForceKernel& kernel) {
   if (k < 1) return Status::InvalidArgument("k must be >= 1");
   if (n < 2) return Status::InvalidArgument("DC-KSG needs at least 2 samples");
   return WithScratch<DcKsgScratch>(n, [&](DcKsgScratch& s) -> Result<double> {
@@ -91,31 +92,41 @@ Result<double> MutualInformationDCKSG(const uint64_t* x_keys,
       acc_class += DigammaOfInt(class_count[cls[i]]);
       acc_m += DigammaOfInt(m_i + 1);
     };
-    if (UseBruteForce(search, n, kDcKsgBruteForceMaxPoints)) {
-      if (s.dist.size() < n) s.dist.resize(n);
+    if (s.radius.size() < n) s.radius.resize(n);
+    if (UseBruteForce(search, n, kernel.dc_ksg_max_points)) {
+      // Radii in kept order, then m_i for all of them by the kernel's
+      // counting pass over the kept ys.
+      if (s.dist.size() < n) {
+        s.dist.resize(n);
+        s.counts.resize(n);
+      }
       double* dist = s.dist.data();
+      size_t q = 0;
       for (size_t i = 0; i < n; ++i) {
         if (!s.keep[i]) continue;
         const uint32_t c = cls[i];
         const size_t count = class_count[c];
-        const int ki = k_of(i);
         const double yi = ys[i];
         const double* members = s.grouped.data() + s.class_begin[c];
         for (size_t j = 0; j < count; ++j) dist[j] = std::fabs(members[j] - yi);
         // The members include the sample itself at distance 0, below every
         // other, so its ki-th neighbour is the (ki + 1)-th smallest.
-        const double radius = KthSmallest(dist, count, ki + 1);
-        size_t m_i = CountInInterval(s.kept_ys.data(), kept, yi - radius,
-                                     yi + radius, /*strict=*/true);
+        s.radius[q++] = KthSmallest(dist, count, k_of(i) + 1);
+      }
+      kernel.interval_counts(s.kept_ys.data(), kept, s.radius.data(),
+                             /*equal_at_zero=*/false, s.counts.data());
+      q = 0;
+      for (size_t i = 0; i < n; ++i) {
+        if (!s.keep[i]) continue;
+        size_t m_i = static_cast<size_t>(s.counts[q]);
         // SortedPoints1D excludes one copy of the point itself whenever the
         // open ball is non-empty.
-        if (radius > 0.0) m_i -= m_i > 0;
-        add(i, ki, m_i);
+        if (s.radius[q++] > 0.0) m_i -= m_i > 0;
+        add(i, k_of(i), m_i);
       }
     } else {
       // One sorted set at a time: each kept sample's radius from its
       // class's set, then the sums in sample order over the kept set.
-      if (s.radius.size() < n) s.radius.resize(n);
       for (size_t c = 0; c < num_classes; ++c) {
         if (class_count[c] < 2) continue;
         const size_t begin = s.class_begin[c];

@@ -8,8 +8,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "src/common/status.h"
+#include "src/mi/knn.h"
 
 namespace joinmi {
 namespace internal {
@@ -42,23 +44,12 @@ auto WithScratch(size_t n, Fn&& fn) {
 /// exact and give bitwise-equal estimates — the trees are the brute force's
 /// test oracle — so the choice only trades speed.
 enum class NeighborSearch : uint8_t {
-  kAuto = 0,    ///< brute force up to the estimator's limit, trees above
-  kBruteForce,  ///< O(n) scan per query point
+  kAuto = 0,    ///< brute force up to the kernel's limit for the
+                ///< estimator (BruteForceKernel::*_max_points), trees above
+  kBruteForce,  ///< BruteForceKernel, O(n) per query point (trees above
+                ///< k = kMaxBruteForceK for KSG and MixedKSG)
   kTrees,       ///< SortedPoints1D / KdTree2D, rebuilt per estimate
 };
-
-/// \brief Largest sample kAuto scores by brute force, per estimator: about
-/// where the trees catch up with the branch-free brute force. Brute vs
-/// trees in us per estimate (k=3, 64 seeded Gaussian samples, best of 15
-/// alternating rounds, one core of a 4-vCPU Xeon): KSG 5.5 vs 19.1 at
-/// n=40, 187 vs 188 at n=224, 327 vs 302 at n=256; MixedKSG 6.5 vs 17.5
-/// at n=40, 104 vs 109 at n=160, 133 vs 125 at n=176; DC-KSG over 4
-/// classes 3.0 vs 7.2 at n=40, 112 vs 105 at n=256, and over n/3 classes
-/// 53 vs 64 at n=256. Sketch-join samples stay below all three at the
-/// default capacity of 256, so discovery scores by brute force.
-inline constexpr size_t kKsgBruteForceMaxPoints = 224;
-inline constexpr size_t kMixedKsgBruteForceMaxPoints = 160;
-inline constexpr size_t kDcKsgBruteForceMaxPoints = 256;
 
 inline bool UseBruteForce(NeighborSearch search, size_t n,
                           size_t max_points) {
@@ -66,16 +57,42 @@ inline bool UseBruteForce(NeighborSearch search, size_t n,
          (search == NeighborSearch::kAuto && n <= max_points);
 }
 
+/// \brief Scratch of the joint-space estimators (KSG, MixedKSG): the
+/// brute force's per-point results, and the trees.
+struct JointKnnScratch {
+  std::vector<double> radius, coincident, nx, ny;
+  KdTree2D joint;
+  SortedPoints1D sorted_x, sorted_y;
+
+  /// \brief Per point i < n, by `kernel`: radius[i] and coincident[i] from
+  /// joint_kth, and nx[i], ny[i], the marginal interval_counts around x_i
+  /// and y_i at that radius.
+  void BruteForce(const BruteForceKernel& kernel, const double* xs,
+                  const double* ys, size_t n, int k, bool equal_at_zero) {
+    for (std::vector<double>* column : {&radius, &coincident, &nx, &ny}) {
+      if (column->size() < n) column->resize(n);
+    }
+    kernel.joint_kth(xs, ys, n, k, radius.data(), coincident.data());
+    kernel.interval_counts(xs, n, radius.data(), equal_at_zero, nx.data());
+    kernel.interval_counts(ys, n, radius.data(), equal_at_zero, ny.data());
+  }
+};
+
 /// \brief MutualInformationKSG, MutualInformationMixedKSG and
-/// MutualInformationDCKSG (pointer forms) with the search given.
-Result<double> MutualInformationKSG(const double* xs, const double* ys,
-                                    size_t n, int k, NeighborSearch search);
-Result<double> MutualInformationMixedKSG(const double* xs, const double* ys,
-                                         size_t n, int k,
-                                         NeighborSearch search);
-Result<double> MutualInformationDCKSG(const uint64_t* x_keys,
-                                      const double* ys, size_t n, int k,
-                                      NeighborSearch search);
+/// MutualInformationDCKSG (pointer forms) with the search given, and the
+/// brute force run by `kernel`.
+Result<double> MutualInformationKSG(
+    const double* xs, const double* ys, size_t n, int k,
+    NeighborSearch search,
+    const BruteForceKernel& kernel = DispatchedBruteForceKernel());
+Result<double> MutualInformationMixedKSG(
+    const double* xs, const double* ys, size_t n, int k,
+    NeighborSearch search,
+    const BruteForceKernel& kernel = DispatchedBruteForceKernel());
+Result<double> MutualInformationDCKSG(
+    const uint64_t* x_keys, const double* ys, size_t n, int k,
+    NeighborSearch search,
+    const BruteForceKernel& kernel = DispatchedBruteForceKernel());
 
 }  // namespace internal
 }  // namespace joinmi

@@ -1,7 +1,7 @@
 // Nearest-neighbor machinery for the KSG family of estimators: 1-D sorted
 // point sets with windowed k-NN / range counting, a 2-D kd-tree under the
-// Chebyshev (max) norm, and the exact brute-force primitives that replace
-// both on small samples.
+// Chebyshev (max) norm, and the exact brute-force kernel that replaces both
+// on small samples.
 
 #ifndef JOINMI_MI_KNN_H_
 #define JOINMI_MI_KNN_H_
@@ -122,8 +122,8 @@ inline double KthSmallestFixed(const double* values, size_t n) {
 
 /// \brief The k-th smallest of values[0, n), 1 <= k <= n — an order
 /// statistic, so exact for any k and ties. For k <= 8 a NaN counts as
-/// +inf. May reorder `values`. Defined here, as CountInInterval is, so
-/// the compiler can inline both into the estimators' brute-force loops.
+/// +inf. May reorder `values`. Defined here so the compiler can inline it
+/// into DC-KSG's within-class search.
 inline double KthSmallest(double* values, size_t n, int k) {
   switch (k) {
     case 1:
@@ -148,25 +148,52 @@ inline double KthSmallest(double* values, size_t n, int k) {
   }
 }
 
-/// \brief Number of points p in [0, n) with lo < p < hi (strict) or
-/// lo <= p <= hi. With (lo, hi) = (x - r, x + r) this is the interval
-/// SortedPoints1D::CountWithin counts, with no point excluded.
-inline size_t CountInInterval(const double* points, size_t n, double lo,
-                              double hi, bool strict) {
-  // A double accumulator keeps the loop in one register type, which is
-  // what lets the compiler vectorize it; counts stay exact far past any n.
-  double count = 0.0;
-  if (strict) {
-    for (size_t j = 0; j < n; ++j) {
-      count += (points[j] > lo && points[j] < hi) ? 1.0 : 0.0;
-    }
-  } else {
-    for (size_t j = 0; j < n; ++j) {
-      count += (points[j] >= lo && points[j] <= hi) ? 1.0 : 0.0;
-    }
-  }
-  return static_cast<size_t>(count);
-}
+namespace internal {
+
+/// \brief The brute-force neighbour search of the KSG family: one kernel
+/// source, compiled once per instruction set, that scores a block of
+/// `lanes` query points per pass over the sample. It uses only exact
+/// operations (subtract, abs, min/max, compare, and counts held in double
+/// lanes), so every instantiation returns what SortedPoints1D and KdTree2D
+/// return, bit for bit.
+struct BruteForceKernel {
+  int lanes;
+  /// For each i < n: radius[i], the Chebyshev distance from (xs[i], ys[i])
+  /// to its k-th nearest other point (as KthSmallest ranks them, so a NaN
+  /// distance counts as +inf), and coincident[i], the points at distance 0,
+  /// itself included. Precondition: 1 <= k <= kMaxBruteForceK, k < n.
+  void (*joint_kth)(const double* xs, const double* ys, size_t n, int k,
+                    double* radius, double* coincident);
+  /// For each i < n: counts[i], the points p of points[0, n) with
+  /// points[i] - radius[i] < p < points[i] + radius[i] — or, when
+  /// equal_at_zero and radius[i] == 0, with p == points[i]. No point is
+  /// excluded.
+  void (*interval_counts)(const double* points, size_t n,
+                          const double* radius, bool equal_at_zero,
+                          double* counts);
+  /// Largest sample NeighborSearch::kAuto scores with this instantiation,
+  /// per estimator: about where the trees catch up with it.
+  size_t ksg_max_points;
+  size_t mixed_ksg_max_points;
+  size_t dc_ksg_max_points;
+};
+
+/// \brief Largest k joint_kth takes: its K-smallest window is unrolled per
+/// k. KSG and MixedKSG search with the trees above it.
+inline constexpr int kMaxBruteForceK = 8;
+
+/// \brief The 2-lane instantiation, built for the baseline instruction set.
+const BruteForceKernel& BaselineBruteForceKernel();
+
+/// \brief The 4-lane AVX2 instantiation, or null when the build is not for
+/// x86 or the CPU lacks AVX2.
+const BruteForceKernel* Avx2BruteForceKernel();
+
+/// \brief The instantiation the estimators use, picked once per process:
+/// AVX2 when the CPU has it, the baseline otherwise.
+const BruteForceKernel& DispatchedBruteForceKernel();
+
+}  // namespace internal
 
 }  // namespace joinmi
 

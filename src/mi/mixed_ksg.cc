@@ -1,8 +1,6 @@
 #include "src/mi/mixed_ksg.h"
 
-#include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "src/common/math.h"
 #include "src/mi/estimator_internal.h"
@@ -12,19 +10,10 @@ namespace joinmi {
 
 namespace internal {
 
-namespace {
-
-struct MixedKsgScratch {
-  std::vector<double> dist;
-  KdTree2D joint;
-  SortedPoints1D sorted_x, sorted_y;
-};
-
-}  // namespace
-
 Result<double> MutualInformationMixedKSG(const double* xs, const double* ys,
                                          size_t n, int k,
-                                         NeighborSearch search) {
+                                         NeighborSearch search,
+                                         const BruteForceKernel& kernel) {
   if (k < 1) return Status::InvalidArgument("k must be >= 1");
   if (n <= static_cast<size_t>(k)) {
     return Status::InvalidArgument("MixedKSG needs more than k samples");
@@ -37,34 +26,21 @@ Result<double> MutualInformationMixedKSG(const double* xs, const double* ys,
   // rho). All counts include the point itself, matching the reference
   // implementation (query_ball_point includes the center).
   const double log_n = std::log(static_cast<double>(n));
+  const double psi_k = DigammaOfInt(static_cast<size_t>(k));
   double acc = 0.0;
-  auto add = [&acc, log_n](size_t k_tilde, size_t nx, size_t ny) {
-    acc += DigammaOfInt(k_tilde) + log_n - LogOfInt(nx) - LogOfInt(ny);
+  auto add = [&acc, log_n](double psi_k_tilde, size_t nx, size_t ny) {
+    acc += psi_k_tilde + log_n - LogOfInt(nx) - LogOfInt(ny);
   };
-  WithScratch<MixedKsgScratch>(n, [&](MixedKsgScratch& scratch) {
-    if (UseBruteForce(search, n, kMixedKsgBruteForceMaxPoints)) {
-      std::vector<double>& dist = scratch.dist;
-      if (dist.size() < n) dist.resize(n);
+  WithScratch<JointKnnScratch>(n, [&](JointKnnScratch& scratch) {
+    if (k <= kMaxBruteForceK &&
+        UseBruteForce(search, n, kernel.mixed_ksg_max_points)) {
+      scratch.BruteForce(kernel, xs, ys, n, k, /*equal_at_zero=*/true);
       for (size_t i = 0; i < n; ++i) {
-        const double xi = xs[i];
-        const double yi = ys[i];
-        size_t coincident = 0;  // self included
-        for (size_t j = 0; j < n; ++j) {
-          const double d =
-              std::max(std::fabs(xs[j] - xi), std::fabs(ys[j] - yi));
-          dist[j] = d;
-          coincident += static_cast<size_t>(d <= 0.0);
-        }
-        dist[i] = std::numeric_limits<double>::infinity();
-        const double rho = KthSmallest(dist.data(), n, k);
-        if (rho == 0.0) {
-          add(coincident, CountInInterval(xs, n, xi, xi, /*strict=*/false),
-              CountInInterval(ys, n, yi, yi, /*strict=*/false));
-        } else {
-          add(static_cast<size_t>(k),
-              CountInInterval(xs, n, xi - rho, xi + rho, /*strict=*/true),
-              CountInInterval(ys, n, yi - rho, yi + rho, /*strict=*/true));
-        }
+        add(scratch.radius[i] == 0.0
+                ? DigammaOfInt(static_cast<size_t>(scratch.coincident[i]))
+                : psi_k,
+            static_cast<size_t>(scratch.nx[i]),
+            static_cast<size_t>(scratch.ny[i]));
       }
       return;
     }
@@ -77,13 +53,13 @@ Result<double> MutualInformationMixedKSG(const double* xs, const double* ys,
     for (size_t i = 0; i < n; ++i) {
       const double rho = joint.KthNeighborDistance(i, k);
       if (rho == 0.0) {
-        add(joint.CountCoincident(i) + 1,
+        add(DigammaOfInt(joint.CountCoincident(i) + 1),
             sorted_x.CountWithin(xs[i], 0.0, /*strict=*/false,
                                  /*exclude_self=*/false),
             sorted_y.CountWithin(ys[i], 0.0, /*strict=*/false,
                                  /*exclude_self=*/false));
       } else {
-        add(static_cast<size_t>(k),
+        add(psi_k,
             sorted_x.CountWithin(xs[i], rho, /*strict=*/true,
                                  /*exclude_self=*/false),
             sorted_y.CountWithin(ys[i], rho, /*strict=*/true,

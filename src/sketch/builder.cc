@@ -59,13 +59,14 @@ Result<Sketch> SketchBuilder::SketchCandidate(const Column& keys,
   // KMV over the method's key rank (the paper's observation that the
   // candidate-side selection probability is uniform because m_K = N after
   // aggregation).
-  KmvHeap heap(options_.capacity);
-  for (const AggregatedKey& entry : aggregated) {
-    const double rank = CandidateRank(entry.key_hash);
-    if (!heap.WouldAdmit(rank)) continue;
-    heap.Offer(SketchEntry{entry.key_hash, rank, entry.value});
+  KmvSelection sample(options_.capacity, [&aggregated](size_t i) {
+    return aggregated[i].value;
+  });
+  for (size_t i = 0; i < aggregated.size(); ++i) {
+    const uint64_t key_hash = aggregated[i].key_hash;
+    sample.Offer(CandidateRank(key_hash), key_hash, i);
   }
-  sketch.entries = heap.TakeSorted();
+  sketch.entries = sample.TakeSorted();
   return sketch;
 }
 

@@ -23,16 +23,15 @@ Result<Sketch> FirstValuePerKeyKmv(const SketchBuilder& builder,
   // or aggregatable keys).
   std::unordered_set<uint64_t> seen;
   seen.reserve(keys.size());
-  KmvHeap heap(options.capacity);
+  KmvSelection sample(options.capacity,
+                      [&values](size_t row) { return values.GetValue(row); });
   for (size_t row = 0; row < keys.size(); ++row) {
     if (!keys.IsValid(row) || !values.IsValid(row)) continue;
     const uint64_t key_hash = HashKeyAt(keys, row, options.hash_seed);
     if (!seen.insert(key_hash).second) continue;  // repeated key: keep first
-    const double rank = KeyUnitHash(key_hash);
-    if (!heap.WouldAdmit(rank)) continue;
-    heap.Offer(SketchEntry{key_hash, rank, values.GetValue(row)});
+    sample.Offer(KeyUnitHash(key_hash), key_hash, row);
   }
-  sketch.entries = heap.TakeSorted();
+  sketch.entries = sample.TakeSorted();
   return sketch;
 }
 

@@ -4,7 +4,7 @@
 
 namespace joinmi {
 
-namespace {
+namespace internal {
 
 uint64_t HashStringKey(const std::string& key, uint32_t seed) {
   const uint32_t h = MurmurHash3_32(key, seed);
@@ -12,26 +12,24 @@ uint64_t HashStringKey(const std::string& key, uint32_t seed) {
                (key.size() & 0xFFFFFFFFULL));
 }
 
-}  // namespace
+uint64_t HashNumericKey(double key, uint32_t seed) {
+  // The canonical value hash mixed with the seed, as HashKey does.
+  return Mix64(NumericValueHash(key) ^
+               (static_cast<uint64_t>(seed) * 0x9E3779B9ULL));
+}
+
+}  // namespace internal
 
 uint64_t HashKey(const Value& key, uint32_t seed) {
-  if (key.is_string()) return HashStringKey(key.str(), seed);
+  if (key.is_string()) return internal::HashStringKey(key.str(), seed);
   // Numeric / null keys: mix the canonical value hash with the seed.
   return Mix64(key.Hash() ^ (static_cast<uint64_t>(seed) * 0x9E3779B9ULL));
 }
 
 uint64_t HashKeyAt(const Column& keys, size_t row, uint32_t seed) {
-  switch (keys.type()) {
-    case DataType::kString:
-      return HashStringKey(keys.StringAt(row), seed);
-    case DataType::kInt64:
-      return HashKey(Value(keys.Int64At(row)), seed);
-    case DataType::kDouble:
-      return HashKey(Value(keys.DoubleAt(row)), seed);
-    case DataType::kNull:
-      break;
-  }
-  return HashKey(keys.GetValue(row), seed);
+  uint64_t hash = 0;
+  WithKeyHasher(keys, seed, [&](auto hash_at) { hash = hash_at(row); });
+  return hash;
 }
 
 double KeyUnitHash(uint64_t key_hash) { return FibonacciUnitHash(key_hash); }

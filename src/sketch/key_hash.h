@@ -7,6 +7,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
 
 #include "src/mi/histogram.h"
 #include "src/table/column.h"
@@ -19,9 +20,44 @@ namespace joinmi {
 /// Seeded so independent sketch universes can coexist.
 uint64_t HashKey(const Value& key, uint32_t seed = 0);
 
-/// \brief HashKey(keys.GetValue(row), seed), read through the column's
-/// typed storage so a string key is hashed in place, not copied into a
-/// Value. Precondition: keys.IsValid(row).
+namespace internal {
+
+/// \brief HashKey of a string key and of a numeric key (an int64 as its
+/// widened double), without a Value.
+uint64_t HashStringKey(const std::string& key, uint32_t seed);
+uint64_t HashNumericKey(double key, uint32_t seed);
+
+}  // namespace internal
+
+/// \brief Calls fn(hash_at) once, where hash_at(row) is HashKey(
+/// keys.GetValue(row), seed) read through the column's typed storage: the
+/// switch on the key type is taken here, once, not per row, and a string
+/// key is hashed in place, not copied into a Value. hash_at's
+/// precondition: keys.IsValid(row).
+template <typename Fn>
+void WithKeyHasher(const Column& keys, uint32_t seed, Fn&& fn) {
+  switch (keys.type()) {
+    case DataType::kString:
+      return fn([&keys, seed](size_t row) {
+        return internal::HashStringKey(keys.StringAt(row), seed);
+      });
+    case DataType::kInt64:
+      return fn([&keys, seed](size_t row) {
+        return internal::HashNumericKey(
+            static_cast<double>(keys.Int64At(row)), seed);
+      });
+    case DataType::kDouble:
+      return fn([&keys, seed](size_t row) {
+        return internal::HashNumericKey(keys.DoubleAt(row), seed);
+      });
+    case DataType::kNull:
+      break;
+  }
+  fn([&keys, seed](size_t row) { return HashKey(keys.GetValue(row), seed); });
+}
+
+/// \brief One row's hash_at of WithKeyHasher. Precondition:
+/// keys.IsValid(row).
 uint64_t HashKeyAt(const Column& keys, size_t row, uint32_t seed);
 
 /// \brief h_u(h(k)): unit-interval rank of a key hash (Fibonacci hashing).

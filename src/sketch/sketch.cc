@@ -33,45 +33,47 @@ Result<SketchMethod> SketchMethodFromString(const std::string& name) {
   return Status::InvalidArgument("unknown sketch method '" + name + "'");
 }
 
-KmvHeap::KmvHeap(size_t capacity) : capacity_(capacity) {
-  heap_.reserve(capacity + 1);
+KmvSelection::KmvSelection(size_t capacity, ValueAt value_at)
+    : capacity_(capacity), value_at_(std::move(value_at)) {
+  items_.reserve(2 * capacity);
 }
 
-bool KmvHeap::RankLess(const SketchEntry& a, const SketchEntry& b) {
+uint64_t KmvSelection::ValueHash(const Item& item) const {
+  return value_at_(item.index).Hash();
+}
+
+bool KmvSelection::RankLess(const Item& a, const Item& b) const {
   if (a.rank != b.rank) return a.rank < b.rank;
   if (a.key_hash != b.key_hash) return a.key_hash < b.key_hash;
-  return a.value.Hash() < b.value.Hash();
+  return ValueHash(a) < ValueHash(b);
 }
 
-bool KmvHeap::WouldAdmit(double rank) const {
-  if (capacity_ == 0) return false;
-  if (heap_.size() < capacity_) return true;
-  // A rank equal to the maximum's may still win its tie (key_hash, then
-  // value hash): Offer's RankLess decides.
-  return rank <= heap_.front().rank;
+void KmvSelection::KeepLeast() {
+  if (items_.size() <= capacity_) return;
+  std::nth_element(
+      items_.begin(), items_.begin() + static_cast<ptrdiff_t>(capacity_ - 1),
+      items_.end(),
+      [this](const Item& a, const Item& b) { return RankLess(a, b); });
+  items_.resize(capacity_);
+  bound_ = items_.back().rank;
 }
 
-void KmvHeap::Offer(SketchEntry entry) {
-  if (capacity_ == 0) return;
-  if (heap_.size() < capacity_) {
-    heap_.push_back(std::move(entry));
-    std::push_heap(heap_.begin(), heap_.end(), RankLess);
-    return;
-  }
-  if (!RankLess(entry, heap_.front())) return;
-  std::pop_heap(heap_.begin(), heap_.end(), RankLess);
-  heap_.back() = std::move(entry);
-  std::push_heap(heap_.begin(), heap_.end(), RankLess);
-}
-
-std::vector<SketchEntry> KmvHeap::TakeSorted() {
-  std::vector<SketchEntry> out = std::move(heap_);
-  heap_.clear();
-  std::sort(out.begin(), out.end(), [](const SketchEntry& a,
-                                       const SketchEntry& b) {
+std::vector<SketchEntry> KmvSelection::TakeSorted() {
+  KeepLeast();
+  std::sort(items_.begin(), items_.end(), [this](const Item& a,
+                                                 const Item& b) {
     if (a.key_hash != b.key_hash) return a.key_hash < b.key_hash;
-    return a.rank < b.rank;
+    if (a.rank != b.rank) return a.rank < b.rank;
+    return ValueHash(a) < ValueHash(b);
   });
+  std::vector<SketchEntry> out;
+  out.reserve(items_.size());
+  for (const Item& item : items_) {
+    out.push_back(SketchEntry{item.key_hash, item.rank,
+                              value_at_(item.index)});
+  }
+  items_.clear();
+  bound_ = std::numeric_limits<double>::infinity();
   return out;
 }
 

@@ -1,12 +1,14 @@
 // Sketch container and shared sampling machinery. A sketch is a bounded set
-// of ⟨h(k), value⟩ tuples selected by a method-specific sampling rule; the
-// KMV ("k minimum values") heap implements the bounded-minimum-rank
+// of ⟨h(k), value⟩ tuples selected by a method-specific sampling rule;
+// KmvSelection ("k minimum values") implements the bounded-minimum-rank
 // selection every coordinated method uses.
 
 #ifndef JOINMI_SKETCH_SKETCH_H_
 #define JOINMI_SKETCH_SKETCH_H_
 
 #include <cstdint>
+#include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -62,32 +64,51 @@ struct Sketch {
   size_t size() const { return entries.size(); }
 };
 
-/// \brief Bounded min-rank selection: retains the `capacity` entries with
-/// the smallest ranks (a max-heap on rank). Ties on rank are broken by
-/// key_hash then value hash, keeping selection deterministic.
-class KmvHeap {
+/// \brief Bounded min-rank selection: keeps the `capacity` offered items
+/// least by rank, then key hash, then value hash, so selection is
+/// deterministic. An item is (rank, key hash, index), and value_at(index)
+/// its Value: the selection reads it only to break a full (rank, key hash)
+/// tie and to build the survivors' entries, so the callers offer row or
+/// aggregate indices, not Values.
+///
+/// Admitted items collect in a buffer; each time it holds 2 x capacity,
+/// nth_element keeps the capacity least and lowers the admission bound to
+/// the greatest rank kept. An item at the bound is still admitted: its tie
+/// breaks on key hash and value hash. Items tied on all three are
+/// interchangeable.
+class KmvSelection {
  public:
-  explicit KmvHeap(size_t capacity);
+  using ValueAt = std::function<Value(size_t index)>;
 
-  size_t capacity() const { return capacity_; }
-  size_t size() const { return heap_.size(); }
+  /// \brief value_at must give a Value for every index offered, until
+  /// TakeSorted returns.
+  KmvSelection(size_t capacity, ValueAt value_at);
 
-  /// \brief False if an entry with this rank would be rejected right now
-  /// whatever its key: the heap is full and the rank is above its maximum.
-  /// At an equal rank Offer breaks the tie, so callers offer the entry.
-  bool WouldAdmit(double rank) const;
+  void Offer(double rank, uint64_t key_hash, size_t index) {
+    if (capacity_ == 0 || rank > bound_) return;
+    items_.push_back(Item{rank, key_hash, index});
+    if (items_.size() == 2 * capacity_) KeepLeast();
+  }
 
-  /// \brief Offers an entry; evicts the current max-rank entry if full.
-  void Offer(SketchEntry entry);
-
-  /// \brief Extracts all entries sorted by (key_hash, rank); heap empties.
+  /// \brief The survivors as entries sorted by (key hash, rank, value
+  /// hash); the selection empties.
   std::vector<SketchEntry> TakeSorted();
 
  private:
-  static bool RankLess(const SketchEntry& a, const SketchEntry& b);
+  struct Item {
+    double rank;
+    uint64_t key_hash;
+    size_t index;
+  };
+
+  uint64_t ValueHash(const Item& item) const;
+  bool RankLess(const Item& a, const Item& b) const;
+  void KeepLeast();
 
   size_t capacity_;
-  std::vector<SketchEntry> heap_;  // max-heap by RankLess
+  ValueAt value_at_;
+  double bound_ = std::numeric_limits<double>::infinity();
+  std::vector<Item> items_;
 };
 
 /// \brief A per-key aggregate: key hash, original key, aggregated value,

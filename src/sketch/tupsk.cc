@@ -14,24 +14,26 @@ Result<Sketch> TupskBuilder::SketchTrain(const Column& keys,
                                          const Column& values) const {
   JOINMI_ASSIGN_OR_RETURN(Sketch sketch,
                           NewSketch(keys, values, SketchSide::kTrain));
-  // One pass: each key is hashed once, and one coder yields both the
-  // running occurrence index j of every key and the distinct-key count.
-  // Only rows the heap admits build a Value.
+  // One pass: each key is hashed once, by a hasher picked once for the
+  // key column's type, and one coder yields both the running occurrence
+  // index j of every key and the distinct-key count. The selection holds
+  // rows; only its survivors build a Value.
   internal::ScopedKeyCoder occurrences(keys.size());
-  KmvHeap heap(options_.capacity);
-  for (size_t row = 0; row < keys.size(); ++row) {
-    if (!keys.IsValid(row) || !values.IsValid(row)) continue;
-    ++sketch.source_rows;
-    const uint64_t key_hash = HashKeyAt(keys, row, options_.hash_seed);
-    // Add may grow the coder's storage: read counts() only after it.
-    const uint32_t code = occurrences->Add(key_hash);
-    const uint64_t j = occurrences->counts()[code];
-    const double rank = TupleUnitHash(key_hash, j);
-    if (!heap.WouldAdmit(rank)) continue;
-    heap.Offer(SketchEntry{key_hash, rank, values.GetValue(row)});
-  }
+  KmvSelection sample(options_.capacity,
+                      [&values](size_t row) { return values.GetValue(row); });
+  WithKeyHasher(keys, options_.hash_seed, [&](auto hash_at) {
+    for (size_t row = 0; row < keys.size(); ++row) {
+      if (!keys.IsValid(row) || !values.IsValid(row)) continue;
+      ++sketch.source_rows;
+      const uint64_t key_hash = hash_at(row);
+      // Add may grow the coder's storage: read counts() only after it.
+      const uint32_t code = occurrences->Add(key_hash);
+      const uint64_t j = occurrences->counts()[code];
+      sample.Offer(TupleUnitHash(key_hash, j), key_hash, row);
+    }
+  });
   sketch.source_distinct_keys = occurrences->size();
-  sketch.entries = heap.TakeSorted();
+  sketch.entries = sample.TakeSorted();
   return sketch;
 }
 

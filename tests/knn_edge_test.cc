@@ -352,7 +352,13 @@ TEST(KsgTiesTest, AllPointsIdenticalIsHandled) {
 
 // ------------------------------------ Small-sample kernels vs oracles --
 
-enum class Shape { kRandom, kTieHeavy, kAllEqual, kSingletonClasses };
+enum class Shape {
+  kRandom,
+  kTieHeavy,
+  kAllEqual,
+  kSingletonClasses,
+  kHugeX,
+};
 
 const char* ShapeName(Shape shape) {
   switch (shape) {
@@ -364,6 +370,8 @@ const char* ShapeName(Shape shape) {
       return "all-equal";
     case Shape::kSingletonClasses:
       return "singleton-classes";
+    case Shape::kHugeX:
+      return "huge-x";
   }
   return "?";
 }
@@ -400,6 +408,14 @@ OracleSample MakeOracleSample(Shape shape, size_t n, uint64_t seed) {
         s.ys.push_back(rng.Uniform(0.0, 4.0));
         s.classes.push_back(i % 2 == 0 ? 0 : 1000 + i);
         break;
+      case Shape::kHugeX:
+        // x near 1e17, where doubles are 16 apart: a radius below 8 set by
+        // y leaves x - r == x + r == x, an empty open interval even
+        // though r > 0.
+        s.xs.push_back(1e17 + 16.0 * static_cast<double>(rng.NextBounded(3)));
+        s.ys.push_back(rng.Uniform(0.0, 1.0));
+        s.classes.push_back(rng.NextBounded(3));
+        break;
     }
   }
   return s;
@@ -420,53 +436,151 @@ void ExpectSameBits(const Result<double>& brute, const Result<double>& trees,
       << where << ": " << *brute << " vs " << *trees;
 }
 
+using internal::BruteForceKernel;
 using internal::NeighborSearch;
 
-// One KSG-family estimator with the neighbour search forced, and the
-// largest sample its kAuto search scores by brute force.
+// The brute-force kernel's instantiations the CPU can run: the baseline
+// always, and AVX2 where the CPU has it.
+std::vector<const BruteForceKernel*> HostKernels() {
+  std::vector<const BruteForceKernel*> kernels = {
+      &internal::BaselineBruteForceKernel()};
+  if (internal::Avx2BruteForceKernel() != nullptr) {
+    kernels.push_back(internal::Avx2BruteForceKernel());
+  }
+  return kernels;
+}
+
+TEST(SmallSampleKernelTest, DispatchPicksAvx2ExactlyWhenTheCpuHasIt) {
+#if defined(__x86_64__) || defined(__i386__)
+  const bool has_avx2 = __builtin_cpu_supports("avx2");
+#else
+  const bool has_avx2 = false;
+#endif
+  const BruteForceKernel& dispatched = internal::DispatchedBruteForceKernel();
+  EXPECT_EQ(internal::BaselineBruteForceKernel().lanes, 2);
+  if (has_avx2) {
+    ASSERT_NE(internal::Avx2BruteForceKernel(), nullptr);
+    EXPECT_EQ(internal::Avx2BruteForceKernel()->lanes, 4);
+    EXPECT_EQ(&dispatched, internal::Avx2BruteForceKernel());
+  } else {
+    // Without AVX2 only the baseline is tested, which is what runs.
+    EXPECT_EQ(internal::Avx2BruteForceKernel(), nullptr);
+    EXPECT_EQ(&dispatched, &internal::BaselineBruteForceKernel());
+  }
+}
+
+// Each instantiation's per-point results against the trees, written into
+// buffers longer than n: a block's lanes past n must not write past
+// out[n - 1]. The inputs hold exactly n points, so under ASan a lane that
+// reads past them fails too.
+TEST(SmallSampleKernelTest, BruteForceKernelMatchesTreesPerPoint) {
+  const double kSentinel = -7.0;
+  for (const BruteForceKernel* kernel : HostKernels()) {
+    for (Shape shape : {Shape::kRandom, Shape::kTieHeavy, Shape::kAllEqual,
+                        Shape::kHugeX}) {
+      for (size_t n = 2; n <= 19; ++n) {
+        for (int k = 1; k <= internal::kMaxBruteForceK; ++k) {
+          if (static_cast<size_t>(k) >= n) break;
+          OracleSample s = MakeOracleSample(shape, n, 77 * n + k);
+          const std::string where =
+              std::to_string(kernel->lanes) + " lanes " + ShapeName(shape) +
+              " n=" + std::to_string(n) + " k=" + std::to_string(k);
+          std::vector<double> radius(n + 4, kSentinel);
+          std::vector<double> coincident(n + 4, kSentinel);
+          kernel->joint_kth(s.xs.data(), s.ys.data(), n, k, radius.data(),
+                            coincident.data());
+          KdTree2D tree(s.xs, s.ys);
+          for (size_t i = 0; i < n; ++i) {
+            EXPECT_EQ(radius[i], tree.KthNeighborDistance(i, k))
+                << where << " i=" << i;
+            EXPECT_EQ(coincident[i],
+                      static_cast<double>(tree.CountCoincident(i) + 1))
+                << where << " i=" << i;
+          }
+          for (size_t i = n; i < n + 4; ++i) {
+            EXPECT_EQ(radius[i], kSentinel) << where << " wrote radius " << i;
+            EXPECT_EQ(coincident[i], kSentinel) << where << " wrote " << i;
+          }
+          SortedPoints1D sorted_x(s.xs);
+          for (bool equal_at_zero : {false, true}) {
+            std::vector<double> counts(n + 4, kSentinel);
+            kernel->interval_counts(s.xs.data(), n, radius.data(),
+                                    equal_at_zero, counts.data());
+            for (size_t i = 0; i < n; ++i) {
+              const bool closed = equal_at_zero && radius[i] == 0.0;
+              EXPECT_EQ(counts[i],
+                        static_cast<double>(sorted_x.CountWithin(
+                            s.xs[i], radius[i], /*strict=*/!closed,
+                            /*exclude_self=*/false)))
+                  << where << " equal_at_zero=" << equal_at_zero
+                  << " i=" << i;
+            }
+            for (size_t i = n; i < n + 4; ++i) {
+              EXPECT_EQ(counts[i], kSentinel) << where << " wrote " << i;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// One KSG-family estimator with the neighbour search forced and its brute
+// force run by a given kernel instantiation, and the largest sample the
+// instantiation scores by brute force under kAuto.
 struct ForcedEstimator {
   const char* name;
   Result<double> (*estimate)(const OracleSample&, size_t, int,
-                             NeighborSearch);
-  size_t brute_force_max_points;
+                             NeighborSearch, const BruteForceKernel&);
+  size_t BruteForceKernel::*max_points;
 };
 
 TEST(SmallSampleKernelTest, KsgFamilyBruteForceMatchesTreesBitForBit) {
   const std::vector<Shape> shapes = {Shape::kRandom, Shape::kTieHeavy,
                                      Shape::kAllEqual,
-                                     Shape::kSingletonClasses};
+                                     Shape::kSingletonClasses, Shape::kHugeX};
   const ForcedEstimator estimators[] = {
       {"MixedKSG",
-       [](const OracleSample& o, size_t m, int kk, NeighborSearch search) {
+       [](const OracleSample& o, size_t m, int kk, NeighborSearch search,
+          const BruteForceKernel& kernel) {
          return internal::MutualInformationMixedKSG(o.xs.data(), o.ys.data(),
-                                                    m, kk, search);
+                                                    m, kk, search, kernel);
        },
-       internal::kMixedKsgBruteForceMaxPoints},
+       &BruteForceKernel::mixed_ksg_max_points},
       {"KSG",
-       [](const OracleSample& o, size_t m, int kk, NeighborSearch search) {
+       [](const OracleSample& o, size_t m, int kk, NeighborSearch search,
+          const BruteForceKernel& kernel) {
          return internal::MutualInformationKSG(o.xs.data(), o.ys.data(), m,
-                                               kk, search);
+                                               kk, search, kernel);
        },
-       internal::kKsgBruteForceMaxPoints},
+       &BruteForceKernel::ksg_max_points},
       {"DC-KSG",
-       [](const OracleSample& o, size_t m, int kk, NeighborSearch search) {
+       [](const OracleSample& o, size_t m, int kk, NeighborSearch search,
+          const BruteForceKernel& kernel) {
          return internal::MutualInformationDCKSG(o.classes.data(),
-                                                 o.ys.data(), m, kk, search);
+                                                 o.ys.data(), m, kk, search,
+                                                 kernel);
        },
-       internal::kDcKsgBruteForceMaxPoints}};
-  for (int k : {1, 3, 5}) {
+       &BruteForceKernel::dc_ksg_max_points}};
+  const BruteForceKernel& dispatched = internal::DispatchedBruteForceKernel();
+  const std::vector<const BruteForceKernel*> kernels = HostKernels();
+  // Every k of the unrolled windows, and 9, which KSG and MixedKSG hand to
+  // the trees even when brute force is forced.
+  for (int k = 1; k <= internal::kMaxBruteForceK + 1; ++k) {
     for (const ForcedEstimator& estimator : estimators) {
-      // Both sides of the estimator's cutoff, and twice it.
-      const size_t cutoff = estimator.brute_force_max_points;
-      const std::vector<size_t> sizes = {static_cast<size_t>(k),
-                                         static_cast<size_t>(k) + 1,
-                                         static_cast<size_t>(k) + 2,
-                                         17,
-                                         48,
-                                         cutoff - 1,
-                                         cutoff,
-                                         cutoff + 1,
-                                         2 * cutoff};
+      // n = k (too few) to k + 4; blocks of 4 lanes full and with 1-3
+      // lanes past n (16-19, 40-43), and 48. For k = 1, 3, 5 and 8, both
+      // sides of every host kernel's cutoff, and for k = 1, 3, 5 twice it.
+      std::vector<size_t> sizes;
+      for (size_t extra = 0; extra <= 4; ++extra) sizes.push_back(k + extra);
+      for (size_t n : {16, 17, 18, 19, 40, 41, 42, 43, 48}) sizes.push_back(n);
+      for (const BruteForceKernel* kernel : kernels) {
+        const size_t cutoff = kernel->*estimator.max_points;
+        if (k == 1 || k == 3 || k == 5 || k == internal::kMaxBruteForceK) {
+          for (size_t n : {cutoff - 1, cutoff, cutoff + 1}) sizes.push_back(n);
+        }
+        if (k == 1 || k == 3 || k == 5) sizes.push_back(2 * cutoff);
+      }
       for (Shape shape : shapes) {
         for (size_t n : sizes) {
           for (double sigma : {0.0, 1e-3}) {
@@ -479,14 +593,25 @@ TEST(SmallSampleKernelTest, KsgFamilyBruteForceMatchesTreesBitForBit) {
                 std::string(estimator.name) + " " + ShapeName(shape) +
                 " k=" + std::to_string(k) + " n=" + std::to_string(n) +
                 " sigma=" + std::to_string(sigma);
-            const Result<double> brute =
-                estimator.estimate(s, n, k, NeighborSearch::kBruteForce);
-            ExpectSameBits(
-                brute, estimator.estimate(s, n, k, NeighborSearch::kTrees),
-                where);
-            ExpectSameBits(
-                brute, estimator.estimate(s, n, k, NeighborSearch::kAuto),
-                where + " (auto)");
+            const Result<double> trees = estimator.estimate(
+                s, n, k, NeighborSearch::kTrees, dispatched);
+            for (const BruteForceKernel* kernel : kernels) {
+              // Every kernel at every size up to twice its own cutoff; the
+              // dispatched one, which takes the longest, at all of them.
+              if (kernel != &dispatched &&
+                  n > 2 * (kernel->*estimator.max_points)) {
+                continue;
+              }
+              const std::string lanes =
+                  " " + std::to_string(kernel->lanes) + " lanes";
+              ExpectSameBits(estimator.estimate(s, n, k,
+                                                NeighborSearch::kBruteForce,
+                                                *kernel),
+                             trees, where + lanes);
+              ExpectSameBits(
+                  estimator.estimate(s, n, k, NeighborSearch::kAuto, *kernel),
+                  trees, where + lanes + " (auto)");
+            }
           }
         }
       }
@@ -544,11 +669,11 @@ TEST(SmallSampleKernelTest, KsgFamilyRejectsNonFiniteNumbers) {
     MIEstimatorKind kind;
     size_t cutoff;
   };
+  const BruteForceKernel& kernel = internal::DispatchedBruteForceKernel();
   for (const Case& c :
-       {Case{MIEstimatorKind::kKSG, internal::kKsgBruteForceMaxPoints},
-        Case{MIEstimatorKind::kMixedKSG,
-             internal::kMixedKsgBruteForceMaxPoints},
-        Case{MIEstimatorKind::kDCKSG, internal::kDcKsgBruteForceMaxPoints}}) {
+       {Case{MIEstimatorKind::kKSG, kernel.ksg_max_points},
+        Case{MIEstimatorKind::kMixedKSG, kernel.mixed_ksg_max_points},
+        Case{MIEstimatorKind::kDCKSG, kernel.dc_ksg_max_points}}) {
     const bool discrete_x = c.kind == MIEstimatorKind::kDCKSG;
     for (size_t n : {size_t{30}, c.cutoff + 1}) {
       Rng rng(n);

@@ -74,16 +74,18 @@ void operator delete[](void* p, std::size_t) noexcept { CountedFree(p); }
 namespace joinmi {
 namespace {
 
-// The largest sample the estimator scores by brute force (none for the
-// plug-in family, which searches no neighbours).
+// The largest sample the estimator scores by brute force on this CPU (none
+// for the plug-in family, which searches no neighbours).
 size_t BruteForceMaxPoints(MIEstimatorKind kind) {
+  const internal::BruteForceKernel& kernel =
+      internal::DispatchedBruteForceKernel();
   switch (kind) {
     case MIEstimatorKind::kKSG:
-      return internal::kKsgBruteForceMaxPoints;
+      return kernel.ksg_max_points;
     case MIEstimatorKind::kMixedKSG:
-      return internal::kMixedKsgBruteForceMaxPoints;
+      return kernel.mixed_ksg_max_points;
     case MIEstimatorKind::kDCKSG:
-      return internal::kDcKsgBruteForceMaxPoints;
+      return kernel.dc_ksg_max_points;
     default:
       return 0;
   }

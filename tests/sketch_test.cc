@@ -11,6 +11,7 @@
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 
 #include "src/common/random.h"
 #include "src/discovery/sketch_index.h"
@@ -25,12 +26,53 @@ namespace {
 
 // ----------------------------------------------------------------- KMV ----
 
-TEST(KmvHeapTest, KeepsMinimumRanks) {
-  KmvHeap heap(3);
-  for (double rank : {0.9, 0.1, 0.5, 0.7, 0.3, 0.2}) {
-    heap.Offer(SketchEntry{static_cast<uint64_t>(rank * 100), rank, Value()});
+// The KMV rule by sorting every offer: the `capacity` least by (rank, key
+// hash, value hash), returned by (key hash, rank, value hash).
+std::vector<SketchEntry> SortEveryOffer(std::vector<SketchEntry> offers,
+                                        size_t capacity) {
+  std::sort(offers.begin(), offers.end(),
+            [](const SketchEntry& a, const SketchEntry& b) {
+              if (a.rank != b.rank) return a.rank < b.rank;
+              if (a.key_hash != b.key_hash) return a.key_hash < b.key_hash;
+              return a.value.Hash() < b.value.Hash();
+            });
+  if (offers.size() > capacity) offers.resize(capacity);
+  std::sort(offers.begin(), offers.end(),
+            [](const SketchEntry& a, const SketchEntry& b) {
+              if (a.key_hash != b.key_hash) return a.key_hash < b.key_hash;
+              if (a.rank != b.rank) return a.rank < b.rank;
+              return a.value.Hash() < b.value.Hash();
+            });
+  return offers;
+}
+
+// Offers `offers` in order to a KmvSelection over their own values.
+std::vector<SketchEntry> SelectKmv(const std::vector<SketchEntry>& offers,
+                                   size_t capacity) {
+  KmvSelection selection(capacity,
+                         [&offers](size_t i) { return offers[i].value; });
+  for (size_t i = 0; i < offers.size(); ++i) {
+    selection.Offer(offers[i].rank, offers[i].key_hash, i);
   }
-  const auto entries = heap.TakeSorted();
+  return selection.TakeSorted();
+}
+
+std::vector<uint64_t> KeysAtRank(const std::vector<SketchEntry>& entries,
+                                 double rank) {
+  std::vector<uint64_t> keys;
+  for (const SketchEntry& entry : entries) {
+    if (entry.rank == rank) keys.push_back(entry.key_hash);
+  }
+  return keys;
+}
+
+TEST(KmvSelectionTest, KeepsMinimumRanks) {
+  std::vector<SketchEntry> offers;
+  for (double rank : {0.9, 0.1, 0.5, 0.7, 0.3, 0.2}) {
+    offers.push_back(
+        SketchEntry{static_cast<uint64_t>(rank * 100), rank, Value()});
+  }
+  const auto entries = SelectKmv(offers, 3);
   ASSERT_EQ(entries.size(), 3u);
   std::vector<double> ranks;
   for (const auto& e : entries) ranks.push_back(e.rank);
@@ -38,54 +80,119 @@ TEST(KmvHeapTest, KeepsMinimumRanks) {
   EXPECT_EQ(ranks, (std::vector<double>{0.1, 0.2, 0.3}));
 }
 
-TEST(KmvHeapTest, WouldAdmitMatchesOfferBehavior) {
-  KmvHeap heap(2);
-  heap.Offer(SketchEntry{1, 0.5, Value()});
-  EXPECT_TRUE(heap.WouldAdmit(0.9));  // not yet full
-  heap.Offer(SketchEntry{2, 0.8, Value()});
-  EXPECT_TRUE(heap.WouldAdmit(0.7));
-  EXPECT_TRUE(heap.WouldAdmit(0.8));  // equal rank: Offer breaks the tie
-  EXPECT_FALSE(heap.WouldAdmit(0.9));
+TEST(KmvSelectionTest, AnEqualRankAtTheBoundStillCompetes) {
+  // The fourth offer fills the buffer (2 x capacity): the two least stay
+  // and the admission bound drops to 0.5. (0.5, key 1) arrives at the
+  // bound and wins its tie with (0.5, key 9) on key hash.
+  const std::vector<SketchEntry> entries =
+      SelectKmv({SketchEntry{2, 0.2, Value()}, SketchEntry{9, 0.5, Value()},
+                 SketchEntry{3, 0.6, Value()}, SketchEntry{4, 0.7, Value()},
+                 SketchEntry{1, 0.5, Value()}, SketchEntry{5, 0.9, Value()}},
+                2);
+  ASSERT_EQ(entries.size(), 2u);
+  EXPECT_EQ(entries[0].key_hash, 1u);
+  EXPECT_EQ(entries[0].rank, 0.5);
+  EXPECT_EQ(entries[1].key_hash, 2u);
 }
 
-TEST(KmvHeapTest, RankTiesAtTheMaximumBreakByKeyHashInEitherOrder) {
-  // Ties on rank break by key_hash: offered through the builders' loop
-  // (WouldAdmit, then Offer), (0.5, key 9) and (0.5, key 1) competing for
-  // the last slot leave key 1, whichever arrives first.
+TEST(KmvSelectionTest, RankTiesBreakByKeyHashThenValueHashInAnyOrder) {
+  // Three offers at rank 0.5 compete for the last slot, in every arrival
+  // order, at capacity 1 (the buffer fills mid-tie and the survivor sets
+  // the bound) and 256 (it never fills): the least key hash wins, and
+  // between equal key hashes the least value hash.
+  const Value a(int64_t{1}), b(int64_t{2});
+  const Value low = a.Hash() < b.Hash() ? a : b;
+  const Value high = a.Hash() < b.Hash() ? b : a;
+  struct Tie {
+    std::vector<SketchEntry> competitors;
+    uint64_t key;
+    Value value;
+  };
+  const Tie ties[] = {
+      {{SketchEntry{9, 0.5, low}, SketchEntry{5, 0.5, low},
+        SketchEntry{1, 0.5, low}},
+       1, low},
+      {{SketchEntry{7, 0.5, high}, SketchEntry{7, 0.5, low},
+        SketchEntry{8, 0.5, low}},
+       7, low},
+  };
   for (size_t capacity : {size_t{1}, size_t{256}}) {
-    for (bool small_key_first : {false, true}) {
-      KmvHeap heap(capacity);
-      for (size_t i = 0; i + 1 < capacity; ++i) {
-        heap.Offer(SketchEntry{100 + i, 0.4 * static_cast<double>(i) /
-                                            static_cast<double>(capacity),
-                               Value()});
-      }
-      const uint64_t order[2][2] = {{9, 1}, {1, 9}};
-      for (uint64_t key : order[small_key_first]) {
-        if (heap.WouldAdmit(0.5)) heap.Offer(SketchEntry{key, 0.5, Value()});
-      }
-      const std::vector<SketchEntry> entries = heap.TakeSorted();
-      ASSERT_EQ(entries.size(), capacity);
-      std::vector<uint64_t> tied;
-      for (const SketchEntry& entry : entries) {
-        if (entry.rank == 0.5) tied.push_back(entry.key_hash);
-      }
-      EXPECT_EQ(tied, std::vector<uint64_t>{1})
-          << "capacity " << capacity
-          << (small_key_first ? ", key 1 first" : ", key 9 first");
+    for (const Tie& tie : ties) {
+      std::vector<SketchEntry> order = tie.competitors;
+      std::sort(order.begin(), order.end(),
+                [](const SketchEntry& x, const SketchEntry& y) {
+                  return std::make_pair(x.key_hash, x.value.Hash()) <
+                         std::make_pair(y.key_hash, y.value.Hash());
+                });
+      do {
+        std::vector<SketchEntry> offers;
+        for (size_t i = 0; i + 1 < capacity; ++i) {
+          offers.push_back(SketchEntry{100 + i,
+                                       0.4 * static_cast<double>(i) /
+                                           static_cast<double>(capacity),
+                                       Value()});
+        }
+        offers.insert(offers.end(), order.begin(), order.end());
+        const std::vector<SketchEntry> entries = SelectKmv(offers, capacity);
+        ASSERT_EQ(entries.size(), capacity);
+        std::string arrival;
+        for (const SketchEntry& e : order) {
+          arrival += " (" + std::to_string(e.key_hash) + ", " +
+                     e.value.ToString() + ")";
+        }
+        EXPECT_EQ(KeysAtRank(entries, 0.5), std::vector<uint64_t>{tie.key})
+            << "capacity " << capacity << ", arrival" << arrival;
+        for (const SketchEntry& entry : entries) {
+          if (entry.rank == 0.5) {
+            EXPECT_EQ(entry.value, tie.value)
+                << "capacity " << capacity << ", arrival" << arrival;
+          }
+        }
+      } while (std::next_permutation(
+          order.begin(), order.end(),
+          [](const SketchEntry& x, const SketchEntry& y) {
+            return std::make_pair(x.key_hash, x.value.Hash()) <
+                   std::make_pair(y.key_hash, y.value.Hash());
+          }));
     }
   }
 }
 
-TEST(KmvHeapTest, ZeroCapacityAndUnderfill) {
-  KmvHeap zero(0);
-  EXPECT_FALSE(zero.WouldAdmit(0.0));
-  zero.Offer(SketchEntry{1, 0.1, Value()});
-  EXPECT_EQ(zero.TakeSorted().size(), 0u);
+TEST(KmvSelectionTest, ZeroCapacityAndUnderfill) {
+  EXPECT_TRUE(SelectKmv({SketchEntry{1, 0.1, Value()}}, 0).empty());
+  EXPECT_EQ(SelectKmv({SketchEntry{1, 0.1, Value()}}, 100).size(), 1u);
+}
 
-  KmvHeap big(100);
-  big.Offer(SketchEntry{1, 0.1, Value()});
-  EXPECT_EQ(big.TakeSorted().size(), 1u);
+TEST(KmvSelectionTest, KeepsWhatSortingEveryOfferKeeps) {
+  Rng rng(31);
+  for (size_t capacity : {1, 2, 5, 64}) {
+    for (size_t rows : {0, 1, 3, 40, 700}) {
+      std::vector<SketchEntry> offers;
+      for (size_t row = 0; row < rows; ++row) {
+        // Ties on every level: 8 ranks, 3 key hashes, 5 values, so the
+        // last comparison reads the value hashes.
+        offers.push_back(SketchEntry{
+            rng.NextBounded(3), static_cast<double>(rng.NextBounded(8)) / 8.0,
+            Value(static_cast<int64_t>(rng.NextBounded(5)))});
+      }
+      const std::string where = "capacity " + std::to_string(capacity) +
+                                ", rows " + std::to_string(rows);
+      for (bool distinct_ranks : {false, true}) {
+        if (distinct_ranks) {
+          for (SketchEntry& offer : offers) offer.rank = rng.NextDouble();
+        }
+        const std::vector<SketchEntry> got = SelectKmv(offers, capacity);
+        const std::vector<SketchEntry> want = SortEveryOffer(offers, capacity);
+        ASSERT_EQ(got.size(), want.size()) << where;
+        for (size_t i = 0; i < want.size(); ++i) {
+          EXPECT_EQ(got[i].key_hash, want[i].key_hash)
+              << where << " entry " << i;
+          EXPECT_EQ(got[i].rank, want[i].rank) << where << " entry " << i;
+          EXPECT_EQ(got[i].value, want[i].value) << where << " entry " << i;
+        }
+      }
+    }
+  }
 }
 
 // ------------------------------------------------------------- KeyHash ----
@@ -1369,7 +1476,8 @@ TEST(KeyHashTest, TypedHashEqualsValueHash) {
 
 // The TUPSK train build as it was before the one-pass rewrite: one pass
 // counting distinct keys in an unordered_set, a second numbering
-// occurrences in an unordered_map, both hashing Value copies.
+// occurrences in an unordered_map, both hashing Value copies, and the KMV
+// rule applied by sorting every offer.
 Sketch TwoPassTupskTrain(const Column& keys, const Column& values,
                          const SketchOptions& options) {
   Sketch sketch;
@@ -1385,16 +1493,15 @@ Sketch TwoPassTupskTrain(const Column& keys, const Column& values,
   }
   sketch.source_distinct_keys = distinct.size();
   std::unordered_map<uint64_t, uint64_t> occurrence;
-  KmvHeap heap(options.capacity);
+  std::vector<SketchEntry> offers;
   for (size_t row = 0; row < keys.size(); ++row) {
     if (!keys.IsValid(row) || !values.IsValid(row)) continue;
     const uint64_t key_hash = HashKey(keys.GetValue(row), options.hash_seed);
     const uint64_t j = ++occurrence[key_hash];
-    const double rank = TupleUnitHash(key_hash, j);
-    if (!heap.WouldAdmit(rank)) continue;
-    heap.Offer(SketchEntry{key_hash, rank, values.GetValue(row)});
+    offers.push_back(SketchEntry{key_hash, TupleUnitHash(key_hash, j),
+                                 values.GetValue(row)});
   }
-  sketch.entries = heap.TakeSorted();
+  sketch.entries = SortEveryOffer(std::move(offers), options.capacity);
   return sketch;
 }
 
@@ -1494,47 +1601,93 @@ TEST(AggregateByKeyTest, CoderAggregationEqualsMapOracle) {
 }
 
 // Serialized train and candidate sketches of every method over one fixed
-// table: the bytes the Value-based builders produced, as 64-bit digests.
-// Any change in hashing, occurrence numbering, aggregation order or source
-// counts changes a digest.
+// table, keyed by strings, int64s and doubles (the same draws, a tenth of
+// the keys null): the bytes the Value-based builders produced, as 64-bit
+// digests. Any change in hashing, occurrence numbering, aggregation order
+// or source counts changes a digest.
 TEST_P(SketchMethodTest, SerializedSketchesMatchGoldenDigests) {
   const size_t rows = 6000;  // ~2000 distinct keys: the coder grows
   Rng rng(2024);
   std::vector<std::string> keys;
+  std::vector<int64_t> int_keys;
+  std::vector<double> double_keys;
   std::vector<double> numbers;
   for (size_t row = 0; row < rows; ++row) {
-    keys.push_back("g" + std::to_string(rng.NextBounded(2000)));
+    const uint64_t draw = rng.NextBounded(2000);
+    keys.push_back("g" + std::to_string(draw));
+    int_keys.push_back(static_cast<int64_t>(draw) * 7919 - 5000000);
+    double_keys.push_back(static_cast<double>(draw) / 8.0 - 100.0);
     numbers.push_back(static_cast<double>(rng.NextBounded(500)) / 4.0);
   }
-  auto key_column = Column::MakeString(keys, NullEvery(rows, 10, 1));
+  const std::vector<bool> key_validity = NullEvery(rows, 10, 1);
+  const std::shared_ptr<Column> key_columns[] = {
+      Column::MakeString(keys, key_validity),
+      Column::MakeInt64(int_keys, key_validity),
+      Column::MakeDouble(double_keys, key_validity)};
   auto value_column = Column::MakeDouble(numbers, NullEvery(rows, 17, 6));
   SketchOptions options = Options(256, 4242);
   options.hash_seed = 9;
   auto builder = MakeSketchBuilder(GetParam(), options);
-  auto train = builder->SketchTrain(*key_column, *value_column);
-  ASSERT_TRUE(train.ok()) << train.status();
-  auto candidate =
-      builder->SketchCandidate(*key_column, *value_column, AggKind::kAvg);
-  ASSERT_TRUE(candidate.ok()) << candidate.status();
   struct Golden {
     SketchMethod method;
+    DataType key_type;
     uint64_t train;
     uint64_t candidate;
   };
   const Golden golden[] = {
-      {SketchMethod::kTupsk, 0x18f589b94396c2b0ULL, 0x7a619143144a7039ULL},
-      {SketchMethod::kLv2sk, 0x15eed0b5db680c64ULL, 0x3d95dbc8736ff0d6ULL},
-      {SketchMethod::kPrisk, 0x31c771c9b82e0e00ULL, 0x65019d309252a8edULL},
-      {SketchMethod::kIndsk, 0x7b4fe7ec3b6be692ULL, 0x8a7692d95d1620bcULL},
-      {SketchMethod::kCsk, 0x2fbcdbe48b1be2cdULL, 0x6fdffe78387cf83aULL},
+      {SketchMethod::kTupsk, DataType::kString, 0x18f589b94396c2b0ULL,
+       0x7a619143144a7039ULL},
+      {SketchMethod::kLv2sk, DataType::kString, 0x15eed0b5db680c64ULL,
+       0x3d95dbc8736ff0d6ULL},
+      {SketchMethod::kPrisk, DataType::kString, 0x31c771c9b82e0e00ULL,
+       0x65019d309252a8edULL},
+      {SketchMethod::kIndsk, DataType::kString, 0x7b4fe7ec3b6be692ULL,
+       0x8a7692d95d1620bcULL},
+      {SketchMethod::kCsk, DataType::kString, 0x2fbcdbe48b1be2cdULL,
+       0x6fdffe78387cf83aULL},
+      {SketchMethod::kTupsk, DataType::kInt64, 0xb029886086f89600ULL,
+       0x18c5dc9d7c1d8442ULL},
+      {SketchMethod::kLv2sk, DataType::kInt64, 0x0635fb81216a91a8ULL,
+       0xfecb96637b5125b3ULL},
+      {SketchMethod::kPrisk, DataType::kInt64, 0x526aa4304edb4ba1ULL,
+       0xb329aec88b8d8fb8ULL},
+      {SketchMethod::kIndsk, DataType::kInt64, 0x6d272afab1e7212cULL,
+       0xae9f76eb857b87e2ULL},
+      {SketchMethod::kCsk, DataType::kInt64, 0xc5e915e389da029eULL,
+       0x09aa8b3d7c8654a5ULL},
+      {SketchMethod::kTupsk, DataType::kDouble, 0x07b7388c580cbde4ULL,
+       0xaa167d54fa792c6dULL},
+      {SketchMethod::kLv2sk, DataType::kDouble, 0x4c81fd367b378564ULL,
+       0xe804f4264814d62cULL},
+      {SketchMethod::kPrisk, DataType::kDouble, 0x719463b26493efcbULL,
+       0x814cc59cf6451573ULL},
+      {SketchMethod::kIndsk, DataType::kDouble, 0x70ed3a006ba5581aULL,
+       0x03a07fbe6a54b2beULL},
+      {SketchMethod::kCsk, DataType::kDouble, 0x926e06d085a1728bULL,
+       0x639fdc5dd023dc18ULL},
   };
-  for (const Golden& g : golden) {
-    if (g.method != GetParam()) continue;
-    EXPECT_EQ(wire::Checksum64(SerializeSketch(*train)), g.train)
-        << std::hex << wire::Checksum64(SerializeSketch(*train));
-    EXPECT_EQ(wire::Checksum64(SerializeSketch(*candidate)), g.candidate)
-        << std::hex << wire::Checksum64(SerializeSketch(*candidate));
+  size_t checked = 0;
+  for (const std::shared_ptr<Column>& key_column : key_columns) {
+    auto train = builder->SketchTrain(*key_column, *value_column);
+    ASSERT_TRUE(train.ok()) << train.status();
+    auto candidate =
+        builder->SketchCandidate(*key_column, *value_column, AggKind::kAvg);
+    ASSERT_TRUE(candidate.ok()) << candidate.status();
+    for (const Golden& g : golden) {
+      if (g.method != GetParam() || g.key_type != key_column->type()) {
+        continue;
+      }
+      ++checked;
+      const std::string where = DataTypeToString(g.key_type);
+      EXPECT_EQ(wire::Checksum64(SerializeSketch(*train)), g.train)
+          << where << std::hex << " 0x"
+          << wire::Checksum64(SerializeSketch(*train));
+      EXPECT_EQ(wire::Checksum64(SerializeSketch(*candidate)), g.candidate)
+          << where << std::hex << " 0x"
+          << wire::Checksum64(SerializeSketch(*candidate));
+    }
   }
+  EXPECT_EQ(checked, 3u);
 }
 
 }  // namespace

@@ -35,11 +35,14 @@ CHECKS = [
     # over the same sweep: a probe that went back to a branchy merge or
     # started touching each candidate's sketch falls below the floor.
     ("part9_probe_speedup", "higher", 0.25, 1.00),
-    # The estimator kernel: MixedKSG's branch-free brute force against its
-    # tree oracle at n = 40. A brute force that went back to a branchy
-    # selection or stopped inlining it, or a scan that started paying per
-    # point, falls below the floor.
+    # The estimator kernel: MixedKSG's brute force against its tree oracle
+    # at n = 40, by the dispatched kernel (four query points per pass on
+    # AVX2) and by the 2-lane baseline kernel, which every CPU runs. A
+    # kernel that fell back to one point per pass or to branchy selection
+    # falls below the floor. The dispatched speedup is gated only when the
+    # run's part9_ksg_lanes equals the baseline's (see SAME_LANES).
     ("part9_ksg_brute_speedup", "higher", 0.25, 0.10),
+    ("part9_ksg_brute_speedup_2_lanes", "higher", 0.25, 0.10),
     # Allocation counts are deterministic, not timings: a jump means the
     # hot path started allocating again. Per candidate, the scoring tail
     # allocates nothing once warm; the slack is a quarter allocation, so
@@ -58,6 +61,12 @@ CHECKS = [
     ("part10_ingest_slowdown", "lower", 0.50, 1.00),
     ("part10_overlay_cost_ratio", "lower", 0.50, 0.50),
 ]
+
+# Checks whose baseline holds only for a run on the same kernel: metric ->
+# the metric naming the kernel. A run on another kernel (a CPU without
+# AVX2 dispatches the 2-lane one) skips the check; the kernel it did run
+# has its own check.
+SAME_LANES = {"part9_ksg_brute_speedup": "part9_ksg_lanes"}
 
 
 def load_metrics(path):
@@ -80,7 +89,7 @@ def main(argv):
         return 2
     baseline = load_metrics(argv[1])
     current = load_metrics(argv[2])
-    failures = 0
+    failures = skipped = 0
     for name, direction, tolerance, slack in CHECKS:
         if name not in baseline:
             print(f"FAIL {name}: missing from baseline '{argv[1]}' — "
@@ -90,6 +99,12 @@ def main(argv):
         if name not in current:
             print(f"FAIL {name}: missing from current run '{argv[2]}'")
             failures += 1
+            continue
+        lanes = SAME_LANES.get(name)
+        if lanes is not None and current.get(lanes) != baseline.get(lanes):
+            print(f"n/a  {name}: run on {lanes} {current.get(lanes)}, "
+                  f"baseline on {baseline.get(lanes)}")
+            skipped += 1
             continue
         base, cur = baseline[name], current[name]
         if direction == "higher":
@@ -105,7 +120,8 @@ def main(argv):
     if failures:
         print(f"bench_check: {failures} regression(s) vs {argv[1]}")
         return 1
-    print(f"bench_check: all {len(CHECKS)} checks passed vs {argv[1]}")
+    print(f"bench_check: all {len(CHECKS) - skipped} applicable checks "
+          f"passed vs {argv[1]}")
     return 0
 
 
