@@ -50,9 +50,8 @@
 //
 // Part 6 is the JMRP wire: request pipelining (many requests in flight
 // on one connection, demuxed by request_id) across concurrency levels and
-// open-connection counts, and batched variant evaluation (one
-// kBatchSearchRequest carrying N (k, min_join_size) variants against a
-// connection-cached sketch) against N single-variant round trips.
+// open-connection counts, every search sent against the query sketch
+// the connection cached on its first request.
 //
 // Part 7 is paged shard storage: the same shard layout built as "JMPS"
 // paged files and served through PagedShardClient buffer pools of several
@@ -666,8 +665,8 @@ void RunConcurrentServing(const BenchParams& params,
 }
 
 // Part 6: the JMRP wire — request pipelining on one connection and
-// batched variant evaluation against a connection-cached sketch.
-void RunBatchedPipelinedServing(const BenchParams& params,
+// across a small pool of connections.
+void RunPipelinedServing(const BenchParams& params,
                                 const TableRepository& repository,
                                 bool smoke, Rng* rng) {
   const JoinMIConfig config = MakeJoinConfig(params);
@@ -722,7 +721,7 @@ void RunBatchedPipelinedServing(const BenchParams& params,
   };
 
   const size_t queries_each = smoke ? 2 : 4;
-  std::printf("\n== JMRP: pipelining and batching (%zu shards, "
+  std::printf("\n== JMRP: pipelining (%zu shards, "
               "1 connection/shard unless noted) ==\n",
               num_shards);
 
@@ -756,68 +755,8 @@ void RunBatchedPipelinedServing(const BenchParams& params,
                 sweep_concurrency);
   }
 
-  // (c) Batch size: N (k, min_join_size) variants of one sketched query
-  // as N single-variant frames vs one kBatchSearchRequest per shard. The
-  // sketch is uploaded once per connection either way; the batch saves
-  // the per-variant round trips.
-  {
-    RpcClientOptions options;
-    options.pool_size = 1;
-    auto remote = ShardedSketchIndex::Load(
-        *manifest_path, RpcShardClient::Factory(endpoints, options));
-    remote.status().Abort("assembling the RPC sharded index");
-    auto query = JoinMIQuery::Create(*query_table, "K", "Y", config);
-    query.status().Abort("sketching the bench query");
-    for (size_t batch : {1u, 4u, 16u}) {
-      if (smoke && batch > 4) break;
-      std::vector<ShardSearchVariant> variants;
-      for (size_t v = 0; v < batch; ++v) {
-        variants.push_back(
-            ShardSearchVariant{params.top_k, config.min_join_size + v});
-      }
-      const auto single_start = std::chrono::steady_clock::now();
-      std::vector<ShardSearchResult> singles;
-      for (const auto& variant : variants) {
-        auto result = remote->SearchVariants(*query, {variant}, 1);
-        result.status().Abort("single-variant search");
-        singles.push_back(std::move(result->front()));
-      }
-      const double single_ms = MillisSince(single_start);
-      const auto batch_start = std::chrono::steady_clock::now();
-      auto batched = remote->SearchVariants(*query, variants, 1);
-      batched.status().Abort("batched variant search");
-      const double batch_ms = MillisSince(batch_start);
-      // The batch must answer exactly what the singles answered.
-      if (batched->size() != singles.size()) {
-        Status::UnknownError("batched variant count mismatch").Abort("bench");
-      }
-      for (size_t v = 0; v < singles.size(); ++v) {
-        if ((*batched)[v].hits.size() != singles[v].hits.size()) {
-          Status::UnknownError("batched ranking diverged from singles")
-              .Abort("bench");
-        }
-        for (size_t h = 0; h < singles[v].hits.size(); ++h) {
-          if ((*batched)[v].hits[h].global_index !=
-                  singles[v].hits[h].global_index ||
-              (*batched)[v].hits[h].estimate.mi !=
-                  singles[v].hits[h].estimate.mi) {
-            Status::UnknownError("batched ranking diverged from singles")
-                .Abort("bench");
-          }
-        }
-      }
-      std::printf("batch=%-3zu : %2zu round trips %8.2f ms | one batch "
-                  "%8.2f ms (%.2fx)\n",
-                  batch, batch, single_ms, batch_ms,
-                  batch_ms > 0 ? single_ms / batch_ms : 0.0);
-    }
-  }
-
   for (auto& server : servers) server->Stop();
   std::filesystem::remove_all(shard_root);
-  std::printf("(one connection now holds many requests in flight and many "
-              "variants per frame; the sketch crosses the wire once per "
-              "connection, not once per request)\n");
 }
 
 // Part 7: paged shard storage vs whole-file in-memory shards — cold
@@ -1877,7 +1816,7 @@ int Run(size_t threads, bool smoke) {
   RunShardScaling(params, repository, threads, &rng);
   RunRpcServing(params, repository, threads, &rng);
   RunConcurrentServing(params, repository, smoke, &rng);
-  RunBatchedPipelinedServing(params, repository, smoke, &rng);
+  RunPipelinedServing(params, repository, smoke, &rng);
   RunPagedStorage(params, repository, threads, smoke, &rng);
   RunFrontTier(params, smoke, &rng);
   RunFlatHotPath(params, threads, smoke, &rng);

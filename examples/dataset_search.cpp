@@ -246,26 +246,29 @@ int main(int argc, char** argv) {
 
   // 3. Online: the user arrives with their own table (the held-out pair's
   //    train side) and asks for the top augmentations for target Y.
+  //    This unsharded index-backed ranking is also the reference every
+  //    serving path below must reproduce bit for bit.
   const auto& query_table = pairs[0].train;
-  auto query = JoinMIQuery::Create(*query_table, "K", "Y", config);
-  query.status().Abort("sketching the query table");
-  auto hits = index.Query(*query, /*top_k=*/8);
-  hits.status().Abort("querying the index");
+  auto unsharded =
+      TopKJoinMISearch(*query_table, {"K", "Y"}, index, /*k=*/8);
+  unsharded.status().Abort("querying the index");
 
   std::printf("Top augmentation candidates for target 'Y' (query table has "
               "%zu rows):\n\n", query_table->num_rows());
   std::printf("  %-36s %9s %8s %-9s %s\n", "candidate", "est. MI", "samples",
               "estimator", "ground truth");
-  for (const DiscoveryHit& hit : *hits) {
+  for (const SearchHit& hit : unsharded->hits) {
     // Recover the pair index from the table name to report ground truth.
     const size_t idx =
-        static_cast<size_t>(std::stoul(hit.ref.table_name.substr(8)));
-    std::printf("  %-36s %9.3f %8zu %-9s %s\n", hit.ref.ToString().c_str(),
-                hit.mi, hit.join_size, MIEstimatorKindToString(hit.estimator),
+        static_cast<size_t>(std::stoul(hit.candidate.table_name.substr(8)));
+    std::printf("  %-36s %9.3f %8zu %-9s %s\n",
+                hit.candidate.ToString().c_str(), hit.estimate.mi,
+                hit.estimate.sample_size,
+                MIEstimatorKindToString(hit.estimate.estimator),
                 same_family[idx] ? "related (same latent family)"
                                  : "unrelated");
   }
-  if (hits->empty()) {
+  if (unsharded->hits.empty()) {
     std::printf("  (no candidate cleared the %zu-sample join threshold)\n",
                 config.min_join_size);
   }
@@ -273,41 +276,6 @@ int main(int argc, char** argv) {
       "\nEvery score above was computed from two sketches of at most %zu\n"
       "tuples each; no join against the repository was materialized.\n",
       config.sketch_capacity);
-
-  // 4. Persistence: the index survives a restart. Write it out, load it in
-  //    a fresh object, and verify the reloaded index answers identically —
-  //    the sketch-once / query-many deployment across processes.
-  const std::string index_path =
-      keep_index_path.empty() ? "/tmp/joinmi_dataset_search_index." +
-                                    std::to_string(getpid()) + ".bin"
-                              : keep_index_path;
-  WriteIndexFile(index, index_path).Abort("persisting the index");
-  auto reloaded = ReadIndexFile(index_path);
-  reloaded.status().Abort("reloading the index");
-  auto hits_again = reloaded->Query(*query, /*top_k=*/8);
-  hits_again.status().Abort("querying the reloaded index");
-  bool identical = hits_again->size() == hits->size();
-  for (size_t i = 0; identical && i < hits->size(); ++i) {
-    identical = (*hits_again)[i].mi == (*hits)[i].mi &&
-                (*hits_again)[i].join_size == (*hits)[i].join_size &&
-                (*hits_again)[i].ref.ToString() == (*hits)[i].ref.ToString();
-  }
-  std::printf(
-      "\nPersisted the index to %s and reloaded it: %zu sketches, "
-      "rankings %s.\n",
-      index_path.c_str(), reloaded->size(),
-      identical ? "identical" : "DIFFER (bug!)");
-
-  // 5. Sharding: partition the index across shard files and serve them
-  //    through Router::Open — the one construction path for every sharded
-  //    deployment (local files here; host:port endpoints in part 6).
-  //    Drift check: the routed ranking must be bit-identical to the
-  //    unsharded index-backed search for every shard count and policy,
-  //    and a repeated query must be answered from the router's result
-  //    cache with the exact same bits.
-  auto unsharded =
-      TopKJoinMISearch(*query_table, {"K", "Y"}, index, /*k=*/8);
-  unsharded.status().Abort("unsharded index-backed search");
 
   // Bitwise comparison against the unsharded reference ranking — the
   // invariant every serving path in this example must preserve.
@@ -333,6 +301,33 @@ int main(int argc, char** argv) {
     return same;
   };
 
+  // 4. Persistence: the index survives a restart. Write it out, load it in
+  //    a fresh object, and verify the reloaded index answers identically —
+  //    the sketch-once / query-many deployment across processes.
+  const std::string index_path =
+      keep_index_path.empty() ? "/tmp/joinmi_dataset_search_index." +
+                                    std::to_string(getpid()) + ".bin"
+                              : keep_index_path;
+  WriteIndexFile(index, index_path).Abort("persisting the index");
+  auto reloaded = ReadIndexFile(index_path);
+  reloaded.status().Abort("reloading the index");
+  auto hits_again =
+      TopKJoinMISearch(*query_table, {"K", "Y"}, *reloaded, /*k=*/8);
+  hits_again.status().Abort("querying the reloaded index");
+  const bool identical = matches_unsharded(*hits_again, true);
+  std::printf(
+      "\nPersisted the index to %s and reloaded it: %zu sketches, "
+      "rankings %s.\n",
+      index_path.c_str(), reloaded->size(),
+      identical ? "identical" : "DIFFER (bug!)");
+
+  // 5. Sharding: partition the index across shard files and serve them
+  //    through Router::Open — the one construction path for every sharded
+  //    deployment (local files here; host:port endpoints in part 6).
+  //    Drift check: the routed ranking must be bit-identical to the
+  //    unsharded index-backed search for every shard count and policy,
+  //    and a repeated query must be answered from the router's result
+  //    cache with the exact same bits.
   const std::string shard_root = "/tmp/joinmi_dataset_search_shards." +
                                  std::to_string(getpid());
   bool drift = false;

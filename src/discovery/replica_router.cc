@@ -133,9 +133,8 @@ Result<std::unique_ptr<ReplicaShardClient>> ReplicaShardClient::Create(
       options));
 }
 
-Result<std::vector<ShardSearchResult>> ReplicaShardClient::FailoverLoop(
-    const std::function<Result<std::vector<ShardSearchResult>>(
-        const RpcShardClient&, bool*)>& attempt) const {
+Result<ShardSearchResult> ReplicaShardClient::Search(
+    const JoinMIQuery& query, size_t k, size_t num_threads) const {
   // Cooldown-expired replicas get one cheap liveness probe before the
   // request plans its attempts — a recovered replica rejoins the rotation
   // in time to serve this very query. A failed probe re-arms the cooldown
@@ -153,7 +152,7 @@ Result<std::vector<ShardSearchResult>> ReplicaShardClient::FailoverLoop(
   Status last = Status::IOError("no replica attempted");
   for (size_t i : set_.PlanAttempts()) {
     bool reached_wire = false;
-    auto result = attempt(*replicas_[i], &reached_wire);
+    auto result = replicas_[i]->Search(query, k, num_threads, &reached_wire);
     if (result.ok()) {
       set_.MarkHealthy(i);
       return result;
@@ -185,32 +184,6 @@ Result<std::vector<ShardSearchResult>> ReplicaShardClient::FailoverLoop(
   return Status::IOError(
       "all " + std::to_string(replicas_.size()) + " replicas failed (" +
       endpoints + "); last error: " + last.message());
-}
-
-Result<ShardSearchResult> ReplicaShardClient::Search(
-    const JoinMIQuery& query, size_t k, size_t num_threads) const {
-  std::vector<ShardSearchVariant> variants(1);
-  variants[0].k = k;
-  variants[0].min_join_size = query.config().min_join_size;
-  JOINMI_ASSIGN_OR_RETURN(
-      std::vector<ShardSearchResult> results,
-      FailoverLoop([&](const RpcShardClient& replica, bool* reached_wire) {
-        return replica.SearchVariants(query, variants, num_threads,
-                                      reached_wire);
-      }));
-  return std::move(results[0]);
-}
-
-Result<std::vector<ShardSearchResult>> ReplicaShardClient::SearchVariants(
-    const JoinMIQuery& query,
-    const std::vector<ShardSearchVariant>& variants,
-    size_t num_threads) const {
-  if (variants.empty()) return std::vector<ShardSearchResult>{};
-  return FailoverLoop(
-      [&](const RpcShardClient& replica, bool* reached_wire) {
-        return replica.SearchVariants(query, variants, num_threads,
-                                      reached_wire);
-      });
 }
 
 Result<rpc::HealthResponse> ReplicaShardClient::Health() const {

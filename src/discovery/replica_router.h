@@ -37,7 +37,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -146,13 +145,6 @@ class ReplicaShardClient : public ShardClient {
   Result<ShardSearchResult> Search(const JoinMIQuery& query, size_t k,
                                    size_t num_threads) const override;
 
-  /// \brief Batched search with the same failover policy: un-sent batches
-  /// fail over whole; a batch that reached the wire does not.
-  Result<std::vector<ShardSearchResult>> SearchVariants(
-      const JoinMIQuery& query,
-      const std::vector<ShardSearchVariant>& variants,
-      size_t num_threads) const override;
-
   /// \brief Probes replicas in selection order and returns the first
   /// healthy answer — the shard is "healthy" while any replica is.
   Result<rpc::HealthResponse> Health() const;
@@ -176,12 +168,6 @@ class ReplicaShardClient : public ShardClient {
       ReplicaRouterOptions options = {});
 
  private:
-  /// Probes cooldown-expired replicas, then runs `attempt` against
-  /// replicas in selection order under the reached-wire failover policy.
-  Result<std::vector<ShardSearchResult>> FailoverLoop(
-      const std::function<Result<std::vector<ShardSearchResult>>(
-          const RpcShardClient&, bool*)>& attempt) const;
-
   ReplicaShardClient(std::vector<std::unique_ptr<RpcShardClient>> replicas,
                      JoinMIConfig config, uint64_t num_candidates,
                      ReplicaRouterOptions options)

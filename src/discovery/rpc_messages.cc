@@ -86,6 +86,24 @@ Result<HandshakeResponse> DecodeHandshakeResponse(
 
 // ---------------------------------------------------------------- Search
 
+std::string EncodeSearchRequest(const SearchRequest& request) {
+  std::string out;
+  wire::AppendPod<uint64_t>(&out, request.sketch_digest);
+  wire::AppendPod<uint64_t>(&out, request.k);
+  wire::AppendPod<uint64_t>(&out, request.min_join_size);
+  return out;
+}
+
+Result<SearchRequest> DecodeSearchRequest(const std::string& payload) {
+  wire::Reader reader(payload);
+  SearchRequest request;
+  JOINMI_RETURN_NOT_OK(reader.Read(&request.sketch_digest));
+  JOINMI_RETURN_NOT_OK(reader.Read(&request.k));
+  JOINMI_RETURN_NOT_OK(reader.Read(&request.min_join_size));
+  JOINMI_RETURN_NOT_OK(CheckAtEnd(reader, "search request"));
+  return request;
+}
+
 std::string EncodeSearchResponse(const SearchResponse& response) {
   std::string out;
   AppendStatus(&out, response.status);
@@ -209,83 +227,6 @@ Status SketchCacheFull(size_t limit) {
 bool IsSketchCacheFull(const Status& status) {
   return status.IsInvalidArgument() &&
          status.message().rfind(kSketchCacheFullPrefix, 0) == 0;
-}
-
-// ---------------------------------------------------------- Batch search
-
-std::string EncodeBatchSearchRequest(const BatchSearchRequest& request) {
-  std::string out;
-  wire::AppendPod<uint64_t>(&out, request.sketch_digest);
-  wire::AppendPod<uint32_t>(&out, static_cast<uint32_t>(request.variants.size()));
-  for (const BatchSearchVariant& variant : request.variants) {
-    wire::AppendPod<uint64_t>(&out, variant.k);
-    wire::AppendPod<uint64_t>(&out, variant.min_join_size);
-  }
-  return out;
-}
-
-Result<BatchSearchRequest> DecodeBatchSearchRequest(
-    const std::string& payload) {
-  wire::Reader reader(payload);
-  BatchSearchRequest request;
-  uint32_t count = 0;
-  JOINMI_RETURN_NOT_OK(reader.Read(&request.sketch_digest));
-  JOINMI_RETURN_NOT_OK(reader.Read(&count));
-  // 16 bytes per variant; divide so a crafted count cannot overflow.
-  if (count > reader.remaining() / 16) {
-    return Status::IOError(
-        "batch search request variant count exceeds payload size");
-  }
-  request.variants.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    BatchSearchVariant variant;
-    JOINMI_RETURN_NOT_OK(reader.Read(&variant.k));
-    JOINMI_RETURN_NOT_OK(reader.Read(&variant.min_join_size));
-    request.variants.push_back(variant);
-  }
-  JOINMI_RETURN_NOT_OK(CheckAtEnd(reader, "batch search request"));
-  return request;
-}
-
-std::string EncodeBatchSearchResponse(const BatchSearchResponse& response) {
-  std::string out;
-  AppendStatus(&out, response.status);
-  if (!response.status.ok()) return out;
-  wire::AppendPod<uint32_t>(&out,
-                            static_cast<uint32_t>(response.responses.size()));
-  for (const SearchResponse& variant : response.responses) {
-    wire::AppendLengthPrefixed(&out, EncodeSearchResponse(variant));
-  }
-  return out;
-}
-
-Result<BatchSearchResponse> DecodeBatchSearchResponse(
-    const std::string& payload) {
-  wire::Reader reader(payload);
-  BatchSearchResponse response;
-  JOINMI_RETURN_NOT_OK(ReadStatus(&reader, &response.status));
-  if (!response.status.ok()) {
-    JOINMI_RETURN_NOT_OK(CheckAtEnd(reader, "batch search response"));
-    return response;
-  }
-  uint32_t count = 0;
-  JOINMI_RETURN_NOT_OK(reader.Read(&count));
-  // Each nested response is length-prefixed (u32) and a SearchResponse is
-  // never smaller than its 5-byte encoded Status.
-  if (count > reader.remaining() / (4 + 5)) {
-    return Status::IOError(
-        "batch search response count exceeds payload size");
-  }
-  response.responses.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    std::string nested;
-    JOINMI_RETURN_NOT_OK(reader.ReadLengthPrefixed(&nested));
-    JOINMI_ASSIGN_OR_RETURN(SearchResponse decoded,
-                            DecodeSearchResponse(nested));
-    response.responses.push_back(std::move(decoded));
-  }
-  JOINMI_RETURN_NOT_OK(CheckAtEnd(reader, "batch search response"));
-  return response;
 }
 
 // ----------------------------------------------------------------- Stats

@@ -5,16 +5,15 @@
 //       JoinMIConfig (shared wire layout from core/config.h) + u64
 //       candidate count; the client checks both against the manifest with
 //       JoinMIConfig::operator== before trusting the shard.
-//   SketchUploadRequest / BatchSearchRequest: the query's serialized
-//       train sketch (sketch/serialize.h format — the query's base table
-//       never crosses the wire) is cached once per connection by digest;
-//       batch requests then name it and carry (k, min_join_size) variants.
+//   SketchUploadRequest / SearchRequest: the query's serialized train
+//       sketch (sketch/serialize.h format — the query's base table never
+//       crosses the wire) is cached once per connection by digest; a
+//       search request then names it and carries one (k, min_join_size).
 //   SearchResponse     a wire-encoded Status; on OK, the full
 //       ShardSearchResult (counters + hits with global indices), so the
 //       router's cross-shard merge sees exactly what LocalShardClient
 //       would have produced. Per-shard results never carry
-//       shard_failures — that field is router-level bookkeeping. A
-//       BatchSearchResponse nests one per variant.
+//       shard_failures — that field is router-level bookkeeping.
 //   HealthRequest      (empty payload) -> HealthResponse
 //       u64 candidate count + u64 requests served since startup.
 //   Error              a wire-encoded Status, for requests the server
@@ -29,7 +28,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "src/common/status.h"
 #include "src/core/config.h"
@@ -56,6 +54,19 @@ Result<HandshakeResponse> DecodeHandshakeResponse(const std::string& payload);
 
 // -------------------------------------------------------------- Search
 
+/// \brief One top-k search against a sketch previously cached on this
+/// connection via SketchUploadRequest.
+struct SearchRequest {
+  uint64_t sketch_digest = 0;
+  uint64_t k = 0;
+  /// Substituted into the shard's config for this search; every other
+  /// field is the shard's own.
+  uint64_t min_join_size = 0;
+};
+
+std::string EncodeSearchRequest(const SearchRequest& request);
+Result<SearchRequest> DecodeSearchRequest(const std::string& payload);
+
 struct SearchResponse {
   /// The shard-side Search outcome; `result` is meaningful only when OK.
   Status status;
@@ -69,9 +80,8 @@ Result<SearchResponse> DecodeSearchResponse(const std::string& payload);
 
 struct HealthResponse {
   uint64_t num_candidates = 0;
-  /// Batch search frames answered since the server started —
-  /// handshakes and health probes no longer inflate this, so the gauge
-  /// tracks real query traffic.
+  /// Search frames answered since the server started; handshakes,
+  /// uploads and health probes are not counted.
   uint64_t requests_served = 0;
 };
 
@@ -109,38 +119,6 @@ Result<SketchUploadResponse> DecodeSketchUploadResponse(
 /// (IsSketchCacheFull) and move the query to a fresh connection.
 Status SketchCacheFull(size_t limit);
 bool IsSketchCacheFull(const Status& status);
-
-// ---------------------------------------------------------- Batch search
-
-/// \brief One (k, min_join_size) variant evaluated against the cached
-/// sketch. Duplicates are legal and answered independently.
-struct BatchSearchVariant {
-  uint64_t k = 0;
-  uint64_t min_join_size = 0;
-};
-
-struct BatchSearchRequest {
-  /// Digest of a sketch previously cached on this connection via
-  /// SketchUploadRequest.
-  uint64_t sketch_digest = 0;
-  std::vector<BatchSearchVariant> variants;
-};
-
-std::string EncodeBatchSearchRequest(const BatchSearchRequest& request);
-Result<BatchSearchRequest> DecodeBatchSearchRequest(
-    const std::string& payload);
-
-struct BatchSearchResponse {
-  /// Batch-level verdict (unknown digest, decode trouble). When OK,
-  /// `responses` pairs with the request's variants by position, each
-  /// carrying its own per-variant Status.
-  Status status;
-  std::vector<SearchResponse> responses;
-};
-
-std::string EncodeBatchSearchResponse(const BatchSearchResponse& response);
-Result<BatchSearchResponse> DecodeBatchSearchResponse(
-    const std::string& payload);
 
 // ----------------------------------------------------------------- Stats
 

@@ -160,37 +160,12 @@ Result<ShardSearchResult> RpcShardClient::Search(const JoinMIQuery& query,
                                                  size_t k,
                                                  size_t num_threads,
                                                  bool* reached_wire) const {
+  (void)num_threads;  // evaluation parallelism belongs to the server
   if (k == 0) {
     return Status::InvalidArgument("shard search requires k >= 1");
   }
-  std::vector<ShardSearchVariant> variants(1);
-  variants[0].k = k;
-  variants[0].min_join_size = query.config().min_join_size;
-  JOINMI_ASSIGN_OR_RETURN(
-      std::vector<ShardSearchResult> results,
-      SearchVariants(query, variants, num_threads, reached_wire));
-  return std::move(results[0]);
-}
-
-Result<std::vector<ShardSearchResult>> RpcShardClient::SearchVariants(
-    const JoinMIQuery& query,
-    const std::vector<ShardSearchVariant>& variants,
-    size_t num_threads) const {
-  return SearchVariants(query, variants, num_threads, nullptr);
-}
-
-Result<std::vector<ShardSearchResult>> RpcShardClient::SearchVariants(
-    const JoinMIQuery& query,
-    const std::vector<ShardSearchVariant>& variants, size_t num_threads,
-    bool* reached_wire) const {
-  (void)num_threads;  // evaluation parallelism belongs to the server
-  for (const ShardSearchVariant& variant : variants) {
-    if (variant.k == 0) {
-      return Status::InvalidArgument("shard search requires k >= 1");
-    }
-  }
   // Everything except min_join_size must match the shard's config: those
-  // fields change estimates, and only min_join_size travels per variant.
+  // fields change estimates, and only min_join_size travels per request.
   // Rejecting here keeps "RPC == local, byte for byte" honest.
   JoinMIConfig comparable = config_;
   comparable.min_join_size = query.config().min_join_size;
@@ -202,8 +177,6 @@ Result<std::vector<ShardSearchResult>> RpcShardClient::SearchVariants(
         ") beyond min_join_size — the shard would answer under the wrong "
         "configuration");
   }
-  if (variants.empty()) return std::vector<ShardSearchResult>{};
-
   Status last = Status::IOError("no attempt made");
   int attempt = 0;
   while (attempt < options_.max_attempts) {
@@ -218,7 +191,7 @@ Result<std::vector<ShardSearchResult>> RpcShardClient::SearchVariants(
       continue;
     }
     bool attempt_reached = false;
-    auto result = RunVariants(**channel, query, variants, &attempt_reached);
+    auto result = RunSearch(**channel, query, k, &attempt_reached);
     if (attempt_reached && reached_wire != nullptr) *reached_wire = true;
     if (result.ok()) return result;
     // The connection's sketch cache was full and the channel retired
@@ -241,28 +214,21 @@ Result<std::vector<ShardSearchResult>> RpcShardClient::SearchVariants(
   return last;
 }
 
-Result<std::vector<ShardSearchResult>> RpcShardClient::RunVariants(
-    rpc::Channel& channel, const JoinMIQuery& query,
-    const std::vector<ShardSearchVariant>& variants,
+Result<ShardSearchResult> RpcShardClient::RunSearch(
+    rpc::Channel& channel, const JoinMIQuery& query, size_t k,
     bool* reached_wire) const {
   // Make sure the sketch is cached server-side (uploaded at most once per
   // connection, idempotent by digest — its reached-ness never taints the
-  // search's retry eligibility), then send the digest-only batch.
+  // search's retry eligibility), then send the digest-only search.
   const std::string& sketch_bytes = query.SerializedTrainSketch();
   const uint64_t digest = query.SerializedTrainSketchDigest();
   JOINMI_RETURN_NOT_OK(channel.EnsureSketchUploaded(digest, sketch_bytes));
-  rpc::BatchSearchRequest request;
+  rpc::SearchRequest request;
   request.sketch_digest = digest;
-  request.variants.reserve(variants.size());
-  for (const ShardSearchVariant& variant : variants) {
-    rpc::BatchSearchVariant wire_variant;
-    wire_variant.k = variant.k;
-    wire_variant.min_join_size = variant.min_join_size;
-    request.variants.push_back(wire_variant);
-  }
-  auto frame = channel.Call(net::FrameType::kBatchSearchRequest,
-                            rpc::EncodeBatchSearchRequest(request),
-                            reached_wire);
+  request.k = k;
+  request.min_join_size = query.config().min_join_size;
+  auto frame = channel.Call(net::FrameType::kSearchRequest,
+                            rpc::EncodeSearchRequest(request), reached_wire);
   if (!frame.ok()) {
     if (*reached_wire) {
       return Status::IOError("no response from shard server " +
@@ -277,28 +243,16 @@ Result<std::vector<ShardSearchResult>> RpcShardClient::RunVariants(
         rpc::DecodeErrorPayload(frame->payload, &server_error));
     return server_error;
   }
-  if (frame->type != net::FrameType::kBatchSearchResponse) {
+  if (frame->type != net::FrameType::kSearchResponse) {
     return Status::IOError(
         "shard server " + endpoint_.ToString() +
-        " answered a batch search with a " +
+        " answered a search with a " +
         std::string(net::FrameTypeToString(frame->type)) + " frame");
   }
-  JOINMI_ASSIGN_OR_RETURN(rpc::BatchSearchResponse response,
-                          rpc::DecodeBatchSearchResponse(frame->payload));
+  JOINMI_ASSIGN_OR_RETURN(rpc::SearchResponse response,
+                          rpc::DecodeSearchResponse(frame->payload));
   JOINMI_RETURN_NOT_OK(response.status);
-  if (response.responses.size() != variants.size()) {
-    return Status::IOError(
-        "shard server " + endpoint_.ToString() + " answered " +
-        std::to_string(response.responses.size()) + " variants for a " +
-        std::to_string(variants.size()) + "-variant batch");
-  }
-  std::vector<ShardSearchResult> results;
-  results.reserve(variants.size());
-  for (rpc::SearchResponse& one : response.responses) {
-    JOINMI_RETURN_NOT_OK(one.status);
-    results.push_back(std::move(one.result));
-  }
-  return results;
+  return std::move(response.result);
 }
 
 Result<rpc::HealthResponse> RpcShardClient::Health() const {

@@ -13,11 +13,11 @@
 // connection is dialed only when every existing channel is busy and
 // capacity remains.
 //
-// Sketch upload: Search and SearchVariants first ensure the query's
-// serialized train sketch is cached server-side (keyed by its Checksum64
-// digest, uploaded once per connection) and then send digest-only batch
-// requests — a q-variant batch ships the sketch bytes at most once, not q
-// times. The server caches a bounded number of sketches per connection;
+// Sketch upload: Search first ensures the query's serialized train sketch
+// is cached server-side (keyed by its Checksum64 digest, uploaded once per
+// connection) and then sends a digest-only search request — repeated
+// searches of one query ship the sketch bytes at most once per
+// connection. The server caches a bounded number of sketches per connection;
 // when a connection's cache is full the channel retires and the search
 // moves to a fresh connection, so a long-lived client can ask any number
 // of distinct queries.
@@ -124,12 +124,11 @@ class RpcShardClient : public ShardClient {
   }
 
   /// \brief Remote search — byte-identical to LocalShardClient over the
-  /// same shard: a one-variant batch against the connection-cached
-  /// sketch. `num_threads` is ignored: evaluation parallelism
-  /// belongs to the server. Queries whose config disagrees with the
-  /// shard's (beyond min_join_size, which travels per variant) are
-  /// rejected here — the server would silently answer under *its* config
-  /// otherwise.
+  /// same shard: one search frame against the connection-cached sketch.
+  /// `num_threads` is ignored: evaluation parallelism belongs to the
+  /// server. Queries whose config disagrees with the shard's (beyond
+  /// min_join_size, which travels in the request) are rejected here —
+  /// the server would silently answer under *its* config otherwise.
   Result<ShardSearchResult> Search(const JoinMIQuery& query, size_t k,
                                    size_t num_threads) const override;
 
@@ -140,20 +139,6 @@ class RpcShardClient : public ShardClient {
   Result<ShardSearchResult> Search(const JoinMIQuery& query, size_t k,
                                    size_t num_threads,
                                    bool* reached_wire) const;
-
-  /// \brief Batched remote search: one frame carries every variant
-  /// against the uploaded sketch. result[i] answers variants[i].
-  Result<std::vector<ShardSearchResult>> SearchVariants(
-      const JoinMIQuery& query,
-      const std::vector<ShardSearchVariant>& variants,
-      size_t num_threads) const override;
-
-  /// \brief SearchVariants with the reached_wire out-parameter (see
-  /// Search).
-  Result<std::vector<ShardSearchResult>> SearchVariants(
-      const JoinMIQuery& query,
-      const std::vector<ShardSearchVariant>& variants, size_t num_threads,
-      bool* reached_wire) const;
 
   /// \brief Liveness + identity probe: cheap, never retried.
   Result<rpc::HealthResponse> Health() const;
@@ -202,12 +187,11 @@ class RpcShardClient : public ShardClient {
   /// candidate count.
   Result<net::Socket> DialAndHandshake() const;
 
-  /// \brief One attempt of a variant batch on `channel`: upload the
-  /// sketch if this connection lacks it, then send the batch frame.
-  Result<std::vector<ShardSearchResult>> RunVariants(
-      rpc::Channel& channel, const JoinMIQuery& query,
-      const std::vector<ShardSearchVariant>& variants,
-      bool* reached_wire) const;
+  /// \brief One search attempt on `channel`: upload the sketch if this
+  /// connection lacks it, then send the search frame.
+  Result<ShardSearchResult> RunSearch(rpc::Channel& channel,
+                                      const JoinMIQuery& query, size_t k,
+                                      bool* reached_wire) const;
 
   ShardEndpoint endpoint_;
   JoinMIConfig config_;

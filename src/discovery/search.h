@@ -10,8 +10,7 @@
 //     query (no index needed);
 //   - the Searchable overload, which drives ANY indexed target —
 //     SketchIndex, ShardedSketchIndex, or discovery::Router — through one
-//     interface. The historical per-type overloads forward here inline and
-//     are deprecated.
+//     interface.
 
 #ifndef JOINMI_DISCOVERY_SEARCH_H_
 #define JOINMI_DISCOVERY_SEARCH_H_

@@ -1,17 +1,12 @@
 // The one discovery-search surface every query target implements.
 //
-// Historically TopKJoinMISearch grew one overload per backend (repository
-// scan, SketchIndex, ShardedSketchIndex, ...) and every new serving layer
-// meant another. Searchable collapses that: a target exposes the
-// JoinMIConfig its candidates were sketched under plus one SearchQuery
-// method over an already-sketched query, and the single Searchable-based
-// TopKJoinMISearch in search.h drives any of them. SketchIndex,
-// ShardedSketchIndex, and Router all implement it; the legacy per-type
-// overloads survive as inline forwarders (search.h) for one release.
+// A target exposes the JoinMIConfig its candidates were sketched under
+// plus one SearchQuery method over an already-sketched query, and the
+// single Searchable-based TopKJoinMISearch in search.h drives any of
+// them. SketchIndex, ShardedSketchIndex, and Router all implement it.
 //
-// This header also owns the result/spec types those implementations share
-// (previously split between search.h and sharded_index.h), so the
-// interface needs no include of either.
+// This header also owns the result/spec types those implementations
+// share, so the interface needs no include of either.
 
 #ifndef JOINMI_DISCOVERY_SEARCHABLE_H_
 #define JOINMI_DISCOVERY_SEARCHABLE_H_
@@ -61,8 +56,9 @@ enum class ShardQueryMode : uint8_t {
 /// \brief Outcome of one top-k discovery search.
 struct TopKSearchResult {
   /// Hits sorted by MI descending; ties break on candidate enumeration
-  /// order (table name, then key/value column), so the ranking is stable
-  /// and reproducible.
+  /// order (table name, then schema column order, for a repository scan;
+  /// global insertion order for an index, sharded or not), so the ranking
+  /// is stable and reproducible.
   std::vector<SearchHit> hits;
   /// Column pairs enumerated from the repository (or indexed candidates).
   size_t num_candidates = 0;

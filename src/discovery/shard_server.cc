@@ -200,7 +200,7 @@ Status ShardServer::Start() {
             // else (handshake, health, upload, stats, reload) bypasses
             // the gate: it is exactly what a backing-off client needs.
             AdmissionGate::Ticket ticket;
-            if (frame.type == net::FrameType::kBatchSearchRequest) {
+            if (frame.type == net::FrameType::kSearchRequest) {
               auto admitted = gate_.TryEnter();
               if (!admitted.ok()) {
                 loop_->Send(conn, net::EncodeFrame(
@@ -289,11 +289,11 @@ void ShardServer::HandleFrame(net::EventLoop::ConnId conn,
             HandleSketchUpload(conn, frame));
       return;
     }
-    case net::FrameType::kBatchSearchRequest: {
+    case net::FrameType::kSearchRequest: {
       searches_served_->Add();
       metrics::ScopedTimer timer(search_latency_);
-      Reply(conn, frame, net::FrameType::kBatchSearchResponse,
-            HandleBatchSearch(conn, frame, *snapshot));
+      Reply(conn, frame, net::FrameType::kSearchResponse,
+            HandleSearch(conn, frame, *snapshot));
       return;
     }
     case net::FrameType::kStatsRequest: {
@@ -342,8 +342,8 @@ std::string ShardServer::HandleSketchUpload(net::EventLoop::ConnId conn,
           std::to_string(computed));
     }
     // Deserialize now so a corrupt sketch is rejected at upload time, not
-    // on every batch, and cache the parsed form — batch variants copy it
-    // instead of re-parsing.
+    // on every search, and cache the parsed form — each search rebuilds
+    // its query from it instead of re-parsing.
     JOINMI_ASSIGN_OR_RETURN(Sketch sketch,
                             DeserializeSketch(request.train_sketch));
     std::lock_guard<std::mutex> lock(cache_mutex_);
@@ -360,13 +360,13 @@ std::string ShardServer::HandleSketchUpload(net::EventLoop::ConnId conn,
   return rpc::EncodeSketchUploadResponse(response);
 }
 
-std::string ShardServer::HandleBatchSearch(net::EventLoop::ConnId conn,
-                                           const net::Frame& frame,
-                                           const ShardClient& client) {
-  rpc::BatchSearchResponse response;
-  auto run = [&]() -> Status {
-    JOINMI_ASSIGN_OR_RETURN(rpc::BatchSearchRequest request,
-                            rpc::DecodeBatchSearchRequest(frame.payload));
+std::string ShardServer::HandleSearch(net::EventLoop::ConnId conn,
+                                      const net::Frame& frame,
+                                      const ShardClient& client) {
+  rpc::SearchResponse response;
+  auto run = [&]() -> Result<ShardSearchResult> {
+    JOINMI_ASSIGN_OR_RETURN(rpc::SearchRequest request,
+                            rpc::DecodeSearchRequest(frame.payload));
     std::shared_ptr<const Sketch> sketch;
     {
       std::lock_guard<std::mutex> lock(cache_mutex_);
@@ -378,37 +378,25 @@ std::string ShardServer::HandleBatchSearch(net::EventLoop::ConnId conn,
     }
     if (sketch == nullptr) {
       return Status::InvalidArgument(
-          "batch search names sketch digest " +
+          "search names sketch digest " +
           std::to_string(request.sketch_digest) +
           " which was never uploaded on this connection");
     }
-    response.responses.reserve(request.variants.size());
-    for (const rpc::BatchSearchVariant& variant : request.variants) {
-      rpc::SearchResponse one;
-      auto evaluate = [&]() -> Result<ShardSearchResult> {
-        JoinMIConfig query_config = client.config();
-        query_config.min_join_size =
-            static_cast<size_t>(variant.min_join_size);
-        JOINMI_ASSIGN_OR_RETURN(
-            JoinMIQuery query,
-            JoinMIQuery::FromTrainSketch(*sketch, query_config));
-        return client.Search(query, static_cast<size_t>(variant.k),
-                             options_.eval_threads);
-      };
-      auto result = evaluate();
-      if (result.ok()) {
-        one.status = Status::OK();
-        one.result = std::move(*result);
-      } else {
-        one.status = result.status();
-      }
-      response.responses.push_back(std::move(one));
-    }
-    return Status::OK();
+    JoinMIConfig query_config = client.config();
+    query_config.min_join_size = static_cast<size_t>(request.min_join_size);
+    JOINMI_ASSIGN_OR_RETURN(
+        JoinMIQuery query,
+        JoinMIQuery::FromTrainSketch(*sketch, query_config));
+    return client.Search(query, static_cast<size_t>(request.k),
+                         options_.eval_threads);
   };
-  response.status = run();
-  if (!response.status.ok()) response.responses.clear();
-  return rpc::EncodeBatchSearchResponse(response);
+  auto result = run();
+  if (result.ok()) {
+    response.result = std::move(*result);
+  } else {
+    response.status = result.status();
+  }
+  return rpc::EncodeSearchResponse(response);
 }
 
 }  // namespace joinmi

@@ -3,8 +3,8 @@
 // count-verified against the manifest entry, exactly like the local
 // loader — a server can no more serve a corrupt shard than a router can
 // load one), binds a TCP port, and answers JMRP requests: handshakes,
-// once-per-connection sketch uploads, batched multi-variant searches,
-// health probes, stats and reloads.
+// once-per-connection sketch uploads, top-k searches, health probes,
+// stats and reloads.
 //
 // Concurrency: a single epoll event loop (net::EventLoop) owns every
 // connection's reads and writes; each decoded frame becomes one task on a
@@ -19,7 +19,7 @@
 //
 // Sketch cache: a client uploads its serialized train sketch once
 // (keyed by wire::Checksum64 digest, recomputed server-side) and then
-// sends digest-only batch requests. The cache is strictly per-connection
+// sends digest-only search requests. The cache is strictly per-connection
 // — entries die with the connection, at most kMaxCachedSketches live per
 // connection — so one router can never read or evict another's sketch and
 // a dead client leaks nothing. An upload past the bound is refused with
@@ -74,7 +74,7 @@ struct ShardServerOptions {
   /// the operator asked for bounded-memory serving, so silently falling
   /// back to full materialization would defeat the point.
   bool require_paged = false;
-  /// Batch search frames concurrently queued or executing
+  /// Search frames concurrently queued or executing
   /// before new ones are rejected with kOverloaded + a retry-after hint;
   /// 0 = unbounded (the historical queue-forever behavior). Handshakes,
   /// health probes, sketch uploads, and stats requests always bypass the
@@ -88,7 +88,7 @@ class ShardServer {
  public:
   /// Per-connection bound on cached sketches; an upload past the bound is
   /// rejected (deterministically — eviction could invalidate a pipelined
-  /// batch already in flight).
+  /// search already in flight).
   static constexpr size_t kMaxCachedSketches = 8;
 
   /// \brief Loads shard `shard` of the deployment at `manifest_ref` — a
@@ -140,9 +140,8 @@ class ShardServer {
   /// \brief Successful Reload() swaps since Create (counting ones that
   /// re-resolved to the same generation).
   uint64_t reloads_served() const { return reloads_served_->value(); }
-  /// \brief Batch search frames answered since Start —
-  /// query traffic only; handshakes and health probes have their own
-  /// counters below and no longer inflate this.
+  /// \brief Search frames answered since Start — query traffic only;
+  /// handshakes and health probes have their own counters below.
   uint64_t requests_served() const { return searches_served_->value(); }
   /// \brief Handshakes answered since Start — one per client connection
   /// ever dialed, so this counts distinct connections, not traffic.
@@ -210,9 +209,10 @@ class ShardServer {
              net::FrameType type, const std::string& payload);
   std::string HandleSketchUpload(net::EventLoop::ConnId conn,
                                  const net::Frame& frame);
-  std::string HandleBatchSearch(net::EventLoop::ConnId conn,
-                                const net::Frame& frame,
-                                const ShardClient& client);
+  /// The one place a query is rebuilt with the requested min_join_size.
+  std::string HandleSearch(net::EventLoop::ConnId conn,
+                           const net::Frame& frame,
+                           const ShardClient& client);
 
   /// Guards client_ swaps; queries only hold it long enough to copy the
   /// shared_ptr.
@@ -255,7 +255,7 @@ class ShardServer {
   std::once_flag stop_once_;
 
   // Per-connection uploaded-sketch cache, digest-keyed. shared_ptr lets a
-  // batch evaluation hold its sketch outside the lock while the loop
+  // search hold its sketch outside the lock while the loop
   // thread erases the connection's entry.
   std::mutex cache_mutex_;
   std::unordered_map<net::EventLoop::ConnId,

@@ -223,35 +223,6 @@ ShardClientFactory ShardedSketchIndex::LocalFileFactory(
   };
 }
 
-Result<std::vector<ShardSearchResult>> ShardClient::SearchVariants(
-    const JoinMIQuery& query, const std::vector<ShardSearchVariant>& variants,
-    size_t num_threads) const {
-  std::vector<ShardSearchResult> results;
-  results.reserve(variants.size());
-  for (const ShardSearchVariant& variant : variants) {
-    if (variant.min_join_size == query.config().min_join_size) {
-      JOINMI_ASSIGN_OR_RETURN(ShardSearchResult result,
-                              Search(query, variant.k, num_threads));
-      results.push_back(std::move(result));
-      continue;
-    }
-    // A variant under a different join-size floor needs a query configured
-    // with it — min_join_size is the one knob that travels with the query
-    // rather than the shard, so substitute and rebuild from the same
-    // sketch. The rebuilt query estimates identically to a Create()-built
-    // one, keeping variant results bit-identical to single searches.
-    JoinMIConfig config = query.config();
-    config.min_join_size = variant.min_join_size;
-    JOINMI_ASSIGN_OR_RETURN(JoinMIQuery rebuilt,
-                            JoinMIQuery::FromTrainSketch(query.train_sketch(),
-                                                         config));
-    JOINMI_ASSIGN_OR_RETURN(ShardSearchResult result,
-                            Search(rebuilt, variant.k, num_threads));
-    results.push_back(std::move(result));
-  }
-  return results;
-}
-
 Result<ShardSearchResult> ShardedSketchIndex::Search(
     const JoinMIQuery& query, size_t k, size_t num_threads,
     ShardQueryMode mode) const {
@@ -313,85 +284,6 @@ Result<ShardSearchResult> ShardedSketchIndex::Search(
   }
   std::sort(merged.hits.begin(), merged.hits.end(), BetterHit);
   if (merged.hits.size() > k) merged.hits.resize(k);
-  return merged;
-}
-
-Result<std::vector<ShardSearchResult>> ShardedSketchIndex::SearchVariants(
-    const JoinMIQuery& query, const std::vector<ShardSearchVariant>& variants,
-    size_t num_threads, ShardQueryMode mode) const {
-  for (size_t i = 0; i < variants.size(); ++i) {
-    if (variants[i].k == 0) {
-      return Status::InvalidArgument("batched search variant " +
-                                     std::to_string(i) + " requires k >= 1");
-    }
-  }
-  if (variants.empty()) return std::vector<ShardSearchResult>{};
-  const size_t num_shards = clients_.size();
-  std::vector<std::vector<ShardSearchResult>> per_shard(num_shards);
-  std::vector<Status> statuses(num_shards, Status::OK());
-  ParallelFor(num_shards, num_threads, [&](size_t s) {
-    auto result = clients_[s]->SearchVariants(query, variants, num_threads);
-    if (result.ok() && result->size() != variants.size()) {
-      statuses[s] = Status::IOError(
-          "shard answered " + std::to_string(result->size()) +
-          " variants for a " + std::to_string(variants.size()) +
-          "-variant batch");
-    } else if (result.ok()) {
-      per_shard[s] = std::move(*result);
-    } else {
-      statuses[s] = result.status();
-    }
-  });
-  // Failure handling mirrors Search: a shard fails or answers the whole
-  // batch, so strict mode fails everything on the first bad shard and
-  // degraded mode drops that shard from every variant's merge.
-  std::vector<ShardFailure> failures;
-  if (mode == ShardQueryMode::kStrict) {
-    for (size_t s = 0; s < num_shards; ++s) {
-      if (!statuses[s].ok()) {
-        return Status(statuses[s].code(),
-                      "shard " + std::to_string(s) + " failed: " +
-                          statuses[s].message());
-      }
-    }
-  } else {
-    for (size_t s = 0; s < num_shards; ++s) {
-      if (!statuses[s].ok()) {
-        failures.push_back(ShardFailure{s, statuses[s]});
-      }
-    }
-    if (failures.size() == num_shards) {
-      const Status& first = failures.front().status;
-      return Status(first.code(),
-                    "every shard failed; first failure (shard " +
-                        std::to_string(failures.front().shard) +
-                        "): " + first.message());
-    }
-  }
-  std::vector<ShardSearchResult> merged(variants.size());
-  for (size_t i = 0; i < variants.size(); ++i) {
-    ShardSearchResult& out = merged[i];
-    out.shard_failures = failures;
-    size_t total_hits = 0;
-    for (size_t s = 0; s < num_shards; ++s) {
-      if (!statuses[s].ok()) continue;
-      const ShardSearchResult& shard_result = per_shard[s][i];
-      out.num_candidates += shard_result.num_candidates;
-      out.num_evaluated += shard_result.num_evaluated;
-      out.num_skipped += shard_result.num_skipped;
-      out.num_errors += shard_result.num_errors;
-      total_hits += shard_result.hits.size();
-    }
-    out.hits.reserve(total_hits);
-    for (size_t s = 0; s < num_shards; ++s) {
-      if (!statuses[s].ok()) continue;
-      for (ShardSearchHit& hit : per_shard[s][i].hits) {
-        out.hits.push_back(std::move(hit));
-      }
-    }
-    std::sort(out.hits.begin(), out.hits.end(), BetterHit);
-    if (out.hits.size() > variants[i].k) out.hits.resize(variants[i].k);
-  }
   return merged;
 }
 

@@ -47,9 +47,6 @@
 
 namespace joinmi {
 
-// ShardFailure and ShardQueryMode moved to searchable.h (the whole search
-// surface shares them); this header re-exports both transitively.
-
 /// \brief One per-shard search answer, annotated with the candidate's
 /// global insertion index — the tie-break key of the cross-shard merge.
 struct ShardSearchHit {
@@ -73,16 +70,6 @@ struct ShardSearchResult {
   std::vector<ShardFailure> shard_failures;
 };
 
-/// \brief One (k, min_join_size) variant of a batched search — many
-/// variants share one sketched query, which over RPC shares one uploaded
-/// sketch.
-struct ShardSearchVariant {
-  size_t k = 0;
-  /// Evaluated with this min_join_size substituted into the shard config,
-  /// exactly as a single Search under a query configured the same way.
-  size_t min_join_size = 0;
-};
-
 /// \brief Serving boundary of one shard — the RPC seam. The query arrives
 /// pre-sketched (over the wire this is the serialized train sketch), so
 /// shards never see the base table's rows.
@@ -101,17 +88,6 @@ class ShardClient {
   virtual Result<ShardSearchResult> Search(const JoinMIQuery& query,
                                            size_t k,
                                            size_t num_threads) const = 0;
-
-  /// \brief Evaluates every variant against one query; result[i] answers
-  /// variants[i] and equals what Search would return for a query rebuilt
-  /// with that variant's min_join_size. All-or-nothing: the first variant
-  /// failure fails the batch. The default implementation loops over
-  /// Search; RpcShardClient overrides it with one batched frame against
-  /// the connection-cached sketch.
-  virtual Result<std::vector<ShardSearchResult>> SearchVariants(
-      const JoinMIQuery& query,
-      const std::vector<ShardSearchVariant>& variants,
-      size_t num_threads) const;
 };
 
 /// \brief In-process ShardClient over a loaded SketchIndex.
@@ -210,17 +186,6 @@ class ShardedSketchIndex : public Searchable {
   /// See ShardQueryMode for how shard failures are handled.
   Result<ShardSearchResult> Search(
       const JoinMIQuery& query, size_t k, size_t num_threads = 0,
-      ShardQueryMode mode = ShardQueryMode::kStrict) const;
-
-  /// \brief Batched fan-out: every variant against every shard, merged
-  /// per variant with the same comparator as Search. result[i] is
-  /// bit-identical to Search over a query rebuilt with variants[i]'s
-  /// min_join_size — over RPC the sketch crosses the wire once per
-  /// connection instead of once per (variant, shard). Mode semantics
-  /// match Search, applied per variant.
-  Result<std::vector<ShardSearchResult>> SearchVariants(
-      const JoinMIQuery& query,
-      const std::vector<ShardSearchVariant>& variants, size_t num_threads = 0,
       ShardQueryMode mode = ShardQueryMode::kStrict) const;
 
   // Searchable: Search() plus the ShardSearchResult -> TopKSearchResult

@@ -1,6 +1,5 @@
 #include "src/discovery/sketch_index.h"
 
-#include <algorithm>
 #include <cstring>
 #include <utility>
 
@@ -99,53 +98,6 @@ Result<IndexEvaluation> SketchIndex::EvaluateAll(const JoinMIQuery& query,
     evaluation.estimates.push_back(std::move(outcome.estimate));
   }
   return evaluation;
-}
-
-Result<std::vector<DiscoveryHit>> SketchIndex::Query(const JoinMIQuery& query,
-                                                     size_t top_k,
-                                                     size_t num_threads) const {
-  JOINMI_ASSIGN_OR_RETURN(IndexEvaluation evaluation,
-                          EvaluateAll(query, num_threads));
-  std::vector<size_t> ranked;
-  ranked.reserve(evaluation.num_evaluated);
-  for (size_t i = 0; i < evaluation.estimates.size(); ++i) {
-    if (evaluation.estimates[i].has_value()) ranked.push_back(i);
-  }
-  // Strict weak order with no incomparable pairs: MI desc, join size desc,
-  // then the candidate ref and finally the insertion index, so duplicated
-  // candidates and exact ties cannot reorder across runs or thread counts.
-  auto better = [this, &evaluation](size_t a, size_t b) {
-    const JoinMIEstimate& ea = *evaluation.estimates[a];
-    const JoinMIEstimate& eb = *evaluation.estimates[b];
-    if (ea.mi != eb.mi) return ea.mi > eb.mi;
-    if (ea.sample_size != eb.sample_size) {
-      return ea.sample_size > eb.sample_size;
-    }
-    const ColumnPairRef& ra = candidates_[a].ref;
-    const ColumnPairRef& rb = candidates_[b].ref;
-    if (ra.table_name != rb.table_name) {
-      return ra.table_name < rb.table_name;
-    }
-    if (ra.key_column != rb.key_column) {
-      return ra.key_column < rb.key_column;
-    }
-    if (ra.value_column != rb.value_column) {
-      return ra.value_column < rb.value_column;
-    }
-    return a < b;
-  };
-  const size_t take = std::min(top_k, ranked.size());
-  std::partial_sort(ranked.begin(), ranked.begin() + take, ranked.end(),
-                    better);
-  std::vector<DiscoveryHit> hits;
-  hits.reserve(take);
-  for (size_t r = 0; r < take; ++r) {
-    const size_t i = ranked[r];
-    const JoinMIEstimate& estimate = *evaluation.estimates[i];
-    hits.push_back(DiscoveryHit{candidates_[i].ref, estimate.mi,
-                                estimate.sample_size, estimate.estimator});
-  }
-  return hits;
 }
 
 // ------------------------------------------------------------ Persistence

@@ -42,14 +42,6 @@ struct IndexedCandidate {
   const Sketch& sketch() const { return candidate_sketch; }
 };
 
-/// \brief One ranked answer from a discovery query.
-struct DiscoveryHit {
-  ColumnPairRef ref;
-  double mi = 0.0;
-  size_t join_size = 0;
-  MIEstimatorKind estimator = MIEstimatorKind::kMLE;
-};
-
 /// \brief Per-candidate outcomes of evaluating one query against the whole
 /// index, in candidate enumeration order.
 struct IndexEvaluation {
@@ -109,16 +101,6 @@ class SketchIndex : public Searchable {
   /// every path produces bit-identical results.
   Result<IndexEvaluation> EvaluateAll(const JoinMIQuery& query,
                                       size_t num_threads = 0) const;
-
-  /// \brief Ranks all candidates by estimated MI against the query; hits
-  /// whose sketch join is smaller than config.min_join_size are dropped
-  /// (the paper's meaningless-estimate guard). Ties break by join size,
-  /// then by candidate ref (table, key, value), then by insertion order,
-  /// so the ranking is fully deterministic — including across thread
-  /// counts and for duplicated candidates.
-  Result<std::vector<DiscoveryHit>> Query(const JoinMIQuery& query,
-                                          size_t top_k,
-                                          size_t num_threads = 0) const;
 
   // Searchable: the single-interface search path (search.h drives it).
   // `mode` is ignored — an unsharded index has no shard to lose.

@@ -199,10 +199,4 @@ Result<double> MutualInformationLaplace(const std::vector<Value>& xs,
                                   alpha);
 }
 
-double MleMIBiasApproximation(size_t m_x, size_t m_y, size_t m_xy, size_t n) {
-  return (static_cast<double>(m_x) + static_cast<double>(m_y) -
-          static_cast<double>(m_xy) - 1.0) /
-         (2.0 * static_cast<double>(n));
-}
-
 }  // namespace joinmi

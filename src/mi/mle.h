@@ -1,6 +1,5 @@
 // Plug-in (maximum likelihood) mutual information for discrete-discrete data
-// via I = H(X) + H(Y) - H(X,Y), plus bias-correction variants and the
-// closed-form bias approximation from Roulston 1999 (Equation 6 in the paper).
+// via I = H(X) + H(Y) - H(X,Y), plus bias-correction variants.
 
 #ifndef JOINMI_MI_MLE_H_
 #define JOINMI_MI_MLE_H_
@@ -44,10 +43,6 @@ Result<double> MutualInformationMillerMadow(const std::vector<Value>& xs,
 Result<double> MutualInformationLaplace(const std::vector<Value>& xs,
                                         const std::vector<Value>& ys,
                                         double alpha = 1.0);
-
-/// \brief First-order bias of the MLE MI estimator (paper Equation 6):
-/// E[I_hat] - I ~= (m_X + m_Y - m_XY - 1) / (2N).
-double MleMIBiasApproximation(size_t m_x, size_t m_y, size_t m_xy, size_t n);
 
 }  // namespace joinmi
 

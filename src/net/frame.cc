@@ -35,14 +35,11 @@ Result<FrameHeader> ParseHeader(const char (&raw)[kHeaderPrefixSize]) {
   }
   uint32_t version = 0;
   std::memcpy(&version, raw + 4, sizeof(version));
-  if (version == 1) {
-    return Status::IOError(
-        "JMRP v1 is no longer served; this build speaks only JMRP v2");
-  }
   if (version != kProtocolVersion) {
     return Status::IOError("unsupported JMRP protocol version " +
                            std::to_string(version) +
-                           " (this build speaks only JMRP v2)");
+                           " (this build speaks only JMRP v" +
+                           std::to_string(kProtocolVersion) + ")");
   }
   const uint8_t type = static_cast<uint8_t>(raw[8]);
   if (!IsKnownFrameType(type)) {
@@ -77,10 +74,10 @@ const char* FrameTypeToString(FrameType type) {
       return "sketch_upload_request";
     case FrameType::kSketchUploadResponse:
       return "sketch_upload_response";
-    case FrameType::kBatchSearchRequest:
-      return "batch_search_request";
-    case FrameType::kBatchSearchResponse:
-      return "batch_search_response";
+    case FrameType::kSearchRequest:
+      return "search_request";
+    case FrameType::kSearchResponse:
+      return "search_response";
     case FrameType::kStatsRequest:
       return "stats_request";
     case FrameType::kStatsResponse:

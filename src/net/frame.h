@@ -1,7 +1,7 @@
 // JMRP ("JoinMI RPC") framing: every message on a shard-serving connection
 // is one length-prefixed, version-tagged frame with one header layout:
 //
-//   magic "JMRP" | u32 version=2 | u8 frame_type | u32 payload_len
+//   magic "JMRP" | u32 version=3 | u8 frame_type | u32 payload_len
 //   | u64 request_id | payload_len bytes of payload
 //
 // little-endian, built on the same wire:: primitives as the sketch and
@@ -11,12 +11,11 @@
 //
 // Versioning: the protocol version rides in every frame header, so a
 // mismatched peer is rejected on the first frame either side reads,
-// whichever direction speaks first. Only version 2 is served; a version-1
-// header (the retired dialect, which had no request id) is rejected with
-// an error naming v2, and the server drops that connection. Payloads are
-// bounded by kMaxFramePayload; a length prefix past the bound is rejected
-// before any allocation, so a corrupt or hostile peer cannot make a server
-// reserve gigabytes.
+// whichever direction speaks first. Only version 3 is served; any other
+// version is rejected with one error naming v3, and the server drops that
+// connection. Payloads are bounded by kMaxFramePayload; a length prefix
+// past the bound is rejected before any allocation, so a corrupt or
+// hostile peer cannot make a server reserve gigabytes.
 //
 // request_id: responses may complete out of order (the server hands
 // frames to a worker pool and replies as results land), so every frame
@@ -37,7 +36,7 @@ namespace net {
 
 inline constexpr char kFrameMagic[4] = {'J', 'M', 'R', 'P'};
 /// The one protocol version this build speaks and accepts.
-inline constexpr uint32_t kProtocolVersion = 2;
+inline constexpr uint32_t kProtocolVersion = 3;
 /// Wire size of a complete frame header (magic + version + type + length
 /// + request id).
 inline constexpr size_t kFrameHeaderSize = 4 + 4 + 1 + 4 + 8;
@@ -59,9 +58,9 @@ enum class FrameType : uint8_t {
   /// Upload + cache the train sketch once per connection.
   kSketchUploadRequest = 8,
   kSketchUploadResponse = 9,
-  /// Many (k, min_join_size) variants against one cached sketch.
-  kBatchSearchRequest = 10,
-  kBatchSearchResponse = 11,
+  /// One (k, min_join_size) search against one cached sketch.
+  kSearchRequest = 10,
+  kSearchResponse = 11,
   /// Ask the server for its metrics snapshot (empty payload -> a Status +
   /// JSON document; see rpc::StatsResponse).
   kStatsRequest = 12,

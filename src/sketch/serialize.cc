@@ -68,7 +68,6 @@ namespace {
 
 constexpr char kMagic[4] = {'J', 'M', 'S', 'K'};
 // v1 had no hash_seed field; v2 inserts it after the side byte.
-constexpr uint32_t kLegacyVersion = 1;
 constexpr uint32_t kVersion = 2;
 
 // Value tags in the wire format.
@@ -156,7 +155,7 @@ Result<Sketch> DeserializeSketch(const std::string& data) {
   }
   uint32_t version = 0;
   JOINMI_RETURN_NOT_OK(reader.Read(&version));
-  if (version != kVersion && version != kLegacyVersion) {
+  if (version != kVersion) {
     return Status::IOError("unsupported sketch version " +
                            std::to_string(version));
   }
@@ -172,12 +171,7 @@ Result<Sketch> DeserializeSketch(const std::string& data) {
   Sketch sketch;
   sketch.method = static_cast<SketchMethod>(method);
   sketch.side = static_cast<SketchSide>(side);
-  if (version >= 2) {
-    // v1 buffers predate seed tracking and deserialize with the default
-    // seed 0. A v1 sketch actually built under a non-default seed cannot
-    // be detected — re-sketch such data to regain seed enforcement.
-    JOINMI_RETURN_NOT_OK(reader.Read(&sketch.hash_seed));
-  }
+  JOINMI_RETURN_NOT_OK(reader.Read(&sketch.hash_seed));
   uint64_t capacity = 0, source_rows = 0, distinct = 0, count = 0;
   JOINMI_RETURN_NOT_OK(reader.Read(&capacity));
   JOINMI_RETURN_NOT_OK(reader.Read(&source_rows));

@@ -12,9 +12,9 @@
 //
 // Version history: v1 lacked the hash_seed field; v2 (current) records the
 // seed so JoinSketches can enforce its same-seed precondition on
-// deserialized sketches. v1 buffers still load, with the seed assumed to be
-// the default 0 — a v1 sketch built under a custom seed is indistinguishable
-// and should be re-sketched.
+// deserialized sketches. v1 buffers are rejected: their seed is unknown,
+// so a v1 sketch could not be checked for coordination and must be
+// re-sketched.
 
 #ifndef JOINMI_SKETCH_SERIALIZE_H_
 #define JOINMI_SKETCH_SERIALIZE_H_
@@ -89,8 +89,9 @@ class Reader {
 std::string SerializeSketch(const Sketch& sketch);
 
 /// \brief Parses a serialized sketch; validates magic, version, tags, and
-/// payload bounds, so truncated or corrupted inputs fail cleanly. Reads
-/// both current (v2) and legacy (v1, seedless) buffers.
+/// payload bounds, so truncated or corrupted inputs fail cleanly. Only
+/// the current version (v2) is read; a seedless v1 buffer fails with
+/// "unsupported sketch version 1".
 Result<Sketch> DeserializeSketch(const std::string& data);
 
 /// \brief Writes a sketch to a file.

@@ -130,24 +130,24 @@ TEST(SketchIndexTest, IndexAndQueryRanksPlantedSignal) {
   EXPECT_GE(*indexed, 2u);
 
   auto query = *JoinMIQuery::Create(*train, "K", "Y", config);
-  auto hits = *index.Query(query, 10);
+  auto hits = index.SearchQuery(query, 10, 0, ShardQueryMode::kStrict)->hits;
   ASSERT_GE(hits.size(), 2u);
   // Find positions of the two candidates keyed on K.
   int good_pos = -1, noise_pos = -1;
   for (size_t i = 0; i < hits.size(); ++i) {
-    if (hits[i].ref.key_column == "K" && hits[i].ref.value_column == "good") {
+    const ColumnPairRef& ref = hits[i].candidate;
+    if (ref.key_column == "K" && ref.value_column == "good") {
       good_pos = static_cast<int>(i);
     }
-    if (hits[i].ref.key_column == "K" &&
-        hits[i].ref.value_column == "noise") {
+    if (ref.key_column == "K" && ref.value_column == "noise") {
       noise_pos = static_cast<int>(i);
     }
   }
   ASSERT_GE(good_pos, 0);
   ASSERT_GE(noise_pos, 0);
   EXPECT_LT(good_pos, noise_pos);  // planted signal ranked above noise
-  EXPECT_GT(hits[static_cast<size_t>(good_pos)].mi,
-            hits[static_cast<size_t>(noise_pos)].mi);
+  EXPECT_GT(hits[static_cast<size_t>(good_pos)].estimate.mi,
+            hits[static_cast<size_t>(noise_pos)].estimate.mi);
 }
 
 TEST(SketchIndexTest, TopKTruncates) {
@@ -167,8 +167,9 @@ TEST(SketchIndexTest, TopKTruncates) {
   JoinMIConfig query_config = config;
   query_config.min_join_size = 1;
   auto query = *JoinMIQuery::Create(*train, "K", "Y", query_config);
-  auto hits = *index.Query(query, 1);
-  EXPECT_EQ(hits.size(), 1u);
+  auto hits = index.SearchQuery(query, 1, 0, ShardQueryMode::kStrict);
+  ASSERT_TRUE(hits.ok()) << hits.status();
+  EXPECT_EQ(hits->hits.size(), 1u);
 }
 
 // ------------------------------------------------------- Open-data sim ----

@@ -74,11 +74,11 @@ TEST(EventLoopTest, EchoesFramesOnManyConnections) {
       const std::string payload =
           "conn " + std::to_string(c) + " frame " + std::to_string(q);
       ASSERT_TRUE(
-          SendFrame(&*socket, FrameType::kBatchSearchRequest, q, payload)
+          SendFrame(&*socket, FrameType::kSearchRequest, q, payload)
               .ok());
       auto echoed = RecvFrame(&*socket);
       ASSERT_TRUE(echoed.ok()) << echoed.status();
-      EXPECT_EQ(echoed->type, FrameType::kBatchSearchRequest);
+      EXPECT_EQ(echoed->type, FrameType::kSearchRequest);
       EXPECT_EQ(echoed->request_id, static_cast<uint64_t>(q));
       EXPECT_EQ(echoed->payload, payload);
     }
@@ -92,7 +92,7 @@ TEST(EventLoopTest, ResponsesCompleteOutOfOrderMatchedByRequestId) {
   // regardless of the order the responses arrive in.
   LoopFixture fixture;
   fixture.Start([&](const Frame& frame) -> std::string {
-    return EncodeFrame(FrameType::kBatchSearchResponse, frame.request_id,
+    return EncodeFrame(FrameType::kSearchResponse, frame.request_id,
                        "answer " + std::to_string(frame.request_id));
   });
 
@@ -101,9 +101,9 @@ TEST(EventLoopTest, ResponsesCompleteOutOfOrderMatchedByRequestId) {
   ASSERT_TRUE(socket->SetTimeouts(2000, 2000).ok());
   // Pipeline both requests before reading anything.
   ASSERT_TRUE(
-      SendFrame(&*socket, FrameType::kBatchSearchRequest, 1, "one").ok());
+      SendFrame(&*socket, FrameType::kSearchRequest, 1, "one").ok());
   ASSERT_TRUE(
-      SendFrame(&*socket, FrameType::kBatchSearchRequest, 2, "two").ok());
+      SendFrame(&*socket, FrameType::kSearchRequest, 2, "two").ok());
   std::map<uint64_t, std::string> answers;
   for (int i = 0; i < 2; ++i) {
     auto frame = RecvFrame(&*socket);

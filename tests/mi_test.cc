@@ -346,11 +346,6 @@ TEST(MleMITest, LaplaceShrinksEstimates) {
       MutualInformationLaplace(ToValues(xs), ToValues(ys), -1.0).ok());
 }
 
-TEST(MleMITest, BiasApproximationFormula) {
-  EXPECT_NEAR(MleMIBiasApproximation(4, 4, 16, 100),
-              (4.0 + 4.0 - 16.0 - 1.0) / 200.0, 1e-12);
-}
-
 TEST(MleMITest, ErrorsOnBadInput) {
   EXPECT_FALSE(MutualInformationMLE({}, {}).ok());
   EXPECT_FALSE(MutualInformationMLE(ToValues({1}), ToValues({1, 2})).ok());

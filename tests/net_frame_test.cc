@@ -1,9 +1,10 @@
 // Tests for the JMRP wire layer: frame decoding under truncation,
-// oversized length prefixes, bad magic/version/type tags (a retired v1
-// header included); frame transport over a real socketpair; and the typed
-// rpc message codecs (handshake, upload, batch search, health, error)
-// including their corruption rejection. The shard-serving protocol's safety against a corrupt or
-// hostile peer lives entirely in these decoders.
+// oversized length prefixes, bad magic/version/type tags (retired v1 and
+// v2 headers included); frame transport over a real socketpair; and the
+// typed rpc message codecs (handshake, upload, search, health, error)
+// including their corruption rejection. The shard-serving protocol's
+// safety against a corrupt or hostile peer lives entirely in these
+// decoders.
 
 #include <gtest/gtest.h>
 
@@ -33,8 +34,8 @@ TEST(FrameCodecTest, RoundTripsEveryType) {
        {FrameType::kHandshakeRequest, FrameType::kHandshakeResponse,
         FrameType::kHealthRequest, FrameType::kHealthResponse,
         FrameType::kError, FrameType::kSketchUploadRequest,
-        FrameType::kSketchUploadResponse, FrameType::kBatchSearchRequest,
-        FrameType::kBatchSearchResponse, FrameType::kStatsRequest,
+        FrameType::kSketchUploadResponse, FrameType::kSearchRequest,
+        FrameType::kSearchResponse, FrameType::kStatsRequest,
         FrameType::kStatsResponse, FrameType::kReloadRequest,
         FrameType::kReloadResponse}) {
     const uint64_t id = 0x1122334455667788ULL;
@@ -58,7 +59,7 @@ TEST(FrameCodecTest, RoundTripsEmptyPayload) {
 }
 
 TEST(FrameCodecTest, RejectsBadMagic) {
-  std::string encoded = EncodeFrame(FrameType::kBatchSearchRequest, 1, "x");
+  std::string encoded = EncodeFrame(FrameType::kSearchRequest, 1, "x");
   encoded[0] = 'X';
   auto decoded = DecodeFrame(encoded);
   ASSERT_FALSE(decoded.ok());
@@ -67,28 +68,29 @@ TEST(FrameCodecTest, RejectsBadMagic) {
 
 TEST(FrameCodecTest, RejectsWrongProtocolVersion) {
   for (uint32_t bogus : {0u, net::kProtocolVersion + 1}) {
-    std::string encoded = EncodeFrame(FrameType::kBatchSearchRequest, 1, "x");
+    std::string encoded = EncodeFrame(FrameType::kSearchRequest, 1, "x");
     std::memcpy(&encoded[4], &bogus, sizeof(bogus));
     auto decoded = DecodeFrame(encoded);
     ASSERT_FALSE(decoded.ok()) << bogus;
     EXPECT_NE(decoded.status().message().find("version"), std::string::npos)
         << decoded.status();
   }
-  // The retired dialect gets a message that says so and names v2.
-  std::string v1 = EncodeFrame(FrameType::kHealthRequest, 0, "");
-  const uint32_t one = 1;
-  std::memcpy(&v1[4], &one, sizeof(one));
-  auto decoded = DecodeFrame(v1);
-  ASSERT_FALSE(decoded.ok());
-  EXPECT_NE(decoded.status().message().find("JMRP v1 is no longer served"),
-            std::string::npos)
-      << decoded.status();
-  EXPECT_NE(decoded.status().message().find("v2"), std::string::npos)
-      << decoded.status();
+  // Both retired dialects get the one unsupported-version message, which
+  // names the version this build speaks.
+  for (uint32_t retired : {1u, 2u}) {
+    std::string old = EncodeFrame(FrameType::kHealthRequest, 0, "");
+    std::memcpy(&old[4], &retired, sizeof(retired));
+    auto decoded = DecodeFrame(old);
+    ASSERT_FALSE(decoded.ok()) << retired;
+    EXPECT_EQ(decoded.status().message(),
+              "unsupported JMRP protocol version " +
+                  std::to_string(retired) +
+                  " (this build speaks only JMRP v3)");
+  }
 }
 
 TEST(FrameCodecTest, RejectsUnknownFrameType) {
-  std::string encoded = EncodeFrame(FrameType::kBatchSearchRequest, 1, "x");
+  std::string encoded = EncodeFrame(FrameType::kSearchRequest, 1, "x");
   // Below the first valid tag, the two retired search tags, and above the
   // last valid tag.
   for (char tag : {0, 3, 4, 16, 99}) {
@@ -100,7 +102,7 @@ TEST(FrameCodecTest, RejectsUnknownFrameType) {
 TEST(FrameCodecTest, RejectsTruncationAtEveryLength) {
   // Covers every field boundary: bytes 13..20 are the request_id.
   const std::string encoded =
-      EncodeFrame(FrameType::kBatchSearchRequest, 77, "some payload bytes");
+      EncodeFrame(FrameType::kSearchRequest, 77, "some payload bytes");
   for (size_t len = 0; len < encoded.size(); ++len) {
     EXPECT_FALSE(DecodeFrame(encoded.substr(0, len)).ok()) << len;
   }
@@ -115,7 +117,7 @@ TEST(FrameCodecTest, RejectsTrailingBytes) {
 TEST(FrameCodecTest, RejectsOversizedLengthPrefix) {
   // A header whose declared payload length exceeds the hard bound must be
   // rejected before any allocation happens — craft it by hand.
-  std::string encoded = EncodeFrame(FrameType::kBatchSearchRequest, 1, "");
+  std::string encoded = EncodeFrame(FrameType::kSearchRequest, 1, "");
   const uint32_t huge = net::kMaxFramePayload + 1;
   std::memcpy(&encoded[9], &huge, sizeof(huge));
   auto decoded = DecodeFrame(encoded);
@@ -130,7 +132,7 @@ TEST(FrameCodecTest, SendRefusesOversizedPayload) {
   std::string big;
   big.resize(net::kMaxFramePayload + 1);
   const Status status =
-      net::SendFrame(&invalid, FrameType::kBatchSearchRequest, 1, big);
+      net::SendFrame(&invalid, FrameType::kSearchRequest, 1, big);
   ASSERT_FALSE(status.ok());
   EXPECT_TRUE(status.IsInvalidArgument());
 }
@@ -156,14 +158,14 @@ TEST(FrameTransportTest, SendsAndReceivesOverSocketPair) {
   SocketPair pair = MakeSocketPair();
   const std::string payload(100000, 'q');  // bigger than one segment
   std::thread sender([&pair, &payload] {
-    ASSERT_TRUE(net::SendFrame(&pair.a, FrameType::kBatchSearchResponse,
+    ASSERT_TRUE(net::SendFrame(&pair.a, FrameType::kSearchResponse,
                                31337, payload)
                     .ok());
   });
   auto frame = net::RecvFrame(&pair.b);
   sender.join();
   ASSERT_TRUE(frame.ok()) << frame.status();
-  EXPECT_EQ(frame->type, FrameType::kBatchSearchResponse);
+  EXPECT_EQ(frame->type, FrameType::kSearchResponse);
   EXPECT_EQ(frame->request_id, 31337u);
   EXPECT_EQ(frame->payload, payload);
 }
@@ -334,7 +336,7 @@ TEST(RpcMessageTest, HealthAndErrorRoundTrip) {
 TEST(FrameAssemblerTest, AssemblesFramesFedByteAtATime) {
   const std::string stream =
       EncodeFrame(FrameType::kSketchUploadRequest, 4, "first") +
-      EncodeFrame(FrameType::kBatchSearchRequest, 5, "second") +
+      EncodeFrame(FrameType::kSearchRequest, 5, "second") +
       EncodeFrame(FrameType::kHealthRequest, 6, "");
   net::FrameAssembler assembler;
   std::vector<Frame> frames;
@@ -349,7 +351,7 @@ TEST(FrameAssemblerTest, AssemblesFramesFedByteAtATime) {
   EXPECT_EQ(frames[0].type, FrameType::kSketchUploadRequest);
   EXPECT_EQ(frames[0].request_id, 4u);
   EXPECT_EQ(frames[0].payload, "first");
-  EXPECT_EQ(frames[1].type, FrameType::kBatchSearchRequest);
+  EXPECT_EQ(frames[1].type, FrameType::kSearchRequest);
   EXPECT_EQ(frames[1].request_id, 5u);
   EXPECT_EQ(frames[1].payload, "second");
   EXPECT_EQ(frames[2].type, FrameType::kHealthRequest);
@@ -359,7 +361,7 @@ TEST(FrameAssemblerTest, AssemblesFramesFedByteAtATime) {
 TEST(FrameAssemblerTest, DrainsManyFramesFromOneFeed) {
   std::string stream;
   for (uint64_t id = 0; id < 20; ++id) {
-    stream += EncodeFrame(FrameType::kBatchSearchRequest, id,
+    stream += EncodeFrame(FrameType::kSearchRequest, id,
                           std::string(id, 'x'));
   }
   net::FrameAssembler assembler;
@@ -393,7 +395,7 @@ Status ExpectPoisoned(const std::string& bad) {
 }
 
 TEST(FrameAssemblerTest, PoisonsOnCorruptHeaderAndStaysPoisoned) {
-  std::string bad_magic = EncodeFrame(FrameType::kBatchSearchRequest, 1, "x");
+  std::string bad_magic = EncodeFrame(FrameType::kSearchRequest, 1, "x");
   bad_magic[0] = 'Z';
   ExpectPoisoned(bad_magic);
   // A retired v1 header poisons the stream as soon as its version field
@@ -402,12 +404,12 @@ TEST(FrameAssemblerTest, PoisonsOnCorruptHeaderAndStaysPoisoned) {
   const uint32_t one = 1;
   std::memcpy(&v1[4], &one, sizeof(one));
   const Status status = ExpectPoisoned(v1.substr(0, 13));
-  EXPECT_NE(status.message().find("JMRP v1 is no longer served"),
+  EXPECT_NE(status.message().find("unsupported JMRP protocol version 1"),
             std::string::npos)
       << status;
 }
 
-// --------------------------------------------- Upload and batch codecs
+// -------------------------------------------- Upload and search codecs
 
 TEST(RpcMessageTest, SketchUploadRoundTripsAndRejectsCorruption) {
   rpc::SketchUploadRequest request;
@@ -434,84 +436,47 @@ TEST(RpcMessageTest, SketchUploadRoundTripsAndRejectsCorruption) {
   EXPECT_EQ(decoded_ack->digest, 42u);
 }
 
-TEST(RpcMessageTest, BatchSearchRequestRoundTripsZeroOneAndDuplicates) {
-  for (size_t count : {0u, 1u, 3u}) {
-    rpc::BatchSearchRequest request;
-    request.sketch_digest = 0xfeedbeef;
-    for (size_t i = 0; i < count; ++i) {
-      rpc::BatchSearchVariant variant;
-      variant.k = 4;             // duplicates on purpose when count == 3
-      variant.min_join_size = 16;
-      request.variants.push_back(variant);
-    }
-    const std::string payload = rpc::EncodeBatchSearchRequest(request);
-    auto decoded = rpc::DecodeBatchSearchRequest(payload);
-    ASSERT_TRUE(decoded.ok()) << decoded.status();
-    EXPECT_EQ(decoded->sketch_digest, 0xfeedbeefu);
-    ASSERT_EQ(decoded->variants.size(), count);
-    for (const auto& variant : decoded->variants) {
-      EXPECT_EQ(variant.k, 4u);
-      EXPECT_EQ(variant.min_join_size, 16u);
-    }
-    for (size_t len = 0; len < payload.size(); ++len) {
-      EXPECT_FALSE(
-          rpc::DecodeBatchSearchRequest(payload.substr(0, len)).ok())
-          << count << ":" << len;
-    }
-    EXPECT_FALSE(rpc::DecodeBatchSearchRequest(payload + "x").ok());
+TEST(RpcMessageTest, SearchRequestRoundTripsAndRejectsCorruption) {
+  rpc::SearchRequest request;
+  request.sketch_digest = 0xfeedbeef;
+  request.k = 4;
+  request.min_join_size = 16;
+  const std::string payload = rpc::EncodeSearchRequest(request);
+  EXPECT_EQ(payload.size(), 24u);
+  auto decoded = rpc::DecodeSearchRequest(payload);
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  EXPECT_EQ(decoded->sketch_digest, 0xfeedbeefu);
+  EXPECT_EQ(decoded->k, 4u);
+  EXPECT_EQ(decoded->min_join_size, 16u);
+  for (size_t len = 0; len < payload.size(); ++len) {
+    EXPECT_FALSE(rpc::DecodeSearchRequest(payload.substr(0, len)).ok())
+        << len;
   }
+  EXPECT_FALSE(rpc::DecodeSearchRequest(payload + "x").ok());
 }
 
-TEST(RpcMessageTest, BatchSearchRequestRejectsLyingVariantCount) {
-  rpc::BatchSearchRequest request;
-  request.sketch_digest = 1;
-  const std::string payload = rpc::EncodeBatchSearchRequest(request);
-  std::string lying = payload;
-  const uint32_t huge = ~0u;
-  std::memcpy(&lying[lying.size() - 4], &huge, sizeof(huge));
-  EXPECT_FALSE(rpc::DecodeBatchSearchRequest(lying).ok());
-}
-
-TEST(RpcMessageTest, BatchSearchResponseRoundTripsNestedResponses) {
-  rpc::BatchSearchResponse response;
-  response.status = Status::OK();
-  rpc::SearchResponse one;
-  one.status = Status::OK();
-  one.result.num_candidates = 3;
+TEST(RpcMessageTest, SearchResponseFrameRoundTrips) {
+  rpc::SearchResponse response;
+  response.result.num_candidates = 3;
   ShardSearchHit hit;
   hit.global_index = 9;
   hit.ref = ColumnPairRef{"t", "k", "v"};
   hit.estimate.mi = 2.5;
-  one.result.hits.push_back(hit);
-  response.responses.push_back(one);
-  rpc::SearchResponse two;
-  two.status = Status::OutOfRange("small join");
-  response.responses.push_back(two);
-
-  const std::string payload = rpc::EncodeBatchSearchResponse(response);
-  auto decoded = rpc::DecodeBatchSearchResponse(payload);
+  response.result.hits.push_back(hit);
+  const std::string encoded = EncodeFrame(
+      FrameType::kSearchResponse, 21, rpc::EncodeSearchResponse(response));
+  auto frame = DecodeFrame(encoded);
+  ASSERT_TRUE(frame.ok()) << frame.status();
+  EXPECT_EQ(frame->type, FrameType::kSearchResponse);
+  EXPECT_EQ(frame->request_id, 21u);
+  auto decoded = rpc::DecodeSearchResponse(frame->payload);
   ASSERT_TRUE(decoded.ok()) << decoded.status();
   ASSERT_TRUE(decoded->status.ok());
-  ASSERT_EQ(decoded->responses.size(), 2u);
-  ASSERT_EQ(decoded->responses[0].result.hits.size(), 1u);
-  EXPECT_EQ(decoded->responses[0].result.hits[0].global_index, 9u);
-  EXPECT_EQ(decoded->responses[0].result.hits[0].estimate.mi, 2.5);
-  EXPECT_TRUE(decoded->responses[1].status.IsOutOfRange());
-
-  for (size_t len = 0; len < payload.size(); ++len) {
-    EXPECT_FALSE(
-        rpc::DecodeBatchSearchResponse(payload.substr(0, len)).ok())
-        << len;
-  }
-
-  // A batch-level error carries no nested responses.
-  rpc::BatchSearchResponse failed;
-  failed.status = Status::InvalidArgument("unknown digest");
-  auto decoded_failed =
-      rpc::DecodeBatchSearchResponse(rpc::EncodeBatchSearchResponse(failed));
-  ASSERT_TRUE(decoded_failed.ok());
-  EXPECT_TRUE(decoded_failed->status.IsInvalidArgument());
-  EXPECT_TRUE(decoded_failed->responses.empty());
+  EXPECT_EQ(decoded->result.num_candidates, 3u);
+  ASSERT_EQ(decoded->result.hits.size(), 1u);
+  EXPECT_EQ(decoded->result.hits[0].global_index, 9u);
+  EXPECT_EQ(decoded->result.hits[0].ref.ToString(), hit.ref.ToString());
+  EXPECT_EQ(decoded->result.hits[0].estimate.mi, 2.5);
 }
 
 }  // namespace

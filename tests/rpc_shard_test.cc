@@ -121,6 +121,24 @@ void ExpectBitIdentical(const TopKSearchResult& expected,
   }
 }
 
+void ExpectShardBitIdentical(const ShardSearchResult& expected,
+                             const ShardSearchResult& actual) {
+  EXPECT_EQ(expected.num_candidates, actual.num_candidates);
+  EXPECT_EQ(expected.num_evaluated, actual.num_evaluated);
+  EXPECT_EQ(expected.num_skipped, actual.num_skipped);
+  EXPECT_EQ(expected.num_errors, actual.num_errors);
+  ASSERT_EQ(expected.hits.size(), actual.hits.size());
+  for (size_t i = 0; i < expected.hits.size(); ++i) {
+    EXPECT_EQ(expected.hits[i].global_index, actual.hits[i].global_index)
+        << i;
+    EXPECT_EQ(expected.hits[i].ref.table_name, actual.hits[i].ref.table_name)
+        << i;
+    EXPECT_EQ(expected.hits[i].estimate.mi, actual.hits[i].estimate.mi) << i;
+    EXPECT_EQ(expected.hits[i].estimate.sample_size,
+              actual.hits[i].estimate.sample_size) << i;
+  }
+}
+
 /// A shard deployment: shard files + manifest on disk, one ShardServer
 /// per shard on an ephemeral loopback port, endpoints in shard order.
 struct Deployment {
@@ -228,7 +246,7 @@ TEST(RpcShardTest, RpcRankingsBitIdenticalToLocalForEveryKPolicyThreads) {
   for (ShardPartitionPolicy policy :
        {ShardPartitionPolicy::kRoundRobin,
         ShardPartitionPolicy::kHashByDataset}) {
-    for (size_t num_shards : {1u, 2u, 7u}) {
+    for (size_t num_shards : {1u, 2u, 3u, 7u}) {
       Deployment deployment;
       StartDeployment(index, num_shards, policy,
                       std::string("agree_") +
@@ -255,6 +273,22 @@ TEST(RpcShardTest, RpcRankingsBitIdenticalToLocalForEveryKPolicyThreads) {
           ExpectBitIdentical(*via_local, *via_rpc);
           EXPECT_TRUE(via_rpc->shard_failures.empty());
         }
+      }
+
+      // min_join_size travels in the search request rather than with the
+      // shard: a query relaxed to 1 must answer remotely exactly as it
+      // does in process.
+      JoinMIConfig relaxed = index.config();
+      relaxed.min_join_size = 1;
+      auto relaxed_query =
+          JoinMIQuery::Create(*universe.base, "K", "Y", relaxed);
+      ASSERT_TRUE(relaxed_query.ok()) << relaxed_query.status();
+      for (size_t k : {1u, 3u, 7u}) {
+        auto via_local = local->Search(*relaxed_query, k, 1);
+        ASSERT_TRUE(via_local.ok()) << via_local.status();
+        auto via_rpc = remote->Search(*relaxed_query, k, 1);
+        ASSERT_TRUE(via_rpc.ok()) << via_rpc.status();
+        ExpectShardBitIdentical(*via_local, *via_rpc);
       }
     }
   }
@@ -709,25 +743,7 @@ TEST(RpcShardTest, SearchRejectsQueryConfigDrift) {
   ASSERT_TRUE(relaxed_result.ok()) << relaxed_result.status();
 }
 
-// ---------------------------------------------- JMRP v2: pipelining
-
-void ExpectShardBitIdentical(const ShardSearchResult& expected,
-                             const ShardSearchResult& actual) {
-  EXPECT_EQ(expected.num_candidates, actual.num_candidates);
-  EXPECT_EQ(expected.num_evaluated, actual.num_evaluated);
-  EXPECT_EQ(expected.num_skipped, actual.num_skipped);
-  EXPECT_EQ(expected.num_errors, actual.num_errors);
-  ASSERT_EQ(expected.hits.size(), actual.hits.size());
-  for (size_t i = 0; i < expected.hits.size(); ++i) {
-    EXPECT_EQ(expected.hits[i].global_index, actual.hits[i].global_index)
-        << i;
-    EXPECT_EQ(expected.hits[i].ref.table_name, actual.hits[i].ref.table_name)
-        << i;
-    EXPECT_EQ(expected.hits[i].estimate.mi, actual.hits[i].estimate.mi) << i;
-    EXPECT_EQ(expected.hits[i].estimate.sample_size,
-              actual.hits[i].estimate.sample_size) << i;
-  }
-}
+// ------------------------------------------------------- Pipelining
 
 TEST(RpcShardTest, PipelinedChannelOverlapsQueriesOnOneConnection) {
   // pool_size 1: a single TCP connection, shared by 8 concurrent router
@@ -785,66 +801,6 @@ TEST(RpcShardTest, PipelinedChannelOverlapsQueriesOnOneConnection) {
   EXPECT_EQ(deployment.servers[0]->sketch_uploads_served(), 1u);
   EXPECT_EQ(deployment.servers[0]->requests_served(),
             num_threads * queries_per_thread);
-}
-
-TEST(RpcShardTest, BatchedVariantsBitIdenticalAcrossShardsAndPolicies) {
-  // One sketch upload, one batch frame per shard, many (k, min_join_size)
-  // variants — each element must equal both the local batched answer and
-  // an individual remote Search under that variant's parameters.
-  Universe universe = MakeUniverse();
-  SketchIndex index(MakeIndexConfig());
-  ASSERT_TRUE(index.IndexRepository(universe.repository).ok());
-
-  const std::vector<ShardSearchVariant> variants = {
-      {1, 16}, {3, 16}, {3, 1}, {7, 16}, {3, 16} /* duplicate on purpose */};
-
-  for (ShardPartitionPolicy policy :
-       {ShardPartitionPolicy::kRoundRobin,
-        ShardPartitionPolicy::kHashByDataset}) {
-    for (size_t num_shards : {1u, 3u}) {
-      Deployment deployment;
-      StartDeployment(index, num_shards, policy,
-                      std::string("batch_") +
-                          ShardPartitionPolicyToString(policy) + "_" +
-                          std::to_string(num_shards),
-                      &deployment);
-      auto local = ShardedSketchIndex::Load(deployment.manifest_path);
-      ASSERT_TRUE(local.ok()) << local.status();
-      auto remote = ShardedSketchIndex::Load(
-          deployment.manifest_path,
-          RpcShardClient::Factory(deployment.endpoints, FastTimeouts()));
-      ASSERT_TRUE(remote.ok()) << remote.status();
-
-      auto query =
-          JoinMIQuery::Create(*universe.base, "K", "Y", index.config());
-      ASSERT_TRUE(query.ok());
-      auto local_batch = local->SearchVariants(*query, variants, 1);
-      ASSERT_TRUE(local_batch.ok()) << local_batch.status();
-      auto remote_batch = remote->SearchVariants(*query, variants, 1);
-      ASSERT_TRUE(remote_batch.ok()) << remote_batch.status();
-      ASSERT_EQ(remote_batch->size(), variants.size());
-      for (size_t i = 0; i < variants.size(); ++i) {
-        ExpectShardBitIdentical((*local_batch)[i], (*remote_batch)[i]);
-      }
-      // The duplicate variant answers identically to its twin.
-      ExpectShardBitIdentical((*remote_batch)[1], (*remote_batch)[4]);
-      // Cross-check one variant against the single-search path under a
-      // query rebuilt with that variant's min_join_size.
-      JoinMIConfig relaxed = index.config();
-      relaxed.min_join_size = 1;
-      auto relaxed_query =
-          JoinMIQuery::Create(*universe.base, "K", "Y", relaxed);
-      ASSERT_TRUE(relaxed_query.ok());
-      auto single = remote->Search(*relaxed_query, 3, 1);
-      ASSERT_TRUE(single.ok()) << single.status();
-      ExpectShardBitIdentical(*single, (*remote_batch)[2]);
-
-      // Empty batch short-circuits without a frame.
-      auto empty = remote->SearchVariants(*query, {}, 1);
-      ASSERT_TRUE(empty.ok());
-      EXPECT_TRUE(empty->empty());
-    }
-  }
 }
 
 TEST(RpcShardTest, DistinctQueriesBeyondOneConnectionsSketchCache) {

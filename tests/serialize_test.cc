@@ -197,7 +197,9 @@ std::string EncodeV1(const Sketch& sketch) {
   return out;
 }
 
-TEST(SerializeTest, ReadsLegacyV1BuffersWithDefaultSeed) {
+TEST(SerializeTest, RejectsSeedlessV1Buffers) {
+  // v1 predates seed tracking: loading it would hide the seed the sketch
+  // was built under from every coordination check, so it is refused.
   Sketch sketch;
   sketch.method = SketchMethod::kTupsk;
   sketch.side = SketchSide::kCandidate;
@@ -207,10 +209,8 @@ TEST(SerializeTest, ReadsLegacyV1BuffersWithDefaultSeed) {
   sketch.entries.push_back(SketchEntry{3, 0.25, Value(int64_t{10})});
   sketch.entries.push_back(SketchEntry{8, 0.5, Value(int64_t{20})});
   auto restored = DeserializeSketch(EncodeV1(sketch));
-  ASSERT_TRUE(restored.ok()) << restored.status();
-  // v1 predates seed tracking; the default seed 0 is assumed on load.
-  EXPECT_EQ(restored->hash_seed, 0u);
-  ExpectSketchesEqual(sketch, *restored);
+  ASSERT_FALSE(restored.ok());
+  EXPECT_EQ(restored.status().message(), "unsupported sketch version 1");
 }
 
 TEST(SerializeTest, MismatchedSeedSketchesRefuseToJoin) {

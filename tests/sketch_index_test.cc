@@ -80,17 +80,26 @@ JoinMIConfig MakeIndexConfig() {
   return config;
 }
 
-void ExpectSameHits(const std::vector<DiscoveryHit>& a,
-                    const std::vector<DiscoveryHit>& b) {
+/// The index's own ranking: (MI desc, insertion index asc).
+std::vector<SearchHit> Rank(const SketchIndex& index, const JoinMIQuery& query,
+                            size_t k, size_t num_threads) {
+  auto result =
+      index.SearchQuery(query, k, num_threads, ShardQueryMode::kStrict);
+  EXPECT_TRUE(result.ok()) << result.status();
+  return result.ok() ? result->hits : std::vector<SearchHit>{};
+}
+
+void ExpectSameHits(const std::vector<SearchHit>& a,
+                    const std::vector<SearchHit>& b) {
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].ref.table_name, b[i].ref.table_name) << i;
-    EXPECT_EQ(a[i].ref.key_column, b[i].ref.key_column) << i;
-    EXPECT_EQ(a[i].ref.value_column, b[i].ref.value_column) << i;
+    EXPECT_EQ(a[i].candidate.table_name, b[i].candidate.table_name) << i;
+    EXPECT_EQ(a[i].candidate.key_column, b[i].candidate.key_column) << i;
+    EXPECT_EQ(a[i].candidate.value_column, b[i].candidate.value_column) << i;
     // Bit-exact: the estimate pipeline is fully seeded.
-    EXPECT_EQ(a[i].mi, b[i].mi) << i;
-    EXPECT_EQ(a[i].join_size, b[i].join_size) << i;
-    EXPECT_EQ(a[i].estimator, b[i].estimator) << i;
+    EXPECT_EQ(a[i].estimate.mi, b[i].estimate.mi) << i;
+    EXPECT_EQ(a[i].estimate.sample_size, b[i].estimate.sample_size) << i;
+    EXPECT_EQ(a[i].estimate.estimator, b[i].estimate.estimator) << i;
   }
 }
 
@@ -101,19 +110,18 @@ TEST(SketchIndexQueryTest, ThreadCountDoesNotChangeTheRanking) {
   ASSERT_TRUE(index.IndexRepository(universe.repository).ok());
   ASSERT_EQ(index.size(), 3u);
   auto query = *JoinMIQuery::Create(*universe.base, "K", "Y", config);
-  auto serial = *index.Query(query, 10, /*num_threads=*/1);
+  auto serial = Rank(index, query, 10, /*num_threads=*/1);
   ASSERT_EQ(serial.size(), 3u);
-  EXPECT_EQ(serial[0].ref.table_name, "exact");
+  EXPECT_EQ(serial[0].candidate.table_name, "exact");
   for (size_t num_threads : {2u, 4u, 8u, 0u}) {
-    auto parallel = *index.Query(query, 10, num_threads);
-    ExpectSameHits(serial, parallel);
+    ExpectSameHits(serial, Rank(index, query, 10, num_threads));
   }
 }
 
 TEST(SketchIndexQueryTest, DuplicatedCandidatesKeepInsertionOrder) {
-  // The determinism satellite: exact duplicates tie on MI, join size, AND
-  // ref, so only the insertion index separates them — the ranking must be
-  // reproducible for any thread count regardless.
+  // Exact duplicates tie on MI and join size, so only the insertion index
+  // separates them — the ranking must be reproducible for any thread
+  // count regardless.
   Universe universe = MakeUniverse();
   const JoinMIConfig config = MakeIndexConfig();
   SketchIndex index(config);
@@ -123,35 +131,14 @@ TEST(SketchIndexQueryTest, DuplicatedCandidatesKeepInsertionOrder) {
     ASSERT_TRUE(index.AddCandidate(*exact, ref).ok());
   }
   auto query = *JoinMIQuery::Create(*universe.base, "K", "Y", config);
-  auto serial = *index.Query(query, 10, 1);
+  auto serial = Rank(index, query, 10, 1);
   ASSERT_EQ(serial.size(), 4u);
   for (size_t i = 1; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i].mi, serial[0].mi);
-    EXPECT_EQ(serial[i].join_size, serial[0].join_size);
+    EXPECT_EQ(serial[i].estimate.mi, serial[0].estimate.mi);
+    EXPECT_EQ(serial[i].estimate.sample_size, serial[0].estimate.sample_size);
   }
   for (size_t num_threads : {2u, 4u, 0u}) {
-    ExpectSameHits(serial, *index.Query(query, 10, num_threads));
-  }
-}
-
-TEST(SketchIndexQueryTest, TiesBreakOnCandidateRef) {
-  // Identical tables registered under different names produce exactly equal
-  // (mi, join_size); the ranking must follow ref order — table name here —
-  // even though the candidates were inserted in the reverse order.
-  Universe universe = MakeUniverse();
-  const JoinMIConfig config = MakeIndexConfig();
-  auto exact = *universe.repository.GetTable("exact");
-  SketchIndex index(config);
-  ASSERT_TRUE(index.AddCandidate(*exact, {"twin_b", "K", "V"}).ok());
-  ASSERT_TRUE(index.AddCandidate(*exact, {"twin_a", "K", "V"}).ok());
-  auto query = *JoinMIQuery::Create(*universe.base, "K", "Y", config);
-  for (size_t num_threads : {1u, 4u}) {
-    auto hits = *index.Query(query, 2, num_threads);
-    ASSERT_EQ(hits.size(), 2u);
-    EXPECT_EQ(hits[0].mi, hits[1].mi);
-    EXPECT_EQ(hits[0].join_size, hits[1].join_size);
-    EXPECT_EQ(hits[0].ref.table_name, "twin_a");
-    EXPECT_EQ(hits[1].ref.table_name, "twin_b");
+    ExpectSameHits(serial, Rank(index, query, 10, num_threads));
   }
 }
 
@@ -281,7 +268,7 @@ TEST(SketchIndexSeedTest, QueryWithMismatchedSeedIsRejected) {
   JoinMIConfig other_seed = config;
   other_seed.hash_seed = 7;
   auto query = *JoinMIQuery::Create(*universe.base, "K", "Y", other_seed);
-  auto hits = index.Query(query, 10, 1);
+  auto hits = index.SearchQuery(query, 10, 1, ShardQueryMode::kStrict);
   ASSERT_FALSE(hits.ok());
   EXPECT_TRUE(hits.status().IsInvalidArgument());
 }
@@ -337,11 +324,11 @@ TEST(SketchIndexPersistenceTest, FileRoundTripPreservesQueryResults) {
   // A query against the loaded index must reproduce the in-memory results
   // exactly — the whole point of persisting sketches across processes.
   auto query = *JoinMIQuery::Create(*universe.base, "K", "Y", config);
-  auto before = *index.Query(query, 10, 1);
-  auto after = *loaded->Query(query, 10, 1);
+  auto before = Rank(index, query, 10, 1);
+  auto after = Rank(*loaded, query, 10, 1);
   ExpectSameHits(before, after);
   ASSERT_GE(before.size(), 1u);
-  EXPECT_EQ(before[0].ref.table_name, "exact");
+  EXPECT_EQ(before[0].candidate.table_name, "exact");
 
   EXPECT_FALSE(ReadIndexFile("/no/such/dir/index.bin").ok());
 }

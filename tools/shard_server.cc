@@ -206,9 +206,9 @@ int main(int argc, char** argv) {
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
   }
   // Shutdown stats go to stderr (stdout may be a pipe a supervisor already
-  // stopped reading): searches are query traffic only (single and batch
-  // frames — handshakes and health probes no longer inflate the count),
-  // handshakes count distinct client connections, so a failover drill's
+  // stopped reading): searches are query traffic only (handshakes and
+  // health probes are counted apart), handshakes count distinct client
+  // connections, so a failover drill's
   // logs show whether this replica actually took traffic.
   std::fprintf(stderr,
                "shard %ld shutting down: %llu searches served "
