@@ -67,9 +67,10 @@
 // the pre-flattening per-candidate path (unordered_map probes, per-join
 // sample/set builds) on an amortized-probe workload where almost nothing
 // joins — reporting per-query cost, the batched speedup, allocations per
-// query via a global operator-new counter, the no-join probe's cost per
-// candidate against JoinSketches, MixedKSG's brute force against its
-// tree oracle at n = 40, and the heap bytes the index holds per candidate.
+// query via a global operator-new counter, the no-join cost per candidate
+// of the scoring kernel's probe (against JoinSketches) and of the index's
+// key postings, MixedKSG's brute force against its tree oracle at n = 40,
+// and the heap bytes the index holds per candidate.
 //
 // Part 8 is the front tier: Router::Open over the simulated open-data
 // repository (opendata_sim), hammered with a skewed-popularity query
@@ -1114,8 +1115,8 @@ void RunFrontTier(const BenchParams& params, bool smoke, Rng* rng) {
               "the excess deterministically instead of queueing it)\n");
 }
 
-// Part 9: the scoring hot path — what do the contiguous key-hash column,
-// the per-query bucket-directory probe, batched strip scoring and the
+// Part 9: the scoring hot path — what do the index's key postings, the
+// per-query bucket-directory probe, batched strip scoring and the
 // branch-free brute-force k-NN buy, and how many heap bytes does the index
 // hold per candidate?
 //
@@ -1129,9 +1130,9 @@ void RunFrontTier(const BenchParams& params, bool smoke, Rng* rng) {
 //   legacy  — the pre-flattening production path, replicated verbatim:
 //             per-candidate std::unordered_map probe, per-join sample
 //             vectors and matched-key unordered_set;
-//   batched — production SketchIndex::EvaluateAll (strips of the scoring
-//             kernel over the key-hash column, train runs and their bucket
-//             directory built once per query, thread-local scratch).
+//   batched — production SketchIndex::EvaluateAll (the train runs look up
+//             the index's key postings, then strips of the scoring tail
+//             over the candidates that join, thread-local scratch).
 //
 // Both are cross-checked bit-identical before any timing, every query. Timed single-threaded: this measures the probe path itself, not
 // the thread pool (the CI container has 1 CPU anyway).
@@ -1335,13 +1336,14 @@ void RunFlatHotPath(const BenchParams& params, size_t threads, bool smoke,
   }
 
   // Steady-state probe-phase cost, isolated from scoring: a query whose
-  // key domain overlaps no candidate exercises the full probe sweep (every
-  // candidate walked, every key looked up) while every candidate skips
-  // below min_join_size — so nothing downstream of the probe runs. This is
-  // also the dominant shape at scale: almost nothing joins. The sweep runs
-  // over its own index of many full-capacity candidates: over the 24 of
-  // the smoke index, a branch predictor learns the whole sweep and a
-  // branchy merge times like the bucket probe.
+  // key domain overlaps no candidate makes every candidate skip below
+  // min_join_size, so nothing downstream of the probe runs. The kernel's
+  // probe still walks every key of every candidate; the index's postings
+  // look up only the query's keys. This is also the dominant shape at
+  // scale: almost nothing joins. The sweep runs over its own index of many
+  // full-capacity candidates: over the 24 of the smoke index, a branch
+  // predictor learns the whole sweep and a branchy merge times like the
+  // bucket probe.
   const size_t probe_candidates = smoke ? 512 : 1024;
   const size_t probe_rows = 2 * params.sketch_capacity;
   SketchIndex probe_index(config);
@@ -1397,22 +1399,55 @@ void RunFlatHotPath(const BenchParams& params, size_t threads, bool smoke,
                           probe_allocs_before) /
       static_cast<double>(probe_passes);
 
-  // The probe's cost per candidate, and its speed against the JoinSketches
-  // reference join (a hash map per candidate) over the same no-join
-  // sweep. Rounds alternate the two and each keeps its fastest, so a
-  // neighbour's burst on a shared runner skews neither.
+  // The no-join sweep three ways: the scoring kernel's bucket-directory
+  // probe (ScoreMergeJoin, which paged shards and JoinMIQuery::Estimate
+  // run per candidate) over columns built before the timer, the index's
+  // key postings (EvaluateAll), and the JoinSketches reference join (a
+  // hash map per candidate). The probe is timed against the reference;
+  // the postings are reported beside it. Rounds alternate the three and
+  // each keeps its fastest, so a neighbour's burst on a shared runner
+  // skews none.
+  std::vector<uint64_t> probe_keys;
+  std::vector<uint64_t> probe_words;
+  std::vector<CandidateColumns> probe_columns;
+  for (const IndexedCandidate& candidate : probe_index.candidates()) {
+    AppendCandidateKeys(candidate.sketch(), &probe_keys)
+        .Abort("part 9 probe columns");
+    CandidateColumns columns;
+    columns.types = AppendValueWords(candidate.sketch(), &probe_words);
+    columns.size = candidate.sketch().size();
+    probe_columns.push_back(columns);
+  }
+  for (size_t c = 0, offset = 0; c < probe_columns.size(); ++c) {
+    probe_columns[c].keys = probe_keys.data() + offset;
+    probe_columns[c].value_words = probe_words.data() + offset;
+    offset += probe_columns[c].size;
+  }
   const size_t timed_passes = 4;
   double probe_ms = std::numeric_limits<double>::infinity();
+  double postings_ms = std::numeric_limits<double>::infinity();
   double reference_ms = std::numeric_limits<double>::infinity();
+  size_t probe_joined = 0;
   size_t reference_joined = 0;
   for (int round = 0; round < 5; ++round) {
     const auto probe_start = std::chrono::steady_clock::now();
     for (size_t pass = 0; pass < timed_passes; ++pass) {
-      probe_index.EvaluateAll(nojoin_query, 1)
-          .status()
-          .Abort("part 9 probe pass");
+      for (size_t c = 0; c < probe_columns.size(); ++c) {
+        const MergeJoinScore score = ScoreMergeJoin(
+            nojoin_query.train_sketch(), nojoin_query.train_runs(),
+            probe_index.candidates()[c].sketch(), probe_columns[c],
+            config.estimator, config.mi_options, config.min_join_size);
+        probe_joined += score.join_size;
+      }
     }
     probe_ms = std::min(probe_ms, MillisSince(probe_start));
+    const auto postings_start = std::chrono::steady_clock::now();
+    for (size_t pass = 0; pass < timed_passes; ++pass) {
+      probe_index.EvaluateAll(nojoin_query, 1)
+          .status()
+          .Abort("part 9 postings pass");
+    }
+    postings_ms = std::min(postings_ms, MillisSince(postings_start));
     const auto reference_start = std::chrono::steady_clock::now();
     for (size_t pass = 0; pass < timed_passes; ++pass) {
       for (const IndexedCandidate& candidate : probe_index.candidates()) {
@@ -1424,12 +1459,15 @@ void RunFlatHotPath(const BenchParams& params, size_t threads, bool smoke,
     }
     reference_ms = std::min(reference_ms, MillisSince(reference_start));
   }
-  if (reference_joined != 0) {
-    std::fprintf(stderr, "FATAL: part 9 no-join reference joined something\n");
+  if (probe_joined != 0 || reference_joined != 0) {
+    std::fprintf(stderr, "FATAL: part 9 no-join probe or reference joined "
+                         "something\n");
     std::abort();
   }
-  const double probe_ns_per_candidate =
-      probe_ms * 1e6 / static_cast<double>(timed_passes * probe_index.size());
+  const double per_candidate_ns =
+      1e6 / static_cast<double>(timed_passes * probe_index.size());
+  const double probe_ns_per_candidate = probe_ms * per_candidate_ns;
+  const double postings_ns_per_candidate = postings_ms * per_candidate_ns;
   const double probe_speedup = reference_ms / probe_ms;
 
   // The estimator kernel: MixedKSG (k = 3) by brute force against its
@@ -1527,9 +1565,11 @@ void RunFlatHotPath(const BenchParams& params, size_t threads, bool smoke,
   std::printf("batched at x%-2zu (warm shared pool) : %.1f allocs/query\n",
               threads, xt_allocs_per_query);
   std::printf("probe phase only (no-join query) : %.1f allocs/query across "
-              "%zu candidates, %.0f ns/candidate, %.1fx vs JoinSketches\n",
+              "%zu candidates; ScoreMergeJoin probe %.0f ns/candidate, "
+              "%.1fx vs JoinSketches; index postings %.1f ns/candidate\n",
               probe_allocs_per_query, probe_index.size(),
-              probe_ns_per_candidate, probe_speedup);
+              probe_ns_per_candidate, probe_speedup,
+              postings_ns_per_candidate);
   std::printf("MixedKSG k=3, n=%zu (%zu samples)   : brute (%d lanes) %.2f "
               "us vs trees %.2f us per estimate, %.2fx (2 lanes %.2fx)\n",
               kKsgPoints, kKsgSamples, ksg_lanes,
@@ -1539,8 +1579,8 @@ void RunFlatHotPath(const BenchParams& params, size_t threads, bool smoke,
   std::printf("index heap                        : %.0f bytes/candidate "
               "(%zu entries/candidate)\n",
               index_bytes_per_candidate, index_entries / index.size());
-  std::printf("(steady state: the batched path's probe scratch is reused "
-              "thread-local storage, so a full probe sweep allocates O(1) — "
+  std::printf("(steady state: the batched path's postings scratch is reused "
+              "thread-local storage, so a no-join sweep allocates O(1) — "
               "the outcome vectors — regardless of candidate count; the "
               "allocs/query above are dominated by the few candidates that "
               "actually reach the estimator)\n");
@@ -1557,6 +1597,7 @@ void RunFlatHotPath(const BenchParams& params, size_t threads, bool smoke,
   RecordMetric("part9_probe_allocs_per_query", probe_allocs_per_query);
   RecordMetric("part9_probe_ns_per_candidate", probe_ns_per_candidate);
   RecordMetric("part9_probe_speedup", probe_speedup);
+  RecordMetric("part9_postings_ns_per_candidate", postings_ns_per_candidate);
   RecordMetric("part9_index_bytes_per_candidate", index_bytes_per_candidate);
   // The brute-force kernel instantiation the CPU dispatched to (4 lanes
   // with AVX2, else 2). Ungated itself: bench_check.py gates the

@@ -21,11 +21,23 @@ Status JoinMIConfig::Validate() const {
   return Status::OK();
 }
 
+Status CheckQueryConfig(const JoinMIConfig& query,
+                        const JoinMIConfig& served) {
+  JoinMIConfig comparable = served;
+  comparable.min_join_size = query.min_join_size;
+  if (query == comparable) return Status::OK();
+  return Status::InvalidArgument(
+      "query config (" + query.ToString() + ") disagrees with the served " +
+      served.ToString() +
+      " beyond min_join_size — it would be answered under the wrong "
+      "configuration");
+}
+
 std::string JoinMIConfig::ToString() const {
   return StrFormat(
-      "JoinMIConfig{sketch=%s, n=%zu, agg=%s, estimator=%s, k=%d, "
-      "min_join_size=%zu}",
-      SketchMethodToString(sketch_method), sketch_capacity,
+      "JoinMIConfig{sketch=%s, n=%zu, seed=%u, agg=%s, estimator=%s, "
+      "k=%d, min_join_size=%zu}",
+      SketchMethodToString(sketch_method), sketch_capacity, hash_seed,
       AggKindToString(aggregation),
       estimator.has_value() ? MIEstimatorKindToString(*estimator) : "auto",
       mi_options.k, min_join_size);

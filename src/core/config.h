@@ -70,6 +70,12 @@ struct JoinMIConfig {
   }
 };
 
+/// \brief Checks that a query built under `query` may be answered by an
+/// index or shard configured with `served`: every field but min_join_size
+/// must match, since those change sketches or estimates, while the floor
+/// travels with each request. Returns InvalidArgument otherwise.
+Status CheckQueryConfig(const JoinMIConfig& query, const JoinMIConfig& served);
+
 /// \brief Size in bytes of the config wire layout below. The layout is
 /// fixed-width, so formats with fixed-size headers (e.g. the "JMPS" paged
 /// shard file) can embed a config block at a known offset.

@@ -65,15 +65,10 @@ Result<ShardSearchResult> PagedShardClient::Search(const JoinMIQuery& query,
   if (k == 0) {
     return Status::InvalidArgument("shard search requires k >= 1");
   }
-  // Same whole-shard fail-fast as SketchIndex::EvaluateAll: a seed
-  // mismatch is one configuration error, not num_records() hard errors.
-  if (query.train_sketch().hash_seed != config().hash_seed) {
-    return Status::InvalidArgument(
-        "query sketch hash seed " +
-        std::to_string(query.train_sketch().hash_seed) +
-        " does not match index hash seed " +
-        std::to_string(config().hash_seed));
-  }
+  // Same whole-shard fail-fast as SketchIndex::EvaluateAll: config drift
+  // is one configuration error, not num_records() hard errors or answers
+  // under the wrong estimator.
+  JOINMI_RETURN_NOT_OK(CheckQueryConfig(query.config(), config()));
 
   // The outcome taxonomy matches the in-memory path, with one paged-only
   // case folded into "hard error": a record whose page fails checksum on

@@ -164,18 +164,11 @@ Result<ShardSearchResult> RpcShardClient::Search(const JoinMIQuery& query,
   if (k == 0) {
     return Status::InvalidArgument("shard search requires k >= 1");
   }
-  // Everything except min_join_size must match the shard's config: those
-  // fields change estimates, and only min_join_size travels per request.
-  // Rejecting here keeps "RPC == local, byte for byte" honest.
-  JoinMIConfig comparable = config_;
-  comparable.min_join_size = query.config().min_join_size;
-  if (query.config() != comparable) {
-    return Status::InvalidArgument(
-        "query config (" + query.config().ToString() +
-        ") disagrees with shard server " + endpoint_.ToString() +
-        "'s config (" + config_.ToString() +
-        ") beyond min_join_size — the shard would answer under the wrong "
-        "configuration");
+  // Rejecting drift here keeps "RPC == local, byte for byte" honest.
+  const Status drift = CheckQueryConfig(query.config(), config_);
+  if (!drift.ok()) {
+    return Status::InvalidArgument("shard server " + endpoint_.ToString() +
+                                   ": " + drift.message());
   }
   Status last = Status::IOError("no attempt made");
   int attempt = 0;

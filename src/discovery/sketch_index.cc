@@ -1,12 +1,41 @@
 #include "src/discovery/sketch_index.h"
 
+#include <algorithm>
 #include <cstring>
+#include <limits>
+#include <memory>
 #include <utility>
 
 #include "src/discovery/topk_merge.h"
+#include "src/mi/estimator_internal.h"
 #include "src/sketch/serialize.h"
 
 namespace joinmi {
+
+namespace {
+
+constexpr uint32_t kNoPosting = std::numeric_limits<uint32_t>::max();
+
+// Grows `v`'s capacity to at least `n`, geometrically.
+template <typename T>
+void ReserveAtLeast(std::vector<T>& v, size_t n) {
+  if (v.capacity() < n) v.reserve(std::max(n, 2 * v.capacity()));
+}
+
+// EvaluateAll's per-query scratch.
+struct PostingScratch {
+  // Per train run: its key's index in the postings, or kNoPosting.
+  std::vector<uint32_t> run_postings;
+  // Per candidate: its join size; its first match, or kNoPosting below
+  // the floor; and its match count, then one past its last match.
+  std::vector<uint32_t> join_sizes, match_begins, match_ends;
+  // The candidates at or above the floor, ascending.
+  std::vector<uint32_t> scored;
+  // Each scored candidate's matches, in ascending key order.
+  std::vector<RunMatch> matches;
+};
+
+}  // namespace
 
 Status SketchIndex::AddCandidate(const Table& table,
                                  const ColumnPairRef& ref) {
@@ -20,28 +49,42 @@ Status SketchIndex::AddCandidate(const Table& table,
   return AddSketch(ref, std::move(sketch));
 }
 
-Status SketchIndex::AddSketch(const ColumnPairRef& ref, Sketch sketch) {
+Status SketchIndex::Append(const ColumnPairRef& ref, Sketch sketch) {
   if (sketch.hash_seed != config_.hash_seed) {
     return Status::InvalidArgument(
         "sketch for " + ref.ToString() + " was built with hash seed " +
         std::to_string(sketch.hash_seed) + ", index config uses " +
         std::to_string(config_.hash_seed));
   }
-  const size_t offset = key_hashes_.size();
-  const Status keys = AppendCandidateKeys(sketch, &key_hashes_);
-  if (!keys.ok()) {
-    key_hashes_.resize(offset);
-    return keys;
+  JOINMI_RETURN_NOT_OK(CheckCandidateKeys(sketch));
+  // The postings address candidates and entries in 32 bits.
+  constexpr size_t kMaxPostings = std::numeric_limits<uint32_t>::max();
+  if (candidates_.size() >= kMaxPostings ||
+      sketch.size() > kMaxPostings - value_words_.size()) {
+    return Status::InvalidArgument(
+        "adding " + ref.ToString() +
+        " would exceed the index's 2^32 - 1 candidates or entries");
   }
-  key_offsets_.push_back(key_hashes_.size());
   value_types_.push_back(AppendValueWords(sketch, &value_words_));
+  entry_offsets_.push_back(value_words_.size());
   candidates_.push_back(IndexedCandidate{ref, std::move(sketch)});
+  postings_state_.current.store(false);
+  return Status::OK();
+}
+
+Status SketchIndex::AddSketch(const ColumnPairRef& ref, Sketch sketch) {
+  JOINMI_RETURN_NOT_OK(Append(ref, std::move(sketch)));
+  const size_t entries = value_words_.size();
+  ReserveAtLeast(posting_keys_, entries);
+  ReserveAtLeast(posting_begin_, entries + 1);
+  ReserveAtLeast(postings_, entries);
+  ReserveAtLeast(posting_buckets_, (size_t{1} << BucketBits(entries)) + 1);
   return Status::OK();
 }
 
 void SketchIndex::Reserve(size_t candidates) {
   candidates_.reserve(candidates);
-  key_offsets_.reserve(candidates + 1);
+  entry_offsets_.reserve(candidates + 1);
   value_types_.reserve(candidates);
 }
 
@@ -57,34 +100,175 @@ Result<size_t> SketchIndex::IndexRepository(
   return indexed;
 }
 
+void SketchIndex::BuildPostings() const {
+  if (postings_state_.current.load()) return;
+  std::lock_guard<std::mutex> lock(postings_state_.build);
+  if (postings_state_.current.load()) return;
+  RebuildPostings();
+  postings_state_.current.store(true);
+}
+
+void SketchIndex::RebuildPostings() const {
+  // Counting sort of every entry by its key's top bits: a bucket then holds
+  // its entries in candidate order, and Mix64 keys spread so evenly that
+  // sorting each bucket by key is a few compares.
+  const size_t total = value_words_.size();
+  const unsigned bits = BucketBits(total);
+  const unsigned shift = 64 - bits;
+  std::vector<uint32_t> bucket_end((size_t{1} << bits) + 1, 0);
+  for (const IndexedCandidate& candidate : candidates_) {
+    for (const SketchEntry& entry : candidate.sketch().entries) {
+      ++bucket_end[(entry.key_hash >> shift) + 1];
+    }
+  }
+  for (size_t b = 1; b < bucket_end.size(); ++b) {
+    bucket_end[b] += bucket_end[b - 1];
+  }
+  struct KeyedPosting {
+    uint64_t key;
+    Posting posting;
+  };
+  std::unique_ptr<KeyedPosting[]> sorted(new KeyedPosting[total]);
+  for (uint32_t c = 0; c < candidates_.size(); ++c) {
+    const std::vector<SketchEntry>& entries = candidates_[c].sketch().entries;
+    for (uint32_t j = 0; j < entries.size(); ++j) {
+      const uint64_t key = entries[j].key_hash;
+      sorted[bucket_end[key >> shift]++] = KeyedPosting{key, Posting{c, j}};
+    }
+  }
+  // bucket_end[b] now ends bucket b. A candidate holds a key at most once,
+  // so (key, candidate) orders a bucket totally, keeping each key's
+  // postings in candidate order. A key's postings share its bucket.
+  size_t distinct = 0;
+  uint32_t begin = 0;
+  for (size_t b = 0; b + 1 < bucket_end.size(); ++b) {
+    const uint32_t end = bucket_end[b];
+    if (end - begin > 1) {
+      std::sort(sorted.get() + begin, sorted.get() + end,
+                [](const KeyedPosting& x, const KeyedPosting& y) {
+                  return x.key != y.key ? x.key < y.key
+                                        : x.posting.candidate <
+                                              y.posting.candidate;
+                });
+    }
+    for (uint32_t i = begin; i < end; ++i) {
+      distinct += i == begin || sorted[i].key != sorted[i - 1].key;
+    }
+    begin = end;
+  }
+
+  // The distinct keys and each one's postings, within the capacity
+  // AddSketch reserved, or allocated to their exact size by a loader's
+  // first build.
+  posting_keys_.clear();
+  posting_keys_.reserve(distinct);
+  posting_begin_.clear();
+  posting_begin_.reserve(distinct + 1);
+  postings_.clear();
+  postings_.reserve(total);
+  for (uint32_t i = 0; i < total; ++i) {
+    if (i == 0 || sorted[i].key != sorted[i - 1].key) {
+      posting_keys_.push_back(sorted[i].key);
+      posting_begin_.push_back(i);
+    }
+    postings_.push_back(sorted[i].posting);
+  }
+  posting_begin_.push_back(static_cast<uint32_t>(total));
+  posting_buckets_.clear();
+  posting_shift_ = BuildBucketDirectory(
+      posting_keys_.data(), distinct, BucketBits(distinct), &posting_buckets_);
+}
+
 Result<IndexEvaluation> SketchIndex::EvaluateAll(const JoinMIQuery& query,
                                                  size_t num_threads) const {
-  // The per-join seed check would catch this candidate by candidate, but a
-  // whole-index mismatch is a configuration error worth one clear failure
-  // instead of size() identical ones counted as errors.
-  if (query.train_sketch().hash_seed != config_.hash_seed) {
-    return Status::InvalidArgument(
-        "query sketch hash seed " +
-        std::to_string(query.train_sketch().hash_seed) +
-        " does not match index hash seed " +
-        std::to_string(config_.hash_seed));
-  }
-  std::vector<internal::CandidateOutcome> outcomes(candidates_.size());
-  internal::ForEachCandidateStrip(
-      candidates_.size(), num_threads,
-      [this, &query, &outcomes](size_t begin, size_t end) {
-        for (size_t c = begin; c < end; ++c) {
-          CandidateColumns columns;
-          columns.keys = key_hashes_.data() + key_offsets_[c];
-          columns.value_words = value_words_.data() + key_offsets_[c];
-          columns.size = key_offsets_[c + 1] - key_offsets_[c];
-          columns.types = value_types_[c];
-          outcomes[c].Record(ScoreMergeJoin(
-              query.train_sketch(), query.train_runs(),
-              candidates_[c].sketch(), columns, config_.estimator,
-              config_.mi_options, config_.min_join_size));
+  // A drifted query is one configuration error, worth one clear failure
+  // instead of size() identical errors or estimates under the wrong
+  // estimator.
+  JOINMI_RETURN_NOT_OK(CheckQueryConfig(query.config(), config_));
+  BuildPostings();
+  const TrainKeyRuns& runs = query.train_runs();
+  const size_t count = candidates_.size();
+  const size_t num_runs = runs.keys.size();
+  std::vector<internal::CandidateOutcome> outcomes(count);
+  // No candidate matches more keys than the train has runs: the bound
+  // ScoreMergeJoin keeps its per-candidate matches under.
+  internal::WithScratch<PostingScratch>(num_runs, [&](PostingScratch& s) {
+    // Pass 1: each train run's postings add its length to the join size of
+    // every candidate holding its key.
+    s.run_postings.resize(num_runs);
+    s.join_sizes.assign(count, 0);
+    s.match_ends.assign(count, 0);
+    const bool any_keys = !posting_keys_.empty();
+    for (size_t r = 0; r < num_runs; ++r) {
+      const uint64_t key = runs.keys[r];
+      uint32_t found = kNoPosting;
+      if (any_keys) {
+        const uint64_t b = key >> posting_shift_;
+        for (uint32_t p = posting_buckets_[b]; p < posting_buckets_[b + 1];
+             ++p) {
+          if (posting_keys_[p] < key) continue;
+          if (posting_keys_[p] == key) found = p;
+          break;
         }
-      });
+      }
+      s.run_postings[r] = found;
+      if (found == kNoPosting) continue;
+      const uint32_t length = runs.spans[r].second - runs.spans[r].first;
+      for (uint32_t q = posting_begin_[found]; q < posting_begin_[found + 1];
+           ++q) {
+        const uint32_t c = postings_[q].candidate;
+        s.join_sizes[c] += length;
+        ++s.match_ends[c];
+      }
+    }
+
+    // Candidates below the floor are skipped untouched; the rest get a
+    // slice of the match buffer.
+    s.match_begins.resize(count);
+    s.scored.clear();
+    uint32_t total = 0;
+    for (uint32_t c = 0; c < count; ++c) {
+      if (s.join_sizes[c] < config_.min_join_size) {
+        outcomes[c].skipped = true;
+        s.match_begins[c] = kNoPosting;
+        continue;
+      }
+      s.scored.push_back(c);
+      s.match_begins[c] = total;
+      total += s.match_ends[c];
+      s.match_ends[c] = s.match_begins[c];
+    }
+
+    // Pass 2: the scored candidates' matches, each candidate's in
+    // ascending key order — the order its probe would emit them in.
+    if (s.matches.size() < total) s.matches.resize(total);
+    for (size_t r = 0; r < num_runs && total > 0; ++r) {
+      const uint32_t p = s.run_postings[r];
+      if (p == kNoPosting) continue;
+      const std::pair<uint32_t, uint32_t> span = runs.spans[r];
+      for (uint32_t q = posting_begin_[p]; q < posting_begin_[p + 1]; ++q) {
+        const Posting posting = postings_[q];
+        if (s.match_begins[posting.candidate] == kNoPosting) continue;
+        s.matches[s.match_ends[posting.candidate]++] =
+            RunMatch{span.first, span.second, posting.entry};
+      }
+    }
+
+    internal::ForEachCandidateStrip(
+        s.scored.size(), num_threads, [&](size_t begin, size_t end) {
+          for (size_t i = begin; i < end; ++i) {
+            const uint32_t c = s.scored[i];
+            CandidateColumns columns;
+            columns.value_words = value_words_.data() + entry_offsets_[c];
+            columns.types = value_types_[c];
+            const uint32_t first = s.match_begins[c];
+            outcomes[c].Record(GatherAndScore(
+                query.train_sketch(), runs, candidates_[c].sketch(), columns,
+                s.matches.data() + first, s.match_ends[c] - first,
+                s.join_sizes[c], config_.estimator, config_.mi_options));
+          }
+        });
+  });
   IndexEvaluation evaluation;
   evaluation.estimates.reserve(outcomes.size());
   for (internal::CandidateOutcome& outcome : outcomes) {
@@ -191,14 +375,15 @@ Result<SketchIndex> DeserializeIndex(const std::string& data) {
     if (!st.ok()) return where(st);
     auto sketch = DeserializeSketch(blob);
     if (!sketch.ok()) return where(sketch.status());
-    // AddSketch re-validates seed agreement and candidate-side invariants,
+    // Append re-validates seed agreement and candidate-side invariants,
     // so a tampered or mismatched payload cannot produce a poisoned index.
-    st = index.AddSketch(std::move(ref), std::move(*sketch));
+    st = index.Append(std::move(ref), std::move(*sketch));
     if (!st.ok()) return where(st);
   }
   if (!reader.AtEnd()) {
     return Status::IOError("trailing bytes after index payload");
   }
+  index.BuildPostings();
   return index;
 }
 

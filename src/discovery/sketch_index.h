@@ -4,12 +4,13 @@
 // deployment shape motivating the paper (Sections I, III, V-C).
 //
 // The index is the persisted backbone of that deployment: each candidate is
-// stored once, as its sketch, next to contiguous columns of every
-// candidate's key hashes and value words that the scoring kernel probes
-// and gathers from; queries fan out across a thread pool with a
-// deterministic merge, and the whole index (config + provenance +
-// sketches) serializes to a versioned binary format so it can be built
-// offline and served after a restart.
+// stored once, as its sketch, next to a contiguous column of every
+// candidate's value words that the scoring kernel gathers from and an
+// inverted directory from each key hash to the candidates holding it, so a
+// query touches only the candidates its keys reach; queries fan out across
+// a thread pool with a deterministic merge, and the whole index (config +
+// provenance + sketches) serializes to a versioned binary format so it can
+// be built offline and served after a restart.
 //
 // On-disk format (little-endian, version-tagged):
 //   magic "JMIX" | u32 version
@@ -24,6 +25,9 @@
 #ifndef JOINMI_DISCOVERY_SKETCH_INDEX_H_
 #define JOINMI_DISCOVERY_SKETCH_INDEX_H_
 
+#include <atomic>
+#include <cstdint>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -76,8 +80,14 @@ class SketchIndex : public Searchable {
   /// Rejects sketches whose hash seed disagrees with the index config —
   /// they could never join a query sketched under this config — and
   /// train-side sketches or key hashes that do not strictly ascend (one
-  /// linear pass catches duplicates and unsorted entries alike).
+  /// linear pass catches duplicates and unsorted entries alike). The key
+  /// postings go stale until the next BuildPostings or EvaluateAll.
   Status AddSketch(const ColumnPairRef& ref, Sketch sketch);
+
+  /// \brief Brings the key postings up to date if an add made them stale,
+  /// so no EvaluateAll has to; loaders call it before the index serves.
+  /// Safe to call concurrently with EvaluateAll.
+  void BuildPostings() const;
 
   /// \brief Reserves room for `candidates` candidates in total, so adding
   /// that many grows no per-candidate array (the loader knows the count).
@@ -92,13 +102,18 @@ class SketchIndex : public Searchable {
   /// through ParallelFor (`num_threads` 0 = DefaultThreadCount(), 1 =
   /// inline).
   /// Outcomes land in enumeration order, so results never depend on the
-  /// thread count. Fails fast on a query/index hash-seed mismatch.
+  /// thread count. Fails fast when the query's config differs from the
+  /// index's in anything but min_join_size (CheckQueryConfig).
   ///
-  /// Hot path: candidates are scored in strips of 8 by ScoreMergeJoin,
-  /// which looks each key of a candidate's slice of the key-hash column up
-  /// in the query's train-key bucket directory (built once per query). It
-  /// is the kernel `query.Estimate(sketch)` and paged shards call too, so
-  /// every path produces bit-identical results.
+  /// Hot path: the query's train runs, in ascending key order, look their
+  /// keys up in the index's key postings, which sums every candidate's
+  /// join size and collects its matches in ascending key order without
+  /// touching a candidate its keys miss. Candidates below the index's
+  /// min_join_size are skipped there; the rest are scored in strips of 8
+  /// by GatherAndScore, the tail `query.Estimate(sketch)` and paged shards
+  /// reach through ScoreMergeJoin's per-candidate probe, so every path
+  /// produces bit-identical results. The first call after an add builds
+  /// the postings (BuildPostings); concurrent calls are safe.
   Result<IndexEvaluation> EvaluateAll(const JoinMIQuery& query,
                                       size_t num_threads = 0) const;
 
@@ -110,28 +125,69 @@ class SketchIndex : public Searchable {
                                        ShardQueryMode mode) const override;
 
  private:
+  friend Result<SketchIndex> DeserializeIndex(const std::string& data);
+
+  // AddSketch without reserving for a later lazy build: a loader builds
+  // the postings itself, at their exact size.
+  Status Append(const ColumnPairRef& ref, Sketch sketch);
+  // Rebuilds the postings from every candidate's keys.
+  void RebuildPostings() const;
+
+  // One candidate entry holding a key: candidates_[candidate]'s sketch
+  // entry `entry`.
+  struct Posting {
+    uint32_t candidate;
+    uint32_t entry;
+  };
+
+  // Whether the postings match the candidates. It moves with the index; a
+  // moved index gets a fresh mutex.
+  struct PostingsState {
+    std::atomic<bool> current{true};
+    std::mutex build;
+
+    PostingsState() = default;
+    PostingsState(PostingsState&& other) noexcept
+        : current(other.current.load()) {}
+    PostingsState& operator=(PostingsState&& other) noexcept {
+      current.store(other.current.load());
+      return *this;
+    }
+  };
+
   JoinMIConfig config_;
   std::vector<IndexedCandidate> candidates_;
-  // Every candidate's key hashes back to back, so the probe reads a dense
-  // u64 array; candidate c's slice is [key_offsets_[c],
-  // key_offsets_[c + 1]), which gives the probe its length without
-  // touching the sketch. The keys are thus held twice (8 bytes per entry)
-  // on purpose: reading them at the 56-byte SketchEntry stride instead
-  // made the bucket-directory probe 2-3x slower per candidate
-  // (ScoreMergeJoin alone over 1536 no-join candidates of 256 keys, 8
-  // alternating runs on a 4-vCPU Xeon: best 646 vs 1520 ns).
-  std::vector<uint64_t> key_hashes_;
-  std::vector<size_t> key_offsets_{0};
-  // One value word per entry, at the same offsets, and one ValueTypes per
-  // candidate (AppendValueWords): the word is the double's bits when all
-  // of the candidate's values are numeric and Value::Hash() otherwise, so
-  // the gather reads a matched value's number or hash from this column
-  // and its types from the summary, never touching the 56-byte
-  // SketchEntry the value sits in (that read was ~24% of single-thread
-  // evaluate time on discovery_bench dense_join). Only a candidate whose
-  // values mix types or hold a null still reads its entries.
+  // One value word per entry, candidate c's at [entry_offsets_[c],
+  // entry_offsets_[c + 1]), and one ValueTypes per candidate
+  // (AppendValueWords): the word is the double's bits when all of the
+  // candidate's values are numeric and Value::Hash() otherwise, so the
+  // gather reads a matched value's number or hash from this column and its
+  // types from the summary, never touching the 56-byte SketchEntry the
+  // value sits in (that read was ~24% of single-thread evaluate time on
+  // discovery_bench dense_join). Only a candidate whose values mix types or
+  // hold a null still reads its entries.
+  std::vector<size_t> entry_offsets_{0};
   std::vector<uint64_t> value_words_;
   std::vector<ValueTypes> value_types_;
+  // The key postings: every distinct candidate key hash in ascending order,
+  // key p's postings at [posting_begin_[p], posting_begin_[p + 1]) of
+  // postings_ in candidate order, and a bucket directory over the keys
+  // (BuildBucketDirectory, one bucket per key) that a train run looks its
+  // key up in. A train run's postings give every candidate holding its
+  // key, so a query reads the postings of its ~256 keys instead of probing
+  // all 256 keys of every candidate: on discovery_bench sparse_lake, where
+  // ~4% of candidates join, that probe cost 424 ns per candidate and the
+  // postings pass costs 25. The keys are held here once, not also in a
+  // per-candidate column. Built by counting sort (RebuildPostings) in
+  // loaders, or by the first evaluate after an add. AddSketch reserves
+  // every array for the case of all keys distinct, so a lazy build never
+  // allocates index memory under a reader.
+  mutable std::vector<uint64_t> posting_keys_;
+  mutable std::vector<uint32_t> posting_begin_{0};
+  mutable std::vector<Posting> postings_;
+  mutable std::vector<uint32_t> posting_buckets_;
+  mutable unsigned posting_shift_ = 0;
+  mutable PostingsState postings_state_;
 };
 
 /// \brief Serializes the index (config, refs, sketches) to a binary string.
@@ -139,7 +195,7 @@ std::string SerializeIndex(const SketchIndex& index);
 
 /// \brief Parses a serialized index; validates magic, version, enum tags,
 /// and every embedded sketch, so corrupted inputs fail cleanly. The
-/// candidate key-hash and value-word columns are rebuilt on load.
+/// value-word column and the key postings are rebuilt on load.
 Result<SketchIndex> DeserializeIndex(const std::string& data);
 
 /// \brief Writes the index to a file.

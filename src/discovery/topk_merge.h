@@ -36,7 +36,11 @@ struct CandidateOutcome {
       skipped = true;
       return;
     }
-    const Result<SketchMIResult>& scored = *score.scored;
+    Record(*score.scored);
+  }
+
+  /// \brief Records a candidate that reached the scoring tail.
+  void Record(const Result<SketchMIResult>& scored) {
     if (scored.ok()) {
       estimate = JoinMIEstimate{scored->mi, scored->estimator,
                                 scored->join_size, /*sketched=*/true};

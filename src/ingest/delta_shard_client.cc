@@ -109,6 +109,7 @@ Result<std::unique_ptr<ShardClient>> LoadDeltaOverlay(
         delta_index.AddSketch(candidate.ref, std::move(candidate.sketch)));
     delta_globals.push_back(record.global_index);
   }
+  delta_index.BuildPostings();
   JOINMI_ASSIGN_OR_RETURN(
       std::unique_ptr<LocalShardClient> delta_client,
       LocalShardClient::Create(std::move(delta_index),

@@ -138,16 +138,6 @@ Result<SketchMIResult> EstimateSketchMI(const Sketch& train,
                                options, min_join_size);
 }
 
-Result<SketchMIResult> EstimateSketchMIAuto(const Sketch& train,
-                                            const Sketch& candidate,
-                                            const MIOptions& options,
-                                            size_t min_join_size) {
-  JOINMI_ASSIGN_OR_RETURN(SketchJoinResult joined,
-                          JoinSketches(train, candidate));
-  return ScoreSketchJoinSample(joined.sample, joined.join_size, std::nullopt,
-                               options, min_join_size);
-}
-
 Result<TrainKeyRuns> TrainKeyRuns::Build(const Sketch& train) {
   if (train.entries.size() > std::numeric_limits<uint32_t>::max()) {
     return Status::InvalidArgument("train sketch exceeds the run index limit");
@@ -166,20 +156,10 @@ Result<TrainKeyRuns> TrainKeyRuns::Build(const Sketch& train) {
     runs.spans.emplace_back(i, end);
     i = end;
   }
-  unsigned bits = 3;
-  while (bits < 16 && (size_t{1} << bits) < 8 * runs.keys.size()) ++bits;
-  runs.bucket_shift = 64 - bits;
-  // Keys ascend, so bucket indices do too: bucket b begins at the first
-  // run whose bucket is >= b.
-  const size_t num_buckets = size_t{1} << bits;
-  runs.bucket_begin.resize(num_buckets + 1);
-  uint32_t r = 0;
-  for (size_t b = 0; b <= num_buckets; ++b) {
-    while (r < runs.keys.size() && (runs.keys[r] >> runs.bucket_shift) < b) {
-      ++r;
-    }
-    runs.bucket_begin[b] = r;
-  }
+  runs.bucket_shift =
+      BuildBucketDirectory(runs.keys.data(), runs.keys.size(),
+                           BucketBits(8 * runs.keys.size()),
+                           &runs.bucket_begin);
   runs.hashes.reserve(entries.size());
   runs.numbers.reserve(entries.size());
   for (const SketchEntry& entry : entries) {
@@ -190,8 +170,29 @@ Result<TrainKeyRuns> TrainKeyRuns::Build(const Sketch& train) {
   return runs;
 }
 
-Status AppendCandidateKeys(const Sketch& candidate,
-                           std::vector<uint64_t>* keys) {
+unsigned BucketBits(size_t min_buckets) {
+  unsigned bits = 3;
+  while (bits < 16 && (size_t{1} << bits) < min_buckets) ++bits;
+  return bits;
+}
+
+unsigned BuildBucketDirectory(const uint64_t* keys, size_t count,
+                              unsigned bits,
+                              std::vector<uint32_t>* bucket_begin) {
+  const unsigned shift = 64 - bits;
+  // Keys ascend, so bucket indices do too: bucket b begins at the first
+  // key whose bucket is >= b.
+  const size_t num_buckets = size_t{1} << bits;
+  bucket_begin->resize(num_buckets + 1);
+  uint32_t i = 0;
+  for (size_t b = 0; b <= num_buckets; ++b) {
+    while (i < count && (keys[i] >> shift) < b) ++i;
+    (*bucket_begin)[b] = i;
+  }
+  return shift;
+}
+
+Status CheckCandidateKeys(const Sketch& candidate) {
   if (candidate.side != SketchSide::kCandidate) {
     return Status::InvalidArgument(
         "expected a candidate-side sketch, got a train sketch");
@@ -201,8 +202,8 @@ Status AppendCandidateKeys(const Sketch& candidate,
     return Status::InvalidArgument(
         "candidate sketch exceeds the scoring kernel's entry limit");
   }
-  for (size_t i = 0; i < entries.size(); ++i) {
-    if (i > 0 && entries[i].key_hash <= entries[i - 1].key_hash) {
+  for (size_t i = 1; i < entries.size(); ++i) {
+    if (entries[i].key_hash <= entries[i - 1].key_hash) {
       if (entries[i].key_hash == entries[i - 1].key_hash) {
         return Status::InvalidArgument(
             "candidate sketch has duplicate keys; was it built as a train "
@@ -211,7 +212,15 @@ Status AppendCandidateKeys(const Sketch& candidate,
       return Status::InvalidArgument(
           "candidate sketch entries are not sorted by key_hash");
     }
-    keys->push_back(entries[i].key_hash);
+  }
+  return Status::OK();
+}
+
+Status AppendCandidateKeys(const Sketch& candidate,
+                           std::vector<uint64_t>* keys) {
+  JOINMI_RETURN_NOT_OK(CheckCandidateKeys(candidate));
+  for (const SketchEntry& entry : candidate.entries) {
+    keys->push_back(entry.key_hash);
   }
   return Status::OK();
 }
@@ -234,13 +243,6 @@ ValueTypes AppendValueWords(const Sketch& candidate,
 
 namespace {
 
-// A matched train run [begin, end) and the candidate entry it joins.
-struct RunMatch {
-  uint32_t begin;
-  uint32_t end;
-  uint32_t local;
-};
-
 struct MatchScratch {
   std::vector<RunMatch> matches;
 };
@@ -261,8 +263,8 @@ void EnsureSize(std::vector<T>& v, size_t n) {
   if (v.size() < n) v.resize(n);
 }
 
-// The gather and scoring tail of ScoreMergeJoin, on `num_matches` probe
-// matches totalling n joined pairs.
+}  // namespace
+
 Result<SketchMIResult> GatherAndScore(
     const Sketch& train, const TrainKeyRuns& runs, const Sketch& candidate,
     const CandidateColumns& columns, const RunMatch* matches,
@@ -318,8 +320,6 @@ Result<SketchMIResult> GatherAndScore(
     return ScoreColumns(sample, n, estimator, options);
   });
 }
-
-}  // namespace
 
 MergeJoinScore ScoreMergeJoin(const Sketch& train, const TrainKeyRuns& runs,
                               const Sketch& candidate,

@@ -64,14 +64,6 @@ Result<SketchMIResult> EstimateSketchMI(const Sketch& train,
                                         const MIOptions& options = {},
                                         size_t min_join_size = 1);
 
-/// \brief As above but auto-selects the estimator from the sample types
-/// (paper policy: string/string -> MLE, numeric/numeric -> MixedKSG,
-/// otherwise DC-KSG).
-Result<SketchMIResult> EstimateSketchMIAuto(const Sketch& train,
-                                            const Sketch& candidate,
-                                            const MIOptions& options = {},
-                                            size_t min_join_size = 1);
-
 /// \brief A train sketch's runs of equal key_hash in structure-of-arrays
 /// form, a bucket directory over their keys, and the typed columns the
 /// scoring kernel gathers samples from. keys[r] is the r-th distinct key
@@ -102,11 +94,27 @@ struct TrainKeyRuns {
   static Result<TrainKeyRuns> Build(const Sketch& train);
 };
 
-/// \brief Checks the candidate side of the kernel's contract — a
+/// \brief The smallest B >= 3 with 2^B >= `min_buckets`, capped at 16: the
+/// size of a bucket directory over Mix64 key hashes, whose top bits are
+/// uniform.
+unsigned BucketBits(size_t min_buckets);
+
+/// \brief Fills `*bucket_begin` with a CSR directory of 2^`bits` buckets
+/// over `count` strictly ascending `keys`: key i lives in bucket
+/// keys[i] >> (64 - bits), and bucket b holds keys [bucket_begin[b],
+/// bucket_begin[b + 1]). Returns that shift, 64 - bits. Grows the vector
+/// only past its capacity.
+unsigned BuildBucketDirectory(const uint64_t* keys, size_t count,
+                              unsigned bits,
+                              std::vector<uint32_t>* bucket_begin);
+
+/// \brief Checks the candidate side of the kernel's contract: a
 /// candidate-side sketch whose key hashes strictly ascend, which rejects
-/// both duplicate keys and unsorted entries in one linear pass — and
-/// appends those key hashes to `*keys`. On failure `*keys` may hold a
-/// partial append; callers that keep it roll it back.
+/// both duplicate keys and unsorted entries in one linear pass.
+Status CheckCandidateKeys(const Sketch& candidate);
+
+/// \brief CheckCandidateKeys, then appends the candidate's key hashes to
+/// `*keys` (left as it was on failure).
 Status AppendCandidateKeys(const Sketch& candidate,
                            std::vector<uint64_t>* keys);
 
@@ -120,14 +128,46 @@ ValueTypes AppendValueWords(const Sketch& candidate,
 /// \brief A candidate as the scoring kernel reads it, beside its sketch:
 /// `size` entries, where `keys[j]` and `value_words[j]` are entry j's key
 /// hash (strictly ascending) and value word, and `types` summarizes every
-/// entry's value, as AppendValueWords gives them. SketchIndex points into
-/// its per-index columns; ScoreCandidateSketch fills them per call.
+/// entry's value, as AppendValueWords gives them. ScoreCandidateSketch
+/// fills them per call; SketchIndex points into its value-word column and
+/// leaves `keys` null, since its key postings stand in for the probe.
 struct CandidateColumns {
   const uint64_t* keys = nullptr;
   const uint64_t* value_words = nullptr;
   size_t size = 0;
   ValueTypes types;
 };
+
+/// \brief One match of the probe: candidate entry `local` joins the train
+/// entries [begin, end), the run of its key.
+struct RunMatch {
+  uint32_t begin;
+  uint32_t end;
+  uint32_t local;
+};
+
+/// \brief The scoring tail of every kernel path: gathers the join sample
+/// of `num_matches` matches, in ascending key order and totalling
+/// `join_size` pairs, as SampleColumns — hashes and doubles copied from
+/// `runs` and `columns.value_words`, never a Value — and scores it as
+/// ScoreSketchJoinSample would, without the min_join_size guard, which is
+/// the caller's. ScoreMergeJoin feeds it its probe's matches and
+/// SketchIndex its postings'; `columns.keys` and `columns.size` are not
+/// read. A candidate's number and hash come from its value word: an
+/// all-numeric candidate's word is the double, hashed by NumericValueHash;
+/// any other's is the hash, and only a candidate whose values mix types
+/// (or hold a null) reads its numbers from its entries. The estimator is
+/// `estimator` if set, else the auto policy on the sample's types: each
+/// side's from its summary (`columns.types`, `runs.types`) when that is
+/// homogeneous and from the matched values otherwise — the same answer
+/// ChooseEstimatorForSample gives on the Value sample.
+/// Scratch follows internal::WithScratch on `join_size`.
+Result<SketchMIResult> GatherAndScore(
+    const Sketch& train, const TrainKeyRuns& runs, const Sketch& candidate,
+    const CandidateColumns& columns, const RunMatch* matches,
+    size_t num_matches, size_t join_size,
+    const std::optional<MIEstimatorKind>& estimator,
+    const MIOptions& options);
 
 /// \brief One candidate's outcome from ScoreMergeJoin.
 struct MergeJoinScore {
@@ -139,25 +179,17 @@ struct MergeJoinScore {
   std::optional<Result<SketchMIResult>> scored;
 };
 
-/// \brief The scoring kernel: every discovery path (SketchIndex, paged
-/// shards, JoinMIQuery::Estimate) scores a candidate through here. Walks
-/// the candidate's ascending keys and looks each up in its bucket of the
-/// train directory — no loop-carried dependency between keys, and a
-/// candidate that joins nothing never reads its Sketch. Matches come out
-/// in ascending key order, which is train-entry order, so the join sample
-/// is gathered exactly as JoinSketches emits it, with train multiplicity,
-/// as SampleColumns — hashes and doubles copied from `runs` and `columns`,
-/// never a Value. A candidate's number and hash come from its value word:
-/// an all-numeric candidate's word is the double, hashed by
-/// NumericValueHash; any other's is the hash, and only a candidate whose
-/// values mix types (or hold a null) reads its numbers from its entries.
-/// The estimator is `estimator` if set, else the auto policy on the
-/// sample's types: each side's from its summary (`columns.types`,
-/// `runs.types`) when that is homogeneous and from the matched values
-/// otherwise — the same answer ChooseEstimatorForSample gives on the Value
-/// sample. Scoring then runs the same EstimateMI the Value path adapts
-/// onto, so the result — estimate or error status — is bit-identical to
-/// JoinSketches + ScoreSketchJoinSample on the same sketches.
+/// \brief The scoring kernel's probe for one candidate, then
+/// GatherAndScore: JoinMIQuery::Estimate and paged shards score a
+/// candidate through here (SketchIndex reaches the same tail through its
+/// key postings). Walks the candidate's ascending keys and looks each up in
+/// its bucket of the train directory — no loop-carried dependency between
+/// keys, and a candidate that joins nothing never reads its Sketch.
+/// Matches come out in ascending key order, which is train-entry order, so
+/// the join sample is gathered exactly as JoinSketches emits it, with train
+/// multiplicity, and the result — estimate or error status — is
+/// bit-identical to JoinSketches + ScoreSketchJoinSample on the same
+/// sketches.
 ///
 /// `runs` must come from TrainKeyRuns::Build(train) and `columns` describe
 /// `candidate`. Sides and seeds are the caller's to check.

@@ -461,6 +461,38 @@ TEST(PagedShardSearchTest, EmptyPagedShardsAreHarmless) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(PagedShardSearchTest, SearchRejectsQueryConfigDrift) {
+  // As over RPC: a query built under another estimator is refused rather
+  // than scored under the shard's, and min_join_size alone may differ.
+  Universe universe = MakeUniverse();
+  SketchIndex index(MakeIndexConfig());
+  ASSERT_TRUE(index.IndexRepository(universe.repository).ok());
+  const std::string dir = ScratchDir("drift");
+  ShardBuildOptions paged_build;
+  paged_build.format = ShardFileFormat::kPaged;
+  auto manifest_path = BuildShards(index, 2, ShardPartitionPolicy::kRoundRobin,
+                                   dir, paged_build);
+  ASSERT_TRUE(manifest_path.ok()) << manifest_path.status();
+  auto sharded = ShardedSketchIndex::Load(*manifest_path);
+  ASSERT_TRUE(sharded.ok()) << sharded.status();
+
+  JoinMIConfig drifted = MakeIndexConfig();
+  drifted.estimator = MIEstimatorKind::kMLE;
+  auto query = JoinMIQuery::Create(*universe.base, "K", "Y", drifted);
+  ASSERT_TRUE(query.ok());
+  auto result = sharded->Search(*query, 3, 1);
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsInvalidArgument()) << result.status();
+
+  JoinMIConfig relaxed = MakeIndexConfig();
+  relaxed.min_join_size = 1;
+  auto relaxed_query = JoinMIQuery::Create(*universe.base, "K", "Y", relaxed);
+  ASSERT_TRUE(relaxed_query.ok());
+  auto relaxed_result = sharded->Search(*relaxed_query, 3, 1);
+  ASSERT_TRUE(relaxed_result.ok()) << relaxed_result.status();
+  std::filesystem::remove_all(dir);
+}
+
 TEST(PagedShardSearchTest, CorruptPageFailsOnlyTheCandidatesTouchingIt) {
   // Flip one byte in one page: candidates whose records touch that page
   // become hard errors, every other candidate keeps answering, and the

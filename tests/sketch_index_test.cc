@@ -1,21 +1,26 @@
 // Tests for the persisted, parallel SketchIndex: query determinism across
-// thread counts and duplicated candidates, the versioned on-disk format
-// (byte-exact round trips, corruption handling), hash-seed enforcement, and
-// rank agreement between index-backed and per-query-sketching search.
+// thread counts and duplicated candidates, the key postings against the
+// per-candidate scoring kernel, the versioned on-disk format (byte-exact
+// round trips, corruption handling), config enforcement, and rank
+// agreement between index-backed and per-query-sketching search.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <limits>
 #include <memory>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/common/random.h"
 #include "src/discovery/search.h"
 #include "src/discovery/sketch_index.h"
 #include "src/sketch/serialize.h"
+#include "src/sketch/sketch_join.h"
 #include "src/table/table.h"
 
 namespace joinmi {
@@ -287,6 +292,324 @@ TEST(SketchIndexSeedTest, AddSketchRejectsMismatchedSeed) {
   auto status = index.AddSketch({"exact", "K", "V"}, std::move(sketch));
   ASSERT_FALSE(status.ok());
   EXPECT_TRUE(status.IsInvalidArgument());
+}
+
+TEST(SketchIndexSeedTest, QueryConfigDriftIsRejected) {
+  // A query built under another estimator would be scored under the
+  // index's own; only min_join_size may differ, as over RPC.
+  Universe universe = MakeUniverse();
+  const JoinMIConfig config = MakeIndexConfig();
+  SketchIndex index(config);
+  ASSERT_TRUE(index.IndexRepository(universe.repository).ok());
+  JoinMIConfig drifted = config;
+  drifted.estimator = MIEstimatorKind::kMLE;
+  auto query = *JoinMIQuery::Create(*universe.base, "K", "Y", drifted);
+  auto evaluation = index.EvaluateAll(query, 1);
+  ASSERT_FALSE(evaluation.ok());
+  EXPECT_TRUE(evaluation.status().IsInvalidArgument()) << evaluation.status();
+
+  JoinMIConfig relaxed = config;
+  relaxed.min_join_size = config.min_join_size + 1000;
+  auto relaxed_query =
+      *JoinMIQuery::Create(*universe.base, "K", "Y", relaxed);
+  auto relaxed_evaluation = index.EvaluateAll(relaxed_query, 1);
+  ASSERT_TRUE(relaxed_evaluation.ok()) << relaxed_evaluation.status();
+  auto same = index.EvaluateAll(
+      *JoinMIQuery::Create(*universe.base, "K", "Y", config), 1);
+  ASSERT_TRUE(same.ok());
+  EXPECT_EQ(relaxed_evaluation->num_evaluated, same->num_evaluated);
+}
+
+// ---------------------------------------------------- Key postings oracle
+
+// A pool of distinct key hashes in a few clusters that share their top 16
+// bits, so a posting bucket holds many keys, plus 0 and UINT64_MAX.
+std::vector<uint64_t> ClusteredKeys(Rng& rng, size_t size) {
+  const uint64_t tops[3] = {rng.Next64() >> 48, rng.Next64() >> 48, 0xFFFF};
+  std::vector<uint64_t> pool{0, std::numeric_limits<uint64_t>::max()};
+  while (pool.size() < size) {
+    const uint64_t key =
+        tops[rng.NextBounded(3)] << 48 | (rng.Next64() & 0xFFFFFFFFFFFFULL);
+    if (std::find(pool.begin(), pool.end(), key) == pool.end()) {
+      pool.push_back(key);
+    }
+  }
+  std::sort(pool.begin(), pool.end());
+  return pool;
+}
+
+// Candidate value kinds: numeric, labels, numbers with nulls, or a mix of
+// int64, label and null; the last two send the gather to the candidate's
+// entries.
+enum class ValueKind { kNumeric, kLabels, kNumbersAndNulls, kMixed };
+
+Value RandomValue(ValueKind kind, Rng& rng) {
+  const int64_t v = static_cast<int64_t>(rng.NextBounded(7));
+  switch (kind) {
+    case ValueKind::kNumeric:
+      return Value(static_cast<double>(v) + 0.25 * rng.Gaussian());
+    case ValueKind::kLabels:
+      return Value("label" + std::to_string(v));
+    case ValueKind::kNumbersAndNulls:
+      return rng.NextBounded(8) == 0 ? Value::Null() : Value(v);
+    case ValueKind::kMixed:
+      break;
+  }
+  switch (rng.NextBounded(3)) {
+    case 0:
+      return Value(v);
+    case 1:
+      return Value("label" + std::to_string(v));
+    default:
+      return Value::Null();
+  }
+}
+
+// A candidate sketch over `keys` (ascending, distinct).
+Sketch OracleCandidate(const std::vector<uint64_t>& keys, ValueKind kind,
+                       Rng& rng) {
+  Sketch candidate;
+  candidate.side = SketchSide::kCandidate;
+  for (uint64_t key : keys) {
+    candidate.entries.push_back(SketchEntry{key, 0.5, RandomValue(kind, rng)});
+  }
+  return candidate;
+}
+
+// Each pool key with probability `share`.
+std::vector<uint64_t> SampleKeys(const std::vector<uint64_t>& pool,
+                                 double share, Rng& rng) {
+  std::vector<uint64_t> keys;
+  for (uint64_t key : pool) {
+    if (rng.NextDouble() < share) keys.push_back(key);
+  }
+  return keys;
+}
+
+// A query whose train holds `keys` (ascending), each 1-3 times, with
+// numeric targets.
+JoinMIQuery OracleQuery(const std::vector<uint64_t>& keys,
+                        const JoinMIConfig& config, Rng& rng) {
+  Sketch train;
+  train.side = SketchSide::kTrain;
+  train.hash_seed = config.hash_seed;
+  for (uint64_t key : keys) {
+    const size_t copies = 1 + rng.NextBounded(3);
+    for (size_t i = 0; i < copies; ++i) {
+      train.entries.push_back(SketchEntry{
+          key, 0.5, Value(static_cast<double>(key % 5) + rng.Gaussian())});
+    }
+  }
+  return *JoinMIQuery::FromTrainSketch(std::move(train), config);
+}
+
+uint64_t Bits(double x) {
+  uint64_t bits;
+  std::memcpy(&bits, &x, sizeof(bits));
+  return bits;
+}
+
+// Checks an evaluation of `query` against the per-candidate kernel: the
+// probe's join size and skip (ScoreCandidateSketch) and the estimate or
+// error (JoinMIQuery::Estimate), candidate by candidate.
+void ExpectMatchesKernel(const SketchIndex& index, const JoinMIQuery& query,
+                         const IndexEvaluation& evaluation,
+                         const std::string& where) {
+  const JoinMIConfig& config = index.config();
+  ASSERT_EQ(evaluation.estimates.size(), index.size()) << where;
+  size_t skipped = 0;
+  size_t errors = 0;
+  for (size_t c = 0; c < index.size(); ++c) {
+    const Sketch& candidate = index.candidates()[c].sketch();
+    auto probe = ScoreCandidateSketch(
+        query.train_sketch(), query.train_runs(), candidate,
+        config.estimator, config.mi_options, config.min_join_size);
+    ASSERT_TRUE(probe.ok()) << where << ": " << probe.status();
+    const Result<JoinMIEstimate> expected = query.Estimate(candidate);
+    const std::optional<JoinMIEstimate>& got = evaluation.estimates[c];
+    const std::string at = where + ", candidate " + std::to_string(c);
+    ASSERT_EQ(got.has_value(), expected.ok()) << at << ": "
+                                              << expected.status();
+    if (!expected.ok()) {
+      const bool skip = !probe->scored.has_value() ||
+                        expected.status().IsOutOfRange();
+      skipped += skip;
+      errors += !skip;
+      continue;
+    }
+    EXPECT_EQ(Bits(got->mi), Bits(expected->mi)) << at;
+    EXPECT_EQ(got->estimator, expected->estimator) << at;
+    EXPECT_EQ(got->sample_size, expected->sample_size) << at;
+    EXPECT_EQ(got->sample_size, probe->join_size) << at;
+  }
+  EXPECT_EQ(evaluation.num_skipped, skipped) << where;
+  EXPECT_EQ(evaluation.num_errors, errors) << where;
+  EXPECT_EQ(evaluation.num_evaluated, index.size() - skipped - errors)
+      << where;
+}
+
+struct OracleCase {
+  std::vector<Sketch> candidates;
+  // A train over part of the pool, with 0, UINT64_MAX and the key every
+  // candidate holds; the same without the shared key, which the
+  // candidates over other keys then do not join.
+  std::vector<uint64_t> train_keys;
+  std::vector<uint64_t> train_keys_unshared;
+};
+
+// Candidates of every value kind over a clustered pool, every one holding
+// one shared key and one in eight no other train key, and trains over
+// part of the pool.
+OracleCase MakeOracleCase(uint64_t seed) {
+  Rng rng(seed);
+  const std::vector<uint64_t> pool = ClusteredKeys(rng, 400);
+  // Keys no train holds: the no-join candidates draw from these.
+  std::vector<uint64_t> elsewhere;
+  for (size_t i = 0; i < 64; ++i) elsewhere.push_back(0x5000 + 7 * i);
+  const uint64_t shared = pool[pool.size() / 2];
+  OracleCase oracle;
+  for (size_t c = 0; c < 48; ++c) {
+    std::vector<uint64_t> keys = c % 8 == 7
+                                     ? SampleKeys(elsewhere, 0.5, rng)
+                                     : SampleKeys(pool, rng.NextDouble(), rng);
+    if (std::find(keys.begin(), keys.end(), shared) == keys.end()) {
+      keys.push_back(shared);
+      std::sort(keys.begin(), keys.end());
+    }
+    const ValueKind kind = static_cast<ValueKind>(c % 4);
+    oracle.candidates.push_back(OracleCandidate(keys, kind, rng));
+  }
+  oracle.train_keys = SampleKeys(pool, 0.6, rng);
+  for (uint64_t edge : {pool.front(), pool.back(), shared}) {
+    if (std::find(oracle.train_keys.begin(), oracle.train_keys.end(),
+                  edge) == oracle.train_keys.end()) {
+      oracle.train_keys.push_back(edge);
+    }
+  }
+  std::sort(oracle.train_keys.begin(), oracle.train_keys.end());
+  for (uint64_t key : oracle.train_keys) {
+    if (key != shared) oracle.train_keys_unshared.push_back(key);
+  }
+  return oracle;
+}
+
+SketchIndex OracleIndex(const std::vector<Sketch>& candidates,
+                        const JoinMIConfig& config) {
+  SketchIndex index(config);
+  for (size_t c = 0; c < candidates.size(); ++c) {
+    EXPECT_TRUE(
+        index.AddSketch({"t" + std::to_string(c), "K", "V"}, candidates[c])
+            .ok());
+  }
+  return index;
+}
+
+TEST(SketchIndexPostingsTest, MatchesTheKernelAcrossFloorsAndSeeds) {
+  for (uint64_t seed : {1, 2, 3, 4}) {
+    const OracleCase oracle = MakeOracleCase(seed);
+    for (size_t floor :
+         {size_t{0}, size_t{1}, size_t{20}, std::numeric_limits<size_t>::max()}) {
+      JoinMIConfig config;
+      config.min_join_size = floor;
+      const SketchIndex index = OracleIndex(oracle.candidates, config);
+      // A loaded index builds its postings in the loader.
+      auto loaded = DeserializeIndex(SerializeIndex(index));
+      ASSERT_TRUE(loaded.ok()) << loaded.status();
+      Rng rng(seed);
+      for (const std::vector<uint64_t>* train_keys :
+           {&oracle.train_keys, &oracle.train_keys_unshared}) {
+        const JoinMIQuery query = OracleQuery(*train_keys, config, rng);
+        for (size_t threads : {1, 4}) {
+          const std::string where =
+              "seed " + std::to_string(seed) + ", floor " +
+              std::to_string(floor) + ", threads " + std::to_string(threads) +
+              (train_keys == &oracle.train_keys ? "" : ", unshared");
+          auto evaluation = index.EvaluateAll(query, threads);
+          ASSERT_TRUE(evaluation.ok()) << where << ": " << evaluation.status();
+          ExpectMatchesKernel(index, query, *evaluation, where);
+          if (floor == 20) {
+            // Every outcome is on the path being compared.
+            EXPECT_GT(evaluation->num_evaluated, 0u) << where;
+            EXPECT_GT(evaluation->num_skipped, 0u) << where;
+            EXPECT_GT(evaluation->num_errors, 0u) << where;
+          }
+          auto reloaded = loaded->EvaluateAll(query, threads);
+          ASSERT_TRUE(reloaded.ok()) << reloaded.status();
+          ExpectMatchesKernel(*loaded, query, *reloaded, "loaded, " + where);
+        }
+      }
+    }
+  }
+}
+
+TEST(SketchIndexPostingsTest, EmptyTrainAndEmptyIndexMatchTheKernel) {
+  const OracleCase oracle = MakeOracleCase(5);
+  for (size_t floor : {size_t{0}, size_t{1}}) {
+    JoinMIConfig config;
+    config.min_join_size = floor;
+    Rng rng(5);
+    const JoinMIQuery empty_train = OracleQuery({}, config, rng);
+    const SketchIndex index = OracleIndex(oracle.candidates, config);
+    auto evaluation = index.EvaluateAll(empty_train, 1);
+    ASSERT_TRUE(evaluation.ok()) << evaluation.status();
+    ExpectMatchesKernel(index, empty_train, *evaluation,
+                        "empty train, floor " + std::to_string(floor));
+
+    const SketchIndex empty(config);
+    const JoinMIQuery query = OracleQuery(oracle.train_keys, config, rng);
+    auto none = empty.EvaluateAll(query, 1);
+    ASSERT_TRUE(none.ok()) << none.status();
+    EXPECT_TRUE(none->estimates.empty());
+  }
+}
+
+TEST(SketchIndexPostingsTest, AddSketchAfterEvaluateAllIsVisible) {
+  const OracleCase oracle = MakeOracleCase(6);
+  JoinMIConfig config;
+  config.min_join_size = 1;
+  Rng rng(6);
+  const JoinMIQuery query = OracleQuery(oracle.train_keys, config, rng);
+  SketchIndex index(config);
+  const size_t half = oracle.candidates.size() / 2;
+  for (size_t c = 0; c < oracle.candidates.size(); ++c) {
+    ASSERT_TRUE(
+        index.AddSketch({"t" + std::to_string(c), "K", "V"},
+                        oracle.candidates[c])
+            .ok());
+    if (c + 1 != half && c + 1 != oracle.candidates.size()) continue;
+    auto evaluation = index.EvaluateAll(query, 2);
+    ASSERT_TRUE(evaluation.ok()) << evaluation.status();
+    ExpectMatchesKernel(index, query, *evaluation,
+                        std::to_string(c + 1) + " candidates");
+  }
+}
+
+TEST(SketchIndexPostingsTest, ConcurrentFirstEvaluationsOfAFreshIndex) {
+  // Eight readers race to the lazy postings build of a fresh index; each
+  // must see complete postings (TSan checks the build's publication).
+  const OracleCase oracle = MakeOracleCase(7);
+  JoinMIConfig config;
+  config.min_join_size = 1;
+  Rng rng(7);
+  const JoinMIQuery query = OracleQuery(oracle.train_keys, config, rng);
+  const SketchIndex index = OracleIndex(oracle.candidates, config);
+  constexpr size_t kReaders = 8;
+  std::vector<std::optional<Result<IndexEvaluation>>> results(kReaders);
+  std::atomic<size_t> arrived{0};
+  std::vector<std::thread> readers;
+  for (size_t t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&, t] {
+      arrived.fetch_add(1);
+      while (arrived.load() < kReaders) std::this_thread::yield();
+      results[t] = index.EvaluateAll(query, 1 + t % 2);
+    });
+  }
+  for (std::thread& reader : readers) reader.join();
+  for (size_t t = 0; t < kReaders; ++t) {
+    ASSERT_TRUE(results[t]->ok()) << results[t]->status();
+    ExpectMatchesKernel(index, query, **results[t],
+                        "reader " + std::to_string(t));
+  }
 }
 
 // ------------------------------------------------------------ Persistence

@@ -763,7 +763,9 @@ TEST(SketchJoinTest, AutoEstimatorSelection) {
   auto s_cand = *builder->SketchCandidate(*(*cand->GetColumn("K")),
                                           *(*cand->GetColumn("Z")),
                                           AggKind::kAvg);
-  auto result = *EstimateSketchMIAuto(s_train, s_cand, {}, 10);
+  auto joined = *JoinSketches(s_train, s_cand);
+  auto result = *ScoreSketchJoinSample(joined.sample, joined.join_size,
+                                       std::nullopt, {}, 10);
   EXPECT_EQ(result.estimator, MIEstimatorKind::kDCKSG);
   EXPECT_GT(result.mi, 0.5);  // strong dependence planted
 }
