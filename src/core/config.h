@@ -82,7 +82,7 @@ Status CheckQueryConfig(const JoinMIConfig& query, const JoinMIConfig& served);
 constexpr size_t kJoinMIConfigWireSize = 60;
 
 /// \brief Appends the config in its shared binary wire layout — the one
-/// layout used by the "JMIX" index format, the "JMIM" v2 shard manifest,
+/// layout used by the "JMIX" index format, the "JMIM" shard manifest,
 /// and the "JMRP" serving handshake, so a config written by any of them is
 /// readable by all.
 void AppendJoinMIConfig(std::string* out, const JoinMIConfig& config);

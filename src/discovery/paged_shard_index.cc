@@ -3,39 +3,8 @@
 #include <utility>
 
 #include "src/discovery/topk_merge.h"
-#include "src/sketch/serialize.h"
 
 namespace joinmi {
-
-std::string EncodeCandidateRecord(const ColumnPairRef& ref,
-                                  const Sketch& sketch) {
-  std::string out;
-  wire::AppendLengthPrefixed(&out, ref.table_name);
-  wire::AppendLengthPrefixed(&out, ref.key_column);
-  wire::AppendLengthPrefixed(&out, ref.value_column);
-  wire::AppendLengthPrefixed(&out, SerializeSketch(sketch));
-  return out;
-}
-
-Result<CandidateRecord> DecodeCandidateRecord(const std::string& record) {
-  wire::Reader reader(record);
-  CandidateRecord out;
-  JOINMI_RETURN_NOT_OK(reader.ReadLengthPrefixed(&out.ref.table_name));
-  JOINMI_RETURN_NOT_OK(reader.ReadLengthPrefixed(&out.ref.key_column));
-  JOINMI_RETURN_NOT_OK(reader.ReadLengthPrefixed(&out.ref.value_column));
-  std::string blob;
-  JOINMI_RETURN_NOT_OK(reader.ReadLengthPrefixed(&blob));
-  JOINMI_ASSIGN_OR_RETURN(out.sketch, DeserializeSketch(blob));
-  if (!reader.AtEnd()) {
-    return Status::IOError("trailing bytes after candidate record");
-  }
-  return out;
-}
-
-Result<std::unique_ptr<PagedShardClient>> PagedShardClient::Open(
-    const std::string& path, std::vector<uint64_t> global_indices) {
-  return Open(path, std::move(global_indices), Options());
-}
 
 Result<std::unique_ptr<PagedShardClient>> PagedShardClient::Open(
     const std::string& path, std::vector<uint64_t> global_indices,
@@ -43,18 +12,8 @@ Result<std::unique_ptr<PagedShardClient>> PagedShardClient::Open(
   JOINMI_ASSIGN_OR_RETURN(
       std::unique_ptr<storage::PagedShardFile> file,
       storage::PagedShardFile::Open(path, options.pool_pages));
-  if (global_indices.size() != file->num_records()) {
-    return Status::InvalidArgument(
-        "shard holds " + std::to_string(file->num_records()) +
-        " candidates but the global index mapping lists " +
-        std::to_string(global_indices.size()));
-  }
-  for (size_t i = 1; i < global_indices.size(); ++i) {
-    if (global_indices[i - 1] >= global_indices[i]) {
-      return Status::InvalidArgument(
-          "shard global indices are not strictly increasing");
-    }
-  }
+  JOINMI_RETURN_NOT_OK(
+      CheckGlobalIndices(file->num_records(), global_indices));
   return std::unique_ptr<PagedShardClient>(
       new PagedShardClient(std::move(file), std::move(global_indices)));
 }

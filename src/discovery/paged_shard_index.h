@@ -18,6 +18,10 @@
 // whose checksum fails on fault-in errors only the candidates whose
 // records touch that page (counted in num_errors); the rest of the shard
 // keeps answering.
+//
+// A record is a candidate record (sketch_index.h EncodeCandidateRecord,
+// the same bytes a "JMIX" file stores per candidate); each is decoded
+// with DecodeCandidateRecord.
 
 #ifndef JOINMI_DISCOVERY_PAGED_SHARD_INDEX_H_
 #define JOINMI_DISCOVERY_PAGED_SHARD_INDEX_H_
@@ -32,40 +36,17 @@
 
 namespace joinmi {
 
-/// \brief One candidate as stored in a paged shard's record: provenance
-/// plus its sketch.
-struct CandidateRecord {
-  ColumnPairRef ref;
-  Sketch sketch;
-};
-
-/// \brief Encodes a candidate into the paged-shard record layout — the
-/// same field sequence a "JMIX" candidate uses (three length-prefixed ref
-/// strings, then the length-prefixed serialized sketch), so the two
-/// formats stay field-compatible.
-std::string EncodeCandidateRecord(const ColumnPairRef& ref,
-                                  const Sketch& sketch);
-
-/// \brief Parses a paged-shard candidate record; validates the embedded
-/// sketch and rejects trailing bytes.
-Result<CandidateRecord> DecodeCandidateRecord(const std::string& record);
-
 /// \brief ShardClient over a paged shard file.
 class PagedShardClient : public ShardClient {
  public:
-  struct Options {
-    /// Buffer-pool budget in pages.
-    size_t pool_pages = 64;
-  };
+  /// The pool budget the local-file loader passes on.
+  using Options = LocalShardLoadOptions;
 
   /// \brief Opens `path` (header + directory only; no candidate record is
-  /// read) and validates `global_indices` the same way LocalShardClient
-  /// does: one per record, strictly increasing.
-  static Result<std::unique_ptr<PagedShardClient>> Open(
-      const std::string& path, std::vector<uint64_t> global_indices);
+  /// read) and validates `global_indices` (CheckGlobalIndices).
   static Result<std::unique_ptr<PagedShardClient>> Open(
       const std::string& path, std::vector<uint64_t> global_indices,
-      const Options& options);
+      const Options& options = Options());
 
   const JoinMIConfig& config() const override { return file_->config(); }
   size_t num_candidates() const override { return file_->num_records(); }

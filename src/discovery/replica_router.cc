@@ -213,7 +213,7 @@ ShardClientFactory ReplicaShardClient::Factory(
     JOINMI_ASSIGN_OR_RETURN(
         std::unique_ptr<ReplicaShardClient> client,
         ReplicaShardClient::Create(replica_endpoints[shard],
-                                   *manifest.config,
+                                   manifest.config,
                                    manifest.shards[shard].candidate_count,
                                    options));
     return std::unique_ptr<ShardClient>(std::move(client));

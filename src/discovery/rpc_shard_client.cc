@@ -50,12 +50,6 @@ Result<ShardEndpoint> ParseShardEndpoint(const std::string& spec) {
 
 Status ValidateServingManifest(const ShardManifest& manifest,
                                size_t num_entries) {
-  if (!manifest.config.has_value()) {
-    return Status::InvalidArgument(
-        "manifest has no embedded JoinMIConfig (legacy v1 format) — "
-        "remote serving needs it to sketch queries; repartition with "
-        "the current build_shards");
-  }
   if (num_entries != manifest.shards.size()) {
     return Status::InvalidArgument(
         "manifest names " + std::to_string(manifest.shards.size()) +
@@ -337,7 +331,7 @@ ShardClientFactory RpcShardClient::Factory(
     JOINMI_RETURN_NOT_OK(ValidateServingManifest(manifest, endpoints.size()));
     JOINMI_ASSIGN_OR_RETURN(
         std::unique_ptr<RpcShardClient> client,
-        RpcShardClient::Create(endpoints[shard], *manifest.config,
+        RpcShardClient::Create(endpoints[shard], manifest.config,
                                manifest.shards[shard].candidate_count,
                                options));
     return std::unique_ptr<ShardClient>(std::move(client));

@@ -87,8 +87,8 @@ struct RpcClientOptions {
 };
 
 /// \brief Validates that `manifest` can back remote serving with
-/// `num_entries` per-shard endpoint entries: it must embed a JoinMIConfig
-/// (v2) and name exactly `num_entries` shards. Shared by the
+/// `num_entries` per-shard endpoint entries: it must name exactly
+/// `num_entries` shards. Shared by the
 /// single-endpoint and replicated factories so the two stay in lockstep.
 Status ValidateServingManifest(const ShardManifest& manifest,
                                size_t num_entries);

@@ -1,7 +1,7 @@
 // ServingOptions: one struct describing a serving topology's knobs, where
 // there used to be three unrelated ones (RpcClientOptions for networking,
-// ShardedSketchIndex::LocalShardLoadOptions / PagedShardClient::Options
-// for paged local shards, and a loose cooldown on ReplicaRouterOptions).
+// LocalShardLoadOptions, which is PagedShardClient::Options, for paged
+// local shards, and a loose cooldown on ReplicaRouterOptions).
 // RouterOptions embeds a ServingOptions and every ShardClientFactory
 // implementation consumes its slice, so an operator tunes a deployment in
 // one place regardless of which backend serves it. The per-layer structs

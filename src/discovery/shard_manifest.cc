@@ -1,6 +1,7 @@
 #include "src/discovery/shard_manifest.h"
 
 #include <cstring>
+#include <filesystem>
 
 #include "src/sketch/serialize.h"
 
@@ -9,30 +10,8 @@ namespace joinmi {
 namespace {
 
 constexpr char kManifestMagic[4] = {'J', 'M', 'I', 'M'};
-// v1 had no embedded config; v2 carries the JoinMIConfig so a router can
-// serve from the manifest alone; v3 adds a per-shard format tag for paged
-// shard files; v4 adds the manifest epoch and per-shard delta-segment
-// references for the mutable index. All four read. A manifest needing
-// none of the newer fields writes at the oldest sufficient version, so
-// e.g. repartitioning an all-JMIX index never breaks an older reader.
-constexpr uint32_t kLegacyManifestVersion = 1;
-constexpr uint32_t kConfigManifestVersion = 2;
-constexpr uint32_t kPagedManifestVersion = 3;
-constexpr uint32_t kEpochManifestVersion = 4;
-
-bool AnyPagedShard(const ShardManifest& manifest) {
-  for (const ShardManifestEntry& entry : manifest.shards) {
-    if (entry.format != ShardFileFormat::kWholeFile) return true;
-  }
-  return false;
-}
-
-bool AnyDeltaShard(const ShardManifest& manifest) {
-  for (const ShardManifestEntry& entry : manifest.shards) {
-    if (!entry.delta_path.empty()) return true;
-  }
-  return false;
-}
+// The one layout this build writes and reads (see shard_manifest.h).
+constexpr uint32_t kManifestVersion = 5;
 
 }  // namespace
 
@@ -63,6 +42,10 @@ const char* ShardFileFormatToString(ShardFileFormat format) {
       return "paged";
   }
   return "unknown";
+}
+
+const char* ShardFileExtension(ShardFileFormat format) {
+  return format == ShardFileFormat::kPaged ? ".jmps" : ".jmix";
 }
 
 Result<ShardFileFormat> ParseShardFileFormat(const std::string& name) {
@@ -149,45 +132,26 @@ Status ShardManifest::Validate() const {
 }
 
 std::string SerializeManifest(const ShardManifest& manifest) {
-  // Oldest sufficient version: all-whole-file, epoch-0, delta-free
-  // manifests keep writing v2 — byte-identical to what pre-paged builds
-  // wrote and readable by them; the format tag only appears (v3) once
-  // some shard actually needs it, and the epoch/delta fields only appear
-  // (v4) once ingest has touched the deployment.
-  uint32_t version = kConfigManifestVersion;
-  if (AnyPagedShard(manifest)) version = kPagedManifestVersion;
-  if (manifest.epoch != 0 || AnyDeltaShard(manifest)) {
-    version = kEpochManifestVersion;
-  }
   std::string out;
   wire::AppendRaw(&out, kManifestMagic, sizeof(kManifestMagic));
-  wire::AppendPod<uint32_t>(&out, version);
+  wire::AppendPod<uint32_t>(&out, kManifestVersion);
   wire::AppendPod<uint8_t>(&out, static_cast<uint8_t>(manifest.policy));
-  wire::AppendPod<uint8_t>(&out, manifest.config.has_value() ? 1 : 0);
-  if (manifest.config.has_value()) {
-    AppendJoinMIConfig(&out, *manifest.config);
-  }
-  if (version >= kEpochManifestVersion) {
-    wire::AppendPod<uint64_t>(&out, manifest.epoch);
-  }
+  AppendJoinMIConfig(&out, manifest.config);
+  wire::AppendPod<uint64_t>(&out, manifest.epoch);
   wire::AppendPod<uint64_t>(&out, manifest.shards.size());
   wire::AppendPod<uint64_t>(&out, manifest.total_candidates);
   for (const ShardManifestEntry& entry : manifest.shards) {
     wire::AppendLengthPrefixed(&out, entry.path);
     wire::AppendPod<uint64_t>(&out, entry.candidate_count);
     wire::AppendPod<uint64_t>(&out, entry.checksum);
-    if (version >= kPagedManifestVersion) {
-      wire::AppendPod<uint8_t>(&out, static_cast<uint8_t>(entry.format));
-    }
-    if (version >= kEpochManifestVersion) {
-      const uint8_t has_delta = entry.delta_path.empty() ? 0 : 1;
-      wire::AppendPod<uint8_t>(&out, has_delta);
-      if (has_delta) {
-        wire::AppendLengthPrefixed(&out, entry.delta_path);
-        wire::AppendPod<uint64_t>(&out, entry.delta_records);
-        wire::AppendPod<uint64_t>(&out, entry.delta_bytes);
-        wire::AppendPod<uint64_t>(&out, entry.delta_checksum);
-      }
+    wire::AppendPod<uint8_t>(&out, static_cast<uint8_t>(entry.format));
+    const uint8_t has_delta = entry.delta_path.empty() ? 0 : 1;
+    wire::AppendPod<uint8_t>(&out, has_delta);
+    if (has_delta) {
+      wire::AppendLengthPrefixed(&out, entry.delta_path);
+      wire::AppendPod<uint64_t>(&out, entry.delta_records);
+      wire::AppendPod<uint64_t>(&out, entry.delta_bytes);
+      wire::AppendPod<uint64_t>(&out, entry.delta_checksum);
     }
     for (uint64_t g : entry.global_indices) {
       wire::AppendPod<uint64_t>(&out, g);
@@ -205,11 +169,12 @@ Result<ShardManifest> DeserializeManifest(const std::string& data) {
   }
   uint32_t version = 0;
   JOINMI_RETURN_NOT_OK(reader.Read(&version));
-  if (version < kLegacyManifestVersion || version > kEpochManifestVersion) {
-    return Status::IOError("unsupported shard manifest version " +
-                           std::to_string(version) +
-                           " (this build reads v1-v" +
-                           std::to_string(kEpochManifestVersion) + ")");
+  if (version != kManifestVersion) {
+    return Status::IOError(
+        "unsupported shard manifest version " + std::to_string(version) +
+        "; this build reads only JMIM v" + std::to_string(kManifestVersion) +
+        " — rebuild the shards and manifest from the source index with "
+        "build_shards");
   }
   uint8_t policy = 0;
   JOINMI_RETURN_NOT_OK(reader.Read(&policy));
@@ -218,28 +183,15 @@ Result<ShardManifest> DeserializeManifest(const std::string& data) {
   }
   ShardManifest manifest;
   manifest.policy = static_cast<ShardPartitionPolicy>(policy);
-  if (version >= 2) {
-    uint8_t has_config = 0;
-    JOINMI_RETURN_NOT_OK(reader.Read(&has_config));
-    if (has_config > 1) {
-      return Status::IOError("bad config presence flag in shard manifest");
-    }
-    if (has_config == 1) {
-      JOINMI_ASSIGN_OR_RETURN(JoinMIConfig config,
-                              ReadJoinMIConfig(&reader));
-      manifest.config = std::move(config);
-    }
-  }
-  if (version >= kEpochManifestVersion) {
-    JOINMI_RETURN_NOT_OK(reader.Read(&manifest.epoch));
-  }
+  JOINMI_ASSIGN_OR_RETURN(manifest.config, ReadJoinMIConfig(&reader));
+  JOINMI_RETURN_NOT_OK(reader.Read(&manifest.epoch));
   uint64_t shard_count = 0;
   JOINMI_RETURN_NOT_OK(reader.Read(&shard_count));
   JOINMI_RETURN_NOT_OK(reader.Read(&manifest.total_candidates));
-  // Each shard record takes at least 20 bytes (path length prefix + count +
-  // checksum); divide rather than multiply so a crafted count cannot
-  // overflow past the check.
-  if (shard_count > reader.remaining() / 20) {
+  // Each shard record takes at least 22 bytes (path length prefix + count +
+  // checksum + format + has_delta); divide rather than multiply so a
+  // crafted count cannot overflow past the check.
+  if (shard_count > reader.remaining() / 22) {
     return Status::IOError("manifest shard count exceeds buffer size");
   }
   manifest.shards.reserve(static_cast<size_t>(shard_count));
@@ -248,28 +200,23 @@ Result<ShardManifest> DeserializeManifest(const std::string& data) {
     JOINMI_RETURN_NOT_OK(reader.ReadLengthPrefixed(&entry.path));
     JOINMI_RETURN_NOT_OK(reader.Read(&entry.candidate_count));
     JOINMI_RETURN_NOT_OK(reader.Read(&entry.checksum));
-    if (version >= kPagedManifestVersion) {
-      uint8_t format = 0;
-      JOINMI_RETURN_NOT_OK(reader.Read(&format));
-      if (format > static_cast<uint8_t>(ShardFileFormat::kPaged)) {
-        return Status::IOError("unknown shard file format tag " +
-                               std::to_string(format) +
-                               " in shard manifest");
-      }
-      entry.format = static_cast<ShardFileFormat>(format);
+    uint8_t format = 0;
+    JOINMI_RETURN_NOT_OK(reader.Read(&format));
+    if (format > static_cast<uint8_t>(ShardFileFormat::kPaged)) {
+      return Status::IOError("unknown shard file format tag " +
+                             std::to_string(format) + " in shard manifest");
     }
-    if (version >= kEpochManifestVersion) {
-      uint8_t has_delta = 0;
-      JOINMI_RETURN_NOT_OK(reader.Read(&has_delta));
-      if (has_delta > 1) {
-        return Status::IOError("bad delta presence flag in shard manifest");
-      }
-      if (has_delta == 1) {
-        JOINMI_RETURN_NOT_OK(reader.ReadLengthPrefixed(&entry.delta_path));
-        JOINMI_RETURN_NOT_OK(reader.Read(&entry.delta_records));
-        JOINMI_RETURN_NOT_OK(reader.Read(&entry.delta_bytes));
-        JOINMI_RETURN_NOT_OK(reader.Read(&entry.delta_checksum));
-      }
+    entry.format = static_cast<ShardFileFormat>(format);
+    uint8_t has_delta = 0;
+    JOINMI_RETURN_NOT_OK(reader.Read(&has_delta));
+    if (has_delta > 1) {
+      return Status::IOError("bad delta presence flag in shard manifest");
+    }
+    if (has_delta == 1) {
+      JOINMI_RETURN_NOT_OK(reader.ReadLengthPrefixed(&entry.delta_path));
+      JOINMI_RETURN_NOT_OK(reader.Read(&entry.delta_records));
+      JOINMI_RETURN_NOT_OK(reader.Read(&entry.delta_bytes));
+      JOINMI_RETURN_NOT_OK(reader.Read(&entry.delta_checksum));
     }
     if (entry.candidate_count > reader.remaining() / sizeof(uint64_t)) {
       return Status::IOError("manifest shard candidate count exceeds buffer");
@@ -287,6 +234,13 @@ Result<ShardManifest> DeserializeManifest(const std::string& data) {
   }
   JOINMI_RETURN_NOT_OK(manifest.Validate());
   return manifest;
+}
+
+std::string ResolveManifestEntryPath(const std::string& path,
+                                     const std::string& manifest_dir) {
+  return std::filesystem::path(path).is_absolute()
+             ? path
+             : (std::filesystem::path(manifest_dir) / path).string();
 }
 
 Status WriteManifestFile(const ShardManifest& manifest,

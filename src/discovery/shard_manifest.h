@@ -15,43 +15,34 @@
 // self-describing for partitioning policies whose assignment cannot be
 // re-derived from shard contents alone.
 //
-// On-disk format (little-endian, version-tagged):
+// On-disk format ("JMIM" v5, little-endian):
 //   magic "JMIM" | u32 version | u8 policy
-//   | v2+: u8 has_config, then the shared JoinMIConfig wire layout
-//     (core/config.h) when has_config == 1
-//   | v4+: u64 epoch
-//   | u64 shard_count | u64 total_candidates
+//   | the shared JoinMIConfig wire layout (core/config.h)
+//   | u64 epoch | u64 shard_count | u64 total_candidates
 //   | per shard: path (u32 length + bytes, relative to the manifest's
-//     directory), u64 candidate_count, u64 checksum,
-//     v3+: u8 format,
-//     v4+: u8 has_delta, then when has_delta == 1: delta path
-//       (u32 length + bytes), u64 delta_records, u64 delta_bytes,
-//       u64 delta_checksum,
-//     candidate_count x u64 global index
+//     directory), u64 candidate_count, u64 checksum, u8 format,
+//     u8 has_delta, then when has_delta == 1: delta path
+//     (u32 length + bytes), u64 delta_records, u64 delta_bytes,
+//     u64 delta_checksum; then candidate_count x u64 global index
 //
-// Version history: v1 had no config block. v2 embeds the JoinMIConfig the
-// shards were built under, so a query router that only holds the manifest
-// — shard files live on remote servers — can still sketch queries and
-// verify config agreement at the serving handshake. v1 manifests still
-// load, with config absent; remote serving requires a v2+ manifest
-// (repartition with the current build_shards to upgrade). v3 adds a
-// per-shard u8 format tag after the checksum, recording whether the shard
-// file is a whole-file "JMIX" index or a paged "JMPS" file, so loaders
-// dispatch transparently. v4 (current) adds the mutable-index fields: a
-// monotonic manifest `epoch` naming the generation (see
-// src/ingest/generation.h) and optional per-shard delta-segment
-// references pinning the committed prefix of an appendable "JMDS" sidecar
-// (src/ingest/delta_segment.h). Manifests that need none of the newer
-// fields keep serializing at the oldest sufficient version — all
-// whole-file, epoch 0, no deltas writes v2 byte-identical to older
-// builds; epoch 0 with a paged shard writes v3 — so repartitioning never
-// breaks an older reader gratuitously.
+// Version history: v1 held policy, shards and global indices; v2 added an
+// optional embedded JoinMIConfig, v3 a per-shard format tag, v4 the
+// manifest epoch and per-shard delta-segment references. v5 is v4 with
+// the config always present (no has_config byte), and it is the only
+// version written or read: any other version fails with a message naming
+// build_shards, which rebuilds the shards and a v5 manifest from the
+// source index. The embedded config lets a router that holds only the
+// manifest (shard files on remote servers) sketch queries and check
+// config agreement at the serving handshake; the format tag lets loaders
+// dispatch between whole-file "JMIX" and paged "JMPS" shards; the epoch
+// names the generation (src/ingest/generation.h) and a delta reference
+// pins the committed prefix of an appendable "JMDS" sidecar
+// (src/ingest/delta_segment.h).
 
 #ifndef JOINMI_DISCOVERY_SHARD_MANIFEST_H_
 #define JOINMI_DISCOVERY_SHARD_MANIFEST_H_
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -88,6 +79,10 @@ enum class ShardFileFormat : uint8_t {
 
 const char* ShardFileFormatToString(ShardFileFormat format);
 
+/// \brief The file extension of a shard file of `format`: ".jmix" or
+/// ".jmps".
+const char* ShardFileExtension(ShardFileFormat format);
+
 /// \brief Parses the CLI spellings "whole" / "paged".
 Result<ShardFileFormat> ParseShardFileFormat(const std::string& name);
 
@@ -107,8 +102,7 @@ struct ShardManifestEntry {
   /// receive larger global indices than anything already built).
   std::vector<uint64_t> global_indices;
   /// How the base shard file is laid out on disk (kept after the vector
-  /// so pre-paged aggregate initializers keep compiling). Manifests read
-  /// from v1/v2 formats always report kWholeFile.
+  /// so pre-paged aggregate initializers keep compiling).
   ShardFileFormat format = ShardFileFormat::kWholeFile;
   /// Delta segment sidecar ("JMDS", src/ingest/delta_segment.h) holding
   /// the shard's last `delta_records` candidates, empty when the shard
@@ -129,18 +123,16 @@ struct ShardManifestEntry {
   bool has_delta() const { return delta_records > 0; }
 };
 
-/// \brief The full partitioning record ("JMIM" v2-v4).
+/// \brief The full partitioning record ("JMIM" v5).
 struct ShardManifest {
   ShardPartitionPolicy policy = ShardPartitionPolicy::kRoundRobin;
   /// The JoinMIConfig every shard of this partition was built under —
   /// what a shard-file-less router sketches queries with and what the
-  /// serving handshake checks agreement against. Absent only for
-  /// manifests read from the legacy v1 format.
-  std::optional<JoinMIConfig> config;
+  /// serving handshake checks agreement against.
+  JoinMIConfig config;
   /// Monotonic generation number of this manifest within its deployment
   /// (src/ingest/generation.h). A fresh build_shards output is epoch 0;
-  /// every ingest publish or compaction bumps it. Manifests read from
-  /// pre-v4 formats report 0.
+  /// every ingest publish or compaction bumps it.
   uint64_t epoch = 0;
   /// Candidates across all shards (== the unsharded index size).
   uint64_t total_candidates = 0;
@@ -156,10 +148,16 @@ struct ShardManifest {
 /// \brief Serializes the manifest to its binary format.
 std::string SerializeManifest(const ShardManifest& manifest);
 
-/// \brief Parses a serialized manifest; validates magic, version, policy
-/// tag, and structural consistency (Validate()), so corrupted or tampered
-/// manifests fail cleanly.
+/// \brief Parses a serialized manifest; validates magic, version (v5
+/// only), policy and format tags, and structural consistency
+/// (Validate()), so corrupted, tampered or other-version manifests fail
+/// cleanly.
 Result<ShardManifest> DeserializeManifest(const std::string& data);
+
+/// \brief `path` as a manifest names it: relative to `manifest_dir`, the
+/// directory holding the manifest, unless it is absolute.
+std::string ResolveManifestEntryPath(const std::string& path,
+                                     const std::string& manifest_dir);
 
 /// \brief Writes the manifest to a file.
 Status WriteManifestFile(const ShardManifest& manifest,

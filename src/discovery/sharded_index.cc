@@ -31,30 +31,48 @@ bool BetterHit(const ShardSearchHit& a, const ShardSearchHit& b) {
 
 std::string ShardFileName(size_t shard, ShardFileFormat format) {
   char name[32];
-  std::snprintf(name, sizeof(name),
-                format == ShardFileFormat::kPaged ? "shard_%05zu.jmps"
-                                                  : "shard_%05zu.jmix",
-                shard);
-  return name;
+  std::snprintf(name, sizeof(name), "shard_%05zu", shard);
+  return name + std::string(ShardFileExtension(format));
 }
 
-std::string ResolveShardPath(const ShardManifestEntry& entry,
-                             const std::string& manifest_dir) {
-  const std::filesystem::path entry_path(entry.path);
-  return entry_path.is_absolute()
-             ? entry.path
-             : (std::filesystem::path(manifest_dir) / entry_path).string();
+// A whole-file shard's bytes, checked against the manifest before anything
+// parses them: a corrupt or swapped shard file must fail here with
+// provenance, not as a blob error (or not at all, if the bit flip lands in
+// sketch payload bytes).
+Result<std::string> ReadWholeShardFile(const ShardManifestEntry& entry,
+                                       const std::string& path) {
+  JOINMI_ASSIGN_OR_RETURN(std::string bytes, wire::ReadFileBytes(path));
+  const uint64_t checksum = wire::Checksum64(bytes);
+  if (checksum != entry.checksum) {
+    return Status::InvalidArgument(
+        "shard file '" + path + "' checksum " + std::to_string(checksum) +
+        " disagrees with the manifest (" + std::to_string(entry.checksum) +
+        ") — the file is corrupt or does not belong to this manifest");
+  }
+  return bytes;
+}
+
+// The base file holds only the pre-delta prefix of the shard's candidates;
+// appended ones live in the JMDS sidecar.
+Status CheckBaseCount(const ShardManifestEntry& entry, const std::string& path,
+                      size_t count) {
+  if (count == entry.base_candidate_count()) return Status::OK();
+  return Status::InvalidArgument(
+      "shard file '" + path + "' holds " + std::to_string(count) +
+      " candidates but the manifest records " +
+      std::to_string(entry.base_candidate_count()) + " (plus " +
+      std::to_string(entry.delta_records) + " delta records)");
 }
 
 }  // namespace
 
 // ------------------------------------------------------- LocalShardClient
 
-Result<std::unique_ptr<LocalShardClient>> LocalShardClient::Create(
-    SketchIndex index, std::vector<uint64_t> global_indices) {
-  if (global_indices.size() != index.size()) {
+Status CheckGlobalIndices(size_t count,
+                          const std::vector<uint64_t>& global_indices) {
+  if (global_indices.size() != count) {
     return Status::InvalidArgument(
-        "shard holds " + std::to_string(index.size()) +
+        "shard holds " + std::to_string(count) +
         " candidates but the global index mapping lists " +
         std::to_string(global_indices.size()));
   }
@@ -64,6 +82,12 @@ Result<std::unique_ptr<LocalShardClient>> LocalShardClient::Create(
           "shard global indices are not strictly increasing");
     }
   }
+  return Status::OK();
+}
+
+Result<std::unique_ptr<LocalShardClient>> LocalShardClient::Create(
+    SketchIndex index, std::vector<uint64_t> global_indices) {
+  JOINMI_RETURN_NOT_OK(CheckGlobalIndices(index.size(), global_indices));
   return std::unique_ptr<LocalShardClient>(new LocalShardClient(
       std::move(index), std::move(global_indices)));
 }
@@ -157,62 +181,30 @@ Result<ShardedSketchIndex> ShardedSketchIndex::Load(
   return Load(manifest_path, LocalFileFactory());
 }
 
-ShardClientFactory ShardedSketchIndex::LocalFileFactory() {
-  return LocalFileFactory(LocalShardLoadOptions());
-}
-
 ShardClientFactory ShardedSketchIndex::LocalFileFactory(
     const LocalShardLoadOptions& options) {
   return [options](const ShardManifest& manifest, size_t shard,
                    const std::string& manifest_dir)
              -> Result<std::unique_ptr<ShardClient>> {
     const ShardManifestEntry& entry = manifest.shards[shard];
-    const std::string resolved = ResolveShardPath(entry, manifest_dir);
-    // The base file holds only the pre-delta prefix of the shard's
-    // candidates; appended ones live in the JMDS sidecar and are layered
-    // on by LoadDeltaOverlay below.
-    const size_t base_count =
-        static_cast<size_t>(entry.base_candidate_count());
+    const std::string resolved =
+        ResolveManifestEntryPath(entry.path, manifest_dir);
+    // Delta candidates are layered on by LoadDeltaOverlay below.
     std::vector<uint64_t> base_indices(
         entry.global_indices.begin(),
-        entry.global_indices.begin() + base_count);
+        entry.global_indices.begin() + entry.base_candidate_count());
     std::unique_ptr<ShardClient> base;
     if (entry.format == ShardFileFormat::kPaged) {
-      // Open is header + directory only; the manifest's whole-file
-      // checksum is deliberately not recomputed here — that read would
-      // be O(shard) and defeat lazy loading. The JMPS header and
-      // directory carry their own checksums (verified now) and every
-      // page carries one verified on fault-in, covering all bytes the
-      // queries touch.
-      PagedShardClient::Options paged_options;
-      paged_options.pool_pages = options.pool_pages;
+      // Header + directory only; no whole-file checksum (see the doc).
       JOINMI_ASSIGN_OR_RETURN(
           std::unique_ptr<PagedShardClient> client,
-          PagedShardClient::Open(resolved, base_indices, paged_options));
+          PagedShardClient::Open(resolved, base_indices, options));
       base = std::move(client);
     } else {
       JOINMI_ASSIGN_OR_RETURN(std::string bytes,
-                              wire::ReadFileBytes(resolved));
-      // Verify against the manifest before parsing: a corrupt or swapped
-      // shard file must fail here with provenance, not as a blob error
-      // (or not at all, if the bit flip lands in sketch payload bytes).
-      const uint64_t checksum = wire::Checksum64(bytes);
-      if (checksum != entry.checksum) {
-        return Status::InvalidArgument(
-            "shard file '" + resolved + "' checksum " +
-            std::to_string(checksum) + " disagrees with the manifest (" +
-            std::to_string(entry.checksum) +
-            ") — the file is corrupt or does not belong to this manifest");
-      }
+                              ReadWholeShardFile(entry, resolved));
       JOINMI_ASSIGN_OR_RETURN(SketchIndex index, DeserializeIndex(bytes));
-      if (index.size() != base_count) {
-        return Status::InvalidArgument(
-            "shard file '" + resolved + "' holds " +
-            std::to_string(index.size()) +
-            " candidates but the manifest records " +
-            std::to_string(base_count) + " (plus " +
-            std::to_string(entry.delta_records) + " delta records)");
-      }
+      JOINMI_RETURN_NOT_OK(CheckBaseCount(entry, resolved, index.size()));
       JOINMI_ASSIGN_OR_RETURN(
           std::unique_ptr<LocalShardClient> client,
           LocalShardClient::Create(std::move(index),
@@ -221,6 +213,57 @@ ShardClientFactory ShardedSketchIndex::LocalFileFactory(
     }
     return ingest::LoadDeltaOverlay(std::move(base), entry, manifest_dir);
   };
+}
+
+// ------------------------------------------------------------ Shard files
+
+Result<std::string> EncodeShardFile(const JoinMIConfig& config,
+                                    const std::vector<std::string>& records,
+                                    const ShardBuildOptions& layout) {
+  if (layout.format == ShardFileFormat::kPaged) {
+    return storage::BuildPagedShardBytes(config, records, layout.page_size);
+  }
+  return EncodeIndexRecords(config, records);
+}
+
+Result<ShardRecords> ReadShardRecords(const ShardManifestEntry& entry,
+                                      const std::string& manifest_dir) {
+  const std::string resolved =
+      ResolveManifestEntryPath(entry.path, manifest_dir);
+  ShardRecords out;
+  out.layout.format = entry.format;
+  if (entry.format == ShardFileFormat::kPaged) {
+    JOINMI_ASSIGN_OR_RETURN(
+        std::unique_ptr<storage::PagedShardFile> file,
+        storage::PagedShardFile::Open(resolved, /*pool_pages=*/4));
+    out.layout.page_size = file->page_size();
+    out.records.reserve(file->num_records());
+    for (size_t i = 0; i < file->num_records(); ++i) {
+      JOINMI_ASSIGN_OR_RETURN(std::string record, file->ReadRecord(i));
+      out.records.push_back(std::move(record));
+    }
+  } else {
+    JOINMI_ASSIGN_OR_RETURN(std::string bytes,
+                            ReadWholeShardFile(entry, resolved));
+    JOINMI_ASSIGN_OR_RETURN(IndexRecords index, DecodeIndexRecords(bytes));
+    out.records = std::move(index.records);
+  }
+  JOINMI_RETURN_NOT_OK(CheckBaseCount(entry, resolved, out.records.size()));
+  return out;
+}
+
+Status VerifyShardFile(const std::string& path, ShardFileFormat format) {
+  if (format == ShardFileFormat::kPaged) {
+    uint64_t bad_page = 0;
+    const Status status = storage::VerifyPagedShardFile(path, &bad_page);
+    if (!status.ok()) {
+      return Status(status.code(), "page " + std::to_string(bad_page) +
+                                       ": " + status.message());
+    }
+    return Status::OK();
+  }
+  JOINMI_ASSIGN_OR_RETURN(std::string bytes, wire::ReadFileBytes(path));
+  return VerifyIndexRecords(bytes);
 }
 
 Result<ShardSearchResult> ShardedSketchIndex::Search(
@@ -313,48 +356,34 @@ Result<std::string> BuildShards(const SketchIndex& index, size_t num_shards,
     return Status::IOError("cannot create shard output directory '" +
                            output_dir + "': " + ec.message());
   }
-  std::vector<SketchIndex> shards;
-  shards.reserve(num_shards);
-  for (size_t s = 0; s < num_shards; ++s) {
-    shards.emplace_back(index.config());
-  }
   ShardManifest manifest;
   manifest.policy = policy;
-  // Embedding the config (manifest v2) is what lets a router without the
-  // shard files — the remote-serving deployment — sketch queries and
-  // check handshake agreement.
+  // The embedded config is what lets a router without the shard files —
+  // the remote-serving deployment — sketch queries and check handshake
+  // agreement.
   manifest.config = index.config();
   manifest.total_candidates = index.size();
   manifest.shards.resize(num_shards);
+  // The index checked every candidate when it was added, so its records
+  // go to their shards as they are.
+  std::vector<std::vector<std::string>> records(num_shards);
   for (size_t i = 0; i < index.candidates().size(); ++i) {
     const IndexedCandidate& candidate = index.candidates()[i];
     const size_t s = AssignShard(policy, i, candidate.ref, num_shards);
-    // Sketch is copied (not shared): each shard file must be independently
-    // loadable, and AddSketch re-validates its keys into the shard's column.
-    JOINMI_RETURN_NOT_OK(
-        shards[s].AddSketch(candidate.ref, candidate.sketch()));
+    records[s].push_back(
+        EncodeCandidateRecord(candidate.ref, candidate.sketch()));
     manifest.shards[s].global_indices.push_back(i);
   }
   const std::filesystem::path dir(output_dir);
   for (size_t s = 0; s < num_shards; ++s) {
     ShardManifestEntry& entry = manifest.shards[s];
     entry.path = ShardFileName(s, options.format);
-    entry.candidate_count = shards[s].size();
+    entry.candidate_count = records[s].size();
     entry.format = options.format;
-    std::string bytes;
-    if (options.format == ShardFileFormat::kPaged) {
-      std::vector<std::string> records;
-      records.reserve(shards[s].size());
-      for (const IndexedCandidate& candidate : shards[s].candidates()) {
-        records.push_back(
-            EncodeCandidateRecord(candidate.ref, candidate.sketch()));
-      }
-      JOINMI_ASSIGN_OR_RETURN(
-          bytes, storage::BuildPagedShardBytes(index.config(), records,
-                                               options.page_size));
-    } else {
-      bytes = SerializeIndex(shards[s]);
-    }
+    JOINMI_ASSIGN_OR_RETURN(
+        std::string bytes,
+        EncodeShardFile(index.config(), records[s], options));
+    records[s] = {};
     // The checksum covers the full file bytes for both formats; paged
     // loads skip re-reading it (the JMPS internal checksums take over)
     // but verify tooling and whole-file readers still have it.
@@ -365,13 +394,6 @@ Result<std::string> BuildShards(const SketchIndex& index, size_t num_shards,
   const std::string manifest_path = (dir / "manifest.jmim").string();
   JOINMI_RETURN_NOT_OK(WriteManifestFile(manifest, manifest_path));
   return manifest_path;
-}
-
-Result<std::string> BuildShards(const SketchIndex& index, size_t num_shards,
-                                ShardPartitionPolicy policy,
-                                const std::string& output_dir) {
-  return BuildShards(index, num_shards, policy, output_dir,
-                     ShardBuildOptions{});
 }
 
 }  // namespace joinmi

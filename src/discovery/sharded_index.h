@@ -90,12 +90,17 @@ class ShardClient {
                                            size_t num_threads) const = 0;
 };
 
+/// \brief Checks a shard's global index mapping: one index for each of its
+/// `count` candidates, strictly increasing.
+Status CheckGlobalIndices(size_t count,
+                          const std::vector<uint64_t>& global_indices);
+
 /// \brief In-process ShardClient over a loaded SketchIndex.
 class LocalShardClient : public ShardClient {
  public:
   /// \brief Wraps `index`; `global_indices[i]` is local candidate i's index
-  /// in the original unsharded enumeration. Rejects a mapping whose size
-  /// disagrees with the index or that is not strictly increasing.
+  /// in the original unsharded enumeration. Rejects a mapping that fails
+  /// CheckGlobalIndices.
   static Result<std::unique_ptr<LocalShardClient>> Create(
       SketchIndex index, std::vector<uint64_t> global_indices);
 
@@ -124,6 +129,13 @@ using ShardClientFactory =
         const ShardManifest& manifest, size_t shard,
         const std::string& manifest_dir)>;
 
+/// \brief Knobs for loading paged shards (PagedShardClient::Options);
+/// ignored for whole-file ones.
+struct LocalShardLoadOptions {
+  /// Buffer-pool budget per paged shard, in pages.
+  size_t pool_pages = 64;
+};
+
 /// \brief A partitioned index: the manifest plus one client per shard.
 class ShardedSketchIndex : public Searchable {
  public:
@@ -146,27 +158,18 @@ class ShardedSketchIndex : public Searchable {
   /// relative to the manifest's directory) — Load with LocalFileFactory().
   static Result<ShardedSketchIndex> Load(const std::string& manifest_path);
 
-  /// \brief Knobs for loading paged shards; ignored for whole-file ones.
-  struct LocalShardLoadOptions {
-    /// Buffer-pool budget per paged shard, in pages.
-    size_t pool_pages = 64;
-  };
+  using LocalShardLoadOptions = joinmi::LocalShardLoadOptions;
 
   /// \brief The factory behind single-argument Load: opens each shard
-  /// file named by the manifest, dispatching on the entry's recorded
-  /// format. A whole-file "JMIX" shard is read whole, its bytes checked
-  /// against the manifest checksum and its candidate count against the
-  /// manifest entry *before* use, so a truncated, bit-flipped, or swapped
-  /// shard file fails with a clear InvalidArgument instead of surfacing
-  /// as blob-level corruption or — worse — wrong rankings. A paged "JMPS"
-  /// shard opens by header + directory only — the whole-file checksum is
-  /// deliberately NOT computed (that would read the entire file and
-  /// defeat lazy loading); its internal header/directory checksums are
-  /// verified at open and each page's checksum on fault-in, which covers
-  /// every byte the queries will actually touch.
-  static ShardClientFactory LocalFileFactory();
+  /// file named by the manifest in its recorded format. A whole-file
+  /// "JMIX" shard is checked against the manifest checksum and candidate
+  /// count before use, so a truncated, bit-flipped or swapped file fails
+  /// with InvalidArgument instead of giving wrong rankings. A paged "JMPS"
+  /// shard opens by header + directory only, skipping the O(shard)
+  /// whole-file checksum that would defeat lazy loading: its header,
+  /// directory and page checksums cover every byte a query touches.
   static ShardClientFactory LocalFileFactory(
-      const LocalShardLoadOptions& options);
+      const LocalShardLoadOptions& options = LocalShardLoadOptions());
 
   const ShardManifest& manifest() const { return manifest_; }
   /// \brief The shards' agreed JoinMIConfig. Create guarantees at least
@@ -227,12 +230,36 @@ struct ShardBuildOptions {
 Result<std::string> BuildShards(const SketchIndex& index, size_t num_shards,
                                 ShardPartitionPolicy policy,
                                 const std::string& output_dir,
-                                const ShardBuildOptions& options);
+                                const ShardBuildOptions& options = {});
 
-/// \brief BuildShards with default options (whole-file shards).
-Result<std::string> BuildShards(const SketchIndex& index, size_t num_shards,
-                                ShardPartitionPolicy policy,
-                                const std::string& output_dir);
+// A shard file is its config plus encoded candidate records (sketch_index.h
+// EncodeCandidateRecord). These three functions choose between "JMIX" and
+// "JMPS" for writing, reading and verifying one.
+
+/// \brief The bytes of a shard file holding `records` under `config` in
+/// `layout`. BuildShards and compaction both write through it, so a
+/// compacted shard is byte-identical to a from-scratch build.
+Result<std::string> EncodeShardFile(const JoinMIConfig& config,
+                                    const std::vector<std::string>& records,
+                                    const ShardBuildOptions& layout);
+
+/// \brief A base shard file's encoded records and the layout it was
+/// written in (a whole-file shard reports the default page size).
+struct ShardRecords {
+  ShardBuildOptions layout;
+  std::vector<std::string> records;
+};
+
+/// \brief Reads the records of the base shard file `entry` names. A
+/// whole-file shard must match the entry's checksum (a paged one's pages
+/// are checked as read); either must hold base_candidate_count() records.
+Result<ShardRecords> ReadShardRecords(const ShardManifestEntry& entry,
+                                      const std::string& manifest_dir);
+
+/// \brief Checks the shard file at `path`: every "JMIX" record
+/// (VerifyIndexRecords), or every "JMPS" page and the directory
+/// (storage::VerifyPagedShardFile, errors prefixed "page i: ").
+Status VerifyShardFile(const std::string& path, ShardFileFormat format);
 
 }  // namespace joinmi
 

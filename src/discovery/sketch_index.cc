@@ -49,14 +49,19 @@ Status SketchIndex::AddCandidate(const Table& table,
   return AddSketch(ref, std::move(sketch));
 }
 
-Status SketchIndex::Append(const ColumnPairRef& ref, Sketch sketch) {
-  if (sketch.hash_seed != config_.hash_seed) {
+Status CheckIndexedSketch(const JoinMIConfig& config,
+                          const ColumnPairRef& ref, const Sketch& sketch) {
+  if (sketch.hash_seed != config.hash_seed) {
     return Status::InvalidArgument(
         "sketch for " + ref.ToString() + " was built with hash seed " +
         std::to_string(sketch.hash_seed) + ", index config uses " +
-        std::to_string(config_.hash_seed));
+        std::to_string(config.hash_seed));
   }
-  JOINMI_RETURN_NOT_OK(CheckCandidateKeys(sketch));
+  return CheckCandidateKeys(sketch);
+}
+
+Status SketchIndex::Append(const ColumnPairRef& ref, Sketch sketch) {
+  JOINMI_RETURN_NOT_OK(CheckIndexedSketch(config_, ref, sketch));
   // The postings address candidates and entries in 32 bits.
   constexpr size_t kMaxPostings = std::numeric_limits<uint32_t>::max();
   if (candidates_.size() >= kMaxPostings ||
@@ -297,26 +302,47 @@ constexpr uint32_t kIndexVersion = 1;
 // "truncated buffer" a field-by-field parse would surface.
 constexpr size_t kIndexHeaderSize = 4 + 4 + kJoinMIConfigWireSize + 8;
 
-}  // namespace
-
-std::string SerializeIndex(const SketchIndex& index) {
+std::string IndexHeader(const JoinMIConfig& config, uint64_t count) {
   std::string out;
   wire::AppendRaw(&out, kIndexMagic, sizeof(kIndexMagic));
   wire::AppendPod<uint32_t>(&out, kIndexVersion);
   // The config layout is the shared one from core/config.cc; the index
   // format predates that sharing, so the bytes are unchanged.
-  AppendJoinMIConfig(&out, index.config());
-  wire::AppendPod<uint64_t>(&out, index.size());
-  for (const IndexedCandidate& candidate : index.candidates()) {
-    wire::AppendLengthPrefixed(&out, candidate.ref.table_name);
-    wire::AppendLengthPrefixed(&out, candidate.ref.key_column);
-    wire::AppendLengthPrefixed(&out, candidate.ref.value_column);
-    wire::AppendLengthPrefixed(&out, SerializeSketch(candidate.sketch()));
-  }
+  AppendJoinMIConfig(&out, config);
+  wire::AppendPod<uint64_t>(&out, count);
   return out;
 }
 
-Result<SketchIndex> DeserializeIndex(const std::string& data) {
+// A record's four length-prefixed fields: the ref strings, then the
+// serialized sketch.
+Status ReadRecordFields(wire::Reader* reader, ColumnPairRef* ref,
+                        std::string* blob) {
+  JOINMI_RETURN_NOT_OK(reader->ReadLengthPrefixed(&ref->table_name));
+  JOINMI_RETURN_NOT_OK(reader->ReadLengthPrefixed(&ref->key_column));
+  JOINMI_RETURN_NOT_OK(reader->ReadLengthPrefixed(&ref->value_column));
+  return reader->ReadLengthPrefixed(blob);
+}
+
+// One record, its sketch decoded.
+Status ReadCandidateRecord(wire::Reader* reader, CandidateRecord* out) {
+  std::string blob;
+  JOINMI_RETURN_NOT_OK(ReadRecordFields(reader, &out->ref, &blob));
+  JOINMI_ASSIGN_OR_RETURN(out->sketch, DeserializeSketch(blob));
+  return Status::OK();
+}
+
+// Attributes a failure to the candidate it happened in — "the file ended
+// inside candidate 37 of 100" localizes a truncation where a bare
+// "truncated buffer" cannot.
+Status AtCandidate(const Status& st, size_t i, size_t count) {
+  return Status(st.code(), "candidate " + std::to_string(i) + " of " +
+                               std::to_string(count) + ": " + st.message());
+}
+
+// Parses a "JMIX" header into `*config` and returns the candidate count,
+// leaving `reader` at the first record.
+Result<uint64_t> ReadIndexHeader(const std::string& data,
+                                 wire::Reader* reader, JoinMIConfig* config) {
   if (data.size() < kIndexHeaderSize) {
     return Status::IOError(
         data.empty()
@@ -327,62 +353,130 @@ Result<SketchIndex> DeserializeIndex(const std::string& data) {
                   std::to_string(kIndexHeaderSize) +
                   " — file truncated or not an index");
   }
-  wire::Reader reader(data);
   char magic[4];
-  JOINMI_RETURN_NOT_OK(reader.Read(&magic));
+  JOINMI_RETURN_NOT_OK(reader->Read(&magic));
   if (std::memcmp(magic, kIndexMagic, sizeof(kIndexMagic)) != 0) {
     return Status::IOError("bad index magic");
   }
   uint32_t version = 0;
-  JOINMI_RETURN_NOT_OK(reader.Read(&version));
+  JOINMI_RETURN_NOT_OK(reader->Read(&version));
   if (version != kIndexVersion) {
     return Status::IOError("unsupported index version " +
                            std::to_string(version));
   }
-  JOINMI_ASSIGN_OR_RETURN(JoinMIConfig config, ReadJoinMIConfig(&reader));
+  JOINMI_ASSIGN_OR_RETURN(*config, ReadJoinMIConfig(reader));
   uint64_t count = 0;
-  JOINMI_RETURN_NOT_OK(reader.Read(&count));
+  JOINMI_RETURN_NOT_OK(reader->Read(&count));
   // Each candidate needs at least 4 length prefixes (16 bytes) on the
   // wire; divide rather than multiply so a crafted count cannot overflow
   // past the check — nor in the message, which gives the per-candidate
-  // minimum instead of a product that would wrap for such counts.
-  if (count > reader.remaining() / 16) {
+  // minimum instead of a product that would wrap for such counts. The
+  // check bounds what a caller reserves for `count` candidates, as
+  // DeserializeSketch bounds its entry count before reserving.
+  if (count > reader->remaining() / 16) {
     return Status::IOError(
         "index header promises " + std::to_string(count) +
-        " candidates but only " + std::to_string(reader.remaining()) +
+        " candidates but only " + std::to_string(reader->remaining()) +
         " bytes follow the header (each candidate needs at least 16) — "
         "file truncated after the header");
   }
+  return count;
+}
+
+Status CheckIndexEnd(const wire::Reader& reader) {
+  return reader.AtEnd()
+             ? Status::OK()
+             : Status::IOError("trailing bytes after index payload");
+}
+
+}  // namespace
+
+std::string EncodeCandidateRecord(const ColumnPairRef& ref,
+                                  const Sketch& sketch) {
+  std::string out;
+  wire::AppendLengthPrefixed(&out, ref.table_name);
+  wire::AppendLengthPrefixed(&out, ref.key_column);
+  wire::AppendLengthPrefixed(&out, ref.value_column);
+  wire::AppendLengthPrefixed(&out, SerializeSketch(sketch));
+  return out;
+}
+
+Result<CandidateRecord> DecodeCandidateRecord(const std::string& record) {
+  wire::Reader reader(record);
+  CandidateRecord out;
+  JOINMI_RETURN_NOT_OK(ReadCandidateRecord(&reader, &out));
+  if (!reader.AtEnd()) {
+    return Status::IOError("trailing bytes after candidate record");
+  }
+  return out;
+}
+
+std::string EncodeIndexRecords(const JoinMIConfig& config,
+                               const std::vector<std::string>& records) {
+  std::string out = IndexHeader(config, records.size());
+  for (const std::string& record : records) out += record;
+  return out;
+}
+
+std::string SerializeIndex(const SketchIndex& index) {
+  std::string out = IndexHeader(index.config(), index.size());
+  for (const IndexedCandidate& candidate : index.candidates()) {
+    out += EncodeCandidateRecord(candidate.ref, candidate.sketch());
+  }
+  return out;
+}
+
+Result<IndexRecords> DecodeIndexRecords(const std::string& data) {
+  wire::Reader reader(data);
+  IndexRecords out;
+  JOINMI_ASSIGN_OR_RETURN(const uint64_t count,
+                          ReadIndexHeader(data, &reader, &out.config));
+  out.records.reserve(count);
+  ColumnPairRef ref;
+  std::string blob;
+  for (uint64_t i = 0; i < count; ++i) {
+    const size_t begin = data.size() - reader.remaining();
+    Status st = ReadRecordFields(&reader, &ref, &blob);
+    if (!st.ok()) return AtCandidate(st, i, count);
+    out.records.push_back(
+        data.substr(begin, data.size() - reader.remaining() - begin));
+  }
+  JOINMI_RETURN_NOT_OK(CheckIndexEnd(reader));
+  return out;
+}
+
+Status VerifyIndexRecords(const std::string& data) {
+  wire::Reader reader(data);
+  JoinMIConfig config;
+  JOINMI_ASSIGN_OR_RETURN(const uint64_t count,
+                          ReadIndexHeader(data, &reader, &config));
+  for (uint64_t i = 0; i < count; ++i) {
+    CandidateRecord candidate;
+    Status st = ReadCandidateRecord(&reader, &candidate);
+    if (st.ok()) {
+      st = CheckIndexedSketch(config, candidate.ref, candidate.sketch);
+    }
+    if (!st.ok()) return AtCandidate(st, i, count);
+  }
+  return CheckIndexEnd(reader);
+}
+
+Result<SketchIndex> DeserializeIndex(const std::string& data) {
+  wire::Reader reader(data);
+  JoinMIConfig config;
+  JOINMI_ASSIGN_OR_RETURN(const uint64_t count,
+                          ReadIndexHeader(data, &reader, &config));
   SketchIndex index(std::move(config));
-  // The check above bounds count by the bytes that follow, as
-  // DeserializeSketch bounds its entry count before reserving.
   index.Reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
-    // Attribute any parse failure to the candidate it happened in — "the
-    // file ended inside candidate 37 of 100" localizes a truncation where
-    // a bare "truncated buffer" cannot.
-    const auto where = [&](const Status& st) {
-      return Status(st.code(), "candidate " + std::to_string(i) + " of " +
-                                   std::to_string(count) + ": " +
-                                   st.message());
-    };
-    ColumnPairRef ref;
-    Status st = reader.ReadLengthPrefixed(&ref.table_name);
-    if (st.ok()) st = reader.ReadLengthPrefixed(&ref.key_column);
-    if (st.ok()) st = reader.ReadLengthPrefixed(&ref.value_column);
-    std::string blob;
-    if (st.ok()) st = reader.ReadLengthPrefixed(&blob);
-    if (!st.ok()) return where(st);
-    auto sketch = DeserializeSketch(blob);
-    if (!sketch.ok()) return where(sketch.status());
-    // Append re-validates seed agreement and candidate-side invariants,
-    // so a tampered or mismatched payload cannot produce a poisoned index.
-    st = index.Append(std::move(ref), std::move(*sketch));
-    if (!st.ok()) return where(st);
+    // Append runs CheckIndexedSketch, so a tampered or mismatched payload
+    // cannot produce a poisoned index.
+    CandidateRecord candidate;
+    Status st = ReadCandidateRecord(&reader, &candidate);
+    if (st.ok()) st = index.Append(candidate.ref, std::move(candidate.sketch));
+    if (!st.ok()) return AtCandidate(st, i, count);
   }
-  if (!reader.AtEnd()) {
-    return Status::IOError("trailing bytes after index payload");
-  }
+  JOINMI_RETURN_NOT_OK(CheckIndexEnd(reader));
   index.BuildPostings();
   return index;
 }

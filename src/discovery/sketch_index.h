@@ -19,8 +19,13 @@
 //     i32 mi_k, f64 laplace_alpha, f64 perturb_sigma, u64 perturb_seed,
 //     u64 min_join_size
 //   | u64 candidate_count
-//   | per candidate: table_name, key_column, value_column (u32 length +
-//     bytes each), then u32 length + serialized sketch (serialize.h format)
+//   | per candidate: one candidate record
+//
+// A candidate record is table_name, key_column, value_column (u32 length
+// + bytes each), then u32 length + serialized sketch (serialize.h format).
+// Its codec (EncodeCandidateRecord / DecodeCandidateRecord) lives here and
+// is the one every shard file stores: paged "JMPS" files and delta
+// segments hold the same records (sharded_index.h EncodeShardFile).
 
 #ifndef JOINMI_DISCOVERY_SKETCH_INDEX_H_
 #define JOINMI_DISCOVERY_SKETCH_INDEX_H_
@@ -37,6 +42,29 @@
 #include "src/discovery/searchable.h"
 
 namespace joinmi {
+
+/// \brief One candidate as a shard file stores it: provenance plus its
+/// sketch.
+struct CandidateRecord {
+  ColumnPairRef ref;
+  Sketch sketch;
+};
+
+/// \brief Encodes a candidate as one record: three length-prefixed ref
+/// strings, then the length-prefixed serialized sketch.
+std::string EncodeCandidateRecord(const ColumnPairRef& ref,
+                                  const Sketch& sketch);
+
+/// \brief Parses one encoded record; validates the embedded sketch and
+/// rejects trailing bytes.
+Result<CandidateRecord> DecodeCandidateRecord(const std::string& record);
+
+/// \brief The checks every candidate passes before an index or a shard
+/// file holds it: its hash seed must be the config's — a sketch under
+/// another seed could never join a query sketched under this config — and
+/// its keys must satisfy CheckCandidateKeys.
+Status CheckIndexedSketch(const JoinMIConfig& config,
+                          const ColumnPairRef& ref, const Sketch& sketch);
 
 /// \brief One indexed candidate: provenance plus its pre-built sketch.
 struct IndexedCandidate {
@@ -77,11 +105,8 @@ class SketchIndex : public Searchable {
   Status AddCandidate(const Table& table, const ColumnPairRef& ref);
 
   /// \brief Adds a pre-built candidate sketch (the deserialization path).
-  /// Rejects sketches whose hash seed disagrees with the index config —
-  /// they could never join a query sketched under this config — and
-  /// train-side sketches or key hashes that do not strictly ascend (one
-  /// linear pass catches duplicates and unsorted entries alike). The key
-  /// postings go stale until the next BuildPostings or EvaluateAll.
+  /// Rejects sketches that fail CheckIndexedSketch. The key postings go
+  /// stale until the next BuildPostings or EvaluateAll.
   Status AddSketch(const ColumnPairRef& ref, Sketch sketch);
 
   /// \brief Brings the key postings up to date if an add made them stale,
@@ -189,6 +214,26 @@ class SketchIndex : public Searchable {
   mutable unsigned posting_shift_ = 0;
   mutable PostingsState postings_state_;
 };
+
+/// \brief A "JMIX" buffer split into its config and its encoded candidate
+/// records, in order.
+struct IndexRecords {
+  JoinMIConfig config;
+  std::vector<std::string> records;
+};
+
+/// \brief Frames encoded candidate records as a "JMIX" buffer: the header
+/// for `config` and the record count, then the records.
+std::string EncodeIndexRecords(const JoinMIConfig& config,
+                               const std::vector<std::string>& records);
+
+/// \brief Splits a "JMIX" buffer into its config and records; validates
+/// the header and every record's field lengths, but parses no sketch.
+Result<IndexRecords> DecodeIndexRecords(const std::string& data);
+
+/// \brief Every check DeserializeIndex makes, without building an index.
+/// Errors name the candidate as "candidate i of N".
+Status VerifyIndexRecords(const std::string& data);
 
 /// \brief Serializes the index (config, refs, sketches) to a binary string.
 std::string SerializeIndex(const SketchIndex& index);

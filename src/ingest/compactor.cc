@@ -1,36 +1,23 @@
 #include "src/ingest/compactor.h"
 
 #include <cstdio>
-#include <filesystem>
 #include <utility>
-#include <vector>
 
-#include "src/discovery/paged_shard_index.h"
 #include "src/ingest/delta_segment.h"
 #include "src/ingest/generation.h"
 #include "src/sketch/serialize.h"
-#include "src/storage/paged_shard_file.h"
 
 namespace joinmi {
 namespace ingest {
 
 namespace {
 
-std::string Resolve(const std::string& relative, const std::string& dir) {
-  const std::filesystem::path path(relative);
-  return path.is_absolute()
-             ? relative
-             : (std::filesystem::path(dir) / path).string();
-}
-
 std::string CompactedShardName(size_t shard, uint64_t epoch,
                                ShardFileFormat format) {
   char name[48];
-  std::snprintf(name, sizeof(name),
-                format == ShardFileFormat::kPaged ? "shard_%05zu.g%06llu.jmps"
-                                                  : "shard_%05zu.g%06llu.jmix",
-                shard, static_cast<unsigned long long>(epoch));
-  return name;
+  std::snprintf(name, sizeof(name), "shard_%05zu.g%06llu", shard,
+                static_cast<unsigned long long>(epoch));
+  return name + std::string(ShardFileExtension(format));
 }
 
 }  // namespace
@@ -43,13 +30,9 @@ Result<ShardManifestEntry> Compactor::CompactShard(
   }
   ShardManifestEntry entry = manifest_.shards[shard];
   if (!entry.has_delta()) return entry;
-  if (!manifest_.config.has_value()) {
-    return Status::InvalidArgument(
-        "cannot compact a legacy (v1) manifest without an embedded config");
-  }
-  const JoinMIConfig& config = *manifest_.config;
 
-  const std::string delta_resolved = Resolve(entry.delta_path, dir_);
+  const std::string delta_resolved =
+      ResolveManifestEntryPath(entry.delta_path, dir_);
   JOINMI_ASSIGN_OR_RETURN(
       DeltaSegmentContents delta,
       ReadDeltaSegmentPrefix(delta_resolved, entry.delta_bytes,
@@ -62,89 +45,38 @@ Result<ShardManifestEntry> Compactor::CompactShard(
   }
 
   // Rebuild the shard exactly as build_shards would have written it had
-  // the appended candidates been present from the start: same writers,
-  // same insertion order (base then delta == global-index order), so the
+  // the appended candidates been present from the start: the base's
+  // records then the delta's (base then delta == global-index order),
+  // framed by the same writer in the base's format and page size, so the
   // output is byte-identical to a from-scratch build.
-  const std::string base_resolved = Resolve(entry.path, dir_);
-  std::string bytes;
-  if (entry.format == ShardFileFormat::kPaged) {
-    JOINMI_ASSIGN_OR_RETURN(
-        std::unique_ptr<storage::PagedShardFile> base_file,
-        storage::PagedShardFile::Open(base_resolved, /*pool_pages=*/4));
-    if (base_file->num_records() !=
-        static_cast<size_t>(entry.base_candidate_count())) {
-      return Status::InvalidArgument(
-          "base shard file '" + base_resolved + "' holds " +
-          std::to_string(base_file->num_records()) +
-          " records, manifest expects " +
-          std::to_string(entry.base_candidate_count()));
-    }
-    std::vector<std::string> records;
-    records.reserve(static_cast<size_t>(entry.candidate_count));
-    for (size_t i = 0; i < base_file->num_records(); ++i) {
-      JOINMI_ASSIGN_OR_RETURN(std::string record, base_file->ReadRecord(i));
-      records.push_back(std::move(record));
-    }
-    for (const DeltaRecord& record : delta.records) {
-      records.push_back(record.payload);
-    }
-    JOINMI_ASSIGN_OR_RETURN(
-        bytes, storage::BuildPagedShardBytes(config, records,
-                                             base_file->page_size()));
-  } else {
-    JOINMI_ASSIGN_OR_RETURN(std::string base_bytes,
-                            wire::ReadFileBytes(base_resolved));
-    if (wire::Checksum64(base_bytes) != entry.checksum) {
-      return Status::InvalidArgument(
-          "base shard file '" + base_resolved +
-          "' fails its manifest checksum; refusing to compact");
-    }
-    JOINMI_ASSIGN_OR_RETURN(SketchIndex base_index,
-                            DeserializeIndex(base_bytes));
-    SketchIndex compacted(config);
-    for (const IndexedCandidate& candidate : base_index.candidates()) {
-      JOINMI_RETURN_NOT_OK(
-          compacted.AddSketch(candidate.ref, candidate.sketch()));
-    }
-    for (const DeltaRecord& record : delta.records) {
-      JOINMI_ASSIGN_OR_RETURN(CandidateRecord candidate,
-                              DecodeCandidateRecord(record.payload));
-      JOINMI_RETURN_NOT_OK(
-          compacted.AddSketch(candidate.ref, std::move(candidate.sketch)));
-    }
-    bytes = SerializeIndex(compacted);
+  JOINMI_ASSIGN_OR_RETURN(ShardRecords shard_records,
+                          ReadShardRecords(entry, dir_));
+  shard_records.records.reserve(static_cast<size_t>(entry.candidate_count));
+  for (DeltaRecord& record : delta.records) {
+    shard_records.records.push_back(std::move(record.payload));
   }
+  JOINMI_ASSIGN_OR_RETURN(
+      std::string bytes,
+      EncodeShardFile(manifest_.config, shard_records.records,
+                      shard_records.layout));
 
   const std::string new_name =
       CompactedShardName(shard, target_epoch, entry.format);
-  const std::string new_path = Resolve(new_name, dir_);
+  const std::string new_path = ResolveManifestEntryPath(new_name, dir_);
   JOINMI_RETURN_NOT_OK(WriteFileDurable(new_path, bytes));
 
   // Verify what actually landed on disk before the entry can be
-  // published: re-read, checksum, and structurally validate.
+  // published: re-read, checksum, and check its format.
   JOINMI_ASSIGN_OR_RETURN(std::string reread, wire::ReadFileBytes(new_path));
   const uint64_t checksum = wire::Checksum64(reread);
   if (checksum != wire::Checksum64(bytes)) {
     return Status::IOError("compacted shard '" + new_path +
                            "' read back different bytes than were written");
   }
-  if (entry.format == ShardFileFormat::kPaged) {
-    uint64_t bad_page = 0;
-    Status verified = storage::VerifyPagedShardFile(new_path, &bad_page);
-    if (!verified.ok()) {
-      return Status::IOError("compacted shard '" + new_path +
-                             "' fails page verification (page " +
-                             std::to_string(bad_page) +
-                             "): " + verified.message());
-    }
-  } else {
-    JOINMI_ASSIGN_OR_RETURN(SketchIndex reloaded, DeserializeIndex(reread));
-    if (reloaded.size() != static_cast<size_t>(entry.candidate_count)) {
-      return Status::IOError(
-          "compacted shard '" + new_path + "' reloads " +
-          std::to_string(reloaded.size()) + " candidates, expected " +
-          std::to_string(entry.candidate_count));
-    }
+  const Status verified = VerifyShardFile(new_path, entry.format);
+  if (!verified.ok()) {
+    return Status::IOError("compacted shard '" + new_path +
+                           "' fails verification: " + verified.message());
   }
 
   entry.path = new_name;

@@ -1,17 +1,17 @@
 // Compactor: folds a shard's delta segment into a fresh base file.
 //
 // Compaction rewrites one shard as if it had been built from scratch
-// with every (base + published-and-unpublished-committed) candidate:
-// whole-file shards re-serialize through SerializeIndex, paged shards
-// through BuildPagedShardBytes at the base's page size — the exact
-// writers build_shards uses, so the compacted file is byte-identical to
-// a from-scratch build of the same candidate set. The new base gets a
-// generation-stamped name (shard_00001.g000002.jmix); the old base and
-// delta files are never touched, so a reader holding the previous
-// manifest generation keeps serving it untouched. The rewritten entry is
-// verified (checksum recomputation, page verification, a full reload)
-// before the coordinator publishes it through the same CURRENT swap as
-// any other generation.
+// with every (base + published-and-unpublished-committed) candidate: the
+// base file's encoded records (ReadShardRecords) followed by the delta's
+// record payloads, framed by EncodeShardFile in the base's format and
+// page size — the writer build_shards uses, so the compacted file is
+// byte-identical to a from-scratch build of the same candidate set. No
+// sketch is decoded into an index. The new base gets a generation-stamped
+// name (shard_00001.g000002.jmix); the old base and delta files are never
+// touched, so a reader holding the previous manifest generation keeps
+// serving it untouched. The rewritten file is verified (re-read and
+// checksum, then VerifyShardFile) before the coordinator publishes it
+// through the same CURRENT swap as any other generation.
 
 #ifndef JOINMI_INGEST_COMPACTOR_H_
 #define JOINMI_INGEST_COMPACTOR_H_

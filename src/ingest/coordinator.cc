@@ -12,13 +12,6 @@ namespace ingest {
 
 namespace {
 
-std::string Resolve(const std::string& relative, const std::string& dir) {
-  const std::filesystem::path path(relative);
-  return path.is_absolute()
-             ? relative
-             : (std::filesystem::path(dir) / path).string();
-}
-
 // A shard's delta sidecar sits next to its base file and is named after
 // it, so each base generation gets a fresh (empty) delta after
 // compaction renames the base.
@@ -42,11 +35,6 @@ Result<std::unique_ptr<IngestCoordinator>> IngestCoordinator::Open(
                           ResolveManifestPath(dir));
   JOINMI_ASSIGN_OR_RETURN(coordinator->manifest_,
                           ReadManifestFile(coordinator->manifest_path_));
-  if (!coordinator->manifest_.config.has_value()) {
-    return Status::InvalidArgument(
-        "cannot ingest into a legacy (v1) manifest without an embedded "
-        "config — repartition with the current build_shards first");
-  }
   const ShardManifest& manifest = coordinator->manifest_;
   coordinator->writers_.resize(manifest.shards.size());
   coordinator->next_global_ = manifest.total_candidates;
@@ -57,7 +45,8 @@ Result<std::unique_ptr<IngestCoordinator>> IngestCoordinator::Open(
   std::vector<uint64_t> pending;
   for (size_t s = 0; s < manifest.shards.size(); ++s) {
     const ShardManifestEntry& entry = manifest.shards[s];
-    const std::string delta_path = Resolve(DeltaName(entry), dir);
+    const std::string delta_path =
+        ResolveManifestEntryPath(DeltaName(entry), dir);
     if (!std::filesystem::exists(delta_path, ec)) {
       if (entry.has_delta()) {
         return Status::IOError("published delta segment '" + delta_path +
@@ -112,8 +101,9 @@ Result<DeltaSegmentWriter*> IngestCoordinator::Writer(size_t shard) {
     const ShardManifestEntry& entry = manifest_.shards[shard];
     JOINMI_ASSIGN_OR_RETURN(
         writers_[shard],
-        DeltaSegmentWriter::Open(Resolve(DeltaName(entry), dir_),
-                                 *manifest_.config, shard));
+        DeltaSegmentWriter::Open(
+            ResolveManifestEntryPath(DeltaName(entry), dir_),
+            manifest_.config, shard));
   }
   return writers_[shard].get();
 }
@@ -121,15 +111,12 @@ Result<DeltaSegmentWriter*> IngestCoordinator::Writer(size_t shard) {
 Status IngestCoordinator::Append(
     const std::vector<CandidateRecord>& candidates) {
   if (candidates.empty()) return Status::OK();
-  const JoinMIConfig& config = *manifest_.config;
   // Validate every sketch against the deployment config before any byte
   // lands on disk — a mis-seeded sketch would otherwise poison the delta
   // and only fail at serving load.
-  {
-    SketchIndex probe(config);
-    for (const CandidateRecord& candidate : candidates) {
-      JOINMI_RETURN_NOT_OK(probe.AddSketch(candidate.ref, candidate.sketch));
-    }
+  for (const CandidateRecord& candidate : candidates) {
+    JOINMI_RETURN_NOT_OK(
+        CheckIndexedSketch(manifest_.config, candidate.ref, candidate.sketch));
   }
   // Route in global order, flushing each run of consecutive same-shard
   // records as one commit batch. Commits therefore land in global order
@@ -186,7 +173,7 @@ Result<ShardManifest> IngestCoordinator::ManifestCoveringCommitted() const {
 Status IngestCoordinator::WriteAndFlip(ShardManifest manifest) {
   JOINMI_RETURN_NOT_OK(manifest.Validate());
   const std::string name = GenerationManifestName(manifest.epoch);
-  const std::string path = Resolve(name, dir_);
+  const std::string path = ResolveManifestEntryPath(name, dir_);
   JOINMI_RETURN_NOT_OK(WriteFileDurable(path, SerializeManifest(manifest)));
   JOINMI_RETURN_NOT_OK(PublishCurrent(dir_, name));
   manifest_ = std::move(manifest);

@@ -24,8 +24,8 @@
 #include <vector>
 
 #include "src/common/status.h"
-#include "src/discovery/paged_shard_index.h"
 #include "src/discovery/sharded_index.h"
+#include "src/discovery/sketch_index.h"
 #include "src/ingest/delta_segment.h"
 
 namespace joinmi {

@@ -1,11 +1,10 @@
 #include "src/ingest/delta_shard_client.h"
 
 #include <algorithm>
-#include <filesystem>
 #include <utility>
 #include <vector>
 
-#include "src/discovery/paged_shard_index.h"
+#include "src/discovery/sketch_index.h"
 #include "src/discovery/topk_merge.h"
 #include "src/ingest/delta_segment.h"
 
@@ -17,14 +16,6 @@ namespace {
 bool BetterHit(const ShardSearchHit& a, const ShardSearchHit& b) {
   return internal::BetterByMIThenKey(a.estimate.mi, a.global_index,
                                      b.estimate.mi, b.global_index);
-}
-
-std::string ResolveDeltaPath(const ShardManifestEntry& entry,
-                             const std::string& manifest_dir) {
-  const std::filesystem::path delta_path(entry.delta_path);
-  return delta_path.is_absolute()
-             ? entry.delta_path
-             : (std::filesystem::path(manifest_dir) / delta_path).string();
 }
 
 }  // namespace
@@ -70,7 +61,8 @@ Result<std::unique_ptr<ShardClient>> LoadDeltaOverlay(
     std::unique_ptr<ShardClient> base, const ShardManifestEntry& entry,
     const std::string& manifest_dir) {
   if (!entry.has_delta()) return std::move(base);
-  const std::string resolved = ResolveDeltaPath(entry, manifest_dir);
+  const std::string resolved =
+      ResolveManifestEntryPath(entry.delta_path, manifest_dir);
   JOINMI_ASSIGN_OR_RETURN(
       DeltaSegmentContents contents,
       ReadDeltaSegmentPrefix(resolved, entry.delta_bytes,

@@ -1,12 +1,13 @@
 // Tests for the mutable index: delta segments (JMDS round trips, torn-tail
 // recovery, pinned-prefix serving reads), manifest generations and the
-// CURRENT pointer (atomic flips, loud failure on damage), manifest v4
-// version compatibility (hand-encoded v2/v3 buffers, oldest-sufficient
-// serialization, future-version rejection), and the full ingest lifecycle:
+// CURRENT pointer (atomic flips, loud failure on damage), the one
+// manifest version (epoch and delta fields round-tripping, every other
+// version refused with the rebuild message), and the full ingest lifecycle:
 // append + publish served bit-identically to a from-scratch rebuild (whole
-// and paged bases), compaction producing byte-identical base files, shard
-// servers and routers picking up new epochs over reload — including over
-// RPC and under concurrent query traffic (the TSan target).
+// and paged bases), compaction producing byte-identical base files in
+// both formats, shard servers and routers picking up new epochs over
+// reload — including over RPC and under concurrent query traffic (the
+// TSan target).
 
 #include <gtest/gtest.h>
 
@@ -359,57 +360,7 @@ TEST(GenerationTest, CurrentPointerFlipsAtomicallyAndResolves) {
   std::filesystem::remove_all(dir);
 }
 
-// ---------------------------------------------- manifest version compat
-
-// Hand-encodes a legacy manifest buffer: two shards, four candidates,
-// interleaved global indices. `version` must be 2 or 3 (v3 appends the
-// per-shard format byte the way old writers did).
-std::string EncodeLegacyManifest(uint32_t version) {
-  std::string data;
-  wire::AppendRaw(&data, "JMIM", 4);
-  wire::AppendPod<uint32_t>(&data, version);
-  wire::AppendPod<uint8_t>(&data, 0);  // policy: round robin
-  wire::AppendPod<uint8_t>(&data, 0);  // has_config = 0
-  wire::AppendPod<uint64_t>(&data, 2);  // shard_count
-  wire::AppendPod<uint64_t>(&data, 4);  // total_candidates
-  for (size_t shard = 0; shard < 2; ++shard) {
-    wire::AppendLengthPrefixed(
-        &data, "shard_0000" + std::to_string(shard) + ".jmix");
-    wire::AppendPod<uint64_t>(&data, 2);  // candidate_count
-    wire::AppendPod<uint64_t>(&data, 0x1111u * (shard + 1));  // checksum
-    if (version >= 3) {
-      wire::AppendPod<uint8_t>(&data, shard == 1 ? 1 : 0);  // format
-    }
-    wire::AppendPod<uint64_t>(&data, shard);      // global indices
-    wire::AppendPod<uint64_t>(&data, shard + 2);
-  }
-  return data;
-}
-
-TEST(ManifestCompatTest, HandEncodedV2LoadsUnderTheV4Reader) {
-  auto manifest = DeserializeManifest(EncodeLegacyManifest(2));
-  ASSERT_TRUE(manifest.ok()) << manifest.status();
-  EXPECT_EQ(manifest->epoch, 0u);  // pre-epoch manifests imply epoch 0
-  EXPECT_FALSE(manifest->config.has_value());
-  EXPECT_EQ(manifest->total_candidates, 4u);
-  ASSERT_EQ(manifest->shards.size(), 2u);
-  for (const ShardManifestEntry& entry : manifest->shards) {
-    EXPECT_EQ(entry.format, ShardFileFormat::kWholeFile);
-    EXPECT_FALSE(entry.has_delta());
-    EXPECT_TRUE(entry.delta_path.empty());
-  }
-}
-
-TEST(ManifestCompatTest, HandEncodedV3LoadsUnderTheV4Reader) {
-  auto manifest = DeserializeManifest(EncodeLegacyManifest(3));
-  ASSERT_TRUE(manifest.ok()) << manifest.status();
-  EXPECT_EQ(manifest->epoch, 0u);
-  ASSERT_EQ(manifest->shards.size(), 2u);
-  EXPECT_EQ(manifest->shards[0].format, ShardFileFormat::kWholeFile);
-  EXPECT_EQ(manifest->shards[1].format, ShardFileFormat::kPaged);
-  EXPECT_FALSE(manifest->shards[0].has_delta());
-  EXPECT_FALSE(manifest->shards[1].has_delta());
-}
+// ----------------------------------------------------- manifest version
 
 ShardManifest MakeCompatManifest() {
   ShardManifest manifest;
@@ -427,25 +378,23 @@ ShardManifest MakeCompatManifest() {
   return manifest;
 }
 
-TEST(ManifestCompatTest, DefaultEpochManifestsKeepTheOldestVersion) {
-  // Epoch 0, whole-file, no deltas: serializes as v2, byte-identical to
-  // what pre-ingest builds wrote — repartitioning must not gratuitously
-  // break an older reader.
-  const std::string v2_bytes = SerializeManifest(MakeCompatManifest());
+TEST(ManifestCompatTest, EpochAndDeltaFieldsRoundTripByteExactly) {
+  // Every manifest writes the one version, v5, epoch 0 included.
   uint32_t version = 0;
-  std::memcpy(&version, v2_bytes.data() + 4, sizeof(version));
-  EXPECT_EQ(version, 2u);
+  const std::string plain_bytes = SerializeManifest(MakeCompatManifest());
+  std::memcpy(&version, plain_bytes.data() + 4, sizeof(version));
+  EXPECT_EQ(version, 5u);
 
-  // A nonzero epoch forces v4 and round-trips byte-exactly.
+  // A nonzero epoch round-trips byte-exactly.
   ShardManifest epoch_manifest = MakeCompatManifest();
   epoch_manifest.epoch = 7;
-  const std::string v4_bytes = SerializeManifest(epoch_manifest);
-  std::memcpy(&version, v4_bytes.data() + 4, sizeof(version));
-  EXPECT_EQ(version, 4u);
-  auto reread = DeserializeManifest(v4_bytes);
+  const std::string epoch_bytes = SerializeManifest(epoch_manifest);
+  std::memcpy(&version, epoch_bytes.data() + 4, sizeof(version));
+  EXPECT_EQ(version, 5u);
+  auto reread = DeserializeManifest(epoch_bytes);
   ASSERT_TRUE(reread.ok()) << reread.status();
   EXPECT_EQ(reread->epoch, 7u);
-  EXPECT_EQ(SerializeManifest(*reread), v4_bytes);
+  EXPECT_EQ(SerializeManifest(*reread), epoch_bytes);
 
   // So does a manifest carrying delta references.
   ShardManifest delta_manifest = MakeCompatManifest();
@@ -467,13 +416,22 @@ TEST(ManifestCompatTest, DefaultEpochManifestsKeepTheOldestVersion) {
 }
 
 TEST(ManifestCompatTest, UnknownFutureVersionFailsClearly) {
-  std::string bytes = SerializeManifest(MakeCompatManifest());
-  const uint32_t future = 9;
-  std::memcpy(&bytes[4], &future, sizeof(future));
-  auto manifest = DeserializeManifest(bytes);
-  ASSERT_FALSE(manifest.ok());
-  EXPECT_NE(manifest.status().message().find("v1-v4"), std::string::npos)
-      << manifest.status();
+  // Every version but v5 — the retired v1-v4 layouts and future ones —
+  // fails with one message that names the way to rebuild.
+  for (const uint32_t other : {1u, 2u, 3u, 4u, 6u, 9u}) {
+    std::string bytes = SerializeManifest(MakeCompatManifest());
+    std::memcpy(&bytes[4], &other, sizeof(other));
+    auto manifest = DeserializeManifest(bytes);
+    ASSERT_FALSE(manifest.ok()) << other;
+    EXPECT_NE(manifest.status().message().find(
+                  "unsupported shard manifest version " +
+                  std::to_string(other)),
+              std::string::npos)
+        << manifest.status();
+    EXPECT_NE(manifest.status().message().find("build_shards"),
+              std::string::npos)
+        << manifest.status();
+  }
 }
 
 // ------------------------------------------------------- ingest lifecycle
@@ -633,68 +591,79 @@ TEST_F(IngestTest, AppendPublishServesBitIdenticalToFromScratchRebuild) {
 }
 
 TEST_F(IngestTest, CompactionFoldsDeltasIntoByteIdenticalBases) {
+  // Both shard formats go through the one compaction path; each must
+  // come out byte-identical to a from-scratch build in its own format
+  // and page size.
+  ShardBuildOptions paged;
+  paged.format = ShardFileFormat::kPaged;
+  paged.page_size = 256;
+  const std::vector<std::pair<ShardBuildOptions, std::string>> layouts = {
+      {ShardBuildOptions{}, "compact"}, {paged, "compact_paged"}};
   const size_t base_count = 5;
-  const std::string deployment =
-      BuildDeployment(base_count, 2, ShardPartitionPolicy::kRoundRobin,
-                      ShardBuildOptions{}, "compact");
-  auto coordinator = ingest::IngestCoordinator::Open(deployment);
-  ASSERT_TRUE(coordinator.ok()) << coordinator.status();
-  ASSERT_TRUE((*coordinator)->Append(TailRecords(base_count)).ok());
-  auto published = (*coordinator)->Publish();
-  ASSERT_TRUE(published.ok()) << published.status();
+  for (const auto& [options, name] : layouts) {
+    SCOPED_TRACE(name);
+    const std::string deployment = BuildDeployment(
+        base_count, 2, ShardPartitionPolicy::kRoundRobin, options, name);
+    auto coordinator = ingest::IngestCoordinator::Open(deployment);
+    ASSERT_TRUE(coordinator.ok()) << coordinator.status();
+    ASSERT_TRUE((*coordinator)->Append(TailRecords(base_count)).ok());
+    auto published = (*coordinator)->Publish();
+    ASSERT_TRUE(published.ok()) << published.status();
 
-  auto compacted_epoch = (*coordinator)->Compact();
-  ASSERT_TRUE(compacted_epoch.ok()) << compacted_epoch.status();
-  EXPECT_EQ(*compacted_epoch, 2u);
+    auto compacted_epoch = (*coordinator)->Compact();
+    ASSERT_TRUE(compacted_epoch.ok()) << compacted_epoch.status();
+    EXPECT_EQ(*compacted_epoch, 2u);
 
-  auto manifest_path = ingest::ResolveManifestPath(deployment);
-  ASSERT_TRUE(manifest_path.ok()) << manifest_path.status();
-  auto manifest = ReadManifestFile(*manifest_path);
-  ASSERT_TRUE(manifest.ok()) << manifest.status();
-  EXPECT_EQ(manifest->epoch, 2u);
+    auto manifest_path = ingest::ResolveManifestPath(deployment);
+    ASSERT_TRUE(manifest_path.ok()) << manifest_path.status();
+    auto manifest = ReadManifestFile(*manifest_path);
+    ASSERT_TRUE(manifest.ok()) << manifest.status();
+    EXPECT_EQ(manifest->epoch, 2u);
 
-  // The oracle: a from-scratch build of the full candidate set. Shard
-  // file names differ (compacted bases are generation-stamped) but the
-  // bytes must be identical — manifest checksums prove it.
-  auto rebuilt_path = BuildShards(*full_index_, 2,
-                                  ShardPartitionPolicy::kRoundRobin,
-                                  dir_ + "/compact_rebuilt");
-  ASSERT_TRUE(rebuilt_path.ok()) << rebuilt_path.status();
-  auto rebuilt_manifest = ReadManifestFile(*rebuilt_path);
-  ASSERT_TRUE(rebuilt_manifest.ok()) << rebuilt_manifest.status();
-  ASSERT_EQ(manifest->shards.size(), rebuilt_manifest->shards.size());
-  for (size_t shard = 0; shard < manifest->shards.size(); ++shard) {
-    const ShardManifestEntry& compacted = manifest->shards[shard];
-    const ShardManifestEntry& scratch = rebuilt_manifest->shards[shard];
-    EXPECT_FALSE(compacted.has_delta()) << shard;
-    EXPECT_TRUE(compacted.delta_path.empty()) << shard;
-    EXPECT_EQ(compacted.candidate_count, scratch.candidate_count) << shard;
-    EXPECT_EQ(compacted.checksum, scratch.checksum) << shard;
-    EXPECT_EQ(compacted.global_indices, scratch.global_indices) << shard;
-    // Byte-level receipt on top of the checksum match.
-    auto compacted_bytes =
-        wire::ReadFileBytes(deployment + "/" + compacted.path);
-    auto scratch_bytes = wire::ReadFileBytes(
-        std::filesystem::path(*rebuilt_path).parent_path().string() + "/" +
-        scratch.path);
-    ASSERT_TRUE(compacted_bytes.ok() && scratch_bytes.ok());
-    EXPECT_EQ(*compacted_bytes, *scratch_bytes) << shard;
+    // The oracle: a from-scratch build of the full candidate set. Shard
+    // file names differ (compacted bases are generation-stamped) but the
+    // bytes must be identical — manifest checksums prove it.
+    auto rebuilt_path = BuildShards(*full_index_, 2,
+                                    ShardPartitionPolicy::kRoundRobin,
+                                    dir_ + "/" + name + "_rebuilt", options);
+    ASSERT_TRUE(rebuilt_path.ok()) << rebuilt_path.status();
+    auto rebuilt_manifest = ReadManifestFile(*rebuilt_path);
+    ASSERT_TRUE(rebuilt_manifest.ok()) << rebuilt_manifest.status();
+    ASSERT_EQ(manifest->shards.size(), rebuilt_manifest->shards.size());
+    for (size_t shard = 0; shard < manifest->shards.size(); ++shard) {
+      const ShardManifestEntry& compacted = manifest->shards[shard];
+      const ShardManifestEntry& scratch = rebuilt_manifest->shards[shard];
+      EXPECT_FALSE(compacted.has_delta()) << shard;
+      EXPECT_TRUE(compacted.delta_path.empty()) << shard;
+      EXPECT_EQ(compacted.format, options.format) << shard;
+      EXPECT_EQ(compacted.candidate_count, scratch.candidate_count) << shard;
+      EXPECT_EQ(compacted.checksum, scratch.checksum) << shard;
+      EXPECT_EQ(compacted.global_indices, scratch.global_indices) << shard;
+      // Byte-level receipt on top of the checksum match.
+      auto compacted_bytes =
+          wire::ReadFileBytes(deployment + "/" + compacted.path);
+      auto scratch_bytes = wire::ReadFileBytes(
+          std::filesystem::path(*rebuilt_path).parent_path().string() + "/" +
+          scratch.path);
+      ASSERT_TRUE(compacted_bytes.ok() && scratch_bytes.ok());
+      EXPECT_EQ(*compacted_bytes, *scratch_bytes) << shard;
+    }
+
+    // Rankings after compaction stay bit-identical to the rebuild.
+    auto compacted_index = ShardedSketchIndex::Load(*manifest_path);
+    ASSERT_TRUE(compacted_index.ok()) << compacted_index.status();
+    auto expected = Search(*full_index_, 8, 1);
+    auto actual = Search(*compacted_index, 8, 1);
+    ASSERT_TRUE(expected.ok() && actual.ok());
+    ExpectBitIdentical(*expected, *actual);
+
+    // The pre-compaction generation still loads — old readers are never
+    // invalidated by a publish.
+    auto old_generation = ShardedSketchIndex::Load(
+        deployment + "/" + ingest::GenerationManifestName(1));
+    ASSERT_TRUE(old_generation.ok()) << old_generation.status();
+    EXPECT_EQ(old_generation->manifest().epoch, 1u);
   }
-
-  // Rankings after compaction stay bit-identical to the rebuild.
-  auto compacted_index = ShardedSketchIndex::Load(*manifest_path);
-  ASSERT_TRUE(compacted_index.ok()) << compacted_index.status();
-  auto expected = Search(*full_index_, 8, 1);
-  auto actual = Search(*compacted_index, 8, 1);
-  ASSERT_TRUE(expected.ok() && actual.ok());
-  ExpectBitIdentical(*expected, *actual);
-
-  // The pre-compaction generation still loads — old readers are never
-  // invalidated by a publish.
-  auto old_generation = ShardedSketchIndex::Load(
-      deployment + "/" + ingest::GenerationManifestName(1));
-  ASSERT_TRUE(old_generation.ok()) << old_generation.status();
-  EXPECT_EQ(old_generation->manifest().epoch, 1u);
 }
 
 TEST_F(IngestTest, TornManifestSwapNeverCorruptsServing) {

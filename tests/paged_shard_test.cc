@@ -4,7 +4,7 @@
 // PagedShardClient (bit-identical rankings to the in-memory path across
 // shard counts, policies, thread counts, and k — including under pools
 // small enough to evict mid-query, proven by the eviction counter), the
-// manifest v3 format tags (mixed formats, v2 byte-compatibility), and a
+// manifest's per-shard format tags (mixed formats), and a
 // ShardServer actually serving a paged shard over RPC.
 
 #include <gtest/gtest.h>
@@ -569,9 +569,9 @@ TEST(PagedShardSearchTest, OpenValidatesGlobalIndices) {
   std::filesystem::remove_all(dir);
 }
 
-// ------------------------------------------------------------ Manifest v3
+// ------------------------------------------------------- Manifest format
 
-TEST(PagedManifestTest, FormatTagsRoundTripAndStayV2Compatible) {
+TEST(PagedManifestTest, FormatTagsRoundTrip) {
   ShardManifest manifest;
   manifest.policy = ShardPartitionPolicy::kRoundRobin;
   manifest.config = MakeIndexConfig();
@@ -583,26 +583,15 @@ TEST(PagedManifestTest, FormatTagsRoundTripAndStayV2Compatible) {
   manifest.shards[1].format = ShardFileFormat::kPaged;
 
   const std::string mixed = SerializeManifest(manifest);
-  // Any paged shard forces v3.
-  uint32_t version = 0;
-  std::memcpy(&version, mixed.data() + 4, sizeof(version));
-  EXPECT_EQ(version, 3u);
   auto parsed = DeserializeManifest(mixed);
   ASSERT_TRUE(parsed.ok()) << parsed.status();
   EXPECT_EQ(parsed->shards[0].format, ShardFileFormat::kWholeFile);
   EXPECT_EQ(parsed->shards[1].format, ShardFileFormat::kPaged);
-
-  // All-whole-file manifests serialize as v2, byte-identical to a build
-  // that never heard of formats — rolling compatibility both ways.
-  manifest.shards[1].format = ShardFileFormat::kWholeFile;
-  const std::string whole = SerializeManifest(manifest);
-  std::memcpy(&version, whole.data() + 4, sizeof(version));
-  EXPECT_EQ(version, 2u);
-  auto reparsed = DeserializeManifest(whole);
-  ASSERT_TRUE(reparsed.ok()) << reparsed.status();
-  EXPECT_EQ(reparsed->shards[1].format, ShardFileFormat::kWholeFile);
+  EXPECT_EQ(SerializeManifest(*parsed), mixed);
 
   EXPECT_STREQ(ShardFileFormatToString(ShardFileFormat::kPaged), "paged");
+  EXPECT_STREQ(ShardFileExtension(ShardFileFormat::kPaged), ".jmps");
+  EXPECT_STREQ(ShardFileExtension(ShardFileFormat::kWholeFile), ".jmix");
   EXPECT_TRUE(ParseShardFileFormat("paged").ok());
   EXPECT_TRUE(ParseShardFileFormat("whole").ok());
   EXPECT_FALSE(ParseShardFileFormat("sideways").ok());

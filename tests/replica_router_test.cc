@@ -440,9 +440,8 @@ TEST(ReplicaRouterTest, CooldownReprobeReturnsARevivedReplicaToRotation) {
   // Keep a typed handle on the shard client to watch its replica state.
   auto manifest = ReadManifestFile(deployment.manifest_path);
   ASSERT_TRUE(manifest.ok());
-  ASSERT_TRUE(manifest->config.has_value());
   auto typed = ReplicaShardClient::Create(
-      deployment.endpoints[0], *manifest->config,
+      deployment.endpoints[0], manifest->config,
       manifest->shards[0].candidate_count,
       FastReplicaOptions(/*cooldown_ms=*/100));
   ASSERT_TRUE(typed.ok()) << typed.status();
@@ -495,7 +494,7 @@ TEST(ReplicaRouterTest, ReachableButMisdeployedReplicaFailsCreateLoudly) {
   StartReplicatedDeployment(index, 1, 2, "misdeploy", &deployment);
   auto manifest = ReadManifestFile(deployment.manifest_path);
   ASSERT_TRUE(manifest.ok());
-  JoinMIConfig tampered = *manifest->config;
+  JoinMIConfig tampered = manifest->config;
   tampered.hash_seed = 9;
   auto client = ReplicaShardClient::Create(
       deployment.endpoints[0], tampered,

@@ -347,9 +347,8 @@ void MakeSingleShardRouter(const Deployment& deployment,
                            const RpcShardClient** client_out) {
   auto manifest = ReadManifestFile(deployment.manifest_path);
   ASSERT_TRUE(manifest.ok()) << manifest.status();
-  ASSERT_TRUE(manifest->config.has_value());
   auto client = RpcShardClient::Create(deployment.endpoints[0],
-                                       *manifest->config,
+                                       manifest->config,
                                        manifest->shards[0].candidate_count,
                                        options);
   ASSERT_TRUE(client.ok()) << client.status();
@@ -663,10 +662,9 @@ TEST(RpcShardTest, HealthProbeReportsLivenessAndOutage) {
                   &deployment);
   auto manifest = ReadManifestFile(deployment.manifest_path);
   ASSERT_TRUE(manifest.ok());
-  ASSERT_TRUE(manifest->config.has_value());
 
   auto client = RpcShardClient::Create(
-      deployment.endpoints[0], *manifest->config,
+      deployment.endpoints[0], manifest->config,
       manifest->shards[0].candidate_count, FastTimeouts());
   ASSERT_TRUE(client.ok()) << client.status();
   auto health = (*client)->Health();
@@ -698,7 +696,7 @@ TEST(RpcShardTest, HandshakeRejectsConfigDisagreement) {
 
   auto manifest = ReadManifestFile(deployment.manifest_path);
   ASSERT_TRUE(manifest.ok());
-  JoinMIConfig tampered = *manifest->config;
+  JoinMIConfig tampered = manifest->config;
   tampered.hash_seed = 9;
   auto client = RpcShardClient::Create(
       deployment.endpoints[0], tampered,
@@ -818,14 +816,13 @@ TEST(RpcShardTest, DistinctQueriesBeyondOneConnectionsSketchCache) {
                   &deployment, /*num_workers=*/4);
   auto manifest = ReadManifestFile(deployment.manifest_path);
   ASSERT_TRUE(manifest.ok()) << manifest.status();
-  ASSERT_TRUE(manifest->config.has_value());
   auto local = ShardedSketchIndex::Load(deployment.manifest_path);
   ASSERT_TRUE(local.ok()) << local.status();
 
   RpcClientOptions options = FastTimeouts();
   options.pool_size = 1;
   auto client = RpcShardClient::Create(deployment.endpoints[0],
-                                       *manifest->config,
+                                       manifest->config,
                                        manifest->shards[0].candidate_count,
                                        options);
   ASSERT_TRUE(client.ok()) << client.status();

@@ -401,12 +401,12 @@ TEST(ShardManifestTest, RoundTripsByteExactly) {
   EXPECT_EQ(restored->shards[0].global_indices,
             (std::vector<uint64_t>{0, 2, 4}));
   EXPECT_EQ(SerializeManifest(*restored), data);
-  EXPECT_FALSE(restored->config.has_value());
+  EXPECT_TRUE(restored->config == JoinMIConfig());
 }
 
 TEST(ShardManifestTest, RoundTripsEmbeddedConfig) {
-  // v2's reason to exist: a router holding only the manifest can recover
-  // the exact JoinMIConfig the shards were built under.
+  // A router holding only the manifest can recover the exact JoinMIConfig
+  // the shards were built under.
   ShardManifest manifest;
   manifest.total_candidates = 1;
   manifest.shards.push_back(ShardManifestEntry{"a.jmix", 1, 7, {0}});
@@ -423,31 +423,8 @@ TEST(ShardManifestTest, RoundTripsEmbeddedConfig) {
   const std::string data = SerializeManifest(manifest);
   auto restored = DeserializeManifest(data);
   ASSERT_TRUE(restored.ok()) << restored.status();
-  ASSERT_TRUE(restored->config.has_value());
-  EXPECT_TRUE(*restored->config == config);
+  EXPECT_TRUE(restored->config == config);
   EXPECT_EQ(SerializeManifest(*restored), data);
-}
-
-TEST(ShardManifestTest, ReadsLegacyV1Buffers) {
-  // A hand-encoded v1 manifest (no config block) must still load, with
-  // config absent.
-  std::string data;
-  wire::AppendRaw(&data, "JMIM", 4);
-  wire::AppendPod<uint32_t>(&data, 1);  // legacy version
-  wire::AppendPod<uint8_t>(&data, 0);   // round_robin
-  wire::AppendPod<uint64_t>(&data, 1);  // one shard
-  wire::AppendPod<uint64_t>(&data, 2);  // two candidates
-  wire::AppendLengthPrefixed(&data, "shard_00000.jmix");
-  wire::AppendPod<uint64_t>(&data, 2);       // candidate_count
-  wire::AppendPod<uint64_t>(&data, 0xABCD);  // checksum
-  wire::AppendPod<uint64_t>(&data, 0);
-  wire::AppendPod<uint64_t>(&data, 1);
-  auto restored = DeserializeManifest(data);
-  ASSERT_TRUE(restored.ok()) << restored.status();
-  EXPECT_FALSE(restored->config.has_value());
-  EXPECT_EQ(restored->total_candidates, 2u);
-  ASSERT_EQ(restored->shards.size(), 1u);
-  EXPECT_EQ(restored->shards[0].checksum, 0xABCDu);
 }
 
 TEST(ShardManifestTest, BuildShardsEmbedsTheIndexConfig) {
@@ -461,8 +438,7 @@ TEST(ShardManifestTest, BuildShardsEmbedsTheIndexConfig) {
   ASSERT_TRUE(manifest_path.ok());
   auto manifest = ReadManifestFile(*manifest_path);
   ASSERT_TRUE(manifest.ok());
-  ASSERT_TRUE(manifest->config.has_value());
-  EXPECT_TRUE(*manifest->config == config);
+  EXPECT_TRUE(manifest->config == config);
   std::filesystem::remove_all(dir);
 }
 
@@ -622,6 +598,84 @@ TEST(ShardedLoadCorruptionTest, MissingShardFileIsRejected) {
 }
 
 // ----------------------------------------------- Client-level validation
+
+// ------------------------------------------------ Shard files as records
+
+TEST(ShardFileTest, IndexBufferIsHeaderCountAndCandidateRecords) {
+  // The invariant shard writing and compaction rely on: a "JMIX" buffer is
+  // its header, the candidate count, then each candidate's
+  // EncodeCandidateRecord bytes — nothing between or after them.
+  Universe universe = MakeUniverse();
+  SketchIndex index(MakeIndexConfig());
+  ASSERT_TRUE(index.IndexRepository(universe.repository).ok());
+  ASSERT_GT(index.size(), 1u);
+  std::string expected;
+  wire::AppendRaw(&expected, "JMIX", 4);
+  wire::AppendPod<uint32_t>(&expected, 1);
+  AppendJoinMIConfig(&expected, index.config());
+  wire::AppendPod<uint64_t>(&expected, index.size());
+  std::vector<std::string> records;
+  for (const IndexedCandidate& candidate : index.candidates()) {
+    records.push_back(
+        EncodeCandidateRecord(candidate.ref, candidate.sketch()));
+    expected += records.back();
+  }
+  EXPECT_EQ(SerializeIndex(index), expected);
+  EXPECT_EQ(EncodeIndexRecords(index.config(), records), expected);
+
+  auto decoded = DecodeIndexRecords(expected);
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  EXPECT_TRUE(decoded->config == index.config());
+  EXPECT_EQ(decoded->records, records);
+}
+
+TEST(ShardFileTest, VerifyPassesFreshShardsAndNamesTheBrokenCandidate) {
+  ShardedFixture fixture = BuildFixture("verify");
+  auto manifest = ReadManifestFile(fixture.manifest_path);
+  ASSERT_TRUE(manifest.ok()) << manifest.status();
+  for (const ShardManifestEntry& entry : manifest->shards) {
+    EXPECT_TRUE(VerifyShardFile(fixture.dir + "/" + entry.path,
+                                ShardFileFormat::kWholeFile)
+                    .ok())
+        << entry.path;
+  }
+  const std::string intact = ReadAll(fixture.shard0_path);
+  auto decoded = DecodeIndexRecords(intact);
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  const size_t count = decoded->records.size();
+  ASSERT_GT(count, 1u);
+  const std::string last = "candidate " + std::to_string(count - 1) +
+                           " of " + std::to_string(count);
+
+  // Truncated: the file ends one byte inside the last candidate.
+  WriteAll(fixture.shard0_path, intact.substr(0, intact.size() - 1));
+  Status truncated =
+      VerifyShardFile(fixture.shard0_path, ShardFileFormat::kWholeFile);
+  ASSERT_FALSE(truncated.ok());
+  EXPECT_NE(truncated.message().find(last), std::string::npos) << truncated;
+
+  // A flipped sketch byte: the low byte of candidate 1's hash seed, which
+  // no length or checksum inside the file covers.
+  auto candidate = DecodeCandidateRecord(decoded->records[1]);
+  ASSERT_TRUE(candidate.ok()) << candidate.status();
+  const std::string sketch = SerializeSketch(candidate->sketch);
+  const size_t at = intact.find(sketch);
+  ASSERT_NE(at, std::string::npos);
+  std::string flipped = intact;
+  flipped[at + 10] ^= 0x01;  // magic(4) + version(4) + method + side
+  WriteAll(fixture.shard0_path, flipped);
+  Status bad_seed =
+      VerifyShardFile(fixture.shard0_path, ShardFileFormat::kWholeFile);
+  ASSERT_FALSE(bad_seed.ok());
+  EXPECT_TRUE(bad_seed.IsInvalidArgument()) << bad_seed;
+  EXPECT_NE(bad_seed.message().find("candidate 1 of " +
+                                    std::to_string(count)),
+            std::string::npos)
+      << bad_seed;
+  EXPECT_NE(bad_seed.message().find("hash seed"), std::string::npos)
+      << bad_seed;
+  std::filesystem::remove_all(fixture.dir);
+}
 
 TEST(LocalShardClientTest, RejectsInconsistentGlobalIndexMappings) {
   Universe universe = MakeUniverse();

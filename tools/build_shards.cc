@@ -14,9 +14,10 @@
 // directory), and prints the per-shard layout. Exits nonzero if any step
 // fails or the reloaded totals disagree with the source index.
 //
-// Verify: checks every file named, dispatching on extension — .jmps walks
-// every page (index + payload checksum) and replays the record directory;
-// .jmix re-parses the whole-file index; .jmds re-parses the delta segment
+// Verify: checks every file named, dispatching on extension — a shard
+// file goes to VerifyShardFile (.jmps walks every page, index + payload
+// checksum, and replays the record directory; .jmix decodes and checks
+// every candidate record); .jmds re-parses the delta segment
 // and requires a clean committed tail; .jmim re-parses the manifest. ALL
 // files are walked and every failure reported (an audit wants the full
 // damage list, not the first hit); exits nonzero if any file failed.
@@ -27,9 +28,7 @@
 #include <string>
 
 #include "src/discovery/sharded_index.h"
-#include "src/discovery/sketch_index.h"
 #include "src/ingest/delta_segment.h"
-#include "src/sketch/serialize.h"
 #include "src/storage/paged_shard_file.h"
 
 using namespace joinmi;
@@ -73,21 +72,13 @@ Status VerifyOneFile(const std::string& path, std::string* what) {
   const size_t dot = path.rfind('.');
   const std::string ext =
       dot == std::string::npos ? "" : path.substr(dot);
-  if (ext == ".jmps") {
-    *what = "paged shard";
-    uint64_t bad_page = 0;
-    const Status status = storage::VerifyPagedShardFile(path, &bad_page);
-    if (!status.ok()) {
-      return Status(status.code(), "page " + std::to_string(bad_page) +
-                                       ": " + status.message());
+  for (ShardFileFormat format :
+       {ShardFileFormat::kWholeFile, ShardFileFormat::kPaged}) {
+    if (ext == ShardFileExtension(format)) {
+      *what = format == ShardFileFormat::kPaged ? "paged shard"
+                                                : "whole-file shard";
+      return VerifyShardFile(path, format);
     }
-    return Status::OK();
-  }
-  if (ext == ".jmix") {
-    *what = "whole-file shard";
-    auto bytes = wire::ReadFileBytes(path);
-    if (!bytes.ok()) return bytes.status();
-    return DeserializeIndex(*bytes).status();
   }
   if (ext == ".jmds") {
     *what = "delta segment";
