@@ -286,7 +286,7 @@ void ShardServer::HandleFrame(net::EventLoop::ConnId conn,
     case net::FrameType::kSketchUploadRequest: {
       uploads_served_->Add();
       Reply(conn, frame, net::FrameType::kSketchUploadResponse,
-            HandleSketchUpload(conn, frame));
+            HandleSketchUpload(conn, frame, *snapshot));
       return;
     }
     case net::FrameType::kSearchRequest: {
@@ -328,7 +328,8 @@ void ShardServer::HandleFrame(net::EventLoop::ConnId conn,
 }
 
 std::string ShardServer::HandleSketchUpload(net::EventLoop::ConnId conn,
-                                            const net::Frame& frame) {
+                                            const net::Frame& frame,
+                                            const ShardClient& client) {
   rpc::SketchUploadResponse response;
   auto run = [&]() -> Status {
     JOINMI_ASSIGN_OR_RETURN(rpc::SketchUploadRequest request,
@@ -341,11 +342,14 @@ std::string ShardServer::HandleSketchUpload(net::EventLoop::ConnId conn,
           std::to_string(request.digest) + ", bytes hash to " +
           std::to_string(computed));
     }
-    // Deserialize now so a corrupt sketch is rejected at upload time, not
-    // on every search, and cache the parsed form — each search rebuilds
-    // its query from it instead of re-parsing.
+    // Build the query now, under the shard's config, so a corrupt or
+    // incompatible sketch is rejected at upload time and a search frame
+    // finds its train runs ready.
     JOINMI_ASSIGN_OR_RETURN(Sketch sketch,
                             DeserializeSketch(request.train_sketch));
+    JOINMI_ASSIGN_OR_RETURN(
+        JoinMIQuery query,
+        JoinMIQuery::FromTrainSketch(std::move(sketch), client.config()));
     std::lock_guard<std::mutex> lock(cache_mutex_);
     auto& cache = sketch_cache_[conn];
     if (cache.count(request.digest) > 0) return Status::OK();  // idempotent
@@ -353,7 +357,7 @@ std::string ShardServer::HandleSketchUpload(net::EventLoop::ConnId conn,
       return rpc::SketchCacheFull(kMaxCachedSketches);
     }
     cache.emplace(request.digest,
-                  std::make_shared<const Sketch>(std::move(sketch)));
+                  std::make_shared<const JoinMIQuery>(std::move(query)));
     return Status::OK();
   };
   response.status = run();
@@ -367,16 +371,16 @@ std::string ShardServer::HandleSearch(net::EventLoop::ConnId conn,
   auto run = [&]() -> Result<ShardSearchResult> {
     JOINMI_ASSIGN_OR_RETURN(rpc::SearchRequest request,
                             rpc::DecodeSearchRequest(frame.payload));
-    std::shared_ptr<const Sketch> sketch;
+    std::shared_ptr<const JoinMIQuery> query;
     {
       std::lock_guard<std::mutex> lock(cache_mutex_);
       auto conn_cache = sketch_cache_.find(conn);
       if (conn_cache != sketch_cache_.end()) {
         auto entry = conn_cache->second.find(request.sketch_digest);
-        if (entry != conn_cache->second.end()) sketch = entry->second;
+        if (entry != conn_cache->second.end()) query = entry->second;
       }
     }
-    if (sketch == nullptr) {
+    if (query == nullptr) {
       return Status::InvalidArgument(
           "search names sketch digest " +
           std::to_string(request.sketch_digest) +
@@ -384,10 +388,15 @@ std::string ShardServer::HandleSearch(net::EventLoop::ConnId conn,
     }
     JoinMIConfig query_config = client.config();
     query_config.min_join_size = static_cast<size_t>(request.min_join_size);
-    JOINMI_ASSIGN_OR_RETURN(
-        JoinMIQuery query,
-        JoinMIQuery::FromTrainSketch(*sketch, query_config));
-    return client.Search(query, static_cast<size_t>(request.k),
+    if (!(query->config() == query_config)) {
+      // Another floor than the cached query's, or a reloaded shard's
+      // config: this frame gets a query of its own.
+      JOINMI_ASSIGN_OR_RETURN(
+          JoinMIQuery rebuilt,
+          JoinMIQuery::FromTrainSketch(query->train_sketch(), query_config));
+      query = std::make_shared<const JoinMIQuery>(std::move(rebuilt));
+    }
+    return client.Search(*query, static_cast<size_t>(request.k),
                          options_.eval_threads);
   };
   auto result = run();

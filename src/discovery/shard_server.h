@@ -19,7 +19,9 @@
 //
 // Sketch cache: a client uploads its serialized train sketch once
 // (keyed by wire::Checksum64 digest, recomputed server-side) and then
-// sends digest-only search requests. The cache is strictly per-connection
+// sends digest-only search requests. The server keeps the query built from
+// it (train runs included), so a search frame rebuilds nothing unless it
+// asks for another min_join_size. The cache is strictly per-connection
 // — entries die with the connection, at most kMaxCachedSketches live per
 // connection — so one router can never read or evict another's sketch and
 // a dead client leaks nothing. An upload past the bound is refused with
@@ -43,12 +45,12 @@
 #include "src/common/admission.h"
 #include "src/common/metrics.h"
 #include "src/common/thread_pool.h"
+#include "src/core/join_mi.h"
 #include "src/discovery/paged_shard_index.h"
 #include "src/discovery/sharded_index.h"
 #include "src/net/event_loop.h"
 #include "src/net/frame.h"
 #include "src/net/socket.h"
-#include "src/sketch/sketch.h"
 
 namespace joinmi {
 
@@ -207,9 +209,12 @@ class ShardServer {
   /// Answers `request` under its request id.
   void Reply(net::EventLoop::ConnId conn, const net::Frame& request,
              net::FrameType type, const std::string& payload);
+  /// Builds the uploaded sketch's query under `client`'s config.
   std::string HandleSketchUpload(net::EventLoop::ConnId conn,
-                                 const net::Frame& frame);
-  /// The one place a query is rebuilt with the requested min_join_size.
+                                 const net::Frame& frame,
+                                 const ShardClient& client);
+  /// The one place a cached query is rebuilt, when the frame's
+  /// min_join_size (or a reloaded shard's config) differs from its own.
   std::string HandleSearch(net::EventLoop::ConnId conn,
                            const net::Frame& frame,
                            const ShardClient& client);
@@ -254,12 +259,12 @@ class ShardServer {
   std::atomic<bool> started_{false};
   std::once_flag stop_once_;
 
-  // Per-connection uploaded-sketch cache, digest-keyed. shared_ptr lets a
-  // search hold its sketch outside the lock while the loop
-  // thread erases the connection's entry.
+  // Per-connection uploaded-sketch cache, digest-keyed, holding each
+  // sketch's query. shared_ptr lets a search hold its query outside the
+  // lock while the loop thread erases the connection's entry.
   std::mutex cache_mutex_;
   std::unordered_map<net::EventLoop::ConnId,
-                     std::map<uint64_t, std::shared_ptr<const Sketch>>>
+                     std::map<uint64_t, std::shared_ptr<const JoinMIQuery>>>
       sketch_cache_;
 };
 

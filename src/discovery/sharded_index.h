@@ -258,7 +258,8 @@ Result<ShardRecords> ReadShardRecords(const ShardManifestEntry& entry,
 
 /// \brief Checks the shard file at `path`: every "JMIX" record
 /// (VerifyIndexRecords), or every "JMPS" page and the directory
-/// (storage::VerifyPagedShardFile, errors prefixed "page i: ").
+/// (storage::VerifyPagedShardFile, errors prefixed "page i: ") and then
+/// every record (VerifyCandidateRecord, errors naming "candidate i of N").
 Status VerifyShardFile(const std::string& path, ShardFileFormat format);
 
 }  // namespace joinmi

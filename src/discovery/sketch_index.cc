@@ -4,8 +4,10 @@
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <utility>
 
+#include "src/common/thread_pool.h"
 #include "src/discovery/topk_merge.h"
 #include "src/mi/estimator_internal.h"
 #include "src/sketch/serialize.h"
@@ -35,17 +37,27 @@ struct PostingScratch {
   std::vector<RunMatch> matches;
 };
 
+// Column pairs IndexRepository sketches per pool thread before appending
+// them: bounds the sketches alive at once, so a large repository holds a
+// wave's worth of worker-built sketches, not all of them.
+constexpr size_t kPairsPerThreadPerWave = 16;
+
+// Sketches one candidate column pair under `config`: the one sketching
+// path AddCandidate and IndexRepository share.
+Result<Sketch> SketchColumnPair(const JoinMIConfig& config, const Table& table,
+                                const ColumnPairRef& ref) {
+  auto builder =
+      MakeSketchBuilder(config.sketch_method, config.sketch_options());
+  JOINMI_ASSIGN_OR_RETURN(auto key_col, table.GetColumn(ref.key_column));
+  JOINMI_ASSIGN_OR_RETURN(auto value_col, table.GetColumn(ref.value_column));
+  return builder->SketchCandidate(*key_col, *value_col, config.aggregation);
+}
+
 }  // namespace
 
 Status SketchIndex::AddCandidate(const Table& table,
                                  const ColumnPairRef& ref) {
-  auto builder =
-      MakeSketchBuilder(config_.sketch_method, config_.sketch_options());
-  JOINMI_ASSIGN_OR_RETURN(auto key_col, table.GetColumn(ref.key_column));
-  JOINMI_ASSIGN_OR_RETURN(auto value_col, table.GetColumn(ref.value_column));
-  JOINMI_ASSIGN_OR_RETURN(
-      Sketch sketch,
-      builder->SketchCandidate(*key_col, *value_col, config_.aggregation));
+  JOINMI_ASSIGN_OR_RETURN(Sketch sketch, SketchColumnPair(config_, table, ref));
   return AddSketch(ref, std::move(sketch));
 }
 
@@ -95,12 +107,41 @@ void SketchIndex::Reserve(size_t candidates) {
 
 Result<size_t> SketchIndex::IndexRepository(
     const TableRepository& repository) {
-  size_t indexed = 0;
-  for (const ColumnPairRef& ref : repository.ExtractColumnPairs()) {
+  const std::vector<ColumnPairRef> refs = repository.ExtractColumnPairs();
+  std::vector<std::shared_ptr<Table>> tables;
+  tables.reserve(refs.size());
+  for (const ColumnPairRef& ref : refs) {
     JOINMI_ASSIGN_OR_RETURN(auto table, repository.GetTable(ref.table_name));
-    // Candidates that fail to sketch (all-null columns, aggregator/type
-    // mismatches) are skipped rather than failing the whole build.
-    if (AddCandidate(*table, ref).ok()) ++indexed;
+    tables.push_back(std::move(table));
+  }
+  const size_t wave =
+      kPairsPerThreadPerWave * ThreadPool::DefaultThreadCount();
+  std::vector<std::optional<Sketch>> sketches(std::min(wave, refs.size()));
+  size_t indexed = 0;
+  for (size_t begin = 0; begin < refs.size(); begin += wave) {
+    const size_t count = std::min(wave, refs.size() - begin);
+    // Candidates that fail to sketch (aggregator/type mismatches, such as
+    // avg over a string column) are skipped rather than failing the whole
+    // build.
+    ParallelFor(count, 0, [&](size_t i) {
+      Result<Sketch> sketch =
+          SketchColumnPair(config_, *tables[begin + i], refs[begin + i]);
+      if (sketch.ok()) sketches[i] = std::move(*sketch);
+    });
+    // Appended in enumeration order, so the index does not depend on which
+    // thread sketched what.
+    for (size_t i = 0; i < count; ++i) {
+      if (!sketches[i].has_value()) continue;
+      Sketch sketch = std::move(*sketches[i]);
+      sketches[i].reset();
+      // The index keeps a copy of the entries allocated on this thread: a
+      // worker's array lives in that worker's malloc arena (glibc keeps one
+      // per thread), which cannot reuse the memory an index freed on this
+      // thread before, so rebuilding an index would grow peak RSS by its
+      // whole entry footprint.
+      sketch.entries = std::vector<SketchEntry>(sketch.entries);
+      if (AddSketch(refs[begin + i], std::move(sketch)).ok()) ++indexed;
+    }
   }
   return indexed;
 }
@@ -443,6 +484,17 @@ Result<IndexRecords> DecodeIndexRecords(const std::string& data) {
   }
   JOINMI_RETURN_NOT_OK(CheckIndexEnd(reader));
   return out;
+}
+
+Status VerifyCandidateRecord(const JoinMIConfig& config,
+                             const std::string& record, size_t i,
+                             size_t count) {
+  auto candidate = DecodeCandidateRecord(record);
+  Status st = candidate.status();
+  if (st.ok()) {
+    st = CheckIndexedSketch(config, candidate->ref, candidate->sketch);
+  }
+  return st.ok() ? st : AtCandidate(st, i, count);
 }
 
 Status VerifyIndexRecords(const std::string& data) {

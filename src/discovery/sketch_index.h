@@ -119,8 +119,12 @@ class SketchIndex : public Searchable {
   void Reserve(size_t candidates);
 
   /// \brief Indexes every extractable column pair of the repository.
-  /// Column pairs that cannot be sketched (e.g. all-null) are skipped;
-  /// returns the number indexed.
+  /// Pairs are sketched on the shared pool (ParallelFor, the query
+  /// fan-out's thread budget) in bounded waves and appended in
+  /// ExtractColumnPairs order, so the index is byte-identical to calling
+  /// AddCandidate on each pair in turn. Column pairs that cannot be
+  /// sketched (e.g. avg over a string column) are skipped; returns the
+  /// number indexed.
   Result<size_t> IndexRepository(const TableRepository& repository);
 
   /// \brief Evaluates the query against every candidate, fanning out
@@ -230,6 +234,14 @@ std::string EncodeIndexRecords(const JoinMIConfig& config,
 /// \brief Splits a "JMIX" buffer into its config and records; validates
 /// the header and every record's field lengths, but parses no sketch.
 Result<IndexRecords> DecodeIndexRecords(const std::string& data);
+
+/// \brief Decodes one encoded record (candidate `i` of `count`) and runs
+/// CheckIndexedSketch under `config`: the per-record check of
+/// VerifyIndexRecords, for records framed another way (paged shards).
+/// Errors name the candidate as "candidate i of N".
+Status VerifyCandidateRecord(const JoinMIConfig& config,
+                             const std::string& record, size_t i,
+                             size_t count);
 
 /// \brief Every check DeserializeIndex makes, without building an index.
 /// Errors name the candidate as "candidate i of N".

@@ -1,6 +1,6 @@
 // Tests for paged shard storage end to end: the "JMPS" file format
 // (round trips with records spilling across pages, open-time validation
-// with byte-accounted errors, page-walking verification), the
+// with byte-accounted errors, page- and record-walking verification), the
 // PagedShardClient (bit-identical rankings to the in-memory path across
 // shard counts, policies, thread counts, and k — including under pools
 // small enough to evict mid-query, proven by the eviction counter), the
@@ -297,6 +297,50 @@ TEST(PagedShardFileTest, VerifyWalksPagesAndNamesTheBadOne) {
   const std::string jmix_path = dir + "/index.jmix";
   ASSERT_TRUE(WriteIndexFile(index, jmix_path).ok());
   EXPECT_FALSE(storage::VerifyPagedShardFile(jmix_path, &bad_page).ok());
+  std::filesystem::remove_all(dir);
+}
+
+TEST(PagedShardFileTest, VerifyDecodesEveryRecordAndNamesTheBadOne) {
+  // Candidate 1's sketch carries a flipped hash-seed byte, and the shard is
+  // framed after the flip, so every page checksum holds: only decoding the
+  // records finds it, as a "JMIX" verify does.
+  Universe universe = MakeUniverse();
+  SketchIndex index(MakeIndexConfig());
+  ASSERT_TRUE(index.IndexRepository(universe.repository).ok());
+  std::vector<std::string> records;
+  for (const IndexedCandidate& candidate : index.candidates()) {
+    records.push_back(
+        EncodeCandidateRecord(candidate.ref, candidate.sketch()));
+  }
+  const std::string of_count = " of " + std::to_string(records.size());
+  const uint32_t page_size = 512;
+  const std::string dir = ScratchDir("verify_records");
+  std::filesystem::create_directories(dir);
+  const std::string path = dir + "/shard.jmps";
+  auto intact = storage::BuildPagedShardBytes(index.config(), records,
+                                              page_size);
+  ASSERT_TRUE(intact.ok()) << intact.status();
+  ASSERT_TRUE(wire::WriteFileBytes(*intact, path).ok());
+  EXPECT_TRUE(VerifyShardFile(path, ShardFileFormat::kPaged).ok());
+
+  const std::string sketch = SerializeSketch(index.candidates()[1].sketch());
+  const size_t at = records[1].find(sketch);
+  ASSERT_NE(at, std::string::npos);
+  records[1][at + 10] ^= 0x01;  // magic(4) + version(4) + method + side
+  auto flipped = storage::BuildPagedShardBytes(index.config(), records,
+                                               page_size);
+  ASSERT_TRUE(flipped.ok()) << flipped.status();
+  ASSERT_TRUE(wire::WriteFileBytes(*flipped, path).ok());
+  uint64_t bad_page = 0;
+  ASSERT_TRUE(storage::VerifyPagedShardFile(path, &bad_page).ok());
+  Status bad_seed = VerifyShardFile(path, ShardFileFormat::kPaged);
+  ASSERT_FALSE(bad_seed.ok());
+  EXPECT_TRUE(bad_seed.IsInvalidArgument()) << bad_seed;
+  EXPECT_NE(bad_seed.message().find("candidate 1" + of_count),
+            std::string::npos)
+      << bad_seed;
+  EXPECT_NE(bad_seed.message().find("hash seed"), std::string::npos)
+      << bad_seed;
   std::filesystem::remove_all(dir);
 }
 

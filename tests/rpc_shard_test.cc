@@ -361,6 +361,49 @@ void MakeSingleShardRouter(const Deployment& deployment,
   *router = std::make_unique<ShardedSketchIndex>(std::move(*assembled));
 }
 
+TEST(RpcShardTest, OneUploadServesEveryKAndFloorOnAConnection) {
+  // The server keeps the query built at upload time: searches at several k,
+  // then at a second floor (the rebuilt query), then back at the first,
+  // all over one connection and one upload, each bit-identical to the
+  // in-process shard.
+  Universe universe = MakeUniverse();
+  SketchIndex index(MakeIndexConfig());
+  ASSERT_TRUE(index.IndexRepository(universe.repository).ok());
+  Deployment deployment;
+  StartDeployment(index, 1, ShardPartitionPolicy::kRoundRobin, "floors",
+                  &deployment);
+  RpcClientOptions options = FastTimeouts();
+  options.pool_size = 1;
+  std::unique_ptr<ShardedSketchIndex> router;
+  const RpcShardClient* client = nullptr;
+  MakeSingleShardRouter(deployment, options, &router, &client);
+  auto local = ShardedSketchIndex::Load(deployment.manifest_path);
+  ASSERT_TRUE(local.ok()) << local.status();
+
+  JoinMIConfig relaxed = index.config();
+  relaxed.min_join_size = 1;
+  auto query = JoinMIQuery::Create(*universe.base, "K", "Y", index.config());
+  ASSERT_TRUE(query.ok()) << query.status();
+  auto relaxed_query = JoinMIQuery::Create(*universe.base, "K", "Y", relaxed);
+  ASSERT_TRUE(relaxed_query.ok()) << relaxed_query.status();
+  ASSERT_EQ(query->SerializedTrainSketchDigest(),
+            relaxed_query->SerializedTrainSketchDigest());
+  size_t searches = 0;
+  for (const JoinMIQuery* q : {&*query, &*relaxed_query, &*query}) {
+    for (size_t k : {1u, 3u, 7u}) {
+      auto via_local = local->Search(*q, k, 1);
+      ASSERT_TRUE(via_local.ok()) << via_local.status();
+      auto via_rpc = router->Search(*q, k, 1);
+      ASSERT_TRUE(via_rpc.ok()) << via_rpc.status();
+      ExpectShardBitIdentical(*via_local, *via_rpc);
+      ++searches;
+    }
+  }
+  EXPECT_EQ(client->dials(), 1u);
+  EXPECT_EQ(deployment.servers[0]->sketch_uploads_served(), 1u);
+  EXPECT_EQ(deployment.servers[0]->requests_served(), searches);
+}
+
 TEST(RpcShardTest, ConcurrentRouterThreadsMultiplexOneShardViaThePool) {
   Universe universe = MakeUniverse();
   SketchIndex index(MakeIndexConfig());

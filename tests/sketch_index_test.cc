@@ -1,6 +1,7 @@
 // Tests for the persisted, parallel SketchIndex: query determinism across
 // thread counts and duplicated candidates, the key postings against the
-// per-candidate scoring kernel, the versioned on-disk format (byte-exact
+// per-candidate scoring kernel, the pool-sketched repository build against
+// a serial one (byte for byte), the versioned on-disk format (byte-exact
 // round trips, corruption handling), config enforcement, and rank
 // agreement between index-backed and per-query-sketching search.
 
@@ -8,6 +9,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <cstring>
 #include <limits>
 #include <memory>
@@ -17,6 +19,7 @@
 #include <vector>
 
 #include "src/common/random.h"
+#include "src/common/thread_pool.h"
 #include "src/discovery/search.h"
 #include "src/discovery/sketch_index.h"
 #include "src/sketch/serialize.h"
@@ -610,6 +613,143 @@ TEST(SketchIndexPostingsTest, ConcurrentFirstEvaluationsOfAFreshIndex) {
     ExpectMatchesKernel(index, query, **results[t],
                         "reader " + std::to_string(t));
   }
+}
+
+// --------------------------------------------------------- Parallel build
+
+// Pairs IndexRepository sketches per wave on this machine: 16 per thread of
+// the fan-out's budget.
+size_t BuildWave() { return 16 * ThreadPool::DefaultThreadCount(); }
+
+// `num_tables` tables "t0000", "t0001", ... of a string key column K and
+// an int64 value column V, so each is one pair of ExtractColumnPairs. Row
+// counts and keys vary by table. A table listed in `unsketchable` gets a
+// string V instead, which the default avg aggregation cannot sketch: its
+// two pairs, (K, V) and (V, K), both fail. A table listed in `all_null`
+// gets an all-null V, which sketches to an empty candidate.
+TableRepository MakeWideRepository(size_t num_tables,
+                                   const std::vector<size_t>& unsketchable,
+                                   const std::vector<size_t>& all_null = {}) {
+  auto listed = [](const std::vector<size_t>& list, size_t t) {
+    return std::find(list.begin(), list.end(), t) != list.end();
+  };
+  TableRepository repository;
+  Rng rng(90210);
+  for (size_t t = 0; t < num_tables; ++t) {
+    const size_t rows = 20 + (t * 7) % 60;
+    std::vector<std::string> keys;
+    std::vector<int64_t> values;
+    for (size_t r = 0; r < rows; ++r) {
+      keys.push_back("key" + std::to_string(rng.NextBounded(200)));
+      values.push_back(static_cast<int64_t>(rng.NextBounded(9)));
+    }
+    std::shared_ptr<Column> value_column =
+        listed(unsketchable, t)
+            ? Column::MakeString(keys)
+            : Column::MakeInt64(std::move(values),
+                                listed(all_null, t) ? std::vector<bool>(rows)
+                                                    : std::vector<bool>());
+    char name[24];
+    std::snprintf(name, sizeof(name), "t%04zu", t);
+    repository
+        .AddTable(name,
+                  *Table::FromColumns({{"K", Column::MakeString(keys)},
+                                       {"V", std::move(value_column)}}))
+        .Abort();
+  }
+  return repository;
+}
+
+// The reference build: AddCandidate on each pair in enumeration order.
+struct SerialBuild {
+  std::string bytes;
+  size_t indexed = 0;
+};
+
+SerialBuild BuildSerially(const TableRepository& repository,
+                          const JoinMIConfig& config) {
+  SketchIndex index(config);
+  SerialBuild out;
+  for (const ColumnPairRef& ref : repository.ExtractColumnPairs()) {
+    auto table = repository.GetTable(ref.table_name);
+    EXPECT_TRUE(table.ok()) << table.status();
+    if (index.AddCandidate(**table, ref).ok()) ++out.indexed;
+  }
+  out.bytes = SerializeIndex(index);
+  return out;
+}
+
+void ExpectBuildMatches(const TableRepository& repository,
+                        const JoinMIConfig& config, const SerialBuild& serial,
+                        const std::string& label) {
+  SketchIndex index(config);
+  auto indexed = index.IndexRepository(repository);
+  ASSERT_TRUE(indexed.ok()) << label << ": " << indexed.status();
+  EXPECT_EQ(*indexed, serial.indexed) << label;
+  EXPECT_TRUE(SerializeIndex(index) == serial.bytes) << label;
+}
+
+JoinMIConfig BuildConfig() {
+  JoinMIConfig config;
+  config.sketch_capacity = 32;
+  return config;
+}
+
+TEST(SketchIndexBuildTest, ParallelBuildIsTheSerialBuildAcrossWaves) {
+  // Over three waves, with unsketchable pairs on both sides of the first
+  // wave boundary (table wave - 1 holds pairs wave - 1 and wave) and
+  // inside the third wave, and all-null pairs in the second: the same
+  // bytes and count as AddCandidate in enumeration order.
+  const size_t wave = BuildWave();
+  const size_t num_tables = 3 * wave + 5;
+  const std::vector<size_t> unsketchable = {wave - 1, 2 * wave + wave / 2};
+  const TableRepository repository = MakeWideRepository(
+      num_tables, unsketchable, {wave + 2, wave + wave / 2});
+  const std::vector<ColumnPairRef> pairs = repository.ExtractColumnPairs();
+  ASSERT_EQ(pairs.size(), num_tables + unsketchable.size());
+  EXPECT_EQ(pairs[wave - 1].key_column, "K");
+  EXPECT_EQ(pairs[wave].key_column, "V");
+  const SerialBuild serial = BuildSerially(repository, BuildConfig());
+  EXPECT_EQ(serial.indexed, num_tables - unsketchable.size());
+  ExpectBuildMatches(repository, BuildConfig(), serial, "three waves");
+}
+
+TEST(SketchIndexBuildTest, EmptyRepositoryBuildsAnEmptyIndex) {
+  const TableRepository repository;
+  const SerialBuild serial = BuildSerially(repository, BuildConfig());
+  EXPECT_EQ(serial.indexed, 0u);
+  ExpectBuildMatches(repository, BuildConfig(), serial, "empty");
+}
+
+TEST(SketchIndexBuildTest, BuildFromInsideAPoolWorkerMatches) {
+  // A build nested in another fan-out shares the pool with it: each of four
+  // outer indices builds the whole repository.
+  const TableRepository repository =
+      MakeWideRepository(BuildWave() + 3, {1});
+  const SerialBuild serial = BuildSerially(repository, BuildConfig());
+  constexpr size_t kBuilds = 4;
+  std::vector<SerialBuild> builds(kBuilds);
+  ParallelFor(kBuilds, 0, [&](size_t b) {
+    SketchIndex index(BuildConfig());
+    auto indexed = index.IndexRepository(repository);
+    if (indexed.ok()) builds[b] = {SerializeIndex(index), *indexed};
+  });
+  for (size_t b = 0; b < kBuilds; ++b) {
+    EXPECT_EQ(builds[b].indexed, serial.indexed) << "build " << b;
+    EXPECT_TRUE(builds[b].bytes == serial.bytes) << "build " << b;
+  }
+}
+
+TEST(SketchIndexBuildTest, ConcurrentBuildsOfTwoIndexesMatch) {
+  const TableRepository first = MakeWideRepository(BuildWave() + 9, {4});
+  const TableRepository second = MakeWideRepository(2 * BuildWave(), {});
+  const SerialBuild serial_first = BuildSerially(first, BuildConfig());
+  const SerialBuild serial_second = BuildSerially(second, BuildConfig());
+  std::thread other([&] {
+    ExpectBuildMatches(second, BuildConfig(), serial_second, "second");
+  });
+  ExpectBuildMatches(first, BuildConfig(), serial_first, "first");
+  other.join();
 }
 
 // ------------------------------------------------------------ Persistence

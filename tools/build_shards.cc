@@ -1,7 +1,7 @@
 // build_shards: partition a persisted sketch index into shard files plus
 // a versioned shard manifest — the offline half of the sharded discovery
 // deployment (shard files go to shard servers, the manifest to the query
-// router) — and verify paged shard files page by page.
+// router) — and verify shard, delta and manifest files.
 //
 //   build_shards <index.jmix> <output_dir> <num_shards>
 //                <round_robin|hash_dataset> [--format whole|paged]
@@ -16,8 +16,8 @@
 //
 // Verify: checks every file named, dispatching on extension — a shard
 // file goes to VerifyShardFile (.jmps walks every page, index + payload
-// checksum, and replays the record directory; .jmix decodes and checks
-// every candidate record); .jmds re-parses the delta segment
+// checksum, and replays the record directory; both formats then decode and
+// check every candidate record); .jmds re-parses the delta segment
 // and requires a clean committed tail; .jmim re-parses the manifest. ALL
 // files are walked and every failure reported (an audit wants the full
 // damage list, not the first hit); exits nonzero if any file failed.
