@@ -279,6 +279,8 @@ int main(int argc, char** argv) {
 
   // Bitwise comparison against the unsharded reference ranking — the
   // invariant every serving path in this example must preserve.
+  // `check_counters` holds for an answer over this very index, whose hits
+  // must also carry the same global indices.
   auto matches_unsharded = [&](const TopKSearchResult& result,
                                bool check_counters) {
     bool same = result.hits.size() == unsharded->hits.size() &&
@@ -290,7 +292,9 @@ int main(int argc, char** argv) {
              result.num_errors == unsharded->num_errors;
     }
     for (size_t i = 0; same && i < unsharded->hits.size(); ++i) {
-      same = result.hits[i].estimate.mi == unsharded->hits[i].estimate.mi &&
+      same = (!check_counters || result.hits[i].global_index ==
+                                     unsharded->hits[i].global_index) &&
+             result.hits[i].estimate.mi == unsharded->hits[i].estimate.mi &&
              result.hits[i].estimate.sample_size ==
                  unsharded->hits[i].estimate.sample_size &&
              result.hits[i].estimate.estimator ==
@@ -527,31 +531,27 @@ int main(int argc, char** argv) {
           std::filesystem::path(rpc_manifest_path).parent_path().string();
       auto manifest = ReadManifestFile(rpc_manifest_path);
       manifest.status().Abort("reading the manifest for the drill");
-      std::vector<ShardSearchHit> expected;
+      std::vector<SearchHit> expected;
       for (size_t s = 0; s < manifest->shards.size(); ++s) {
         if (down.count(s) != 0) continue;
         auto client =
             ShardedSketchIndex::LocalFileFactory()(*manifest, s,
                                                    manifest_dir);
         client.status().Abort("loading a surviving shard locally");
-        auto shard_hits = (*client)->Search(*rpc_query, /*k=*/8, 0);
-        shard_hits.status().Abort("searching a surviving shard locally");
-        expected.insert(expected.end(), shard_hits->hits.begin(),
-                        shard_hits->hits.end());
+        auto shard = (*client)->Search(*rpc_query, /*k=*/8, 0);
+        shard.status().Abort("searching a surviving shard locally");
+        expected.insert(expected.end(), shard->hits.begin(),
+                        shard->hits.end());
       }
-      std::sort(expected.begin(), expected.end(),
-                [](const ShardSearchHit& a, const ShardSearchHit& b) {
-                  return internal::BetterByMIThenKey(
-                      a.estimate.mi, a.global_index, b.estimate.mi,
-                      b.global_index);
-                });
+      std::sort(expected.begin(), expected.end(), internal::BetterHit);
       if (expected.size() > 8) expected.resize(8);
-      // The router's TopKSearchResult projection drops the merge-internal
-      // global indices, so the diff keys on candidate identity + MI bits.
+      // Every hit carries its global index, so the diff keys on it, the
+      // candidate and the MI bits.
       bool same = degraded->hits.size() == expected.size();
       for (size_t i = 0; same && i < expected.size(); ++i) {
-        same = degraded->hits[i].candidate.ToString() ==
-                   expected[i].ref.ToString() &&
+        same = degraded->hits[i].global_index == expected[i].global_index &&
+               degraded->hits[i].candidate.ToString() ==
+                   expected[i].candidate.ToString() &&
                degraded->hits[i].estimate.mi == expected[i].estimate.mi;
       }
       std::printf("rpc degraded : %ld down, %zu shard failures recorded, "

@@ -46,6 +46,10 @@ const IntTables& Tables() {
   return tables;
 }
 
+double Clamp(double v, double lo, double hi) {
+  return std::min(std::max(v, lo), hi);
+}
+
 }  // namespace
 
 double DigammaOfInt(size_t n) {
@@ -57,8 +61,6 @@ double LogOfInt(size_t n) {
   return n < kIntTableSize ? Tables().log[n] : std::log(static_cast<double>(n));
 }
 
-double LogGamma(double x) { return std::lgamma(x); }
-
 double LogFactorial(uint64_t n) {
   return std::lgamma(static_cast<double>(n) + 1.0);
 }
@@ -69,10 +71,6 @@ double LogBinomial(uint64_t n, uint64_t k) {
 }
 
 double XLogX(double x) { return x <= 0.0 ? 0.0 : x * std::log(x); }
-
-double Clamp(double v, double lo, double hi) {
-  return std::min(std::max(v, lo), hi);
-}
 
 double HarmonicNumber(uint64_t n) {
   // Exact summation below a threshold; asymptotic expansion above (the
@@ -88,11 +86,6 @@ double HarmonicNumber(uint64_t n) {
   const double inv2 = 1.0 / (x * x);
   return std::log(x) + kEulerMascheroni + 1.0 / (2.0 * x) -
          inv2 * (1.0 / 12.0 - inv2 * (1.0 / 120.0));
-}
-
-bool AlmostEqual(double a, double b, double tol) {
-  if (std::isnan(a) || std::isnan(b)) return false;
-  return std::fabs(a - b) <= tol;
 }
 
 double BivariateNormalMI(double r) {

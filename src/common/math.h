@@ -29,10 +29,6 @@ inline constexpr size_t kIntTableSize = 1024;
 double DigammaOfInt(size_t n);
 double LogOfInt(size_t n);
 
-/// \brief ln Gamma(x) for x > 0 (thin wrapper over std::lgamma, kept for a
-/// single point of substitution in tests).
-double LogGamma(double x);
-
 /// \brief ln n! via lgamma.
 double LogFactorial(uint64_t n);
 
@@ -42,14 +38,8 @@ double LogBinomial(uint64_t n, uint64_t k);
 /// \brief x * ln x with the measure-theoretic convention 0 * ln 0 = 0.
 double XLogX(double x);
 
-/// \brief Clamps v into [lo, hi].
-double Clamp(double v, double lo, double hi);
-
 /// \brief The n-th harmonic number H_n = sum_{i=1..n} 1/i.
 double HarmonicNumber(uint64_t n);
-
-/// \brief True if |a - b| <= tol, treating NaN as never close.
-bool AlmostEqual(double a, double b, double tol = 1e-9);
 
 /// \brief MI of a bivariate normal with correlation r (in nats):
 /// I = -0.5 ln(1 - r^2). Used by the Trinomial parameter-selection step.

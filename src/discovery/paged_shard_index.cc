@@ -18,9 +18,9 @@ Result<std::unique_ptr<PagedShardClient>> PagedShardClient::Open(
       new PagedShardClient(std::move(file), std::move(global_indices)));
 }
 
-Result<ShardSearchResult> PagedShardClient::Search(const JoinMIQuery& query,
-                                                   size_t k,
-                                                   size_t num_threads) const {
+Result<TopKSearchResult> PagedShardClient::Search(const JoinMIQuery& query,
+                                                  size_t k,
+                                                  size_t num_threads) const {
   if (k == 0) {
     return Status::InvalidArgument("shard search requires k >= 1");
   }
@@ -55,28 +55,10 @@ Result<ShardSearchResult> PagedShardClient::Search(const JoinMIQuery& query,
   };
   internal::ForEachCandidateStrip(count, num_threads, score_strip);
 
-  ShardSearchResult result;
-  result.num_candidates = count;
-  std::vector<std::optional<JoinMIEstimate>> estimates;
-  estimates.reserve(count);
-  for (internal::CandidateOutcome& outcome : outcomes) {
-    if (outcome.estimate.has_value()) {
-      ++result.num_evaluated;
-    } else if (outcome.skipped) {
-      ++result.num_skipped;
-    } else {
-      ++result.num_errors;
-    }
-    estimates.push_back(outcome.estimate);
-  }
-  internal::TopKSelection selection = internal::SelectTopKByMI(
-      estimates, k, [this](size_t i) { return global_indices_[i]; });
-  result.hits.reserve(selection.indices.size());
-  for (size_t i : selection.indices) {
-    result.hits.push_back(
-        ShardSearchHit{global_indices_[i], refs[i], *estimates[i]});
-  }
-  return result;
+  return internal::RankTopK(
+      internal::TallyOutcomes(std::move(outcomes)), k,
+      [this](size_t i) { return global_indices_[i]; },
+      [&refs](size_t i) { return refs[i]; });
 }
 
 }  // namespace joinmi

@@ -9,9 +9,9 @@
 // shards bigger than RAM and restart near-instantly.
 //
 // Determinism: Search mirrors LocalShardClient exactly — same fail-fast
-// hash-seed check, same per-candidate outcome taxonomy (estimate /
-// OutOfRange-skipped / hard error), same scoring kernel, same (MI desc,
-// global index asc) selection over the manifest's global indices — so
+// config check, same per-candidate outcome tally (estimate /
+// OutOfRange-skipped / hard error), same scoring kernel, same top-k
+// selection (topk_merge.h RankTopK) over the manifest's global indices — so
 // rankings are bit-identical to the in-memory path for every
 // k/policy/thread count, including under pools small enough to evict
 // mid-query. One deliberate divergence in failure granularity: a page
@@ -50,8 +50,8 @@ class PagedShardClient : public ShardClient {
 
   const JoinMIConfig& config() const override { return file_->config(); }
   size_t num_candidates() const override { return file_->num_records(); }
-  Result<ShardSearchResult> Search(const JoinMIQuery& query, size_t k,
-                                   size_t num_threads) const override;
+  Result<TopKSearchResult> Search(const JoinMIQuery& query, size_t k,
+                                  size_t num_threads) const override;
 
   /// \brief Buffer-pool counters — the proof eviction did (or did not)
   /// happen under a given pool size.

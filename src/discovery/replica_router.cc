@@ -133,7 +133,7 @@ Result<std::unique_ptr<ReplicaShardClient>> ReplicaShardClient::Create(
       options));
 }
 
-Result<ShardSearchResult> ReplicaShardClient::Search(
+Result<TopKSearchResult> ReplicaShardClient::Search(
     const JoinMIQuery& query, size_t k, size_t num_threads) const {
   // Cooldown-expired replicas get one cheap liveness probe before the
   // request plans its attempts — a recovered replica rejoins the rotation

@@ -142,8 +142,8 @@ class ReplicaShardClient : public ShardClient {
   /// twice" stays impossible across replicas, exactly as it does across
   /// retries). Fails over-all only when every replica failed, with a
   /// status naming them all.
-  Result<ShardSearchResult> Search(const JoinMIQuery& query, size_t k,
-                                   size_t num_threads) const override;
+  Result<TopKSearchResult> Search(const JoinMIQuery& query, size_t k,
+                                  size_t num_threads) const override;
 
   /// \brief Probes replicas in selection order and returns the first
   /// healthy answer — the shard is "healthy" while any replica is.

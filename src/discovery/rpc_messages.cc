@@ -108,17 +108,17 @@ std::string EncodeSearchResponse(const SearchResponse& response) {
   std::string out;
   AppendStatus(&out, response.status);
   if (!response.status.ok()) return out;
-  const ShardSearchResult& result = response.result;
+  const TopKSearchResult& result = response.result;
   wire::AppendPod<uint64_t>(&out, result.num_candidates);
   wire::AppendPod<uint64_t>(&out, result.num_evaluated);
   wire::AppendPod<uint64_t>(&out, result.num_skipped);
   wire::AppendPod<uint64_t>(&out, result.num_errors);
   wire::AppendPod<uint64_t>(&out, result.hits.size());
-  for (const ShardSearchHit& hit : result.hits) {
+  for (const SearchHit& hit : result.hits) {
     wire::AppendPod<uint64_t>(&out, hit.global_index);
-    wire::AppendLengthPrefixed(&out, hit.ref.table_name);
-    wire::AppendLengthPrefixed(&out, hit.ref.key_column);
-    wire::AppendLengthPrefixed(&out, hit.ref.value_column);
+    wire::AppendLengthPrefixed(&out, hit.candidate.table_name);
+    wire::AppendLengthPrefixed(&out, hit.candidate.key_column);
+    wire::AppendLengthPrefixed(&out, hit.candidate.value_column);
     AppendEstimate(&out, hit.estimate);
   }
   return out;
@@ -151,11 +151,14 @@ Result<SearchResponse> DecodeSearchResponse(const std::string& payload) {
   response.result.num_errors = static_cast<size_t>(num_errors);
   response.result.hits.reserve(static_cast<size_t>(hit_count));
   for (uint64_t i = 0; i < hit_count; ++i) {
-    ShardSearchHit hit;
+    SearchHit hit;
     JOINMI_RETURN_NOT_OK(reader.Read(&hit.global_index));
-    JOINMI_RETURN_NOT_OK(reader.ReadLengthPrefixed(&hit.ref.table_name));
-    JOINMI_RETURN_NOT_OK(reader.ReadLengthPrefixed(&hit.ref.key_column));
-    JOINMI_RETURN_NOT_OK(reader.ReadLengthPrefixed(&hit.ref.value_column));
+    JOINMI_RETURN_NOT_OK(
+        reader.ReadLengthPrefixed(&hit.candidate.table_name));
+    JOINMI_RETURN_NOT_OK(
+        reader.ReadLengthPrefixed(&hit.candidate.key_column));
+    JOINMI_RETURN_NOT_OK(
+        reader.ReadLengthPrefixed(&hit.candidate.value_column));
     JOINMI_ASSIGN_OR_RETURN(hit.estimate, ReadEstimate(&reader));
     response.result.hits.push_back(std::move(hit));
   }

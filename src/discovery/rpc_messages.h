@@ -9,11 +9,11 @@
 //       sketch (sketch/serialize.h format — the query's base table never
 //       crosses the wire) is cached once per connection by digest; a
 //       search request then names it and carries one (k, min_join_size).
-//   SearchResponse     a wire-encoded Status; on OK, the full
-//       ShardSearchResult (counters + hits with global indices), so the
+//   SearchResponse     a wire-encoded Status; on OK, the shard's full
+//       TopKSearchResult (counters + hits with global indices), so the
 //       router's cross-shard merge sees exactly what LocalShardClient
-//       would have produced. Per-shard results never carry
-//       shard_failures — that field is router-level bookkeeping.
+//       would have produced. shard_failures does not travel: a single
+//       shard never sets it, and the merge fills it router-side.
 //   HealthRequest      (empty payload) -> HealthResponse
 //       u64 candidate count + u64 requests served since startup.
 //   Error              a wire-encoded Status, for requests the server
@@ -70,7 +70,7 @@ Result<SearchRequest> DecodeSearchRequest(const std::string& payload);
 struct SearchResponse {
   /// The shard-side Search outcome; `result` is meaningful only when OK.
   Status status;
-  ShardSearchResult result;
+  TopKSearchResult result;
 };
 
 std::string EncodeSearchResponse(const SearchResponse& response);

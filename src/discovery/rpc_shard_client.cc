@@ -144,16 +144,16 @@ Result<net::Socket> RpcShardClient::DialAndHandshake() const {
   return socket;
 }
 
-Result<ShardSearchResult> RpcShardClient::Search(const JoinMIQuery& query,
-                                                 size_t k,
-                                                 size_t num_threads) const {
+Result<TopKSearchResult> RpcShardClient::Search(const JoinMIQuery& query,
+                                                size_t k,
+                                                size_t num_threads) const {
   return Search(query, k, num_threads, nullptr);
 }
 
-Result<ShardSearchResult> RpcShardClient::Search(const JoinMIQuery& query,
-                                                 size_t k,
-                                                 size_t num_threads,
-                                                 bool* reached_wire) const {
+Result<TopKSearchResult> RpcShardClient::Search(const JoinMIQuery& query,
+                                                size_t k,
+                                                size_t num_threads,
+                                                bool* reached_wire) const {
   (void)num_threads;  // evaluation parallelism belongs to the server
   if (k == 0) {
     return Status::InvalidArgument("shard search requires k >= 1");
@@ -201,7 +201,7 @@ Result<ShardSearchResult> RpcShardClient::Search(const JoinMIQuery& query,
   return last;
 }
 
-Result<ShardSearchResult> RpcShardClient::RunSearch(
+Result<TopKSearchResult> RpcShardClient::RunSearch(
     rpc::Channel& channel, const JoinMIQuery& query, size_t k,
     bool* reached_wire) const {
   // Make sure the sketch is cached server-side (uploaded at most once per

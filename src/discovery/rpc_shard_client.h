@@ -129,16 +129,16 @@ class RpcShardClient : public ShardClient {
   /// server. Queries whose config disagrees with the shard's (beyond
   /// min_join_size, which travels in the request) are rejected here —
   /// the server would silently answer under *its* config otherwise.
-  Result<ShardSearchResult> Search(const JoinMIQuery& query, size_t k,
-                                   size_t num_threads) const override;
+  Result<TopKSearchResult> Search(const JoinMIQuery& query, size_t k,
+                                  size_t num_threads) const override;
 
   /// \brief Search with failover telemetry: `*reached_wire` (must start
   /// false) is set as soon as any byte of a search frame may have left
   /// the process — after that the server may have executed the request,
   /// so the caller must not re-send it elsewhere.
-  Result<ShardSearchResult> Search(const JoinMIQuery& query, size_t k,
-                                   size_t num_threads,
-                                   bool* reached_wire) const;
+  Result<TopKSearchResult> Search(const JoinMIQuery& query, size_t k,
+                                  size_t num_threads,
+                                  bool* reached_wire) const;
 
   /// \brief Liveness + identity probe: cheap, never retried.
   Result<rpc::HealthResponse> Health() const;
@@ -189,9 +189,9 @@ class RpcShardClient : public ShardClient {
 
   /// \brief One search attempt on `channel`: upload the sketch if this
   /// connection lacks it, then send the search frame.
-  Result<ShardSearchResult> RunSearch(rpc::Channel& channel,
-                                      const JoinMIQuery& query, size_t k,
-                                      bool* reached_wire) const;
+  Result<TopKSearchResult> RunSearch(rpc::Channel& channel,
+                                     const JoinMIQuery& query, size_t k,
+                                     bool* reached_wire) const;
 
   ShardEndpoint endpoint_;
   JoinMIConfig config_;

@@ -1,12 +1,15 @@
-// The one discovery-search surface every query target implements.
+// The one discovery-search surface every query target implements, and the
+// one ranked answer every search path returns.
 //
 // A target exposes the JoinMIConfig its candidates were sketched under
 // plus one SearchQuery method over an already-sketched query, and the
 // single Searchable-based TopKJoinMISearch in search.h drives any of
 // them. SketchIndex, ShardedSketchIndex, and Router all implement it.
 //
-// This header also owns the result/spec types those implementations
-// share, so the interface needs no include of either.
+// This header also owns the result/spec types. TopKSearchResult is the
+// answer of every search, from the repository scan through one shard
+// (ShardClient, local or remote) to the cross-shard merge; topk_merge.h
+// builds and merges it.
 
 #ifndef JOINMI_DISCOVERY_SEARCHABLE_H_
 #define JOINMI_DISCOVERY_SEARCHABLE_H_
@@ -32,6 +35,10 @@ struct SearchSpec {
 struct SearchHit {
   ColumnPairRef candidate;
   JoinMIEstimate estimate;
+  /// The candidate's position in the enumeration its search ranked: the
+  /// repository's pair order for a scan, insertion order for an index, the
+  /// global insertion index for a shard. Ties on MI break on it.
+  uint64_t global_index = 0;
 };
 
 /// \brief One shard that failed to answer a degraded-mode query.
@@ -55,10 +62,10 @@ enum class ShardQueryMode : uint8_t {
 
 /// \brief Outcome of one top-k discovery search.
 struct TopKSearchResult {
-  /// Hits sorted by MI descending; ties break on candidate enumeration
-  /// order (table name, then schema column order, for a repository scan;
-  /// global insertion order for an index, sharded or not), so the ranking
-  /// is stable and reproducible.
+  /// Hits sorted by MI descending; ties break on SearchHit::global_index
+  /// (table name, then schema column order, for a repository scan; global
+  /// insertion order for an index, sharded or not), so the ranking is
+  /// stable and reproducible.
   std::vector<SearchHit> hits;
   /// Column pairs enumerated from the repository (or indexed candidates).
   size_t num_candidates = 0;
@@ -71,9 +78,10 @@ struct TopKSearchResult {
   /// estimator errors). Kept separate from num_skipped so "overlap too
   /// small" is distinguishable from "repository is broken".
   size_t num_errors = 0;
-  /// Shards that did not answer (sharded outage in degraded mode only;
-  /// always empty otherwise). When non-empty, hits and counters cover the
-  /// answering shards only.
+  /// Shards that did not answer, in shard order (sharded outage in
+  /// degraded mode only; always empty otherwise, and never set by a single
+  /// shard). When non-empty, hits and counters cover the answering shards
+  /// only.
   std::vector<ShardFailure> shard_failures;
 };
 

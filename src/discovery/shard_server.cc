@@ -368,7 +368,7 @@ std::string ShardServer::HandleSearch(net::EventLoop::ConnId conn,
                                       const net::Frame& frame,
                                       const ShardClient& client) {
   rpc::SearchResponse response;
-  auto run = [&]() -> Result<ShardSearchResult> {
+  auto run = [&]() -> Result<TopKSearchResult> {
     JOINMI_ASSIGN_OR_RETURN(rpc::SearchRequest request,
                             rpc::DecodeSearchRequest(frame.payload));
     std::shared_ptr<const JoinMIQuery> query;

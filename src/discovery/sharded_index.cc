@@ -1,6 +1,5 @@
 #include "src/discovery/sharded_index.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <utility>
@@ -20,14 +19,6 @@ namespace {
 // Seed for the hash-by-dataset assignment; distinct from any sketch hash
 // seed so shard placement never correlates with sketch sampling.
 constexpr uint32_t kShardAssignSeed = 0x5A4DC0DEu;
-
-// Orders hits by the canonical discovery order (topk_merge.h) with the
-// global insertion index as the key — the same total order the unsharded
-// merge uses, which is what makes sharded rankings bit-identical.
-bool BetterHit(const ShardSearchHit& a, const ShardSearchHit& b) {
-  return internal::BetterByMIThenKey(a.estimate.mi, a.global_index,
-                                     b.estimate.mi, b.global_index);
-}
 
 std::string ShardFileName(size_t shard, ShardFileFormat format) {
   char name[32];
@@ -92,32 +83,20 @@ Result<std::unique_ptr<LocalShardClient>> LocalShardClient::Create(
       std::move(index), std::move(global_indices)));
 }
 
-Result<ShardSearchResult> LocalShardClient::Search(const JoinMIQuery& query,
-                                                   size_t k,
-                                                   size_t num_threads) const {
+Result<TopKSearchResult> LocalShardClient::Search(const JoinMIQuery& query,
+                                                  size_t k,
+                                                  size_t num_threads) const {
   if (k == 0) {
     return Status::InvalidArgument("shard search requires k >= 1");
   }
   JOINMI_ASSIGN_OR_RETURN(IndexEvaluation evaluation,
                           index_.EvaluateAll(query, num_threads));
-  ShardSearchResult result;
-  result.num_candidates = index_.size();
-  result.num_evaluated = evaluation.num_evaluated;
-  result.num_skipped = evaluation.num_skipped;
-  result.num_errors = evaluation.num_errors;
   // Within one shard global order equals local order, but selecting on the
   // global key keeps the shard's top-k consistent with the cross-shard
   // merge by construction.
-  internal::TopKSelection selection = internal::SelectTopKByMI(
-      evaluation.estimates, k,
-      [this](size_t i) { return global_indices_[i]; });
-  result.hits.reserve(selection.indices.size());
-  for (size_t i : selection.indices) {
-    result.hits.push_back(ShardSearchHit{global_indices_[i],
-                                         index_.candidates()[i].ref,
-                                         *evaluation.estimates[i]});
-  }
-  return result;
+  return internal::RankTopK(
+      evaluation, k, [this](size_t i) { return global_indices_[i]; },
+      [this](size_t i) { return index_.candidates()[i].ref; });
 }
 
 // ----------------------------------------------------- ShardedSketchIndex
@@ -276,14 +255,15 @@ Status VerifyShardFile(const std::string& path, ShardFileFormat format) {
   return VerifyIndexRecords(bytes);
 }
 
-Result<ShardSearchResult> ShardedSketchIndex::Search(
+Result<TopKSearchResult> ShardedSketchIndex::SearchQuery(
     const JoinMIQuery& query, size_t k, size_t num_threads,
     ShardQueryMode mode) const {
   if (k == 0) {
     return Status::InvalidArgument("sharded search requires k >= 1");
   }
   const size_t num_shards = clients_.size();
-  std::vector<ShardSearchResult> per_shard(num_shards);
+  // A failed shard's slot stays empty, so the merge skips it.
+  std::vector<TopKSearchResult> per_shard(num_shards);
   std::vector<Status> statuses(num_shards, Status::OK());
   // Every shard gets the whole thread budget: its strips fan out on the
   // same shared pool, so workers idle after a small shard help a large one.
@@ -295,48 +275,26 @@ Result<ShardSearchResult> ShardedSketchIndex::Search(
       statuses[s] = result.status();
     }
   });
-  ShardSearchResult merged;
-  if (mode == ShardQueryMode::kStrict) {
+  std::vector<ShardFailure> failures;
+  for (size_t s = 0; s < num_shards; ++s) {
+    if (statuses[s].ok()) continue;
     // First failure in shard order wins, so errors are deterministic too.
-    for (size_t s = 0; s < num_shards; ++s) {
-      if (!statuses[s].ok()) {
-        return Status(statuses[s].code(),
-                      "shard " + std::to_string(s) + " failed: " +
-                          statuses[s].message());
-      }
+    if (mode == ShardQueryMode::kStrict) {
+      return Status(statuses[s].code(), "shard " + std::to_string(s) +
+                                            " failed: " +
+                                            statuses[s].message());
     }
-  } else {
-    for (size_t s = 0; s < num_shards; ++s) {
-      if (!statuses[s].ok()) {
-        merged.shard_failures.push_back(ShardFailure{s, statuses[s]});
-      }
-    }
-    if (merged.shard_failures.size() == num_shards) {
-      const Status& first = merged.shard_failures.front().status;
-      return Status(first.code(),
-                    "every shard failed; first failure (shard " +
-                        std::to_string(merged.shard_failures.front().shard) +
-                        "): " + first.message());
-    }
+    failures.push_back(ShardFailure{s, statuses[s]});
   }
-  size_t total_hits = 0;
-  for (size_t s = 0; s < num_shards; ++s) {
-    if (!statuses[s].ok()) continue;
-    merged.num_candidates += per_shard[s].num_candidates;
-    merged.num_evaluated += per_shard[s].num_evaluated;
-    merged.num_skipped += per_shard[s].num_skipped;
-    merged.num_errors += per_shard[s].num_errors;
-    total_hits += per_shard[s].hits.size();
+  if (failures.size() == num_shards) {
+    const Status& first = failures.front().status;
+    return Status(first.code(),
+                  "every shard failed; first failure (shard " +
+                      std::to_string(failures.front().shard) +
+                      "): " + first.message());
   }
-  merged.hits.reserve(total_hits);
-  for (size_t s = 0; s < num_shards; ++s) {
-    if (!statuses[s].ok()) continue;
-    for (ShardSearchHit& hit : per_shard[s].hits) {
-      merged.hits.push_back(std::move(hit));
-    }
-  }
-  std::sort(merged.hits.begin(), merged.hits.end(), BetterHit);
-  if (merged.hits.size() > k) merged.hits.resize(k);
+  TopKSearchResult merged = internal::MergeRanked(std::move(per_shard), k);
+  merged.shard_failures = std::move(failures);
   return merged;
 }
 

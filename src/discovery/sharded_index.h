@@ -5,12 +5,14 @@
 // into a global top-k.
 //
 // Determinism contract: every candidate carries its *global* insertion
-// index from the original unsharded enumeration (stored in the manifest),
-// and both the per-shard selection and the cross-shard merge order hits by
-// (MI desc, global index asc) — exactly the comparator the unsharded
-// index-backed TopKJoinMISearch uses. Per-shard top-k under a total order
-// loses nothing the global top-k could keep, so a K-shard search returns
-// bit-identical rankings to the unsharded path for every K and either
+// index from the original unsharded enumeration (stored in the manifest).
+// A shard answers with a TopKSearchResult whose hits carry those indices
+// (SearchHit::global_index), selected by topk_merge.h's RankTopK, and the
+// fan-out merges the shards' lists with its MergeRanked — the order key
+// and both helpers are the ones the unsharded index-backed TopKJoinMISearch
+// uses. Per-shard top-k under a total order loses nothing the global top-k
+// could keep, so a K-shard search returns bit-identical rankings, global
+// indices included, to the unsharded path for every K and either
 // partitioning policy, duplicated candidates included.
 //
 // Serving boundary: queries reach shards through the ShardClient interface.
@@ -21,11 +23,11 @@
 // ShardClientFactory handed to Load — local shard files and host:port
 // endpoints are interchangeable deployments of the same manifest.
 //
-// Availability: Search runs in one of two modes. Strict (the default, and
+// Availability: a search runs in one of two modes. Strict (the default, and
 // the only behavior before networked serving existed) fails the whole
 // query on the first shard error, deterministically in shard order.
 // Degraded answers from the shards that responded, reporting every failed
-// shard in ShardSearchResult::shard_failures — the router keeps serving
+// shard in TopKSearchResult::shard_failures — the router keeps serving
 // through single-shard outages and the caller can see exactly what the
 // answer is missing. A degraded query with zero healthy shards still
 // fails: an answer from nothing would be indistinguishable from an empty
@@ -47,29 +49,6 @@
 
 namespace joinmi {
 
-/// \brief One per-shard search answer, annotated with the candidate's
-/// global insertion index — the tie-break key of the cross-shard merge.
-struct ShardSearchHit {
-  uint64_t global_index = 0;
-  ColumnPairRef ref;
-  JoinMIEstimate estimate;
-};
-
-/// \brief Outcome of one shard-level (or merged) top-k search. Hits are
-/// sorted by (MI desc, global index asc) and truncated to k.
-struct ShardSearchResult {
-  std::vector<ShardSearchHit> hits;
-  size_t num_candidates = 0;
-  size_t num_evaluated = 0;
-  size_t num_skipped = 0;
-  size_t num_errors = 0;
-  /// Shards that did not answer, in shard order. Always empty in strict
-  /// mode (a failure fails the query instead) and for single-shard
-  /// results; when non-empty, `hits` and the counters cover only the
-  /// shards that answered.
-  std::vector<ShardFailure> shard_failures;
-};
-
 /// \brief Serving boundary of one shard — the RPC seam. The query arrives
 /// pre-sketched (over the wire this is the serialized train sketch), so
 /// shards never see the base table's rows.
@@ -84,10 +63,12 @@ class ShardClient {
   virtual size_t num_candidates() const = 0;
 
   /// \brief This shard's top-k for the query, ordered by
-  /// (MI desc, global index asc). `num_threads` 0 = DefaultThreadCount().
-  virtual Result<ShardSearchResult> Search(const JoinMIQuery& query,
-                                           size_t k,
-                                           size_t num_threads) const = 0;
+  /// (MI desc, global index asc); each hit's global_index is its
+  /// candidate's global insertion index. `num_threads` 0 =
+  /// DefaultThreadCount().
+  virtual Result<TopKSearchResult> Search(const JoinMIQuery& query,
+                                          size_t k,
+                                          size_t num_threads) const = 0;
 };
 
 /// \brief Checks a shard's global index mapping: one index for each of its
@@ -106,8 +87,8 @@ class LocalShardClient : public ShardClient {
 
   const JoinMIConfig& config() const override { return index_.config(); }
   size_t num_candidates() const override { return index_.size(); }
-  Result<ShardSearchResult> Search(const JoinMIQuery& query, size_t k,
-                                   size_t num_threads) const override;
+  Result<TopKSearchResult> Search(const JoinMIQuery& query, size_t k,
+                                  size_t num_threads) const override;
 
  private:
   LocalShardClient(SketchIndex index, std::vector<uint64_t> global_indices)
@@ -182,21 +163,22 @@ class ShardedSketchIndex : public Searchable {
   /// \brief Total candidates across all shards.
   size_t size() const { return static_cast<size_t>(manifest_.total_candidates); }
 
-  /// \brief Fans the query out to every shard through ParallelFor (each
-  /// shard's own strips share the same `num_threads` budget and pool) and
-  /// merges the per-shard top-k lists by (MI desc, global index asc).
-  /// Identical results for any thread count.
-  /// See ShardQueryMode for how shard failures are handled.
-  Result<ShardSearchResult> Search(
-      const JoinMIQuery& query, size_t k, size_t num_threads = 0,
-      ShardQueryMode mode = ShardQueryMode::kStrict) const;
-
-  // Searchable: Search() plus the ShardSearchResult -> TopKSearchResult
-  // projection (drops per-hit global indices, which are merge-internal).
+  // Searchable: fans the query out to every shard through ParallelFor
+  // (each shard's own strips share the same `num_threads` budget and pool)
+  // and merges the per-shard top-k lists by (MI desc, global index asc).
+  // Identical results for any thread count. See ShardQueryMode for how
+  // shard failures are handled.
   const JoinMIConfig& search_config() const override { return config(); }
   Result<TopKSearchResult> SearchQuery(const JoinMIQuery& query, size_t k,
                                        size_t num_threads,
                                        ShardQueryMode mode) const override;
+
+  /// \brief SearchQuery with the default thread budget and strict mode.
+  Result<TopKSearchResult> Search(
+      const JoinMIQuery& query, size_t k, size_t num_threads = 0,
+      ShardQueryMode mode = ShardQueryMode::kStrict) const {
+    return SearchQuery(query, k, num_threads, mode);
+  }
 
  private:
   ShardedSketchIndex(ShardManifest manifest,

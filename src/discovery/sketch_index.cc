@@ -43,14 +43,19 @@ struct PostingScratch {
 constexpr size_t kPairsPerThreadPerWave = 16;
 
 // Sketches one candidate column pair under `config`: the one sketching
-// path AddCandidate and IndexRepository share.
+// path AddCandidate and IndexRepository share. A value column without one
+// non-null value would sketch to an empty candidate that every query
+// skips, so it is refused like any other unsketchable pair.
 Result<Sketch> SketchColumnPair(const JoinMIConfig& config, const Table& table,
                                 const ColumnPairRef& ref) {
-  auto builder =
-      MakeSketchBuilder(config.sketch_method, config.sketch_options());
   JOINMI_ASSIGN_OR_RETURN(auto key_col, table.GetColumn(ref.key_column));
   JOINMI_ASSIGN_OR_RETURN(auto value_col, table.GetColumn(ref.value_column));
-  return builder->SketchCandidate(*key_col, *value_col, config.aggregation);
+  if (value_col->null_count() == value_col->size()) {
+    return Status::InvalidArgument("value column of " + ref.ToString() +
+                                   " holds no non-null value");
+  }
+  return MakeSketchBuilder(config.sketch_method, config.sketch_options())
+      ->SketchCandidate(*key_col, *value_col, config.aggregation);
 }
 
 }  // namespace
@@ -315,19 +320,22 @@ Result<IndexEvaluation> SketchIndex::EvaluateAll(const JoinMIQuery& query,
           }
         });
   });
-  IndexEvaluation evaluation;
-  evaluation.estimates.reserve(outcomes.size());
-  for (internal::CandidateOutcome& outcome : outcomes) {
-    if (outcome.estimate.has_value()) {
-      ++evaluation.num_evaluated;
-    } else if (outcome.skipped) {
-      ++evaluation.num_skipped;
-    } else {
-      ++evaluation.num_errors;
-    }
-    evaluation.estimates.push_back(std::move(outcome.estimate));
+  return internal::TallyOutcomes(std::move(outcomes));
+}
+
+Result<TopKSearchResult> SketchIndex::SearchQuery(const JoinMIQuery& query,
+                                                  size_t k,
+                                                  size_t num_threads,
+                                                  ShardQueryMode mode) const {
+  (void)mode;  // no shard to lose
+  if (k == 0) {
+    return Status::InvalidArgument("top-k search requires k >= 1");
   }
-  return evaluation;
+  JOINMI_ASSIGN_OR_RETURN(IndexEvaluation evaluation,
+                          EvaluateAll(query, num_threads));
+  return internal::RankTopK(
+      evaluation, k, [](size_t i) { return static_cast<uint64_t>(i); },
+      [this](size_t i) { return candidates_[i].ref; });
 }
 
 // ------------------------------------------------------------ Persistence

@@ -101,7 +101,10 @@ class SketchIndex : public Searchable {
     return candidates_;
   }
 
-  /// \brief Sketches one candidate column pair and adds it.
+  /// \brief Sketches one candidate column pair and adds it. Fails for a
+  /// pair that cannot be sketched: an aggregation the value column's type
+  /// does not support (e.g. avg over a string column), or a value column
+  /// with no non-null value.
   Status AddCandidate(const Table& table, const ColumnPairRef& ref);
 
   /// \brief Adds a pre-built candidate sketch (the deserialization path).
@@ -123,8 +126,7 @@ class SketchIndex : public Searchable {
   /// fan-out's thread budget) in bounded waves and appended in
   /// ExtractColumnPairs order, so the index is byte-identical to calling
   /// AddCandidate on each pair in turn. Column pairs that cannot be
-  /// sketched (e.g. avg over a string column) are skipped; returns the
-  /// number indexed.
+  /// sketched (see AddCandidate) are skipped; returns the number indexed.
   Result<size_t> IndexRepository(const TableRepository& repository);
 
   /// \brief Evaluates the query against every candidate, fanning out

@@ -1,6 +1,5 @@
 #include "src/ingest/delta_shard_client.h"
 
-#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -10,15 +9,6 @@
 
 namespace joinmi {
 namespace ingest {
-
-namespace {
-
-bool BetterHit(const ShardSearchHit& a, const ShardSearchHit& b) {
-  return internal::BetterByMIThenKey(a.estimate.mi, a.global_index,
-                                     b.estimate.mi, b.global_index);
-}
-
-}  // namespace
 
 Result<std::unique_ptr<DeltaShardClient>> DeltaShardClient::Create(
     std::unique_ptr<ShardClient> base, std::unique_ptr<ShardClient> delta) {
@@ -34,27 +24,13 @@ Result<std::unique_ptr<DeltaShardClient>> DeltaShardClient::Create(
       new DeltaShardClient(std::move(base), std::move(delta)));
 }
 
-Result<ShardSearchResult> DeltaShardClient::Search(const JoinMIQuery& query,
-                                                   size_t k,
-                                                   size_t num_threads) const {
-  JOINMI_ASSIGN_OR_RETURN(ShardSearchResult merged,
-                          base_->Search(query, k, num_threads));
-  JOINMI_ASSIGN_OR_RETURN(ShardSearchResult delta,
-                          delta_->Search(query, k, num_threads));
-  merged.num_candidates += delta.num_candidates;
-  merged.num_evaluated += delta.num_evaluated;
-  merged.num_skipped += delta.num_skipped;
-  merged.num_errors += delta.num_errors;
-  // Each side's top-k is already selected under the global total order,
-  // so nothing the combined top-k could keep was dropped; re-sorting the
-  // union restores one ordered list.
-  merged.hits.reserve(merged.hits.size() + delta.hits.size());
-  for (ShardSearchHit& hit : delta.hits) {
-    merged.hits.push_back(std::move(hit));
-  }
-  std::sort(merged.hits.begin(), merged.hits.end(), BetterHit);
-  if (merged.hits.size() > k) merged.hits.resize(k);
-  return merged;
+Result<TopKSearchResult> DeltaShardClient::Search(const JoinMIQuery& query,
+                                                  size_t k,
+                                                  size_t num_threads) const {
+  std::vector<TopKSearchResult> sides(2);
+  JOINMI_ASSIGN_OR_RETURN(sides[0], base_->Search(query, k, num_threads));
+  JOINMI_ASSIGN_OR_RETURN(sides[1], delta_->Search(query, k, num_threads));
+  return internal::MergeRanked(std::move(sides), k);
 }
 
 Result<std::unique_ptr<ShardClient>> LoadDeltaOverlay(

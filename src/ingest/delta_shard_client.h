@@ -3,7 +3,8 @@
 // A base shard file (whole-file JMIX or paged JMPS) stays immutable while
 // appends accumulate in its JMDS sidecar; this client overlays the two so
 // a query sees base+delta candidates merged by (MI desc, global insertion
-// index asc) — the same total order every other merge in the system uses.
+// index asc) through topk_merge.h's MergeRanked, the merge the cross-shard
+// fan-out uses.
 // Because appended candidates always carry larger global indices than the
 // base, and the per-side top-k is taken under that total order, the
 // overlay's top-k is bit-identical to a from-scratch rebuild holding the
@@ -36,8 +37,8 @@ class DeltaShardClient : public ShardClient {
   size_t num_candidates() const override {
     return base_->num_candidates() + delta_->num_candidates();
   }
-  Result<ShardSearchResult> Search(const JoinMIQuery& query, size_t k,
-                                   size_t num_threads) const override;
+  Result<TopKSearchResult> Search(const JoinMIQuery& query, size_t k,
+                                  size_t num_threads) const override;
 
   /// \brief The immutable base client — instrumentation seam so a stats
   /// snapshot can still reach e.g. paged buffer-pool counters through the

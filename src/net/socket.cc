@@ -63,11 +63,6 @@ void Socket::Close() {
   }
 }
 
-Status Socket::SetNonBlocking(bool nonblocking) {
-  if (!valid()) return Status::IOError("socket is not open");
-  return SetBlocking(fd_, !nonblocking);
-}
-
 Status Socket::SetTimeouts(int recv_timeout_ms, int send_timeout_ms) {
   if (!valid()) return Status::IOError("socket is not open");
   JOINMI_RETURN_NOT_OK(SetOneTimeout(fd_, SO_RCVTIMEO, recv_timeout_ms));
@@ -266,24 +261,6 @@ Result<Listener> Listener::Bind(const std::string& host, uint16_t port,
   }
   ::freeaddrinfo(addrs);
   return last;
-}
-
-Result<Socket> Listener::AcceptWithTimeout(int timeout_ms) {
-  if (!valid()) return Status::IOError("listener is not open");
-  struct pollfd pfd;
-  pfd.fd = fd_;
-  pfd.events = POLLIN;
-  const int ready = ::poll(&pfd, 1, timeout_ms);
-  if (ready == 0) return Status::OutOfRange("accept timed out");
-  if (ready < 0) {
-    if (errno == EINTR) return Status::OutOfRange("accept interrupted");
-    return Status::IOError(Errno("poll during accept"));
-  }
-  const int fd = ::accept(fd_, nullptr, nullptr);
-  if (fd < 0) return Status::IOError(Errno("accept()"));
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  return Socket(fd);
 }
 
 }  // namespace net

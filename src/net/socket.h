@@ -1,10 +1,15 @@
-// Minimal blocking TCP primitives for the shard serving tier: an RAII
-// socket with whole-buffer read/write and per-direction timeouts, a
-// listener with poll-based interruptible accept, and a timeout-bounded
-// connect. POSIX-only, deliberately synchronous — the serving workloads
-// above this are one-request-at-a-time per connection, fanned out across a
-// ThreadPool, so blocking I/O with timeouts is simpler and no slower than
-// an event loop at this scale.
+// TCP primitives for the shard serving tier: an RAII socket with
+// whole-buffer read/write, per-direction timeouts and a peer-closed probe,
+// a listener, and a timeout-bounded connect. POSIX-only.
+//
+// The two sides use them differently. A client does blocking I/O with
+// timeouts on a connected Socket: a shard client's Channel (rpc_channel.h)
+// pipelines on it, many callers sending while one reader thread receives
+// and pairs responses by request_id, and ingest_ctl sends one frame and
+// reads its answer. A server hands its bound Listener to an EventLoop
+// (event_loop.h), which makes it nonblocking, accepts connections and does
+// every read and write itself on one thread, so the blocking helpers here
+// never touch a server-side connection.
 //
 // Error model matches the rest of the library: no exceptions, every
 // fallible call returns Status/Result. A peer closing mid-read surfaces as
@@ -29,8 +34,8 @@ namespace net {
 class Socket {
  public:
   Socket() = default;
-  /// \brief Adopts an already-open descriptor (e.g. from Listener::Accept
-  /// or socketpair in tests).
+  /// \brief Adopts an already-open descriptor (e.g. from socketpair in
+  /// tests).
   explicit Socket(int fd) : fd_(fd) {}
   ~Socket() { Close(); }
 
@@ -45,11 +50,6 @@ class Socket {
 
   /// \brief Sets per-call receive/send timeouts (0 disables the bound).
   Status SetTimeouts(int recv_timeout_ms, int send_timeout_ms);
-
-  /// \brief Toggles O_NONBLOCK — the event-loop registration path. The
-  /// blocking read/write helpers above assume blocking mode; a nonblocking
-  /// socket belongs to a reactor that does its own recv/send.
-  Status SetNonBlocking(bool nonblocking);
 
   /// \brief Writes the whole buffer, retrying short writes. Never raises
   /// SIGPIPE. If `bytes_written` is non-null it receives the count actually
@@ -80,7 +80,7 @@ class Socket {
   int fd_ = -1;
 };
 
-/// \brief A bound, listening TCP socket.
+/// \brief A bound, listening TCP socket; an EventLoop accepts on it.
 class Listener {
  public:
   Listener() = default;
@@ -103,11 +103,6 @@ class Listener {
   int fd() const { return fd_; }
   uint16_t port() const { return port_; }
   void Close();
-
-  /// \brief Waits up to `timeout_ms` for a connection. Returns OutOfRange
-  /// on timeout (the polling idiom for an interruptible accept loop: poll,
-  /// check a stop flag, poll again) and IOError on real failures.
-  Result<Socket> AcceptWithTimeout(int timeout_ms);
 
  private:
   int fd_ = -1;

@@ -46,8 +46,6 @@ Result<SketchMIResult> ScoreColumns(
   return result;
 }
 
-}  // namespace
-
 // Preconditions shared by every join entry point: correct sides and equal
 // hash seeds. Seeds must match because key hashes drawn from different
 // seeds are incomparable — joining them "works" mechanically but returns a
@@ -71,6 +69,8 @@ Status CheckJoinable(const Sketch& train, const Sketch& candidate) {
   }
   return Status::OK();
 }
+
+}  // namespace
 
 Status JoinBelowMinimum(size_t join_size, size_t min_join_size) {
   return Status::OutOfRange("sketch join produced " +

@@ -216,10 +216,6 @@ Result<MergeJoinScore> ScoreCandidateSketch(
 /// below min_join_size.
 Status JoinBelowMinimum(size_t join_size, size_t min_join_size);
 
-/// \brief Sides and hash seeds agree: the preconditions every join entry
-/// point enforces before looking at keys.
-Status CheckJoinable(const Sketch& train, const Sketch& candidate);
-
 }  // namespace joinmi
 
 #endif  // JOINMI_SKETCH_SKETCH_JOIN_H_

@@ -63,22 +63,6 @@ Status ParseCsv(const std::string& text, char delim,
   return Status::OK();
 }
 
-std::string EscapeCsvField(const std::string& field, char delim) {
-  const bool needs_quotes =
-      field.find(delim) != std::string::npos ||
-      field.find('"') != std::string::npos ||
-      field.find('\n') != std::string::npos ||
-      field.find('\r') != std::string::npos;
-  if (!needs_quotes) return field;
-  std::string out = "\"";
-  for (char c : field) {
-    if (c == '"') out += '"';
-    out += c;
-  }
-  out += '"';
-  return out;
-}
-
 }  // namespace
 
 Result<std::shared_ptr<Table>> ReadCsvString(const std::string& text,
@@ -133,33 +117,6 @@ Result<std::shared_ptr<Table>> ReadCsvFile(const std::string& path,
   std::ostringstream buffer;
   buffer << in.rdbuf();
   return ReadCsvString(buffer.str(), options);
-}
-
-std::string WriteCsvString(const Table& table, char delimiter) {
-  std::string out;
-  for (size_t c = 0; c < table.num_columns(); ++c) {
-    if (c > 0) out += delimiter;
-    out += EscapeCsvField(table.schema().field(c).name, delimiter);
-  }
-  out += '\n';
-  for (size_t r = 0; r < table.num_rows(); ++r) {
-    for (size_t c = 0; c < table.num_columns(); ++c) {
-      if (c > 0) out += delimiter;
-      const Value v = table.column(c)->GetValue(r);
-      if (!v.is_null()) out += EscapeCsvField(v.ToString(), delimiter);
-    }
-    out += '\n';
-  }
-  return out;
-}
-
-Status WriteCsvFile(const Table& table, const std::string& path,
-                    char delimiter) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return Status::IOError("cannot open '" + path + "' for writing");
-  out << WriteCsvString(table, delimiter);
-  if (!out) return Status::IOError("failed writing '" + path + "'");
-  return Status::OK();
 }
 
 }  // namespace joinmi

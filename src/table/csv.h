@@ -1,4 +1,4 @@
-// Minimal RFC-4180-ish CSV reader/writer: quoted fields, embedded commas and
+// Minimal RFC-4180-ish CSV reader: quoted fields, embedded commas and
 // quotes, header row, automatic type inference. Used by the examples so
 // downstream users can feed their own data files.
 
@@ -29,13 +29,6 @@ Result<std::shared_ptr<Table>> ReadCsvString(const std::string& text,
 /// \brief Reads a CSV file into a Table.
 Result<std::shared_ptr<Table>> ReadCsvFile(const std::string& path,
                                            const CsvReadOptions& options = {});
-
-/// \brief Serializes a table as CSV (always writes a header row).
-std::string WriteCsvString(const Table& table, char delimiter = ',');
-
-/// \brief Writes a table to a CSV file.
-Status WriteCsvFile(const Table& table, const std::string& path,
-                    char delimiter = ',');
 
 }  // namespace joinmi
 

@@ -358,7 +358,7 @@ TEST_P(KernelPathsTest, IndexPagedAndEstimateMatchReferenceBitExactly) {
   auto shard = (*paged)->Search(query, index.size(), 4);
   ASSERT_TRUE(shard.ok()) << shard.status();
   std::map<uint64_t, JoinMIEstimate> paged_hits;
-  for (const ShardSearchHit& hit : shard->hits) {
+  for (const SearchHit& hit : shard->hits) {
     paged_hits.emplace(hit.global_index, hit.estimate);
   }
   size_t evaluated = 0;

@@ -106,21 +106,6 @@ TEST(EntropyTest, PaperSectionIVBWorkedExample) {
   EXPECT_NEAR(EntropyMLE(hist), 4.5247, 1e-3);
 }
 
-TEST(EntropyTest, MillerMadowAddsSupportCorrection) {
-  const Histogram hist = BuildHistogram({0, 0, 1, 2});
-  EXPECT_NEAR(EntropyMillerMadow(hist), EntropyMLE(hist) + (3.0 - 1) / 8.0,
-              1e-12);
-}
-
-TEST(EntropyTest, LaplaceSmoothingShrinksTowardUniform) {
-  const Histogram skewed = BuildHistogram({0, 0, 0, 0, 0, 0, 0, 1});
-  const double h_raw = EntropyMLE(skewed);
-  const double h_smooth = EntropyLaplace(skewed, 1.0);
-  EXPECT_GT(h_smooth, h_raw);          // smoothing raises entropy
-  EXPECT_LE(h_smooth, std::log(2.0) + 1e-12);  // bounded by uniform
-  EXPECT_NEAR(EntropyLaplace(skewed, 0.0), h_raw, 1e-12);
-}
-
 TEST(EntropyTest, JointEntropyMLEIndependentFactorization) {
   // Independent uniform bits: H(X, Y) = ln 4 = H(X) + H(Y).
   const std::vector<uint64_t> xs = {0, 0, 1, 1};
@@ -140,43 +125,6 @@ TEST(EntropyTest, JointEntropyMLEIndependentFactorization) {
   // Y = X: each term keeps its own (m - 1) / 2N, leaving ln 2 + 1/8.
   EXPECT_NEAR(*MutualInformationMillerMadow(x_values, x_values),
               std::log(2.0) + 1.0 / 8.0, 1e-12);
-}
-
-TEST(EntropyTest, KnnEntropyGaussianCloseToAnalytic) {
-  // H(N(0, s^2)) = 0.5 ln(2 pi e s^2).
-  Rng rng(3);
-  std::vector<double> xs;
-  for (int i = 0; i < 4000; ++i) xs.push_back(rng.Gaussian(0.0, 2.0));
-  const double analytic = 0.5 * std::log(2 * M_PI * M_E * 4.0);
-  auto h = DifferentialEntropyKnn(xs, 3);
-  ASSERT_TRUE(h.ok());
-  EXPECT_NEAR(*h, analytic, 0.1);
-}
-
-TEST(EntropyTest, KnnEntropyUniformCloseToAnalytic) {
-  // H(U[0, 4]) = ln 4.
-  Rng rng(5);
-  std::vector<double> xs;
-  for (int i = 0; i < 4000; ++i) xs.push_back(rng.Uniform(0.0, 4.0));
-  auto h = DifferentialEntropyKnn(xs, 3);
-  ASSERT_TRUE(h.ok());
-  EXPECT_NEAR(*h, std::log(4.0), 0.1);
-}
-
-TEST(EntropyTest, SpacingEntropyUniform) {
-  Rng rng(7);
-  std::vector<double> xs;
-  for (int i = 0; i < 4000; ++i) xs.push_back(rng.Uniform(0.0, 2.0));
-  auto h = DifferentialEntropySpacing(xs);
-  ASSERT_TRUE(h.ok());
-  EXPECT_NEAR(*h, std::log(2.0), 0.1);
-}
-
-TEST(EntropyTest, EstimatorErrorCases) {
-  EXPECT_FALSE(DifferentialEntropyKnn({1.0, 2.0}, 3).ok());
-  EXPECT_FALSE(DifferentialEntropyKnn({1.0, 2.0, 3.0, 4.0}, 0).ok());
-  EXPECT_FALSE(DifferentialEntropySpacing({1.0}).ok());
-  EXPECT_FALSE(DifferentialEntropySpacing({2.0, 2.0, 2.0}).ok());
 }
 
 // -------------------------------------------------------------------- kNN --

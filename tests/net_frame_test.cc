@@ -2,7 +2,8 @@
 // oversized length prefixes, bad magic/version/type tags (retired v1 and
 // v2 headers included); frame transport over a real socketpair; and the
 // typed rpc message codecs (handshake, upload, search, health, error)
-// including their corruption rejection. The shard-serving protocol's
+// including their corruption rejection and the frozen bytes of a search
+// response. The shard-serving protocol's
 // safety against a corrupt or hostile peer lives entirely in these
 // decoders.
 
@@ -249,9 +250,9 @@ TEST(RpcMessageTest, SearchResponseRoundTripsHitsExactly) {
   response.result.num_evaluated = 8;
   response.result.num_skipped = 1;
   response.result.num_errors = 1;
-  ShardSearchHit hit;
+  SearchHit hit;
   hit.global_index = 42;
-  hit.ref = ColumnPairRef{"weather", "zip", "temp"};
+  hit.candidate = ColumnPairRef{"weather", "zip", "temp"};
   hit.estimate.mi = 1.25;
   hit.estimate.estimator = MIEstimatorKind::kDCKSG;
   hit.estimate.sample_size = 256;
@@ -271,9 +272,9 @@ TEST(RpcMessageTest, SearchResponseRoundTripsHitsExactly) {
   EXPECT_EQ(decoded->result.num_errors, 1u);
   ASSERT_EQ(decoded->result.hits.size(), 2u);
   EXPECT_EQ(decoded->result.hits[0].global_index, 42u);
-  EXPECT_EQ(decoded->result.hits[0].ref.table_name, "weather");
-  EXPECT_EQ(decoded->result.hits[0].ref.key_column, "zip");
-  EXPECT_EQ(decoded->result.hits[0].ref.value_column, "temp");
+  EXPECT_EQ(decoded->result.hits[0].candidate.table_name, "weather");
+  EXPECT_EQ(decoded->result.hits[0].candidate.key_column, "zip");
+  EXPECT_EQ(decoded->result.hits[0].candidate.value_column, "temp");
   EXPECT_EQ(decoded->result.hits[0].estimate.mi, 1.25);
   EXPECT_EQ(decoded->result.hits[0].estimate.estimator,
             MIEstimatorKind::kDCKSG);
@@ -297,6 +298,87 @@ TEST(RpcMessageTest, ErrorSearchResponseCarriesStatusOnly) {
   EXPECT_TRUE(decoded->status.IsOutOfRange());
   EXPECT_EQ(decoded->status.message(), "join too small");
   EXPECT_TRUE(decoded->result.hits.empty());
+}
+
+// Lower-case hex of `bytes`, for comparing encodings with frozen literals.
+std::string ToHex(const std::string& bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  for (const char c : bytes) {
+    hex += kDigits[static_cast<unsigned char>(c) >> 4];
+    hex += kDigits[static_cast<unsigned char>(c) & 0xf];
+  }
+  return hex;
+}
+
+TEST(RpcMessageTest, SearchResponseBytesAreFrozen) {
+  // The protocol-version-3 bytes of two fixed responses and an error
+  // payload. A round trip cannot catch a layout change its encoder and
+  // decoder make together; these literals can.
+  rpc::SearchResponse response;
+  response.result.num_candidates = 10;
+  response.result.num_evaluated = 7;
+  response.result.num_skipped = 2;
+  response.result.num_errors = 1;
+  SearchHit hit;
+  hit.candidate = ColumnPairRef{"weather", "zip", "temp"};
+  hit.estimate = JoinMIEstimate{1.25, MIEstimatorKind::kDCKSG, 256, true};
+  hit.global_index = 42;
+  response.result.hits.push_back(hit);
+  hit.candidate = ColumnPairRef{"t", "k", "v"};
+  hit.estimate = JoinMIEstimate{0.5, MIEstimatorKind::kMLE, 3, false};
+  hit.global_index = 0x0102030405060708ULL;
+  response.result.hits.push_back(hit);
+  const std::string payload = rpc::EncodeSearchResponse(response);
+  EXPECT_EQ(ToHex(payload),
+            "00000000000a00000000000000070000"
+            "00000000000200000000000000010000"
+            "000000000002000000000000002a0000"
+            "00000000000700000077656174686572"
+            "030000007a69700400000074656d7000"
+            "0000000000f43f050001000000000000"
+            "01080706050403020101000000740100"
+            "00006b0100000076000000000000e03f"
+            "00030000000000000000");
+  EXPECT_EQ(ToHex(EncodeFrame(FrameType::kSearchResponse, 21, payload))
+                .substr(0, 42),
+            "4a4d5250030000000b8a0000001500000000000000");
+  auto decoded = rpc::DecodeSearchResponse(payload);
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  ASSERT_TRUE(decoded->status.ok());
+  EXPECT_EQ(decoded->result.num_candidates, 10u);
+  EXPECT_EQ(decoded->result.num_evaluated, 7u);
+  EXPECT_EQ(decoded->result.num_skipped, 2u);
+  EXPECT_EQ(decoded->result.num_errors, 1u);
+  ASSERT_EQ(decoded->result.hits.size(), 2u);
+  for (size_t i = 0; i < 2; ++i) {
+    const SearchHit& want = response.result.hits[i];
+    const SearchHit& got = decoded->result.hits[i];
+    EXPECT_EQ(got.global_index, want.global_index) << i;
+    EXPECT_EQ(got.candidate.ToString(), want.candidate.ToString()) << i;
+    EXPECT_EQ(got.estimate.mi, want.estimate.mi) << i;
+    EXPECT_EQ(got.estimate.estimator, want.estimate.estimator) << i;
+    EXPECT_EQ(got.estimate.sample_size, want.estimate.sample_size) << i;
+    EXPECT_EQ(got.estimate.sketched, want.estimate.sketched) << i;
+  }
+
+  rpc::SearchResponse error;
+  error.status = Status::OutOfRange("k too big");
+  const std::string error_payload = rpc::EncodeSearchResponse(error);
+  EXPECT_EQ(ToHex(error_payload), "05090000006b20746f6f20626967");
+  auto decoded_error = rpc::DecodeSearchResponse(error_payload);
+  ASSERT_TRUE(decoded_error.ok()) << decoded_error.status();
+  EXPECT_TRUE(decoded_error->status.IsOutOfRange());
+  EXPECT_EQ(decoded_error->status.message(), "k too big");
+  EXPECT_TRUE(decoded_error->result.hits.empty());
+
+  const std::string frame_error =
+      rpc::EncodeErrorPayload(Status::IOError("shard on fire"));
+  EXPECT_EQ(ToHex(frame_error), "070d0000007368617264206f6e2066697265");
+  Status server_error;
+  ASSERT_TRUE(rpc::DecodeErrorPayload(frame_error, &server_error).ok());
+  EXPECT_TRUE(server_error.IsIOError());
+  EXPECT_EQ(server_error.message(), "shard on fire");
 }
 
 TEST(RpcMessageTest, SearchResponseRejectsLyingHitCount) {
@@ -458,9 +540,9 @@ TEST(RpcMessageTest, SearchRequestRoundTripsAndRejectsCorruption) {
 TEST(RpcMessageTest, SearchResponseFrameRoundTrips) {
   rpc::SearchResponse response;
   response.result.num_candidates = 3;
-  ShardSearchHit hit;
+  SearchHit hit;
   hit.global_index = 9;
-  hit.ref = ColumnPairRef{"t", "k", "v"};
+  hit.candidate = ColumnPairRef{"t", "k", "v"};
   hit.estimate.mi = 2.5;
   response.result.hits.push_back(hit);
   const std::string encoded = EncodeFrame(
@@ -475,7 +557,8 @@ TEST(RpcMessageTest, SearchResponseFrameRoundTrips) {
   EXPECT_EQ(decoded->result.num_candidates, 3u);
   ASSERT_EQ(decoded->result.hits.size(), 1u);
   EXPECT_EQ(decoded->result.hits[0].global_index, 9u);
-  EXPECT_EQ(decoded->result.hits[0].ref.ToString(), hit.ref.ToString());
+  EXPECT_EQ(decoded->result.hits[0].candidate.ToString(),
+            hit.candidate.ToString());
   EXPECT_EQ(decoded->result.hits[0].estimate.mi, 2.5);
 }
 

@@ -50,9 +50,6 @@ TEST_P(EntropyBoundsTest, MleWithinZeroAndLogSupport) {
   const double h = EntropyMLE(hist);
   EXPECT_GE(h, 0.0);
   EXPECT_LE(h, std::log(static_cast<double>(support)) + 1e-12);
-  // Miller-Madow and Laplace stay ordered sensibly.
-  EXPECT_GE(EntropyMillerMadow(hist), h);
-  EXPECT_GE(EntropyLaplace(hist, 1.0), h - 1e-12);
 }
 
 INSTANTIATE_TEST_SUITE_P(

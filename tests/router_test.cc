@@ -146,8 +146,8 @@ class InstrumentedShardClient : public ShardClient {
   const JoinMIConfig& config() const override { return inner_->config(); }
   size_t num_candidates() const override { return inner_->num_candidates(); }
 
-  Result<ShardSearchResult> Search(const JoinMIQuery& query, size_t k,
-                                   size_t num_threads) const override {
+  Result<TopKSearchResult> Search(const JoinMIQuery& query, size_t k,
+                                  size_t num_threads) const override {
     control_->searches.fetch_add(1);
     if (control_->block.load()) {
       control_->entered.store(true);

@@ -107,6 +107,8 @@ void ExpectBitIdentical(const TopKSearchResult& expected,
   EXPECT_EQ(expected.num_errors, actual.num_errors);
   ASSERT_EQ(expected.hits.size(), actual.hits.size());
   for (size_t i = 0; i < expected.hits.size(); ++i) {
+    EXPECT_EQ(expected.hits[i].global_index, actual.hits[i].global_index)
+        << i;
     EXPECT_EQ(expected.hits[i].candidate.table_name,
               actual.hits[i].candidate.table_name) << i;
     EXPECT_EQ(expected.hits[i].candidate.key_column,
@@ -118,24 +120,6 @@ void ExpectBitIdentical(const TopKSearchResult& expected,
               actual.hits[i].estimate.sample_size) << i;
     EXPECT_EQ(expected.hits[i].estimate.estimator,
               actual.hits[i].estimate.estimator) << i;
-  }
-}
-
-void ExpectShardBitIdentical(const ShardSearchResult& expected,
-                             const ShardSearchResult& actual) {
-  EXPECT_EQ(expected.num_candidates, actual.num_candidates);
-  EXPECT_EQ(expected.num_evaluated, actual.num_evaluated);
-  EXPECT_EQ(expected.num_skipped, actual.num_skipped);
-  EXPECT_EQ(expected.num_errors, actual.num_errors);
-  ASSERT_EQ(expected.hits.size(), actual.hits.size());
-  for (size_t i = 0; i < expected.hits.size(); ++i) {
-    EXPECT_EQ(expected.hits[i].global_index, actual.hits[i].global_index)
-        << i;
-    EXPECT_EQ(expected.hits[i].ref.table_name, actual.hits[i].ref.table_name)
-        << i;
-    EXPECT_EQ(expected.hits[i].estimate.mi, actual.hits[i].estimate.mi) << i;
-    EXPECT_EQ(expected.hits[i].estimate.sample_size,
-              actual.hits[i].estimate.sample_size) << i;
   }
 }
 
@@ -288,7 +272,7 @@ TEST(RpcShardTest, RpcRankingsBitIdenticalToLocalForEveryKPolicyThreads) {
         ASSERT_TRUE(via_local.ok()) << via_local.status();
         auto via_rpc = remote->Search(*relaxed_query, k, 1);
         ASSERT_TRUE(via_rpc.ok()) << via_rpc.status();
-        ExpectShardBitIdentical(*via_local, *via_rpc);
+        ExpectBitIdentical(*via_local, *via_rpc);
       }
     }
   }
@@ -308,7 +292,7 @@ TEST(RpcShardTest, ConnectionsAreReusedAcrossQueries) {
   auto query =
       JoinMIQuery::Create(*universe.base, "K", "Y", index.config());
   ASSERT_TRUE(query.ok());
-  ShardSearchResult first;
+  TopKSearchResult first;
   for (int q = 0; q < 5; ++q) {
     auto result = remote->Search(*query, 3, 1);
     ASSERT_TRUE(result.ok()) << result.status();
@@ -395,7 +379,7 @@ TEST(RpcShardTest, OneUploadServesEveryKAndFloorOnAConnection) {
       ASSERT_TRUE(via_local.ok()) << via_local.status();
       auto via_rpc = router->Search(*q, k, 1);
       ASSERT_TRUE(via_rpc.ok()) << via_rpc.status();
-      ExpectShardBitIdentical(*via_local, *via_rpc);
+      ExpectBitIdentical(*via_local, *via_rpc);
       ++searches;
     }
   }
@@ -562,7 +546,7 @@ TEST(RpcShardTest, KilledShardFailsStrictAndDegradesGracefully) {
 
   // Expected: merge the live shards' local per-shard answers with the
   // canonical comparator — computed independently of the router.
-  std::vector<ShardSearchHit> expected;
+  std::vector<SearchHit> expected;
   size_t expected_candidates = 0, expected_evaluated = 0;
   for (size_t s = 0; s < num_shards; ++s) {
     if (s == dead_shard) continue;
@@ -577,12 +561,12 @@ TEST(RpcShardTest, KilledShardFailsStrictAndDegradesGracefully) {
     ASSERT_TRUE(result.ok());
     expected_candidates += result->num_candidates;
     expected_evaluated += result->num_evaluated;
-    for (const ShardSearchHit& hit : result->hits) {
+    for (const SearchHit& hit : result->hits) {
       expected.push_back(hit);
     }
   }
   std::sort(expected.begin(), expected.end(),
-            [](const ShardSearchHit& a, const ShardSearchHit& b) {
+            [](const SearchHit& a, const SearchHit& b) {
               return internal::BetterByMIThenKey(
                   a.estimate.mi, a.global_index, b.estimate.mi,
                   b.global_index);
@@ -595,7 +579,8 @@ TEST(RpcShardTest, KilledShardFailsStrictAndDegradesGracefully) {
   for (size_t i = 0; i < expected.size(); ++i) {
     EXPECT_EQ(degraded->hits[i].global_index, expected[i].global_index) << i;
     EXPECT_EQ(degraded->hits[i].estimate.mi, expected[i].estimate.mi) << i;
-    EXPECT_EQ(degraded->hits[i].ref.table_name, expected[i].ref.table_name)
+    EXPECT_EQ(degraded->hits[i].candidate.table_name,
+              expected[i].candidate.table_name)
         << i;
   }
 
@@ -875,7 +860,7 @@ TEST(RpcShardTest, DistinctQueriesBeyondOneConnectionsSketchCache) {
   const size_t num_queries = 20;
   ASSERT_GT(num_queries, 2 * ShardServer::kMaxCachedSketches);
   std::vector<JoinMIQuery> queries;
-  std::vector<ShardSearchResult> expected;
+  std::vector<TopKSearchResult> expected;
   std::set<uint64_t> digests;
   for (size_t q = 0; q < num_queries; ++q) {
     Rng rng(500 + q);
@@ -900,12 +885,12 @@ TEST(RpcShardTest, DistinctQueriesBeyondOneConnectionsSketchCache) {
     auto result = (*client)->Search(queries[q], 3, 1);
     ASSERT_TRUE(result.ok()) << "serial query " << q << ": "
                              << result.status();
-    ExpectShardBitIdentical(expected[q], *result);
+    ExpectBitIdentical(expected[q], *result);
   }
 
   const size_t num_threads = 4;
   std::vector<Status> statuses(num_threads, Status::OK());
-  std::vector<std::vector<ShardSearchResult>> results(num_threads);
+  std::vector<std::vector<TopKSearchResult>> results(num_threads);
   std::vector<std::thread> threads;
   for (size_t t = 0; t < num_threads; ++t) {
     threads.emplace_back([&, t] {
@@ -925,7 +910,7 @@ TEST(RpcShardTest, DistinctQueriesBeyondOneConnectionsSketchCache) {
     ASSERT_TRUE(statuses[t].ok()) << "thread " << t << ": " << statuses[t];
     ASSERT_EQ(results[t].size(), num_queries);
     for (size_t i = 0; i < num_queries; ++i) {
-      ExpectShardBitIdentical(expected[(i + t * 5) % num_queries],
+      ExpectBitIdentical(expected[(i + t * 5) % num_queries],
                               results[t][i]);
     }
   }

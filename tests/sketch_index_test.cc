@@ -626,7 +626,7 @@ size_t BuildWave() { return 16 * ThreadPool::DefaultThreadCount(); }
 // counts and keys vary by table. A table listed in `unsketchable` gets a
 // string V instead, which the default avg aggregation cannot sketch: its
 // two pairs, (K, V) and (V, K), both fail. A table listed in `all_null`
-// gets an all-null V, which sketches to an empty candidate.
+// gets an all-null V, which has nothing to sketch: its one pair fails.
 TableRepository MakeWideRepository(size_t num_tables,
                                    const std::vector<size_t>& unsketchable,
                                    const std::vector<size_t>& all_null = {}) {
@@ -703,15 +703,44 @@ TEST(SketchIndexBuildTest, ParallelBuildIsTheSerialBuildAcrossWaves) {
   const size_t wave = BuildWave();
   const size_t num_tables = 3 * wave + 5;
   const std::vector<size_t> unsketchable = {wave - 1, 2 * wave + wave / 2};
-  const TableRepository repository = MakeWideRepository(
-      num_tables, unsketchable, {wave + 2, wave + wave / 2});
+  const std::vector<size_t> all_null = {wave + 2, wave + wave / 2};
+  const TableRepository repository =
+      MakeWideRepository(num_tables, unsketchable, all_null);
   const std::vector<ColumnPairRef> pairs = repository.ExtractColumnPairs();
   ASSERT_EQ(pairs.size(), num_tables + unsketchable.size());
   EXPECT_EQ(pairs[wave - 1].key_column, "K");
   EXPECT_EQ(pairs[wave].key_column, "V");
   const SerialBuild serial = BuildSerially(repository, BuildConfig());
-  EXPECT_EQ(serial.indexed, num_tables - unsketchable.size());
+  EXPECT_EQ(serial.indexed,
+            num_tables - unsketchable.size() - all_null.size());
   ExpectBuildMatches(repository, BuildConfig(), serial, "three waves");
+}
+
+TEST(SketchIndexBuildTest, AllNullValueColumnsAreNotIndexed) {
+  // An all-null value column would sketch to an empty candidate that every
+  // query counts as skipped: the build leaves its pair out, and
+  // AddCandidate refuses it.
+  const TableRepository repository = MakeWideRepository(6, {}, {2, 4});
+  SketchIndex index(BuildConfig());
+  auto indexed = index.IndexRepository(repository);
+  ASSERT_TRUE(indexed.ok()) << indexed.status();
+  EXPECT_EQ(*indexed, 4u);
+  ASSERT_EQ(index.size(), 4u);
+  for (const IndexedCandidate& candidate : index.candidates()) {
+    EXPECT_NE(candidate.ref.table_name, "t0002");
+    EXPECT_NE(candidate.ref.table_name, "t0004");
+  }
+  auto all_null = repository.GetTable("t0002");
+  ASSERT_TRUE(all_null.ok());
+  EXPECT_TRUE(index.AddCandidate(**all_null, {"t0002", "K", "V"})
+                  .IsInvalidArgument());
+  EXPECT_EQ(index.size(), 4u);
+
+  auto base = repository.GetTable("t0000");
+  ASSERT_TRUE(base.ok());
+  auto result = TopKJoinMISearch(**base, {"K", "V"}, index, 6);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(result->num_candidates, 4u);
 }
 
 TEST(SketchIndexBuildTest, EmptyRepositoryBuildsAnEmptyIndex) {

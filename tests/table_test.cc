@@ -1,7 +1,10 @@
 // Unit tests for src/table: Value, Column, Schema, Table, type inference,
-// and the CSV reader/writer.
+// and the CSV reader.
 
 #include <gtest/gtest.h>
+
+#include <fstream>
+#include <string>
 
 #include "src/table/column.h"
 #include "src/table/csv.h"
@@ -295,12 +298,8 @@ TEST(CsvTest, RejectsRaggedRowsAndUnterminatedQuotes) {
   EXPECT_FALSE(ReadCsvString("").ok());
 }
 
-TEST(CsvTest, WriteReadRoundTrip) {
-  auto t = *Table::FromColumns(
-      {{"k", Column::MakeString({"a,b", "q\"q", "plain"})},
-       {"v", Column::MakeDouble({1.5, -2.0, 0.25})}});
-  const std::string csv = WriteCsvString(*t);
-  auto back = ReadCsvString(csv);
+TEST(CsvTest, QuotedFieldsKeepDelimitersAndQuotes) {
+  auto back = ReadCsvString("k,v\n\"a,b\",1.5\n\"q\"\"q\",-2\nplain,0.25\n");
   ASSERT_TRUE(back.ok());
   EXPECT_EQ((*back)->num_rows(), 3u);
   EXPECT_EQ((*(*back)->GetColumn("k"))->StringAt(0), "a,b");
@@ -315,10 +314,9 @@ TEST(CsvTest, CrLfLineEndings) {
   EXPECT_EQ((*(*t)->GetColumn("b"))->Int64At(1), 4);
 }
 
-TEST(CsvTest, FileRoundTrip) {
-  auto t = *Table::FromColumns({{"x", Column::MakeInt64({7, 8})}});
+TEST(CsvTest, ReadsFiles) {
   const std::string path = testing::TempDir() + "/joinmi_csv_test.csv";
-  ASSERT_TRUE(WriteCsvFile(*t, path).ok());
+  std::ofstream(path, std::ios::binary) << "x\n7\n8\n";
   auto back = ReadCsvFile(path);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ((*(*back)->GetColumn("x"))->Int64At(1), 8);
