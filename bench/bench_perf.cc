@@ -159,11 +159,13 @@ void BM_SelectionKmv(benchmark::State& state) {
     e.rank = rng.NextDouble();
   }
   for (auto _ : state) {
-    KmvSelection selection(n, [&entries](size_t i) { return entries[i].value; });
-    for (size_t i = 0; i < entries.size(); ++i) {
-      selection.Offer(entries[i].rank, entries[i].key_hash, i);
-    }
-    auto out = selection.TakeSorted();
+    KmvSelection selection(
+        n, [&entries](size_t i) { return entries[i].value; }, entries.size());
+    auto out = selection.Select([&] {
+      for (size_t i = 0; i < entries.size(); ++i) {
+        selection.Offer(entries[i].rank, entries[i].key_hash, i);
+      }
+    });
     benchmark::DoNotOptimize(out);
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(entries.size()));

@@ -1527,6 +1527,43 @@ void RunFlatHotPath(const BenchParams& params, size_t threads, bool smoke,
   const double ksg_baseline_speedup = ksg_tree_ms / ksg_baseline_ms;
   const int ksg_lanes = dispatched_kernel.lanes;
 
+  // The query's fixed cost: JoinMIQuery::Create (the TUPSK train sketch
+  // and its key runs) at the default capacity, on string-keyed tables of
+  // 2000 and 9000 rows with about three rows per key, the query sizes of
+  // the discovery benchmark's sparse_lake and dense_join. The medians are
+  // timings, reported ungated; the heap allocations of one warm build of
+  // the larger table are a count, gated in bench_check.py.
+  const JoinMIConfig build_config;
+  const size_t build_rows[2] = {2000, 9000};
+  double build_us[2] = {0.0, 0.0};
+  uint64_t build_allocs = 0;
+  for (size_t t = 0; t < 2; ++t) {
+    Rng table_rng(build_rows[t]);
+    std::vector<std::string> keys;
+    std::vector<double> targets;
+    for (size_t row = 0; row < build_rows[t]; ++row) {
+      keys.push_back(KeyName(table_rng.NextBounded(build_rows[t] / 3)));
+      targets.push_back(static_cast<double>(table_rng.NextBounded(1000)) /
+                        8.0);
+    }
+    auto table =
+        *Table::FromColumns({{"K", Column::MakeString(std::move(keys))},
+                             {"Y", Column::MakeDouble(std::move(targets))}});
+    std::vector<double> times;
+    for (size_t rep = 0; rep < (smoke ? 5 : 41); ++rep) {
+      const auto start = std::chrono::steady_clock::now();
+      auto built = JoinMIQuery::Create(*table, "K", "Y", build_config);
+      times.push_back(MillisSince(start) * 1e3);
+      built.status().Abort("part 9 query build");
+    }
+    std::sort(times.begin(), times.end());
+    build_us[t] = times[times.size() / 2];
+    const uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
+    auto built = JoinMIQuery::Create(*table, "K", "Y", build_config);
+    build_allocs = g_heap_allocs.load(std::memory_order_relaxed) - before;
+    built.status().Abort("part 9 query build");
+  }
+
   const double batched_speedup = legacy_ms / batched_ms;
 
   // Heap bytes the index holds: malloc's in-use count (arena plus mmapped
@@ -1576,6 +1613,10 @@ void RunFlatHotPath(const BenchParams& params, size_t threads, bool smoke,
               ksg_brute_ms * 1e3 / kKsgSamples,
               ksg_tree_ms * 1e3 / kKsgSamples, ksg_brute_speedup,
               ksg_baseline_speedup);
+  std::printf("query build (JoinMIQuery::Create) : %.1f us at 2000 rows, "
+              "%.1f us at 9000 rows, %llu allocations warm\n",
+              build_us[0], build_us[1],
+              static_cast<unsigned long long>(build_allocs));
   std::printf("index heap                        : %.0f bytes/candidate "
               "(%zu entries/candidate)\n",
               index_bytes_per_candidate, index_entries / index.size());
@@ -1599,6 +1640,9 @@ void RunFlatHotPath(const BenchParams& params, size_t threads, bool smoke,
   RecordMetric("part9_probe_speedup", probe_speedup);
   RecordMetric("part9_postings_ns_per_candidate", postings_ns_per_candidate);
   RecordMetric("part9_index_bytes_per_candidate", index_bytes_per_candidate);
+  RecordMetric("part9_query_build_us_2000", build_us[0]);
+  RecordMetric("part9_query_build_us_9000", build_us[1]);
+  RecordMetric("part9_query_build_allocs", static_cast<double>(build_allocs));
   // The brute-force kernel instantiation the CPU dispatched to (4 lanes
   // with AVX2, else 2). Ungated itself: bench_check.py gates the
   // dispatched speedup only on a CPU with the baseline's lane count, and

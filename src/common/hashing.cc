@@ -1,91 +1,6 @@
 #include "src/common/hashing.h"
 
-#include <cstring>
-
 namespace joinmi {
-
-namespace {
-inline uint32_t Rotl32(uint32_t x, int8_t r) {
-  return (x << r) | (x >> (32 - r));
-}
-inline uint32_t Fmix32(uint32_t h) {
-  h ^= h >> 16;
-  h *= 0x85EBCA6BU;
-  h ^= h >> 13;
-  h *= 0xC2B2AE35U;
-  h ^= h >> 16;
-  return h;
-}
-}  // namespace
-
-uint32_t MurmurHash3_32(const void* data, size_t len, uint32_t seed) {
-  const uint8_t* bytes = static_cast<const uint8_t*>(data);
-  const size_t nblocks = len / 4;
-  uint32_t h1 = seed;
-  const uint32_t c1 = 0xCC9E2D51U;
-  const uint32_t c2 = 0x1B873593U;
-
-  for (size_t i = 0; i < nblocks; ++i) {
-    uint32_t k1;
-    std::memcpy(&k1, bytes + i * 4, sizeof(k1));
-    k1 *= c1;
-    k1 = Rotl32(k1, 15);
-    k1 *= c2;
-    h1 ^= k1;
-    h1 = Rotl32(h1, 13);
-    h1 = h1 * 5 + 0xE6546B64U;
-  }
-
-  const uint8_t* tail = bytes + nblocks * 4;
-  uint32_t k1 = 0;
-  switch (len & 3) {
-    case 3:
-      k1 ^= static_cast<uint32_t>(tail[2]) << 16;
-      [[fallthrough]];
-    case 2:
-      k1 ^= static_cast<uint32_t>(tail[1]) << 8;
-      [[fallthrough]];
-    case 1:
-      k1 ^= tail[0];
-      k1 *= c1;
-      k1 = Rotl32(k1, 15);
-      k1 *= c2;
-      h1 ^= k1;
-  }
-
-  h1 ^= static_cast<uint32_t>(len);
-  return Fmix32(h1);
-}
-
-uint32_t MurmurHash3_32(std::string_view s, uint32_t seed) {
-  return MurmurHash3_32(s.data(), s.size(), seed);
-}
-
-uint64_t Mix64(uint64_t x) {
-  x ^= x >> 33;
-  x *= 0xFF51AFD7ED558CCDULL;
-  x ^= x >> 33;
-  x *= 0xC4CEB9FE1A85EC53ULL;
-  x ^= x >> 33;
-  return x;
-}
-
-uint64_t HashCombine(uint64_t a, uint64_t b) {
-  // boost::hash_combine-style with a 64-bit golden-ratio constant, followed
-  // by a strong finalizer so the result feeds a unit hash safely.
-  uint64_t h = a ^ (b + 0x9E3779B97F4A7C15ULL + (a << 6) + (a >> 2));
-  return Mix64(h);
-}
-
-uint64_t FibonacciHash64(uint64_t x) {
-  // 2^64 / phi, rounded to the nearest odd integer.
-  return x * 0x9E3779B97F4A7C15ULL;
-}
-
-double FibonacciUnitHash(uint64_t x) {
-  // Keep the top 53 bits so the double conversion is exact.
-  return static_cast<double>(FibonacciHash64(x) >> 11) * 0x1.0p-53;
-}
 
 double UnitHash(std::string_view s, uint32_t seed) {
   const uint32_t h = MurmurHash3_32(s, seed);

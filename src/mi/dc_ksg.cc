@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "src/common/math.h"
+#include "src/mi/estimator.h"
 #include "src/mi/estimator_internal.h"
 #include "src/mi/histogram.h"
 #include "src/mi/knn.h"
@@ -29,7 +30,9 @@ Result<double> MutualInformationDCKSG(const uint64_t* x_keys,
                                       NeighborSearch search,
                                       const BruteForceKernel& kernel) {
   if (k < 1) return Status::InvalidArgument("k must be >= 1");
-  if (n < 2) return Status::InvalidArgument("DC-KSG needs at least 2 samples");
+  if (n < MinimumSamples(MIEstimatorKind::kDCKSG, k)) {
+    return Status::InvalidArgument("DC-KSG needs at least 2 samples");
+  }
   return WithScratch<DcKsgScratch>(n, [&](DcKsgScratch& s) -> Result<double> {
     // Class codes and sizes. Samples whose class is unique are dropped from
     // the estimate entirely (including the psi(N') term): they have no

@@ -1,5 +1,6 @@
 #include "src/mi/estimator.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "src/common/random.h"
@@ -43,6 +44,21 @@ Result<MIEstimatorKind> MIEstimatorKindFromString(const std::string& name) {
   }
   if (lower == "dcksg" || lower == "dc-ksg") return MIEstimatorKind::kDCKSG;
   return Status::InvalidArgument("unknown MI estimator '" + name + "'");
+}
+
+size_t MinimumSamples(MIEstimatorKind kind, int k) {
+  switch (kind) {
+    case MIEstimatorKind::kKSG:
+    case MIEstimatorKind::kMixedKSG:
+      return static_cast<size_t>(std::max(k, 0)) + 1;
+    case MIEstimatorKind::kDCKSG:
+      return 2;
+    case MIEstimatorKind::kMLE:
+    case MIEstimatorKind::kMillerMadow:
+    case MIEstimatorKind::kLaplace:
+      return 1;
+  }
+  return 1;
 }
 
 Result<MIEstimatorKind> ChooseEstimator(DataType x_type, DataType y_type) {

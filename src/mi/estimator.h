@@ -122,6 +122,12 @@ Result<MIEstimatorKind> ChooseEstimator(DataType x_type, DataType y_type);
 /// \brief ChooseEstimator applied to the inferred side types.
 Result<MIEstimatorKind> ChooseEstimatorForSample(const SampleColumns& sample);
 
+/// \brief The fewest pairs `kind` estimates from, for neighbour count `k`
+/// (MIOptions::k): more than k for KSG and MixedKSG, 2 for DC-KSG, 1 for
+/// the plug-in estimators. Each estimator refuses a smaller sample with
+/// InvalidArgument.
+size_t MinimumSamples(MIEstimatorKind kind, int k);
+
 /// \brief Estimates MI (in nats) over the paired sample with the given
 /// estimator. Type requirements:
 ///  - kMLE/kMillerMadow/kLaplace: any hashable values on both sides;

@@ -15,11 +15,11 @@ int64_t ValueCoder::Lookup(const Value& v) const {
   return it == codes_.end() ? -1 : static_cast<int64_t>(it->second);
 }
 
-void KeyCoder::Reset(size_t expected_keys) {
+void KeyCoder::Reset(size_t expected_keys, size_t max_initial_keys) {
   // A power of two at least twice the expected keys keeps probes short;
   // only that prefix of a table grown by an earlier, larger sample is
   // used, so small samples stay cache-resident.
-  expected_keys = std::min(expected_keys, kMaxInitialKeys);
+  expected_keys = std::min(expected_keys, max_initial_keys);
   size_t capacity = 16;
   int bits = 4;
   while (capacity < 2 * expected_keys) {

@@ -41,32 +41,17 @@ class ValueCoder {
 class KeyCoder {
  public:
   /// \brief Forgets every key, starting the table sized for
-  /// min(expected_keys, kMaxInitialKeys) distinct keys.
-  void Reset(size_t expected_keys);
+  /// min(expected_keys, max_initial_keys) distinct keys.
+  void Reset(size_t expected_keys, size_t max_initial_keys = kMaxInitialKeys);
 
   /// \brief Code of `key` — the next unused one on first sight — counting
   /// one occurrence of it.
-  uint32_t Add(uint64_t key) {
-    size_t slot = Home(key);
-    while (true) {
-      Slot& s = slots_[slot];
-      if (s.stamp != stamp_) {
-        if (next_code_ == max_codes_) {
-          Grow();
-          return Add(key);
-        }
-        s = Slot{key, stamp_, next_code_};
-        keys_[next_code_] = key;
-        counts_[next_code_] = 1;
-        return next_code_++;
-      }
-      if (s.key == key) {
-        ++counts_[s.code];
-        return s.code;
-      }
-      slot = (slot + 1) & mask_;
-    }
-  }
+  uint32_t Add(uint64_t key) { return Insert(key).code; }
+
+  /// \brief Add, returning the count of `key` since Reset, this occurrence
+  /// included, instead of its code: the count comes from the increment,
+  /// with no second lookup of counts().
+  uint32_t AddOccurrence(uint64_t key) { return Insert(key).count; }
 
   /// \brief Distinct keys since Reset; codes are 0..size()-1.
   size_t size() const { return next_code_; }
@@ -87,6 +72,32 @@ class KeyCoder {
   size_t Home(uint64_t key) const {
     return static_cast<size_t>((key * 0x9E3779B97F4A7C15ULL) >> shift_);
   }
+
+  // A key's code and its count after one more occurrence.
+  struct Inserted {
+    uint32_t code;
+    uint32_t count;
+  };
+
+  Inserted Insert(uint64_t key) {
+    size_t slot = Home(key);
+    while (true) {
+      Slot& s = slots_[slot];
+      if (s.stamp != stamp_) {
+        if (next_code_ == max_codes_) {
+          Grow();
+          return Insert(key);
+        }
+        s = Slot{key, stamp_, next_code_};
+        keys_[next_code_] = key;
+        counts_[next_code_] = 1;
+        return Inserted{next_code_++, 1};
+      }
+      if (s.key == key) return Inserted{s.code, ++counts_[s.code]};
+      slot = (slot + 1) & mask_;
+    }
+  }
+
   // Uses the first `capacity` slots (a power of two, 2^bits), all empty.
   void UseSlots(size_t capacity, int bits);
   // Doubles the table, re-placing every key under its code.

@@ -1,6 +1,7 @@
 #include "src/mi/ksg.h"
 
 #include "src/common/math.h"
+#include "src/mi/estimator.h"
 #include "src/mi/estimator_internal.h"
 #include "src/mi/knn.h"
 
@@ -12,7 +13,7 @@ Result<double> MutualInformationKSG(const double* xs, const double* ys,
                                     size_t n, int k, NeighborSearch search,
                                     const BruteForceKernel& kernel) {
   if (k < 1) return Status::InvalidArgument("k must be >= 1");
-  if (n <= static_cast<size_t>(k)) {
+  if (n < MinimumSamples(MIEstimatorKind::kKSG, k)) {
     return Status::InvalidArgument("KSG needs more than k samples");
   }
   double acc = 0.0;

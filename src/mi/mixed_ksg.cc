@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "src/common/math.h"
+#include "src/mi/estimator.h"
 #include "src/mi/estimator_internal.h"
 #include "src/mi/knn.h"
 
@@ -15,7 +16,7 @@ Result<double> MutualInformationMixedKSG(const double* xs, const double* ys,
                                          NeighborSearch search,
                                          const BruteForceKernel& kernel) {
   if (k < 1) return Status::InvalidArgument("k must be >= 1");
-  if (n <= static_cast<size_t>(k)) {
+  if (n < MinimumSamples(MIEstimatorKind::kMixedKSG, k)) {
     return Status::InvalidArgument("MixedKSG needs more than k samples");
   }
   // Per point: k~ (psi argument), and the marginal neighbour counts n_x,

@@ -26,11 +26,13 @@ Result<Sketch> SketchBuilder::InitSketch(const Column& keys,
                                          SketchSide side) const {
   JOINMI_ASSIGN_OR_RETURN(Sketch sketch, NewSketch(keys, values, side));
   internal::ScopedKeyCoder distinct(keys.size());
-  for (size_t row = 0; row < keys.size(); ++row) {
-    if (!keys.IsValid(row) || !values.IsValid(row)) continue;
-    ++sketch.source_rows;
-    distinct->Add(HashKeyAt(keys, row, options_.hash_seed));
-  }
+  WithKeyHasher(keys, options_.hash_seed, [&](auto hash_at) {
+    for (size_t row = 0; row < keys.size(); ++row) {
+      if (!keys.IsValid(row) || !values.IsValid(row)) continue;
+      ++sketch.source_rows;
+      distinct->Add(hash_at(row));
+    }
+  });
   sketch.source_distinct_keys = distinct->size();
   return sketch;
 }
@@ -59,14 +61,16 @@ Result<Sketch> SketchBuilder::SketchCandidate(const Column& keys,
   // KMV over the method's key rank (the paper's observation that the
   // candidate-side selection probability is uniform because m_K = N after
   // aggregation).
-  KmvSelection sample(options_.capacity, [&aggregated](size_t i) {
-    return aggregated[i].value;
+  KmvSelection sample(
+      options_.capacity,
+      [&aggregated](size_t i) { return aggregated[i].value; },
+      aggregated.size());
+  sketch.entries = sample.Select([&] {
+    for (size_t i = 0; i < aggregated.size(); ++i) {
+      const uint64_t key_hash = aggregated[i].key_hash;
+      sample.Offer(CandidateRank(key_hash), key_hash, i);
+    }
   });
-  for (size_t i = 0; i < aggregated.size(); ++i) {
-    const uint64_t key_hash = aggregated[i].key_hash;
-    sample.Offer(CandidateRank(key_hash), key_hash, i);
-  }
-  sketch.entries = sample.TakeSorted();
   return sketch;
 }
 

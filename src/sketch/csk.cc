@@ -21,17 +21,20 @@ Result<Sketch> FirstValuePerKeyKmv(const SketchBuilder& builder,
   // KMV over distinct keys; the first row seen for a key supplies its value.
   // Later rows with the same key are ignored entirely (CSK assumes unique
   // or aggregatable keys).
-  std::unordered_set<uint64_t> seen;
-  seen.reserve(keys.size());
   KmvSelection sample(options.capacity,
                       [&values](size_t row) { return values.GetValue(row); });
-  for (size_t row = 0; row < keys.size(); ++row) {
-    if (!keys.IsValid(row) || !values.IsValid(row)) continue;
-    const uint64_t key_hash = HashKeyAt(keys, row, options.hash_seed);
-    if (!seen.insert(key_hash).second) continue;  // repeated key: keep first
-    sample.Offer(KeyUnitHash(key_hash), key_hash, row);
-  }
-  sketch.entries = sample.TakeSorted();
+  sketch.entries = sample.Select([&] {
+    std::unordered_set<uint64_t> seen;
+    seen.reserve(keys.size());
+    WithKeyHasher(keys, options.hash_seed, [&](auto hash_at) {
+      for (size_t row = 0; row < keys.size(); ++row) {
+        if (!keys.IsValid(row) || !values.IsValid(row)) continue;
+        const uint64_t key_hash = hash_at(row);
+        if (!seen.insert(key_hash).second) continue;  // keep the first
+        sample.Offer(KeyUnitHash(key_hash), key_hash, row);
+      }
+    });
+  });
   return sketch;
 }
 

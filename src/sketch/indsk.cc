@@ -23,19 +23,22 @@ Result<Sketch> ReservoirRows(const SketchBuilder& builder, const Column& keys,
   std::vector<SketchEntry> reservoir;
   reservoir.reserve(options.capacity);
   size_t seen = 0;
-  for (size_t row = 0; row < keys.size(); ++row) {
-    if (!keys.IsValid(row) || !values.IsValid(row)) continue;
-    const uint64_t key_hash = HashKeyAt(keys, row, options.hash_seed);
-    ++seen;
-    if (reservoir.size() < options.capacity) {
-      reservoir.push_back(SketchEntry{key_hash, 0.0, values.GetValue(row)});
-    } else {
-      const uint64_t slot = rng.NextBounded(seen);
-      if (slot < options.capacity) {
-        reservoir[slot] = SketchEntry{key_hash, 0.0, values.GetValue(row)};
+  WithKeyHasher(keys, options.hash_seed, [&](auto hash_at) {
+    for (size_t row = 0; row < keys.size(); ++row) {
+      if (!keys.IsValid(row) || !values.IsValid(row)) continue;
+      const uint64_t key_hash = hash_at(row);
+      ++seen;
+      if (reservoir.size() < options.capacity) {
+        reservoir.push_back(
+            SketchEntry{key_hash, 0.0, values.GetValue(row)});
+      } else {
+        const uint64_t slot = rng.NextBounded(seen);
+        if (slot < options.capacity) {
+          reservoir[slot] = SketchEntry{key_hash, 0.0, values.GetValue(row)};
+        }
       }
     }
-  }
+  });
   sketch.entries = std::move(reservoir);
   std::sort(sketch.entries.begin(), sketch.entries.end(),
             [](const SketchEntry& a, const SketchEntry& b) {

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <string>
 
+#include "src/common/hashing.h"
 #include "src/mi/histogram.h"
 #include "src/table/column.h"
 #include "src/table/value.h"
@@ -24,18 +25,22 @@ namespace internal {
 
 /// \brief HashKey of a string key and of a numeric key (an int64 as its
 /// widened double), without a Value.
-uint64_t HashStringKey(const std::string& key, uint32_t seed);
+inline uint64_t HashStringKey(const std::string& key, uint32_t seed) {
+  const uint32_t h = MurmurHash3_32(key, seed);
+  return Mix64((static_cast<uint64_t>(h) << 32) |
+               (key.size() & 0xFFFFFFFFULL));
+}
 uint64_t HashNumericKey(double key, uint32_t seed);
 
 }  // namespace internal
 
-/// \brief Calls fn(hash_at) once, where hash_at(row) is HashKey(
+/// \brief Returns fn(hash_at), called once, where hash_at(row) is HashKey(
 /// keys.GetValue(row), seed) read through the column's typed storage: the
 /// switch on the key type is taken here, once, not per row, and a string
-/// key is hashed in place, not copied into a Value. hash_at's
-/// precondition: keys.IsValid(row).
+/// key is hashed in place, not copied into a Value. fn must return the
+/// same type for every hasher. hash_at's precondition: keys.IsValid(row).
 template <typename Fn>
-void WithKeyHasher(const Column& keys, uint32_t seed, Fn&& fn) {
+auto WithKeyHasher(const Column& keys, uint32_t seed, Fn&& fn) {
   switch (keys.type()) {
     case DataType::kString:
       return fn([&keys, seed](size_t row) {
@@ -53,20 +58,21 @@ void WithKeyHasher(const Column& keys, uint32_t seed, Fn&& fn) {
     case DataType::kNull:
       break;
   }
-  fn([&keys, seed](size_t row) { return HashKey(keys.GetValue(row), seed); });
+  return fn(
+      [&keys, seed](size_t row) { return HashKey(keys.GetValue(row), seed); });
 }
 
-/// \brief One row's hash_at of WithKeyHasher. Precondition:
-/// keys.IsValid(row).
-uint64_t HashKeyAt(const Column& keys, size_t row, uint32_t seed);
-
 /// \brief h_u(h(k)): unit-interval rank of a key hash (Fibonacci hashing).
-double KeyUnitHash(uint64_t key_hash);
+inline double KeyUnitHash(uint64_t key_hash) {
+  return FibonacciUnitHash(key_hash);
+}
 
 /// \brief h_u(⟨k, j⟩): unit rank of the j-th occurrence of key k (j >= 1).
 /// TUPSK's sampling frame; ⟨k, 1⟩ coincides with the candidate-side rank so
 /// first occurrences stay coordinated.
-double TupleUnitHash(uint64_t key_hash, uint64_t occurrence);
+inline double TupleUnitHash(uint64_t key_hash, uint64_t occurrence) {
+  return FibonacciUnitHash(HashCombine(key_hash, occurrence));
+}
 
 namespace internal {
 
@@ -81,7 +87,9 @@ inline constexpr size_t kMaxRetainedCoderRows = 16384;
 /// \brief The KeyCoder of one sketch build — dense first-appearance codes
 /// of key hashes with a count per code — Reset for a column of `rows`
 /// rows: the calling thread's reused coder up to kMaxRetainedCoderRows, a
-/// call-local one above. Builds on one thread must not nest.
+/// call-local one above. Its table is sized up front for every row a
+/// distinct key, up to kMaxRetainedCoderRows keys, so a build at or below
+/// that bound never grows it. Builds on one thread must not nest.
 class ScopedKeyCoder {
  public:
   explicit ScopedKeyCoder(size_t rows);

@@ -33,16 +33,18 @@ Result<Sketch> BuildTwoLevelTrain(const SketchBuilder& builder,
   std::unordered_map<uint64_t, size_t> index;
   index.reserve(keys.size());
   size_t total_rows = 0;
-  for (size_t row = 0; row < keys.size(); ++row) {
-    if (!keys.IsValid(row) || !values.IsValid(row)) continue;
-    const uint64_t h = HashKeyAt(keys, row, options.hash_seed);
-    auto [it, inserted] = index.emplace(h, groups.size());
-    if (inserted) {
-      groups.push_back(KeyedRows{h, KeyUnitHash(h), {}});
+  WithKeyHasher(keys, options.hash_seed, [&](auto hash_at) {
+    for (size_t row = 0; row < keys.size(); ++row) {
+      if (!keys.IsValid(row) || !values.IsValid(row)) continue;
+      const uint64_t h = hash_at(row);
+      auto [it, inserted] = index.emplace(h, groups.size());
+      if (inserted) {
+        groups.push_back(KeyedRows{h, KeyUnitHash(h), {}});
+      }
+      groups[it->second].rows.push_back(row);
+      ++total_rows;
     }
-    groups[it->second].rows.push_back(row);
-    ++total_rows;
-  }
+  });
   if (priority_weighted) {
     // Priority sampling: rank = u / w with weight w = key frequency, so
     // heavy keys are preferentially retained at level 1.

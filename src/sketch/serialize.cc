@@ -78,6 +78,23 @@ enum : uint8_t {
   kTagString = 3,
 };
 
+// Bytes of the header, up to and including the entry count.
+constexpr size_t kHeaderBytes = sizeof(kMagic) + 4 + 1 + 1 + 4 + 4 * 8;
+
+// Bytes of a value's tag and payload.
+size_t ValueBytes(const Value& v) {
+  switch (v.type()) {
+    case DataType::kNull:
+      return 1;
+    case DataType::kInt64:
+    case DataType::kDouble:
+      return 1 + 8;
+    case DataType::kString:
+      return 1 + 4 + v.str().size();
+  }
+  return 1;
+}
+
 void AppendValue(std::string* out, const Value& v) {
   switch (v.type()) {
     case DataType::kNull:
@@ -127,8 +144,14 @@ Result<Value> ReadValue(wire::Reader* reader) {
 }  // namespace
 
 std::string SerializeSketch(const Sketch& sketch) {
+  // The exact size first, so the bytes are appended into one buffer that
+  // never reallocates.
+  size_t size = kHeaderBytes + sketch.entries.size() * (8 + 8);
+  for (const SketchEntry& entry : sketch.entries) {
+    size += ValueBytes(entry.value);
+  }
   std::string out;
-  out.reserve(40 + sketch.entries.size() * 24);
+  out.reserve(size);
   wire::AppendRaw(&out, kMagic, sizeof(kMagic));
   wire::AppendPod<uint32_t>(&out, kVersion);
   wire::AppendPod<uint8_t>(&out, static_cast<uint8_t>(sketch.method));

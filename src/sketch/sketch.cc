@@ -33,8 +33,14 @@ Result<SketchMethod> SketchMethodFromString(const std::string& name) {
   return Status::InvalidArgument("unknown sketch method '" + name + "'");
 }
 
-KmvSelection::KmvSelection(size_t capacity, ValueAt value_at)
-    : capacity_(capacity), value_at_(std::move(value_at)) {
+KmvSelection::KmvSelection(size_t capacity, ValueAt value_at,
+                           size_t num_offers)
+    : capacity_(capacity),
+      value_at_(std::move(value_at)),
+      bound_(num_offers > 4 * capacity
+                 ? 1.5 * static_cast<double>(capacity) /
+                       static_cast<double>(num_offers)
+                 : kNoBound) {
   items_.reserve(2 * capacity);
 }
 
@@ -73,7 +79,7 @@ std::vector<SketchEntry> KmvSelection::TakeSorted() {
                               value_at_(item.index)});
   }
   items_.clear();
-  bound_ = std::numeric_limits<double>::infinity();
+  bound_ = kNoBound;
   return out;
 }
 
@@ -88,16 +94,20 @@ Result<std::vector<AggregatedKey>> AggregateByKey(const Column& keys,
   std::vector<AggregatorState> states;
   // Codes come in first-appearance order, so a key's code is its position.
   internal::ScopedKeyCoder positions(keys.size());
-  for (size_t row = 0; row < keys.size(); ++row) {
-    if (!keys.IsValid(row) || !values.IsValid(row)) continue;
-    const uint64_t h = HashKeyAt(keys, row, hash_seed);
-    const uint32_t pos = positions->Add(h);
-    if (pos == result.size()) {
-      result.push_back(AggregatedKey{h, Value::Null(), 0});
-      states.emplace_back(agg);
-    }
-    JOINMI_RETURN_NOT_OK(states[pos].Update(values.GetValue(row)));
-  }
+  JOINMI_RETURN_NOT_OK(
+      WithKeyHasher(keys, hash_seed, [&](auto hash_at) -> Status {
+        for (size_t row = 0; row < keys.size(); ++row) {
+          if (!keys.IsValid(row) || !values.IsValid(row)) continue;
+          const uint64_t h = hash_at(row);
+          const uint32_t pos = positions->Add(h);
+          if (pos == result.size()) {
+            result.push_back(AggregatedKey{h, Value::Null(), 0});
+            states.emplace_back(agg);
+          }
+          JOINMI_RETURN_NOT_OK(states[pos].Update(values.GetValue(row)));
+        }
+        return Status::OK();
+      }));
   for (size_t i = 0; i < result.size(); ++i) {
     result[i].frequency = positions->counts()[i];
     JOINMI_ASSIGN_OR_RETURN(result[i].value, states[i].Finish());

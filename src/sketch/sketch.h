@@ -76,13 +76,24 @@ struct Sketch {
 /// the greatest rank kept. An item at the bound is still admitted: its tie
 /// breaks on key hash and value hash. Items tied on all three are
 /// interchangeable.
+///
+/// Ranks uniform on [0, 1) from N offers put about capacity x r / N of
+/// them below any r, so a caller that knows N (`num_offers`; 0 = unknown)
+/// lets the selection start from a provisional bound of 1.5 x capacity /
+/// N when N exceeds 4 x capacity: most offers then fail one compare and
+/// are never buffered (the sample-as-threshold-filter view of KMV, Beyer
+/// et al., SIGMOD 2007). The bound is exact whenever at least capacity
+/// offers pass it: the capacity least then all lie at or below it. When
+/// fewer pass — ranks far from uniform, or fewer offers than N — Select
+/// forgets them, drops the bound and offers everything again, so the
+/// result always equals the unfiltered selection's.
 class KmvSelection {
  public:
   using ValueAt = std::function<Value(size_t index)>;
 
   /// \brief value_at must give a Value for every index offered, until
-  /// TakeSorted returns.
-  KmvSelection(size_t capacity, ValueAt value_at);
+  /// Select returns.
+  KmvSelection(size_t capacity, ValueAt value_at, size_t num_offers = 0);
 
   void Offer(double rank, uint64_t key_hash, size_t index) {
     if (capacity_ == 0 || rank > bound_) return;
@@ -90,9 +101,23 @@ class KmvSelection {
     if (items_.size() == 2 * capacity_) KeepLeast();
   }
 
-  /// \brief The survivors as entries sorted by (key hash, rank, value
-  /// hash); the selection empties.
-  std::vector<SketchEntry> TakeSorted();
+  /// \brief Calls offer_all(), which must Offer every item, and returns
+  /// the survivors as entries sorted by (key hash, rank, value hash). If
+  /// the provisional bound let fewer than capacity items in, offer_all runs
+  /// a second time with no bound, so it must start from scratch each time.
+  /// The selection empties, and drops any bound.
+  template <typename OfferAll>
+  std::vector<SketchEntry> Select(OfferAll&& offer_all) {
+    offer_all();
+    // Below capacity items, no KeepLeast ran: a finite bound is the
+    // provisional one, and it may have turned away part of the sample.
+    if (items_.size() < capacity_ && bound_ != kNoBound) {
+      items_.clear();
+      bound_ = kNoBound;
+      offer_all();
+    }
+    return TakeSorted();
+  }
 
  private:
   struct Item {
@@ -101,13 +126,16 @@ class KmvSelection {
     size_t index;
   };
 
+  static constexpr double kNoBound = std::numeric_limits<double>::infinity();
+
   uint64_t ValueHash(const Item& item) const;
   bool RankLess(const Item& a, const Item& b) const;
   void KeepLeast();
+  std::vector<SketchEntry> TakeSorted();
 
   size_t capacity_;
   ValueAt value_at_;
-  double bound_ = std::numeric_limits<double>::infinity();
+  double bound_;
   std::vector<Item> items_;
 };
 

@@ -28,11 +28,17 @@ double WordNumber(uint64_t word) {
 }
 
 // The scoring tail after the min_join_size guard, shared by the Value
-// reference (ScoreSketchJoinSample) and the scoring kernel.
+// reference (ScoreSketchJoinSample) and the scoring kernel. A join too
+// small for the chosen estimator is an overlap too small to estimate, so
+// it is OutOfRange, as a join below min_join_size is; the estimators
+// themselves, called directly, refuse it with InvalidArgument.
 Result<SketchMIResult> ScoreColumns(
     const SampleColumns& columns, size_t join_size,
     const std::optional<MIEstimatorKind>& estimator,
     const MIOptions& options) {
+  // An empty sample is too small for every estimator (and has no types to
+  // choose one by).
+  if (columns.size == 0) return JoinBelowMinimum(0, 1);
   SketchMIResult result;
   result.join_size = join_size;
   if (estimator.has_value()) {
@@ -40,6 +46,13 @@ Result<SketchMIResult> ScoreColumns(
   } else {
     JOINMI_ASSIGN_OR_RETURN(result.estimator,
                             ChooseEstimatorForSample(columns));
+  }
+  const size_t fewest = MinimumSamples(result.estimator, options.k);
+  if (columns.size < fewest) {
+    return Status::OutOfRange(
+        "sketch join produced " + std::to_string(columns.size) +
+        " samples; " + MIEstimatorKindToString(result.estimator) +
+        " needs at least " + std::to_string(fewest));
   }
   JOINMI_ASSIGN_OR_RETURN(result.mi,
                           EstimateMI(result.estimator, columns, options));
@@ -144,6 +157,8 @@ Result<TrainKeyRuns> TrainKeyRuns::Build(const Sketch& train) {
   }
   TrainKeyRuns runs;
   const std::vector<SketchEntry>& entries = train.entries;
+  runs.keys.reserve(entries.size());
+  runs.spans.reserve(entries.size());
   for (uint32_t i = 0; i < entries.size();) {
     const uint64_t key = entries[i].key_hash;
     if (!runs.keys.empty() && key <= runs.keys.back()) {

@@ -47,9 +47,10 @@ struct SketchMIResult {
 /// EstimateSketchMI* entry points do: the min_join_size guard first
 /// (OutOfRange — the paper's meaningless-estimate cutoff), then estimator
 /// dispatch (`estimator` if set, otherwise ChooseEstimatorForSample), then
-/// EstimateMI on the sample's columns (PairedColumns) — the same tail the
-/// scoring kernel runs on its gathered columns, which is what keeps their
-/// results bit-identical.
+/// OutOfRange again for a sample smaller than that estimator's
+/// MinimumSamples, then EstimateMI on the sample's columns (PairedColumns)
+/// — the same tail the scoring kernel runs on its gathered columns, which
+/// is what keeps their results bit-identical.
 Result<SketchMIResult> ScoreSketchJoinSample(
     const PairedSample& sample, size_t join_size,
     const std::optional<MIEstimatorKind>& estimator, const MIOptions& options,

@@ -14,26 +14,32 @@ Result<Sketch> TupskBuilder::SketchTrain(const Column& keys,
                                          const Column& values) const {
   JOINMI_ASSIGN_OR_RETURN(Sketch sketch,
                           NewSketch(keys, values, SketchSide::kTrain));
-  // One pass: each key is hashed once, by a hasher picked once for the
-  // key column's type, and one coder yields both the running occurrence
-  // index j of every key and the distinct-key count. The selection holds
-  // rows; only its survivors build a Value.
-  internal::ScopedKeyCoder occurrences(keys.size());
-  KmvSelection sample(options_.capacity,
-                      [&values](size_t row) { return values.GetValue(row); });
-  WithKeyHasher(keys, options_.hash_seed, [&](auto hash_at) {
-    for (size_t row = 0; row < keys.size(); ++row) {
-      if (!keys.IsValid(row) || !values.IsValid(row)) continue;
-      ++sketch.source_rows;
-      const uint64_t key_hash = hash_at(row);
-      // Add may grow the coder's storage: read counts() only after it.
-      const uint32_t code = occurrences->Add(key_hash);
-      const uint64_t j = occurrences->counts()[code];
-      sample.Offer(TupleUnitHash(key_hash, j), key_hash, row);
-    }
+  // At least this many rows have both a key and a value: the offers the
+  // selection's provisional bound is set for.
+  const size_t null_rows = keys.null_count() + values.null_count();
+  const size_t usable_rows =
+      keys.size() > null_rows ? keys.size() - null_rows : 0;
+  KmvSelection sample(
+      options_.capacity,
+      [&values](size_t row) { return values.GetValue(row); }, usable_rows);
+  // One fused pass: each row's key is hashed once, by a hasher picked once
+  // for the key column's type, counted for its occurrence index j, ranked
+  // by h_u(⟨k, j⟩) and offered. The coder also yields the distinct-key
+  // count. The selection holds rows; only its survivors build a Value.
+  sketch.entries = sample.Select([&] {
+    internal::ScopedKeyCoder occurrences(keys.size());
+    sketch.source_rows = 0;
+    WithKeyHasher(keys, options_.hash_seed, [&](auto hash_at) {
+      for (size_t row = 0; row < keys.size(); ++row) {
+        if (!keys.IsValid(row) || !values.IsValid(row)) continue;
+        ++sketch.source_rows;
+        const uint64_t key_hash = hash_at(row);
+        const uint32_t j = occurrences->AddOccurrence(key_hash);
+        sample.Offer(TupleUnitHash(key_hash, j), key_hash, row);
+      }
+    });
+    sketch.source_distinct_keys = occurrences->size();
   });
-  sketch.source_distinct_keys = occurrences->size();
-  sketch.entries = sample.TakeSorted();
   return sketch;
 }
 

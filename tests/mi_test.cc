@@ -504,6 +504,37 @@ TEST(EstimatorTest, RejectsNullsAndMismatchedArity) {
   EXPECT_FALSE(EstimateMI(MIEstimatorKind::kMLE, PairedSample{}).ok());
 }
 
+TEST(EstimatorTest, EstimatorsRefuseExactlyBelowMinimumSamples) {
+  // DC-KSG gets one repeated class, so its only refusal is the size.
+  for (MIEstimatorKind kind :
+       {MIEstimatorKind::kMLE, MIEstimatorKind::kKSG,
+        MIEstimatorKind::kMixedKSG, MIEstimatorKind::kDCKSG}) {
+    for (int k : {1, 3}) {
+      MIOptions options;
+      options.k = k;
+      const size_t fewest = MinimumSamples(kind, k);
+      for (size_t n : {fewest - 1, fewest}) {
+        if (n == 0) continue;
+        PairedSample sample;
+        for (size_t i = 0; i < n; ++i) {
+          sample.x.push_back(kind == MIEstimatorKind::kDCKSG
+                                 ? Value("a")
+                                 : Value(static_cast<double>(i)));
+          sample.y.emplace_back(static_cast<double>(i * i) + 0.5);
+        }
+        const Result<double> mi = EstimateMI(kind, sample, options);
+        if (n < fewest) {
+          EXPECT_TRUE(mi.status().IsInvalidArgument())
+              << MIEstimatorKindToString(kind) << " k=" << k << " n=" << n;
+        } else {
+          EXPECT_TRUE(mi.ok()) << MIEstimatorKindToString(kind) << " k=" << k
+                               << " n=" << n << ": " << mi.status().ToString();
+        }
+      }
+    }
+  }
+}
+
 TEST(EstimatorTest, KsgRejectsStringData) {
   PairedSample sample;
   sample.x = {Value("a"), Value("b"), Value("c"), Value("d"), Value("e")};

@@ -743,6 +743,68 @@ TEST(SketchIndexBuildTest, AllNullValueColumnsAreNotIndexed) {
   EXPECT_EQ(result->num_candidates, 4u);
 }
 
+TEST(SketchIndexBuildTest, JoinsTooSmallForTheEstimatorAreSkipped) {
+  // Under the default min_join_size of 1 and k = 3, numeric candidates
+  // sharing 1-3 keys with a numeric-target query reach MixedKSG with at
+  // most k pairs, and one sharing 1 key with a string-target query reaches
+  // DC-KSG with one pair: overlaps too small to estimate, so skipped, not
+  // errors. The rest are scored.
+  JoinMIConfig config;
+  ASSERT_EQ(config.min_join_size, 1u);
+  ASSERT_EQ(config.mi_options.k, 3);
+  std::vector<std::string> base_keys;
+  std::vector<int64_t> numeric_targets;
+  std::vector<std::string> string_targets;
+  for (size_t i = 0; i < 160; ++i) {
+    base_keys.push_back("key" + std::to_string(i));
+    numeric_targets.push_back(static_cast<int64_t>(i % 7));
+    // Runs of ten keys share a class, so DC-KSG keeps small samples.
+    string_targets.push_back("t" + std::to_string(i / 10));
+  }
+  TableRepository repository;
+  for (size_t shared : {1, 2, 3, 40}) {
+    // `shared` of the query's keys, then keys the query does not hold.
+    std::vector<std::string> keys;
+    std::vector<int64_t> values;
+    for (size_t i = 0; i < 50; ++i) {
+      keys.push_back((i < shared ? "key" : "other") + std::to_string(i));
+      values.push_back(static_cast<int64_t>(i % 5));
+    }
+    repository
+        .AddTable("numeric" + std::to_string(shared),
+                  MakeTwoColumnTable("K", keys, "V", values))
+        .Abort();
+  }
+  SketchIndex index(config);
+  auto indexed = index.IndexRepository(repository);
+  ASSERT_TRUE(indexed.ok()) << indexed.status();
+  ASSERT_EQ(*indexed, 4u);
+
+  const std::shared_ptr<Table> numeric_base =
+      MakeTwoColumnTable("K", base_keys, "Y", numeric_targets);
+  auto numeric = TopKJoinMISearch(*numeric_base, {"K", "Y"}, index, 4);
+  ASSERT_TRUE(numeric.ok()) << numeric.status();
+  EXPECT_EQ(numeric->num_errors, 0u);
+  EXPECT_EQ(numeric->num_skipped, 3u);
+  EXPECT_EQ(numeric->num_evaluated, 1u);
+  ASSERT_EQ(numeric->hits.size(), 1u);
+  EXPECT_EQ(numeric->hits[0].candidate.table_name, "numeric40");
+  EXPECT_EQ(numeric->hits[0].estimate.estimator, MIEstimatorKind::kMixedKSG);
+
+  const std::shared_ptr<Table> string_base = *Table::FromColumns(
+      {{"K", Column::MakeString(base_keys)},
+       {"Y", Column::MakeString(string_targets)}});
+  auto string = TopKJoinMISearch(*string_base, {"K", "Y"}, index, 4);
+  ASSERT_TRUE(string.ok()) << string.status();
+  EXPECT_EQ(string->num_errors, 0u);
+  EXPECT_EQ(string->num_skipped, 1u);
+  EXPECT_EQ(string->num_evaluated, 3u);
+  for (const SearchHit& hit : string->hits) {
+    EXPECT_NE(hit.candidate.table_name, "numeric1");
+    EXPECT_EQ(hit.estimate.estimator, MIEstimatorKind::kDCKSG);
+  }
+}
+
 TEST(SketchIndexBuildTest, EmptyRepositoryBuildsAnEmptyIndex) {
   const TableRepository repository;
   const SerialBuild serial = BuildSerially(repository, BuildConfig());

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <optional>
 #include <unordered_map>
@@ -46,15 +47,17 @@ std::vector<SketchEntry> SortEveryOffer(std::vector<SketchEntry> offers,
   return offers;
 }
 
-// Offers `offers` in order to a KmvSelection over their own values.
+// Offers `offers` in order to a KmvSelection over their own values,
+// told (when num_offers > 0) how many offers to expect.
 std::vector<SketchEntry> SelectKmv(const std::vector<SketchEntry>& offers,
-                                   size_t capacity) {
-  KmvSelection selection(capacity,
-                         [&offers](size_t i) { return offers[i].value; });
-  for (size_t i = 0; i < offers.size(); ++i) {
-    selection.Offer(offers[i].rank, offers[i].key_hash, i);
-  }
-  return selection.TakeSorted();
+                                   size_t capacity, size_t num_offers = 0) {
+  KmvSelection selection(
+      capacity, [&offers](size_t i) { return offers[i].value; }, num_offers);
+  return selection.Select([&] {
+    for (size_t i = 0; i < offers.size(); ++i) {
+      selection.Offer(offers[i].rank, offers[i].key_hash, i);
+    }
+  });
 }
 
 std::vector<uint64_t> KeysAtRank(const std::vector<SketchEntry>& entries,
@@ -191,6 +194,62 @@ TEST(KmvSelectionTest, KeepsWhatSortingEveryOfferKeeps) {
           EXPECT_EQ(got[i].value, want[i].value) << where << " entry " << i;
         }
       }
+    }
+  }
+}
+
+TEST(KmvSelectionTest, ProvisionalBoundFallsBackToTheUnfilteredSelection) {
+  // 160 offers at capacity 16 set the provisional bound to 1.5 x 16 / 160
+  // = 0.15. Ranks shaped so that none, a few or all offers pass it, and a
+  // count of offers overstated 10x, against the selection with no bound:
+  // a pass that admits fewer than capacity reruns unfiltered.
+  constexpr size_t kCapacity = 16;
+  constexpr size_t kOffers = 160;
+  struct Shape {
+    const char* name;
+    double low_share;  // offers drawn below the bound, the rest above
+    size_t told;       // the number of offers the selection expects
+    int runs;          // offer_all calls
+  };
+  const Shape shapes[] = {
+      {"every rank above the bound", 0.0, kOffers, 2},
+      {"a few ranks below the bound", 0.05, kOffers, 2},
+      {"uniform ranks", -1.0, kOffers, 1},
+      {"offers overstated", -1.0, 10 * kOffers, 2},
+  };
+  Rng rng(47);
+  for (const Shape& shape : shapes) {
+    std::vector<SketchEntry> offers;
+    for (size_t i = 0; i < kOffers; ++i) {
+      double rank = rng.NextDouble();
+      if (shape.low_share >= 0.0) {
+        rank = static_cast<double>(i) < shape.low_share * kOffers
+                   ? 0.15 * rank
+                   : 0.5 + 0.5 * rank;
+      }
+      offers.push_back(SketchEntry{rng.NextBounded(40), rank,
+                                   Value(static_cast<int64_t>(i % 7))});
+    }
+    // An offer exactly at the bound passes it.
+    offers[3].rank = 1.5 * kCapacity / static_cast<double>(shape.told);
+    KmvSelection selection(
+        kCapacity, [&offers](size_t i) { return offers[i].value; },
+        shape.told);
+    int runs = 0;
+    const std::vector<SketchEntry> got = selection.Select([&] {
+      ++runs;
+      for (size_t i = 0; i < offers.size(); ++i) {
+        selection.Offer(offers[i].rank, offers[i].key_hash, i);
+      }
+    });
+    const std::vector<SketchEntry> want = SelectKmv(offers, kCapacity);
+    EXPECT_EQ(runs, shape.runs) << shape.name;
+    ASSERT_EQ(got.size(), kCapacity) << shape.name;
+    ASSERT_EQ(want.size(), kCapacity) << shape.name;
+    for (size_t i = 0; i < kCapacity; ++i) {
+      EXPECT_EQ(got[i].key_hash, want[i].key_hash) << shape.name << " " << i;
+      EXPECT_EQ(got[i].rank, want[i].rank) << shape.name << " " << i;
+      EXPECT_EQ(got[i].value, want[i].value) << shape.name << " " << i;
     }
   }
 }
@@ -1461,18 +1520,30 @@ TEST(KeyHashTest, TypedHashEqualsValueHash) {
   auto doubles = Column::MakeDouble({-0.0, 7.0, -1.0, 3.0, 0.5, 1e300,
                                      std::nan("")},
                                     validity);
+  // Each valid row's hash_at (0 at null rows).
+  auto typed_hashes = [](const Column& column, uint32_t seed) {
+    std::vector<uint64_t> hashes(column.size(), 0);
+    WithKeyHasher(column, seed, [&](auto hash_at) {
+      for (size_t row = 0; row < column.size(); ++row) {
+        if (column.IsValid(row)) hashes[row] = hash_at(row);
+      }
+    });
+    return hashes;
+  };
   for (uint32_t seed : {0u, 17u}) {
     for (const auto& column : {strings, ints, doubles}) {
+      const std::vector<uint64_t> hashes = typed_hashes(*column, seed);
       for (size_t row = 0; row < column->size(); ++row) {
         if (!column->IsValid(row)) continue;
-        EXPECT_EQ(HashKeyAt(*column, row, seed),
-                  HashKey(column->GetValue(row), seed))
+        EXPECT_EQ(hashes[row], HashKey(column->GetValue(row), seed))
             << DataTypeToString(column->type()) << " row " << row;
       }
     }
-    EXPECT_EQ(HashKeyAt(*doubles, 0, seed), HashKeyAt(*ints, 0, seed));
-    EXPECT_EQ(HashKeyAt(*doubles, 2, seed), HashKeyAt(*ints, 2, seed));
-    EXPECT_EQ(HashKeyAt(*doubles, 3, seed), HashKeyAt(*ints, 3, seed));
+    const std::vector<uint64_t> double_hashes = typed_hashes(*doubles, seed);
+    const std::vector<uint64_t> int_hashes = typed_hashes(*ints, seed);
+    EXPECT_EQ(double_hashes[0], int_hashes[0]);
+    EXPECT_EQ(double_hashes[2], int_hashes[2]);
+    EXPECT_EQ(double_hashes[3], int_hashes[3]);
   }
 }
 
@@ -1690,6 +1761,101 @@ TEST_P(SketchMethodTest, SerializedSketchesMatchGoldenDigests) {
     }
   }
   EXPECT_EQ(checked, 3u);
+
+  // Edge shapes, string-keyed: fewer usable rows than capacity (a tenth
+  // of the keys and a seventeenth of the values null); exactly 4 x
+  // capacity rows, where the selection's provisional bound stays off, and
+  // one row more, where it comes on; one key on every row, so j runs to
+  // the row count; and string values (aggregated by mode). Digests from
+  // the builds before the fused TUPSK pass and the prefiltered selection.
+  struct EdgeTable {
+    const char* name;
+    size_t rows;
+    size_t domain;  // distinct key draws
+    bool string_values;
+    bool nulls;
+  };
+  const EdgeTable edges[] = {
+      {"fewer rows than capacity", 200, 150, false, true},
+      {"4 x capacity rows", 1024, 400, false, false},
+      {"4 x capacity + 1 rows", 1025, 400, false, false},
+      {"one key", 3000, 1, false, false},
+      {"string values", 6000, 2000, true, true},
+  };
+  struct EdgeGolden {
+    SketchMethod method;
+    uint64_t train[5];
+    uint64_t candidate[5];
+  };
+  const EdgeGolden edge_golden[] = {
+      {SketchMethod::kTupsk,
+       {0x81454697fef2506dULL, 0xa8381282aa15fed9ULL, 0x8c3136a26c229ec6ULL,
+        0x4736f8e6b8fccd27ULL, 0x9e4a9d2dee398672ULL},
+       {0x8a96120c971ee90fULL, 0x1abc88942183d18aULL, 0xbde15816f6d59be2ULL,
+        0x3d32986e0f992683ULL, 0x1a8a7a463cc3570bULL}},
+      {SketchMethod::kLv2sk,
+       {0x3bd5831fef109762ULL, 0x257c03afe71fe4e6ULL, 0x661f84f423f442d0ULL,
+        0x1f25e5e6038f04c9ULL, 0x05edfa23fdb59afeULL},
+       {0x5c76f6705af9885aULL, 0xf8d679819ac11406ULL, 0x479dd7b13f99b4d6ULL,
+        0x758ed0cfc4389b16ULL, 0xe0953a9144d7620eULL}},
+      {SketchMethod::kPrisk,
+       {0x069cc422f352ed4eULL, 0x74b9d5507a0c2bfeULL, 0x9300d6c98d16f62bULL,
+        0x731c9ee9d0faa8f6ULL, 0x3f03178934fe3c2cULL},
+       {0x32e09e73ab6e8863ULL, 0x23e580b3659e1339ULL, 0xc2ebfac0de3e4269ULL,
+        0x117683ca91a531abULL, 0x0c847a19f4ebd529ULL}},
+      {SketchMethod::kIndsk,
+       {0x4acd03ad01033163ULL, 0x2eff9b545ee2c4ecULL, 0x4246ee92a092583bULL,
+        0x147f56ac01033289ULL, 0x17db47527e206a1bULL},
+       {0xf31ed8df037a4d16ULL, 0x49e81b3be8e4b2a1ULL, 0x0d03f4bf8e446d17ULL,
+        0x63c2e4db9956486eULL, 0xfda2ee1d968ec595ULL}},
+      {SketchMethod::kCsk,
+       {0xd225ae2f2e2db050ULL, 0x2757e712b840fd1fULL, 0x7fcb6631c32c71a6ULL,
+        0x7db08ddfe3c1faabULL, 0x5a106c880dd987f3ULL},
+       {0xe86587c7d4613945ULL, 0xb5481ad08d4e3a5cULL, 0x2a102f11fa4455ddULL,
+        0xf2b6abbb3c693e26ULL, 0x33fbf09c8429fef4ULL}},
+  };
+  const EdgeGolden* want = nullptr;
+  for (const EdgeGolden& g : edge_golden) {
+    if (g.method == GetParam()) want = &g;
+  }
+  ASSERT_NE(want, nullptr);
+  for (size_t e = 0; e < std::size(edges); ++e) {
+    const EdgeTable& edge = edges[e];
+    Rng edge_rng(3000 + e);
+    std::vector<std::string> edge_keys;
+    std::vector<double> edge_numbers;
+    std::vector<std::string> edge_words;
+    for (size_t row = 0; row < edge.rows; ++row) {
+      edge_keys.push_back("e" +
+                          std::to_string(edge_rng.NextBounded(edge.domain)));
+      const uint64_t draw = edge_rng.NextBounded(300);
+      edge_numbers.push_back(static_cast<double>(draw) / 4.0);
+      edge_words.push_back("w" + std::to_string(draw % 40));
+    }
+    const std::vector<bool> edge_key_validity =
+        edge.nulls ? NullEvery(edge.rows, 10, 1) : std::vector<bool>{};
+    const std::vector<bool> edge_value_validity =
+        edge.nulls ? NullEvery(edge.rows, 17, 6) : std::vector<bool>{};
+    auto edge_key_column = Column::MakeString(edge_keys, edge_key_validity);
+    auto edge_value_column =
+        edge.string_values
+            ? Column::MakeString(edge_words, edge_value_validity)
+            : Column::MakeDouble(edge_numbers, edge_value_validity);
+    auto train = builder->SketchTrain(*edge_key_column, *edge_value_column);
+    ASSERT_TRUE(train.ok()) << edge.name << ": " << train.status();
+    auto candidate = builder->SketchCandidate(
+        *edge_key_column, *edge_value_column,
+        edge.string_values ? AggKind::kMode : AggKind::kAvg);
+    ASSERT_TRUE(candidate.ok()) << edge.name << ": " << candidate.status();
+    const uint64_t train_digest = wire::Checksum64(SerializeSketch(*train));
+    const uint64_t candidate_digest =
+        wire::Checksum64(SerializeSketch(*candidate));
+    EXPECT_EQ(train_digest, want->train[e])
+        << edge.name << " train" << std::hex << " 0x" << train_digest;
+    EXPECT_EQ(candidate_digest, want->candidate[e])
+        << edge.name << " candidate" << std::hex << " 0x"
+        << candidate_digest;
+  }
 }
 
 }  // namespace

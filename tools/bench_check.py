@@ -54,6 +54,12 @@ CHECKS = [
     # pool: a fan-out allocating per strip (a queued task each) or
     # spawning threads per call costs ~10x this; two allocations of slack.
     ("part9_allocs_per_query_xT", "lower", 0.25, 2.00),
+    # The query build (JoinMIQuery::Create on a 9000-row table), warm: the
+    # builder, the selection's buffer and output, the key runs' arrays and
+    # the serialized-sketch slot, 9 in all. A per-call occurrence counter
+    # (3 more) or run arrays grown by push_back (16 more) fail; one
+    # allocation of slack.
+    ("part9_query_build_allocs", "lower", 0.10, 1.00),
     # Online ingest: ratios only (raw ms are runner noise). Serving while
     # appending+reloading must stay in the same ballpark as steady state,
     # and a half-delta deployment must not cost multiples of a compacted
