@@ -1,57 +1,19 @@
-// Throughput benchmark for the parallel top-k discovery engine.
+// Throughput benchmark for the top-k discovery engine.
 //
-// Part 1 compares three ways of ranking every candidate column pair of a
+// Part 1 compares two ways of ranking every candidate column pair of a
 // synthetic repository against one base table:
 //
 //   naive serial    one SketchJoinMI call per candidate — rebuilds the base
-//                   table's sketch for every query (the pre-engine API);
-//   engine x1       TopKJoinMISearch with 1 thread — base sketch built once
-//                   and merged against every candidate's keys;
-//   engine xT       TopKJoinMISearch with T threads (default 4).
+//                   table's sketch for every candidate (the pre-engine API);
+//   engine x1       SketchIndex::IndexRepository (every candidate sketched
+//                   once, on the shared pool) plus one TopKJoinMISearch
+//                   over the index with 1 thread;
+//   engine xT       the same with a T-thread search (default 4).
 //
-// Part 2 is the sketch-once / query-many deployment (the paper's Sections I
-// and V-C): a SketchIndex is built once (every candidate sketched offline)
-// and then probed by a stream of queries. For each query count Q it
-// compares
-//
-//   per-query sketching   Q x TopKJoinMISearch(repository) — candidates
-//                         re-sketched on every query;
-//   index-backed probing  index build (paid once) + Q x
-//                         TopKJoinMISearch(index) — queries only merge
-//                         against the index's stored candidate keys.
-//
-// Amortization is the headline: the index path pays the candidate
-// sketching cost once, so it wins as soon as a couple of queries share it.
-// Rankings from the two paths are cross-checked for equality before any
-// number is printed, as are 1-thread vs T-thread engine rankings.
-//
-// Part 3 is shard-count scaling: the index is partitioned into K shard
-// files (round-robin), reloaded through the manifest, and the same query
-// stream is answered via the sharded fan-out. In-process all shards share
-// one machine, so the interesting numbers are the partition+write cost and
-// the per-query fan-out overhead versus the unsharded index — the ranking
-// cross-check (sharded must be bit-identical to unsharded) runs first.
-//
-// Part 4 is the serving boundary: the same shard layouts are served by
-// real ShardServer instances on loopback TCP and queried through
-// RpcShardClient, versus the in-process LocalShardClient fan-out. The
-// delta is the true per-query cost of crossing the network — framing,
-// sketch serialization, socket round trips — as a function of shard
-// count. Rankings are cross-checked (RPC must be bit-identical to local)
-// before any number is printed.
-//
-// Part 5 is concurrent serving: several router threads hammer the same
-// RPC-backed sharded index at once, and the knobs under test are the
-// client connection pool size (1, 2, 4 connections per shard — how many
-// requests one router can keep in flight against one shard) and the
-// replica count (1 vs 2 interchangeable servers per shard behind the
-// replica-aware factory). Every concurrent ranking is cross-checked
-// against the serial in-process answer before any number is printed.
-//
-// Part 6 is the JMRP wire: request pipelining (many requests in flight
-// on one connection, demuxed by request_id) across concurrency levels and
-// open-connection counts, every search sent against the query sketch
-// the connection cached on its first request.
+// The 1-thread and T-thread rankings are cross-checked for equality
+// before any number is printed. There are no parts 2-6: the later parts
+// keep their numbers, which their metric names carry. Shard fan-out and
+// network costs are measured by discovery_bench's layer probes.
 //
 // Part 7 is paged shard storage: the same shard layout built as "JMPS"
 // paged files and served through PagedShardClient buffer pools of several
@@ -129,11 +91,8 @@
 #include "src/core/join_mi.h"
 #include "src/discovery/opendata_sim.h"
 #include "src/discovery/paged_shard_index.h"
-#include "src/discovery/replica_router.h"
 #include "src/discovery/router.h"
-#include "src/discovery/rpc_shard_client.h"
 #include "src/discovery/search.h"
-#include "src/discovery/shard_server.h"
 #include "src/discovery/sharded_index.h"
 #include "src/discovery/sketch_index.h"
 #include "src/ingest/coordinator.h"
@@ -173,8 +132,6 @@ struct BenchParams {
   size_t top_k = 10;
   size_t sketch_capacity = 512;
   size_t min_join_size = 32;
-  std::vector<size_t> query_counts = {1, 2, 4, 8};
-  std::vector<size_t> shard_counts = {1, 2, 4, 8};
 };
 
 BenchParams SmokeParams() {
@@ -185,8 +142,6 @@ BenchParams SmokeParams() {
   params.candidate_rows = 500;
   params.sketch_capacity = 128;
   params.min_join_size = 16;
-  params.query_counts = {2};
-  params.shard_counts = {2};
   return params;
 }
 
@@ -303,15 +258,17 @@ double RunNaiveSerial(const BenchParams& params, const Table& base,
   return ms;
 }
 
+// The engine: index the repository (every candidate sketched once, on the
+// shared pool), then one index search with `num_threads`. Both are timed:
+// a single query pays for the whole index.
 double RunEngine(const BenchParams& params, const Table& base,
                  const TableRepository& repository, size_t num_threads,
                  TopKSearchResult* result_out) {
-  SearchConfig config;
-  config.num_threads = num_threads;
-  config.join_config = MakeJoinConfig(params);
   const auto start = std::chrono::steady_clock::now();
-  auto result = TopKJoinMISearch(base, {"K", "Y"}, repository, params.top_k,
-                                 config);
+  SketchIndex index(MakeJoinConfig(params));
+  index.IndexRepository(repository).status().Abort("IndexRepository");
+  auto result =
+      TopKJoinMISearch(base, {"K", "Y"}, index, params.top_k, num_threads);
   const double ms = MillisSince(start);
   result.status().Abort("TopKJoinMISearch");
   std::printf("engine x%-4zu: %8.1f ms  (%zu evaluated, %zu skipped, %zu "
@@ -338,426 +295,6 @@ void ExpectSameRanking(const TopKSearchResult& a, const TopKSearchResult& b,
     std::fprintf(stderr, "FATAL: %s rankings disagree\n", what);
     std::abort();
   }
-}
-
-// Part 2: sketch-once / query-many amortization.
-void RunIndexAmortization(const BenchParams& params,
-                          const TableRepository& repository, size_t threads,
-                          Rng* rng) {
-  const JoinMIConfig config = MakeJoinConfig(params);
-  const size_t max_queries = *std::max_element(params.query_counts.begin(),
-                                               params.query_counts.end());
-  std::vector<std::shared_ptr<Table>> queries;
-  queries.reserve(max_queries);
-  for (size_t q = 0; q < max_queries; ++q) {
-    queries.push_back(MakeBaseTable(params, rng));
-  }
-
-  std::printf("\n== sketch-once / query-many: per-query sketching vs "
-              "index-backed probing (engine x%zu) ==\n",
-              threads);
-  auto build_start = std::chrono::steady_clock::now();
-  SketchIndex index(config);
-  auto indexed = index.IndexRepository(repository);
-  indexed.status().Abort("building the sketch index");
-  const double build_ms = MillisSince(build_start);
-  std::printf("index build  : %8.1f ms  (%zu candidate sketches, capacity "
-              "%zu)\n",
-              build_ms, *indexed, config.sketch_capacity);
-
-  // Correctness gate: at matched config the index-backed ranking must be
-  // identical to the per-query-sketching ranking.
-  {
-    SearchConfig search_config;
-    search_config.num_threads = threads;
-    search_config.join_config = config;
-    auto via_repo = TopKJoinMISearch(*queries[0], {"K", "Y"}, repository,
-                                     params.top_k, search_config);
-    via_repo.status().Abort("repository-path search");
-    auto via_index = TopKJoinMISearch(*queries[0], {"K", "Y"}, index,
-                                      params.top_k, threads);
-    via_index.status().Abort("index-path search");
-    ExpectSameRanking(*via_repo, *via_index, "repository-path and index-path");
-  }
-
-  for (size_t num_queries : params.query_counts) {
-    SearchConfig search_config;
-    search_config.num_threads = threads;
-    search_config.join_config = config;
-    auto sketch_start = std::chrono::steady_clock::now();
-    for (size_t q = 0; q < num_queries; ++q) {
-      TopKJoinMISearch(*queries[q], {"K", "Y"}, repository, params.top_k,
-                       search_config)
-          .status()
-          .Abort("per-query-sketching search");
-    }
-    const double sketch_ms = MillisSince(sketch_start);
-
-    auto probe_start = std::chrono::steady_clock::now();
-    for (size_t q = 0; q < num_queries; ++q) {
-      TopKJoinMISearch(*queries[q], {"K", "Y"}, index, params.top_k, threads)
-          .status()
-          .Abort("index-backed search");
-    }
-    const double probe_ms = MillisSince(probe_start);
-    // The index path's total cost includes its one-time build.
-    const double index_total = build_ms + probe_ms;
-    std::printf("Q=%-3zu per-query sketching %8.1f ms | index build+probe "
-                "%6.1f+%6.1f = %8.1f ms | %s %.2fx\n",
-                num_queries, sketch_ms, build_ms, probe_ms, index_total,
-                index_total <= sketch_ms ? "index ahead" : "index behind",
-                sketch_ms / index_total);
-  }
-  std::printf("(per-probe marginal cost: the probe column divided by Q — "
-              "the build never recurs)\n");
-}
-
-// Part 3: shard-count scaling of the fan-out search.
-void RunShardScaling(const BenchParams& params,
-                     const TableRepository& repository, size_t threads,
-                     Rng* rng) {
-  const JoinMIConfig config = MakeJoinConfig(params);
-  SketchIndex index(config);
-  index.IndexRepository(repository).status().Abort("building the index");
-  auto query_table = MakeBaseTable(params, rng);
-  const size_t queries = 4;
-
-  std::printf("\n== shard-count scaling: unsharded index vs manifest-driven "
-              "fan-out (engine x%zu, %zu queries) ==\n",
-              threads, queries);
-  auto unsharded_start = std::chrono::steady_clock::now();
-  TopKSearchResult unsharded;
-  for (size_t q = 0; q < queries; ++q) {
-    auto result = TopKJoinMISearch(*query_table, {"K", "Y"}, index,
-                                   params.top_k, threads);
-    result.status().Abort("unsharded index search");
-    unsharded = std::move(*result);
-  }
-  const double unsharded_ms = MillisSince(unsharded_start);
-  std::printf("unsharded    : %8.1f ms  (%zu candidates)\n", unsharded_ms,
-              index.size());
-
-  const std::string shard_root =
-      "/tmp/joinmi_bench_shards." + std::to_string(getpid());
-  for (size_t num_shards : params.shard_counts) {
-    const std::string dir = shard_root + "/" + std::to_string(num_shards);
-    auto build_start = std::chrono::steady_clock::now();
-    auto manifest_path = BuildShards(index, num_shards,
-                                     ShardPartitionPolicy::kRoundRobin, dir);
-    manifest_path.status().Abort("partitioning the index");
-    auto sharded = ShardedSketchIndex::Load(*manifest_path);
-    sharded.status().Abort("loading the sharded index");
-    const double build_ms = MillisSince(build_start);
-
-    auto probe_start = std::chrono::steady_clock::now();
-    TopKSearchResult via_shards;
-    for (size_t q = 0; q < queries; ++q) {
-      auto result = TopKJoinMISearch(*query_table, {"K", "Y"}, *sharded,
-                                     params.top_k, threads);
-      result.status().Abort("sharded search");
-      via_shards = std::move(*result);
-    }
-    const double probe_ms = MillisSince(probe_start);
-    ExpectSameRanking(unsharded, via_shards, "unsharded and sharded");
-    std::printf("K=%-3zu partition+write+load %8.1f ms | fan-out search "
-                "%8.1f ms | overhead vs unsharded %.2fx\n",
-                num_shards, build_ms, probe_ms, probe_ms / unsharded_ms);
-  }
-  std::filesystem::remove_all(shard_root);
-  std::printf("(one process hosts every shard here, so the fan-out column "
-              "is pure orchestration overhead; the win arrives when shards "
-              "become servers)\n");
-}
-
-// Part 4: the cost of the process boundary — loopback RPC vs in-process
-// shard fan-out for the same shard layouts.
-void RunRpcServing(const BenchParams& params,
-                   const TableRepository& repository, size_t threads,
-                   Rng* rng) {
-  const JoinMIConfig config = MakeJoinConfig(params);
-  SketchIndex index(config);
-  index.IndexRepository(repository).status().Abort("building the index");
-  auto query_table = MakeBaseTable(params, rng);
-  const size_t queries = 4;
-
-  std::printf("\n== serving boundary: loopback RPC shard servers vs "
-              "in-process fan-out (engine x%zu, %zu queries) ==\n",
-              threads, queries);
-  const std::string shard_root =
-      "/tmp/joinmi_bench_rpc_shards." + std::to_string(getpid());
-  for (size_t num_shards : params.shard_counts) {
-    const std::string dir = shard_root + "/" + std::to_string(num_shards);
-    auto manifest_path = BuildShards(index, num_shards,
-                                     ShardPartitionPolicy::kRoundRobin, dir);
-    manifest_path.status().Abort("partitioning the index");
-    auto local = ShardedSketchIndex::Load(*manifest_path);
-    local.status().Abort("loading the local sharded index");
-
-    // One real server per shard on an ephemeral loopback port.
-    std::vector<std::unique_ptr<ShardServer>> servers;
-    std::vector<ShardEndpoint> endpoints;
-    for (size_t s = 0; s < num_shards; ++s) {
-      ShardServerOptions options;
-      options.num_workers = 2;
-      auto server = ShardServer::Create(*manifest_path, s, options);
-      server.status().Abort("creating a shard server");
-      (*server)->Start().Abort("starting a shard server");
-      endpoints.push_back(ShardEndpoint{"127.0.0.1", (*server)->port()});
-      servers.push_back(std::move(*server));
-    }
-    auto remote = ShardedSketchIndex::Load(
-        *manifest_path, RpcShardClient::Factory(endpoints));
-    remote.status().Abort("assembling the RPC sharded index");
-
-    // Correctness gate first: the wire must not change a single bit.
-    {
-      auto via_local =
-          TopKJoinMISearch(*query_table, {"K", "Y"}, *local,
-                           params.top_k, threads);
-      via_local.status().Abort("local sharded search");
-      auto via_rpc =
-          TopKJoinMISearch(*query_table, {"K", "Y"}, *remote,
-                           params.top_k, threads);
-      via_rpc.status().Abort("RPC sharded search");
-      ExpectSameRanking(*via_local, *via_rpc, "in-process and RPC");
-    }
-
-    auto local_start = std::chrono::steady_clock::now();
-    for (size_t q = 0; q < queries; ++q) {
-      TopKJoinMISearch(*query_table, {"K", "Y"}, *local, params.top_k,
-                       threads)
-          .status()
-          .Abort("local sharded search");
-    }
-    const double local_ms = MillisSince(local_start) / queries;
-
-    auto rpc_start = std::chrono::steady_clock::now();
-    for (size_t q = 0; q < queries; ++q) {
-      TopKJoinMISearch(*query_table, {"K", "Y"}, *remote, params.top_k,
-                       threads)
-          .status()
-          .Abort("RPC sharded search");
-    }
-    const double rpc_ms = MillisSince(rpc_start) / queries;
-
-    std::printf("K=%-3zu in-process %8.2f ms/query | loopback RPC %8.2f "
-                "ms/query | boundary overhead %+7.2f ms (%.2fx)\n",
-                num_shards, local_ms, rpc_ms, rpc_ms - local_ms,
-                local_ms > 0 ? rpc_ms / local_ms : 0.0);
-    for (auto& server : servers) server->Stop();
-  }
-  std::filesystem::remove_all(shard_root);
-  std::printf("(same shard files, same merge — the delta is framing, "
-              "sketch serialization, and socket round trips; amortize it "
-              "with bigger candidate universes per shard)\n");
-}
-
-// Part 5: concurrent router throughput vs connection pool size and vs
-// replica count — the serving-tier concurrency knobs.
-void RunConcurrentServing(const BenchParams& params,
-                          const TableRepository& repository, bool smoke,
-                          Rng* rng) {
-  const JoinMIConfig config = MakeJoinConfig(params);
-  SketchIndex index(config);
-  index.IndexRepository(repository).status().Abort("building the index");
-  auto query_table = MakeBaseTable(params, rng);
-  const size_t num_shards = 2;
-  const size_t router_threads = 4;
-  const size_t queries_per_thread = smoke ? 2 : 8;
-  const size_t total_queries = router_threads * queries_per_thread;
-
-  std::printf("\n== concurrent serving: %zu router threads x %zu queries, "
-              "%zu shards — pool size and replica count ==\n",
-              router_threads, queries_per_thread, num_shards);
-  const std::string shard_root =
-      "/tmp/joinmi_bench_pool_shards." + std::to_string(getpid());
-  auto manifest_path = BuildShards(index, num_shards,
-                                   ShardPartitionPolicy::kRoundRobin,
-                                   shard_root);
-  manifest_path.status().Abort("partitioning the index");
-  auto local = ShardedSketchIndex::Load(*manifest_path);
-  local.status().Abort("loading the local sharded index");
-  auto reference = TopKJoinMISearch(*query_table, {"K", "Y"}, *local,
-                                    params.top_k, 1);
-  reference.status().Abort("serial reference search");
-
-  // Drives `total_queries` through the router from `router_threads`
-  // threads, cross-checking every ranking, and returns total wall ms.
-  auto drive = [&](const ShardedSketchIndex& router) {
-    const auto start = std::chrono::steady_clock::now();
-    std::vector<std::thread> threads;
-    for (size_t t = 0; t < router_threads; ++t) {
-      threads.emplace_back([&] {
-        for (size_t q = 0; q < queries_per_thread; ++q) {
-          auto result = TopKJoinMISearch(*query_table, {"K", "Y"}, router,
-                                         params.top_k, 1);
-          result.status().Abort("concurrent RPC search");
-          ExpectSameRanking(*reference, *result,
-                            "serial local and concurrent RPC");
-        }
-      });
-    }
-    for (std::thread& thread : threads) thread.join();
-    return MillisSince(start);
-  };
-
-  // One row of servers serves every pool size (the knob is client-side).
-  std::vector<std::unique_ptr<ShardServer>> servers;
-  std::vector<ShardEndpoint> endpoints;
-  for (size_t s = 0; s < num_shards; ++s) {
-    ShardServerOptions options;
-    options.num_workers = 8;
-    auto server = ShardServer::Create(*manifest_path, s, options);
-    server.status().Abort("creating a shard server");
-    (*server)->Start().Abort("starting a shard server");
-    endpoints.push_back(ShardEndpoint{"127.0.0.1", (*server)->port()});
-    servers.push_back(std::move(*server));
-  }
-  for (size_t pool_size : {1u, 2u, 4u}) {
-    RpcClientOptions options;
-    options.pool_size = pool_size;
-    auto remote = ShardedSketchIndex::Load(
-        *manifest_path, RpcShardClient::Factory(endpoints, options));
-    remote.status().Abort("assembling the RPC sharded index");
-    const double ms = drive(*remote);
-    std::printf("pool=%zu conn/shard : %8.2f ms total | %8.2f ms/query | "
-                "%8.0f queries/s\n",
-                pool_size, ms, ms / total_queries,
-                total_queries * 1000.0 / ms);
-  }
-
-  // Replica sweep: a second interchangeable server per shard joins, and
-  // the replica-aware factory round-robins across both.
-  for (size_t replicas : {1u, 2u}) {
-    std::vector<std::vector<ShardEndpoint>> replica_map(num_shards);
-    std::vector<std::unique_ptr<ShardServer>> extra;
-    for (size_t s = 0; s < num_shards; ++s) {
-      replica_map[s].push_back(endpoints[s]);
-      for (size_t r = 1; r < replicas; ++r) {
-        ShardServerOptions options;
-        options.num_workers = 8;
-        auto server = ShardServer::Create(*manifest_path, s, options);
-        server.status().Abort("creating a replica server");
-        (*server)->Start().Abort("starting a replica server");
-        replica_map[s].push_back(
-            ShardEndpoint{"127.0.0.1", (*server)->port()});
-        extra.push_back(std::move(*server));
-      }
-    }
-    ReplicaRouterOptions options;
-    options.rpc.pool_size = 2;
-    auto remote = ShardedSketchIndex::Load(
-        *manifest_path,
-        ReplicaShardClient::Factory(replica_map, options));
-    remote.status().Abort("assembling the replicated sharded index");
-    const double ms = drive(*remote);
-    std::printf("replicas=%zu /shard  : %8.2f ms total | %8.2f ms/query | "
-                "%8.0f queries/s\n",
-                replicas, ms, ms / total_queries,
-                total_queries * 1000.0 / ms);
-    for (auto& server : extra) server->Stop();
-  }
-  for (auto& server : servers) server->Stop();
-  std::filesystem::remove_all(shard_root);
-  std::printf("(pool size bounds one router's in-flight requests per "
-              "shard; replicas add whole servers — on one host both mostly "
-              "buy concurrency headroom, across hosts they buy real "
-              "hardware)\n");
-}
-
-// Part 6: the JMRP wire — request pipelining on one connection and
-// across a small pool of connections.
-void RunPipelinedServing(const BenchParams& params,
-                                const TableRepository& repository,
-                                bool smoke, Rng* rng) {
-  const JoinMIConfig config = MakeJoinConfig(params);
-  SketchIndex index(config);
-  index.IndexRepository(repository).status().Abort("building the index");
-  auto query_table = MakeBaseTable(params, rng);
-  const size_t num_shards = 2;
-
-  const std::string shard_root =
-      "/tmp/joinmi_bench_pipeline_shards." + std::to_string(getpid());
-  auto manifest_path = BuildShards(index, num_shards,
-                                   ShardPartitionPolicy::kRoundRobin,
-                                   shard_root);
-  manifest_path.status().Abort("partitioning the index");
-  auto local = ShardedSketchIndex::Load(*manifest_path);
-  local.status().Abort("loading the local sharded index");
-  auto reference = TopKJoinMISearch(*query_table, {"K", "Y"}, *local,
-                                    params.top_k, 1);
-  reference.status().Abort("serial reference search");
-
-  std::vector<std::unique_ptr<ShardServer>> servers;
-  std::vector<ShardEndpoint> endpoints;
-  for (size_t s = 0; s < num_shards; ++s) {
-    ShardServerOptions options;
-    options.num_workers = 8;
-    auto server = ShardServer::Create(*manifest_path, s, options);
-    server.status().Abort("creating a shard server");
-    (*server)->Start().Abort("starting a shard server");
-    endpoints.push_back(ShardEndpoint{"127.0.0.1", (*server)->port()});
-    servers.push_back(std::move(*server));
-  }
-
-  // Drives `concurrency` client threads through the router,
-  // cross-checking every ranking, and returns total wall ms.
-  auto drive = [&](const ShardedSketchIndex& router, size_t concurrency,
-                   size_t queries_each) {
-    const auto start = std::chrono::steady_clock::now();
-    std::vector<std::thread> threads;
-    for (size_t t = 0; t < concurrency; ++t) {
-      threads.emplace_back([&] {
-        for (size_t q = 0; q < queries_each; ++q) {
-          auto result = TopKJoinMISearch(*query_table, {"K", "Y"}, router,
-                                         params.top_k, 1);
-          result.status().Abort("pipelined RPC search");
-          ExpectSameRanking(*reference, *result,
-                            "serial local and pipelined RPC");
-        }
-      });
-    }
-    for (std::thread& thread : threads) thread.join();
-    return MillisSince(start);
-  };
-
-  const size_t queries_each = smoke ? 2 : 4;
-  std::printf("\n== JMRP: pipelining (%zu shards, "
-              "1 connection/shard unless noted) ==\n",
-              num_shards);
-
-  // (a) Queries/sec vs concurrent query count on ONE connection per
-  // shard: requests interleave on the socket and responses demux by
-  // request_id.
-  for (size_t concurrency : {1u, 8u, 16u}) {
-    if (smoke && concurrency > 8) break;
-    RpcClientOptions options;
-    options.pool_size = 1;
-    auto remote = ShardedSketchIndex::Load(
-        *manifest_path, RpcShardClient::Factory(endpoints, options));
-    remote.status().Abort("assembling the RPC sharded index");
-    const double ms = drive(*remote, concurrency, queries_each);
-    std::printf("inflight=%-3zu : %8.0f queries/s pipelined\n", concurrency,
-                concurrency * queries_each * 1000.0 / ms);
-  }
-
-  // (b) Open-connection sweep under fixed concurrency: more sockets vs
-  // deeper pipelines on fewer sockets.
-  const size_t sweep_concurrency = smoke ? 4 : 8;
-  for (size_t pool : {1u, 2u, 4u}) {
-    RpcClientOptions options;
-    options.pool_size = pool;
-    auto remote = ShardedSketchIndex::Load(
-        *manifest_path, RpcShardClient::Factory(endpoints, options));
-    remote.status().Abort("assembling the RPC sharded index");
-    const double ms = drive(*remote, sweep_concurrency, queries_each);
-    std::printf("conns=%zu/shard: %8.0f queries/s at inflight=%zu\n",
-                pool, sweep_concurrency * queries_each * 1000.0 / ms,
-                sweep_concurrency);
-  }
-
-  for (auto& server : servers) server->Stop();
-  std::filesystem::remove_all(shard_root);
 }
 
 // Part 7: paged shard storage vs whole-file in-memory shards — cold
@@ -1897,11 +1434,6 @@ int Run(size_t threads, bool smoke) {
   RecordMetric("engine_x1_ms", engine1_ms);
   RecordMetric("engine_xT_ms", engineN_ms);
 
-  RunIndexAmortization(params, repository, threads, &rng);
-  RunShardScaling(params, repository, threads, &rng);
-  RunRpcServing(params, repository, threads, &rng);
-  RunConcurrentServing(params, repository, smoke, &rng);
-  RunPipelinedServing(params, repository, smoke, &rng);
   RunPagedStorage(params, repository, threads, smoke, &rng);
   RunFrontTier(params, smoke, &rng);
   RunFlatHotPath(params, threads, smoke, &rng);

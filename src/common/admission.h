@@ -5,7 +5,7 @@
 // with a machine-readable "retry_after_ms=N" hint in the message, retries
 // after the hint, and the system stays responsive for the work it already
 // admitted. Both the Router (client-side fan-out) and the ShardServer's
-// ThreadPool dispatch gate through this class.
+// request queue gate through this class.
 //
 // Depth semantics: "pending" counts work that has entered the gate and not
 // yet exited — queued AND executing. With limit L, the L+1-th concurrent

@@ -7,36 +7,7 @@
 
 namespace joinmi {
 
-ThreadPool::ThreadPool(size_t num_threads) {
-  if (num_threads == 0) num_threads = DefaultThreadCount();
-  num_threads = std::min(num_threads, kMaxThreads);
-  workers_.reserve(num_threads);
-  for (size_t i = 0; i < num_threads; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
-  }
-}
-
-ThreadPool::~ThreadPool() {
-  Wait();
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stopping_ = true;
-  }
-  wake_.notify_all();
-  for (std::thread& worker : workers_) worker.join();
-}
-
-size_t ThreadPool::queue_size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return queue_.size();
-}
-
-void ThreadPool::Wait() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  idle_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
-}
-
-size_t ThreadPool::DefaultThreadCount() {
+size_t DefaultThreadCount() {
   // hardware_concurrency() counts the host's online CPUs, which
   // oversubscribes a process confined by taskset or a cpuset. The mask is
   // the main thread's (pid == its tid): the one the process was started
@@ -51,29 +22,9 @@ size_t ThreadPool::DefaultThreadCount() {
   return std::max<size_t>(1, std::thread::hardware_concurrency());
 }
 
-void ThreadPool::WorkerLoop() {
-  for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      wake_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stopping_ and drained
-      task = std::move(queue_.front());
-      queue_.pop_front();
-      ++active_;
-    }
-    task();
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      --active_;
-      if (queue_.empty() && active_ == 0) idle_.notify_all();
-    }
-  }
-}
-
 WorkSharingPool::WorkSharingPool(size_t num_threads) {
-  if (num_threads == 0) num_threads = ThreadPool::DefaultThreadCount();
-  num_threads = std::min(num_threads, ThreadPool::kMaxThreads);
+  if (num_threads == 0) num_threads = DefaultThreadCount();
+  num_threads = std::min(num_threads, kMaxPoolThreads);
   workers_.reserve(num_threads);
   for (size_t i = 0; i < num_threads; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
@@ -97,7 +48,7 @@ WorkSharingPool& WorkSharingPool::Shared() {
 }
 
 size_t WorkSharingPool::HelpersFor(size_t n, size_t max_threads) const {
-  if (max_threads == 0) max_threads = ThreadPool::DefaultThreadCount();
+  if (max_threads == 0) max_threads = DefaultThreadCount();
   if (n <= 1 || max_threads <= 1) return 0;
   return std::min({max_threads - 1, n - 1, workers_.size()});
 }

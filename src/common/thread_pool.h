@@ -1,27 +1,21 @@
-// Thread pools. Two shapes, for two kinds of work:
-//
-//  - ParallelFor / WorkSharingPool: the query path's fan-out (candidate
-//    strips, shards, repository pairs). One process-wide pool, created on
-//    first use and never destroyed, runs every fan-out. The calling thread
-//    claims indices itself and up to `max_threads - 1` pool workers help
-//    it, all drawing from one atomic counter, so a worker that finishes
-//    one shard's strips early moves on to another's. Because the caller
-//    never waits for a worker to *start*, calls may nest (a shard's strips
-//    fan out from inside a worker running the shard) without deadlock, and
-//    the workers keep their thread-local scratch warm across queries. A
-//    call allocates nothing: its job lives on the caller's stack.
-//  - ThreadPool: a locked task queue with futures, for long-lived
-//    independent tasks (a server's request workers).
+// ParallelFor / WorkSharingPool: the fan-out of the query path (candidate
+// strips, shards) and of the index build (column pairs). One process-wide
+// pool, created on first use and never destroyed, runs every fan-out. The
+// calling thread claims indices itself and up to `max_threads - 1` pool
+// workers help it, all drawing from one atomic counter, so a worker that
+// finishes one shard's strips early moves on to another's. Because the
+// caller never waits for a worker to *start*, calls may nest (a shard's
+// strips fan out from inside a worker running the shard) without
+// deadlock, and the workers keep their thread-local scratch warm across
+// queries. A call allocates nothing: its job lives on the caller's stack.
 
 #ifndef JOINMI_COMMON_THREAD_POOL_H_
 #define JOINMI_COMMON_THREAD_POOL_H_
 
 #include <atomic>
 #include <condition_variable>
-#include <deque>
+#include <cstddef>
 #include <exception>
-#include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -31,66 +25,15 @@
 
 namespace joinmi {
 
-/// \brief A fixed-size pool of worker threads draining a shared task queue.
-///
-/// Tasks may themselves submit further tasks. The destructor waits for all
-/// queued and running tasks to finish before joining the workers.
-class ThreadPool {
- public:
-  /// \brief Starts `num_threads` workers; 0 means DefaultThreadCount().
-  /// Requests are capped at `kMaxThreads` so a miscomputed count degrades
-  /// instead of exhausting the process thread limit.
-  explicit ThreadPool(size_t num_threads = 0);
+/// \brief Upper bound on the workers of one pool (the shared pool, a
+/// shard server's request workers), so a miscomputed count degrades
+/// instead of exhausting the process thread limit.
+constexpr size_t kMaxPoolThreads = 1024;
 
-  /// Upper bound on workers per pool.
-  static constexpr size_t kMaxThreads = 1024;
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  /// \brief Drains the queue and joins all workers.
-  ~ThreadPool();
-
-  size_t num_threads() const { return workers_.size(); }
-
-  /// \brief Number of tasks currently queued (excludes running tasks).
-  size_t queue_size() const;
-
-  /// \brief Enqueues a callable and returns a future for its result. The
-  /// callable's exceptions propagate through the future.
-  template <typename F>
-  auto Submit(F&& fn) -> std::future<std::invoke_result_t<F>> {
-    using R = std::invoke_result_t<F>;
-    auto task =
-        std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
-    std::future<R> future = task->get_future();
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      queue_.emplace_back([task] { (*task)(); });
-    }
-    wake_.notify_one();
-    return future;
-  }
-
-  /// \brief Blocks until every queued and running task has completed.
-  void Wait();
-
-  /// \brief CPUs this process may run on, never zero: the affinity mask
-  /// of its main thread, so a taskset- or cpuset-limited process counts
-  /// only its own, and a thread that pins only itself changes nothing.
-  static size_t DefaultThreadCount();
-
- private:
-  void WorkerLoop();
-
-  mutable std::mutex mutex_;
-  std::condition_variable wake_;   // workers wait here for tasks
-  std::condition_variable idle_;   // Wait() blocks here
-  std::deque<std::function<void()>> queue_;
-  std::vector<std::thread> workers_;
-  size_t active_ = 0;   // tasks currently executing
-  bool stopping_ = false;
-};
+/// \brief CPUs this process may run on, never zero: the affinity mask of
+/// its main thread, so a taskset- or cpuset-limited process counts only
+/// its own, and a thread that pins only itself changes nothing.
+size_t DefaultThreadCount();
 
 /// \brief Workers that help callers run `fn(0..n-1)`; see the file
 /// comment. There is no global Wait(): each ParallelFor call waits for
@@ -98,7 +41,7 @@ class ThreadPool {
 class WorkSharingPool {
  public:
   /// \brief Starts `num_threads` workers (0 = DefaultThreadCount(), capped
-  /// at ThreadPool::kMaxThreads).
+  /// at kMaxPoolThreads).
   explicit WorkSharingPool(size_t num_threads);
 
   WorkSharingPool(const WorkSharingPool&) = delete;

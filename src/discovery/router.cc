@@ -31,7 +31,7 @@ Result<ShardClientFactory> ResolveFactory(const RouterOptions& options) {
                             ReadShardEndpoints(options.endpoints_path));
   }
   if (replicas.empty()) {
-    return LocalShardFactory(options.serving);
+    return ShardedSketchIndex::LocalFileFactory(options.serving.local());
   }
   const bool replicated =
       std::any_of(replicas.begin(), replicas.end(),
@@ -44,9 +44,11 @@ Result<ShardClientFactory> ResolveFactory(const RouterOptions& options) {
     for (std::vector<ShardEndpoint>& shard : replicas) {
       endpoints.push_back(std::move(shard[0]));
     }
-    return RpcShardFactory(std::move(endpoints), options.serving);
+    return RpcShardClient::Factory(std::move(endpoints),
+                                   options.serving.rpc());
   }
-  return ReplicaShardFactory(std::move(replicas), options.serving);
+  return ReplicaShardClient::Factory(std::move(replicas),
+                                     options.serving.replica());
 }
 
 }  // namespace

@@ -1,58 +1,27 @@
-// Parallel batch discovery: fan one MI-over-join query out across every
-// candidate column pair in a repository and return a deterministic top-k —
-// the online half of the paper's discovery deployment (Section V-C), built
-// for scale: the base sketch is built once and shared (read-only) by all
-// worker threads, and results are merged in candidate-enumeration order so
-// rankings are identical for any thread count.
+// Top-k discovery: sketch one query table and rank every candidate of an
+// indexed target by the MI of its join with the query — the online half of
+// the paper's discovery deployment (Section V-C). Candidates are sketched
+// once, offline, by SketchIndex::IndexRepository (or loaded from index and
+// shard files); a search only sketches the query. The result/spec types
+// live in searchable.h.
 //
-// Entry points (the result/spec types live in searchable.h):
-//   - the repository-scan overload, which sketches every candidate per
-//     query (no index needed);
-//   - the Searchable overload, which drives ANY indexed target —
-//     SketchIndex, ShardedSketchIndex, or discovery::Router — through one
-//     interface.
+//   SketchIndex index(config);
+//   JOINMI_ASSIGN_OR_RETURN(size_t indexed, index.IndexRepository(repo));
+//   auto top = TopKJoinMISearch(query_table, {"K", "Y"}, index, /*k=*/10);
 
 #ifndef JOINMI_DISCOVERY_SEARCH_H_
 #define JOINMI_DISCOVERY_SEARCH_H_
 
 #include <cstddef>
-#include <string>
-#include <vector>
 
 #include "src/common/status.h"
 #include "src/core/join_mi.h"
-#include "src/discovery/repository.h"
 #include "src/discovery/searchable.h"
 #include "src/discovery/sharded_index.h"
 #include "src/discovery/sketch_index.h"
 #include "src/table/table.h"
 
 namespace joinmi {
-
-/// \brief Execution knobs for the repository-scan TopKJoinMISearch.
-struct SearchConfig {
-  /// Threads per call (the caller plus shared-pool workers); 0 means
-  /// DefaultThreadCount(), 1 runs inline. Rankings do not depend on it.
-  size_t num_threads = 0;
-  /// Per-query sketching/estimation configuration.
-  JoinMIConfig join_config;
-};
-
-/// \brief Searches the repository for the k candidate column pairs whose
-/// join-aggregation with `base_table` has the highest estimated MI with
-/// `spec.base_target`.
-///
-/// The base table's sketch is built exactly once and probed concurrently;
-/// every candidate pair from `repository.ExtractColumnPairs()` is sketched
-/// and estimated independently, so the search parallelizes embarrassingly.
-/// Candidates whose estimate fails (e.g. overlap below
-/// `config.join_config.min_join_size`) are counted in `num_skipped` rather
-/// than failing the search.
-Result<TopKSearchResult> TopKJoinMISearch(const Table& base_table,
-                                          const SearchSpec& spec,
-                                          const TableRepository& repository,
-                                          size_t k,
-                                          const SearchConfig& config = {});
 
 /// \brief Index-backed search over any Searchable target: sketches the
 /// base table once with the *target's* JoinMIConfig (so query and

@@ -7,9 +7,9 @@
 // them. SketchIndex, ShardedSketchIndex, and Router all implement it.
 //
 // This header also owns the result/spec types. TopKSearchResult is the
-// answer of every search, from the repository scan through one shard
-// (ShardClient, local or remote) to the cross-shard merge; topk_merge.h
-// builds and merges it.
+// answer of every search, from one index through one shard (ShardClient,
+// local or remote) to the cross-shard merge; topk_merge.h builds and
+// merges it.
 
 #ifndef JOINMI_DISCOVERY_SEARCHABLE_H_
 #define JOINMI_DISCOVERY_SEARCHABLE_H_
@@ -35,9 +35,9 @@ struct SearchSpec {
 struct SearchHit {
   ColumnPairRef candidate;
   JoinMIEstimate estimate;
-  /// The candidate's position in the enumeration its search ranked: the
-  /// repository's pair order for a scan, insertion order for an index, the
-  /// global insertion index for a shard. Ties on MI break on it.
+  /// The candidate's position in the enumeration its search ranked:
+  /// insertion order for an index, the global insertion index for a shard.
+  /// Ties on MI break on it.
   uint64_t global_index = 0;
 };
 
@@ -63,20 +63,22 @@ enum class ShardQueryMode : uint8_t {
 /// \brief Outcome of one top-k discovery search.
 struct TopKSearchResult {
   /// Hits sorted by MI descending; ties break on SearchHit::global_index
-  /// (table name, then schema column order, for a repository scan; global
-  /// insertion order for an index, sharded or not), so the ranking is
-  /// stable and reproducible.
+  /// (global insertion order, sharded or not; IndexRepository inserts in
+  /// ExtractColumnPairs order: table name, then schema column order), so
+  /// the ranking is stable and reproducible.
   std::vector<SearchHit> hits;
-  /// Column pairs enumerated from the repository (or indexed candidates).
+  /// Indexed candidates searched.
   size_t num_candidates = 0;
   /// Candidates that produced an estimate.
   size_t num_evaluated = 0;
   /// Candidates skipped because the sketch-join overlap fell below
-  /// config.min_join_size — expected in healthy repositories.
+  /// config.min_join_size, or gave a sample its estimator cannot use —
+  /// expected in healthy repositories.
   size_t num_skipped = 0;
-  /// Candidates that failed hard (missing tables, unsketchable columns,
-  /// estimator errors). Kept separate from num_skipped so "overlap too
-  /// small" is distinguishable from "repository is broken".
+  /// Candidates that failed hard (estimator or type errors). Kept separate
+  /// from num_skipped so "overlap too small" is distinguishable from
+  /// "index is broken". A column pair that cannot be sketched never becomes
+  /// a candidate: IndexRepository leaves it out of the index.
   size_t num_errors = 0;
   /// Shards that did not answer, in shard order (sharded outage in
   /// degraded mode only; always empty otherwise, and never set by a single

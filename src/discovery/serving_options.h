@@ -2,18 +2,17 @@
 // there used to be three unrelated ones (RpcClientOptions for networking,
 // LocalShardLoadOptions, which is PagedShardClient::Options, for paged
 // local shards, and a loose cooldown on ReplicaRouterOptions).
-// RouterOptions embeds a ServingOptions and every ShardClientFactory
-// implementation consumes its slice, so an operator tunes a deployment in
-// one place regardless of which backend serves it. The per-layer structs
-// survive as derived slices (rpc()/replica()/local()) because each layer's
-// API keeps its narrow signature.
+// RouterOptions embeds a ServingOptions and Router::Open hands each
+// ShardClientFactory (LocalFileFactory, RpcShardClient::Factory,
+// ReplicaShardClient::Factory) its slice, so an operator tunes a
+// deployment in one place regardless of which backend serves it. The
+// per-layer structs survive as derived slices (rpc()/replica()/local())
+// because each layer's API keeps its narrow signature.
 
 #ifndef JOINMI_DISCOVERY_SERVING_OPTIONS_H_
 #define JOINMI_DISCOVERY_SERVING_OPTIONS_H_
 
-#include <cstdint>
-#include <utility>
-#include <vector>
+#include <cstddef>
 
 #include "src/discovery/replica_router.h"
 #include "src/discovery/rpc_shard_client.h"
@@ -66,25 +65,6 @@ struct ServingOptions {
     return options;
   }
 };
-
-/// \brief The three ShardClientFactory implementations, each fed from one
-/// ServingOptions — the construction seam Router::Open wires up, exposed
-/// for callers assembling a ShardedSketchIndex directly.
-inline ShardClientFactory LocalShardFactory(const ServingOptions& options) {
-  return ShardedSketchIndex::LocalFileFactory(options.local());
-}
-
-inline ShardClientFactory RpcShardFactory(
-    std::vector<ShardEndpoint> endpoints, const ServingOptions& options) {
-  return RpcShardClient::Factory(std::move(endpoints), options.rpc());
-}
-
-inline ShardClientFactory ReplicaShardFactory(
-    std::vector<std::vector<ShardEndpoint>> replica_endpoints,
-    const ServingOptions& options) {
-  return ReplicaShardClient::Factory(std::move(replica_endpoints),
-                                     options.replica());
-}
 
 }  // namespace joinmi
 

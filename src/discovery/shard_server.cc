@@ -1,9 +1,11 @@
 #include "src/discovery/shard_server.h"
 
 #include <algorithm>
+#include <exception>
 #include <filesystem>
 #include <utility>
 
+#include "src/common/thread_pool.h"
 #include "src/core/join_mi.h"
 #include "src/discovery/rpc_messages.h"
 #include "src/discovery/shard_manifest.h"
@@ -184,7 +186,6 @@ Status ShardServer::Start() {
   JOINMI_ASSIGN_OR_RETURN(net::Listener listener,
                           net::Listener::Bind(options_.host, options_.port));
   port_ = listener.port();
-  workers_ = std::make_unique<ThreadPool>(options_.num_workers);
   net::EventLoopOptions loop_options;
   loop_options.idle_timeout_ms = options_.io_timeout_ms;
   JOINMI_ASSIGN_OR_RETURN(
@@ -214,20 +215,53 @@ Status ShardServer::Start() {
             }
             // The ticket rides to the worker and releases when the frame
             // is fully handled — pending counts queued AND executing.
-            auto shared = std::make_shared<net::Frame>(std::move(frame));
-            auto held =
-                std::make_shared<AdmissionGate::Ticket>(std::move(ticket));
-            workers_->Submit([this, conn, shared, held] {
-              HandleFrame(conn, std::move(*shared));
-              held->Release();
-            });
+            {
+              std::lock_guard<std::mutex> lock(work_mutex_);
+              work_queue_.push_back(
+                  PendingFrame{conn, std::move(frame), std::move(ticket)});
+            }
+            work_ready_.notify_one();
           },
           [this](net::EventLoop::ConnId conn) {
             std::lock_guard<std::mutex> lock(cache_mutex_);
             sketch_cache_.erase(conn);
           },
           loop_options));
+  const size_t num_workers = std::min(options_.num_workers, kMaxPoolThreads);
+  workers_.reserve(num_workers);
+  for (size_t i = 0; i < num_workers; ++i) {
+    workers_.emplace_back([this] { WorkerLoop(); });
+  }
   return loop_->Start();
+}
+
+void ShardServer::WorkerLoop() {
+  std::unique_lock<std::mutex> lock(work_mutex_);
+  for (;;) {
+    work_ready_.wait(
+        lock, [this] { return workers_stopping_ || !work_queue_.empty(); });
+    if (work_queue_.empty()) return;  // stopping, and nothing slipped in
+    PendingFrame pending = std::move(work_queue_.front());
+    work_queue_.pop_front();
+    ++frames_running_;
+    lock.unlock();
+    try {
+      HandleFrame(pending.conn, pending.frame);
+    } catch (const std::exception& error) {
+      // Forwarded, not dropped: the client hears of the failure now
+      // instead of waiting out its timeout, and this worker keeps serving.
+      Reply(pending.conn, pending.frame, net::FrameType::kError,
+            rpc::EncodeErrorPayload(Status::UnknownError(
+                std::string("shard server failed to handle a ") +
+                net::FrameTypeToString(pending.frame.type) + " frame: " +
+                error.what())));
+    }
+    pending.ticket.Release();
+    lock.lock();
+    if (--frames_running_ == 0 && work_queue_.empty()) {
+      work_idle_.notify_all();
+    }
+  }
 }
 
 void ShardServer::Stop() {
@@ -237,16 +271,26 @@ void ShardServer::Stop() {
     if (loop_ == nullptr) return;  // never started
     // Phase 1: stop accepting and reading, so no new frames arrive.
     loop_->Quiesce();
-    // Phase 2: drain the workers (their replies queue into the loop).
-    workers_->Wait();
+    // Phase 2: drain the queue (the workers' replies queue into the loop).
+    {
+      std::unique_lock<std::mutex> lock(work_mutex_);
+      work_idle_.wait(lock, [this] {
+        return work_queue_.empty() && frames_running_ == 0;
+      });
+    }
     // Phase 3: flush queued responses, then join the loop thread. After
-    // this no frame callback can run, so no new worker task can appear.
+    // this no frame callback can run, so no new frame can be queued.
     loop_->Stop(/*flush_timeout_ms=*/1000);
     // Phase 4: a frame read just before quiesce took effect may have
-    // slipped a task past phase 2; the pool destructor drains it (its
-    // reply is dropped by the stopped loop — indistinguishable from a
-    // crash mid-send, which clients already handle).
-    workers_.reset();
+    // slipped into the queue past phase 2; the workers run it before they
+    // exit (its reply is dropped by the stopped loop — indistinguishable
+    // from a crash mid-send, which clients already handle).
+    {
+      std::lock_guard<std::mutex> lock(work_mutex_);
+      workers_stopping_ = true;
+    }
+    work_ready_.notify_all();
+    for (std::thread& worker : workers_) worker.join();
     std::lock_guard<std::mutex> lock(cache_mutex_);
     sketch_cache_.clear();
   });
@@ -259,7 +303,7 @@ void ShardServer::Reply(net::EventLoop::ConnId conn,
 }
 
 void ShardServer::HandleFrame(net::EventLoop::ConnId conn,
-                              net::Frame frame) {
+                              const net::Frame& frame) {
   // Admission-time snapshot: this frame evaluates entirely against the
   // generation serving when its worker picked it up, even if a Reload
   // swaps the client mid-evaluation.

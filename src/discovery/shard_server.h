@@ -7,15 +7,16 @@
 // stats and reloads.
 //
 // Concurrency: a single epoll event loop (net::EventLoop) owns every
-// connection's reads and writes; each decoded frame becomes one task on a
-// bounded ThreadPool of request workers, and the worker's reply is queued
-// back through the loop. Responses therefore complete out of order and
-// are paired by the request_id — one connection can have num_workers
-// requests in flight, where the old thread-per-connection design served
-// each connection strictly sequentially. Every search evaluates with a
-// fixed per-request thread count, so total parallelism is bounded by
-// num_workers x eval_threads regardless of how many routers connect.
-// Rankings do not depend on either knob.
+// connection's reads and writes; each decoded frame joins one queue,
+// which a fixed set of num_workers request-worker threads drains, and the
+// worker's reply is queued back through the loop. Responses therefore
+// complete out of order and are paired by the request_id — one connection
+// can have num_workers requests in flight, where the old
+// thread-per-connection design served each connection strictly
+// sequentially. Every search evaluates with a fixed per-request thread
+// count, so total parallelism is bounded by num_workers x eval_threads
+// regardless of how many routers connect. Rankings do not depend on
+// either knob.
 //
 // Sketch cache: a client uploads its serialized train sketch once
 // (keyed by wire::Checksum64 digest, recomputed server-side) and then
@@ -35,16 +36,19 @@
 #define JOINMI_DISCOVERY_SHARD_SERVER_H_
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <unordered_map>
+#include <vector>
 
 #include "src/common/admission.h"
 #include "src/common/metrics.h"
-#include "src/common/thread_pool.h"
 #include "src/core/join_mi.h"
 #include "src/discovery/paged_shard_index.h"
 #include "src/discovery/sharded_index.h"
@@ -60,8 +64,9 @@ struct ShardServerOptions {
   std::string host = "127.0.0.1";
   /// Port to bind; 0 binds an ephemeral port reported by port().
   uint16_t port = 0;
-  /// Request-worker pool size — the bound on frames being evaluated
+  /// Request-worker threads — the bound on frames being evaluated
   /// simultaneously (across all connections; further frames queue).
+  /// Must be at least 1; capped at kMaxPoolThreads.
   size_t num_workers = 4;
   /// Threads per search evaluation (1 = inline; results never depend on
   /// this).
@@ -111,7 +116,8 @@ class ShardServer {
   Status Start();
 
   /// \brief Graceful teardown: quiesce (stop accepting/reading), drain
-  /// the worker pool, flush pending responses, join the loop. Idempotent
+  /// the request queue, flush pending responses, join the loop, then run
+  /// any frame that slipped past the drain and join the workers. Idempotent
   /// and safe to call from multiple threads concurrently — teardown runs
   /// exactly once and every caller blocks until it finished.
   void Stop();
@@ -204,8 +210,19 @@ class ShardServer {
   /// generation is freed when its last in-flight query drops the ref.
   std::shared_ptr<const ShardClient> Snapshot() const;
 
+  /// One decoded frame waiting for a request worker, holding its
+  /// admission slot (if it took one) until it has been handled.
+  struct PendingFrame {
+    net::EventLoop::ConnId conn;
+    net::Frame frame;
+    AdmissionGate::Ticket ticket;
+  };
+
+  /// Each request worker: handles queued frames in arrival order until
+  /// Stop() sets workers_stopping_ and the queue is empty.
+  void WorkerLoop();
   /// Runs on a worker thread: decode, evaluate, queue the reply.
-  void HandleFrame(net::EventLoop::ConnId conn, net::Frame frame);
+  void HandleFrame(net::EventLoop::ConnId conn, const net::Frame& frame);
   /// Answers `request` under its request id.
   void Reply(net::EventLoop::ConnId conn, const net::Frame& request,
              net::FrameType type, const std::string& payload);
@@ -254,7 +271,16 @@ class ShardServer {
   std::mutex reload_mutex_;
 
   std::unique_ptr<net::EventLoop> loop_;
-  std::unique_ptr<ThreadPool> workers_;
+  // The request queue: the loop thread pushes, the workers pop.
+  // work_ready_ wakes a worker; work_idle_ wakes Stop()'s drain once no
+  // frame is queued or running.
+  std::mutex work_mutex_;
+  std::condition_variable work_ready_;
+  std::condition_variable work_idle_;
+  std::deque<PendingFrame> work_queue_;
+  size_t frames_running_ = 0;
+  bool workers_stopping_ = false;
+  std::vector<std::thread> workers_;
   uint16_t port_ = 0;
   std::atomic<bool> started_{false};
   std::once_flag stop_once_;

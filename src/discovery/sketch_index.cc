@@ -119,8 +119,7 @@ Result<size_t> SketchIndex::IndexRepository(
     JOINMI_ASSIGN_OR_RETURN(auto table, repository.GetTable(ref.table_name));
     tables.push_back(std::move(table));
   }
-  const size_t wave =
-      kPairsPerThreadPerWave * ThreadPool::DefaultThreadCount();
+  const size_t wave = kPairsPerThreadPerWave * DefaultThreadCount();
   std::vector<std::optional<Sketch>> sketches(std::min(wave, refs.size()));
   size_t indexed = 0;
   for (size_t begin = 0; begin < refs.size(); begin += wave) {

@@ -1,7 +1,7 @@
 // The discovery ranking order, defined once: MI descending, then an
 // ordering key ascending (SearchHit::global_index: the candidate's position
-// in the enumeration its search ranked — repository pair order for a scan,
-// insertion order for an index, the global insertion index for a shard).
+// in the enumeration its search ranked — insertion order for an index, the
+// global insertion index for a shard).
 // Every ranked answer is a TopKSearchResult built by the three helpers
 // here, in order: TallyOutcomes turns per-candidate outcomes into an
 // IndexEvaluation, RankTopK selects one evaluation's top k, and MergeRanked
@@ -29,9 +29,10 @@
 namespace joinmi {
 namespace internal {
 
-/// \brief One candidate's outcome in a whole-index, whole-shard or
-/// repository evaluation, written by exactly one worker: an estimate, a
-/// skip (join below min_join_size), or neither — a hard error.
+/// \brief One candidate's outcome in a whole-index or whole-shard
+/// evaluation, written by exactly one worker: an estimate, a skip (an
+/// OutOfRange score: a join below min_join_size, or one its estimator
+/// cannot use), or neither — a hard error.
 struct CandidateOutcome {
   std::optional<JoinMIEstimate> estimate;
   bool skipped = false;
@@ -50,15 +51,6 @@ struct CandidateOutcome {
       estimate = JoinMIEstimate{scored->mi, scored->estimator,
                                 scored->join_size, /*sketched=*/true};
     } else if (scored.status().IsOutOfRange()) {
-      skipped = true;
-    }
-  }
-
-  /// \brief Records a repository candidate's JoinMIQuery::EstimateTable.
-  void Record(const Result<JoinMIEstimate>& estimated) {
-    if (estimated.ok()) {
-      estimate = *estimated;
-    } else if (estimated.status().IsOutOfRange()) {
       skipped = true;
     }
   }

@@ -50,8 +50,11 @@ Result<double> MutualInformationDCKSG(const uint64_t* x_keys,
       s.keep[i] = class_count[cls[i]] >= 2;
       kept += s.keep[i];
     }
+    // Like a sample below MinimumSamples, this is a join too small to
+    // estimate (an identifier-like discrete side), not a broken input, so
+    // it is OutOfRange and a search counts the candidate as skipped.
     if (kept == 0) {
-      return Status::InvalidArgument(
+      return Status::OutOfRange(
           "DC-KSG: every discrete value is unique; no within-class "
           "neighbors");
     }

@@ -19,7 +19,8 @@ namespace joinmi {
 
 /// \brief DC-KSG MI estimate in nats over n paired observations: X
 /// discrete, given as one u64 class key per observation (equal keys, same
-/// class — e.g. Value::Hash()), Y continuous.
+/// class — e.g. Value::Hash()), Y continuous. OutOfRange when no discrete
+/// value repeats: with every sample dropped there is nothing to estimate.
 Result<double> MutualInformationDCKSG(const uint64_t* x_keys, const double* ys,
                                       size_t n, int k = 3);
 

@@ -448,9 +448,13 @@ TEST(DcKsgTest, SmallClassesClampK) {
 }
 
 TEST(DcKsgTest, AllUniqueClassesFail) {
+  // OutOfRange, the status of a sample too small to estimate, so a search
+  // skips such a candidate instead of counting an error.
   std::vector<Value> xs = {Value("a"), Value("b"), Value("c")};
   std::vector<double> ys = {1.0, 2.0, 3.0};
-  EXPECT_FALSE(MutualInformationDCKSG(xs, ys, 3).ok());
+  auto mi = MutualInformationDCKSG(xs, ys, 3);
+  ASSERT_FALSE(mi.ok());
+  EXPECT_TRUE(mi.status().IsOutOfRange()) << mi.status();
 }
 
 // ---------------------------------------------------------- Estimator API --

@@ -7,8 +7,9 @@
 // scratch warm, and a ParallelFor call allocates nothing per index. And an
 // estimate on a sample too large for that scratch (a materialized join),
 // a sketch join too large for the kernel's scratch, or a sketch of a
-// column too large for the reused key coder, must leave no heap behind —
-// on the caller and on the pool's workers.
+// column too large for the reused key coder (an index build sketching on
+// the pool), must leave no heap behind — on the caller and on the pool's
+// workers.
 //
 // Every heap allocation in this binary bumps one counter and the live-byte
 // total (a replaced global operator new), which catches allocations hidden
@@ -189,10 +190,29 @@ TEST(ScoringAllocationTest, EvaluateAllAllocationsDoNotGrowWithCandidates) {
   }
 }
 
-// Heap allocations of one call, once 20 earlier calls have warmed
-// the caller and the shared pool's workers.
-template <typename Call>
-uint64_t WarmAllocationsOf(Call&& call) {
+// Runs `warm()` once on every thread that can take part in a shared-pool
+// fan-out: each pool worker and the caller hold one index until all have
+// arrived, so no thread runs two and every one runs `warm()` itself.
+template <typename Warm>
+void OnEveryPoolThread(Warm&& warm) {
+  WorkSharingPool& pool = WorkSharingPool::Shared();
+  const size_t participants = pool.num_threads() + 1;
+  std::atomic<size_t> arrived{0};
+  pool.ParallelFor(participants, participants, [&](size_t) {
+    arrived.fetch_add(1);
+    while (arrived.load() < participants) std::this_thread::yield();
+    warm();
+  });
+}
+
+// Heap allocations of one call, once `warm_each_thread()` has run on every
+// pool thread and 20 earlier calls have warmed the caller and the shared
+// pool's workers. Which workers help a call is up to the pool, so the 20
+// calls alone may leave a worker that first scores a candidate inside the
+// counted call.
+template <typename WarmEachThread, typename Call>
+uint64_t WarmAllocationsOf(WarmEachThread&& warm_each_thread, Call&& call) {
+  OnEveryPoolThread(warm_each_thread);
   for (int round = 0; round < 20; ++round) call();
   const uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
   call();
@@ -209,7 +229,10 @@ TEST(ScoringAllocationTest, FanOutAllocationsDoNotGrowWithCandidatesAtFourThread
   const size_t sizes[2] = {64, 256};
   for (int i = 0; i < 2; ++i) {
     const SketchIndex index = MakeIndex(sizes[i], config);
-    index_allocs[i] = WarmAllocationsOf([&] {
+    auto evaluate_inline = [&] {
+      EXPECT_TRUE(index.EvaluateAll(query, 1).ok());
+    };
+    index_allocs[i] = WarmAllocationsOf(evaluate_inline, [&] {
       auto evaluation = index.EvaluateAll(query, 4);
       ASSERT_TRUE(evaluation.ok()) << evaluation.status();
       // Every candidate joined and reached an estimator.
@@ -224,7 +247,10 @@ TEST(ScoringAllocationTest, FanOutAllocationsDoNotGrowWithCandidatesAtFourThread
     ASSERT_TRUE(manifest.ok()) << manifest.status();
     auto sharded = ShardedSketchIndex::Load(*manifest);
     ASSERT_TRUE(sharded.ok()) << sharded.status();
-    sharded_allocs[i] = WarmAllocationsOf([&] {
+    auto search_inline = [&] {
+      EXPECT_TRUE(sharded->Search(query, 10, 1).ok());
+    };
+    sharded_allocs[i] = WarmAllocationsOf(search_inline, [&] {
       auto result = sharded->Search(query, 10, 4);
       ASSERT_TRUE(result.ok()) << result.status();
       ASSERT_EQ(result->num_evaluated, index.size());
@@ -311,14 +337,9 @@ TEST(ScoringAllocationTest, LargeSketchJoinLeavesNoScratchBehind) {
     ASSERT_TRUE(small_index.AddSketch(ref, small_candidate).ok());
     ASSERT_TRUE(large_index.AddSketch(ref, large_candidate).ok());
   }
-  // Warm-up on every thread that can take part, as in the pooled scan
-  // below: each keeps the scratch of small joins.
-  WorkSharingPool& pool = WorkSharingPool::Shared();
-  const size_t participants = pool.num_threads() + 1;
-  std::atomic<size_t> arrived{0};
-  pool.ParallelFor(participants, participants, [&](size_t) {
-    arrived.fetch_add(1);
-    while (arrived.load() < participants) std::this_thread::yield();
+  // Warm-up on every thread that can take part: each keeps the scratch of
+  // small joins.
+  OnEveryPoolThread([&] {
     EXPECT_TRUE(small_query.Estimate(small_candidate).ok());
     EXPECT_TRUE(small_index.EvaluateAll(small_query, 1).ok());
   });
@@ -376,10 +397,11 @@ TEST(ScoringAllocationTest, LargeKeyColumnLeavesNoCoderBehind) {
   }
 }
 
-TEST(ScoringAllocationTest, PooledRepositoryScanOfLargeTablesLeavesNoCoderBehind) {
-  // Candidate keys are disjoint from the query's, so no estimator runs:
-  // the scan sketches the query on the caller and every candidate on
-  // whichever thread claims it, probes, and skips.
+TEST(ScoringAllocationTest, PooledIndexBuildOfLargeTablesLeavesNoCoderBehind) {
+  // IndexRepository sketches every candidate on whichever pool thread
+  // claims it, and the search sketches the query on the caller. Candidate
+  // keys are disjoint from the query's, so no estimator runs: the search
+  // probes and skips.
   constexpr size_t kCandidates = 4;
   auto make_repository = [](size_t rows) {
     auto repository = std::make_unique<TableRepository>();
@@ -397,27 +419,26 @@ TEST(ScoringAllocationTest, PooledRepositoryScanOfLargeTablesLeavesNoCoderBehind
   const auto small_repository = make_repository(1000);
   const auto large_repository = make_repository(kLargeKeyRows);
   const SearchSpec spec{"K", "Z"};
-  SearchConfig config;
-  config.num_threads = 4;
-  // Warm-up on every thread that can take part: each pool worker and the
-  // caller hold one index until all have arrived, then scan inline, so
-  // each keeps its small-column coder and scratch before the measurement.
-  WorkSharingPool& pool = WorkSharingPool::Shared();
-  const size_t participants = pool.num_threads() + 1;
-  std::atomic<size_t> arrived{0};
-  pool.ParallelFor(participants, participants, [&](size_t) {
-    arrived.fetch_add(1);
-    while (arrived.load() < participants) std::this_thread::yield();
-    SearchConfig inline_config;
-    inline_config.num_threads = 1;
-    EXPECT_TRUE(TopKJoinMISearch(*small_query, spec, *small_repository, 5,
-                                 inline_config)
-                    .ok());
+  const JoinMIConfig config;
+  // Warm-up on every thread that can take part: each sketches the small
+  // query and every small candidate itself and searches inline, so each
+  // keeps its small-column coder and scratch before the measurement.
+  OnEveryPoolThread([&] {
+    SketchIndex index(config);
+    for (const ColumnPairRef& ref : small_repository->ExtractColumnPairs()) {
+      EXPECT_TRUE(
+          index.AddCandidate(**small_repository->GetTable(ref.table_name), ref)
+              .ok());
+    }
+    EXPECT_TRUE(TopKJoinMISearch(*small_query, spec, index, 5, 1).ok());
   });
   const int64_t before = g_live_bytes.load(std::memory_order_relaxed);
   {
-    auto result =
-        TopKJoinMISearch(*large_query, spec, *large_repository, 5, config);
+    SketchIndex index(config);
+    auto indexed = index.IndexRepository(*large_repository);
+    ASSERT_TRUE(indexed.ok()) << indexed.status();
+    EXPECT_EQ(*indexed, kCandidates);
+    auto result = TopKJoinMISearch(*large_query, spec, index, 5, 4);
     ASSERT_TRUE(result.ok()) << result.status();
     EXPECT_EQ(result->num_candidates, kCandidates);
     EXPECT_EQ(result->num_skipped, kCandidates);

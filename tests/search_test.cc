@@ -1,6 +1,8 @@
-// Tests for the parallel top-k discovery engine: ranking correctness on a
-// synthetic repository, deterministic results across thread counts, the
-// stable tie-break, and skip accounting for unusable candidates.
+// Tests for the top-k discovery search over an index built by
+// SketchIndex::IndexRepository: ranking correctness on a synthetic
+// repository, deterministic results across thread counts (bit-identical to
+// the serial ScanReference), the stable tie-break, and the accounting of
+// skipped candidates and of pairs the index could not sketch.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +13,7 @@
 #include "src/common/random.h"
 #include "src/discovery/search.h"
 #include "src/table/table.h"
+#include "tests/scan_reference.h"
 
 namespace joinmi {
 namespace {
@@ -86,18 +89,28 @@ SyntheticUniverse MakeUniverse() {
   return universe;
 }
 
-SearchConfig MakeConfig(size_t num_threads) {
-  SearchConfig config;
-  config.num_threads = num_threads;
-  config.join_config.sketch_capacity = 128;
-  config.join_config.min_join_size = 16;
+JoinMIConfig MakeJoinConfig() {
+  JoinMIConfig config;
+  config.sketch_capacity = 128;
+  config.min_join_size = 16;
   return config;
+}
+
+// Indexes every column pair of `repository` under MakeJoinConfig(), then
+// searches the index with `num_threads`.
+Result<TopKSearchResult> IndexAndSearch(const Table& base,
+                                        const SearchSpec& spec,
+                                        const TableRepository& repository,
+                                        size_t k, size_t num_threads) {
+  SketchIndex index(MakeJoinConfig());
+  JOINMI_RETURN_NOT_OK(index.IndexRepository(repository).status());
+  return TopKJoinMISearch(base, spec, index, k, num_threads);
 }
 
 TEST(TopKJoinMISearchTest, RanksCandidatesByRelevance) {
   SyntheticUniverse universe = MakeUniverse();
-  auto result = TopKJoinMISearch(*universe.base, {"K", "Y"},
-                                 universe.repository, 10, MakeConfig(1));
+  auto result = IndexAndSearch(*universe.base, {"K", "Y"},
+                               universe.repository, 10, 1);
   ASSERT_TRUE(result.ok()) << result.status();
   // 4 tables x 1 string-key/int-value pair each.
   EXPECT_EQ(result->num_candidates, 4u);
@@ -119,52 +132,50 @@ TEST(TopKJoinMISearchTest, RanksCandidatesByRelevance) {
 
 TEST(TopKJoinMISearchTest, KTruncatesTheRanking) {
   SyntheticUniverse universe = MakeUniverse();
-  auto result = TopKJoinMISearch(*universe.base, {"K", "Y"},
-                                 universe.repository, 1, MakeConfig(1));
+  auto result = IndexAndSearch(*universe.base, {"K", "Y"},
+                               universe.repository, 1, 1);
   ASSERT_TRUE(result.ok()) << result.status();
   ASSERT_EQ(result->hits.size(), 1u);
   EXPECT_EQ(result->hits[0].candidate.table_name, "exact");
-  // Accounting still covers the whole repository.
+  // Accounting still covers the whole index.
   EXPECT_EQ(result->num_candidates, 4u);
   EXPECT_EQ(result->num_evaluated, 3u);
 }
 
 TEST(TopKJoinMISearchTest, RejectsZeroK) {
   SyntheticUniverse universe = MakeUniverse();
-  auto result = TopKJoinMISearch(*universe.base, {"K", "Y"},
-                                 universe.repository, 0, MakeConfig(1));
+  auto result = IndexAndSearch(*universe.base, {"K", "Y"},
+                               universe.repository, 0, 1);
   EXPECT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsInvalidArgument());
 }
 
 TEST(TopKJoinMISearchTest, FailsOnMissingBaseColumns) {
   SyntheticUniverse universe = MakeUniverse();
-  auto result = TopKJoinMISearch(*universe.base, {"nope", "Y"},
-                                 universe.repository, 3, MakeConfig(1));
+  auto result = IndexAndSearch(*universe.base, {"nope", "Y"},
+                               universe.repository, 3, 1);
   EXPECT_FALSE(result.ok());
 }
 
 TEST(TopKJoinMISearchTest, EmptyRepositoryYieldsEmptyResult) {
   SyntheticUniverse universe = MakeUniverse();
   TableRepository empty;
-  auto result =
-      TopKJoinMISearch(*universe.base, {"K", "Y"}, empty, 5, MakeConfig(2));
+  auto result = IndexAndSearch(*universe.base, {"K", "Y"}, empty, 5, 2);
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_TRUE(result->hits.empty());
   EXPECT_EQ(result->num_candidates, 0u);
 }
 
 // The determinism satellite: rankings must be byte-identical for any thread
-// count, including hardware-default.
+// count, including hardware-default, and to the serial scan reference.
 TEST(TopKJoinMISearchTest, ThreadCountDoesNotChangeTheRanking) {
   SyntheticUniverse universe = MakeUniverse();
-  auto serial = TopKJoinMISearch(*universe.base, {"K", "Y"},
-                                 universe.repository, 10, MakeConfig(1));
+  auto serial = ScanReference(*universe.base, {"K", "Y"},
+                              universe.repository, 10, MakeJoinConfig());
   ASSERT_TRUE(serial.ok()) << serial.status();
-  for (size_t num_threads : {2u, 4u, 8u, 0u}) {
-    auto parallel =
-        TopKJoinMISearch(*universe.base, {"K", "Y"}, universe.repository, 10,
-                         MakeConfig(num_threads));
+  for (size_t num_threads : {1u, 2u, 4u, 8u, 0u}) {
+    auto parallel = IndexAndSearch(*universe.base, {"K", "Y"},
+                                   universe.repository, 10, num_threads);
     ASSERT_TRUE(parallel.ok()) << parallel.status();
     EXPECT_EQ(parallel->num_candidates, serial->num_candidates);
     EXPECT_EQ(parallel->num_evaluated, serial->num_evaluated);
@@ -188,12 +199,14 @@ TEST(TopKJoinMISearchTest, ThreadCountDoesNotChangeTheRanking) {
   }
 }
 
-TEST(TopKJoinMISearchTest, CountsHardErrorsSeparatelyFromSkips) {
+TEST(TopKJoinMISearchTest, CountsUnsketchablePairsApartFromSkips) {
   // "disjoint" has no key overlap — an expected skip (overlap too small).
   // "textual" is all-string, so both of its extracted pairs feed a string
-  // value column to the default kAvg aggregation — hard errors. Operators
-  // must be able to tell these apart: skips are normal, errors mean the
-  // repository (or config) is broken for those candidates.
+  // value column to the default kAvg aggregation, which cannot sketch it:
+  // IndexRepository leaves both pairs out, and the pair count minus its
+  // return value says how many. Operators must be able to tell these
+  // apart: skips are normal, unsketchable pairs mean the repository (or
+  // config) is broken for those candidates.
   SyntheticUniverse universe = MakeUniverse();
   std::vector<std::string> keys;
   std::vector<std::string> words;
@@ -206,22 +219,26 @@ TEST(TopKJoinMISearchTest, CountsHardErrorsSeparatelyFromSkips) {
                 *Table::FromColumns({{"K", Column::MakeString(keys)},
                                      {"V", Column::MakeString(words)}}))
       .Abort();
+  ASSERT_EQ(universe.repository.ExtractColumnPairs().size(), 6u);
+  SketchIndex index(MakeJoinConfig());
+  auto indexed = index.IndexRepository(universe.repository);
+  ASSERT_TRUE(indexed.ok()) << indexed.status();
+  EXPECT_EQ(*indexed, 4u);
   for (size_t num_threads : {1u, 4u}) {
-    auto result = TopKJoinMISearch(*universe.base, {"K", "Y"},
-                                   universe.repository, 10,
-                                   MakeConfig(num_threads));
+    auto result =
+        TopKJoinMISearch(*universe.base, {"K", "Y"}, index, 10, num_threads);
     ASSERT_TRUE(result.ok()) << result.status();
-    EXPECT_EQ(result->num_candidates, 6u);
+    EXPECT_EQ(result->num_candidates, 4u);
     EXPECT_EQ(result->num_evaluated, 3u);
     EXPECT_EQ(result->num_skipped, 1u);
-    EXPECT_EQ(result->num_errors, 2u);
+    EXPECT_EQ(result->num_errors, 0u);
   }
 }
 
 TEST(TopKJoinMISearchTest, TiesBreakByEnumerationOrder) {
   // Two byte-identical candidate tables produce exactly equal MI; the hit
-  // order must follow repository enumeration (lexicographic table name).
-  Rng rng(99);
+  // order must follow repository enumeration (lexicographic table name),
+  // which is the order IndexRepository inserts in.
   const size_t num_keys = 120;
   std::vector<std::string> keys;
   std::vector<int64_t> targets, values;
@@ -237,8 +254,8 @@ TEST(TopKJoinMISearchTest, TiesBreakByEnumerationOrder) {
   repository.AddTable("twin_a", MakeTwoColumnTable("K", keys, "V", values))
       .Abort();
   for (size_t num_threads : {1u, 4u}) {
-    auto result = TopKJoinMISearch(*base, {"K", "Y"}, repository, 2,
-                                   MakeConfig(num_threads));
+    auto result = IndexAndSearch(*base, {"K", "Y"}, repository, 2,
+                                 num_threads);
     ASSERT_TRUE(result.ok()) << result.status();
     ASSERT_EQ(result->hits.size(), 2u);
     EXPECT_EQ(result->hits[0].estimate.mi, result->hits[1].estimate.mi);

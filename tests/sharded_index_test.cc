@@ -20,6 +20,7 @@
 #include "src/discovery/sketch_index.h"
 #include "src/sketch/serialize.h"
 #include "src/table/table.h"
+#include "tests/scan_reference.h"
 
 namespace joinmi {
 namespace {
@@ -93,9 +94,9 @@ std::string ScratchDir(const std::string& name) {
   return dir;
 }
 
-// `same_enumeration` is false only when a repository scan is compared with
-// an index: the scan's global_index counts unsketchable pairs and the
-// index's does not, so those hits are compared by ref alone.
+// `same_enumeration` is false only when ScanReference is compared with an
+// index: the scan's global_index counts unsketchable pairs and the index's
+// does not, so those hits are compared by ref alone.
 void ExpectBitIdentical(const TopKSearchResult& expected,
                         const TopKSearchResult& actual,
                         bool same_enumeration = true) {
@@ -192,8 +193,9 @@ TableRepository MakeWideRepository(const Universe& universe) {
 
 TEST(ShardedSearchTest, ThreadAndShardGridMatchesUnshardedSingleThread) {
   // However the shared pool splits shards and strips between the caller
-  // and its helpers, rankings stay bit-identical to one thread, unsharded:
-  // whole-file and paged shards, and the repository scan.
+  // and its helpers, rankings stay bit-identical to one thread, unsharded
+  // (itself checked against the serial ScanReference): whole-file and
+  // paged shards.
   Universe universe = MakeUniverse();
   const TableRepository repository = MakeWideRepository(universe);
   SketchIndex index(MakeIndexConfig());
@@ -203,6 +205,10 @@ TEST(ShardedSearchTest, ThreadAndShardGridMatchesUnshardedSingleThread) {
   auto reference = TopKJoinMISearch(*universe.base, {"K", "Y"}, index, k, 1);
   ASSERT_TRUE(reference.ok()) << reference.status();
   ASSERT_GT(reference->hits.size(), 30u);
+  auto via_scan = ScanReference(*universe.base, {"K", "Y"}, repository, k,
+                                MakeIndexConfig());
+  ASSERT_TRUE(via_scan.ok()) << via_scan.status();
+  ExpectBitIdentical(*reference, *via_scan, /*same_enumeration=*/false);
 
   ShardBuildOptions paged_build;
   paged_build.format = ShardFileFormat::kPaged;
@@ -241,13 +247,6 @@ TEST(ShardedSearchTest, ThreadAndShardGridMatchesUnshardedSingleThread) {
                                         k, num_threads);
       ASSERT_TRUE(via_paged.ok()) << via_paged.status();
       ExpectBitIdentical(*reference, *via_paged);
-      SearchConfig scan;
-      scan.join_config = MakeIndexConfig();
-      scan.num_threads = num_threads;
-      auto via_scan =
-          TopKJoinMISearch(*universe.base, {"K", "Y"}, repository, k, scan);
-      ASSERT_TRUE(via_scan.ok()) << via_scan.status();
-      ExpectBitIdentical(*reference, *via_scan, /*same_enumeration=*/false);
     }
     std::filesystem::remove_all(whole_dir);
     std::filesystem::remove_all(paged_dir);

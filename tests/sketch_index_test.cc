@@ -25,6 +25,7 @@
 #include "src/sketch/serialize.h"
 #include "src/sketch/sketch_join.h"
 #include "src/table/table.h"
+#include "tests/scan_reference.h"
 
 namespace joinmi {
 namespace {
@@ -619,7 +620,7 @@ TEST(SketchIndexPostingsTest, ConcurrentFirstEvaluationsOfAFreshIndex) {
 
 // Pairs IndexRepository sketches per wave on this machine: 16 per thread of
 // the fan-out's budget.
-size_t BuildWave() { return 16 * ThreadPool::DefaultThreadCount(); }
+size_t BuildWave() { return 16 * DefaultThreadCount(); }
 
 // `num_tables` tables "t0000", "t0001", ... of a string key column K and
 // an int64 value column V, so each is one pair of ExtractColumnPairs. Row
@@ -802,6 +803,48 @@ TEST(SketchIndexBuildTest, JoinsTooSmallForTheEstimatorAreSkipped) {
   for (const SearchHit& hit : string->hits) {
     EXPECT_NE(hit.candidate.table_name, "numeric1");
     EXPECT_EQ(hit.estimate.estimator, MIEstimatorKind::kDCKSG);
+  }
+}
+
+TEST(SketchIndexBuildTest, DistinctDiscreteTargetsAreSkipped) {
+  // A string target unique per key (an identifier-like column) leaves
+  // DC-KSG no discrete value that repeats, however many keys a numeric
+  // candidate shares: nothing to estimate, so every candidate is skipped,
+  // not an error.
+  std::vector<std::string> base_keys;
+  std::vector<std::string> distinct_targets;
+  for (size_t i = 0; i < 160; ++i) {
+    base_keys.push_back("key" + std::to_string(i));
+    distinct_targets.push_back("id" + std::to_string(i));
+  }
+  TableRepository repository;
+  for (size_t shared : {2, 3, 10, 40}) {
+    std::vector<std::string> keys;
+    std::vector<int64_t> values;
+    for (size_t i = 0; i < 50; ++i) {
+      keys.push_back((i < shared ? "key" : "other") + std::to_string(i));
+      values.push_back(static_cast<int64_t>(i % 5));
+    }
+    repository
+        .AddTable("numeric" + std::to_string(shared),
+                  MakeTwoColumnTable("K", keys, "V", values))
+        .Abort();
+  }
+  SketchIndex index{JoinMIConfig{}};
+  auto indexed = index.IndexRepository(repository);
+  ASSERT_TRUE(indexed.ok()) << indexed.status();
+  ASSERT_EQ(*indexed, 4u);
+  const std::shared_ptr<Table> base = *Table::FromColumns(
+      {{"K", Column::MakeString(base_keys)},
+       {"Y", Column::MakeString(distinct_targets)}});
+  for (size_t num_threads : {1u, 4u}) {
+    auto result = TopKJoinMISearch(*base, {"K", "Y"}, index, 4, num_threads);
+    ASSERT_TRUE(result.ok()) << result.status();
+    EXPECT_EQ(result->num_candidates, 4u);
+    EXPECT_EQ(result->num_errors, 0u);
+    EXPECT_EQ(result->num_skipped, 4u);
+    EXPECT_EQ(result->num_evaluated, 0u);
+    EXPECT_TRUE(result->hits.empty());
   }
 }
 
@@ -1029,18 +1072,15 @@ void ExpectSameSearchHits(const TopKSearchResult& a,
 TEST(IndexedSearchTest, MatchesPerQuerySketchingRanking) {
   // The acceptance gate: at the same config and seed, probing the persisted
   // index must return rankings identical to sketching every candidate per
-  // query — including after the index survives a file round trip.
+  // query (the serial ScanReference) — including after the index survives
+  // a file round trip.
   Universe universe = MakeUniverse();
-  SearchConfig search_config;
-  search_config.num_threads = 1;
-  search_config.join_config = MakeIndexConfig();
-
-  auto via_repo = TopKJoinMISearch(*universe.base, {"K", "Y"},
-                                   universe.repository, 10, search_config);
+  auto via_repo = ScanReference(*universe.base, {"K", "Y"},
+                                universe.repository, 10, MakeIndexConfig());
   ASSERT_TRUE(via_repo.ok()) << via_repo.status();
   ASSERT_EQ(via_repo->hits.size(), 3u);
 
-  SketchIndex index(search_config.join_config);
+  SketchIndex index(MakeIndexConfig());
   ASSERT_TRUE(index.IndexRepository(universe.repository).ok());
   for (size_t num_threads : {1u, 4u, 0u}) {
     auto via_index = TopKJoinMISearch(*universe.base, {"K", "Y"}, index, 10,

@@ -1,8 +1,6 @@
-// Tests for the thread pools: the task-queue ThreadPool (task execution,
-// future plumbing, draining semantics, nested submission, exception
-// propagation), ParallelFor on the work-sharing pool (every index once,
-// nesting, exceptions, concurrent callers), and the default thread count,
-// which follows the process's CPU affinity.
+// Tests for the shared thread pool: ParallelFor on the work-sharing pool
+// (every index once, nesting, exceptions, concurrent callers), and the
+// default thread count, which follows the process's CPU affinity.
 
 #include <gtest/gtest.h>
 #include <pthread.h>
@@ -11,9 +9,7 @@
 #include <unistd.h>
 
 #include <atomic>
-#include <chrono>
 #include <memory>
-#include <numeric>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -23,93 +19,10 @@
 namespace joinmi {
 namespace {
 
-TEST(ThreadPoolTest, DefaultThreadCountIsPositive) {
-  EXPECT_GE(ThreadPool::DefaultThreadCount(), 1u);
-  ThreadPool pool;
-  EXPECT_EQ(pool.num_threads(), ThreadPool::DefaultThreadCount());
-}
-
-TEST(ThreadPoolTest, RunsEveryTask) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.num_threads(), 4u);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 200; ++i) {
-    pool.Submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 200);
-  EXPECT_EQ(pool.queue_size(), 0u);
-}
-
-TEST(ThreadPoolTest, FuturesCarryResults) {
-  ThreadPool pool(3);
-  std::vector<std::future<int>> futures;
-  for (int i = 0; i < 50; ++i) {
-    futures.push_back(pool.Submit([i] { return i * i; }));
-  }
-  int sum = 0;
-  for (auto& f : futures) sum += f.get();
-  // sum of squares 0^2..49^2
-  EXPECT_EQ(sum, 49 * 50 * 99 / 6);
-}
-
-TEST(ThreadPoolTest, ExceptionsPropagateThroughFuture) {
-  ThreadPool pool(2);
-  auto future = pool.Submit(
-      []() -> int { throw std::runtime_error("task failed"); });
-  EXPECT_THROW(future.get(), std::runtime_error);
-  // The worker survives the exception and keeps serving tasks.
-  EXPECT_EQ(pool.Submit([] { return 7; }).get(), 7);
-}
-
-TEST(ThreadPoolTest, TasksMaySubmitTasks) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 8; ++i) {
-    pool.Submit([&pool, &counter] {
-      counter.fetch_add(1);
-      pool.Submit([&counter] { counter.fetch_add(1); });
-    });
-  }
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 16);
-}
-
-TEST(ThreadPoolTest, WaitIsReusable) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  pool.Submit([&counter] { counter.fetch_add(1); });
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 1);
-  pool.Submit([&counter] { counter.fetch_add(1); });
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 2);
-}
-
-TEST(ThreadPoolTest, DestructorDrainsPendingTasks) {
-  std::atomic<int> counter{0};
-  {
-    ThreadPool pool(1);
-    for (int i = 0; i < 20; ++i) {
-      pool.Submit([&counter] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        counter.fetch_add(1);
-      });
-    }
-  }
-  EXPECT_EQ(counter.load(), 20);
-}
-
-TEST(ThreadPoolTest, SingleThreadPreservesSubmissionOrder) {
-  ThreadPool pool(1);
-  std::vector<int> order;
-  for (int i = 0; i < 32; ++i) {
-    pool.Submit([&order, i] { order.push_back(i); });
-  }
-  pool.Wait();
-  std::vector<int> expected(32);
-  std::iota(expected.begin(), expected.end(), 0);
-  EXPECT_EQ(order, expected);
+TEST(DefaultThreadCountTest, IsPositiveAndSizesADefaultPool) {
+  EXPECT_GE(DefaultThreadCount(), 1u);
+  WorkSharingPool pool(0);
+  EXPECT_EQ(pool.num_threads(), DefaultThreadCount());
 }
 
 // Restricts the calling thread to the single CPU `cpu`; false if the
@@ -121,14 +34,14 @@ bool PinToCpu(int cpu) {
   return pthread_setaffinity_np(pthread_self(), sizeof(one), &one) == 0;
 }
 
-TEST(ThreadPoolTest, DefaultThreadCountFollowsProcessCpuAffinity) {
+TEST(DefaultThreadCountTest, FollowsProcessCpuAffinity) {
   // The process's mask is its main thread's, which gtest runs tests on.
   ASSERT_EQ(static_cast<pid_t>(syscall(SYS_gettid)), getpid());
   cpu_set_t allowed;
   CPU_ZERO(&allowed);
   ASSERT_EQ(sched_getaffinity(0, sizeof(allowed), &allowed), 0);
   const size_t process_count = static_cast<size_t>(CPU_COUNT(&allowed));
-  EXPECT_EQ(ThreadPool::DefaultThreadCount(), process_count);
+  EXPECT_EQ(DefaultThreadCount(), process_count);
   int first_cpu = 0;
   while (!CPU_ISSET(first_cpu, &allowed)) ++first_cpu;
 
@@ -137,7 +50,7 @@ TEST(ThreadPoolTest, DefaultThreadCountFollowsProcessCpuAffinity) {
   size_t pinned_thread_count = 0;
   std::thread pinned([first_cpu, &pinned_thread_count] {
     if (PinToCpu(first_cpu)) {
-      pinned_thread_count = ThreadPool::DefaultThreadCount();
+      pinned_thread_count = DefaultThreadCount();
     }
   });
   pinned.join();
@@ -146,7 +59,7 @@ TEST(ThreadPoolTest, DefaultThreadCountFollowsProcessCpuAffinity) {
   // A process confined to one CPU (as `taskset -c 0` starts it) counts one,
   // however many CPUs the host has online.
   ASSERT_TRUE(PinToCpu(first_cpu));
-  const size_t confined_count = ThreadPool::DefaultThreadCount();
+  const size_t confined_count = DefaultThreadCount();
   ASSERT_EQ(pthread_setaffinity_np(pthread_self(), sizeof(allowed), &allowed),
             0);
   EXPECT_EQ(confined_count, 1u);
