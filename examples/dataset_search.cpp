@@ -22,7 +22,7 @@
 #include "src/common/random.h"
 #include "src/discovery/opendata_sim.h"
 #include "src/discovery/ranking.h"
-#include "src/discovery/replica_router.h"  // ReadShardEndpoints (reporting)
+#include "src/discovery/replica_router.h"  // ReadShardEndpoints
 #include "src/discovery/repository.h"
 #include "src/discovery/router.h"
 #include "src/discovery/search.h"
@@ -37,19 +37,19 @@ int main(int argc, char** argv) {
   // --keep-index PATH persists the index there (and keeps it) so CI can
   // chain the build_shards tool onto this example's output.
   //
-  // --rpc-manifest M --rpc-endpoints E run the same search through
-  // RpcShardClient against already-running shard servers and drift-check
-  // it against the unsharded answer; --rpc-expect-down N instead asserts
-  // that exactly N shards are down: strict mode must fail and degraded
-  // mode must return the surviving shards' correctly merged top-k. This
-  // is the CI serving end-to-end (generation is fully deterministic, so a
-  // rerun probes the same index the servers loaded).
+  // --rpc-manifest M --rpc-endpoints E run the same search against
+  // already-running shard servers and drift-check it against the
+  // unsharded answer. E is an endpoints file (ReadShardEndpoints): line i
+  // lists shard i's replicas, one or more. --rpc-expect-down N instead
+  // asserts that exactly N shards are down: strict mode must fail and
+  // degraded mode must return the surviving shards' correctly merged
+  // top-k. This is the CI serving end-to-end (generation is fully
+  // deterministic, so a rerun probes the same index the servers loaded).
   //
-  // --rpc-replica-endpoints E reads a v2 (replicated) endpoints file and
-  // routes through ReplicaShardClient instead; --rpc-loop N issues N
-  // strict drift-checked queries 200ms apart, so a harness can kill a
-  // replica MID-RUN and this process proves failover: every query must
-  // keep matching the unsharded answer with zero shard failures.
+  // --rpc-loop N (with --rpc-endpoints) issues N strict drift-checked
+  // queries 200ms apart, so a harness can kill a replica MID-RUN and this
+  // process proves failover: every query must keep matching the
+  // unsharded answer with zero shard failures.
   //
   // --rpc-pipeline-drill N (with --rpc-endpoints) opens ONE connection
   // per shard and fires N strict queries from N concurrent threads, so
@@ -70,10 +70,9 @@ int main(int argc, char** argv) {
   std::string keep_index_path;
   std::string rpc_manifest_path;
   std::string rpc_endpoints_path;
-  std::string rpc_replica_endpoints_path;
   std::string stats_json_path;
   long rpc_expect_down = 0;
-  long rpc_loop = 1;
+  long rpc_loop = 0;
   long limit_index = 0;
   long rpc_pipeline_drill = 0;
   long overload_drill = 0;
@@ -86,9 +85,6 @@ int main(int argc, char** argv) {
       rpc_manifest_path = argv[++arg];
     } else if (std::strcmp(argv[arg], "--rpc-endpoints") == 0 && has_value) {
       rpc_endpoints_path = argv[++arg];
-    } else if (std::strcmp(argv[arg], "--rpc-replica-endpoints") == 0 &&
-               has_value) {
-      rpc_replica_endpoints_path = argv[++arg];
     } else if (std::strcmp(argv[arg], "--rpc-loop") == 0 && has_value) {
       char* end = nullptr;
       rpc_loop = std::strtol(argv[++arg], &end, 10);
@@ -150,39 +146,30 @@ int main(int argc, char** argv) {
                    "usage: %s [--keep-index PATH] [--stats-json PATH] "
                    "[--limit-index N] "
                    "[--overload-drill N [--router-max-pending M]] "
-                   "[--rpc-manifest PATH "
-                   "(--rpc-endpoints PATH [--rpc-expect-down N | "
-                   "--rpc-pipeline-drill N] | "
-                   "--rpc-replica-endpoints PATH [--rpc-loop N])]\n",
+                   "[--rpc-manifest PATH --rpc-endpoints PATH "
+                   "[--rpc-expect-down N | --rpc-pipeline-drill N | "
+                   "--rpc-loop N]]\n",
                    argv[0]);
       return 2;
     }
   }
-  const bool have_rpc_target =
-      !rpc_endpoints_path.empty() || !rpc_replica_endpoints_path.empty();
-  if (rpc_manifest_path.empty() != !have_rpc_target) {
-    std::fprintf(stderr,
-                 "--rpc-manifest and exactly one of --rpc-endpoints / "
-                 "--rpc-replica-endpoints go together\n");
+  const bool have_rpc_target = !rpc_endpoints_path.empty();
+  if (rpc_manifest_path.empty() == have_rpc_target) {
+    std::fprintf(stderr, "--rpc-manifest and --rpc-endpoints go together\n");
     return 2;
   }
-  if (!rpc_endpoints_path.empty() && !rpc_replica_endpoints_path.empty()) {
+  const int rpc_drills = (rpc_expect_down > 0) + (rpc_pipeline_drill > 0) +
+                         (rpc_loop > 0);
+  if (rpc_drills > 0 && !have_rpc_target) {
     std::fprintf(stderr,
-                 "--rpc-endpoints and --rpc-replica-endpoints are "
-                 "mutually exclusive\n");
+                 "--rpc-expect-down, --rpc-pipeline-drill and --rpc-loop "
+                 "drill a remote deployment (--rpc-endpoints)\n");
     return 2;
   }
-  if (rpc_expect_down > 0 && rpc_endpoints_path.empty()) {
+  if (rpc_drills > 1) {
     std::fprintf(stderr,
-                 "--rpc-expect-down drills the single-endpoint router "
-                 "(--rpc-endpoints)\n");
-    return 2;
-  }
-  if (rpc_pipeline_drill > 0 &&
-      (rpc_endpoints_path.empty() || rpc_expect_down > 0)) {
-    std::fprintf(stderr,
-                 "--rpc-pipeline-drill drills a healthy single-endpoint "
-                 "router (--rpc-endpoints, no --rpc-expect-down)\n");
+                 "--rpc-expect-down, --rpc-pipeline-drill and --rpc-loop "
+                 "are mutually exclusive\n");
     return 2;
   }
   if (overload_drill > 0 && router_max_pending == 0 && !have_rpc_target) {
@@ -379,29 +366,33 @@ int main(int argc, char** argv) {
               cache_ok ? "ok" : "CACHE BROKE (bug!)");
 
   // 6. Networked serving (only when CI or an operator points us at live
-  //    shard servers): the same query through RpcShardClient. Healthy
+  //    shard servers): the same query through the router's remote
+  //    backend, one ReplicaShardClient per endpoints line. Healthy
   //    deployments must be drift-free vs. the unsharded index; partially
   //    down deployments must fail strict queries and answer degraded ones
   //    with exactly the surviving shards' merged top-k.
+  std::vector<std::vector<ShardEndpoint>> rpc_endpoints;
+  if (have_rpc_target) {
+    auto read = ReadShardEndpoints(rpc_endpoints_path);
+    read.status().Abort("reading the endpoints file");
+    rpc_endpoints = std::move(*read);
+  }
   bool rpc_ok = true;
-  if (!rpc_replica_endpoints_path.empty()) {
-    // 6b. Replicated serving drill: the endpoints file maps every shard to
-    //     its replicas; Router::Open sees the multi-replica lines and
-    //     assembles failover-capable replica clients behind the same
-    //     facade. The result cache is OFF for this drill — every loop
+  if (rpc_loop > 0) {
+    // 6b. Failover drill: the endpoints file maps every shard to its
+    //     replicas, and a replica killed mid-run must be absorbed by its
+    //     twin. The result cache is OFF for this drill — every loop
     //     iteration must actually cross the wire, or a mid-run replica
     //     kill would be masked by a cached answer. Each iteration is a
     //     STRICT query that must match the unsharded answer with zero
     //     shard failures — run with --rpc-loop under a harness that kills
     //     a replica midway and this exits nonzero unless failover
     //     absorbed the outage.
-    auto replica_map = ReadShardEndpoints(rpc_replica_endpoints_path);
-    replica_map.status().Abort("reading the replica endpoints file");
     size_t replicas_total = 0;
-    for (const auto& row : *replica_map) replicas_total += row.size();
+    for (const auto& row : rpc_endpoints) replicas_total += row.size();
     RouterOptions replica_options;
     replica_options.manifest_path = rpc_manifest_path;
-    replica_options.replica_endpoints = *replica_map;
+    replica_options.replica_endpoints = rpc_endpoints;
     replica_options.serving.cooldown_ms = 500;
     replica_options.cache_entries = 0;
     auto rpc_router = Router::Open(replica_options);
@@ -432,10 +423,10 @@ int main(int argc, char** argv) {
                 replicas_total,
                 matched == rpc_loop ? "ok" : "FAILOVER FAILED (bug!)");
     final_stats = (*rpc_router)->StatsJson();
-  } else if (!rpc_manifest_path.empty()) {
+  } else if (have_rpc_target) {
     RouterOptions rpc_options;
     rpc_options.manifest_path = rpc_manifest_path;
-    rpc_options.endpoints_path = rpc_endpoints_path;
+    rpc_options.replica_endpoints = rpc_endpoints;
     auto rpc_router = Router::Open(rpc_options);
     rpc_router.status().Abort("opening the RPC-backed router");
 
@@ -469,7 +460,7 @@ int main(int argc, char** argv) {
         // N queries actually hit the wire instead of the first answer.
         RouterOptions drill_options;
         drill_options.manifest_path = rpc_manifest_path;
-        drill_options.endpoints_path = rpc_endpoints_path;
+        drill_options.replica_endpoints = rpc_endpoints;
         drill_options.serving.pool_size = 1;
         drill_options.cache_entries = 0;
         drill_options.num_threads = 1;
@@ -578,9 +569,7 @@ int main(int argc, char** argv) {
     RouterOptions drill_options;
     if (have_rpc_target) {
       drill_options.manifest_path = rpc_manifest_path;
-      drill_options.endpoints_path = rpc_replica_endpoints_path.empty()
-                                         ? rpc_endpoints_path
-                                         : rpc_replica_endpoints_path;
+      drill_options.replica_endpoints = rpc_endpoints;
     } else {
       drill_options.manifest_path = last_manifest_path;
     }

@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "src/discovery/topk_merge.h"
+#include "src/ingest/delta_shard_client.h"
 
 namespace joinmi {
 
@@ -59,6 +60,17 @@ Result<TopKSearchResult> PagedShardClient::Search(const JoinMIQuery& query,
       internal::TallyOutcomes(std::move(outcomes)), k,
       [this](size_t i) { return global_indices_[i]; },
       [&refs](size_t i) { return refs[i]; });
+}
+
+const PagedShardClient* PagedOf(const ShardClient& client) {
+  if (const auto* paged = dynamic_cast<const PagedShardClient*>(&client)) {
+    return paged;
+  }
+  if (const auto* overlay =
+          dynamic_cast<const ingest::DeltaShardClient*>(&client)) {
+    return dynamic_cast<const PagedShardClient*>(&overlay->base());
+  }
+  return nullptr;
 }
 
 }  // namespace joinmi

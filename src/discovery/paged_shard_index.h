@@ -72,6 +72,12 @@ class PagedShardClient : public ShardClient {
   std::vector<uint64_t> global_indices_;
 };
 
+/// \brief The paged client under a serving client: `client` itself, or
+/// the base of a delta overlay (ingest::DeltaShardClient) whose base is
+/// paged. Null for whole-file and remote shards. The shard server and the
+/// router's stats read buffer-pool gauges through it.
+const PagedShardClient* PagedOf(const ShardClient& client);
+
 }  // namespace joinmi
 
 #endif  // JOINMI_DISCOVERY_PAGED_SHARD_INDEX_H_

@@ -208,8 +208,12 @@ ShardClientFactory ReplicaShardClient::Factory(
              const std::string& manifest_dir)
              -> Result<std::unique_ptr<ShardClient>> {
     (void)manifest_dir;  // remote shards have no local files
-    JOINMI_RETURN_NOT_OK(
-        ValidateServingManifest(manifest, replica_endpoints.size()));
+    if (replica_endpoints.size() != manifest.shards.size()) {
+      return Status::InvalidArgument(
+          "manifest names " + std::to_string(manifest.shards.size()) +
+          " shards but " + std::to_string(replica_endpoints.size()) +
+          " shard endpoint entries were provided");
+    }
     JOINMI_ASSIGN_OR_RETURN(
         std::unique_ptr<ReplicaShardClient> client,
         ReplicaShardClient::Create(replica_endpoints[shard],

@@ -1,6 +1,6 @@
-// Replica-aware routing: the failover layer between the sharded fan-out
-// and the per-server RpcShardClient. A ReplicaShardClient serves one
-// shard's slot in the router but holds one RPC client per
+// Replica-aware routing: the ONE remote shard client, between the sharded
+// fan-out and the per-server RpcShardClient. A ReplicaShardClient serves
+// one shard's slot in the router but holds one RPC client per
 // *replica* — interchangeable servers all serving the same shard file —
 // so a query survives any single replica's death: strict mode now fails
 // only when EVERY replica of some shard is down, and degraded mode
@@ -21,8 +21,8 @@
 // which is the error the strict/degraded modes then see.
 //
 // Correctness: replicas serve byte-identical shard files (the handshake
-// pins config and candidate count to the manifest entry, exactly like the
-// single-endpoint client), so WHICH replica answers never changes a
+// pins config and candidate count to the manifest entry for every
+// replica's RpcShardClient), so WHICH replica answers never changes a
 // ranking — failover is invisible to the bit-identical merge guarantee.
 // Deterministic errors (config drift, a shard-side InvalidArgument) are
 // returned immediately, not failed over: every replica would answer the
@@ -30,7 +30,10 @@
 // hide real misconfiguration.
 //
 // The endpoints file maps each shard line to N replicas (see
-// ReadShardEndpoints); a single-endpoint line is a one-replica shard.
+// ReadShardEndpoints); a one-host line is a one-replica shard, served by
+// this same client: its outage fails the shard with "all 1 replicas
+// failed (host:port)", and after the cooldown it is Health()-probed before
+// the next request like any other down replica.
 
 #ifndef JOINMI_DISCOVERY_REPLICA_ROUTER_H_
 #define JOINMI_DISCOVERY_REPLICA_ROUTER_H_
@@ -118,11 +121,11 @@ class ReplicaSet {
 class ReplicaShardClient : public ShardClient {
  public:
   /// \brief Builds one RpcShardClient per replica, each expecting the
-  /// manifest's config and candidate count. Like the single-endpoint
-  /// client: unreachable replicas are tolerated (the outage surfaces per
-  /// request, where failover absorbs it), but a reachable replica that
-  /// fails the handshake fails Create loudly — a misdeployed replica
-  /// would otherwise silently shed its traffic onto its twins.
+  /// manifest's config and candidate count. As RpcShardClient::Create
+  /// does per replica: unreachable replicas are tolerated (the outage
+  /// surfaces per request, where failover absorbs it), but a reachable
+  /// replica that fails the handshake fails Create loudly — a misdeployed
+  /// replica would otherwise silently shed its traffic onto its twins.
   static Result<std::unique_ptr<ReplicaShardClient>> Create(
       std::vector<ShardEndpoint> replicas, JoinMIConfig expected_config,
       uint64_t expected_candidates, ReplicaRouterOptions options = {});
@@ -158,11 +161,10 @@ class ReplicaShardClient : public ShardClient {
   /// counter the Router's metrics snapshot absorbs.
   uint64_t total_mark_downs() const { return set_.total_mark_downs(); }
 
-  /// \brief ShardClientFactory over a v2 endpoints map: shard i is served
-  /// by `replica_endpoints[i]` (>= 1 endpoints each). Requires a v2
-  /// manifest (embedded config) and exactly one endpoint list per shard.
-  /// This is the replicated counterpart of RpcShardClient::Factory and
-  /// plugs into the same ShardedSketchIndex::Load seam.
+  /// \brief ShardClientFactory over an endpoints map: shard i is served
+  /// by `replica_endpoints[i]` (>= 1 endpoints each). Requires exactly one
+  /// endpoint list per manifest shard. Every remote deployment loads
+  /// through this factory (Router::Open uses it for replica_endpoints).
   static ShardClientFactory Factory(
       std::vector<std::vector<ShardEndpoint>> replica_endpoints,
       ReplicaRouterOptions options = {});

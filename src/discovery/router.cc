@@ -6,7 +6,6 @@
 #include "src/core/config.h"
 #include "src/discovery/paged_shard_index.h"
 #include "src/discovery/replica_router.h"
-#include "src/discovery/rpc_shard_client.h"
 #include "src/discovery/search.h"
 #include "src/ingest/generation.h"
 #include "src/sketch/serialize.h"
@@ -15,39 +14,17 @@ namespace joinmi {
 
 namespace {
 
-// Resolves the backend factory from the options — the decision callers
-// used to make by hand. Replica endpoints (programmatic or a file line
-// with several specs) build replica-aware clients; an all-single-endpoint
-// file builds plain RPC clients (identical behavior AND error text to the
-// pre-router wiring); no endpoints at all means local shard files.
-Result<ShardClientFactory> ResolveFactory(const RouterOptions& options) {
+// Resolves the backend factory from the options: endpoints mean remote
+// shards behind replica-aware clients (a one-host row is a one-replica
+// shard), no endpoints mean local shard files.
+ShardClientFactory ResolveFactory(const RouterOptions& options) {
   if (options.factory_override) {
     return options.factory_override;
   }
-  std::vector<std::vector<ShardEndpoint>> replicas =
-      options.replica_endpoints;
-  if (replicas.empty() && !options.endpoints_path.empty()) {
-    JOINMI_ASSIGN_OR_RETURN(replicas,
-                            ReadShardEndpoints(options.endpoints_path));
-  }
-  if (replicas.empty()) {
+  if (options.replica_endpoints.empty()) {
     return ShardedSketchIndex::LocalFileFactory(options.serving.local());
   }
-  const bool replicated =
-      std::any_of(replicas.begin(), replicas.end(),
-                  [](const std::vector<ShardEndpoint>& shard) {
-                    return shard.size() > 1;
-                  });
-  if (!replicated) {
-    std::vector<ShardEndpoint> endpoints;
-    endpoints.reserve(replicas.size());
-    for (std::vector<ShardEndpoint>& shard : replicas) {
-      endpoints.push_back(std::move(shard[0]));
-    }
-    return RpcShardClient::Factory(std::move(endpoints),
-                                   options.serving.rpc());
-  }
-  return ReplicaShardClient::Factory(std::move(replicas),
+  return ReplicaShardClient::Factory(options.replica_endpoints,
                                      options.serving.replica());
 }
 
@@ -79,8 +56,7 @@ Result<std::unique_ptr<Router>> Router::Open(RouterOptions options) {
     return Status::InvalidArgument(
         "RouterOptions::manifest_path is required");
   }
-  JOINMI_ASSIGN_OR_RETURN(ShardClientFactory factory,
-                          ResolveFactory(options));
+  ShardClientFactory factory = ResolveFactory(options);
   // The reference may be a deployment directory or a CURRENT pointer —
   // resolve it to the generation being published right now. options_
   // keeps the original reference so the no-arg Reload() re-resolves it.
@@ -322,25 +298,28 @@ std::string Router::StatsJson() const {
   for (size_t i = 0; i < index->num_shards(); ++i) {
     const std::string prefix = "shard." + std::to_string(i) + ".";
     const ShardClient& client = index->client(i);
-    if (const auto* rpc = dynamic_cast<const RpcShardClient*>(&client)) {
-      registry_.GetCounter(prefix + "rpc.dials")->Set(rpc->dials());
-      registry_.GetCounter(prefix + "rpc.live_channels")
-          ->Set(rpc->live_channels());
-      registry_.GetCounter(prefix + "rpc.max_pipelined")
-          ->Set(rpc->max_pipelined());
-    } else if (const auto* replicated =
-                   dynamic_cast<const ReplicaShardClient*>(&client)) {
-      registry_.GetCounter(prefix + "replica.mark_downs")
-          ->Set(replicated->total_mark_downs());
-      registry_.GetCounter(prefix + "replica.replicas")
-          ->Set(replicated->num_replicas());
+    if (const auto* remote =
+            dynamic_cast<const ReplicaShardClient*>(&client)) {
       uint64_t dials = 0;
-      for (size_t r = 0; r < replicated->num_replicas(); ++r) {
-        dials += replicated->replica(r).dials();
+      uint64_t live_channels = 0;
+      uint64_t max_pipelined = 0;
+      for (size_t r = 0; r < remote->num_replicas(); ++r) {
+        const RpcShardClient& replica = remote->replica(r);
+        dials += replica.dials();
+        live_channels += replica.live_channels();
+        max_pipelined = std::max<uint64_t>(max_pipelined,
+                                           replica.max_pipelined());
       }
+      registry_.GetCounter(prefix + "replica.replicas")
+          ->Set(remote->num_replicas());
+      registry_.GetCounter(prefix + "replica.mark_downs")
+          ->Set(remote->total_mark_downs());
       registry_.GetCounter(prefix + "replica.dials")->Set(dials);
-    } else if (const auto* paged =
-                   dynamic_cast<const PagedShardClient*>(&client)) {
+      registry_.GetCounter(prefix + "replica.live_channels")
+          ->Set(live_channels);
+      registry_.GetCounter(prefix + "replica.max_pipelined")
+          ->Set(max_pipelined);
+    } else if (const PagedShardClient* paged = PagedOf(client)) {
       const storage::BufferPoolStats pool = paged->pool_stats();
       registry_.GetCounter(prefix + "pool.hits")->Set(pool.hits);
       registry_.GetCounter(prefix + "pool.misses")->Set(pool.misses);

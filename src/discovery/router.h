@@ -1,10 +1,10 @@
 // discovery::Router — the front tier of serving, and the ONE construction
 // path for a queryable deployment. Router::Open(RouterOptions) subsumes
 // the manual wiring callers used to do by hand (ShardedSketchIndex::Load
-// + picking among LocalFileFactory / RpcShardClient::Factory /
-// ReplicaShardClient::Factory and threading three option structs through
-// them): name a manifest, optionally an endpoints file, tune one
-// ServingOptions, and the router assembles the right backend.
+// + picking LocalFileFactory or ReplicaShardClient::Factory and threading
+// option structs through them): name a manifest, optionally the shards'
+// replica endpoints (ReadShardEndpoints reads them from a file), tune one
+// ServingOptions, and the router assembles the backend.
 //
 // Behind the facade, the router adds what every deployment front tier
 // needs and no caller should re-implement:
@@ -72,11 +72,9 @@ struct RouterOptions {
   /// directory for local deployments.
   std::string manifest_path;
 
-  /// Remote deployment: an endpoints file (ReadShardEndpoints format —
-  /// line i lists shard i's replicas). Empty = serve local shard files.
-  std::string endpoints_path;
-  /// Remote deployment, programmatic: shard i's replicas, pre-parsed.
-  /// Takes precedence over `endpoints_path` when non-empty.
+  /// Remote deployment: shard i's replicas (ReadShardEndpoints parses an
+  /// endpoints file into this; a one-host row is a one-replica shard).
+  /// Empty = serve local shard files.
   std::vector<std::vector<ShardEndpoint>> replica_endpoints;
 
   /// The one knob struct every backend slices (see serving_options.h).
@@ -115,9 +113,9 @@ struct RouterCacheStats {
 class Router : public Searchable {
  public:
   /// \brief Assembles the deployment `options` describes: loads the
-  /// manifest, resolves the backend (replica endpoints -> replica-aware
-  /// clients; single-endpoint lines -> plain RPC clients; no endpoints ->
-  /// local shard files), and wires cache + admission + metrics around it.
+  /// manifest, resolves the backend (replica endpoints -> one
+  /// ReplicaShardClient per shard; no endpoints -> local shard files),
+  /// and wires cache + admission + metrics around it.
   /// Fails loudly on manifest/endpoint mismatches, exactly as the
   /// underlying factories always have.
   static Result<std::unique_ptr<Router>> Open(RouterOptions options);
@@ -178,8 +176,10 @@ class Router : public Searchable {
   /// \brief The router's registry — tools may hang extra counters off it.
   metrics::Registry& metrics() const { return registry_; }
   /// \brief One JSON document: registry counters/histograms plus the
-  /// absorbed per-shard gauges (connection dials, pipelining HWM, replica
-  /// mark-downs, paged buffer-pool stats). See README for the name table.
+  /// absorbed per-shard gauges: shard.<i>.replica.* for remote shards
+  /// (replicas, mark-downs, dials, live channels, pipelining HWM) and
+  /// shard.<i>.pool.* for paged local shards, delta overlay or not. See
+  /// README for the name table.
   std::string StatsJson() const;
 
  private:

@@ -16,10 +16,11 @@ Result<ShardEndpoint> ParseShardEndpoint(const std::string& spec) {
     return Status::InvalidArgument("endpoint '" + spec +
                                    "' is not host:port");
   }
-  // A space or comma means several endpoints ran together — most likely a
-  // v2 replica line fed to a single-endpoint parser. Reject instead of
-  // swallowing the junk into the host name (rfind would happily treat
-  // "a:1 b" as the host of ":2").
+  // A space or comma means several endpoints ran together — a whole
+  // endpoints-file line handed to this one-endpoint parser (lines are
+  // split by ReadShardEndpoints). Reject instead of swallowing the junk
+  // into the host name (rfind would happily treat "a:1 b" as the host of
+  // ":2").
   if (spec.find_first_of(" \t,") != std::string::npos) {
     return Status::InvalidArgument(
         "endpoint '" + spec +
@@ -46,17 +47,6 @@ Result<ShardEndpoint> ParseShardEndpoint(const std::string& spec) {
   endpoint.host = spec.substr(0, colon);
   endpoint.port = static_cast<uint16_t>(port);
   return endpoint;
-}
-
-Status ValidateServingManifest(const ShardManifest& manifest,
-                               size_t num_entries) {
-  if (num_entries != manifest.shards.size()) {
-    return Status::InvalidArgument(
-        "manifest names " + std::to_string(manifest.shards.size()) +
-        " shards but " + std::to_string(num_entries) +
-        " shard endpoint entries were provided");
-  }
-  return Status::OK();
 }
 
 // --------------------------------------------------------- RpcShardClient
@@ -319,23 +309,6 @@ Result<rpc::ReloadResponse> RpcShardClient::Reload() const {
                           rpc::DecodeReloadResponse(frame->payload));
   JOINMI_RETURN_NOT_OK(response.status);
   return response;
-}
-
-ShardClientFactory RpcShardClient::Factory(
-    std::vector<ShardEndpoint> endpoints, RpcClientOptions options) {
-  return [endpoints = std::move(endpoints), options](
-             const ShardManifest& manifest, size_t shard,
-             const std::string& manifest_dir)
-             -> Result<std::unique_ptr<ShardClient>> {
-    (void)manifest_dir;  // remote shards have no local files
-    JOINMI_RETURN_NOT_OK(ValidateServingManifest(manifest, endpoints.size()));
-    JOINMI_ASSIGN_OR_RETURN(
-        std::unique_ptr<RpcShardClient> client,
-        RpcShardClient::Create(endpoints[shard], manifest.config,
-                               manifest.shards[shard].candidate_count,
-                               options));
-    return std::unique_ptr<ShardClient>(std::move(client));
-  };
 }
 
 }  // namespace joinmi

@@ -1,7 +1,8 @@
-// RpcShardClient: the ShardClient implementation that speaks JMRP to a
-// remote shard server process, making a ShardedSketchIndex assembled from
-// host:port endpoints behave exactly like one assembled from local shard
-// files — same methods, same merged rankings, byte for byte.
+// RpcShardClient: the ShardClient implementation that speaks JMRP to one
+// remote shard server process — the per-replica transport under
+// ReplicaShardClient (replica_router.h), which is how a ShardedSketchIndex
+// assembled from host:port endpoints reaches its shards. Rankings are the
+// same as from local shard files, byte for byte.
 //
 // Connection model: an rpc::ChannelSet of at most
 // RpcClientOptions::pool_size lazily dialed TCP connections per client;
@@ -86,13 +87,6 @@ struct RpcClientOptions {
   size_t pool_size = 4;
 };
 
-/// \brief Validates that `manifest` can back remote serving with
-/// `num_entries` per-shard endpoint entries: it must name exactly
-/// `num_entries` shards. Shared by the
-/// single-endpoint and replicated factories so the two stay in lockstep.
-Status ValidateServingManifest(const ShardManifest& manifest,
-                               size_t num_entries);
-
 /// \brief ShardClient over a remote shard server.
 class RpcShardClient : public ShardClient {
  public:
@@ -171,12 +165,6 @@ class RpcShardClient : public ShardClient {
 
   /// \brief Channels currently alive (each owns one connection).
   size_t live_channels() const { return channels_->live_channels(); }
-
-  /// \brief ShardClientFactory dialing `endpoints[shard]` for each shard.
-  /// Requires a v2 manifest (embedded config) and exactly one endpoint
-  /// per shard.
-  static ShardClientFactory Factory(std::vector<ShardEndpoint> endpoints,
-                                    RpcClientOptions options = {});
 
  private:
   RpcShardClient(ShardEndpoint endpoint, JoinMIConfig expected_config,

@@ -2,11 +2,11 @@
 // there used to be three unrelated ones (RpcClientOptions for networking,
 // LocalShardLoadOptions, which is PagedShardClient::Options, for paged
 // local shards, and a loose cooldown on ReplicaRouterOptions).
-// RouterOptions embeds a ServingOptions and Router::Open hands each
-// ShardClientFactory (LocalFileFactory, RpcShardClient::Factory,
-// ReplicaShardClient::Factory) its slice, so an operator tunes a
-// deployment in one place regardless of which backend serves it. The
-// per-layer structs survive as derived slices (rpc()/replica()/local())
+// RouterOptions embeds a ServingOptions and Router::Open hands each of its
+// two ShardClientFactory kinds (LocalFileFactory for shard files,
+// ReplicaShardClient::Factory for endpoints) its slice, so an operator
+// tunes a deployment in one place regardless of which backend serves it.
+// The per-layer structs survive as derived slices (replica()/local())
 // because each layer's API keeps its narrow signature.
 
 #ifndef JOINMI_DISCOVERY_SERVING_OPTIONS_H_
@@ -15,7 +15,6 @@
 #include <cstddef>
 
 #include "src/discovery/replica_router.h"
-#include "src/discovery/rpc_shard_client.h"
 #include "src/discovery/sharded_index.h"
 
 namespace joinmi {
@@ -40,27 +39,21 @@ struct ServingOptions {
   /// Buffer-pool budget per paged shard, in pages.
   size_t pool_pages = 64;
 
-  /// \brief The networking slice an RpcShardClient consumes.
-  RpcClientOptions rpc() const {
-    RpcClientOptions options;
-    options.connect_timeout_ms = connect_timeout_ms;
-    options.io_timeout_ms = io_timeout_ms;
-    options.max_attempts = max_attempts;
-    options.pool_size = pool_size;
-    return options;
-  }
-
-  /// \brief The slice a ReplicaShardClient consumes (networking + cooldown).
+  /// \brief The slice a ReplicaShardClient consumes: networking for each
+  /// replica's RpcShardClient, plus the cooldown.
   ReplicaRouterOptions replica() const {
     ReplicaRouterOptions options;
-    options.rpc = rpc();
+    options.rpc.connect_timeout_ms = connect_timeout_ms;
+    options.rpc.io_timeout_ms = io_timeout_ms;
+    options.rpc.max_attempts = max_attempts;
+    options.rpc.pool_size = pool_size;
     options.cooldown_ms = cooldown_ms;
     return options;
   }
 
   /// \brief The slice the local-file factory consumes (paged-shard knobs).
-  ShardedSketchIndex::LocalShardLoadOptions local() const {
-    ShardedSketchIndex::LocalShardLoadOptions options;
+  LocalShardLoadOptions local() const {
+    LocalShardLoadOptions options;
     options.pool_pages = pool_pages;
     return options;
   }

@@ -9,7 +9,6 @@
 #include "src/core/join_mi.h"
 #include "src/discovery/rpc_messages.h"
 #include "src/discovery/shard_manifest.h"
-#include "src/ingest/delta_shard_client.h"
 #include "src/ingest/generation.h"
 #include "src/sketch/serialize.h"
 
@@ -56,7 +55,7 @@ Result<LoadedGeneration> LoadGeneration(const std::string& manifest_ref,
   // segment prefix the manifest pins.
   const std::string manifest_dir =
       std::filesystem::path(manifest_path).parent_path().string();
-  ShardedSketchIndex::LocalShardLoadOptions load_options;
+  LocalShardLoadOptions load_options;
   if (options.pool_pages > 0) load_options.pool_pages = options.pool_pages;
   JOINMI_ASSIGN_OR_RETURN(std::unique_ptr<ShardClient> client,
                           ShardedSketchIndex::LocalFileFactory(load_options)(
@@ -65,19 +64,6 @@ Result<LoadedGeneration> LoadGeneration(const std::string& manifest_ref,
   loaded.client = std::shared_ptr<const ShardClient>(std::move(client));
   loaded.epoch = manifest.epoch;
   return loaded;
-}
-
-// Digs the paged base out of a serving client: a plain PagedShardClient,
-// or a delta overlay whose base is paged. Null for whole-file serving.
-const PagedShardClient* PagedOf(const ShardClient& client) {
-  if (const auto* paged = dynamic_cast<const PagedShardClient*>(&client)) {
-    return paged;
-  }
-  if (const auto* overlay =
-          dynamic_cast<const ingest::DeltaShardClient*>(&client)) {
-    return dynamic_cast<const PagedShardClient*>(&overlay->base());
-  }
-  return nullptr;
 }
 
 }  // namespace

@@ -130,7 +130,7 @@ class ShardedSketchIndex : public Searchable {
 
   /// \brief Loads a manifest and builds one client per shard through
   /// `factory`. LocalFileFactory() reads shard files next to the
-  /// manifest; RpcShardClient::Factory (rpc_shard_client.h) dials
+  /// manifest; ReplicaShardClient::Factory (replica_router.h) dials
   /// host:port endpoints instead.
   static Result<ShardedSketchIndex> Load(const std::string& manifest_path,
                                          const ShardClientFactory& factory);
@@ -138,8 +138,6 @@ class ShardedSketchIndex : public Searchable {
   /// \brief Loads a manifest and every shard file it names (paths resolved
   /// relative to the manifest's directory) — Load with LocalFileFactory().
   static Result<ShardedSketchIndex> Load(const std::string& manifest_path);
-
-  using LocalShardLoadOptions = joinmi::LocalShardLoadOptions;
 
   /// \brief The factory behind single-argument Load: opens each shard
   /// file named by the manifest in its recorded format. A whole-file

@@ -18,7 +18,7 @@
 
 #include "src/common/random.h"
 #include "src/discovery/paged_shard_index.h"
-#include "src/discovery/rpc_shard_client.h"
+#include "src/discovery/replica_router.h"
 #include "src/discovery/search.h"
 #include "src/discovery/shard_server.h"
 #include "src/discovery/sharded_index.h"
@@ -363,7 +363,7 @@ TEST(PagedShardSearchTest, AgreesWithWholeFileAndUnshardedEverywhere) {
   ASSERT_TRUE(index.IndexRepository(universe.repository).ok());
   ASSERT_EQ(index.size(), 4u);
 
-  ShardedSketchIndex::LocalShardLoadOptions tiny_pool;
+  LocalShardLoadOptions tiny_pool;
   tiny_pool.pool_pages = 1;
   ShardBuildOptions paged_build;
   paged_build.format = ShardFileFormat::kPaged;
@@ -641,7 +641,7 @@ TEST(PagedShardServerTest, ServesPagedShardOverRpcBitIdentically) {
   ASSERT_TRUE(manifest_path.ok()) << manifest_path.status();
 
   std::vector<std::unique_ptr<ShardServer>> servers;
-  std::vector<ShardEndpoint> endpoints;
+  std::vector<std::vector<ShardEndpoint>> endpoints;
   for (size_t s = 0; s < 2; ++s) {
     ShardServerOptions options;
     options.num_workers = 2;
@@ -656,15 +656,15 @@ TEST(PagedShardServerTest, ServesPagedShardOverRpcBitIdentically) {
     const storage::PagedOpenStats open_stats = (*server)->paged_open_stats();
     EXPECT_LT(open_stats.startup_bytes_read, open_stats.file_size);
     ASSERT_TRUE((*server)->Start().ok());
-    endpoints.push_back(ShardEndpoint{"127.0.0.1", (*server)->port()});
+    endpoints.push_back({ShardEndpoint{"127.0.0.1", (*server)->port()}});
     servers.push_back(std::move(*server));
   }
 
-  RpcClientOptions rpc_options;
-  rpc_options.connect_timeout_ms = 500;
-  rpc_options.io_timeout_ms = 10000;
+  ReplicaRouterOptions remote_options;
+  remote_options.rpc.connect_timeout_ms = 500;
+  remote_options.rpc.io_timeout_ms = 10000;
   auto router = ShardedSketchIndex::Load(
-      *manifest_path, RpcShardClient::Factory(endpoints, rpc_options));
+      *manifest_path, ReplicaShardClient::Factory(endpoints, remote_options));
   ASSERT_TRUE(router.ok()) << router.status();
   auto unsharded = TopKJoinMISearch(*universe.base, {"K", "Y"}, index, 10, 1);
   ASSERT_TRUE(unsharded.ok());

@@ -368,36 +368,49 @@ TEST(ReplicaRouterTest, AllReplicasOfAShardDownFailsStrictAndDegrades) {
   Universe universe = MakeUniverse();
   SketchIndex index(MakeIndexConfig());
   ASSERT_TRUE(index.IndexRepository(universe.repository).ok());
-  ReplicatedDeployment deployment;
-  StartReplicatedDeployment(index, 2, 2, "alldown", &deployment);
-  auto router = ShardedSketchIndex::Load(
-      deployment.manifest_path,
-      ReplicaShardClient::Factory(deployment.endpoints,
-                                  FastReplicaOptions()));
-  ASSERT_TRUE(router.ok()) << router.status();
   auto query =
       JoinMIQuery::Create(*universe.base, "K", "Y", index.config());
   ASSERT_TRUE(query.ok());
 
-  deployment.Kill(0, 0);
-  deployment.Kill(0, 1);
-  auto strict = router->Search(*query, 3, 1, ShardQueryMode::kStrict);
-  ASSERT_FALSE(strict.ok());
-  EXPECT_TRUE(strict.status().IsIOError()) << strict.status();
-  EXPECT_NE(strict.status().message().find("replicas failed"),
-            std::string::npos)
-      << strict.status();
+  // Two replicas per shard, then one: a one-host endpoints line is a
+  // one-replica shard, and its outage must read the same way.
+  for (size_t replicas : {2u, 1u}) {
+    SCOPED_TRACE(std::to_string(replicas) + " replica(s) per shard");
+    ReplicatedDeployment deployment;
+    StartReplicatedDeployment(index, 2, replicas,
+                              "alldown_" + std::to_string(replicas),
+                              &deployment);
+    auto router = ShardedSketchIndex::Load(
+        deployment.manifest_path,
+        ReplicaShardClient::Factory(deployment.endpoints,
+                                    FastReplicaOptions()));
+    ASSERT_TRUE(router.ok()) << router.status();
 
-  // Degraded still answers from shard 1, reporting shard 0's total outage.
-  auto degraded = router->Search(*query, 3, 1, ShardQueryMode::kDegraded);
-  ASSERT_TRUE(degraded.ok()) << degraded.status();
-  ASSERT_EQ(degraded->shard_failures.size(), 1u);
-  EXPECT_EQ(degraded->shard_failures[0].shard, 0u);
+    for (size_t r = 0; r < replicas; ++r) deployment.Kill(0, r);
+    auto strict = router->Search(*query, 3, 1, ShardQueryMode::kStrict);
+    ASSERT_FALSE(strict.ok());
+    EXPECT_TRUE(strict.status().IsIOError()) << strict.status();
+    EXPECT_NE(strict.status().message().find("replicas failed"),
+              std::string::npos)
+        << strict.status();
+    for (const ShardEndpoint& endpoint : deployment.endpoints[0]) {
+      EXPECT_NE(strict.status().message().find(endpoint.ToString()),
+                std::string::npos)
+          << strict.status();
+    }
 
-  // One replica coming back heals strict mode.
-  deployment.Revive(0, 1);
-  auto healed = router->Search(*query, 3, 1, ShardQueryMode::kStrict);
-  ASSERT_TRUE(healed.ok()) << healed.status();
+    // Degraded still answers from shard 1, reporting shard 0's total
+    // outage.
+    auto degraded = router->Search(*query, 3, 1, ShardQueryMode::kDegraded);
+    ASSERT_TRUE(degraded.ok()) << degraded.status();
+    ASSERT_EQ(degraded->shard_failures.size(), 1u);
+    EXPECT_EQ(degraded->shard_failures[0].shard, 0u);
+
+    // One replica coming back on its old port heals strict mode.
+    deployment.Revive(0, replicas - 1);
+    auto healed = router->Search(*query, 3, 1, ShardQueryMode::kStrict);
+    ASSERT_TRUE(healed.ok()) << healed.status();
+  }
 }
 
 TEST(ReplicaRouterTest, RoundRobinSpreadsTrafficAcrossBothReplicas) {
@@ -434,56 +447,74 @@ TEST(ReplicaRouterTest, CooldownReprobeReturnsARevivedReplicaToRotation) {
   Universe universe = MakeUniverse();
   SketchIndex index(MakeIndexConfig());
   ASSERT_TRUE(index.IndexRepository(universe.repository).ok());
-  ReplicatedDeployment deployment;
-  StartReplicatedDeployment(index, 1, 2, "reprobe", &deployment);
-
-  // Keep a typed handle on the shard client to watch its replica state.
-  auto manifest = ReadManifestFile(deployment.manifest_path);
-  ASSERT_TRUE(manifest.ok());
-  auto typed = ReplicaShardClient::Create(
-      deployment.endpoints[0], manifest->config,
-      manifest->shards[0].candidate_count,
-      FastReplicaOptions(/*cooldown_ms=*/100));
-  ASSERT_TRUE(typed.ok()) << typed.status();
-  ReplicaShardClient* client = typed->get();
   auto query =
       JoinMIQuery::Create(*universe.base, "K", "Y", index.config());
   ASSERT_TRUE(query.ok());
 
-  deployment.Kill(0, 0);
-  // First query fails over to replica 1 and marks replica 0 down.
-  auto result = client->Search(*query, 3, 1);
-  ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_TRUE(client->replica_down(0));
-  EXPECT_FALSE(client->replica_down(1));
+  // Two replicas, then one (the shard a one-host endpoints line makes).
+  for (size_t replicas : {2u, 1u}) {
+    SCOPED_TRACE(std::to_string(replicas) + " replica(s)");
+    ReplicatedDeployment deployment;
+    StartReplicatedDeployment(index, 1, replicas,
+                              "reprobe_" + std::to_string(replicas),
+                              &deployment);
 
-  // While the cooldown runs, queries stick to replica 1 without paying
-  // for the dead replica.
-  const uint64_t live_before =
-      deployment.servers[0][1]->requests_served();
-  for (int q = 0; q < 3; ++q) {
-    ASSERT_TRUE(client->Search(*query, 3, 1).ok());
-  }
-  EXPECT_TRUE(client->replica_down(0));
-  EXPECT_EQ(deployment.servers[0][1]->requests_served(), live_before + 3);
+    // Keep a typed handle on the shard client to watch its replica state.
+    auto manifest = ReadManifestFile(deployment.manifest_path);
+    ASSERT_TRUE(manifest.ok());
+    auto typed = ReplicaShardClient::Create(
+        deployment.endpoints[0], manifest->config,
+        manifest->shards[0].candidate_count,
+        FastReplicaOptions(/*cooldown_ms=*/100));
+    ASSERT_TRUE(typed.ok()) << typed.status();
+    ReplicaShardClient* client = typed->get();
 
-  // Revive replica 0, outwait the cooldown: the next query's Health()
-  // reprobe must return it to rotation.
-  deployment.Revive(0, 0);
-  std::this_thread::sleep_for(std::chrono::milliseconds(150));
-  ASSERT_TRUE(client->Search(*query, 3, 1).ok());
-  EXPECT_FALSE(client->replica_down(0));
-  // The revived server saw the probe on the dedicated counters — probes
-  // and handshakes no longer masquerade as served requests.
-  EXPECT_GE(deployment.servers[0][0]->handshakes_served(), 1u);
-  EXPECT_GE(deployment.servers[0][0]->health_served(), 1u);
-  // And with both replicas healthy again, traffic spreads once more.
-  const uint64_t revived_before =
-      deployment.servers[0][0]->requests_served();
-  for (int q = 0; q < 4; ++q) {
+    deployment.Kill(0, 0);
+    auto result = client->Search(*query, 3, 1);
+    EXPECT_TRUE(client->replica_down(0));
+    if (replicas == 2) {
+      // The first query fails over to replica 1 and marks replica 0 down.
+      ASSERT_TRUE(result.ok()) << result.status();
+      EXPECT_FALSE(client->replica_down(1));
+
+      // While the cooldown runs, queries stick to replica 1 without
+      // paying for the dead replica.
+      const uint64_t live_before =
+          deployment.servers[0][1]->requests_served();
+      for (int q = 0; q < 3; ++q) {
+        ASSERT_TRUE(client->Search(*query, 3, 1).ok());
+      }
+      EXPECT_TRUE(client->replica_down(0));
+      EXPECT_EQ(deployment.servers[0][1]->requests_served(),
+                live_before + 3);
+    } else {
+      // No twin to fail over to: the query fails and marks the replica
+      // down.
+      ASSERT_FALSE(result.ok());
+      EXPECT_TRUE(result.status().IsIOError()) << result.status();
+    }
+
+    // Revive replica 0, outwait the cooldown: the next query's Health()
+    // reprobe must return it to rotation.
+    deployment.Revive(0, 0);
+    std::this_thread::sleep_for(std::chrono::milliseconds(150));
     ASSERT_TRUE(client->Search(*query, 3, 1).ok());
+    EXPECT_FALSE(client->replica_down(0));
+    // The revived server saw the probe on the dedicated counters — probes
+    // and handshakes no longer masquerade as served requests.
+    EXPECT_GE(deployment.servers[0][0]->handshakes_served(), 1u);
+    EXPECT_GE(deployment.servers[0][0]->health_served(), 1u);
+    if (replicas == 2) {
+      // And with both replicas healthy again, traffic spreads once more.
+      const uint64_t revived_before =
+          deployment.servers[0][0]->requests_served();
+      for (int q = 0; q < 4; ++q) {
+        ASSERT_TRUE(client->Search(*query, 3, 1).ok());
+      }
+      EXPECT_GT(deployment.servers[0][0]->requests_served(),
+                revived_before);
+    }
   }
-  EXPECT_GT(deployment.servers[0][0]->requests_served(), revived_before);
 }
 
 TEST(ReplicaRouterTest, ReachableButMisdeployedReplicaFailsCreateLoudly) {

@@ -26,6 +26,7 @@
 #include "src/discovery/search.h"
 #include "src/discovery/sharded_index.h"
 #include "src/discovery/sketch_index.h"
+#include "src/ingest/coordinator.h"
 #include "src/table/table.h"
 
 namespace joinmi {
@@ -505,6 +506,55 @@ TEST_F(RouterTest, StatsJsonCarriesCacheAdmissionAndLatency) {
         "\"router.admission.admitted\":2", "router.search.latency_us"}) {
     EXPECT_NE(json.find(name), std::string::npos) << name << " in " << json;
   }
+}
+
+TEST_F(RouterTest, StatsJsonKeepsPoolGaugesOfAPagedShardWithADelta) {
+  // Paged base shards hold the first two candidates; the third is
+  // appended and published, so after Reload one shard is a delta overlay
+  // over a paged base — its buffer pool still serves every base read.
+  SketchIndex prefix(index_->config());
+  for (size_t i = 0; i < 2; ++i) {
+    const IndexedCandidate& candidate = index_->candidates()[i];
+    ASSERT_TRUE(prefix.AddSketch(candidate.ref, candidate.sketch()).ok());
+  }
+  ShardBuildOptions paged;
+  paged.format = ShardFileFormat::kPaged;
+  const std::string deployment = dir_ + "/paged_delta";
+  ASSERT_TRUE(BuildShards(prefix, 2, ShardPartitionPolicy::kRoundRobin,
+                          deployment, paged)
+                  .ok());
+  RouterOptions options;
+  options.manifest_path = deployment;
+  auto router = Router::Open(options);
+  ASSERT_TRUE(router.ok()) << router.status();
+
+  auto coordinator = ingest::IngestCoordinator::Open(deployment);
+  ASSERT_TRUE(coordinator.ok()) << coordinator.status();
+  const IndexedCandidate& appended = index_->candidates()[2];
+  ASSERT_TRUE(
+      (*coordinator)
+          ->Append({CandidateRecord{appended.ref, appended.sketch()}})
+          .ok());
+  ASSERT_TRUE((*coordinator)->Publish().ok());
+  ASSERT_TRUE((*router)->Reload().ok());
+  size_t delta_shard = 0;
+  size_t delta_shards = 0;
+  const ShardManifest& manifest = (*coordinator)->manifest();
+  for (size_t s = 0; s < manifest.shards.size(); ++s) {
+    if (manifest.shards[s].delta_records > 0) {
+      delta_shard = s;
+      ++delta_shards;
+    }
+  }
+  ASSERT_EQ(delta_shards, 1u);
+  ASSERT_TRUE((*router)->Search(*universe_.base, {"K", "Y"}, 3).ok());
+
+  const std::string json = (*router)->StatsJson();
+  const std::string name =
+      "\"shard." + std::to_string(delta_shard) + ".pool.misses\":";
+  const size_t at = json.find(name);
+  ASSERT_NE(at, std::string::npos) << name << " in " << json;
+  EXPECT_GE(std::stoull(json.substr(at + name.size())), 1u) << json;
 }
 
 TEST_F(RouterTest, OpenRequiresAManifestPath) {

@@ -1,6 +1,8 @@
 // End-to-end tests for networked shard serving, over real loopback
 // sockets: ShardServer processes-in-miniature (in-process instances, real
-// TCP) serve shard files, RpcShardClient dials them, and the acceptance
+// TCP) serve shard files, RpcShardClient dials them (directly, or as the
+// one replica of each shard through ReplicaShardClient::Factory, the
+// remote factory every deployment loads through), and the acceptance
 // gate is bit-identical rankings against LocalShardClient for K in
 // {1, 2, 7}, both partition policies, and any thread count. Availability:
 // killing one shard fails a strict-mode query with a clear status, while
@@ -166,6 +168,17 @@ RpcClientOptions FastTimeouts() {
   return options;
 }
 
+// The remote factory over `deployment`, one replica per shard.
+ShardClientFactory OneReplicaFactory(const Deployment& deployment) {
+  std::vector<std::vector<ShardEndpoint>> rows;
+  for (const ShardEndpoint& endpoint : deployment.endpoints) {
+    rows.push_back({endpoint});
+  }
+  ReplicaRouterOptions options;
+  options.rpc = FastTimeouts();
+  return ReplicaShardClient::Factory(std::move(rows), options);
+}
+
 // ----------------------------------------------------------- Endpoint file
 
 std::string WriteEndpointsFixture(const std::string& name,
@@ -241,7 +254,7 @@ TEST(RpcShardTest, RpcRankingsBitIdenticalToLocalForEveryKPolicyThreads) {
       ASSERT_TRUE(local.ok()) << local.status();
       auto remote = ShardedSketchIndex::Load(
           deployment.manifest_path,
-          RpcShardClient::Factory(deployment.endpoints, FastTimeouts()));
+          OneReplicaFactory(deployment));
       ASSERT_TRUE(remote.ok()) << remote.status();
       EXPECT_EQ(remote->num_shards(), num_shards);
       EXPECT_TRUE(remote->config() == index.config());
@@ -287,7 +300,7 @@ TEST(RpcShardTest, ConnectionsAreReusedAcrossQueries) {
                   &deployment);
   auto remote = ShardedSketchIndex::Load(
       deployment.manifest_path,
-      RpcShardClient::Factory(deployment.endpoints, FastTimeouts()));
+      OneReplicaFactory(deployment));
   ASSERT_TRUE(remote.ok()) << remote.status();
   auto query =
       JoinMIQuery::Create(*universe.base, "K", "Y", index.config());
@@ -527,7 +540,7 @@ TEST(RpcShardTest, KilledShardFailsStrictAndDegradesGracefully) {
   deployment.servers[dead_shard]->Stop();
   auto remote = ShardedSketchIndex::Load(
       deployment.manifest_path,
-      RpcShardClient::Factory(deployment.endpoints, FastTimeouts()));
+      OneReplicaFactory(deployment));
   ASSERT_TRUE(remote.ok()) << remote.status();
 
   // Strict mode: the query fails, naming the dead shard.
@@ -624,7 +637,7 @@ TEST(RpcShardTest, RestartedServerHealsCachedConnectionsTransparently) {
                   &deployment);
   auto remote = ShardedSketchIndex::Load(
       deployment.manifest_path,
-      RpcShardClient::Factory(deployment.endpoints, FastTimeouts()));
+      OneReplicaFactory(deployment));
   ASSERT_TRUE(remote.ok()) << remote.status();
   auto query =
       JoinMIQuery::Create(*universe.base, "K", "Y", index.config());
@@ -668,7 +681,7 @@ TEST(RpcShardTest, AllShardsDownFailsEvenDegraded) {
                   &deployment);
   auto remote = ShardedSketchIndex::Load(
       deployment.manifest_path,
-      RpcShardClient::Factory(deployment.endpoints, FastTimeouts()));
+      OneReplicaFactory(deployment));
   ASSERT_TRUE(remote.ok());
   for (auto& server : deployment.servers) server->Stop();
   auto query =
@@ -747,7 +760,7 @@ TEST(RpcShardTest, SearchRejectsQueryConfigDrift) {
                   &deployment);
   auto remote = ShardedSketchIndex::Load(
       deployment.manifest_path,
-      RpcShardClient::Factory(deployment.endpoints, FastTimeouts()));
+      OneReplicaFactory(deployment));
   ASSERT_TRUE(remote.ok());
 
   JoinMIConfig drifted = MakeIndexConfig();

@@ -213,7 +213,7 @@ TEST(ShardedSearchTest, ThreadAndShardGridMatchesUnshardedSingleThread) {
   ShardBuildOptions paged_build;
   paged_build.format = ShardFileFormat::kPaged;
   paged_build.page_size = 512;
-  ShardedSketchIndex::LocalShardLoadOptions small_pool;
+  LocalShardLoadOptions small_pool;
   small_pool.pool_pages = 4;
   const std::pair<size_t, size_t> grid[] = {{1, 8}, {4, 4}, {7, 3}};
   for (const auto& [num_shards, num_threads] : grid) {
