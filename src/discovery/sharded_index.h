@@ -17,8 +17,8 @@
 //
 // Serving boundary: queries reach shards through the ShardClient interface.
 // LocalShardClient is the in-process implementation over a loaded
-// SketchIndex; RpcShardClient (rpc_shard_client.h) implements the same
-// three methods against a remote shard server process without touching the
+// SketchIndex; ReplicaShardClient (replica_router.h) implements the same
+// three methods against remote shard server replicas without touching the
 // fan-out or merge. Which one a router uses is decided by the
 // ShardClientFactory handed to Load — local shard files and host:port
 // endpoints are interchangeable deployments of the same manifest.

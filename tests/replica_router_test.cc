@@ -17,8 +17,10 @@
 #include <thread>
 #include <vector>
 
+#include "src/common/metrics.h"
 #include "src/common/random.h"
 #include "src/discovery/replica_router.h"
+#include "src/discovery/router.h"
 #include "src/discovery/rpc_shard_client.h"
 #include "src/discovery/search.h"
 #include "src/discovery/shard_server.h"
@@ -441,6 +443,59 @@ TEST(ReplicaRouterTest, RoundRobinSpreadsTrafficAcrossBothReplicas) {
     EXPECT_GE(requests - handshakes, 2u)
         << "replica " << r << " took no search traffic";
   }
+}
+
+TEST(ReplicaRouterTest, RouterExportsReplicaGaugesForEveryEndpointsRow) {
+  Universe universe = MakeUniverse();
+  SketchIndex index(MakeIndexConfig());
+  ASSERT_TRUE(index.IndexRepository(universe.repository).ok());
+  ReplicatedDeployment deployment;
+  StartReplicatedDeployment(index, 2, 2, "gauges", &deployment);
+
+  // Shard 0 keeps two replicas, shard 1 is a one-host row.
+  RouterOptions options;
+  options.manifest_path = deployment.manifest_path;
+  options.replica_endpoints = {deployment.endpoints[0],
+                               {deployment.endpoints[1][0]}};
+  options.serving.connect_timeout_ms = 500;
+  options.cache_entries = 0;  // every query crosses the wire
+  auto router = Router::Open(options);
+  ASSERT_TRUE(router.ok()) << router.status();
+  for (int q = 0; q < 4; ++q) {
+    ASSERT_TRUE((*router)->Search(*universe.base, {"K", "Y"}, 3).ok());
+  }
+  deployment.Kill(1, 0);
+  auto strict = (*router)->Search(*universe.base, {"K", "Y"}, 3);
+  ASSERT_FALSE(strict.ok());
+  EXPECT_NE(strict.status().message().find("all 1 replicas failed (" +
+                                           deployment.endpoints[1][0]
+                                               .ToString() +
+                                           ")"),
+            std::string::npos)
+      << strict.status();
+
+  // Sequential queries reuse one connection per replica: one dial each.
+  const std::string json = (*router)->StatsJson();
+  const metrics::Registry& registry = (*router)->metrics();
+  const struct {
+    size_t shard;
+    uint64_t replicas, mark_downs, dials;
+  } expected[] = {{0, 2, 0, 2}, {1, 1, 1, 1}};
+  for (const auto& shard : expected) {
+    const std::string prefix =
+        "shard." + std::to_string(shard.shard) + ".replica.";
+    for (const char* gauge : {"replicas", "mark_downs", "dials",
+                              "live_channels", "max_pipelined"}) {
+      EXPECT_NE(json.find("\"" + prefix + gauge + "\""), std::string::npos)
+          << prefix << gauge << " in " << json;
+    }
+    EXPECT_EQ(registry.CounterValue(prefix + "replicas"), shard.replicas);
+    EXPECT_EQ(registry.CounterValue(prefix + "mark_downs"),
+              shard.mark_downs);
+    EXPECT_EQ(registry.CounterValue(prefix + "dials"), shard.dials);
+    EXPECT_EQ(registry.CounterValue(prefix + "max_pipelined"), 1u);
+  }
+  EXPECT_EQ(registry.CounterValue("shard.0.replica.live_channels"), 2u);
 }
 
 TEST(ReplicaRouterTest, CooldownReprobeReturnsARevivedReplicaToRotation) {
