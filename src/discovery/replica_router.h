@@ -15,10 +15,11 @@
 // replica to rotation (and resets nothing else: its connections
 // re-dial lazily), failure re-arms the cooldown, so a dead replica costs
 // at most one probe per cooldown period rather than a failed Search
-// attempt per query. If every replica is marked down, the rotation is
-// attempted anyway (last resort — a replica may have returned between
-// probes); only when every replica actually refuses does the shard fail,
-// which is the error the strict/degraded modes then see.
+// attempt per query. If every replica is marked down, nothing is probed
+// and the rotation is attempted anyway (last resort — a replica may have
+// returned since it was marked down); only when every replica actually
+// refuses does the shard fail, which is the error the strict/degraded
+// modes then see.
 //
 // Correctness: replicas serve byte-identical shard files (the handshake
 // pins config and candidate count to the manifest entry for every
@@ -32,8 +33,8 @@
 // The endpoints file maps each shard line to N replicas (see
 // ReadShardEndpoints); a one-host line is a one-replica shard, served by
 // this same client: its outage fails the shard with "all 1 replicas
-// failed (host:port)", and after the cooldown it is Health()-probed before
-// the next request like any other down replica.
+// failed (host:port)", and its next request tries the host again with no
+// Health() probe first (it has no healthy twin to fall back on).
 
 #ifndef JOINMI_DISCOVERY_REPLICA_ROUTER_H_
 #define JOINMI_DISCOVERY_REPLICA_ROUTER_H_
@@ -89,6 +90,8 @@ class ReplicaSet {
   /// \brief Down replicas whose cooldown has expired, i.e. due for a
   /// Health() probe now. Re-arms each one's cooldown so a dead replica is
   /// probed at most once per period no matter how many requests race by.
+  /// Empty while every replica is down: PlanAttempts then tries them all,
+  /// so a probe would only repeat the request's own connect attempt.
   std::vector<size_t> DueForReprobe();
 
   void MarkDown(size_t replica);

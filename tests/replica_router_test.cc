@@ -2,7 +2,8 @@
 // served by N interchangeable ShardServer replicas, the router reaches
 // them through ReplicaShardClient, and the acceptance gate is that
 // killing any single replica leaves strict-mode rankings bit-identical to
-// the unsharded in-process path — plus the v2 endpoints-file format,
+// the unsharded in-process path — plus the endpoints-file format (one or
+// more replicas per line),
 // round-robin spreading, cooldown re-probe, and the ReplicaSet selection
 // bookkeeping in isolation.
 
@@ -315,6 +316,25 @@ TEST(ReplicaSetTest, AllDownStillPlansEveryReplica) {
   ASSERT_EQ(plan.size(), 2u);  // last-resort attempts, not an empty plan
 }
 
+TEST(ReplicaSetTest, NoReprobeWhileEveryReplicaIsDown) {
+  for (size_t replicas : {1u, 2u}) {
+    SCOPED_TRACE(std::to_string(replicas) + " replica(s)");
+    ReplicaSet set(replicas, /*cooldown_ms=*/0);
+    for (size_t i = 0; i < replicas; ++i) set.MarkDown(i);
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    // The plan attempts every replica anyway; a probe would repeat it.
+    EXPECT_TRUE(set.DueForReprobe().empty());
+    EXPECT_EQ(set.PlanAttempts().size(), replicas);
+    if (replicas == 2) {
+      // Once a twin is healthy, the down one is due again.
+      set.MarkHealthy(0);
+      auto due = set.DueForReprobe();
+      ASSERT_EQ(due.size(), 1u);
+      EXPECT_EQ(due[0], 1u);
+    }
+  }
+}
+
 // ------------------------------------------- Failover correctness (wire)
 
 TEST(ReplicaRouterTest, KillingAnySingleReplicaKeepsStrictBitIdentical) {
@@ -549,16 +569,18 @@ TEST(ReplicaRouterTest, CooldownReprobeReturnsARevivedReplicaToRotation) {
       EXPECT_TRUE(result.status().IsIOError()) << result.status();
     }
 
-    // Revive replica 0, outwait the cooldown: the next query's Health()
-    // reprobe must return it to rotation.
+    // Revive replica 0, outwait the cooldown: the next query must return
+    // it to rotation — through a Health() reprobe while its twin is
+    // healthy, through the query itself when it is the only replica.
     deployment.Revive(0, 0);
     std::this_thread::sleep_for(std::chrono::milliseconds(150));
     ASSERT_TRUE(client->Search(*query, 3, 1).ok());
     EXPECT_FALSE(client->replica_down(0));
-    // The revived server saw the probe on the dedicated counters — probes
-    // and handshakes no longer masquerade as served requests.
+    // The revived server counts probes and handshakes apart from served
+    // requests.
     EXPECT_GE(deployment.servers[0][0]->handshakes_served(), 1u);
-    EXPECT_GE(deployment.servers[0][0]->health_served(), 1u);
+    EXPECT_EQ(deployment.servers[0][0]->health_served() >= 1u,
+              replicas == 2);
     if (replicas == 2) {
       // And with both replicas healthy again, traffic spreads once more.
       const uint64_t revived_before =
