@@ -73,13 +73,12 @@ std::vector<size_t> ReplicaSet::PlanAttempts() {
 std::vector<size_t> ReplicaSet::DueForReprobe() {
   std::lock_guard<std::mutex> lock(mutex_);
   std::vector<size_t> due;
-  // With every replica down, PlanAttempts tries them all anyway; a probe
-  // first would only add a second connect attempt (a whole connect
-  // timeout against a blackholed host) to the same request.
-  const bool any_healthy =
-      std::any_of(states_.begin(), states_.end(),
-                  [](const ReplicaState& state) { return !state.down; });
-  if (!any_healthy) return due;
+  // With every replica down, PlanAttempts tries them all anyway: a probe
+  // would only repeat the request's connect (a whole timeout if blackholed).
+  if (std::all_of(states_.begin(), states_.end(),
+                  [](const ReplicaState& state) { return state.down; })) {
+    return due;
+  }
   const Clock::time_point now = Clock::now();
   for (size_t i = 0; i < states_.size(); ++i) {
     if (states_[i].down && now >= states_[i].probe_due) {
@@ -144,8 +143,7 @@ Result<TopKSearchResult> ReplicaShardClient::Search(
     const JoinMIQuery& query, size_t k, size_t num_threads) const {
   // Cooldown-expired replicas get one cheap liveness probe before the
   // request plans its attempts — a recovered replica rejoins the rotation
-  // in time to serve this very query. (None is due while every replica is
-  // down: the plan then tries each of them as a last resort.) A failed probe re-arms the cooldown
+  // in time to serve this very query. A failed probe re-arms the cooldown
   // from the probe's COMPLETION (MarkDown), not its start: against a
   // blackholed host a probe blocks for the whole connect timeout, and
   // re-arming only at the start would let every later query find the

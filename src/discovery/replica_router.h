@@ -15,11 +15,10 @@
 // replica to rotation (and resets nothing else: its connections
 // re-dial lazily), failure re-arms the cooldown, so a dead replica costs
 // at most one probe per cooldown period rather than a failed Search
-// attempt per query. If every replica is marked down, nothing is probed
-// and the rotation is attempted anyway (last resort — a replica may have
-// returned since it was marked down); only when every replica actually
-// refuses does the shard fail, which is the error the strict/degraded
-// modes then see.
+// attempt per query. If every replica is marked down, none is probed and
+// the rotation is attempted anyway (last resort — a replica may have come
+// back); only when every replica actually refuses does the shard fail,
+// which is the error the strict/degraded modes then see.
 //
 // Correctness: replicas serve byte-identical shard files (the handshake
 // pins config and candidate count to the manifest entry for every
@@ -63,9 +62,8 @@ struct ReplicaRouterOptions {
 };
 
 /// \brief THE endpoints-file reader: line i lists the replicas of shard i
-/// as host:port specs separated by commas and/or whitespace. A v1 file —
-/// exactly one endpoint per line — is a valid file with one replica per
-/// shard, so both historical formats read here; the v1/v2 split is gone.
+/// as host:port specs separated by commas and/or whitespace (a one-host
+/// line is a one-replica shard).
 /// Blank lines and '#' comments (inline too) are ignored; malformed specs
 /// fail with the offending `path:line:` position.
 Result<std::vector<std::vector<ShardEndpoint>>> ReadShardEndpoints(
@@ -90,8 +88,7 @@ class ReplicaSet {
   /// \brief Down replicas whose cooldown has expired, i.e. due for a
   /// Health() probe now. Re-arms each one's cooldown so a dead replica is
   /// probed at most once per period no matter how many requests race by.
-  /// Empty while every replica is down: PlanAttempts then tries them all,
-  /// so a probe would only repeat the request's own connect attempt.
+  /// Empty while every replica is down (PlanAttempts then tries them all).
   std::vector<size_t> DueForReprobe();
 
   void MarkDown(size_t replica);
