@@ -232,29 +232,6 @@ bool IsSketchCacheFull(const Status& status) {
          status.message().rfind(kSketchCacheFullPrefix, 0) == 0;
 }
 
-// ----------------------------------------------------------------- Stats
-
-std::string EncodeStatsResponse(const StatsResponse& response) {
-  std::string out;
-  AppendStatus(&out, response.status);
-  if (!response.status.ok()) return out;
-  wire::AppendLengthPrefixed(&out, response.json);
-  return out;
-}
-
-Result<StatsResponse> DecodeStatsResponse(const std::string& payload) {
-  wire::Reader reader(payload);
-  StatsResponse response;
-  JOINMI_RETURN_NOT_OK(ReadStatus(&reader, &response.status));
-  if (!response.status.ok()) {
-    JOINMI_RETURN_NOT_OK(CheckAtEnd(reader, "stats response"));
-    return response;
-  }
-  JOINMI_RETURN_NOT_OK(reader.ReadLengthPrefixed(&response.json));
-  JOINMI_RETURN_NOT_OK(CheckAtEnd(reader, "stats response"));
-  return response;
-}
-
 // ---------------------------------------------------------------- Reload
 
 std::string EncodeReloadResponse(const ReloadResponse& response) {

@@ -120,21 +120,6 @@ Result<SketchUploadResponse> DecodeSketchUploadResponse(
 Status SketchCacheFull(size_t limit);
 bool IsSketchCacheFull(const Status& status);
 
-// ----------------------------------------------------------------- Stats
-
-/// \brief Answer to kStatsRequest (whose payload is empty): the server's
-/// metrics snapshot. The JSON is opaque to the wire layer — its schema is
-/// whatever metrics::Registry::SnapshotJson emits — so servers can add
-/// metrics without a protocol bump.
-struct StatsResponse {
-  Status status;
-  /// Meaningful only when `status` is OK.
-  std::string json;
-};
-
-std::string EncodeStatsResponse(const StatsResponse& response);
-Result<StatsResponse> DecodeStatsResponse(const std::string& payload);
-
 // ---------------------------------------------------------------- Reload
 
 /// \brief Answer to kReloadRequest (whose payload is empty): the server

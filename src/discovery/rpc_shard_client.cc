@@ -257,33 +257,6 @@ Result<rpc::HealthResponse> RpcShardClient::Health() const {
   return rpc::DecodeHealthResponse(frame->payload);
 }
 
-Result<std::string> RpcShardClient::Stats() const {
-  auto channel = channels_->Pick();
-  if (!channel.ok()) {
-    return channel.status();
-  }
-  auto frame = (*channel)->Call(net::FrameType::kStatsRequest, "", nullptr);
-  if (!frame.ok()) {
-    return frame.status();
-  }
-  if (frame->type == net::FrameType::kError) {
-    Status server_error;
-    JOINMI_RETURN_NOT_OK(
-        rpc::DecodeErrorPayload(frame->payload, &server_error));
-    return server_error;
-  }
-  if (frame->type != net::FrameType::kStatsResponse) {
-    return Status::IOError(
-        "shard server " + endpoint_.ToString() +
-        " answered a stats request with a " +
-        std::string(net::FrameTypeToString(frame->type)) + " frame");
-  }
-  JOINMI_ASSIGN_OR_RETURN(rpc::StatsResponse response,
-                          rpc::DecodeStatsResponse(frame->payload));
-  JOINMI_RETURN_NOT_OK(response.status);
-  return std::move(response.json);
-}
-
 Result<rpc::ReloadResponse> RpcShardClient::Reload() const {
   auto channel = channels_->Pick();
   if (!channel.ok()) {

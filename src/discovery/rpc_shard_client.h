@@ -137,10 +137,6 @@ class RpcShardClient : public ShardClient {
   /// \brief Liveness + identity probe: cheap, never retried.
   Result<rpc::HealthResponse> Health() const;
 
-  /// \brief The server's metrics snapshot as a JSON document. Never
-  /// retried: stats are advisory telemetry.
-  Result<std::string> Stats() const;
-
   /// \brief Asks the server to re-resolve its deployment reference and
   /// swap in the newest manifest generation (never retried — reloads are idempotent but the caller should see every failure).
   /// On OK the response reports the epoch and candidate count now

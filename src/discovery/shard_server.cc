@@ -184,7 +184,7 @@ Status ShardServer::Start() {
             // from the loop (one EncodeErrorPayload, no worker slot), so
             // an overloaded server keeps shedding load at wire speed
             // instead of queueing the rejections themselves. Everything
-            // else (handshake, health, upload, stats, reload) bypasses
+            // else (handshake, health, upload, reload) bypasses
             // the gate: it is exactly what a backing-off client needs.
             AdmissionGate::Ticket ticket;
             if (frame.type == net::FrameType::kSearchRequest) {
@@ -324,15 +324,6 @@ void ShardServer::HandleFrame(net::EventLoop::ConnId conn,
       metrics::ScopedTimer timer(search_latency_);
       Reply(conn, frame, net::FrameType::kSearchResponse,
             HandleSearch(conn, frame, *snapshot));
-      return;
-    }
-    case net::FrameType::kStatsRequest: {
-      stats_served_->Add();
-      rpc::StatsResponse response;
-      response.status = Status::OK();
-      response.json = StatsJson();
-      Reply(conn, frame, net::FrameType::kStatsResponse,
-            rpc::EncodeStatsResponse(response));
       return;
     }
     case net::FrameType::kReloadRequest: {

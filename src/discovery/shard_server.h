@@ -179,7 +179,7 @@ class ShardServer {
   storage::BufferPoolStats pool_stats() const;
   size_t pool_capacity() const;
 
-  /// \brief This server's registry (served over kStatsRequest too).
+  /// \brief This server's registry.
   metrics::Registry& metrics() const { return registry_; }
   /// \brief One JSON document of every server counter: request counts,
   /// admission gate state, search latency histogram, and — when serving
@@ -199,7 +199,6 @@ class ShardServer {
     handshakes_served_ = registry_.GetCounter("server.handshakes");
     health_served_ = registry_.GetCounter("server.health_probes");
     uploads_served_ = registry_.GetCounter("server.sketch_uploads");
-    stats_served_ = registry_.GetCounter("server.stats_requests");
     reloads_served_ = registry_.GetCounter("server.reloads");
     search_latency_ = registry_.GetHistogram("server.search.latency_us");
   }
@@ -262,7 +261,6 @@ class ShardServer {
   metrics::Counter* handshakes_served_ = nullptr;
   metrics::Counter* health_served_ = nullptr;
   metrics::Counter* uploads_served_ = nullptr;
-  metrics::Counter* stats_served_ = nullptr;
   metrics::Counter* reloads_served_ = nullptr;
   metrics::Histogram* search_latency_ = nullptr;
   /// Serializes Reload() bodies (the swap itself is under client_mutex_;

@@ -20,10 +20,21 @@ struct FrameHeader {
 };
 
 bool IsKnownFrameType(uint8_t type) {
-  // Tags 3 and 4 are the retired per-variant search exchange.
-  return type >= static_cast<uint8_t>(FrameType::kHandshakeRequest) &&
-         type <= static_cast<uint8_t>(FrameType::kReloadResponse) &&
-         type != 3 && type != 4;
+  switch (static_cast<FrameType>(type)) {
+    case FrameType::kHandshakeRequest:
+    case FrameType::kHandshakeResponse:
+    case FrameType::kHealthRequest:
+    case FrameType::kHealthResponse:
+    case FrameType::kError:
+    case FrameType::kSketchUploadRequest:
+    case FrameType::kSketchUploadResponse:
+    case FrameType::kSearchRequest:
+    case FrameType::kSearchResponse:
+    case FrameType::kReloadRequest:
+    case FrameType::kReloadResponse:
+      return true;
+  }
+  return false;
 }
 
 // Validates everything knowable from the header prefix alone — magic,
@@ -78,10 +89,6 @@ const char* FrameTypeToString(FrameType type) {
       return "search_request";
     case FrameType::kSearchResponse:
       return "search_response";
-    case FrameType::kStatsRequest:
-      return "stats_request";
-    case FrameType::kStatsResponse:
-      return "stats_response";
     case FrameType::kReloadRequest:
       return "reload_request";
     case FrameType::kReloadResponse:

@@ -45,8 +45,9 @@ inline constexpr size_t kFrameHeaderSize = 4 + 4 + 1 + 4 + 8;
 inline constexpr uint32_t kMaxFramePayload = 64u * 1024u * 1024u;
 
 /// \brief Message kinds carried over a serving connection. Tags 3 and 4
-/// belonged to the retired per-variant search exchange; they decode as
-/// unknown and are never reused.
+/// belonged to the retired per-variant search exchange, and 12 and 13 to a
+/// metrics pull no client made; they decode as unknown and are never
+/// reused.
 enum class FrameType : uint8_t {
   kHandshakeRequest = 1,
   kHandshakeResponse = 2,
@@ -61,10 +62,6 @@ enum class FrameType : uint8_t {
   /// One (k, min_join_size) search against one cached sketch.
   kSearchRequest = 10,
   kSearchResponse = 11,
-  /// Ask the server for its metrics snapshot (empty payload -> a Status +
-  /// JSON document; see rpc::StatsResponse).
-  kStatsRequest = 12,
-  kStatsResponse = 13,
   /// Ask the server to re-resolve its deployment reference and swap in
   /// the newest manifest generation (empty payload -> a Status + the
   /// served epoch; see rpc::ReloadResponse). In-flight queries complete

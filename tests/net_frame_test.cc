@@ -36,8 +36,7 @@ TEST(FrameCodecTest, RoundTripsEveryType) {
         FrameType::kHealthRequest, FrameType::kHealthResponse,
         FrameType::kError, FrameType::kSketchUploadRequest,
         FrameType::kSketchUploadResponse, FrameType::kSearchRequest,
-        FrameType::kSearchResponse, FrameType::kStatsRequest,
-        FrameType::kStatsResponse, FrameType::kReloadRequest,
+        FrameType::kSearchResponse, FrameType::kReloadRequest,
         FrameType::kReloadResponse}) {
     const uint64_t id = 0x1122334455667788ULL;
     const std::string payload = "payload for " +
@@ -97,6 +96,21 @@ TEST(FrameCodecTest, RejectsUnknownFrameType) {
   for (char tag : {0, 3, 4, 16, 99}) {
     encoded[8] = tag;
     EXPECT_FALSE(DecodeFrame(encoded).ok()) << static_cast<int>(tag);
+  }
+}
+
+TEST(FrameCodecTest, RejectsRetiredStatsFrameTypes) {
+  // Tags 12 and 13 carried a metrics pull that no client made; inside the
+  // range of valid tags, they still decode as unknown.
+  std::string encoded = EncodeFrame(FrameType::kSearchRequest, 1, "");
+  for (char tag : {12, 13}) {
+    encoded[8] = tag;
+    auto decoded = DecodeFrame(encoded);
+    ASSERT_FALSE(decoded.ok()) << static_cast<int>(tag);
+    EXPECT_NE(decoded.status().message().find(
+                  "unknown JMRP frame type " + std::to_string(tag)),
+              std::string::npos)
+        << decoded.status();
   }
 }
 
