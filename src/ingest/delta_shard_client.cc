@@ -36,7 +36,7 @@ Result<TopKSearchResult> DeltaShardClient::Search(const JoinMIQuery& query,
 Result<std::unique_ptr<ShardClient>> LoadDeltaOverlay(
     std::unique_ptr<ShardClient> base, const ShardManifestEntry& entry,
     const std::string& manifest_dir) {
-  if (!entry.has_delta()) return std::move(base);
+  if (!entry.has_delta()) return base;
   const std::string resolved =
       ResolveManifestEntryPath(entry.delta_path, manifest_dir);
   JOINMI_ASSIGN_OR_RETURN(

@@ -123,7 +123,7 @@ Result<std::string> ResolvePointerFile(const std::string& pointer_path,
 
 std::string GenerationManifestName(uint64_t epoch) {
   if (epoch == 0) return "manifest.jmim";
-  char buf[32];
+  char buf[40];  // "manifest-g", up to 20 digits, ".jmim" and a NUL
   std::snprintf(buf, sizeof(buf), "manifest-g%06llu.jmim",
                 static_cast<unsigned long long>(epoch));
   return buf;
