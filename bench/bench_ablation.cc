@@ -161,9 +161,12 @@ void RunPathologicalEntropy() {
       auto builder = MakeSketchBuilder(method, options);
       auto sketch = *builder->SketchTrain(*(*table->GetColumn("K")),
                                           *(*table->GetColumn("Y")));
-      ValueCoder coder;
+      KeyCoder coder;
+      coder.Reset(sketch.size());
       std::vector<uint32_t> codes;
-      for (const auto& e : sketch.entries) codes.push_back(coder.Encode(e.value));
+      for (size_t i = 0; i < sketch.size(); ++i) {
+        codes.push_back(coder.Add(sketch.ValueHash(i)));
+      }
       const double h = EntropyMLE(BuildHistogram(codes));
       h_acc += h;
       if (h == 0.0) ++zero_entropy;

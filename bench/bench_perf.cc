@@ -95,7 +95,7 @@ void BM_MISketchSample(benchmark::State& state) {
                                           AggKind::kFirst);
   auto joined = *JoinSketches(s_train, s_cand);
   for (auto _ : state) {
-    auto mi = EstimateMI(MIEstimatorKind::kMLE, joined.sample);
+    auto mi = EstimateMI(MIEstimatorKind::kMLE, joined.sample.columns());
     benchmark::DoNotOptimize(mi);
   }
 }
@@ -116,7 +116,7 @@ void BM_MIKsgSketchSample(benchmark::State& state) {
                                           AggKind::kFirst);
   auto joined = *JoinSketches(s_train, s_cand);
   for (auto _ : state) {
-    auto mi = EstimateMI(MIEstimatorKind::kMixedKSG, joined.sample);
+    auto mi = EstimateMI(MIEstimatorKind::kMixedKSG, joined.sample.columns());
     benchmark::DoNotOptimize(mi);
   }
 }
@@ -150,46 +150,54 @@ BENCHMARK(BM_SketchBuildTrain)
 
 // Ablation: bounded KMV selection vs sort-everything selection for TUPSK
 // ranks.
-void BM_SelectionKmv(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
+struct RankedKey {
+  uint64_t key_hash = 0;
+  double rank = 0.0;
+};
+
+std::vector<RankedKey> RandomRankedKeys() {
   Rng rng(9);
-  std::vector<SketchEntry> entries(100000);
-  for (auto& e : entries) {
+  std::vector<RankedKey> offers(100000);
+  for (auto& e : offers) {
     e.key_hash = rng.Next64();
     e.rank = rng.NextDouble();
   }
+  return offers;
+}
+
+void BM_SelectionKmv(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  const std::vector<RankedKey> offers = RandomRankedKeys();
   for (auto _ : state) {
     KmvSelection selection(
-        n, [&entries](size_t i) { return entries[i].value; }, entries.size());
-    auto out = selection.Select([&] {
-      for (size_t i = 0; i < entries.size(); ++i) {
-        selection.Offer(entries[i].rank, entries[i].key_hash, i);
-      }
-    });
+        n, [](size_t) { return Value(); }, offers.size());
+    Sketch out;
+    selection.Select(
+        [&] {
+          for (size_t i = 0; i < offers.size(); ++i) {
+            selection.Offer(offers[i].rank, offers[i].key_hash, i);
+          }
+        },
+        &out);
     benchmark::DoNotOptimize(out);
   }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(entries.size()));
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(offers.size()));
 }
 BENCHMARK(BM_SelectionKmv)->Arg(256)->Arg(4096)->Unit(benchmark::kMillisecond);
 
 void BM_SelectionFullSort(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
-  Rng rng(9);
-  std::vector<SketchEntry> entries(100000);
-  for (auto& e : entries) {
-    e.key_hash = rng.Next64();
-    e.rank = rng.NextDouble();
-  }
+  const std::vector<RankedKey> offers = RandomRankedKeys();
   for (auto _ : state) {
-    std::vector<SketchEntry> copy = entries;
+    std::vector<RankedKey> copy = offers;
     std::sort(copy.begin(), copy.end(),
-              [](const SketchEntry& a, const SketchEntry& b) {
+              [](const RankedKey& a, const RankedKey& b) {
                 return a.rank < b.rank;
               });
     copy.resize(std::min(n, copy.size()));
     benchmark::DoNotOptimize(copy);
   }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(entries.size()));
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(offers.size()));
 }
 BENCHMARK(BM_SelectionFullSort)->Arg(256)->Arg(4096)->Unit(benchmark::kMillisecond);
 

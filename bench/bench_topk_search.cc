@@ -716,17 +716,38 @@ void RunFlatHotPath(const BenchParams& params, size_t threads, bool smoke,
         *JoinMIQuery::Create(*base, "K", "Y", config));
   }
 
-  // The legacy probe maps, built at "load time" exactly as the pre-flat
-  // index did (node-based unordered_map per candidate).
+  // The legacy probe maps and Values, built at "load time" exactly as the
+  // pre-flat index held them: a node-based unordered_map per candidate,
+  // and each entry's Value from its value word — every part-9 value is a
+  // whole number: a double for a candidate (an avg), an int64 for a train.
+  auto sketch_values = [](const Sketch& sketch, bool int64s) {
+    std::vector<Value> values;
+    values.reserve(sketch.size());
+    for (size_t i = 0; i < sketch.size(); ++i) {
+      const double number = sketch.ValueNumber(i);
+      values.push_back(int64s ? Value(static_cast<int64_t>(number))
+                              : Value(number));
+    }
+    return values;
+  };
   std::vector<std::unordered_map<uint64_t, uint32_t>> legacy_probes;
+  std::vector<std::vector<Value>> legacy_values;
   legacy_probes.reserve(index.size());
+  legacy_values.reserve(index.size());
   for (const IndexedCandidate& candidate : index.candidates()) {
+    const Sketch& sketch = candidate.sketch();
     std::unordered_map<uint64_t, uint32_t> probe;
-    probe.reserve(candidate.sketch().entries.size());
-    for (uint32_t i = 0; i < candidate.sketch().entries.size(); ++i) {
-      probe.emplace(candidate.sketch().entries[i].key_hash, i);
+    probe.reserve(sketch.size());
+    for (uint32_t i = 0; i < sketch.size(); ++i) {
+      probe.emplace(sketch.key_hashes[i], i);
     }
     legacy_probes.push_back(std::move(probe));
+    legacy_values.push_back(sketch_values(sketch, /*int64s=*/false));
+  }
+  std::vector<std::vector<Value>> legacy_train_values;
+  for (const JoinMIQuery& query : queries) {
+    legacy_train_values.push_back(
+        sketch_values(query.train_sketch(), /*int64s=*/true));
   }
 
   struct Outcome {
@@ -736,33 +757,50 @@ void RunFlatHotPath(const BenchParams& params, size_t threads, bool smoke,
 
   // The pre-flattening per-candidate evaluation, kept verbatim so the
   // baseline cannot silently improve with the production code: walk every
-  // train entry, probe the node map, grow fresh sample vectors and a
-  // matched-key set, then score.
-  auto legacy_evaluate = [&config](const JoinMIQuery& query,
-                                   const Sketch& candidate,
-                                   const std::unordered_map<uint64_t,
-                                                            uint32_t>& probe) {
-    Outcome outcome;
-    const Sketch& train = query.train_sketch();
-    PairedSample sample;
-    sample.x.reserve(train.entries.size());
-    sample.y.reserve(train.entries.size());
-    std::unordered_set<uint64_t> matched;
-    matched.reserve(train.entries.size());
-    for (const SketchEntry& entry : train.entries) {
-      const auto it = probe.find(entry.key_hash);
-      if (it == probe.end()) continue;
-      sample.x.push_back(candidate.entries[it->second].value);
-      sample.y.push_back(entry.value);
-      matched.insert(entry.key_hash);
+  // train entry, probe the node map, grow fresh Value sample vectors and a
+  // matched-key set, then score them as ScoreSketchJoinSample scored a
+  // Value sample — the min_join_size guard, every Value hashed and
+  // converted into columns, the estimator's minimum sample, the estimate.
+  const MIEstimatorKind legacy_kind = *config.estimator;
+  auto legacy_score = [&](const PairedSample& sample) -> Result<double> {
+    if (sample.size() < config.min_join_size) {
+      return JoinBelowMinimum(sample.size(), config.min_join_size);
     }
-    auto scored = ScoreSketchJoinSample(sample, sample.size(),
-                                        config.estimator, config.mi_options,
-                                        config.min_join_size);
-    if (scored.ok()) {
-      outcome.estimate = JoinMIEstimate{scored->mi, scored->estimator,
-                                        scored->join_size, /*sketched=*/true};
-    } else if (scored.status().IsOutOfRange()) {
+    PairedColumns buffer;
+    JOINMI_ASSIGN_OR_RETURN(SampleColumns columns, buffer.Fill(sample));
+    if (columns.size == 0) return JoinBelowMinimum(0, 1);
+    const size_t fewest = MinimumSamples(legacy_kind, config.mi_options.k);
+    if (columns.size < fewest) {
+      return Status::OutOfRange(
+          "sketch join produced " + std::to_string(columns.size) +
+          " samples; " + MIEstimatorKindToString(legacy_kind) +
+          " needs at least " + std::to_string(fewest));
+    }
+    return EstimateMI(legacy_kind, columns, config.mi_options);
+  };
+  auto legacy_evaluate = [&](size_t q, size_t c) {
+    Outcome outcome;
+    const Sketch& train = queries[q].train_sketch();
+    const std::vector<Value>& train_values = legacy_train_values[q];
+    const std::vector<Value>& values = legacy_values[c];
+    const std::unordered_map<uint64_t, uint32_t>& probe = legacy_probes[c];
+    PairedSample sample;
+    sample.x.reserve(train.size());
+    sample.y.reserve(train.size());
+    std::unordered_set<uint64_t> matched;
+    matched.reserve(train.size());
+    for (size_t e = 0; e < train.size(); ++e) {
+      const auto it = probe.find(train.key_hashes[e]);
+      if (it == probe.end()) continue;
+      sample.x.push_back(values[it->second]);
+      sample.y.push_back(train_values[e]);
+      matched.insert(train.key_hashes[e]);
+    }
+    const Result<double> mi = legacy_score(sample);
+    if (mi.ok()) {
+      outcome.estimate =
+          JoinMIEstimate{*mi, legacy_kind, sample.size(), /*sketched=*/true};
+    } else if (mi.status().IsOutOfRange()) {
       outcome.skipped = true;
     }
     return outcome;
@@ -770,13 +808,11 @@ void RunFlatHotPath(const BenchParams& params, size_t threads, bool smoke,
 
   // Correctness gate before any timing: both paths must agree bit-for-bit
   // on every (query, candidate) outcome.
-  for (const JoinMIQuery& query : queries) {
-    auto batched = index.EvaluateAll(query, 1);
+  for (size_t q = 0; q < queries.size(); ++q) {
+    auto batched = index.EvaluateAll(queries[q], 1);
     batched.status().Abort("part 9 batched evaluation");
     for (size_t c = 0; c < index.size(); ++c) {
-      const Outcome legacy =
-          legacy_evaluate(query, index.candidates()[c].sketch(),
-                          legacy_probes[c]);
+      const Outcome legacy = legacy_evaluate(q, c);
       const std::optional<JoinMIEstimate>& batch = batched->estimates[c];
       const bool agree =
           legacy.estimate.has_value() == batch.has_value() &&
@@ -792,47 +828,81 @@ void RunFlatHotPath(const BenchParams& params, size_t threads, bool smoke,
     }
   }
 
-  // One untimed warm-up pass per path so thread_local scratch (match
-  // buffer, sample capacity) reaches its steady-state size
-  // before either the clocks or the allocation counter start.
-  for (const JoinMIQuery& query : queries) {
-    index.EvaluateAll(query, 1).status().Abort("part 9 warm-up");
-  }
-
-  const uint64_t legacy_allocs_before =
-      g_heap_allocs.load(std::memory_order_relaxed);
-  const auto legacy_start = std::chrono::steady_clock::now();
-  size_t legacy_evaluated = 0;
-  for (const JoinMIQuery& query : queries) {
-    for (size_t c = 0; c < index.size(); ++c) {
-      if (legacy_evaluate(query, index.candidates()[c].sketch(),
-                          legacy_probes[c])
-              .estimate.has_value()) {
-        ++legacy_evaluated;
+  // One pass of each leg over the whole query set, counting the estimates.
+  auto legacy_pass = [&] {
+    size_t evaluated = 0;
+    for (size_t q = 0; q < queries.size(); ++q) {
+      for (size_t c = 0; c < index.size(); ++c) {
+        evaluated += legacy_evaluate(q, c).estimate.has_value();
       }
     }
-  }
-  const double legacy_ms = MillisSince(legacy_start);
+    return evaluated;
+  };
+  auto batched_pass = [&] {
+    size_t evaluated = 0;
+    for (const JoinMIQuery& query : queries) {
+      auto evaluation = index.EvaluateAll(query, 1);
+      evaluation.status().Abort("part 9 batched evaluation");
+      evaluated += evaluation->num_evaluated;
+    }
+    return evaluated;
+  };
+
+  // One untimed warm-up pass per path so thread_local scratch (match
+  // buffer, sample capacity) reaches its steady-state size before the
+  // allocation counter and the clocks start; then one counted pass each.
+  legacy_pass();
+  batched_pass();
+  const uint64_t legacy_allocs_before =
+      g_heap_allocs.load(std::memory_order_relaxed);
+  const size_t legacy_evaluated = legacy_pass();
   const uint64_t legacy_allocs =
       g_heap_allocs.load(std::memory_order_relaxed) - legacy_allocs_before;
-
   const uint64_t batched_allocs_before =
       g_heap_allocs.load(std::memory_order_relaxed);
-  const auto batched_start = std::chrono::steady_clock::now();
-  size_t batched_evaluated = 0;
-  for (const JoinMIQuery& query : queries) {
-    auto evaluation = index.EvaluateAll(query, 1);
-    evaluation.status().Abort("part 9 batched evaluation");
-    batched_evaluated += evaluation->num_evaluated;
-  }
-  const double batched_ms = MillisSince(batched_start);
+  const size_t batched_evaluated = batched_pass();
   const uint64_t batched_allocs =
       g_heap_allocs.load(std::memory_order_relaxed) - batched_allocs_before;
-
   if (legacy_evaluated != batched_evaluated) {
     std::fprintf(stderr, "FATAL: part 9 evaluated counts disagree\n");
     std::abort();
   }
+
+  // Each timed region repeats a leg's pass until it lasts at least 2 ms,
+  // so one descheduling or timer tick moves it little, and gives
+  // milliseconds per pass. The two legs of a ratio alternate over
+  // kRounds rounds, the first leg switching each round, and the ratio
+  // reported is the median of the rounds' ratios: a burst on a shared
+  // runner skews a round, not the median.
+  constexpr int kRounds = 11;
+  auto time_leg = [](auto&& pass) {
+    size_t passes = 0;
+    double ms = 0.0;
+    const auto start = std::chrono::steady_clock::now();
+    do {
+      pass();
+      ++passes;
+      ms = MillisSince(start);
+    } while (ms < 2.0);
+    return ms / static_cast<double>(passes);
+  };
+  auto median = [](std::vector<double> values) {
+    std::sort(values.begin(), values.end());
+    return values[values.size() / 2];
+  };
+  std::vector<double> legacy_times, batched_times, batched_ratios;
+  for (int round = 0; round < kRounds; ++round) {
+    double legacy_round = 0.0, batched_round = 0.0;
+    if (round % 2 == 0) legacy_round = time_leg(legacy_pass);
+    batched_round = time_leg(batched_pass);
+    if (round % 2 == 1) legacy_round = time_leg(legacy_pass);
+    legacy_times.push_back(legacy_round);
+    batched_times.push_back(batched_round);
+    batched_ratios.push_back(legacy_round / batched_round);
+  }
+  const double legacy_ms = median(legacy_times);
+  const double batched_ms = median(batched_times);
+  const double batched_speedup = median(batched_ratios);
 
   // The same evaluation at the bench's thread count, once the shared
   // pool's workers are warm: a fan-out that allocated per strip or spawned
@@ -902,6 +972,14 @@ void RunFlatHotPath(const BenchParams& params, size_t threads, bool smoke,
                                             "V"})
         .Abort("part 9 probe candidate");
   }
+  // Swept as a server holds it: loaded from its serialized form, each
+  // candidate's columns allocated one after another, not between the
+  // tables and builder scratch that sketching them left behind.
+  {
+    auto loaded = DeserializeIndex(SerializeIndex(probe_index));
+    loaded.status().Abort("part 9 probe index reload");
+    probe_index = std::move(*loaded);
+  }
   JoinMIQuery nojoin_query = [&] {
     std::vector<std::string> keys;
     std::vector<int64_t> targets;
@@ -938,63 +1016,44 @@ void RunFlatHotPath(const BenchParams& params, size_t threads, bool smoke,
 
   // The no-join sweep three ways: the scoring kernel's bucket-directory
   // probe (ScoreMergeJoin, which paged shards and JoinMIQuery::Estimate
-  // run per candidate) over columns built before the timer, the index's
+  // run per candidate) over each candidate's own key column, the index's
   // key postings (EvaluateAll), and the JoinSketches reference join (a
-  // hash map per candidate). The probe is timed against the reference;
-  // the postings are reported beside it. Rounds alternate the three and
-  // each keeps its fastest, so a neighbour's burst on a shared runner
-  // skews none.
-  std::vector<uint64_t> probe_keys;
-  std::vector<uint64_t> probe_words;
-  std::vector<CandidateColumns> probe_columns;
-  for (const IndexedCandidate& candidate : probe_index.candidates()) {
-    AppendCandidateKeys(candidate.sketch(), &probe_keys)
-        .Abort("part 9 probe columns");
-    CandidateColumns columns;
-    columns.types = AppendValueWords(candidate.sketch(), &probe_words);
-    columns.size = candidate.sketch().size();
-    probe_columns.push_back(columns);
-  }
-  for (size_t c = 0, offset = 0; c < probe_columns.size(); ++c) {
-    probe_columns[c].keys = probe_keys.data() + offset;
-    probe_columns[c].value_words = probe_words.data() + offset;
-    offset += probe_columns[c].size;
-  }
-  const size_t timed_passes = 4;
-  double probe_ms = std::numeric_limits<double>::infinity();
-  double postings_ms = std::numeric_limits<double>::infinity();
-  double reference_ms = std::numeric_limits<double>::infinity();
+  // hash map per candidate). The probe is timed against the reference,
+  // alternating over the rounds as above; the postings are reported
+  // beside it.
   size_t probe_joined = 0;
   size_t reference_joined = 0;
-  for (int round = 0; round < 5; ++round) {
-    const auto probe_start = std::chrono::steady_clock::now();
-    for (size_t pass = 0; pass < timed_passes; ++pass) {
-      for (size_t c = 0; c < probe_columns.size(); ++c) {
-        const MergeJoinScore score = ScoreMergeJoin(
-            nojoin_query.train_sketch(), nojoin_query.train_runs(),
-            probe_index.candidates()[c].sketch(), probe_columns[c],
-            config.estimator, config.mi_options, config.min_join_size);
-        probe_joined += score.join_size;
-      }
+  auto probe_pass = [&] {
+    for (const IndexedCandidate& candidate : probe_index.candidates()) {
+      const MergeJoinScore score = ScoreMergeJoin(
+          nojoin_query.train_sketch(), nojoin_query.train_runs(),
+          candidate.sketch(), config.estimator, config.mi_options,
+          config.min_join_size);
+      probe_joined += score.join_size;
     }
-    probe_ms = std::min(probe_ms, MillisSince(probe_start));
-    const auto postings_start = std::chrono::steady_clock::now();
-    for (size_t pass = 0; pass < timed_passes; ++pass) {
-      probe_index.EvaluateAll(nojoin_query, 1)
-          .status()
-          .Abort("part 9 postings pass");
+  };
+  auto postings_pass = [&] {
+    probe_index.EvaluateAll(nojoin_query, 1)
+        .status()
+        .Abort("part 9 postings pass");
+  };
+  auto reference_pass = [&] {
+    for (const IndexedCandidate& candidate : probe_index.candidates()) {
+      auto joined =
+          JoinSketches(nojoin_query.train_sketch(), candidate.sketch());
+      joined.status().Abort("part 9 reference join");
+      reference_joined += joined->join_size;
     }
-    postings_ms = std::min(postings_ms, MillisSince(postings_start));
-    const auto reference_start = std::chrono::steady_clock::now();
-    for (size_t pass = 0; pass < timed_passes; ++pass) {
-      for (const IndexedCandidate& candidate : probe_index.candidates()) {
-        auto joined =
-            JoinSketches(nojoin_query.train_sketch(), candidate.sketch());
-        joined.status().Abort("part 9 reference join");
-        reference_joined += joined->join_size;
-      }
-    }
-    reference_ms = std::min(reference_ms, MillisSince(reference_start));
+  };
+  std::vector<double> probe_times, postings_times, probe_ratios;
+  for (int round = 0; round < kRounds; ++round) {
+    double probe_round = 0.0, reference_round = 0.0;
+    if (round % 2 == 0) probe_round = time_leg(probe_pass);
+    postings_times.push_back(time_leg(postings_pass));
+    reference_round = time_leg(reference_pass);
+    if (round % 2 == 1) probe_round = time_leg(probe_pass);
+    probe_times.push_back(probe_round);
+    probe_ratios.push_back(reference_round / probe_round);
   }
   if (probe_joined != 0 || reference_joined != 0) {
     std::fprintf(stderr, "FATAL: part 9 no-join probe or reference joined "
@@ -1002,10 +1061,12 @@ void RunFlatHotPath(const BenchParams& params, size_t threads, bool smoke,
     std::abort();
   }
   const double per_candidate_ns =
-      1e6 / static_cast<double>(timed_passes * probe_index.size());
-  const double probe_ns_per_candidate = probe_ms * per_candidate_ns;
-  const double postings_ns_per_candidate = postings_ms * per_candidate_ns;
-  const double probe_speedup = reference_ms / probe_ms;
+      1e6 / static_cast<double>(probe_index.size());
+  const double probe_ns_per_candidate =
+      median(probe_times) * per_candidate_ns;
+  const double postings_ns_per_candidate =
+      median(postings_times) * per_candidate_ns;
+  const double probe_speedup = median(probe_ratios);
 
   // The estimator kernel: MixedKSG (k = 3) by brute force against its
   // tree oracle, over a fixed seeded set of n = 40 Gaussian samples — the
@@ -1100,8 +1161,6 @@ void RunFlatHotPath(const BenchParams& params, size_t threads, bool smoke,
     build_allocs = g_heap_allocs.load(std::memory_order_relaxed) - before;
     built.status().Abort("part 9 query build");
   }
-
-  const double batched_speedup = legacy_ms / batched_ms;
 
   // Heap bytes the index holds: malloc's in-use count (arena plus mmapped
   // chunks) across reloading the same index from its serialized form, once

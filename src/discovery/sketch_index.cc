@@ -82,13 +82,12 @@ Status SketchIndex::Append(const ColumnPairRef& ref, Sketch sketch) {
   // The postings address candidates and entries in 32 bits.
   constexpr size_t kMaxPostings = std::numeric_limits<uint32_t>::max();
   if (candidates_.size() >= kMaxPostings ||
-      sketch.size() > kMaxPostings - value_words_.size()) {
+      sketch.size() > kMaxPostings - num_entries_) {
     return Status::InvalidArgument(
         "adding " + ref.ToString() +
         " would exceed the index's 2^32 - 1 candidates or entries");
   }
-  value_types_.push_back(AppendValueWords(sketch, &value_words_));
-  entry_offsets_.push_back(value_words_.size());
+  num_entries_ += sketch.size();
   candidates_.push_back(IndexedCandidate{ref, std::move(sketch)});
   postings_state_.current.store(false);
   return Status::OK();
@@ -96,7 +95,7 @@ Status SketchIndex::Append(const ColumnPairRef& ref, Sketch sketch) {
 
 Status SketchIndex::AddSketch(const ColumnPairRef& ref, Sketch sketch) {
   JOINMI_RETURN_NOT_OK(Append(ref, std::move(sketch)));
-  const size_t entries = value_words_.size();
+  const size_t entries = num_entries_;
   ReserveAtLeast(posting_keys_, entries);
   ReserveAtLeast(posting_begin_, entries + 1);
   ReserveAtLeast(postings_, entries);
@@ -106,8 +105,6 @@ Status SketchIndex::AddSketch(const ColumnPairRef& ref, Sketch sketch) {
 
 void SketchIndex::Reserve(size_t candidates) {
   candidates_.reserve(candidates);
-  entry_offsets_.reserve(candidates + 1);
-  value_types_.reserve(candidates);
 }
 
 Result<size_t> SketchIndex::IndexRepository(
@@ -136,14 +133,13 @@ Result<size_t> SketchIndex::IndexRepository(
     // thread sketched what.
     for (size_t i = 0; i < count; ++i) {
       if (!sketches[i].has_value()) continue;
-      Sketch sketch = std::move(*sketches[i]);
-      sketches[i].reset();
-      // The index keeps a copy of the entries allocated on this thread: a
-      // worker's array lives in that worker's malloc arena (glibc keeps one
+      // The index keeps a copy of the columns allocated on this thread: a
+      // worker's arrays live in that worker's malloc arena (glibc keeps one
       // per thread), which cannot reuse the memory an index freed on this
       // thread before, so rebuilding an index would grow peak RSS by its
       // whole entry footprint.
-      sketch.entries = std::vector<SketchEntry>(sketch.entries);
+      Sketch sketch = *sketches[i];
+      sketches[i].reset();
       if (AddSketch(refs[begin + i], std::move(sketch)).ok()) ++indexed;
     }
   }
@@ -162,13 +158,13 @@ void SketchIndex::RebuildPostings() const {
   // Counting sort of every entry by its key's top bits: a bucket then holds
   // its entries in candidate order, and Mix64 keys spread so evenly that
   // sorting each bucket by key is a few compares.
-  const size_t total = value_words_.size();
+  const size_t total = num_entries_;
   const unsigned bits = BucketBits(total);
   const unsigned shift = 64 - bits;
   std::vector<uint32_t> bucket_end((size_t{1} << bits) + 1, 0);
   for (const IndexedCandidate& candidate : candidates_) {
-    for (const SketchEntry& entry : candidate.sketch().entries) {
-      ++bucket_end[(entry.key_hash >> shift) + 1];
+    for (const uint64_t key : candidate.sketch().key_hashes) {
+      ++bucket_end[(key >> shift) + 1];
     }
   }
   for (size_t b = 1; b < bucket_end.size(); ++b) {
@@ -180,9 +176,9 @@ void SketchIndex::RebuildPostings() const {
   };
   std::unique_ptr<KeyedPosting[]> sorted(new KeyedPosting[total]);
   for (uint32_t c = 0; c < candidates_.size(); ++c) {
-    const std::vector<SketchEntry>& entries = candidates_[c].sketch().entries;
-    for (uint32_t j = 0; j < entries.size(); ++j) {
-      const uint64_t key = entries[j].key_hash;
+    const std::vector<uint64_t>& keys = candidates_[c].sketch().key_hashes;
+    for (uint32_t j = 0; j < keys.size(); ++j) {
+      const uint64_t key = keys[j];
       sorted[bucket_end[key >> shift]++] = KeyedPosting{key, Posting{c, j}};
     }
   }
@@ -308,12 +304,9 @@ Result<IndexEvaluation> SketchIndex::EvaluateAll(const JoinMIQuery& query,
         s.scored.size(), num_threads, [&](size_t begin, size_t end) {
           for (size_t i = begin; i < end; ++i) {
             const uint32_t c = s.scored[i];
-            CandidateColumns columns;
-            columns.value_words = value_words_.data() + entry_offsets_[c];
-            columns.types = value_types_[c];
             const uint32_t first = s.match_begins[c];
             outcomes[c].Record(GatherAndScore(
-                query.train_sketch(), runs, candidates_[c].sketch(), columns,
+                query.train_sketch(), runs, candidates_[c].sketch(),
                 s.matches.data() + first, s.match_ends[c] - first,
                 s.join_sizes[c], config_.estimator, config_.mi_options));
           }

@@ -4,10 +4,10 @@
 // deployment shape motivating the paper (Sections I, III, V-C).
 //
 // The index is the persisted backbone of that deployment: each candidate is
-// stored once, as its sketch, next to a contiguous column of every
-// candidate's value words that the scoring kernel gathers from and an
-// inverted directory from each key hash to the candidates holding it, so a
-// query touches only the candidates its keys reach; queries fan out across
+// stored once, as its columnar sketch, whose value words the scoring
+// kernel gathers from, next to an inverted directory from each key hash to
+// the candidates holding it, so a query touches only the candidates its
+// keys reach; queries fan out across
 // a thread pool with a deterministic merge, and the whole index (config +
 // provenance + sketches) serializes to a versioned binary format so it can
 // be built offline and served after a restart.
@@ -188,18 +188,8 @@ class SketchIndex : public Searchable {
 
   JoinMIConfig config_;
   std::vector<IndexedCandidate> candidates_;
-  // One value word per entry, candidate c's at [entry_offsets_[c],
-  // entry_offsets_[c + 1]), and one ValueTypes per candidate
-  // (AppendValueWords): the word is the double's bits when all of the
-  // candidate's values are numeric and Value::Hash() otherwise, so the
-  // gather reads a matched value's number or hash from this column and its
-  // types from the summary, never touching the 56-byte SketchEntry the
-  // value sits in (that read was ~24% of single-thread evaluate time on
-  // discovery_bench dense_join). Only a candidate whose values mix types or
-  // hold a null still reads its entries.
-  std::vector<size_t> entry_offsets_{0};
-  std::vector<uint64_t> value_words_;
-  std::vector<ValueTypes> value_types_;
+  // Entries over every candidate: the postings' size.
+  size_t num_entries_ = 0;
   // The key postings: every distinct candidate key hash in ascending order,
   // key p's postings at [posting_begin_[p], posting_begin_[p + 1]) of
   // postings_ in candidate order, and a bucket directory over the keys
@@ -253,8 +243,8 @@ Status VerifyIndexRecords(const std::string& data);
 std::string SerializeIndex(const SketchIndex& index);
 
 /// \brief Parses a serialized index; validates magic, version, enum tags,
-/// and every embedded sketch, so corrupted inputs fail cleanly. The
-/// value-word column and the key postings are rebuilt on load.
+/// and every embedded sketch, so corrupted inputs fail cleanly. The key
+/// postings are rebuilt on load.
 Result<SketchIndex> DeserializeIndex(const std::string& data);
 
 /// \brief Writes the index to a file.

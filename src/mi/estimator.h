@@ -58,29 +58,6 @@ struct PairedSample {
   size_t size() const { return x.size(); }
 };
 
-/// \brief What a set of values holds, by type — the sample-type inference
-/// every path shares: a side is numeric iff all of its values are numeric.
-/// Summarizing a whole sketch tells the numeric-ness of any non-empty subset
-/// of it whenever the sketch is homogeneous (all numeric, or no numeric and
-/// no null), which is what lets the scoring kernel skip scanning the train
-/// values it gathers.
-struct ValueTypes {
-  bool all_numeric = true;  ///< vacuously true when empty
-  bool any_numeric = false;
-  bool has_null = false;
-
-  void Add(const Value& value) {
-    const bool numeric = IsNumeric(value.type());
-    all_numeric = all_numeric && numeric;
-    any_numeric = any_numeric || numeric;
-    has_null = has_null || value.is_null();
-  }
-  /// \brief True when every non-empty subset has these same types.
-  bool homogeneous() const {
-    return all_numeric || (!any_numeric && !has_null);
-  }
-};
-
 /// \brief A paired sample in typed columns, the form every estimator runs
 /// on. `x_hashes[i]` is Value::Hash() of the i-th x (the identity the
 /// discrete estimators code by) and `x_numbers[i]` its numeric value, read

@@ -65,12 +65,14 @@ Result<Sketch> SketchBuilder::SketchCandidate(const Column& keys,
       options_.capacity,
       [&aggregated](size_t i) { return aggregated[i].value; },
       aggregated.size());
-  sketch.entries = sample.Select([&] {
-    for (size_t i = 0; i < aggregated.size(); ++i) {
-      const uint64_t key_hash = aggregated[i].key_hash;
-      sample.Offer(CandidateRank(key_hash), key_hash, i);
-    }
-  });
+  sample.Select(
+      [&] {
+        for (size_t i = 0; i < aggregated.size(); ++i) {
+          const uint64_t key_hash = aggregated[i].key_hash;
+          sample.Offer(CandidateRank(key_hash), key_hash, i);
+        }
+      },
+      &sketch);
   return sketch;
 }
 

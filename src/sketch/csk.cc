@@ -23,18 +23,20 @@ Result<Sketch> FirstValuePerKeyKmv(const SketchBuilder& builder,
   // or aggregatable keys).
   KmvSelection sample(options.capacity,
                       [&values](size_t row) { return values.GetValue(row); });
-  sketch.entries = sample.Select([&] {
-    std::unordered_set<uint64_t> seen;
-    seen.reserve(keys.size());
-    WithKeyHasher(keys, options.hash_seed, [&](auto hash_at) {
-      for (size_t row = 0; row < keys.size(); ++row) {
-        if (!keys.IsValid(row) || !values.IsValid(row)) continue;
-        const uint64_t key_hash = hash_at(row);
-        if (!seen.insert(key_hash).second) continue;  // keep the first
-        sample.Offer(KeyUnitHash(key_hash), key_hash, row);
-      }
-    });
-  });
+  sample.Select(
+      [&] {
+        std::unordered_set<uint64_t> seen;
+        seen.reserve(keys.size());
+        WithKeyHasher(keys, options.hash_seed, [&](auto hash_at) {
+          for (size_t row = 0; row < keys.size(); ++row) {
+            if (!keys.IsValid(row) || !values.IsValid(row)) continue;
+            const uint64_t key_hash = hash_at(row);
+            if (!seen.insert(key_hash).second) continue;  // keep the first
+            sample.Offer(KeyUnitHash(key_hash), key_hash, row);
+          }
+        });
+      },
+      &sketch);
   return sketch;
 }
 

@@ -20,7 +20,12 @@ Result<Sketch> ReservoirRows(const SketchBuilder& builder, const Column& keys,
                              const Column& values, Sketch sketch) {
   const SketchOptions& options = builder.options();
   Rng rng(options.sampling_seed);
-  std::vector<SketchEntry> reservoir;
+  struct Sampled {
+    uint64_t key_hash;
+    size_t row;
+    uint64_t value_hash;
+  };
+  std::vector<Sampled> reservoir;
   reservoir.reserve(options.capacity);
   size_t seen = 0;
   WithKeyHasher(keys, options.hash_seed, [&](auto hash_at) {
@@ -29,22 +34,27 @@ Result<Sketch> ReservoirRows(const SketchBuilder& builder, const Column& keys,
       const uint64_t key_hash = hash_at(row);
       ++seen;
       if (reservoir.size() < options.capacity) {
-        reservoir.push_back(
-            SketchEntry{key_hash, 0.0, values.GetValue(row)});
+        reservoir.push_back(Sampled{key_hash, row, 0});
       } else {
         const uint64_t slot = rng.NextBounded(seen);
         if (slot < options.capacity) {
-          reservoir[slot] = SketchEntry{key_hash, 0.0, values.GetValue(row)};
+          reservoir[slot] = Sampled{key_hash, row, 0};
         }
       }
     }
   });
-  sketch.entries = std::move(reservoir);
-  std::sort(sketch.entries.begin(), sketch.entries.end(),
-            [](const SketchEntry& a, const SketchEntry& b) {
+  for (Sampled& entry : reservoir) {
+    entry.value_hash = values.GetValue(entry.row).Hash();
+  }
+  std::sort(reservoir.begin(), reservoir.end(),
+            [](const Sampled& a, const Sampled& b) {
               if (a.key_hash != b.key_hash) return a.key_hash < b.key_hash;
-              return a.value.Hash() < b.value.Hash();
+              return a.value_hash < b.value_hash;
             });
+  sketch.Reserve(reservoir.size());
+  for (const Sampled& entry : reservoir) {
+    sketch.Append(entry.key_hash, 0.0, values.GetValue(entry.row));
+  }
   return sketch;
 }
 
@@ -65,25 +75,26 @@ Result<Sketch> IndskBuilder::SketchCandidate(const Column& keys,
                           AggregateCandidate(keys, values, agg, &aggregated));
   // Uniform reservoir over the aggregated (unique) keys, independent seed.
   Rng rng(options_.sampling_seed ^ 0xC0FFEEULL);
-  std::vector<SketchEntry> reservoir;
+  std::vector<const AggregatedKey*> reservoir;
   reservoir.reserve(options_.capacity);
   size_t seen = 0;
   for (const AggregatedKey& entry : aggregated) {
     ++seen;
     if (reservoir.size() < options_.capacity) {
-      reservoir.push_back(SketchEntry{entry.key_hash, 0.0, entry.value});
+      reservoir.push_back(&entry);
     } else {
       const uint64_t slot = rng.NextBounded(seen);
-      if (slot < options_.capacity) {
-        reservoir[slot] = SketchEntry{entry.key_hash, 0.0, entry.value};
-      }
+      if (slot < options_.capacity) reservoir[slot] = &entry;
     }
   }
-  sketch.entries = std::move(reservoir);
-  std::sort(sketch.entries.begin(), sketch.entries.end(),
-            [](const SketchEntry& a, const SketchEntry& b) {
-              return a.key_hash < b.key_hash;
+  std::sort(reservoir.begin(), reservoir.end(),
+            [](const AggregatedKey* a, const AggregatedKey* b) {
+              return a->key_hash < b->key_hash;
             });
+  sketch.Reserve(reservoir.size());
+  for (const AggregatedKey* entry : reservoir) {
+    sketch.Append(entry->key_hash, 0.0, entry->value);
+  }
   return sketch;
 }
 

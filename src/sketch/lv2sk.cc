@@ -65,6 +65,12 @@ Result<Sketch> BuildTwoLevelTrain(const SketchBuilder& builder,
   // Level 2: per-key cap n_k = max(1, floor(n * N_k / N)), sampled uniformly
   // without replacement (Fisher–Yates prefix), deterministic per seed/key.
   Rng base_rng(options.sampling_seed);
+  struct Kept {
+    uint64_t key_hash;
+    double rank;
+    size_t row;
+  };
+  std::vector<Kept> kept;
   for (size_t g = 0; g < selected; ++g) {
     KeyedRows& group = groups[g];
     const size_t freq = group.rows.size();
@@ -77,15 +83,17 @@ Result<Sketch> BuildTwoLevelTrain(const SketchBuilder& builder,
     for (size_t i = 0; i < take; ++i) {
       const size_t j = i + static_cast<size_t>(rng.NextBounded(freq - i));
       std::swap(group.rows[i], group.rows[j]);
-      sketch.entries.push_back(SketchEntry{
-          group.key_hash, group.key_rank, values.GetValue(group.rows[i])});
+      kept.push_back(Kept{group.key_hash, group.key_rank, group.rows[i]});
     }
   }
-  std::sort(sketch.entries.begin(), sketch.entries.end(),
-            [](const SketchEntry& a, const SketchEntry& b) {
-              if (a.key_hash != b.key_hash) return a.key_hash < b.key_hash;
-              return a.rank < b.rank;
-            });
+  std::sort(kept.begin(), kept.end(), [](const Kept& a, const Kept& b) {
+    if (a.key_hash != b.key_hash) return a.key_hash < b.key_hash;
+    return a.rank < b.rank;
+  });
+  sketch.Reserve(kept.size());
+  for (const Kept& entry : kept) {
+    sketch.Append(entry.key_hash, entry.rank, values.GetValue(entry.row));
+  }
   return sketch;
 }
 

@@ -27,6 +27,13 @@ uint64_t Checksum64(const std::string& data) {
   return hash;
 }
 
+Status Reader::ReadRaw(size_t len, void* out) {
+  if (len > data_.size() - pos_) return Status::IOError("truncated buffer");
+  std::memcpy(out, data_.data() + pos_, len);
+  pos_ += len;
+  return Status::OK();
+}
+
 Status Reader::ReadBytes(size_t len, std::string* out) {
   if (pos_ + len > data_.size()) {
     return Status::IOError("truncated string payload");
@@ -67,91 +74,76 @@ Result<std::string> ReadFileBytes(const std::string& path) {
 namespace {
 
 constexpr char kMagic[4] = {'J', 'M', 'S', 'K'};
-// v1 had no hash_seed field; v2 inserts it after the side byte.
-constexpr uint32_t kVersion = 2;
+constexpr uint32_t kVersion = 3;
 
-// Value tags in the wire format.
+// What the value words hold, in the byte after the entry count.
 enum : uint8_t {
-  kTagNull = 0,
-  kTagInt64 = 1,
-  kTagDouble = 2,
-  kTagString = 3,
+  kAllNumeric = 0,  // every word a double
+  kAllString = 1,   // every word a hash, and no null
+  kMixed = 2,       // a type column follows the words
 };
 
-// Bytes of the header, up to and including the entry count.
-constexpr size_t kHeaderBytes = sizeof(kMagic) + 4 + 1 + 1 + 4 + 4 * 8;
+// Bytes of the header, up to and including the value-kind byte.
+constexpr size_t kHeaderBytes = sizeof(kMagic) + 4 + 1 + 1 + 4 + 4 * 8 + 1;
 
-// Bytes of a value's tag and payload.
-size_t ValueBytes(const Value& v) {
-  switch (v.type()) {
-    case DataType::kNull:
-      return 1;
-    case DataType::kInt64:
-    case DataType::kDouble:
-      return 1 + 8;
-    case DataType::kString:
-      return 1 + 4 + v.str().size();
-  }
-  return 1;
+template <typename T>
+void AppendColumn(std::string* out, const std::vector<T>& column) {
+  wire::AppendRaw(out, column.data(), column.size() * sizeof(T));
 }
 
-void AppendValue(std::string* out, const Value& v) {
-  switch (v.type()) {
-    case DataType::kNull:
-      wire::AppendPod<uint8_t>(out, kTagNull);
-      break;
-    case DataType::kInt64:
-      wire::AppendPod<uint8_t>(out, kTagInt64);
-      wire::AppendPod<int64_t>(out, v.int64());
-      break;
-    case DataType::kDouble:
-      wire::AppendPod<uint8_t>(out, kTagDouble);
-      wire::AppendPod<double>(out, v.dbl());
-      break;
-    case DataType::kString:
-      wire::AppendPod<uint8_t>(out, kTagString);
-      wire::AppendLengthPrefixed(out, v.str());
-      break;
-  }
+template <typename T>
+Status ReadColumn(wire::Reader* reader, size_t count, std::vector<T>* out) {
+  out->resize(count);
+  return reader->ReadRaw(count * sizeof(T), out->data());
 }
 
-Result<Value> ReadValue(wire::Reader* reader) {
-  uint8_t tag = 0;
-  JOINMI_RETURN_NOT_OK(reader->Read(&tag));
-  switch (tag) {
-    case kTagNull:
-      return Value::Null();
-    case kTagInt64: {
-      int64_t v = 0;
-      JOINMI_RETURN_NOT_OK(reader->Read(&v));
-      return Value(v);
+// The sketch's types from its value kind and its type column, which a
+// non-mixed kind omits; fails unless the kind is the canonical one for
+// those types.
+Status ReadValueTypes(uint8_t kind, wire::Reader* reader, Sketch* sketch) {
+  const size_t count = sketch->size();
+  ValueTypes& types = sketch->value_types;
+  switch (kind) {
+    case kAllNumeric:
+      if (count > 0) types.Add(DataType::kDouble);
+      return Status::OK();
+    case kAllString:
+      if (count == 0) break;
+      types.Add(DataType::kString);
+      return Status::OK();
+    case kMixed: {
+      JOINMI_RETURN_NOT_OK(ReadColumn(reader, count, &sketch->mixed_types));
+      for (size_t i = 0; i < count; ++i) {
+        const DataType type = sketch->mixed_types[i];
+        if (type != DataType::kNull && type != DataType::kDouble &&
+            type != DataType::kString) {
+          return Status::IOError("unknown value type tag in sketch buffer");
+        }
+        if (type == DataType::kNull &&
+            sketch->value_words[i] != Value::Null().Hash()) {
+          return Status::IOError("null entry with a non-null value word");
+        }
+        types.Add(type);
+      }
+      if (!types.homogeneous()) return Status::OK();
+      break;
     }
-    case kTagDouble: {
-      double v = 0.0;
-      JOINMI_RETURN_NOT_OK(reader->Read(&v));
-      return Value(v);
-    }
-    case kTagString: {
-      std::string s;
-      JOINMI_RETURN_NOT_OK(reader->ReadLengthPrefixed(&s));
-      return Value(std::move(s));
-    }
-    default:
-      return Status::IOError("unknown value tag in sketch buffer");
   }
+  return Status::IOError("sketch value kind " + std::to_string(kind) +
+                         " does not match its " + std::to_string(count) +
+                         " entries");
 }
 
 }  // namespace
 
 std::string SerializeSketch(const Sketch& sketch) {
-  // The exact size first, so the bytes are appended into one buffer that
-  // never reallocates.
-  size_t size = kHeaderBytes + sketch.entries.size() * (8 + 8);
-  for (const SketchEntry& entry : sketch.entries) {
-    size += ValueBytes(entry.value);
-  }
+  const size_t count = sketch.size();
+  const uint8_t kind = sketch.value_types.all_numeric ? kAllNumeric
+                       : sketch.value_types.homogeneous() ? kAllString
+                                                          : kMixed;
   std::string out;
-  out.reserve(size);
+  out.reserve(kHeaderBytes + count * 3 * 8 +
+              (kind == kMixed ? count : 0));
   wire::AppendRaw(&out, kMagic, sizeof(kMagic));
   wire::AppendPod<uint32_t>(&out, kVersion);
   wire::AppendPod<uint8_t>(&out, static_cast<uint8_t>(sketch.method));
@@ -160,12 +152,12 @@ std::string SerializeSketch(const Sketch& sketch) {
   wire::AppendPod<uint64_t>(&out, sketch.capacity);
   wire::AppendPod<uint64_t>(&out, sketch.source_rows);
   wire::AppendPod<uint64_t>(&out, sketch.source_distinct_keys);
-  wire::AppendPod<uint64_t>(&out, sketch.entries.size());
-  for (const SketchEntry& entry : sketch.entries) {
-    wire::AppendPod<uint64_t>(&out, entry.key_hash);
-    wire::AppendPod<double>(&out, entry.rank);
-    AppendValue(&out, entry.value);
-  }
+  wire::AppendPod<uint64_t>(&out, count);
+  wire::AppendPod<uint8_t>(&out, kind);
+  AppendColumn(&out, sketch.key_hashes);
+  AppendColumn(&out, sketch.ranks);
+  AppendColumn(&out, sketch.value_words);
+  if (kind == kMixed) AppendColumn(&out, sketch.mixed_types);
   return out;
 }
 
@@ -179,8 +171,12 @@ Result<Sketch> DeserializeSketch(const std::string& data) {
   uint32_t version = 0;
   JOINMI_RETURN_NOT_OK(reader.Read(&version));
   if (version != kVersion) {
-    return Status::IOError("unsupported sketch version " +
-                           std::to_string(version));
+    return Status::IOError(
+        "unsupported sketch version " + std::to_string(version) +
+        "; this build reads only JMSK v" + std::to_string(kVersion) +
+        " — re-sketch the source tables into a new index "
+        "(SketchIndex::IndexRepository, WriteIndexFile), then rebuild its "
+        "shards with build_shards");
   }
   uint8_t method = 0, side = 0;
   JOINMI_RETURN_NOT_OK(reader.Read(&method));
@@ -204,19 +200,18 @@ Result<Sketch> DeserializeSketch(const std::string& data) {
   sketch.source_rows = source_rows;
   sketch.source_distinct_keys = distinct;
   // An upper bound check so corrupted counts cannot trigger huge allocs:
-  // each entry needs at least 17 bytes on the wire. Divide rather than
-  // multiply so a crafted count cannot wrap past the check.
-  if (count > reader.remaining() / 17) {
+  // each entry needs 24 bytes on the wire. Divide rather than multiply so
+  // a crafted count cannot wrap past the check.
+  if (count > reader.remaining() / 24) {
     return Status::IOError("sketch entry count exceeds buffer size");
   }
-  sketch.entries.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    SketchEntry entry;
-    JOINMI_RETURN_NOT_OK(reader.Read(&entry.key_hash));
-    JOINMI_RETURN_NOT_OK(reader.Read(&entry.rank));
-    JOINMI_ASSIGN_OR_RETURN(entry.value, ReadValue(&reader));
-    sketch.entries.push_back(std::move(entry));
-  }
+  // The kind byte precedes the columns, but its check reads them.
+  uint8_t kind = 0;
+  JOINMI_RETURN_NOT_OK(reader.Read(&kind));
+  JOINMI_RETURN_NOT_OK(ReadColumn(&reader, count, &sketch.key_hashes));
+  JOINMI_RETURN_NOT_OK(ReadColumn(&reader, count, &sketch.ranks));
+  JOINMI_RETURN_NOT_OK(ReadColumn(&reader, count, &sketch.value_words));
+  JOINMI_RETURN_NOT_OK(ReadValueTypes(kind, &reader, &sketch));
   if (!reader.AtEnd()) {
     return Status::IOError("trailing bytes after sketch payload");
   }

@@ -5,16 +5,22 @@
 // Format (little-endian, version-tagged):
 //   magic "JMSK" | u32 version | u8 method | u8 side | u32 hash_seed
 //   | u64 capacity | u64 source_rows | u64 source_distinct_keys
-//   | u64 entry_count
-//   | entries: u64 key_hash, f64 rank, u8 value_tag, value payload
-// Value payload: int64 (8 bytes), double (8 bytes), or u32 length + bytes
-// for strings; tag 0 encodes null.
+//   | u64 entry_count | u8 value_kind
+//   | entry_count x u64 key_hash | entry_count x f64 rank
+//   | entry_count x u64 value_word
+//   | value_kind 2 only: entry_count x u8 value type
+// The columns are the Sketch's own, copied whole. value_kind says what the
+// value words hold: 0 every one a double (an empty sketch is 0), 1 every
+// one a Value::Hash() of a string, 2 a mix — strings beside numbers, or a
+// null — and then each entry's DataType follows (kNull, kDouble, or
+// kString). A kind that is not the one its entries call for is rejected,
+// so every sketch has one encoding.
 //
-// Version history: v1 lacked the hash_seed field; v2 (current) records the
-// seed so JoinSketches can enforce its same-seed precondition on
-// deserialized sketches. v1 buffers are rejected: their seed is unknown,
-// so a v1 sketch could not be checked for coordination and must be
-// re-sketched.
+// Version history: v1 lacked the hash_seed field; v2 stored entries row by
+// row with each value's tag and bytes (a string's whole text); v3
+// (current) stores the columns. Only v3 is read: a v1 or v2 buffer fails
+// with a status that names its version and the rebuild (re-sketch the
+// source tables, then build_shards).
 
 #ifndef JOINMI_SKETCH_SERIALIZE_H_
 #define JOINMI_SKETCH_SERIALIZE_H_
@@ -72,6 +78,9 @@ class Reader {
 
   Status ReadBytes(size_t len, std::string* out);
 
+  /// \brief Copies the next `len` bytes to `out`.
+  Status ReadRaw(size_t len, void* out);
+
   /// \brief Reads a u32 length + bytes string.
   Status ReadLengthPrefixed(std::string* out);
 
@@ -90,8 +99,8 @@ std::string SerializeSketch(const Sketch& sketch);
 
 /// \brief Parses a serialized sketch; validates magic, version, tags, and
 /// payload bounds, so truncated or corrupted inputs fail cleanly. Only
-/// the current version (v2) is read; a seedless v1 buffer fails with
-/// "unsupported sketch version 1".
+/// the current version (v3) is read; an older buffer fails with
+/// "unsupported sketch version N" and the rebuild to run.
 Result<Sketch> DeserializeSketch(const std::string& data);
 
 /// \brief Writes a sketch to a file.

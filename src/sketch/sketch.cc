@@ -1,6 +1,7 @@
 #include "src/sketch/sketch.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "src/common/string_util.h"
 #include "src/sketch/key_hash.h"
@@ -31,6 +32,55 @@ Result<SketchMethod> SketchMethodFromString(const std::string& name) {
   if (lower == "indsk") return SketchMethod::kIndsk;
   if (lower == "csk") return SketchMethod::kCsk;
   return Status::InvalidArgument("unknown sketch method '" + name + "'");
+}
+
+uint64_t NumberWord(double number) {
+  uint64_t word;
+  std::memcpy(&word, &number, sizeof(word));
+  return word;
+}
+
+double WordNumber(uint64_t word) {
+  double number;
+  std::memcpy(&number, &word, sizeof(number));
+  return number;
+}
+
+void Sketch::Append(uint64_t key_hash, double rank, const Value& value) {
+  const DataType type =
+      IsNumeric(value.type()) ? DataType::kDouble : value.type();
+  const ValueTypes before = value_types;
+  value_types.Add(type);
+  if (!value_types.homogeneous()) {
+    // The first entry to break homogeneity gives every earlier entry a
+    // type, which until now the summary alone gave.
+    if (before.homogeneous()) {
+      mixed_types.assign(size(), before.all_numeric ? DataType::kDouble
+                                                    : DataType::kString);
+    }
+    mixed_types.push_back(type);
+  }
+  key_hashes.push_back(key_hash);
+  ranks.push_back(rank);
+  value_words.push_back(type == DataType::kDouble
+                            ? NumberWord(value.NumericOr(0.0))
+                            : value.Hash());
+}
+
+void Sketch::Reserve(size_t entries) {
+  key_hashes.reserve(entries);
+  ranks.reserve(entries);
+  value_words.reserve(entries);
+}
+
+double Sketch::ValueNumber(size_t i) const {
+  return ValueType(i) == DataType::kDouble ? WordNumber(value_words[i]) : 0.0;
+}
+
+uint64_t Sketch::ValueHash(size_t i) const {
+  return ValueType(i) == DataType::kDouble
+             ? NumericValueHash(WordNumber(value_words[i]))
+             : value_words[i];
 }
 
 KmvSelection::KmvSelection(size_t capacity, ValueAt value_at,
@@ -64,7 +114,7 @@ void KmvSelection::KeepLeast() {
   bound_ = items_.back().rank;
 }
 
-std::vector<SketchEntry> KmvSelection::TakeSorted() {
+void KmvSelection::TakeSorted(Sketch* out) {
   KeepLeast();
   std::sort(items_.begin(), items_.end(), [this](const Item& a,
                                                  const Item& b) {
@@ -72,15 +122,12 @@ std::vector<SketchEntry> KmvSelection::TakeSorted() {
     if (a.rank != b.rank) return a.rank < b.rank;
     return ValueHash(a) < ValueHash(b);
   });
-  std::vector<SketchEntry> out;
-  out.reserve(items_.size());
+  out->Reserve(out->size() + items_.size());
   for (const Item& item : items_) {
-    out.push_back(SketchEntry{item.key_hash, item.rank,
-                              value_at_(item.index)});
+    out->Append(item.key_hash, item.rank, value_at_(item.index));
   }
   items_.clear();
   bound_ = kNoBound;
-  return out;
 }
 
 Result<std::vector<AggregatedKey>> AggregateByKey(const Column& keys,

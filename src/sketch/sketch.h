@@ -30,21 +30,19 @@ enum class SketchMethod : uint8_t {
 const char* SketchMethodToString(SketchMethod method);
 Result<SketchMethod> SketchMethodFromString(const std::string& name);
 
-/// \brief One sampled tuple: the hashed join key, its selection rank, and
-/// the attribute value carried into the sketch.
-struct SketchEntry {
-  uint64_t key_hash = 0;  ///< h(k)
-  double rank = 0.0;      ///< unit-hash rank used for selection
-  Value value;            ///< x_k / y_k
-};
-
 /// \brief Which side of the join-aggregation query a sketch represents.
 enum class SketchSide : uint8_t {
   kTrain = 0,  ///< left/base table: repeated keys sampled, not aggregated
   kCandidate,  ///< right table: values aggregated per key (unique keys)
 };
 
-/// \brief A built sketch plus provenance metadata.
+/// \brief A built sketch plus provenance metadata. Its sampled tuples are
+/// stored as columns: entry i is the hashed join key h(k) `key_hashes[i]`,
+/// its selection rank `ranks[i]` and the value x_k / y_k as the word
+/// `value_words[i]` — a number's double bits (an int64 widened), any other
+/// value's Value::Hash(). Those are all an estimator reads, so a value's
+/// bytes are not kept: two strings with equal Value::Hash() were already
+/// one value to every estimator.
 struct Sketch {
   SketchMethod method = SketchMethod::kTupsk;
   SketchSide side = SketchSide::kTrain;
@@ -55,20 +53,48 @@ struct Sketch {
   /// by a mismatched-seed query fails loudly instead of returning garbage.
   uint32_t hash_seed = 0;
   /// Entries sorted by (key_hash, rank) for deterministic joins.
-  std::vector<SketchEntry> entries;
+  std::vector<uint64_t> key_hashes;
+  std::vector<double> ranks;
+  std::vector<uint64_t> value_words;
+  /// The types of every entry's value.
+  ValueTypes value_types;
+  /// Entry i's type — kNull, kString, or kDouble for any number — only
+  /// when value_types is not homogeneous (a null, or numbers beside
+  /// strings); empty otherwise, when value_types alone gives every type.
+  std::vector<DataType> mixed_types;
   /// Rows of the source relation that had non-null key and value.
   size_t source_rows = 0;
   /// Distinct non-null keys in the source relation.
   size_t source_distinct_keys = 0;
 
-  size_t size() const { return entries.size(); }
+  size_t size() const { return key_hashes.size(); }
+
+  /// \brief Appends entry (key_hash, rank, value); the caller keeps the
+  /// (key_hash, rank) order.
+  void Append(uint64_t key_hash, double rank, const Value& value);
+  /// \brief Room for `entries` entries in each column.
+  void Reserve(size_t entries);
+
+  /// \brief Entry i's value type: kNull, kString, or kDouble for a number.
+  DataType ValueType(size_t i) const {
+    if (!mixed_types.empty()) return mixed_types[i];
+    return value_types.all_numeric ? DataType::kDouble : DataType::kString;
+  }
+  /// \brief Entry i's number (0 unless it is numeric).
+  double ValueNumber(size_t i) const;
+  /// \brief Entry i's Value::Hash().
+  uint64_t ValueHash(size_t i) const;
 };
+
+/// \brief A number's value word, and back.
+uint64_t NumberWord(double number);
+double WordNumber(uint64_t word);
 
 /// \brief Bounded min-rank selection: keeps the `capacity` offered items
 /// least by rank, then key hash, then value hash, so selection is
 /// deterministic. An item is (rank, key hash, index), and value_at(index)
 /// its Value: the selection reads it only to break a full (rank, key hash)
-/// tie and to build the survivors' entries, so the callers offer row or
+/// tie and to append the survivors to a sketch, so the callers offer row or
 /// aggregate indices, not Values.
 ///
 /// Admitted items collect in a buffer; each time it holds 2 x capacity,
@@ -101,13 +127,13 @@ class KmvSelection {
     if (items_.size() == 2 * capacity_) KeepLeast();
   }
 
-  /// \brief Calls offer_all(), which must Offer every item, and returns
-  /// the survivors as entries sorted by (key hash, rank, value hash). If
-  /// the provisional bound let fewer than capacity items in, offer_all runs
-  /// a second time with no bound, so it must start from scratch each time.
+  /// \brief Calls offer_all(), which must Offer every item, and appends
+  /// the survivors to `out` sorted by (key hash, rank, value hash). If the
+  /// provisional bound let fewer than capacity items in, offer_all runs a
+  /// second time with no bound, so it must start from scratch each time.
   /// The selection empties, and drops any bound.
   template <typename OfferAll>
-  std::vector<SketchEntry> Select(OfferAll&& offer_all) {
+  void Select(OfferAll&& offer_all, Sketch* out) {
     offer_all();
     // Below capacity items, no KeepLeast ran: a finite bound is the
     // provisional one, and it may have turned away part of the sample.
@@ -116,7 +142,7 @@ class KmvSelection {
       bound_ = kNoBound;
       offer_all();
     }
-    return TakeSorted();
+    TakeSorted(out);
   }
 
  private:
@@ -131,7 +157,7 @@ class KmvSelection {
   uint64_t ValueHash(const Item& item) const;
   bool RankLess(const Item& a, const Item& b) const;
   void KeepLeast();
-  std::vector<SketchEntry> TakeSorted();
+  void TakeSorted(Sketch* out);
 
   size_t capacity_;
   ValueAt value_at_;

@@ -1,7 +1,6 @@
 #include "src/sketch/sketch_join.h"
 
 #include <algorithm>
-#include <cstring>
 #include <limits>
 #include <string>
 #include <unordered_map>
@@ -14,20 +13,7 @@ namespace joinmi {
 
 namespace {
 
-// A numeric value word and its double.
-uint64_t NumberBits(double number) {
-  uint64_t bits;
-  std::memcpy(&bits, &number, sizeof(bits));
-  return bits;
-}
-
-double WordNumber(uint64_t word) {
-  double number;
-  std::memcpy(&number, &word, sizeof(number));
-  return number;
-}
-
-// The scoring tail after the min_join_size guard, shared by the Value
+// The scoring tail after the min_join_size guard, shared by the hash-map
 // reference (ScoreSketchJoinSample) and the scoring kernel. A join too
 // small for the chosen estimator is an overlap too small to estimate, so
 // it is OutOfRange, as a join below min_join_size is; the estimators
@@ -92,8 +78,20 @@ Status JoinBelowMinimum(size_t join_size, size_t min_join_size) {
                             std::to_string(min_join_size));
 }
 
+SampleColumns ColumnSample::columns() const {
+  SampleColumns columns;
+  columns.size = size();
+  columns.x_hashes = x_hashes.data();
+  columns.x_numbers = x_numbers.data();
+  columns.y_hashes = y_hashes.data();
+  columns.y_numbers = y_numbers.data();
+  columns.x_types = x_types;
+  columns.y_types = y_types;
+  return columns;
+}
+
 Result<SketchMIResult> ScoreSketchJoinSample(
-    const PairedSample& sample, size_t join_size,
+    const ColumnSample& sample, size_t join_size,
     const std::optional<MIEstimatorKind>& estimator, const MIOptions& options,
     size_t min_join_size) {
   // Guard before estimator dispatch: a too-small join is OutOfRange no
@@ -102,40 +100,42 @@ Result<SketchMIResult> ScoreSketchJoinSample(
   if (join_size < min_join_size) {
     return JoinBelowMinimum(join_size, min_join_size);
   }
-  PairedColumns buffer;
-  JOINMI_ASSIGN_OR_RETURN(SampleColumns columns, buffer.Fill(sample));
-  return ScoreColumns(columns, join_size, estimator, options);
+  return ScoreColumns(sample.columns(), join_size, estimator, options);
 }
 
 Result<SketchJoinResult> JoinSketches(const Sketch& train,
                                       const Sketch& candidate) {
   JOINMI_RETURN_NOT_OK(CheckJoinable(train, candidate));
   // Candidate keys are unique post-aggregation; build the probe map on them.
-  std::unordered_map<uint64_t, const Value*> aug;
-  aug.reserve(candidate.entries.size());
-  for (const SketchEntry& entry : candidate.entries) {
-    if (!aug.emplace(entry.key_hash, &entry.value).second) {
+  std::unordered_map<uint64_t, size_t> aug;
+  aug.reserve(candidate.size());
+  for (size_t j = 0; j < candidate.size(); ++j) {
+    if (!aug.emplace(candidate.key_hashes[j], j).second) {
       return Status::InvalidArgument(
           "candidate sketch has duplicate keys; was it built as a train "
           "sketch?");
     }
   }
   SketchJoinResult result;
-  result.sample.x.reserve(train.entries.size());
-  result.sample.y.reserve(train.entries.size());
+  ColumnSample& sample = result.sample;
   // A set, not an adjacency counter: this reference stays correct for
   // hand-built or deserialized train sketches that violate the sortedness
   // invariant (TrainKeyRuns::Build rejects those for the scoring kernel).
   std::unordered_set<uint64_t> matched;
-  matched.reserve(train.entries.size());
-  for (const SketchEntry& entry : train.entries) {
-    const auto it = aug.find(entry.key_hash);
+  matched.reserve(train.size());
+  for (size_t e = 0; e < train.size(); ++e) {
+    const auto it = aug.find(train.key_hashes[e]);
     if (it == aug.end()) continue;
-    result.sample.x.push_back(*it->second);
-    result.sample.y.push_back(entry.value);
-    matched.insert(entry.key_hash);
+    const size_t j = it->second;
+    sample.x_hashes.push_back(candidate.ValueHash(j));
+    sample.x_numbers.push_back(candidate.ValueNumber(j));
+    sample.x_types.Add(candidate.ValueType(j));
+    sample.y_hashes.push_back(train.ValueHash(e));
+    sample.y_numbers.push_back(train.ValueNumber(e));
+    sample.y_types.Add(train.ValueType(e));
+    matched.insert(train.key_hashes[e]);
   }
-  result.join_size = result.sample.size();
+  result.join_size = sample.size();
   result.matched_keys = matched.size();
   return result;
 }
@@ -152,21 +152,22 @@ Result<SketchMIResult> EstimateSketchMI(const Sketch& train,
 }
 
 Result<TrainKeyRuns> TrainKeyRuns::Build(const Sketch& train) {
-  if (train.entries.size() > std::numeric_limits<uint32_t>::max()) {
+  const size_t size = train.size();
+  if (size > std::numeric_limits<uint32_t>::max()) {
     return Status::InvalidArgument("train sketch exceeds the run index limit");
   }
   TrainKeyRuns runs;
-  const std::vector<SketchEntry>& entries = train.entries;
-  runs.keys.reserve(entries.size());
-  runs.spans.reserve(entries.size());
-  for (uint32_t i = 0; i < entries.size();) {
-    const uint64_t key = entries[i].key_hash;
+  const std::vector<uint64_t>& keys = train.key_hashes;
+  runs.keys.reserve(size);
+  runs.spans.reserve(size);
+  for (uint32_t i = 0; i < size;) {
+    const uint64_t key = keys[i];
     if (!runs.keys.empty() && key <= runs.keys.back()) {
       return Status::InvalidArgument(
           "train sketch entries are not sorted by key_hash");
     }
     uint32_t end = i + 1;
-    while (end < entries.size() && entries[end].key_hash == key) ++end;
+    while (end < size && keys[end] == key) ++end;
     runs.keys.push_back(key);
     runs.spans.emplace_back(i, end);
     i = end;
@@ -175,13 +176,9 @@ Result<TrainKeyRuns> TrainKeyRuns::Build(const Sketch& train) {
       BuildBucketDirectory(runs.keys.data(), runs.keys.size(),
                            BucketBits(8 * runs.keys.size()),
                            &runs.bucket_begin);
-  runs.hashes.reserve(entries.size());
-  runs.numbers.reserve(entries.size());
-  for (const SketchEntry& entry : entries) {
-    runs.hashes.push_back(entry.value.Hash());
-    runs.numbers.push_back(entry.value.NumericOr(0.0));
-    runs.types.Add(entry.value);
-  }
+  runs.hashes.reserve(size);
+  for (size_t e = 0; e < size; ++e) runs.hashes.push_back(train.ValueHash(e));
+  runs.types = train.value_types;
   return runs;
 }
 
@@ -212,14 +209,14 @@ Status CheckCandidateKeys(const Sketch& candidate) {
     return Status::InvalidArgument(
         "expected a candidate-side sketch, got a train sketch");
   }
-  const std::vector<SketchEntry>& entries = candidate.entries;
-  if (entries.size() > std::numeric_limits<uint32_t>::max()) {
+  const std::vector<uint64_t>& keys = candidate.key_hashes;
+  if (keys.size() > std::numeric_limits<uint32_t>::max()) {
     return Status::InvalidArgument(
         "candidate sketch exceeds the scoring kernel's entry limit");
   }
-  for (size_t i = 1; i < entries.size(); ++i) {
-    if (entries[i].key_hash <= entries[i - 1].key_hash) {
-      if (entries[i].key_hash == entries[i - 1].key_hash) {
+  for (size_t i = 1; i < keys.size(); ++i) {
+    if (keys[i] <= keys[i - 1]) {
+      if (keys[i] == keys[i - 1]) {
         return Status::InvalidArgument(
             "candidate sketch has duplicate keys; was it built as a train "
             "sketch?");
@@ -229,31 +226,6 @@ Status CheckCandidateKeys(const Sketch& candidate) {
     }
   }
   return Status::OK();
-}
-
-Status AppendCandidateKeys(const Sketch& candidate,
-                           std::vector<uint64_t>* keys) {
-  JOINMI_RETURN_NOT_OK(CheckCandidateKeys(candidate));
-  for (const SketchEntry& entry : candidate.entries) {
-    keys->push_back(entry.key_hash);
-  }
-  return Status::OK();
-}
-
-ValueTypes AppendValueWords(const Sketch& candidate,
-                            std::vector<uint64_t>* words) {
-  ValueTypes types;
-  for (const SketchEntry& entry : candidate.entries) types.Add(entry.value);
-  if (types.all_numeric) {
-    for (const SketchEntry& entry : candidate.entries) {
-      words->push_back(NumberBits(entry.value.NumericOr(0.0)));
-    }
-  } else {
-    for (const SketchEntry& entry : candidate.entries) {
-      words->push_back(entry.value.Hash());
-    }
-  }
-  return types;
 }
 
 namespace {
@@ -267,10 +239,6 @@ struct GatherScratch {
   std::vector<double> x_numbers, y_numbers;
 };
 
-struct CandidateScratch {
-  std::vector<uint64_t> keys, value_words;
-};
-
 // Grows `v` to at least `n` elements; a warm thread's scratch never
 // shrinks or reinitializes.
 template <typename T>
@@ -282,8 +250,7 @@ void EnsureSize(std::vector<T>& v, size_t n) {
 
 Result<SketchMIResult> GatherAndScore(
     const Sketch& train, const TrainKeyRuns& runs, const Sketch& candidate,
-    const CandidateColumns& columns, const RunMatch* matches,
-    size_t num_matches, size_t n,
+    const RunMatch* matches, size_t num_matches, size_t n,
     const std::optional<MIEstimatorKind>& estimator,
     const MIOptions& options) {
   return internal::WithScratch<GatherScratch>(n, [&](GatherScratch& g) {
@@ -299,37 +266,48 @@ Result<SketchMIResult> GatherAndScore(
     sample.y_numbers = g.y_numbers.data();
     // Each side's types come from its summary when that is homogeneous —
     // it then gives the types of any non-empty subset — and otherwise from
-    // the matched values, the subset the per-sample inference would see.
+    // the matched entries, the subset the per-sample inference would see.
     const bool scan_y = !runs.types.homogeneous();
     if (!scan_y) sample.y_types = runs.types;
+    // A train number is its value word; a non-numeric entry's word is a
+    // hash, copied as a number no estimator reads, since its side is then
+    // not all numeric.
+    const uint64_t* y_words = train.value_words.data();
     size_t p = 0;
     auto emit = [&](const RunMatch& match, uint64_t x_hash, double x_number) {
       for (uint32_t e = match.begin; e < match.end; ++e, ++p) {
         g.x_hashes[p] = x_hash;
         g.x_numbers[p] = x_number;
         g.y_hashes[p] = runs.hashes[e];
-        g.y_numbers[p] = runs.numbers[e];
-        if (scan_y) sample.y_types.Add(train.entries[e].value);
+        g.y_numbers[p] = WordNumber(y_words[e]);
+        if (scan_y) sample.y_types.Add(train.mixed_types[e]);
       }
     };
-    const uint64_t* words = columns.value_words;
-    if (columns.types.all_numeric) {
-      sample.x_types = columns.types;
+    const uint64_t* words = candidate.value_words.data();
+    const ValueTypes& types = candidate.value_types;
+    if (types.all_numeric) {
+      sample.x_types = types;
       for (size_t m = 0; m < num_matches; ++m) {
         const double x = WordNumber(words[matches[m].local]);
         emit(matches[m], NumericValueHash(x), x);
       }
-    } else if (columns.types.homogeneous()) {
+    } else if (types.homogeneous()) {
       // No number is read on a side that is not all numeric.
-      sample.x_types = columns.types;
+      sample.x_types = types;
       for (size_t m = 0; m < num_matches; ++m) {
         emit(matches[m], words[matches[m].local], 0.0);
       }
     } else {
       for (size_t m = 0; m < num_matches; ++m) {
-        const Value& x = candidate.entries[matches[m].local].value;
-        sample.x_types.Add(x);
-        emit(matches[m], words[matches[m].local], x.NumericOr(0.0));
+        const uint32_t local = matches[m].local;
+        const DataType type = candidate.mixed_types[local];
+        sample.x_types.Add(type);
+        if (type == DataType::kDouble) {
+          const double x = WordNumber(words[local]);
+          emit(matches[m], NumericValueHash(x), x);
+        } else {
+          emit(matches[m], words[local], 0.0);
+        }
       }
     }
     return ScoreColumns(sample, n, estimator, options);
@@ -338,12 +316,11 @@ Result<SketchMIResult> GatherAndScore(
 
 MergeJoinScore ScoreMergeJoin(const Sketch& train, const TrainKeyRuns& runs,
                               const Sketch& candidate,
-                              const CandidateColumns& columns,
                               const std::optional<MIEstimatorKind>& estimator,
                               const MIOptions& options, size_t min_join_size) {
   const size_t num_runs = runs.keys.size();
   // An empty train joins nothing; skipping its probe keeps `last` valid.
-  const size_t probe_len = num_runs == 0 ? 0 : columns.size;
+  const size_t probe_len = num_runs == 0 ? 0 : candidate.size();
   const size_t max_matches = std::min(num_runs, probe_len);
   return internal::WithScratch<MatchScratch>(
       max_matches, [&](MatchScratch& scratch) {
@@ -364,11 +341,12 @@ MergeJoinScore ScoreMergeJoin(const Sketch& train, const TrainKeyRuns& runs,
         // so matches come out in train-entry order, the order
         // JoinSketches emits.
         const uint64_t* train_keys = runs.keys.data();
+        const uint64_t* candidate_keys = candidate.key_hashes.data();
         const uint32_t* bucket_begin = runs.bucket_begin.data();
         const unsigned shift = runs.bucket_shift;
         const uint32_t last = static_cast<uint32_t>(num_runs - 1);
         for (uint32_t j = 0; j < probe_len; ++j) {
-          const uint64_t key = columns.keys[j];
+          const uint64_t key = candidate_keys[j];
           const uint64_t b = key >> shift;
           uint32_t r = bucket_begin[b];
           const uint32_t end = bucket_begin[b + 1];
@@ -385,8 +363,8 @@ MergeJoinScore ScoreMergeJoin(const Sketch& train, const TrainKeyRuns& runs,
         score.join_size = join_size;
         if (join_size < min_join_size) return score;
         score.scored =
-            GatherAndScore(train, runs, candidate, columns, matches,
-                           num_matches, join_size, estimator, options);
+            GatherAndScore(train, runs, candidate, matches, num_matches,
+                           join_size, estimator, options);
         return score;
       });
 }
@@ -396,20 +374,9 @@ Result<MergeJoinScore> ScoreCandidateSketch(
     const std::optional<MIEstimatorKind>& estimator, const MIOptions& options,
     size_t min_join_size) {
   JOINMI_RETURN_NOT_OK(CheckJoinable(train, candidate));
-  return internal::WithScratch<CandidateScratch>(
-      candidate.entries.size(),
-      [&](CandidateScratch& scratch) -> Result<MergeJoinScore> {
-        scratch.keys.clear();
-        scratch.value_words.clear();
-        JOINMI_RETURN_NOT_OK(AppendCandidateKeys(candidate, &scratch.keys));
-        CandidateColumns columns;
-        columns.types = AppendValueWords(candidate, &scratch.value_words);
-        columns.keys = scratch.keys.data();
-        columns.value_words = scratch.value_words.data();
-        columns.size = scratch.keys.size();
-        return ScoreMergeJoin(train, runs, candidate, columns, estimator,
-                              options, min_join_size);
-      });
+  JOINMI_RETURN_NOT_OK(CheckCandidateKeys(candidate));
+  return ScoreMergeJoin(train, runs, candidate, estimator, options,
+                        min_join_size);
 }
 
 }  // namespace joinmi

@@ -16,23 +16,41 @@
 
 namespace joinmi {
 
+/// \brief A paired sample in owned typed columns: what a sketch join
+/// recovers. Entry i pairs feature x (the candidate's value) with target y
+/// (the train's): `x_hashes[i]` is x's Value::Hash() and `x_numbers[i]`
+/// its number (0 unless numeric), likewise for y, and `x_types` /
+/// `y_types` summarize each side.
+struct ColumnSample {
+  std::vector<uint64_t> x_hashes, y_hashes;
+  std::vector<double> x_numbers, y_numbers;
+  ValueTypes x_types, y_types;
+
+  size_t size() const { return x_hashes.size(); }
+  /// \brief The columns as every estimator reads them, valid while this
+  /// sample lives unchanged.
+  SampleColumns columns() const;
+};
+
 /// \brief Result of joining a train sketch with a candidate sketch.
 struct SketchJoinResult {
   /// Paired (feature X from candidate, target Y from train) samples, one
   /// per matching train entry — train-side multiplicity is preserved, so
   /// repeated keys reproduce repeated feature values as in the real join.
-  PairedSample sample;
+  ColumnSample sample;
   /// Number of joined pairs (== sample.size()).
   size_t join_size = 0;
   /// Distinct keys contributing at least one pair.
   size_t matched_keys = 0;
 };
 
-/// \brief Joins the sketches on h(k). The candidate sketch must be
-/// aggregated (unique keys); each train entry matches at most one candidate
-/// entry. Sketches must be built with the same hash seed: key hashes from
-/// different seeds are incomparable, so a mismatch returns InvalidArgument
-/// instead of a silently meaningless (empty or garbage) join.
+/// \brief Joins the sketches on h(k) through a hash map over the
+/// candidate's keys — the reference the scoring kernel is checked
+/// against. The candidate sketch must be aggregated (unique keys); each
+/// train entry matches at most one candidate entry. Sketches must be built
+/// with the same hash seed: key hashes from different seeds are
+/// incomparable, so a mismatch returns InvalidArgument instead of a
+/// silently meaningless (empty or garbage) join.
 Result<SketchJoinResult> JoinSketches(const Sketch& train,
                                       const Sketch& candidate);
 
@@ -48,11 +66,11 @@ struct SketchMIResult {
 /// (OutOfRange — the paper's meaningless-estimate cutoff), then estimator
 /// dispatch (`estimator` if set, otherwise ChooseEstimatorForSample), then
 /// OutOfRange again for a sample smaller than that estimator's
-/// MinimumSamples, then EstimateMI on the sample's columns (PairedColumns)
-/// — the same tail the scoring kernel runs on its gathered columns, which
-/// is what keeps their results bit-identical.
+/// MinimumSamples, then EstimateMI on the sample's columns — the same tail
+/// the scoring kernel runs on its gathered columns, which is what keeps
+/// their results bit-identical.
 Result<SketchMIResult> ScoreSketchJoinSample(
-    const PairedSample& sample, size_t join_size,
+    const ColumnSample& sample, size_t join_size,
     const std::optional<MIEstimatorKind>& estimator, const MIOptions& options,
     size_t min_join_size);
 
@@ -66,12 +84,12 @@ Result<SketchMIResult> EstimateSketchMI(const Sketch& train,
                                         size_t min_join_size = 1);
 
 /// \brief A train sketch's runs of equal key_hash in structure-of-arrays
-/// form, a bucket directory over their keys, and the typed columns the
-/// scoring kernel gathers samples from. keys[r] is the r-th distinct key
-/// and spans[r] its [begin, end) slice of the train entries; hashes[e] and
-/// numbers[e] are entry e's Value::Hash() and numeric value (0 when not
-/// numeric), and `types` summarizes every entry's value. Built once per
-/// query and shared by every candidate it is scored against.
+/// form, a bucket directory over their keys, and the value hashes the
+/// scoring kernel gathers samples from beside the train's value words.
+/// keys[r] is the r-th distinct key and spans[r] its [begin, end) slice of
+/// the train entries; hashes[e] is entry e's Value::Hash()
+/// (Sketch::ValueHash), and `types` summarizes every entry's value. Built
+/// once per query and shared by every candidate it is scored against.
 ///
 /// The directory is CSR over the ascending run keys: run r lives in bucket
 /// keys[r] >> bucket_shift, and bucket b holds runs
@@ -86,7 +104,6 @@ struct TrainKeyRuns {
   std::vector<uint32_t> bucket_begin;
   unsigned bucket_shift = 0;
   std::vector<uint64_t> hashes;
-  std::vector<double> numbers;
   ValueTypes types;
 
   /// \brief Collects the runs, directory and columns of `train`. Fails
@@ -114,31 +131,6 @@ unsigned BuildBucketDirectory(const uint64_t* keys, size_t count,
 /// both duplicate keys and unsorted entries in one linear pass.
 Status CheckCandidateKeys(const Sketch& candidate);
 
-/// \brief CheckCandidateKeys, then appends the candidate's key hashes to
-/// `*keys` (left as it was on failure).
-Status AppendCandidateKeys(const Sketch& candidate,
-                           std::vector<uint64_t>* keys);
-
-/// \brief Appends one value word per candidate entry to `*words` and
-/// returns the types of the entries' values: a word is the value's double
-/// bits when every value is numeric (ValueTypes::all_numeric), and its
-/// Value::Hash() otherwise.
-ValueTypes AppendValueWords(const Sketch& candidate,
-                            std::vector<uint64_t>* words);
-
-/// \brief A candidate as the scoring kernel reads it, beside its sketch:
-/// `size` entries, where `keys[j]` and `value_words[j]` are entry j's key
-/// hash (strictly ascending) and value word, and `types` summarizes every
-/// entry's value, as AppendValueWords gives them. ScoreCandidateSketch
-/// fills them per call; SketchIndex points into its value-word column and
-/// leaves `keys` null, since its key postings stand in for the probe.
-struct CandidateColumns {
-  const uint64_t* keys = nullptr;
-  const uint64_t* value_words = nullptr;
-  size_t size = 0;
-  ValueTypes types;
-};
-
 /// \brief One match of the probe: candidate entry `local` joins the train
 /// entries [begin, end), the run of its key.
 struct RunMatch {
@@ -150,23 +142,20 @@ struct RunMatch {
 /// \brief The scoring tail of every kernel path: gathers the join sample
 /// of `num_matches` matches, in ascending key order and totalling
 /// `join_size` pairs, as SampleColumns — hashes and doubles copied from
-/// `runs` and `columns.value_words`, never a Value — and scores it as
+/// `runs` and the candidate's value words — and scores it as
 /// ScoreSketchJoinSample would, without the min_join_size guard, which is
 /// the caller's. ScoreMergeJoin feeds it its probe's matches and
-/// SketchIndex its postings'; `columns.keys` and `columns.size` are not
-/// read. A candidate's number and hash come from its value word: an
-/// all-numeric candidate's word is the double, hashed by NumericValueHash;
-/// any other's is the hash, and only a candidate whose values mix types
-/// (or hold a null) reads its numbers from its entries. The estimator is
-/// `estimator` if set, else the auto policy on the sample's types: each
-/// side's from its summary (`columns.types`, `runs.types`) when that is
-/// homogeneous and from the matched values otherwise — the same answer
-/// ChooseEstimatorForSample gives on the Value sample.
+/// SketchIndex its postings'. A candidate's number and hash come from its
+/// value word: a number's word is the double, hashed by NumericValueHash;
+/// any other's is the hash. The estimator is `estimator` if set, else the
+/// auto policy on the sample's types: each side's from its summary
+/// (`candidate.value_types`, `runs.types`) when that is homogeneous and
+/// from the matched entries' types otherwise — the same answer
+/// ChooseEstimatorForSample gives on the joined sample.
 /// Scratch follows internal::WithScratch on `join_size`.
 Result<SketchMIResult> GatherAndScore(
     const Sketch& train, const TrainKeyRuns& runs, const Sketch& candidate,
-    const CandidateColumns& columns, const RunMatch* matches,
-    size_t num_matches, size_t join_size,
+    const RunMatch* matches, size_t num_matches, size_t join_size,
     const std::optional<MIEstimatorKind>& estimator,
     const MIOptions& options);
 
@@ -192,22 +181,21 @@ struct MergeJoinScore {
 /// bit-identical to JoinSketches + ScoreSketchJoinSample on the same
 /// sketches.
 ///
-/// `runs` must come from TrainKeyRuns::Build(train) and `columns` describe
-/// `candidate`. Sides and seeds are the caller's to check.
+/// `runs` must come from TrainKeyRuns::Build(train), and `candidate`'s
+/// keys strictly ascend (CheckCandidateKeys). Sides and seeds are the
+/// caller's to check.
 /// Scratch follows the estimators' rule (internal::WithScratch): a thread
 /// reuses its own for joins of up to kMaxRetainedScratchPoints, so a warmed
 /// thread scores sketch joins without heap allocation, and a larger join
 /// gets call-local scratch that is freed on return.
 MergeJoinScore ScoreMergeJoin(const Sketch& train, const TrainKeyRuns& runs,
                               const Sketch& candidate,
-                              const CandidateColumns& columns,
                               const std::optional<MIEstimatorKind>& estimator,
                               const MIOptions& options, size_t min_join_size);
 
-/// \brief ScoreMergeJoin for a candidate with no stored columns — one
-/// decoded or received per probe. Checks sides and seeds (CheckJoinable)
-/// and the candidate's key order (AppendCandidateKeys), then fills its
-/// columns in scratch under the same retention rule as the kernel's.
+/// \brief ScoreMergeJoin for a candidate not checked yet — one decoded or
+/// received per probe: checks sides and seeds and the candidate's key
+/// order (CheckCandidateKeys) first.
 Result<MergeJoinScore> ScoreCandidateSketch(
     const Sketch& train, const TrainKeyRuns& runs, const Sketch& candidate,
     const std::optional<MIEstimatorKind>& estimator, const MIOptions& options,

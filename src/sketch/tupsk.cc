@@ -26,20 +26,22 @@ Result<Sketch> TupskBuilder::SketchTrain(const Column& keys,
   // for the key column's type, counted for its occurrence index j, ranked
   // by h_u(⟨k, j⟩) and offered. The coder also yields the distinct-key
   // count. The selection holds rows; only its survivors build a Value.
-  sketch.entries = sample.Select([&] {
-    internal::ScopedKeyCoder occurrences(keys.size());
-    sketch.source_rows = 0;
-    WithKeyHasher(keys, options_.hash_seed, [&](auto hash_at) {
-      for (size_t row = 0; row < keys.size(); ++row) {
-        if (!keys.IsValid(row) || !values.IsValid(row)) continue;
-        ++sketch.source_rows;
-        const uint64_t key_hash = hash_at(row);
-        const uint32_t j = occurrences->AddOccurrence(key_hash);
-        sample.Offer(TupleUnitHash(key_hash, j), key_hash, row);
-      }
-    });
-    sketch.source_distinct_keys = occurrences->size();
-  });
+  sample.Select(
+      [&] {
+        internal::ScopedKeyCoder occurrences(keys.size());
+        sketch.source_rows = 0;
+        WithKeyHasher(keys, options_.hash_seed, [&](auto hash_at) {
+          for (size_t row = 0; row < keys.size(); ++row) {
+            if (!keys.IsValid(row) || !values.IsValid(row)) continue;
+            ++sketch.source_rows;
+            const uint64_t key_hash = hash_at(row);
+            const uint32_t j = occurrences->AddOccurrence(key_hash);
+            sample.Offer(TupleUnitHash(key_hash, j), key_hash, row);
+          }
+        });
+        sketch.source_distinct_keys = occurrences->size();
+      },
+      &sketch);
   return sketch;
 }
 

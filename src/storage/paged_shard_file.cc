@@ -69,7 +69,8 @@ Status ParseHeader(const std::string& header_bytes, const std::string& path,
     return Status::IOError("paged shard '" + path + "' has format version " +
                            std::to_string(version) +
                            "; this build reads version " +
-                           std::to_string(kPagedShardVersion));
+                           std::to_string(kPagedShardVersion) +
+                           " — rebuild it with build_shards --format paged");
   }
   JOINMI_RETURN_NOT_OK(reader.Read(&out->page_size));
   JOINMI_RETURN_NOT_OK(reader.Read(&out->page_count));

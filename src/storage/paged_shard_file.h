@@ -1,4 +1,4 @@
-// "JMPS" v1 — the paged shard file format, and the reader that serves it
+// "JMPS" v2 — the paged shard file format, and the reader that serves it
 // through a bounded buffer pool. Where a "JMIX" shard must be read and
 // deserialized whole before the first probe, a JMPS shard opens by
 // reading only its fixed-size header and record directory: candidate
@@ -26,6 +26,11 @@
 // each page carries a payload checksum (verified on fault-in), so a
 // corrupt page fails exactly the probes that touch it while the rest of
 // the shard keeps serving.
+//
+// Records decode only when a probe faults them in, so the header's version
+// names the record format too: v1 files hold row-format (v2) sketches, v2
+// files v3 column sketches. A v1 file is refused at open, before any
+// probe could fail on its records.
 
 #ifndef JOINMI_STORAGE_PAGED_SHARD_FILE_H_
 #define JOINMI_STORAGE_PAGED_SHARD_FILE_H_
@@ -47,7 +52,7 @@ namespace storage {
 extern const char kPagedShardMagic[4];
 
 /// \brief Current paged shard format version.
-constexpr uint32_t kPagedShardVersion = 1;
+constexpr uint32_t kPagedShardVersion = 2;
 
 /// \brief Fixed byte size of the file header: 4 magic + 4 version +
 /// 4 page_size + 8 page_count + 8 record_count + 8 directory_offset +
@@ -69,7 +74,7 @@ struct PagedOpenStats {
   uint64_t file_size = 0;
 };
 
-/// \brief Builds the complete byte image of a JMPS v1 file holding
+/// \brief Builds the complete byte image of a JMPS v2 file holding
 /// `records` (opaque byte strings, directory order = insertion order)
 /// under `config`. Fails if `page_size` is out of bounds or any record
 /// is empty (a zero-length record is indistinguishable from a directory

@@ -99,6 +99,30 @@ class Value {
 /// holding only the number derives the same hash.
 uint64_t NumericValueHash(double number);
 
+/// \brief What a set of values holds, by type — the sample-type inference
+/// every path shares: a side is numeric iff all of its values are numeric.
+/// Summarizing a whole sketch tells the numeric-ness of any non-empty subset
+/// of it whenever the sketch is homogeneous (all numeric, or no numeric and
+/// no null), which is what lets the scoring kernel skip scanning the train
+/// values it gathers.
+struct ValueTypes {
+  bool all_numeric = true;  ///< vacuously true when empty
+  bool any_numeric = false;
+  bool has_null = false;
+
+  void Add(DataType type) {
+    const bool numeric = IsNumeric(type);
+    all_numeric = all_numeric && numeric;
+    any_numeric = any_numeric || numeric;
+    has_null = has_null || type == DataType::kNull;
+  }
+  void Add(const Value& value) { Add(value.type()); }
+  /// \brief True when every non-empty subset has these same types.
+  bool homogeneous() const {
+    return all_numeric || (!any_numeric && !has_null);
+  }
+};
+
 }  // namespace joinmi
 
 #endif  // JOINMI_TABLE_VALUE_H_

@@ -33,10 +33,7 @@ Sketch MakeSketch(SketchSide side,
   sketch.side = side;
   sketch.capacity = entries.size();
   for (const auto& [key, value] : entries) {
-    SketchEntry entry;
-    entry.key_hash = key;
-    entry.value = Value(value);
-    sketch.entries.push_back(std::move(entry));
+    sketch.Append(key, 0.0, Value(value));
   }
   return sketch;
 }

@@ -256,8 +256,9 @@ TEST_P(SketchJoinSubsetTest, EveryJoinedPairExistsInFullJoin) {
   // of the property holds there; check pair membership for the others.
   if (method != SketchMethod::kCsk) {
     for (size_t i = 0; i < joined.sample.size(); ++i) {
-      const auto pair = std::make_pair(*joined.sample.x[i].AsDouble(),
-                                       joined.sample.y[i].int64());
+      const auto pair = std::make_pair(
+          joined.sample.x_numbers[i],
+          static_cast<int64_t>(joined.sample.y_numbers[i]));
       const auto it = full_pairs.find(pair);
       ASSERT_NE(it, full_pairs.end())
           << SketchMethodToString(method) << " produced a pair (" << pair.first

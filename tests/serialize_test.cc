@@ -1,16 +1,29 @@
 // Tests for sketch binary serialization: round trips for every method and
-// value type, estimation equivalence after a round trip, and corruption
-// handling (truncation, bad magic/tags, trailing bytes).
+// value type, estimation equivalence after a round trip, corruption
+// handling (truncation, bad magic/tags, trailing bytes), and the refusal
+// of old row-format sketches in every container that embeds one.
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <filesystem>
 #include <limits>
+#include <vector>
 
 #include "src/common/random.h"
+#include "src/discovery/paged_shard_index.h"
+#include "src/discovery/rpc_messages.h"
+#include "src/discovery/shard_server.h"
+#include "src/discovery/sharded_index.h"
+#include "src/discovery/sketch_index.h"
+#include "src/ingest/delta_segment.h"
+#include "src/ingest/delta_shard_client.h"
+#include "src/net/frame.h"
+#include "src/net/socket.h"
 #include "src/sketch/builder.h"
 #include "src/sketch/serialize.h"
 #include "src/sketch/sketch_join.h"
+#include "src/storage/paged_shard_file.h"
 #include "src/table/table.h"
 
 namespace joinmi {
@@ -49,12 +62,13 @@ void ExpectSketchesEqual(const Sketch& a, const Sketch& b) {
   EXPECT_EQ(a.hash_seed, b.hash_seed);
   EXPECT_EQ(a.source_rows, b.source_rows);
   EXPECT_EQ(a.source_distinct_keys, b.source_distinct_keys);
-  ASSERT_EQ(a.entries.size(), b.entries.size());
-  for (size_t i = 0; i < a.entries.size(); ++i) {
-    EXPECT_EQ(a.entries[i].key_hash, b.entries[i].key_hash);
-    EXPECT_EQ(a.entries[i].rank, b.entries[i].rank);
-    EXPECT_EQ(a.entries[i].value, b.entries[i].value);
-  }
+  EXPECT_EQ(a.key_hashes, b.key_hashes);
+  EXPECT_EQ(a.ranks, b.ranks);
+  EXPECT_EQ(a.value_words, b.value_words);
+  EXPECT_EQ(a.mixed_types, b.mixed_types);
+  EXPECT_EQ(a.value_types.all_numeric, b.value_types.all_numeric);
+  EXPECT_EQ(a.value_types.any_numeric, b.value_types.any_numeric);
+  EXPECT_EQ(a.value_types.has_null, b.value_types.has_null);
 }
 
 class SerializeRoundTripTest
@@ -164,53 +178,247 @@ TEST(SerializeTest, HashSeedRoundTrips) {
   ExpectSketchesEqual(sketch, *restored);
 }
 
-// Hand-encodes the legacy v1 layout (no hash_seed field) for a sketch with
-// int64 values, byte for byte what the v1 writer produced.
-std::string EncodeV1(const Sketch& sketch) {
-  std::string out;
-  auto pod = [&out](const void* p, size_t n) {
-    out.append(static_cast<const char*>(p), n);
-  };
-  out.append("JMSK");
-  const uint32_t version = 1;
-  pod(&version, 4);
-  const uint8_t method = static_cast<uint8_t>(sketch.method);
-  const uint8_t side = static_cast<uint8_t>(sketch.side);
-  pod(&method, 1);
-  pod(&side, 1);
-  const uint64_t capacity = sketch.capacity;
-  const uint64_t rows = sketch.source_rows;
-  const uint64_t distinct = sketch.source_distinct_keys;
-  const uint64_t count = sketch.entries.size();
-  pod(&capacity, 8);
-  pod(&rows, 8);
-  pod(&distinct, 8);
-  pod(&count, 8);
-  for (const SketchEntry& entry : sketch.entries) {
-    pod(&entry.key_hash, 8);
-    pod(&entry.rank, 8);
-    const uint8_t tag = 1;  // int64
-    pod(&tag, 1);
-    const int64_t v = entry.value.int64();
-    pod(&v, 8);
+// One entry of a hand-encoded legacy sketch, with an int64 value.
+struct LegacyEntry {
+  uint64_t key_hash;
+  double rank;
+  int64_t value;
+};
+
+// Hand-encodes the legacy row layout, byte for byte what the writers of
+// `version` produced for int64 values: v1 had no hash_seed field, v2
+// inserted it after the side byte; both stored each entry as key hash,
+// rank, value tag and value.
+std::string EncodeLegacy(uint32_t version, const Sketch& header,
+                         const std::vector<LegacyEntry>& entries) {
+  std::string out = "JMSK";
+  wire::AppendPod<uint32_t>(&out, version);
+  wire::AppendPod<uint8_t>(&out, static_cast<uint8_t>(header.method));
+  wire::AppendPod<uint8_t>(&out, static_cast<uint8_t>(header.side));
+  if (version >= 2) wire::AppendPod<uint32_t>(&out, header.hash_seed);
+  wire::AppendPod<uint64_t>(&out, header.capacity);
+  wire::AppendPod<uint64_t>(&out, header.source_rows);
+  wire::AppendPod<uint64_t>(&out, header.source_distinct_keys);
+  wire::AppendPod<uint64_t>(&out, entries.size());
+  for (const LegacyEntry& entry : entries) {
+    wire::AppendPod<uint64_t>(&out, entry.key_hash);
+    wire::AppendPod<double>(&out, entry.rank);
+    wire::AppendPod<uint8_t>(&out, 1);  // int64
+    wire::AppendPod<int64_t>(&out, entry.value);
   }
   return out;
 }
 
-TEST(SerializeTest, RejectsSeedlessV1Buffers) {
-  // v1 predates seed tracking: loading it would hide the seed the sketch
-  // was built under from every coordination check, so it is refused.
+Sketch LegacyHeader() {
   Sketch sketch;
   sketch.method = SketchMethod::kTupsk;
   sketch.side = SketchSide::kCandidate;
   sketch.capacity = 4;
   sketch.source_rows = 2;
   sketch.source_distinct_keys = 2;
-  sketch.entries.push_back(SketchEntry{3, 0.25, Value(int64_t{10})});
-  sketch.entries.push_back(SketchEntry{8, 0.5, Value(int64_t{20})});
-  auto restored = DeserializeSketch(EncodeV1(sketch));
+  return sketch;
+}
+
+const std::vector<LegacyEntry> kLegacyEntries = {{3, 0.25, 10}, {8, 0.5, 20}};
+
+TEST(SerializeTest, RejectsSeedlessV1Buffers) {
+  // v1 predates seed tracking: loading it would hide the seed the sketch
+  // was built under from every coordination check, so it is refused.
+  auto restored =
+      DeserializeSketch(EncodeLegacy(1, LegacyHeader(), kLegacyEntries));
   ASSERT_FALSE(restored.ok());
-  EXPECT_EQ(restored.status().message(), "unsupported sketch version 1");
+  EXPECT_EQ(restored.status().message().rfind("unsupported sketch version 1;",
+                                              0),
+            0u)
+      << restored.status();
+}
+
+// The status every reader of an embedded v2 sketch must return: its
+// version, and the rebuild that replaces it.
+void ExpectRefusesV2(const Status& status) {
+  EXPECT_TRUE(status.IsIOError()) << status;
+  EXPECT_NE(status.message().find("unsupported sketch version 2"),
+            std::string::npos)
+      << status;
+  EXPECT_NE(status.message().find("build_shards"), std::string::npos)
+      << status;
+}
+
+TEST(SerializeTest, RejectsV2RowBuffers) {
+  auto restored =
+      DeserializeSketch(EncodeLegacy(2, LegacyHeader(), kLegacyEntries));
+  ASSERT_FALSE(restored.ok());
+  ExpectRefusesV2(restored.status());
+}
+
+// ------------------------------------- v2 sketches inside every container
+
+// An index config and one valid candidate record beside one whose sketch
+// is in the v2 row format.
+JoinMIConfig RejectionConfig() {
+  JoinMIConfig config;
+  config.min_join_size = 1;
+  config.estimator = MIEstimatorKind::kMLE;
+  return config;
+}
+
+std::string ValidRecord() {
+  Sketch sketch = LegacyHeader();
+  for (const LegacyEntry& entry : kLegacyEntries) {
+    sketch.Append(entry.key_hash, entry.rank, Value(entry.value));
+  }
+  return EncodeCandidateRecord({"valid", "K", "V"}, sketch);
+}
+
+std::string V2Record() {
+  std::string out;
+  wire::AppendLengthPrefixed(&out, "old");
+  wire::AppendLengthPrefixed(&out, "K");
+  wire::AppendLengthPrefixed(&out, "V");
+  wire::AppendLengthPrefixed(&out,
+                             EncodeLegacy(2, LegacyHeader(), kLegacyEntries));
+  return out;
+}
+
+std::string RejectionDir(const std::string& name) {
+  const std::string dir = testing::TempDir() + "/joinmi_v2_" + name;
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir;
+}
+
+TEST(V2RejectionTest, JmixIndexIsRefusedWhole) {
+  const std::string data =
+      EncodeIndexRecords(RejectionConfig(), {ValidRecord(), V2Record()});
+  auto index = DeserializeIndex(data);
+  ASSERT_FALSE(index.ok());
+  ExpectRefusesV2(index.status());
+  EXPECT_NE(index.status().message().find("candidate 1 of 2"),
+            std::string::npos)
+      << index.status();
+  ExpectRefusesV2(VerifyIndexRecords(data));
+}
+
+TEST(V2RejectionTest, JmpsRecordIsRefusedAndNeverScored) {
+  const std::string dir = RejectionDir("jmps");
+  const std::string path = dir + "/shard.jmps";
+  ShardBuildOptions layout;
+  layout.format = ShardFileFormat::kPaged;
+  layout.page_size = 256;
+  auto bytes =
+      EncodeShardFile(RejectionConfig(), {ValidRecord(), V2Record()}, layout);
+  ASSERT_TRUE(bytes.ok()) << bytes.status();
+  ASSERT_TRUE(wire::WriteFileBytes(*bytes, path).ok());
+  ExpectRefusesV2(VerifyShardFile(path, ShardFileFormat::kPaged));
+
+  // Served, the record decodes only when probed, and its probe fails: the
+  // candidate counts as an error, never an estimate.
+  auto client = PagedShardClient::Open(path, {0, 1}, {});
+  ASSERT_TRUE(client.ok()) << client.status();
+  Sketch train = LegacyHeader();
+  train.side = SketchSide::kTrain;
+  for (const LegacyEntry& entry : kLegacyEntries) {
+    train.Append(entry.key_hash, entry.rank, Value(entry.value));
+  }
+  auto query = JoinMIQuery::FromTrainSketch(train, RejectionConfig());
+  ASSERT_TRUE(query.ok()) << query.status();
+  auto result = (*client)->Search(*query, 10, 1);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(result->num_errors, 1u);
+  ASSERT_EQ(result->hits.size(), 1u);
+  EXPECT_EQ(result->hits[0].global_index, 0u);
+
+  // A JMPS v1 file — every one holds v2 sketches — is refused at open.
+  std::string v1 = *bytes;
+  const uint32_t old_version = 1;
+  std::memcpy(&v1[4], &old_version, sizeof(old_version));
+  const size_t checksum_at = storage::kPagedShardHeaderSize - 8;
+  const uint64_t checksum = wire::Checksum64(v1.substr(0, checksum_at));
+  std::memcpy(&v1[checksum_at], &checksum, sizeof(checksum));
+  ASSERT_TRUE(wire::WriteFileBytes(v1, path).ok());
+  auto old = PagedShardClient::Open(path, {0, 1}, {});
+  ASSERT_FALSE(old.ok());
+  EXPECT_NE(old.status().message().find("format version 1"),
+            std::string::npos)
+      << old.status();
+  EXPECT_NE(old.status().message().find("build_shards"), std::string::npos)
+      << old.status();
+  std::filesystem::remove_all(dir);
+}
+
+TEST(V2RejectionTest, JmdsDeltaPayloadFailsTheOverlayLoad) {
+  const std::string dir = RejectionDir("jmds");
+  SketchIndex base_index(RejectionConfig());
+  auto valid = DecodeCandidateRecord(ValidRecord());
+  ASSERT_TRUE(valid.ok()) << valid.status();
+  ASSERT_TRUE(base_index.AddSketch(valid->ref, valid->sketch).ok());
+  auto base = LocalShardClient::Create(std::move(base_index), {0});
+  ASSERT_TRUE(base.ok()) << base.status();
+
+  auto writer = ingest::DeltaSegmentWriter::Open(dir + "/shard.jmds",
+                                                 RejectionConfig(), 0);
+  ASSERT_TRUE(writer.ok()) << writer.status();
+  ASSERT_TRUE((*writer)->Append({ingest::DeltaRecord{1, V2Record()}}).ok());
+  ShardManifestEntry entry;
+  entry.candidate_count = 2;
+  entry.global_indices = {0, 1};
+  entry.delta_path = "shard.jmds";
+  entry.delta_records = 1;
+  entry.delta_bytes = (*writer)->committed_bytes();
+  entry.delta_checksum = (*writer)->committed_checksum();
+  auto overlay = ingest::LoadDeltaOverlay(std::move(*base), entry, dir);
+  ASSERT_FALSE(overlay.ok());
+  ExpectRefusesV2(overlay.status());
+  std::filesystem::remove_all(dir);
+}
+
+TEST(V2RejectionTest, JmrpSketchUploadIsRefusedAndNotCached) {
+  const std::string dir = RejectionDir("jmrp");
+  SketchIndex index(RejectionConfig());
+  auto valid = DecodeCandidateRecord(ValidRecord());
+  ASSERT_TRUE(valid.ok()) << valid.status();
+  ASSERT_TRUE(index.AddSketch(valid->ref, valid->sketch).ok());
+  auto manifest =
+      BuildShards(index, 1, ShardPartitionPolicy::kRoundRobin, dir);
+  ASSERT_TRUE(manifest.ok()) << manifest.status();
+  auto server = ShardServer::Create(*manifest, 0, {});
+  ASSERT_TRUE(server.ok()) << server.status();
+  ASSERT_TRUE((*server)->Start().ok());
+
+  auto socket = net::Socket::Connect("127.0.0.1", (*server)->port(), 2000);
+  ASSERT_TRUE(socket.ok()) << socket.status();
+  ASSERT_TRUE(socket->SetTimeouts(5000, 5000).ok());
+  Sketch train = LegacyHeader();
+  train.side = SketchSide::kTrain;
+  rpc::SketchUploadRequest upload;
+  upload.train_sketch = EncodeLegacy(2, train, kLegacyEntries);
+  upload.digest = wire::Checksum64(upload.train_sketch);
+  ASSERT_TRUE(net::SendFrame(&*socket, net::FrameType::kSketchUploadRequest,
+                             1, rpc::EncodeSketchUploadRequest(upload))
+                  .ok());
+  auto reply = net::RecvFrame(&*socket);
+  ASSERT_TRUE(reply.ok()) << reply.status();
+  ASSERT_EQ(reply->type, net::FrameType::kSketchUploadResponse);
+  auto uploaded = rpc::DecodeSketchUploadResponse(reply->payload);
+  ASSERT_TRUE(uploaded.ok()) << uploaded.status();
+  ExpectRefusesV2(uploaded->status);
+
+  // Nothing was cached: a search naming the digest finds no sketch.
+  rpc::SearchRequest search;
+  search.sketch_digest = upload.digest;
+  search.k = 10;
+  search.min_join_size = 1;
+  ASSERT_TRUE(net::SendFrame(&*socket, net::FrameType::kSearchRequest, 2,
+                             rpc::EncodeSearchRequest(search))
+                  .ok());
+  reply = net::RecvFrame(&*socket);
+  ASSERT_TRUE(reply.ok()) << reply.status();
+  ASSERT_EQ(reply->type, net::FrameType::kSearchResponse);
+  auto searched = rpc::DecodeSearchResponse(reply->payload);
+  ASSERT_TRUE(searched.ok()) << searched.status();
+  EXPECT_FALSE(searched->status.ok());
+  (*server)->Stop();
+  std::filesystem::remove_all(dir);
 }
 
 TEST(SerializeTest, MismatchedSeedSketchesRefuseToJoin) {
@@ -239,10 +447,11 @@ TEST(SerializeTest, MismatchedSeedSketchesRefuseToJoin) {
 TEST(SerializeTest, NullValueRoundTrips) {
   Sketch sketch;
   sketch.capacity = 1;
-  sketch.entries.push_back(SketchEntry{7, 0.5, Value::Null()});
+  sketch.Append(7, 0.5, Value::Null());
   auto restored = DeserializeSketch(SerializeSketch(sketch));
   ASSERT_TRUE(restored.ok());
-  EXPECT_TRUE(restored->entries[0].value.is_null());
+  EXPECT_EQ(restored->ValueType(0), DataType::kNull);
+  EXPECT_EQ(restored->ValueHash(0), Value::Null().Hash());
 }
 
 TEST(SerializeTest, EstimationSurvivesRoundTrip) {
@@ -328,20 +537,19 @@ TEST(SerializeTest, RejectsCorruptedInputs) {
 }
 
 TEST(SerializeTest, EntryCountThatWrapsTheSizeCheckIsRejected) {
-  // 2^64/17 + 1 entries of 17 bytes each is 16 bytes mod 2^64: a check
-  // that multiplies would pass it and hand reserve() an impossible count.
+  // 2^64/24 + 1 entries of 24 bytes each is 8 bytes mod 2^64: a check
+  // that multiplies would pass it and hand resize() an impossible count.
   // The count must be refused as an IOError, not abort the process.
   Sketch small;
   small.side = SketchSide::kCandidate;
   for (uint64_t key = 1; key <= 8; ++key) {
-    small.entries.push_back(
-        SketchEntry{key, 0.5, Value(static_cast<int64_t>(key))});
+    small.Append(key, 0.5, Value(static_cast<int64_t>(key)));
   }
   std::string data = SerializeSketch(small);
   const size_t count_offset = 4 + 4 + 1 + 1 + 4 + 24;
   const uint64_t wrapping_count =
-      std::numeric_limits<uint64_t>::max() / 17 + 1;
-  ASSERT_EQ(wrapping_count * 17, 16u);
+      std::numeric_limits<uint64_t>::max() / 24 + 1;
+  ASSERT_EQ(wrapping_count * 24, 8u);
   std::memcpy(&data[count_offset], &wrapping_count, sizeof(wrapping_count));
   auto parsed = DeserializeSketch(data);
   ASSERT_FALSE(parsed.ok());

@@ -344,7 +344,7 @@ std::vector<uint64_t> ClusteredKeys(Rng& rng, size_t size) {
 
 // Candidate value kinds: numeric, labels, numbers with nulls, or a mix of
 // int64, label and null; the last two send the gather to the candidate's
-// entries.
+// type column.
 enum class ValueKind { kNumeric, kLabels, kNumbersAndNulls, kMixed };
 
 Value RandomValue(ValueKind kind, Rng& rng) {
@@ -375,7 +375,7 @@ Sketch OracleCandidate(const std::vector<uint64_t>& keys, ValueKind kind,
   Sketch candidate;
   candidate.side = SketchSide::kCandidate;
   for (uint64_t key : keys) {
-    candidate.entries.push_back(SketchEntry{key, 0.5, RandomValue(kind, rng)});
+    candidate.Append(key, 0.5, RandomValue(kind, rng));
   }
   return candidate;
 }
@@ -400,8 +400,8 @@ JoinMIQuery OracleQuery(const std::vector<uint64_t>& keys,
   for (uint64_t key : keys) {
     const size_t copies = 1 + rng.NextBounded(3);
     for (size_t i = 0; i < copies; ++i) {
-      train.entries.push_back(SketchEntry{
-          key, 0.5, Value(static_cast<double>(key % 5) + rng.Gaussian())});
+      train.Append(key, 0.5,
+                   Value(static_cast<double>(key % 5) + rng.Gaussian()));
     }
   }
   return *JoinMIQuery::FromTrainSketch(std::move(train), config);

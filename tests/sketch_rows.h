@@ -24,13 +24,9 @@ struct EntryWords {
 
 inline std::vector<EntryWords> SketchEntryWords(const Sketch& sketch) {
   std::vector<EntryWords> out;
-  for (const SketchEntry& entry : sketch.entries) {
-    EntryWords words{entry.key_hash, 0, entry.value.Hash()};
-    std::memcpy(&words.rank_bits, &entry.rank, sizeof(double));
-    if (IsNumeric(entry.value.type())) {
-      const double number = entry.value.NumericOr(0.0);
-      std::memcpy(&words.value_word, &number, sizeof(double));
-    }
+  for (size_t i = 0; i < sketch.size(); ++i) {
+    EntryWords words{sketch.key_hashes[i], 0, sketch.value_words[i]};
+    std::memcpy(&words.rank_bits, &sketch.ranks[i], sizeof(double));
     out.push_back(words);
   }
   return out;
@@ -38,7 +34,7 @@ inline std::vector<EntryWords> SketchEntryWords(const Sketch& sketch) {
 
 inline void AppendSketchEntry(Sketch* sketch, uint64_t key_hash, double rank,
                               const Value& value) {
-  sketch->entries.push_back(SketchEntry{key_hash, rank, value});
+  sketch->Append(key_hash, rank, value);
 }
 
 }  // namespace joinmi

@@ -27,19 +27,48 @@ namespace {
 
 // ----------------------------------------------------------------- KMV ----
 
+// A sketch entry as its key hash, rank and value. The value comes back
+// from the entry's value word: a number as its double (equal to the int64
+// it may have been), a null as null, and a string as a stand-in spelled
+// from its hash — so the rows compare values only for numbers and nulls.
+struct Offer {
+  uint64_t key_hash = 0;
+  double rank = 0.0;
+  Value value;
+};
+
+std::vector<Offer> Rows(const Sketch& sketch) {
+  std::vector<Offer> rows;
+  for (size_t i = 0; i < sketch.size(); ++i) {
+    Value value;
+    switch (sketch.ValueType(i)) {
+      case DataType::kDouble:
+        value = Value(sketch.ValueNumber(i));
+        break;
+      case DataType::kString:
+        value = Value("#" + std::to_string(sketch.ValueHash(i)));
+        break;
+      default:
+        break;
+    }
+    rows.push_back(Offer{sketch.key_hashes[i], sketch.ranks[i], value});
+  }
+  return rows;
+}
+
 // The KMV rule by sorting every offer: the `capacity` least by (rank, key
 // hash, value hash), returned by (key hash, rank, value hash).
-std::vector<SketchEntry> SortEveryOffer(std::vector<SketchEntry> offers,
+std::vector<Offer> SortEveryOffer(std::vector<Offer> offers,
                                         size_t capacity) {
   std::sort(offers.begin(), offers.end(),
-            [](const SketchEntry& a, const SketchEntry& b) {
+            [](const Offer& a, const Offer& b) {
               if (a.rank != b.rank) return a.rank < b.rank;
               if (a.key_hash != b.key_hash) return a.key_hash < b.key_hash;
               return a.value.Hash() < b.value.Hash();
             });
   if (offers.size() > capacity) offers.resize(capacity);
   std::sort(offers.begin(), offers.end(),
-            [](const SketchEntry& a, const SketchEntry& b) {
+            [](const Offer& a, const Offer& b) {
               if (a.key_hash != b.key_hash) return a.key_hash < b.key_hash;
               if (a.rank != b.rank) return a.rank < b.rank;
               return a.value.Hash() < b.value.Hash();
@@ -49,31 +78,35 @@ std::vector<SketchEntry> SortEveryOffer(std::vector<SketchEntry> offers,
 
 // Offers `offers` in order to a KmvSelection over their own values,
 // told (when num_offers > 0) how many offers to expect.
-std::vector<SketchEntry> SelectKmv(const std::vector<SketchEntry>& offers,
-                                   size_t capacity, size_t num_offers = 0) {
+std::vector<Offer> SelectKmv(const std::vector<Offer>& offers,
+                             size_t capacity, size_t num_offers = 0) {
   KmvSelection selection(
       capacity, [&offers](size_t i) { return offers[i].value; }, num_offers);
-  return selection.Select([&] {
-    for (size_t i = 0; i < offers.size(); ++i) {
-      selection.Offer(offers[i].rank, offers[i].key_hash, i);
-    }
-  });
+  Sketch sketch;
+  selection.Select(
+      [&] {
+        for (size_t i = 0; i < offers.size(); ++i) {
+          selection.Offer(offers[i].rank, offers[i].key_hash, i);
+        }
+      },
+      &sketch);
+  return Rows(sketch);
 }
 
-std::vector<uint64_t> KeysAtRank(const std::vector<SketchEntry>& entries,
+std::vector<uint64_t> KeysAtRank(const std::vector<Offer>& entries,
                                  double rank) {
   std::vector<uint64_t> keys;
-  for (const SketchEntry& entry : entries) {
+  for (const Offer& entry : entries) {
     if (entry.rank == rank) keys.push_back(entry.key_hash);
   }
   return keys;
 }
 
 TEST(KmvSelectionTest, KeepsMinimumRanks) {
-  std::vector<SketchEntry> offers;
+  std::vector<Offer> offers;
   for (double rank : {0.9, 0.1, 0.5, 0.7, 0.3, 0.2}) {
     offers.push_back(
-        SketchEntry{static_cast<uint64_t>(rank * 100), rank, Value()});
+        Offer{static_cast<uint64_t>(rank * 100), rank, Value()});
   }
   const auto entries = SelectKmv(offers, 3);
   ASSERT_EQ(entries.size(), 3u);
@@ -87,10 +120,10 @@ TEST(KmvSelectionTest, AnEqualRankAtTheBoundStillCompetes) {
   // The fourth offer fills the buffer (2 x capacity): the two least stay
   // and the admission bound drops to 0.5. (0.5, key 1) arrives at the
   // bound and wins its tie with (0.5, key 9) on key hash.
-  const std::vector<SketchEntry> entries =
-      SelectKmv({SketchEntry{2, 0.2, Value()}, SketchEntry{9, 0.5, Value()},
-                 SketchEntry{3, 0.6, Value()}, SketchEntry{4, 0.7, Value()},
-                 SketchEntry{1, 0.5, Value()}, SketchEntry{5, 0.9, Value()}},
+  const std::vector<Offer> entries =
+      SelectKmv({Offer{2, 0.2, Value()}, Offer{9, 0.5, Value()},
+                 Offer{3, 0.6, Value()}, Offer{4, 0.7, Value()},
+                 Offer{1, 0.5, Value()}, Offer{5, 0.9, Value()}},
                 2);
   ASSERT_EQ(entries.size(), 2u);
   EXPECT_EQ(entries[0].key_hash, 1u);
@@ -107,45 +140,45 @@ TEST(KmvSelectionTest, RankTiesBreakByKeyHashThenValueHashInAnyOrder) {
   const Value low = a.Hash() < b.Hash() ? a : b;
   const Value high = a.Hash() < b.Hash() ? b : a;
   struct Tie {
-    std::vector<SketchEntry> competitors;
+    std::vector<Offer> competitors;
     uint64_t key;
     Value value;
   };
   const Tie ties[] = {
-      {{SketchEntry{9, 0.5, low}, SketchEntry{5, 0.5, low},
-        SketchEntry{1, 0.5, low}},
+      {{Offer{9, 0.5, low}, Offer{5, 0.5, low},
+        Offer{1, 0.5, low}},
        1, low},
-      {{SketchEntry{7, 0.5, high}, SketchEntry{7, 0.5, low},
-        SketchEntry{8, 0.5, low}},
+      {{Offer{7, 0.5, high}, Offer{7, 0.5, low},
+        Offer{8, 0.5, low}},
        7, low},
   };
   for (size_t capacity : {size_t{1}, size_t{256}}) {
     for (const Tie& tie : ties) {
-      std::vector<SketchEntry> order = tie.competitors;
+      std::vector<Offer> order = tie.competitors;
       std::sort(order.begin(), order.end(),
-                [](const SketchEntry& x, const SketchEntry& y) {
+                [](const Offer& x, const Offer& y) {
                   return std::make_pair(x.key_hash, x.value.Hash()) <
                          std::make_pair(y.key_hash, y.value.Hash());
                 });
       do {
-        std::vector<SketchEntry> offers;
+        std::vector<Offer> offers;
         for (size_t i = 0; i + 1 < capacity; ++i) {
-          offers.push_back(SketchEntry{100 + i,
+          offers.push_back(Offer{100 + i,
                                        0.4 * static_cast<double>(i) /
                                            static_cast<double>(capacity),
                                        Value()});
         }
         offers.insert(offers.end(), order.begin(), order.end());
-        const std::vector<SketchEntry> entries = SelectKmv(offers, capacity);
+        const std::vector<Offer> entries = SelectKmv(offers, capacity);
         ASSERT_EQ(entries.size(), capacity);
         std::string arrival;
-        for (const SketchEntry& e : order) {
+        for (const Offer& e : order) {
           arrival += " (" + std::to_string(e.key_hash) + ", " +
                      e.value.ToString() + ")";
         }
         EXPECT_EQ(KeysAtRank(entries, 0.5), std::vector<uint64_t>{tie.key})
             << "capacity " << capacity << ", arrival" << arrival;
-        for (const SketchEntry& entry : entries) {
+        for (const Offer& entry : entries) {
           if (entry.rank == 0.5) {
             EXPECT_EQ(entry.value, tie.value)
                 << "capacity " << capacity << ", arrival" << arrival;
@@ -153,7 +186,7 @@ TEST(KmvSelectionTest, RankTiesBreakByKeyHashThenValueHashInAnyOrder) {
         }
       } while (std::next_permutation(
           order.begin(), order.end(),
-          [](const SketchEntry& x, const SketchEntry& y) {
+          [](const Offer& x, const Offer& y) {
             return std::make_pair(x.key_hash, x.value.Hash()) <
                    std::make_pair(y.key_hash, y.value.Hash());
           }));
@@ -162,19 +195,19 @@ TEST(KmvSelectionTest, RankTiesBreakByKeyHashThenValueHashInAnyOrder) {
 }
 
 TEST(KmvSelectionTest, ZeroCapacityAndUnderfill) {
-  EXPECT_TRUE(SelectKmv({SketchEntry{1, 0.1, Value()}}, 0).empty());
-  EXPECT_EQ(SelectKmv({SketchEntry{1, 0.1, Value()}}, 100).size(), 1u);
+  EXPECT_TRUE(SelectKmv({Offer{1, 0.1, Value()}}, 0).empty());
+  EXPECT_EQ(SelectKmv({Offer{1, 0.1, Value()}}, 100).size(), 1u);
 }
 
 TEST(KmvSelectionTest, KeepsWhatSortingEveryOfferKeeps) {
   Rng rng(31);
   for (size_t capacity : {1, 2, 5, 64}) {
     for (size_t rows : {0, 1, 3, 40, 700}) {
-      std::vector<SketchEntry> offers;
+      std::vector<Offer> offers;
       for (size_t row = 0; row < rows; ++row) {
         // Ties on every level: 8 ranks, 3 key hashes, 5 values, so the
         // last comparison reads the value hashes.
-        offers.push_back(SketchEntry{
+        offers.push_back(Offer{
             rng.NextBounded(3), static_cast<double>(rng.NextBounded(8)) / 8.0,
             Value(static_cast<int64_t>(rng.NextBounded(5)))});
       }
@@ -182,10 +215,10 @@ TEST(KmvSelectionTest, KeepsWhatSortingEveryOfferKeeps) {
                                 ", rows " + std::to_string(rows);
       for (bool distinct_ranks : {false, true}) {
         if (distinct_ranks) {
-          for (SketchEntry& offer : offers) offer.rank = rng.NextDouble();
+          for (Offer& offer : offers) offer.rank = rng.NextDouble();
         }
-        const std::vector<SketchEntry> got = SelectKmv(offers, capacity);
-        const std::vector<SketchEntry> want = SortEveryOffer(offers, capacity);
+        const std::vector<Offer> got = SelectKmv(offers, capacity);
+        const std::vector<Offer> want = SortEveryOffer(offers, capacity);
         ASSERT_EQ(got.size(), want.size()) << where;
         for (size_t i = 0; i < want.size(); ++i) {
           EXPECT_EQ(got[i].key_hash, want[i].key_hash)
@@ -219,7 +252,7 @@ TEST(KmvSelectionTest, ProvisionalBoundFallsBackToTheUnfilteredSelection) {
   };
   Rng rng(47);
   for (const Shape& shape : shapes) {
-    std::vector<SketchEntry> offers;
+    std::vector<Offer> offers;
     for (size_t i = 0; i < kOffers; ++i) {
       double rank = rng.NextDouble();
       if (shape.low_share >= 0.0) {
@@ -227,7 +260,7 @@ TEST(KmvSelectionTest, ProvisionalBoundFallsBackToTheUnfilteredSelection) {
                    ? 0.15 * rank
                    : 0.5 + 0.5 * rank;
       }
-      offers.push_back(SketchEntry{rng.NextBounded(40), rank,
+      offers.push_back(Offer{rng.NextBounded(40), rank,
                                    Value(static_cast<int64_t>(i % 7))});
     }
     // An offer exactly at the bound passes it.
@@ -236,13 +269,17 @@ TEST(KmvSelectionTest, ProvisionalBoundFallsBackToTheUnfilteredSelection) {
         kCapacity, [&offers](size_t i) { return offers[i].value; },
         shape.told);
     int runs = 0;
-    const std::vector<SketchEntry> got = selection.Select([&] {
-      ++runs;
-      for (size_t i = 0; i < offers.size(); ++i) {
-        selection.Offer(offers[i].rank, offers[i].key_hash, i);
-      }
-    });
-    const std::vector<SketchEntry> want = SelectKmv(offers, kCapacity);
+    Sketch sketch;
+    selection.Select(
+        [&] {
+          ++runs;
+          for (size_t i = 0; i < offers.size(); ++i) {
+            selection.Offer(offers[i].rank, offers[i].key_hash, i);
+          }
+        },
+        &sketch);
+    const std::vector<Offer> got = Rows(sketch);
+    const std::vector<Offer> want = SelectKmv(offers, kCapacity);
     EXPECT_EQ(runs, shape.runs) << shape.name;
     ASSERT_EQ(got.size(), kCapacity) << shape.name;
     ASSERT_EQ(want.size(), kCapacity) << shape.name;
@@ -354,10 +391,8 @@ TEST_P(SketchMethodTest, DeterministicAcrossRebuilds) {
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   ASSERT_EQ(a->size(), b->size());
-  for (size_t i = 0; i < a->size(); ++i) {
-    EXPECT_EQ(a->entries[i].key_hash, b->entries[i].key_hash);
-    EXPECT_EQ(a->entries[i].value, b->entries[i].value);
-  }
+  EXPECT_EQ(a->key_hashes, b->key_hashes);
+  EXPECT_EQ(a->value_words, b->value_words);
 }
 
 TEST_P(SketchMethodTest, SkipsNullKeysAndValues) {
@@ -383,7 +418,7 @@ TEST_P(SketchMethodTest, CandidateSketchAggregatesPerKey) {
   ASSERT_TRUE(sketch.ok());
   // Unique keys after aggregation.
   std::unordered_set<uint64_t> key_hashes;
-  for (const auto& e : sketch->entries) key_hashes.insert(e.key_hash);
+  for (uint64_t key : sketch->key_hashes) key_hashes.insert(key);
   EXPECT_EQ(key_hashes.size(), sketch->size());
   if (GetParam() != SketchMethod::kCsk) {
     // AVG values are {a->1, b->3, c->2}.
@@ -392,7 +427,7 @@ TEST_P(SketchMethodTest, CandidateSketchAggregatesPerKey) {
         {HashKey(Value("b"), 0), 3.0},
         {HashKey(Value("c"), 0), 2.0}};
     ASSERT_EQ(sketch->size(), 3u);
-    for (const auto& e : sketch->entries) {
+    for (const Offer& e : Rows(*sketch)) {
       EXPECT_EQ(*e.value.AsDouble(), expected.at(e.key_hash));
     }
   } else {
@@ -401,8 +436,8 @@ TEST_P(SketchMethodTest, CandidateSketchAggregatesPerKey) {
         {HashKey(Value("a"), 0), 1},
         {HashKey(Value("b"), 0), 2},
         {HashKey(Value("c"), 0), 0}};
-    for (const auto& e : sketch->entries) {
-      EXPECT_EQ(e.value.int64(), expected.at(e.key_hash));
+    for (const Offer& e : Rows(*sketch)) {
+      EXPECT_EQ(e.value, Value(expected.at(e.key_hash)));
     }
   }
 }
@@ -444,7 +479,7 @@ TEST(TupskTest, RepeatedKeysRepresentedProportionally) {
   auto sketch = *BuildTrain(SketchMethod::kTupsk, *table, 512);
   const uint64_t hot_hash = HashKey(Value("hot"), 0);
   size_t hot = 0;
-  for (const auto& e : sketch.entries) {
+  for (const Offer& e : Rows(sketch)) {
     if (e.key_hash == hot_hash) ++hot;
   }
   const double share = static_cast<double>(hot) / sketch.size();
@@ -470,7 +505,7 @@ TEST(TupskTest, UniformRowInclusion) {
     auto builder = MakeSketchBuilder(SketchMethod::kTupsk, options);
     auto sketch = *builder->SketchTrain(*(*table->GetColumn("K")),
                                         *(*table->GetColumn("Y")));
-    for (const auto& e : sketch.entries) {
+    for (const Offer& e : Rows(sketch)) {
       if (e.value == Value(int64_t{1})) ++dup_row_hits;     // 2nd dup row
       if (e.value == Value(int64_t{105})) ++solo_row_hits;  // a solo row
     }
@@ -498,7 +533,7 @@ TEST(TupskTest, PaperPathologicalExampleKeepsTargetEntropy) {
   EXPECT_EQ(sketch.size(), 5u);
   const uint64_t f_hash = HashKey(Value("f"), 0);
   size_t f_rows = 0;
-  for (const auto& e : sketch.entries) {
+  for (const Offer& e : Rows(sketch)) {
     if (e.key_hash == f_hash) ++f_rows;
   }
   // E[f rows] = 5 * 0.95 = 4.75; anything >= 3 keeps entropy healthy. With
@@ -525,7 +560,7 @@ TEST(Lv2skTest, PerKeyCapMatchesFormula) {
   auto sketch = *BuildTrain(SketchMethod::kLv2sk, *table, 10);
   const uint64_t heavy_hash = HashKey(Value("heavy"), 0);
   std::unordered_map<uint64_t, size_t> per_key;
-  for (const auto& e : sketch.entries) ++per_key[e.key_hash];
+  for (const Offer& e : Rows(sketch)) ++per_key[e.key_hash];
   // Heavy key, if selected at level 1, carries exactly 6 entries.
   if (per_key.count(heavy_hash) > 0) {
     EXPECT_EQ(per_key[heavy_hash], 6u);
@@ -550,7 +585,7 @@ TEST(Lv2skTest, UniqueKeysBehaveLikeKmv) {
   auto sketch = *BuildTrain(SketchMethod::kLv2sk, *table, 50);
   EXPECT_EQ(sketch.size(), 50u);
   std::unordered_set<uint64_t> distinct;
-  for (const auto& e : sketch.entries) distinct.insert(e.key_hash);
+  for (const Offer& e : Rows(sketch)) distinct.insert(e.key_hash);
   EXPECT_EQ(distinct.size(), 50u);
 }
 
@@ -577,7 +612,7 @@ TEST(Lv2skTest, PathologicalExampleUnderrepresentsHeavyKey) {
                                         *(*table->GetColumn("Y")));
     const uint64_t f_hash = HashKey(Value("f"), trial + 1);
     bool has_f = false;
-    for (const auto& e : sketch.entries) {
+    for (const Offer& e : Rows(sketch)) {
       if (e.key_hash == f_hash) has_f = true;
     }
     if (!has_f) ++absent;
@@ -610,7 +645,7 @@ TEST(PriskTest, PrioritizesFrequentKeys) {
     auto sketch = *builder->SketchTrain(*(*table->GetColumn("K")),
                                         *(*table->GetColumn("Y")));
     const uint64_t heavy_hash = HashKey(Value("heavy"), trial + 1);
-    for (const auto& e : sketch.entries) {
+    for (const Offer& e : Rows(sketch)) {
       if (e.key_hash == heavy_hash) {
         ++heavy_present;
         break;
@@ -627,7 +662,7 @@ TEST(CskTest, FirstValuePerKeyOnTrainSide) {
   auto table = MakeTrain({"a", "a", "a", "b"}, {7, 8, 9, 1});
   auto sketch = *BuildTrain(SketchMethod::kCsk, *table, 10);
   ASSERT_EQ(sketch.size(), 2u);  // one entry per distinct key
-  for (const auto& e : sketch.entries) {
+  for (const Offer& e : Rows(sketch)) {
     if (e.key_hash == HashKey(Value("a"), 0)) {
       EXPECT_EQ(e.value, Value(int64_t{7}));  // first seen
     }
@@ -700,8 +735,8 @@ TEST(SketchJoinTest, RecoversExactPairsOfFullJoin) {
 
   // Ground truth: the full join pairs target k*10+j with feature k*7.
   for (size_t i = 0; i < joined.sample.size(); ++i) {
-    const int64_t y = joined.sample.y[i].int64();
-    const int64_t x = joined.sample.x[i].int64();
+    const int64_t y = static_cast<int64_t>(joined.sample.y_numbers[i]);
+    const int64_t x = static_cast<int64_t>(joined.sample.x_numbers[i]);
     EXPECT_EQ(x, (y / 10) * 7) << "pair " << i;
   }
 }
@@ -722,8 +757,8 @@ TEST(SketchJoinTest, TrainMultiplicityPreserved) {
   EXPECT_EQ(joined.join_size, 4u);
   EXPECT_EQ(joined.matched_keys, 2u);
   size_t feature_100 = 0;
-  for (const Value& x : joined.sample.x) {
-    if (x == Value(int64_t{100})) ++feature_100;
+  for (double x : joined.sample.x_numbers) {
+    if (x == 100.0) ++feature_100;
   }
   EXPECT_EQ(feature_100, 3u);  // one per repeated "a" row
 }
@@ -932,14 +967,14 @@ TEST(MergeKernelTest, MixedTypeSketchesChooseFromTheMatchedValues) {
   // A sketch whose values mix types (or hold nulls) gives no type for its
   // subsets, so the kernel infers the sample's types from the values that
   // actually matched — the same estimator, estimate and error status as
-  // the Value reference, whichever entries the train side hits.
+  // the hash-map reference, whichever entries the train side hits.
   Sketch cand;
   cand.side = SketchSide::kCandidate;
   for (uint64_t key = 1; key <= 40; ++key) {
     Value value = key % 10 == 0   ? Value("label" + std::to_string(key % 3))
                   : key == 33     ? Value()
                                   : Value(static_cast<double>(key % 7));
-    cand.entries.push_back(SketchEntry{key, 0.1, value});
+    cand.Append(key, 0.1, value);
   }
   auto make_train = [](uint64_t first, uint64_t last, bool mixed) {
     Sketch train;
@@ -949,7 +984,7 @@ TEST(MergeKernelTest, MixedTypeSketchesChooseFromTheMatchedValues) {
         Value value = mixed && key % 4 == 0
                           ? Value("y" + std::to_string(copy))
                           : Value(static_cast<int64_t>(key % 5 + copy));
-        train.entries.push_back(SketchEntry{key, 0.1 * copy, value});
+        train.Append(key, 0.1 * copy, value);
       }
     }
     return train;
@@ -986,12 +1021,12 @@ TEST(MergeKernelTest, MixedTypeSketchesChooseFromTheMatchedValues) {
 TEST(MergeKernelTest, BelowMinimumSkipsWithoutScoring) {
   Sketch train;
   train.side = SketchSide::kTrain;
-  train.entries.push_back(SketchEntry{5, 0.1, Value(int64_t{1})});
-  train.entries.push_back(SketchEntry{5, 0.2, Value(int64_t{2})});
-  train.entries.push_back(SketchEntry{8, 0.3, Value(int64_t{3})});
+  train.Append(5, 0.1, Value(int64_t{1}));
+  train.Append(5, 0.2, Value(int64_t{2}));
+  train.Append(8, 0.3, Value(int64_t{3}));
   Sketch cand;
   cand.side = SketchSide::kCandidate;
-  cand.entries.push_back(SketchEntry{5, 0.1, Value(int64_t{50})});
+  cand.Append(5, 0.1, Value(int64_t{50}));
   MergeJoinScore below =
       ScoreThroughKernel(train, cand, MIEstimatorKind::kMLE, 3);
   EXPECT_EQ(below.join_size, 2u);  // train multiplicity counted
@@ -1007,7 +1042,7 @@ TEST(MergeKernelTest, EmptyTrainSketchJoinsEmpty) {
   train.side = SketchSide::kTrain;
   Sketch cand;
   cand.side = SketchSide::kCandidate;
-  cand.entries.push_back(SketchEntry{42, 0.1, Value(int64_t{1})});
+  cand.Append(42, 0.1, Value(int64_t{1}));
   MergeJoinScore score = ScoreThroughKernel(train, cand, std::nullopt, 1);
   EXPECT_EQ(score.join_size, 0u);
   EXPECT_FALSE(score.scored.has_value());
@@ -1017,17 +1052,17 @@ TEST(MergeKernelTest, TrainRunsRejectUnsortedEntries) {
   Sketch train;
   train.side = SketchSide::kTrain;
   // Same key hash in two non-adjacent runs violates the sort invariant.
-  train.entries.push_back(SketchEntry{7, 0.1, Value(int64_t{1})});
-  train.entries.push_back(SketchEntry{3, 0.2, Value(int64_t{2})});
-  train.entries.push_back(SketchEntry{7, 0.3, Value(int64_t{3})});
+  train.Append(7, 0.1, Value(int64_t{1}));
+  train.Append(3, 0.2, Value(int64_t{2}));
+  train.Append(7, 0.3, Value(int64_t{3}));
   auto runs = TrainKeyRuns::Build(train);
   EXPECT_TRUE(runs.status().IsInvalidArgument());
   // Unique but descending keys: no key repeats, yet the merge would miss
   // every match after the first, so this is rejected too.
   Sketch descending;
   descending.side = SketchSide::kTrain;
-  descending.entries.push_back(SketchEntry{9, 0.1, Value(int64_t{1})});
-  descending.entries.push_back(SketchEntry{4, 0.2, Value(int64_t{2})});
+  descending.Append(9, 0.1, Value(int64_t{1}));
+  descending.Append(4, 0.2, Value(int64_t{2}));
   EXPECT_TRUE(TrainKeyRuns::Build(descending).status().IsInvalidArgument());
 }
 
@@ -1035,7 +1070,7 @@ TEST(MergeKernelTest, TrainRunsGroupEqualKeys) {
   Sketch train;
   train.side = SketchSide::kTrain;
   for (uint64_t key : {2, 2, 2, 5, 9, 9}) {
-    train.entries.push_back(SketchEntry{key, 0.1, Value(int64_t{1})});
+    train.Append(key, 0.1, Value(int64_t{1}));
   }
   auto runs = *TrainKeyRuns::Build(train);
   EXPECT_EQ(runs.keys, (std::vector<uint64_t>{2, 5, 9}));
@@ -1050,27 +1085,23 @@ TEST(MergeKernelTest, CandidateKeysMustStrictlyAscend) {
     Sketch cand;
     cand.side = SketchSide::kCandidate;
     for (uint64_t key : keys) {
-      cand.entries.push_back(SketchEntry{key, 0.1, Value(int64_t{1})});
+      cand.Append(key, 0.1, Value(int64_t{1}));
     }
     return cand;
   };
-  std::vector<uint64_t> keys;
-  ASSERT_TRUE(AppendCandidateKeys(make({1, 4, 9}), &keys).ok());
-  EXPECT_EQ(keys, (std::vector<uint64_t>{1, 4, 9}));
+  EXPECT_TRUE(CheckCandidateKeys(make({1, 4, 9})).ok());
 
-  keys.clear();
-  Status dupes = AppendCandidateKeys(make({1, 5, 5}), &keys);
+  Status dupes = CheckCandidateKeys(make({1, 5, 5}));
   EXPECT_TRUE(dupes.IsInvalidArgument());
   EXPECT_NE(dupes.message().find("duplicate"), std::string::npos);
 
-  keys.clear();
-  Status descending = AppendCandidateKeys(make({9, 4, 1}), &keys);
+  Status descending = CheckCandidateKeys(make({9, 4, 1}));
   EXPECT_TRUE(descending.IsInvalidArgument());
   EXPECT_NE(descending.message().find("not sorted"), std::string::npos);
 
   Sketch train_side = make({1});
   train_side.side = SketchSide::kTrain;
-  EXPECT_TRUE(AppendCandidateKeys(train_side, &keys).IsInvalidArgument());
+  EXPECT_TRUE(CheckCandidateKeys(train_side).IsInvalidArgument());
 }
 
 // ------------------------------------- Bucket-directory probe oracles ---
@@ -1084,9 +1115,8 @@ Sketch OracleTrain(const std::vector<uint64_t>& run_keys,
   train.side = SketchSide::kTrain;
   for (size_t r = 0; r < run_keys.size(); ++r) {
     for (size_t copy = 0; copy < multiplicity(r); ++copy) {
-      train.entries.push_back(SketchEntry{
-          run_keys[r], 0.1,
-          Value(static_cast<int64_t>(rng.NextBounded(6)))});
+      train.Append(run_keys[r], 0.1,
+                   Value(static_cast<int64_t>(rng.NextBounded(6))));
     }
   }
   return train;
@@ -1101,8 +1131,7 @@ Sketch OracleCandidate(const std::vector<uint64_t>& keys, Rng& rng) {
   Sketch cand;
   cand.side = SketchSide::kCandidate;
   for (uint64_t key : keys) {
-    cand.entries.push_back(SketchEntry{
-        key, 0.1, Value(static_cast<int64_t>(rng.NextBounded(5)))});
+    cand.Append(key, 0.1, Value(static_cast<int64_t>(rng.NextBounded(5))));
   }
   return cand;
 }
@@ -1257,7 +1286,7 @@ TEST(MergeKernelTest, EmptyTrainAndEmptyCandidate) {
   ExpectKernelMatchesOracle(train, empty_cand, "empty candidate");
   ExpectKernelMatchesOracle(empty_train, empty_cand, "both empty");
   // With no minimum, an empty join reaches the estimator and fails there
-  // exactly as the Value path does.
+  // exactly as the hash-map reference does.
   auto joined = *JoinSketches(empty_train, cand);
   auto reference = ScoreSketchJoinSample(joined.sample, 0, std::nullopt, {},
                                          0);
@@ -1312,7 +1341,7 @@ Sketch WordCandidate(const std::vector<Value>& values) {
   Sketch cand;
   cand.side = SketchSide::kCandidate;
   for (size_t j = 0; j < values.size(); ++j) {
-    cand.entries.push_back(SketchEntry{j + 1, 0.1, values[j]});
+    cand.Append(j + 1, 0.1, values[j]);
   }
   return cand;
 }
@@ -1323,17 +1352,16 @@ Sketch WordTrain(uint64_t first, uint64_t last, bool numeric) {
   train.side = SketchSide::kTrain;
   for (uint64_t key = first; key <= last; ++key) {
     for (int copy = 0; copy < 2; ++copy) {
-      train.entries.push_back(SketchEntry{
-          key, 0.1 * copy,
-          numeric ? Value(static_cast<double>(key % 5) + 0.25 * copy)
-                  : Value("y" + std::to_string((key + copy) % 3))});
+      train.Append(key, 0.1 * copy,
+                   numeric ? Value(static_cast<double>(key % 5) + 0.25 * copy)
+                           : Value("y" + std::to_string((key + copy) % 3)));
     }
   }
   return train;
 }
 
-// The kernel over SketchIndex's stored columns — the index path, beside
-// ScoreCandidateSketch's per-call columns — against the Value reference.
+// The kernel through SketchIndex's postings — the index path, beside
+// ScoreCandidateSketch's probe — against the hash-map reference.
 void ExpectIndexMatchesOracle(const Sketch& train, const Sketch& cand,
                               const std::string& where) {
   JoinMIConfig config;
@@ -1379,16 +1407,15 @@ TEST(MergeKernelTest, NumericWordsDeriveTheValueHash) {
   values[6] = Value(int64_t{0});
   values[7] = Value(-0.0);
   const Sketch cand = WordCandidate(values);
-  std::vector<uint64_t> words = {77};  // appended after what is there
-  const ValueTypes types = AppendValueWords(cand, &words);
-  EXPECT_TRUE(types.all_numeric);
-  ASSERT_EQ(words.size(), values.size() + 1);
-  EXPECT_EQ(words[0], 77u);
+  EXPECT_TRUE(cand.value_types.all_numeric);
+  EXPECT_TRUE(cand.mixed_types.empty());
+  ASSERT_EQ(cand.value_words.size(), values.size());
   for (size_t j = 0; j < values.size(); ++j) {
     double number;
-    std::memcpy(&number, &words[j + 1], sizeof(number));
+    std::memcpy(&number, &cand.value_words[j], sizeof(number));
     EXPECT_EQ(Bits(number), Bits(values[j].NumericOr(0.0))) << j;
     EXPECT_EQ(NumericValueHash(number), values[j].Hash()) << j;
+    EXPECT_EQ(cand.ValueHash(j), values[j].Hash()) << j;
   }
   EXPECT_EQ(NumericValueHash(-0.0), NumericValueHash(0.0));
   for (bool numeric_train : {true, false}) {
@@ -1403,13 +1430,12 @@ TEST(MergeKernelTest, StringWordsAreValueHashes) {
   std::vector<Value> values;
   for (int i = 0; i < 24; ++i) values.push_back(Value("v" + std::to_string(i % 4)));
   const Sketch cand = WordCandidate(values);
-  std::vector<uint64_t> words;
-  const ValueTypes types = AppendValueWords(cand, &words);
-  EXPECT_FALSE(types.any_numeric);
-  EXPECT_TRUE(types.homogeneous());
-  ASSERT_EQ(words.size(), values.size());
+  EXPECT_FALSE(cand.value_types.any_numeric);
+  EXPECT_TRUE(cand.value_types.homogeneous());
+  EXPECT_TRUE(cand.mixed_types.empty());
+  ASSERT_EQ(cand.value_words.size(), values.size());
   for (size_t j = 0; j < values.size(); ++j) {
-    EXPECT_EQ(words[j], values[j].Hash()) << j;
+    EXPECT_EQ(cand.value_words[j], values[j].Hash()) << j;
   }
   for (bool numeric_train : {true, false}) {
     const Sketch train = WordTrain(3, 20, numeric_train);
@@ -1419,9 +1445,10 @@ TEST(MergeKernelTest, StringWordsAreValueHashes) {
   }
 }
 
-TEST(MergeKernelTest, MixedCandidateReadsItsEntries) {
-  // Numbers on keys 1..20, labels from 21 (and one null at 27): the words
-  // are hashes, and the sample's types come from the matched values — all
+TEST(MergeKernelTest, MixedCandidateReadsItsTypeColumn) {
+  // Numbers on keys 1..20, labels from 21 (and one null at 27): a number's
+  // word is its double and any other's its hash, the type column tells
+  // them apart, and the sample's types come from the matched entries — all
   // numeric for a query joining keys 2..18, mixed for one joining 12..26,
   // null-bearing for one reaching 27.
   std::vector<Value> values;
@@ -1431,11 +1458,15 @@ TEST(MergeKernelTest, MixedCandidateReadsItsEntries) {
                                 : Value("label" + std::to_string(i % 3)));
   }
   const Sketch cand = WordCandidate(values);
-  std::vector<uint64_t> words;
-  const ValueTypes types = AppendValueWords(cand, &words);
-  EXPECT_FALSE(types.homogeneous());
+  EXPECT_FALSE(cand.value_types.homogeneous());
+  ASSERT_EQ(cand.mixed_types.size(), values.size());
   for (size_t j = 0; j < values.size(); ++j) {
-    EXPECT_EQ(words[j], values[j].Hash()) << j;
+    EXPECT_EQ(cand.ValueHash(j), values[j].Hash()) << j;
+    EXPECT_EQ(cand.ValueNumber(j), values[j].NumericOr(0.0)) << j;
+    EXPECT_EQ(cand.value_words[j], IsNumeric(values[j].type())
+                                       ? NumberWord(values[j].NumericOr(0.0))
+                                       : values[j].Hash())
+        << j;
   }
   for (const auto& [first, last] : {std::pair<uint64_t, uint64_t>{2, 18},
                                     {12, 26},
@@ -1462,12 +1493,10 @@ TEST(MergeKernelTest, MixedCandidateReadsItsEntries) {
 
 TEST(MergeKernelTest, EmptyCandidateWithNoMinimum) {
   // No entry, no word; with min_join_size 0 the empty join reaches the
-  // estimators and fails as the Value path does, for every estimator.
+  // estimators and fails as the hash-map reference does, for every estimator.
   const Sketch cand = WordCandidate({});
-  std::vector<uint64_t> words;
-  const ValueTypes types = AppendValueWords(cand, &words);
-  EXPECT_TRUE(words.empty());
-  EXPECT_TRUE(types.all_numeric);  // vacuously
+  EXPECT_TRUE(cand.value_words.empty());
+  EXPECT_TRUE(cand.value_types.all_numeric);  // vacuously
   for (bool numeric_train : {true, false}) {
     ExpectKernelMatchesOracle(WordTrain(1, 9, numeric_train), cand,
                               "empty candidate", kEveryEstimator,
@@ -1481,13 +1510,13 @@ TEST(SketchJoinTest, MatchedKeysDistinctEvenForUnsortedTrainSketch) {
   // distinct-key count must not rely on equal hashes being adjacent.
   Sketch train;
   train.side = SketchSide::kTrain;
-  train.entries.push_back(SketchEntry{7, 0.1, Value(int64_t{1})});
-  train.entries.push_back(SketchEntry{3, 0.2, Value(int64_t{2})});
-  train.entries.push_back(SketchEntry{7, 0.3, Value(int64_t{3})});
+  train.Append(7, 0.1, Value(int64_t{1}));
+  train.Append(3, 0.2, Value(int64_t{2}));
+  train.Append(7, 0.3, Value(int64_t{3}));
   Sketch cand;
   cand.side = SketchSide::kCandidate;
-  cand.entries.push_back(SketchEntry{3, 0.1, Value(int64_t{30})});
-  cand.entries.push_back(SketchEntry{7, 0.2, Value(int64_t{70})});
+  cand.Append(3, 0.1, Value(int64_t{30}));
+  cand.Append(7, 0.2, Value(int64_t{70}));
   auto joined = JoinSketches(train, cand);
   ASSERT_TRUE(joined.ok()) << joined.status();
   EXPECT_EQ(joined->join_size, 3u);
@@ -1566,15 +1595,18 @@ Sketch TwoPassTupskTrain(const Column& keys, const Column& values,
   }
   sketch.source_distinct_keys = distinct.size();
   std::unordered_map<uint64_t, uint64_t> occurrence;
-  std::vector<SketchEntry> offers;
+  std::vector<Offer> offers;
   for (size_t row = 0; row < keys.size(); ++row) {
     if (!keys.IsValid(row) || !values.IsValid(row)) continue;
     const uint64_t key_hash = HashKey(keys.GetValue(row), options.hash_seed);
     const uint64_t j = ++occurrence[key_hash];
-    offers.push_back(SketchEntry{key_hash, TupleUnitHash(key_hash, j),
-                                 values.GetValue(row)});
+    offers.push_back(
+        Offer{key_hash, TupleUnitHash(key_hash, j), values.GetValue(row)});
   }
-  sketch.entries = SortEveryOffer(std::move(offers), options.capacity);
+  for (const Offer& offer :
+       SortEveryOffer(std::move(offers), options.capacity)) {
+    sketch.Append(offer.key_hash, offer.rank, offer.value);
+  }
   return sketch;
 }
 
@@ -1675,9 +1707,11 @@ TEST(AggregateByKeyTest, CoderAggregationEqualsMapOracle) {
 
 // Serialized train and candidate sketches of every method over one fixed
 // table, keyed by strings, int64s and doubles (the same draws, a tenth of
-// the keys null): the bytes the Value-based builders produced, as 64-bit
-// digests. Any change in hashing, occurrence numbering, aggregation order
-// or source counts changes a digest.
+// the keys null): the v3 column bytes, as 64-bit digests. Any change in
+// hashing, occurrence numbering, aggregation order, source counts or the
+// format changes a digest. The digests were re-derived when v3 replaced
+// the row format; golden_mi_test pins the same selections as (key hash,
+// rank, value word) digests that no format change moves.
 TEST_P(SketchMethodTest, SerializedSketchesMatchGoldenDigests) {
   const size_t rows = 6000;  // ~2000 distinct keys: the coder grows
   Rng rng(2024);
@@ -1708,36 +1742,36 @@ TEST_P(SketchMethodTest, SerializedSketchesMatchGoldenDigests) {
     uint64_t candidate;
   };
   const Golden golden[] = {
-      {SketchMethod::kTupsk, DataType::kString, 0x18f589b94396c2b0ULL,
-       0x7a619143144a7039ULL},
-      {SketchMethod::kLv2sk, DataType::kString, 0x15eed0b5db680c64ULL,
-       0x3d95dbc8736ff0d6ULL},
-      {SketchMethod::kPrisk, DataType::kString, 0x31c771c9b82e0e00ULL,
-       0x65019d309252a8edULL},
-      {SketchMethod::kIndsk, DataType::kString, 0x7b4fe7ec3b6be692ULL,
-       0x8a7692d95d1620bcULL},
-      {SketchMethod::kCsk, DataType::kString, 0x2fbcdbe48b1be2cdULL,
-       0x6fdffe78387cf83aULL},
-      {SketchMethod::kTupsk, DataType::kInt64, 0xb029886086f89600ULL,
-       0x18c5dc9d7c1d8442ULL},
-      {SketchMethod::kLv2sk, DataType::kInt64, 0x0635fb81216a91a8ULL,
-       0xfecb96637b5125b3ULL},
-      {SketchMethod::kPrisk, DataType::kInt64, 0x526aa4304edb4ba1ULL,
-       0xb329aec88b8d8fb8ULL},
-      {SketchMethod::kIndsk, DataType::kInt64, 0x6d272afab1e7212cULL,
-       0xae9f76eb857b87e2ULL},
-      {SketchMethod::kCsk, DataType::kInt64, 0xc5e915e389da029eULL,
-       0x09aa8b3d7c8654a5ULL},
-      {SketchMethod::kTupsk, DataType::kDouble, 0x07b7388c580cbde4ULL,
-       0xaa167d54fa792c6dULL},
-      {SketchMethod::kLv2sk, DataType::kDouble, 0x4c81fd367b378564ULL,
-       0xe804f4264814d62cULL},
-      {SketchMethod::kPrisk, DataType::kDouble, 0x719463b26493efcbULL,
-       0x814cc59cf6451573ULL},
-      {SketchMethod::kIndsk, DataType::kDouble, 0x70ed3a006ba5581aULL,
-       0x03a07fbe6a54b2beULL},
-      {SketchMethod::kCsk, DataType::kDouble, 0x926e06d085a1728bULL,
-       0x639fdc5dd023dc18ULL},
+      {SketchMethod::kTupsk, DataType::kString, 0xc9811fdc88c5dfebULL,
+       0x7afb03e53abf868eULL},
+      {SketchMethod::kLv2sk, DataType::kString, 0xd21b615756350423ULL,
+       0x3fba3234bd01979fULL},
+      {SketchMethod::kPrisk, DataType::kString, 0xa8d5c9d647960b3bULL,
+       0x390082289374ee2eULL},
+      {SketchMethod::kIndsk, DataType::kString, 0xbad9afa0c82595a3ULL,
+       0x07f65959963d8fb1ULL},
+      {SketchMethod::kCsk, DataType::kString, 0xafa05e4eaad8a960ULL,
+       0xf2608f5dfe63fc1dULL},
+      {SketchMethod::kTupsk, DataType::kInt64, 0x1ad69742bc5ec491ULL,
+       0x2819ec6912afb257ULL},
+      {SketchMethod::kLv2sk, DataType::kInt64, 0x7fbac8eb5f347a7dULL,
+       0xcf427f353547c3b8ULL},
+      {SketchMethod::kPrisk, DataType::kInt64, 0x375cabe7cc0a3ca8ULL,
+       0xe6437e89ae292eb5ULL},
+      {SketchMethod::kIndsk, DataType::kInt64, 0xb17f7c3cf9289a73ULL,
+       0xf54061d8a5a8a627ULL},
+      {SketchMethod::kCsk, DataType::kInt64, 0x8e78788439780741ULL,
+       0x4f298bfe65ec5764ULL},
+      {SketchMethod::kTupsk, DataType::kDouble, 0x8e2823e2fa42303fULL,
+       0x412ce523e6927048ULL},
+      {SketchMethod::kLv2sk, DataType::kDouble, 0xc6c1ee27211e47a9ULL,
+       0x854fb13d33fe01c5ULL},
+      {SketchMethod::kPrisk, DataType::kDouble, 0x2b0ce63a9c10c9e6ULL,
+       0x3b819e9c8eec05a0ULL},
+      {SketchMethod::kIndsk, DataType::kDouble, 0x4b9a9c10f7454ed1ULL,
+       0x2a4ce3a75ae83fedULL},
+      {SketchMethod::kCsk, DataType::kDouble, 0x10200c28c1c18df4ULL,
+       0x178a50d5ea2016e9ULL},
   };
   size_t checked = 0;
   for (const std::shared_ptr<Column>& key_column : key_columns) {
@@ -1766,8 +1800,9 @@ TEST_P(SketchMethodTest, SerializedSketchesMatchGoldenDigests) {
   // of the keys and a seventeenth of the values null); exactly 4 x
   // capacity rows, where the selection's provisional bound stays off, and
   // one row more, where it comes on; one key on every row, so j runs to
-  // the row count; and string values (aggregated by mode). Digests from
-  // the builds before the fused TUPSK pass and the prefiltered selection.
+  // the row count; and string values (aggregated by mode). The selections
+  // are those of the builds before the fused TUPSK pass and the
+  // prefiltered selection; the digests are of their v3 bytes.
   struct EdgeTable {
     const char* name;
     size_t rows;
@@ -1789,30 +1824,30 @@ TEST_P(SketchMethodTest, SerializedSketchesMatchGoldenDigests) {
   };
   const EdgeGolden edge_golden[] = {
       {SketchMethod::kTupsk,
-       {0x81454697fef2506dULL, 0xa8381282aa15fed9ULL, 0x8c3136a26c229ec6ULL,
-        0x4736f8e6b8fccd27ULL, 0x9e4a9d2dee398672ULL},
-       {0x8a96120c971ee90fULL, 0x1abc88942183d18aULL, 0xbde15816f6d59be2ULL,
-        0x3d32986e0f992683ULL, 0x1a8a7a463cc3570bULL}},
+       {0x4aadc88b522380d0ULL, 0xd64a07e3d3ab7caeULL, 0x6011081ae49a9bb1ULL,
+        0x5c87ce8bee080d7aULL, 0x1fd251a0eff810d4ULL},
+       {0xb1289bd767a69e2aULL, 0x8e57375a946df313ULL, 0xf93eebe56cb63a3bULL,
+        0xaa213184eb330826ULL, 0x15ec529431faa715ULL}},
       {SketchMethod::kLv2sk,
-       {0x3bd5831fef109762ULL, 0x257c03afe71fe4e6ULL, 0x661f84f423f442d0ULL,
-        0x1f25e5e6038f04c9ULL, 0x05edfa23fdb59afeULL},
-       {0x5c76f6705af9885aULL, 0xf8d679819ac11406ULL, 0x479dd7b13f99b4d6ULL,
-        0x758ed0cfc4389b16ULL, 0xe0953a9144d7620eULL}},
+       {0x4f99ded631b17f11ULL, 0x2d61a6bd6a0fd3d7ULL, 0x3ce0ac77576e5063ULL,
+        0xbb2d4a88d96b0fd6ULL, 0x02533f651d3850a9ULL},
+       {0x633447abd1493137ULL, 0x3415788f77d20e3fULL, 0x94cf327bfa334f2dULL,
+        0x4438f32b39d376a7ULL, 0x8af3054fd171930aULL}},
       {SketchMethod::kPrisk,
-       {0x069cc422f352ed4eULL, 0x74b9d5507a0c2bfeULL, 0x9300d6c98d16f62bULL,
-        0x731c9ee9d0faa8f6ULL, 0x3f03178934fe3c2cULL},
-       {0x32e09e73ab6e8863ULL, 0x23e580b3659e1339ULL, 0xc2ebfac0de3e4269ULL,
-        0x117683ca91a531abULL, 0x0c847a19f4ebd529ULL}},
+       {0xd252e8903d74e1afULL, 0x9192bcbf20f0ccd5ULL, 0x139b14195ece40d6ULL,
+        0x3d72d21badc65ad7ULL, 0xfeb154360503c2f2ULL},
+       {0x691ee436807a6caeULL, 0x64bf9ccd57e38f72ULL, 0xdbef4cea764ac884ULL,
+        0x7e51ca426816b09aULL, 0xe2f7588d6cbd1463ULL}},
       {SketchMethod::kIndsk,
-       {0x4acd03ad01033163ULL, 0x2eff9b545ee2c4ecULL, 0x4246ee92a092583bULL,
-        0x147f56ac01033289ULL, 0x17db47527e206a1bULL},
-       {0xf31ed8df037a4d16ULL, 0x49e81b3be8e4b2a1ULL, 0x0d03f4bf8e446d17ULL,
-        0x63c2e4db9956486eULL, 0xfda2ee1d968ec595ULL}},
+       {0xdf182a448c15a23cULL, 0x8a87f603b55ccdd7ULL, 0x97365e6315ce1080ULL,
+        0x3032d48d6fe8ba5eULL, 0x36ec11c681366b92ULL},
+       {0x8c2ec885eb3f90bfULL, 0xe783446ff731bda2ULL, 0x1272d80df2626346ULL,
+        0xd5e2d4808fa4ad9fULL, 0xde6b14daa59ff4b3ULL}},
       {SketchMethod::kCsk,
-       {0xd225ae2f2e2db050ULL, 0x2757e712b840fd1fULL, 0x7fcb6631c32c71a6ULL,
-        0x7db08ddfe3c1faabULL, 0x5a106c880dd987f3ULL},
-       {0xe86587c7d4613945ULL, 0xb5481ad08d4e3a5cULL, 0x2a102f11fa4455ddULL,
-        0xf2b6abbb3c693e26ULL, 0x33fbf09c8429fef4ULL}},
+       {0x3f3ce9fe6fd83555ULL, 0x8e8bc0c9b79a384aULL, 0x56817adad3489625ULL,
+        0x9e213aae42b0715eULL, 0xd66ae2c65afb3e50ULL},
+       {0x4594b840c38c47dcULL, 0xe3f671149f0ac13bULL, 0x54c9d144fa305158ULL,
+        0xd13408dbf059618fULL, 0xc7cd15759844e855ULL}},
   };
   const EdgeGolden* want = nullptr;
   for (const EdgeGolden& g : edge_golden) {
