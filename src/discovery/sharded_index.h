@@ -146,7 +146,8 @@ class ShardedSketchIndex : public Searchable {
   /// with InvalidArgument instead of giving wrong rankings. A paged "JMPS"
   /// shard opens by header + directory only, skipping the O(shard)
   /// whole-file checksum that would defeat lazy loading: its header,
-  /// directory and page checksums cover every byte a query touches.
+  /// directory and page checksums cover every byte a query touches, and
+  /// its header version refuses a file of row-format (v2) sketches.
   static ShardClientFactory LocalFileFactory(
       const LocalShardLoadOptions& options = LocalShardLoadOptions());
 
@@ -213,8 +214,10 @@ Result<std::string> BuildShards(const SketchIndex& index, size_t num_shards,
                                 const ShardBuildOptions& options = {});
 
 // A shard file is its config plus encoded candidate records (sketch_index.h
-// EncodeCandidateRecord). These three functions choose between "JMIX" and
-// "JMPS" for writing, reading and verifying one.
+// EncodeCandidateRecord), each embedding its sketch's columns in the v3
+// sketch format; JMIX decodes every record at load and JMPS (v2) only on a
+// probe. These three functions choose between "JMIX" and "JMPS" for
+// writing, reading and verifying one.
 
 /// \brief The bytes of a shard file holding `records` under `config` in
 /// `layout`. BuildShards and compaction both write through it, so a

@@ -22,7 +22,9 @@
 //   | per candidate: one candidate record
 //
 // A candidate record is table_name, key_column, value_column (u32 length
-// + bytes each), then u32 length + serialized sketch (serialize.h format).
+// + bytes each), then u32 length + serialized sketch (serialize.h v3: the
+// sketch's key-hash, rank and value-word columns copied whole; an older
+// sketch fails the load with its version and the rebuild to run).
 // Its codec (EncodeCandidateRecord / DecodeCandidateRecord) lives here and
 // is the one every shard file stores: paged "JMPS" files and delta
 // segments hold the same records (sharded_index.h EncodeShardFile).
@@ -66,7 +68,8 @@ Result<CandidateRecord> DecodeCandidateRecord(const std::string& record);
 Status CheckIndexedSketch(const JoinMIConfig& config,
                           const ColumnPairRef& ref, const Sketch& sketch);
 
-/// \brief One indexed candidate: provenance plus its pre-built sketch.
+/// \brief One indexed candidate: provenance plus its pre-built sketch, whose
+/// columns the index scores from and keeps no second copy of.
 struct IndexedCandidate {
   ColumnPairRef ref;
   Sketch candidate_sketch;
@@ -198,11 +201,11 @@ class SketchIndex : public Searchable {
   // key, so a query reads the postings of its ~256 keys instead of probing
   // all 256 keys of every candidate: on discovery_bench sparse_lake, where
   // ~4% of candidates join, that probe cost 424 ns per candidate and the
-  // postings pass costs 25. The keys are held here once, not also in a
-  // per-candidate column. Built by counting sort (RebuildPostings) in
-  // loaders, or by the first evaluate after an add. AddSketch reserves
-  // every array for the case of all keys distinct, so a lazy build never
-  // allocates index memory under a reader.
+  // postings pass costs 25. Each distinct key is held here once, beside
+  // the key columns of the sketches. Built by counting sort
+  // (RebuildPostings) in loaders, or by the first evaluate after an add.
+  // AddSketch reserves every array for the case of all keys distinct, so a
+  // lazy build never allocates index memory under a reader.
   mutable std::vector<uint64_t> posting_keys_;
   mutable std::vector<uint32_t> posting_begin_{0};
   mutable std::vector<Posting> postings_;

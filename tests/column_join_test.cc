@@ -88,7 +88,8 @@ Sketch MixedSketch(SketchSide side, uint64_t domain, bool nulls, Rng& rng) {
     const uint64_t copies =
         side == SketchSide::kTrain ? 1 + rng.NextBounded(3) : 1;
     for (uint64_t j = 1; j <= copies; ++j) {
-      entries.push_back(Entry{h, TupleUnitHash(h, j), MixedValue(k, nulls, rng)});
+      entries.push_back(
+          Entry{h, TupleUnitHash(h, j), MixedValue(k, nulls, rng)});
     }
   }
   std::sort(entries.begin(), entries.end(), [](const Entry& a, const Entry& b) {

@@ -1493,7 +1493,8 @@ TEST(MergeKernelTest, MixedCandidateReadsItsTypeColumn) {
 
 TEST(MergeKernelTest, EmptyCandidateWithNoMinimum) {
   // No entry, no word; with min_join_size 0 the empty join reaches the
-  // estimators and fails as the hash-map reference does, for every estimator.
+  // estimators and fails as the hash-map reference does, for every
+  // estimator.
   const Sketch cand = WordCandidate({});
   EXPECT_TRUE(cand.value_words.empty());
   EXPECT_TRUE(cand.value_types.all_numeric);  // vacuously
