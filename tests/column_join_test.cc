@@ -104,6 +104,29 @@ Sketch MixedSketch(SketchSide side, uint64_t domain, bool nulls, Rng& rng) {
   return sketch;
 }
 
+// A candidate whose values are numbers on keys [0, domain) and a label
+// and a null on two keys no query holds: its summary is mixed, but every
+// join it makes is all numeric, so the kernel reads its numbers.
+Sketch NumbersWithStrayLabels(uint64_t domain, Rng& rng) {
+  std::vector<std::pair<uint64_t, Value>> entries;
+  for (uint64_t k = 0; k < domain; ++k) {
+    entries.emplace_back(HashKey(Value(Key(k)), kSeed),
+                         Value(static_cast<double>(k % 6) +
+                               0.5 * static_cast<double>(rng.NextBounded(2))));
+  }
+  entries.emplace_back(HashKey(Value(Key(100000)), kSeed), Value("stray"));
+  entries.emplace_back(HashKey(Value(Key(100001)), kSeed), Value::Null());
+  std::sort(entries.begin(), entries.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  Sketch sketch;
+  sketch.side = SketchSide::kCandidate;
+  sketch.hash_seed = kSeed;
+  for (const auto& [key_hash, value] : entries) {
+    sketch.Append(key_hash, KeyUnitHash(key_hash), value);
+  }
+  return sketch;
+}
+
 void ExpectSameOutcome(const NaiveOutcome& naive,
                        const Result<JoinMIEstimate>& got,
                        const std::string& where) {
@@ -163,6 +186,10 @@ TEST(ColumnJoinTest, EveryKernelPathMatchesTheNaiveJoin) {
                                                nulls, rng))
                         .ok());
       }
+      ASSERT_TRUE(index
+                      .AddSketch({"stray_labels", "K", "V"},
+                                 NumbersWithStrayLabels(90, rng))
+                      .ok());
 
       std::vector<JoinMIQuery> queries;
       for (DataType type : types) {
