@@ -29,6 +29,7 @@ uint64_t Checksum64(const std::string& data) {
 
 Status Reader::ReadRaw(size_t len, void* out) {
   if (len > data_.size() - pos_) return Status::IOError("truncated buffer");
+  if (len == 0) return Status::OK();  // `out` may be null
   std::memcpy(out, data_.data() + pos_, len);
   pos_ += len;
   return Status::OK();
