@@ -32,7 +32,9 @@
 // query via a global operator-new counter, the no-join cost per candidate
 // of the scoring kernel's probe (against JoinSketches) and of the index's
 // key postings, MixedKSG's brute force against its tree oracle at n = 40,
-// and the heap bytes the index holds per candidate.
+// and the heap bytes the index holds per candidate. The batched and probe
+// speedups are medians over rounds that alternate the two legs of each
+// ratio, every timed region repeating its pass to at least 2 ms.
 //
 // Part 8 is the front tier: Router::Open over the simulated open-data
 // repository (opendata_sim), hammered with a skewed-popularity query

@@ -74,6 +74,10 @@ struct Sketch {
   void Append(uint64_t key_hash, double rank, const Value& value);
   /// \brief Room for `entries` entries in each column.
   void Reserve(size_t entries);
+  /// \brief InvalidArgument unless the columns agree: a rank and a value
+  /// word per key hash, and a type per entry exactly when the summary is
+  /// mixed. Every reader that indexes one column by another checks this.
+  Status CheckColumns() const;
 
   /// \brief Entry i's value type: kNull, kString, or kDouble for a number.
   DataType ValueType(size_t i) const {

@@ -51,6 +51,8 @@ Result<SketchMIResult> ScoreColumns(
 // meaningless sample, which is exactly the failure mode a persisted index
 // probed by a misconfigured query would hit silently.
 Status CheckJoinable(const Sketch& train, const Sketch& candidate) {
+  JOINMI_RETURN_NOT_OK(train.CheckColumns());
+  JOINMI_RETURN_NOT_OK(candidate.CheckColumns());
   if (train.side != SketchSide::kTrain) {
     return Status::InvalidArgument(
         "left operand of a sketch join must be a train sketch");
@@ -152,6 +154,7 @@ Result<SketchMIResult> EstimateSketchMI(const Sketch& train,
 }
 
 Result<TrainKeyRuns> TrainKeyRuns::Build(const Sketch& train) {
+  JOINMI_RETURN_NOT_OK(train.CheckColumns());
   const size_t size = train.size();
   if (size > std::numeric_limits<uint32_t>::max()) {
     return Status::InvalidArgument("train sketch exceeds the run index limit");
@@ -209,6 +212,7 @@ Status CheckCandidateKeys(const Sketch& candidate) {
     return Status::InvalidArgument(
         "expected a candidate-side sketch, got a train sketch");
   }
+  JOINMI_RETURN_NOT_OK(candidate.CheckColumns());
   const std::vector<uint64_t>& keys = candidate.key_hashes;
   if (keys.size() > std::numeric_limits<uint32_t>::max()) {
     return Status::InvalidArgument(

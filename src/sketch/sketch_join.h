@@ -107,8 +107,9 @@ struct TrainKeyRuns {
   ValueTypes types;
 
   /// \brief Collects the runs, directory and columns of `train`. Fails
-  /// with InvalidArgument unless the run keys strictly ascend — entries
-  /// sorted by key_hash, the builder invariant the kernel depends on.
+  /// with InvalidArgument unless its columns agree and the run keys
+  /// strictly ascend — entries sorted by key_hash, the builder invariant
+  /// the kernel depends on.
   static Result<TrainKeyRuns> Build(const Sketch& train);
 };
 
@@ -127,8 +128,9 @@ unsigned BuildBucketDirectory(const uint64_t* keys, size_t count,
                               std::vector<uint32_t>* bucket_begin);
 
 /// \brief Checks the candidate side of the kernel's contract: a
-/// candidate-side sketch whose key hashes strictly ascend, which rejects
-/// both duplicate keys and unsorted entries in one linear pass.
+/// candidate-side sketch whose columns agree (Sketch::CheckColumns) and
+/// whose key hashes strictly ascend, which rejects both duplicate keys and
+/// unsorted entries in one linear pass.
 Status CheckCandidateKeys(const Sketch& candidate);
 
 /// \brief One match of the probe: candidate entry `local` joins the train

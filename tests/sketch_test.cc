@@ -1080,6 +1080,36 @@ TEST(MergeKernelTest, TrainRunsGroupEqualKeys) {
   EXPECT_EQ(runs.spans[2], std::make_pair(4u, 6u));
 }
 
+TEST(MergeKernelTest, ColumnsThatDisagreeAreRefused) {
+  // A sketch is public columns; one whose columns disagree in length, or
+  // whose type column does not match its summary, is refused by every
+  // reader that indexes one column by another, before it reads one.
+  Sketch cand;
+  cand.side = SketchSide::kCandidate;
+  for (uint64_t key : {1, 4, 9}) cand.Append(key, 0.1, Value(int64_t{1}));
+  Sketch train = cand;
+  train.side = SketchSide::kTrain;
+  ASSERT_TRUE(cand.CheckColumns().ok());
+
+  Sketch short_words = cand;
+  short_words.value_words.pop_back();
+  Sketch stray_types = cand;
+  stray_types.mixed_types.assign(3, DataType::kDouble);
+  Sketch missing_types = cand;
+  missing_types.Append(12, 0.1, Value("label"));
+  missing_types.mixed_types.clear();
+  for (const Sketch* bad : {&short_words, &stray_types, &missing_types}) {
+    EXPECT_TRUE(bad->CheckColumns().IsInvalidArgument());
+    EXPECT_TRUE(CheckCandidateKeys(*bad).IsInvalidArgument());
+    EXPECT_TRUE(JoinSketches(train, *bad).status().IsInvalidArgument());
+    Sketch bad_train = *bad;
+    bad_train.side = SketchSide::kTrain;
+    EXPECT_TRUE(TrainKeyRuns::Build(bad_train).status().IsInvalidArgument());
+    SketchIndex index(JoinMIConfig{});
+    EXPECT_TRUE(index.AddSketch({"bad", "K", "V"}, *bad).IsInvalidArgument());
+  }
+}
+
 TEST(MergeKernelTest, CandidateKeysMustStrictlyAscend) {
   auto make = [](std::vector<uint64_t> keys) {
     Sketch cand;
