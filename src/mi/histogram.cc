@@ -57,14 +57,6 @@ void KeyCoder::Grow() {
   }
 }
 
-std::vector<uint32_t> EncodeValues(const std::vector<Value>& values,
-                                   ValueCoder* coder) {
-  std::vector<uint32_t> codes;
-  codes.reserve(values.size());
-  for (const Value& v : values) codes.push_back(coder->Encode(v));
-  return codes;
-}
-
 Histogram BuildHistogram(const std::vector<uint32_t>& codes) {
   Histogram hist;
   for (uint32_t code : codes) {

@@ -113,10 +113,6 @@ class KeyCoder {
   int shift_ = 64;
 };
 
-/// \brief Encodes a value vector to dense codes.
-std::vector<uint32_t> EncodeValues(const std::vector<Value>& values,
-                                   ValueCoder* coder);
-
 /// \brief Marginal frequency histogram over dense codes.
 struct Histogram {
   std::vector<uint64_t> counts;  // index = code

@@ -75,16 +75,13 @@ void Sketch::Reserve(size_t entries) {
 
 Status Sketch::CheckColumns() const {
   const size_t types = value_types.homogeneous() ? 0 : size();
-  if (ranks.size() == size() && value_words.size() == size() &&
-      mixed_types.size() == types) {
-    return Status::OK();
+  if (ranks.size() != size() || value_words.size() != size() ||
+      mixed_types.size() != types) {
+    return Status::InvalidArgument("sketch columns disagree in length with "
+                                   "its " + std::to_string(size()) +
+                                   " key hashes");
   }
-  return Status::InvalidArgument(
-      "sketch columns disagree: " + std::to_string(size()) +
-      " key hashes, " + std::to_string(ranks.size()) + " ranks, " +
-      std::to_string(value_words.size()) + " value words and " +
-      std::to_string(mixed_types.size()) + " value types (" +
-      std::to_string(types) + " expected)");
+  return Status::OK();
 }
 
 double Sketch::ValueNumber(size_t i) const {
