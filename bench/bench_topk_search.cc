@@ -34,7 +34,7 @@
 // key postings, MixedKSG's brute force against its tree oracle at n = 40,
 // and the heap bytes the index holds per candidate. The batched and probe
 // speedups are medians over rounds that alternate the two legs of each
-// ratio, every timed region repeating its pass to at least 5 ms.
+// ratio, every timed region repeating its pass to at least 10 ms.
 //
 // Part 8 is the front tier: Router::Open over the simulated open-data
 // repository (opendata_sim), hammered with a skewed-popularity query
@@ -870,13 +870,13 @@ void RunFlatHotPath(const BenchParams& params, size_t threads, bool smoke,
     std::abort();
   }
 
-  // Each timed region repeats a leg's pass until it lasts at least 5 ms,
+  // Each timed region repeats a leg's pass until it lasts at least 10 ms,
   // so one descheduling or timer tick moves it little, and gives
   // milliseconds per pass. The two legs of a ratio alternate over
   // kRounds rounds, the first leg switching each round, and the ratio
   // reported is the median of the rounds' ratios: a burst on a shared
   // runner skews a round, not the median.
-  constexpr int kRounds = 15;
+  constexpr int kRounds = 21;
   auto time_leg = [](auto&& pass) {
     size_t passes = 0;
     double ms = 0.0;
@@ -885,7 +885,7 @@ void RunFlatHotPath(const BenchParams& params, size_t threads, bool smoke,
       pass();
       ++passes;
       ms = MillisSince(start);
-    } while (ms < 5.0);
+    } while (ms < 10.0);
     return ms / static_cast<double>(passes);
   };
   auto median = [](std::vector<double> values) {
