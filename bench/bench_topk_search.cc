@@ -73,6 +73,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <limits>
 #include <string>
 #include <vector>
@@ -226,6 +227,55 @@ double MillisSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now() - start)
       .count();
+}
+
+// The timer every gated ratio is taken from. Each timed region repeats a
+// leg's pass until it lasts at least 10 ms, so one descheduling or timer
+// tick moves it little, and gives milliseconds per pass. The legs run once
+// per round over kTimingRounds rounds, in order on even rounds and with
+// the first leg moved to the end on odd ones, so no leg always runs first,
+// and a ratio is the median of the rounds' ratios: a burst on a shared
+// runner skews a round, not the median.
+constexpr int kTimingRounds = 21;
+
+double TimeLeg(const std::function<void()>& pass) {
+  size_t passes = 0;
+  double ms = 0.0;
+  const auto start = std::chrono::steady_clock::now();
+  do {
+    pass();
+    ++passes;
+    ms = MillisSince(start);
+  } while (ms < 10.0);
+  return ms / static_cast<double>(passes);
+}
+
+// Each leg's milliseconds per pass, one entry per round.
+std::vector<std::vector<double>> TimeLegs(
+    const std::vector<std::function<void()>>& legs) {
+  std::vector<std::vector<double>> times(legs.size());
+  for (int round = 0; round < kTimingRounds; ++round) {
+    for (size_t i = 0; i < legs.size(); ++i) {
+      const size_t leg = (i + round % 2) % legs.size();
+      times[leg].push_back(TimeLeg(legs[leg]));
+    }
+  }
+  return times;
+}
+
+double Median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  return values[values.size() / 2];
+}
+
+// The median over rounds of numerator / denominator.
+double MedianRatio(const std::vector<double>& numerator,
+                   const std::vector<double>& denominator) {
+  std::vector<double> ratios;
+  for (size_t round = 0; round < numerator.size(); ++round) {
+    ratios.push_back(numerator[round] / denominator[round]);
+  }
+  return Median(std::move(ratios));
 }
 
 JoinMIConfig MakeJoinConfig(const BenchParams& params) {
@@ -537,7 +587,6 @@ void RunFrontTier(const BenchParams& params, bool smoke, Rng* rng) {
   }
 
   auto replay = [&](Router& router) {
-    const auto start = std::chrono::steady_clock::now();
     for (size_t pick : schedule) {
       router
           .SearchQuery(queries[pick], params.top_k, 1,
@@ -545,28 +594,28 @@ void RunFrontTier(const BenchParams& params, bool smoke, Rng* rng) {
           .status()
           .Abort("front-tier workload query");
     }
-    return MillisSince(start);
   };
-  // Rounds alternate the two routers and each keeps its fastest replay:
-  // a cached replay lasts tens of microseconds in smoke mode, so one
-  // preemption inside a single replay would dominate the ratio.
-  const int replays = 5;
-  double uncached_ms = std::numeric_limits<double>::infinity();
-  double cached_ms = std::numeric_limits<double>::infinity();
+  // The two routers' replays are the legs of the shared ratio timer: a
+  // cached smoke replay lasts tens of microseconds, so one preemption
+  // inside a single replay would dominate the ratio.
   const uint64_t hits_before = (*cached)->cache_stats().hits;
-  for (int round = 0; round < replays; ++round) {
-    uncached_ms = std::min(uncached_ms, replay(**uncached));
-    cached_ms = std::min(cached_ms, replay(**cached));
-  }
+  uint64_t cached_replays = 0;
+  const auto replay_times = TimeLegs({[&] { replay(**uncached); },
+                                      [&] {
+                                        replay(**cached);
+                                        ++cached_replays;
+                                      }});
+  const double uncached_ms = Median(replay_times[0]);
+  const double cached_ms = Median(replay_times[1]);
+  const double speedup = MedianRatio(replay_times[0], replay_times[1]);
   const RouterCacheStats stats = (*cached)->cache_stats();
   const double hit_rate =
       static_cast<double>(stats.hits - hits_before) /
-      static_cast<double>(replays * requests);
-  const double speedup = cached_ms > 0 ? uncached_ms / cached_ms : 0.0;
-  std::printf("uncached     : %8.2f ms total | %8.3f ms/query (full "
+      static_cast<double>(cached_replays * requests);
+  std::printf("uncached     : %8.2f ms/replay | %8.3f ms/query (full "
               "fan-out every request)\n",
               uncached_ms, uncached_ms / requests);
-  std::printf("cached       : %8.2f ms total | %8.3f ms/query | hit rate "
+  std::printf("cached       : %8.2f ms/replay | %8.3f ms/query | hit rate "
               "%.2f | repeat speedup %.1fx\n",
               cached_ms, cached_ms / requests, hit_rate, speedup);
   RecordMetric("part8_requests", static_cast<double>(requests));
@@ -870,41 +919,11 @@ void RunFlatHotPath(const BenchParams& params, size_t threads, bool smoke,
     std::abort();
   }
 
-  // Each timed region repeats a leg's pass until it lasts at least 10 ms,
-  // so one descheduling or timer tick moves it little, and gives
-  // milliseconds per pass. The two legs of a ratio alternate over
-  // kRounds rounds, the first leg switching each round, and the ratio
-  // reported is the median of the rounds' ratios: a burst on a shared
-  // runner skews a round, not the median.
-  constexpr int kRounds = 21;
-  auto time_leg = [](auto&& pass) {
-    size_t passes = 0;
-    double ms = 0.0;
-    const auto start = std::chrono::steady_clock::now();
-    do {
-      pass();
-      ++passes;
-      ms = MillisSince(start);
-    } while (ms < 10.0);
-    return ms / static_cast<double>(passes);
-  };
-  auto median = [](std::vector<double> values) {
-    std::sort(values.begin(), values.end());
-    return values[values.size() / 2];
-  };
-  std::vector<double> legacy_times, batched_times, batched_ratios;
-  for (int round = 0; round < kRounds; ++round) {
-    double legacy_round = 0.0, batched_round = 0.0;
-    if (round % 2 == 0) legacy_round = time_leg(legacy_pass);
-    batched_round = time_leg(batched_pass);
-    if (round % 2 == 1) legacy_round = time_leg(legacy_pass);
-    legacy_times.push_back(legacy_round);
-    batched_times.push_back(batched_round);
-    batched_ratios.push_back(legacy_round / batched_round);
-  }
-  const double legacy_ms = median(legacy_times);
-  const double batched_ms = median(batched_times);
-  const double batched_speedup = median(batched_ratios);
+  const auto batched_times = TimeLegs({legacy_pass, batched_pass});
+  const double legacy_ms = Median(batched_times[0]);
+  const double batched_ms = Median(batched_times[1]);
+  const double batched_speedup =
+      MedianRatio(batched_times[0], batched_times[1]);
 
   // The same evaluation at the bench's thread count, once the shared
   // pool's workers are warm: a fan-out that allocated per strip or spawned
@@ -1047,16 +1066,8 @@ void RunFlatHotPath(const BenchParams& params, size_t threads, bool smoke,
       reference_joined += joined->join_size;
     }
   };
-  std::vector<double> probe_times, postings_times, probe_ratios;
-  for (int round = 0; round < kRounds; ++round) {
-    double probe_round = 0.0, reference_round = 0.0;
-    if (round % 2 == 0) probe_round = time_leg(probe_pass);
-    postings_times.push_back(time_leg(postings_pass));
-    reference_round = time_leg(reference_pass);
-    if (round % 2 == 1) probe_round = time_leg(probe_pass);
-    probe_times.push_back(probe_round);
-    probe_ratios.push_back(reference_round / probe_round);
-  }
+  const auto probe_times =
+      TimeLegs({probe_pass, postings_pass, reference_pass});
   if (probe_joined != 0 || reference_joined != 0) {
     std::fprintf(stderr, "FATAL: part 9 no-join probe or reference joined "
                          "something\n");
@@ -1065,10 +1076,10 @@ void RunFlatHotPath(const BenchParams& params, size_t threads, bool smoke,
   const double per_candidate_ns =
       1e6 / static_cast<double>(probe_index.size());
   const double probe_ns_per_candidate =
-      median(probe_times) * per_candidate_ns;
+      Median(probe_times[0]) * per_candidate_ns;
   const double postings_ns_per_candidate =
-      median(postings_times) * per_candidate_ns;
-  const double probe_speedup = median(probe_ratios);
+      Median(probe_times[1]) * per_candidate_ns;
+  const double probe_speedup = MedianRatio(probe_times[2], probe_times[0]);
 
   // The estimator kernel: MixedKSG (k = 3) by brute force against its
   // tree oracle, over a fixed seeded set of n = 40 Gaussian samples — the
@@ -1401,12 +1412,14 @@ void RunOnlineIngest(const BenchParams& params,
               static_cast<unsigned long long>((*router)->epoch()));
 
   // ------------------- Phase B: delta-overlay cost vs delta size.
+  // All three deployments stay open, so their timed legs interleave.
   const std::vector<std::pair<const char*, size_t>> fractions = {
       {"00", 0},
       {"25", full.size() / 4},
       {"50", full.size() / 2},
   };
-  std::vector<double> overlay_ms;
+  std::vector<ShardedSketchIndex> overlays;
+  overlays.reserve(fractions.size());
   for (const auto& [label, dcount] : fractions) {
     const std::string dir = root + "/overlay" + label;
     BuildShards(prefix_index(full.size() - dcount), num_shards,
@@ -1432,21 +1445,27 @@ void RunOnlineIngest(const BenchParams& params,
                                   params.top_k, threads);
     check.status().Abort("overlay search");
     ExpectSameRanking(*reference, *check, "delta-overlay and full-index");
-
-    const auto start = std::chrono::steady_clock::now();
-    for (size_t q = 0; q < queries; ++q) {
-      TopKJoinMISearch(*query_table, {"K", "Y"}, *sharded, params.top_k,
+    overlays.push_back(std::move(*sharded));
+  }
+  std::vector<std::function<void()>> overlay_legs;
+  for (const ShardedSketchIndex& overlay : overlays) {
+    overlay_legs.push_back([&] {
+      TopKJoinMISearch(*query_table, {"K", "Y"}, overlay, params.top_k,
                        threads)
           .status()
           .Abort("overlay search");
-    }
-    const double ms = MillisSince(start) / queries;
-    overlay_ms.push_back(ms);
+    });
+  }
+  const auto overlay_times = TimeLegs(overlay_legs);
+  std::vector<double> overlay_ms;
+  for (size_t i = 0; i < fractions.size(); ++i) {
+    overlay_ms.push_back(Median(overlay_times[i]));
     std::printf("delta %s%%    : %8.3f ms/query (%zu of %zu candidates in "
                 "JMDS sidecars)\n",
-                label, ms, dcount, full.size());
+                fractions[i].first, overlay_ms[i], fractions[i].second,
+                full.size());
   }
-  const double overlay_ratio = overlay_ms[2] / overlay_ms[0];
+  const double overlay_ratio = MedianRatio(overlay_times[2], overlay_times[0]);
   std::printf("overlay cost : 50%%-delta runs %.2fx the compacted "
               "deployment\n",
               overlay_ratio);

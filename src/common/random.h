@@ -7,7 +7,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 namespace joinmi {
@@ -57,15 +56,6 @@ class Rng {
   /// \brief Geometric-like Zipf(s) sample over {1..n} via rejection
   /// (Devroye). Used by the open-data simulator for skewed key frequencies.
   uint64_t Zipf(uint64_t n, double s);
-
-  /// \brief Fisher–Yates shuffle.
-  template <typename T>
-  void Shuffle(std::vector<T>& v) {
-    for (size_t i = v.size(); i > 1; --i) {
-      const size_t j = static_cast<size_t>(NextBounded(i));
-      std::swap(v[i - 1], v[j]);
-    }
-  }
 
   /// \brief Derives an independent child generator (for parallel streams).
   Rng Fork();

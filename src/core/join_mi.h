@@ -99,8 +99,8 @@ class JoinMIQuery {
   /// Thread-safe; copies of the query share the cache.
   const std::string& SerializedTrainSketch() const;
   /// \brief wire::Checksum64 of SerializedTrainSketch(), cached with it:
-  /// the digest that keys the router's result cache and the shard servers'
-  /// sketch caches, so a cache hit does not rehash the sketch bytes.
+  /// the digest that keys the router's result cache, so a cache hit does
+  /// not rehash the sketch bytes.
   uint64_t SerializedTrainSketchDigest() const;
 
  private:

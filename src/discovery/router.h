@@ -13,8 +13,7 @@
 //   (the query's full JoinMIConfig wire bytes, the train sketch's
 //   Checksum64 digest, k, min_join_size). The config bytes make any
 //   estimator/width/seed difference a different key; the digest stands in
-//   for the sketch contents the way the sketch upload protocol already trusts
-//   it. A hit returns a copy of the stored TopKSearchResult — the doubles
+//   for the sketch contents. A hit returns a copy of the stored TopKSearchResult — the doubles
 //   are copied, not recomputed, so a cached answer is bit-identical to
 //   the answer that populated it. DEGRADED answers (shard_failures
 //   non-empty) are never cached: caching a partial answer would keep

@@ -8,7 +8,6 @@
 #include <chrono>
 #include <utility>
 
-#include "src/discovery/rpc_messages.h"
 
 namespace joinmi {
 namespace rpc {
@@ -23,8 +22,8 @@ Channel::Channel(net::Socket socket, int io_timeout_ms,
 
 Channel::~Channel() {
   stop_reader_.store(true);
-  // Wakes the reader's poll at once, so dropping a retired (still
-  // healthy) channel does not wait out the poll timeout.
+  // Wakes the reader's poll at once, so dropping a still healthy
+  // channel does not wait out the poll timeout.
   ::shutdown(socket_.fd(), SHUT_RDWR);
   if (reader_.joinable()) reader_.join();
 }
@@ -35,7 +34,7 @@ bool Channel::broken() const {
 }
 
 bool Channel::usable() const {
-  return !broken() && !retired() && !socket_.PeerClosed();
+  return !broken() && !socket_.PeerClosed();
 }
 
 void Channel::MarkBroken(const Status& status) {
@@ -140,52 +139,6 @@ Result<net::Frame> Channel::Exchange(net::FrameType type,
   }
   if (!pending.status.ok()) return pending.status;
   return std::move(pending.frame);
-}
-
-Status Channel::EnsureSketchUploaded(uint64_t digest,
-                                     const std::string& bytes) {
-  // Held across the exchange so concurrent callers with the same digest
-  // upload once, not racing duplicates (the server tolerates duplicates,
-  // but re-sending the sketch wastes exactly the bytes the cache exists
-  // to save).
-  std::lock_guard<std::mutex> upload_lock(upload_mutex_);
-  if (uploaded_digests_.count(digest) > 0) return Status::OK();
-  SketchUploadRequest request;
-  request.digest = digest;
-  request.train_sketch = bytes;
-  JOINMI_ASSIGN_OR_RETURN(
-      net::Frame reply, Call(net::FrameType::kSketchUploadRequest,
-                             EncodeSketchUploadRequest(request), nullptr));
-  if (reply.type == net::FrameType::kError) {
-    Status server_error = Status::OK();
-    JOINMI_RETURN_NOT_OK(DecodeErrorPayload(reply.payload, &server_error));
-    return server_error;
-  }
-  if (reply.type != net::FrameType::kSketchUploadResponse) {
-    return Status::IOError(
-        std::string("shard answered a sketch upload with a ") +
-        net::FrameTypeToString(reply.type) + " frame");
-  }
-  JOINMI_ASSIGN_OR_RETURN(SketchUploadResponse response,
-                          DecodeSketchUploadResponse(reply.payload));
-  if (!response.status.ok()) {
-    // A full cache refuses every new sketch on this connection from now
-    // on, so step aside for a fresh one. A channel holding no sketch yet
-    // stays: a server refusing the very first upload would refuse it on
-    // any connection, and retiring would only spin up new ones.
-    if (IsSketchCacheFull(response.status) && !uploaded_digests_.empty()) {
-      retired_.store(true);
-    }
-    return response.status;
-  }
-  if (response.digest != digest) {
-    return Status::IOError("shard acknowledged digest " +
-                           std::to_string(response.digest) +
-                           " for an upload of digest " +
-                           std::to_string(digest));
-  }
-  uploaded_digests_.insert(digest);
-  return Status::OK();
 }
 
 ChannelSet::ChannelSet(Dialer dialer, size_t max_channels,

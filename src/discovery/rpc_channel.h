@@ -11,22 +11,14 @@
 // healthy); a read or write error breaks the channel and fails every
 // pending waiter with the same IOError.
 //
-// A Channel also tracks which sketch digests this connection has uploaded
-// (EnsureSketchUploaded is once-per-digest, idempotent server-side), so a
-// query's serialized train sketch crosses the wire once per connection
-// instead of once per request. The server caches a bounded number of
-// sketches per connection; when it refuses one because that cache is
-// full, the channel retires: calls already running finish, but Pick no
-// longer hands it out, so the next request lands on a fresh connection.
-//
 // ChannelSet owns up to max_channels channels and routes each request to
 // the live channel with the fewest calls in flight, dialing a new channel
 // (through the injected dialer, which connects and runs the handshake)
 // only when every existing channel is busy. Dialing is lazy and happens
 // outside the set's lock, so one slow dial never blocks requests on other
-// channels. Broken, retired and peer-closed channels are pruned on the
-// next Pick; calls already running on one keep their shared_ptr until
-// they finish. Close() poisons the set for shutdown.
+// channels. Broken and peer-closed channels are pruned on the next Pick;
+// calls already running on one keep their shared_ptr until they finish.
+// Close() poisons the set for shutdown.
 
 #ifndef JOINMI_DISCOVERY_RPC_CHANNEL_H_
 #define JOINMI_DISCOVERY_RPC_CHANNEL_H_
@@ -37,7 +29,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -65,10 +56,9 @@ class Channel {
   Channel& operator=(const Channel&) = delete;
 
   bool broken() const;
-  bool retired() const { return retired_.load(); }
   size_t in_flight() const { return in_flight_.load(); }
 
-  /// \brief False once the channel broke, retired, or saw its peer close
+  /// \brief False once the channel broke or saw its peer close
   /// the connection; Pick hands out only usable channels. The peer check
   /// reads nothing, so responses already on their way still reach their
   /// waiters through the reader.
@@ -82,14 +72,6 @@ class Channel {
   /// response timeout, which abandons only this call.
   Result<net::Frame> Call(net::FrameType type, const std::string& payload,
                           bool* reached_wire = nullptr);
-
-  /// \brief Caches `bytes` server-side under `digest` once per channel;
-  /// subsequent calls for the same digest are free. Safe to retry on a
-  /// fresh channel after any failure — the upload is idempotent by
-  /// digest. A refusal because the server's per-connection sketch cache
-  /// is full retires this channel (if it holds any sketch already) and
-  /// returns that refusal (rpc::IsSketchCacheFull).
-  Status EnsureSketchUploaded(uint64_t digest, const std::string& bytes);
 
  private:
   struct Pending {
@@ -112,7 +94,6 @@ class Channel {
   std::atomic<uint64_t> next_id_{1};
   std::atomic<size_t> in_flight_{0};
   std::atomic<bool> stop_reader_{false};
-  std::atomic<bool> retired_{false};
 
   mutable std::mutex state_mutex_;
   std::condition_variable state_cv_;
@@ -121,9 +102,6 @@ class Channel {
   Status broken_status_ = Status::OK();
 
   std::mutex write_mutex_;  // serializes frame sends, nothing else
-
-  std::mutex upload_mutex_;
-  std::set<uint64_t> uploaded_digests_;
 
   std::thread reader_;
 };

@@ -9,8 +9,6 @@ namespace rpc {
 
 namespace {
 
-constexpr char kSketchCacheFullPrefix[] = "connection sketch cache is full";
-
 Status CheckAtEnd(const wire::Reader& reader, const char* what) {
   if (!reader.AtEnd()) {
     return Status::IOError(std::string("trailing bytes after ") + what +
@@ -88,18 +86,18 @@ Result<HandshakeResponse> DecodeHandshakeResponse(
 
 std::string EncodeSearchRequest(const SearchRequest& request) {
   std::string out;
-  wire::AppendPod<uint64_t>(&out, request.sketch_digest);
   wire::AppendPod<uint64_t>(&out, request.k);
   wire::AppendPod<uint64_t>(&out, request.min_join_size);
+  wire::AppendLengthPrefixed(&out, request.train_sketch);
   return out;
 }
 
 Result<SearchRequest> DecodeSearchRequest(const std::string& payload) {
   wire::Reader reader(payload);
   SearchRequest request;
-  JOINMI_RETURN_NOT_OK(reader.Read(&request.sketch_digest));
   JOINMI_RETURN_NOT_OK(reader.Read(&request.k));
   JOINMI_RETURN_NOT_OK(reader.Read(&request.min_join_size));
+  JOINMI_RETURN_NOT_OK(reader.ReadLengthPrefixed(&request.train_sketch));
   JOINMI_RETURN_NOT_OK(CheckAtEnd(reader, "search request"));
   return request;
 }
@@ -182,54 +180,6 @@ Result<HealthResponse> DecodeHealthResponse(const std::string& payload) {
   JOINMI_RETURN_NOT_OK(reader.Read(&response.requests_served));
   JOINMI_RETURN_NOT_OK(CheckAtEnd(reader, "health response"));
   return response;
-}
-
-// --------------------------------------------------------- Sketch upload
-
-std::string EncodeSketchUploadRequest(const SketchUploadRequest& request) {
-  std::string out;
-  wire::AppendPod<uint64_t>(&out, request.digest);
-  wire::AppendLengthPrefixed(&out, request.train_sketch);
-  return out;
-}
-
-Result<SketchUploadRequest> DecodeSketchUploadRequest(
-    const std::string& payload) {
-  wire::Reader reader(payload);
-  SketchUploadRequest request;
-  JOINMI_RETURN_NOT_OK(reader.Read(&request.digest));
-  JOINMI_RETURN_NOT_OK(reader.ReadLengthPrefixed(&request.train_sketch));
-  JOINMI_RETURN_NOT_OK(CheckAtEnd(reader, "sketch upload request"));
-  return request;
-}
-
-std::string EncodeSketchUploadResponse(const SketchUploadResponse& response) {
-  std::string out;
-  AppendStatus(&out, response.status);
-  wire::AppendPod<uint64_t>(&out, response.digest);
-  return out;
-}
-
-Result<SketchUploadResponse> DecodeSketchUploadResponse(
-    const std::string& payload) {
-  wire::Reader reader(payload);
-  SketchUploadResponse response;
-  JOINMI_RETURN_NOT_OK(ReadStatus(&reader, &response.status));
-  JOINMI_RETURN_NOT_OK(reader.Read(&response.digest));
-  JOINMI_RETURN_NOT_OK(CheckAtEnd(reader, "sketch upload response"));
-  return response;
-}
-
-Status SketchCacheFull(size_t limit) {
-  return Status::InvalidArgument(std::string(kSketchCacheFullPrefix) + " (" +
-                                 std::to_string(limit) +
-                                 " sketches); open a new connection for new "
-                                 "queries");
-}
-
-bool IsSketchCacheFull(const Status& status) {
-  return status.IsInvalidArgument() &&
-         status.message().rfind(kSketchCacheFullPrefix, 0) == 0;
 }
 
 // ---------------------------------------------------------------- Reload

@@ -5,10 +5,10 @@
 //       JoinMIConfig (shared wire layout from core/config.h) + u64
 //       candidate count; the client checks both against the manifest with
 //       JoinMIConfig::operator== before trusting the shard.
-//   SketchUploadRequest / SearchRequest: the query's serialized train
-//       sketch (sketch/serialize.h format — the query's base table never
-//       crosses the wire) is cached once per connection by digest; a
-//       search request then names it and carries one (k, min_join_size).
+//   SearchRequest      one (k, min_join_size) plus the query's serialized
+//       train sketch (sketch/serialize.h format — the query's base table
+//       never crosses the wire), so every search frame is self-contained
+//       and the server keeps no per-connection state.
 //   SearchResponse     a wire-encoded Status; on OK, the shard's full
 //       TopKSearchResult (counters + hits with global indices), so the
 //       router's cross-shard merge sees exactly what LocalShardClient
@@ -54,14 +54,15 @@ Result<HandshakeResponse> DecodeHandshakeResponse(const std::string& payload);
 
 // -------------------------------------------------------------- Search
 
-/// \brief One top-k search against a sketch previously cached on this
-/// connection via SketchUploadRequest.
+/// \brief One top-k search: u64 k | u64 min_join_size | u32 length +
+/// train sketch bytes.
 struct SearchRequest {
-  uint64_t sketch_digest = 0;
   uint64_t k = 0;
   /// Substituted into the shard's config for this search; every other
   /// field is the shard's own.
   uint64_t min_join_size = 0;
+  /// SerializeSketch() bytes of the query's train sketch.
+  std::string train_sketch;
 };
 
 std::string EncodeSearchRequest(const SearchRequest& request);
@@ -80,45 +81,13 @@ Result<SearchResponse> DecodeSearchResponse(const std::string& payload);
 
 struct HealthResponse {
   uint64_t num_candidates = 0;
-  /// Search frames answered since the server started; handshakes,
-  /// uploads and health probes are not counted.
+  /// Search frames answered since the server started; handshakes and
+  /// health probes are not counted.
   uint64_t requests_served = 0;
 };
 
 std::string EncodeHealthResponse(const HealthResponse& response);
 Result<HealthResponse> DecodeHealthResponse(const std::string& payload);
-
-// --------------------------------------------------------- Sketch upload
-
-struct SketchUploadRequest {
-  /// wire::Checksum64 of `train_sketch` — the cache key. The server
-  /// recomputes and rejects a mismatch, so a digest can never alias a
-  /// different sketch through a buggy client.
-  uint64_t digest = 0;
-  /// SerializeSketch() bytes of the query's train sketch.
-  std::string train_sketch;
-};
-
-std::string EncodeSketchUploadRequest(const SketchUploadRequest& request);
-Result<SketchUploadRequest> DecodeSketchUploadRequest(
-    const std::string& payload);
-
-struct SketchUploadResponse {
-  /// Accept/reject verdict for caching the sketch on this connection.
-  Status status;
-  /// Digest echo, so a pipelined client can sanity-check the pairing.
-  uint64_t digest = 0;
-};
-
-std::string EncodeSketchUploadResponse(const SketchUploadResponse& response);
-Result<SketchUploadResponse> DecodeSketchUploadResponse(
-    const std::string& payload);
-
-/// \brief The refusal a server sends when a connection already caches
-/// `limit` sketches. Deterministic, so clients can recognize it
-/// (IsSketchCacheFull) and move the query to a fresh connection.
-Status SketchCacheFull(size_t limit);
-bool IsSketchCacheFull(const Status& status);
 
 // ---------------------------------------------------------------- Reload
 

@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "src/net/frame.h"
-#include "src/sketch/serialize.h"
 
 namespace joinmi {
 
@@ -156,7 +155,7 @@ Result<TopKSearchResult> RpcShardClient::Search(const JoinMIQuery& query,
   }
   Status last = Status::IOError("no attempt made");
   int attempt = 0;
-  while (attempt < options_.max_attempts) {
+  while (attempt < kMaxAttempts) {
     auto channel = channels_->Pick();
     if (!channel.ok()) {
       // Dial or handshake failed — nothing of this request reached the
@@ -171,14 +170,6 @@ Result<TopKSearchResult> RpcShardClient::Search(const JoinMIQuery& query,
     auto result = RunSearch(**channel, query, k, &attempt_reached);
     if (attempt_reached && reached_wire != nullptr) *reached_wire = true;
     if (result.ok()) return result;
-    // The connection's sketch cache was full and the channel retired
-    // before any search byte left: move to a fresh connection without
-    // spending an attempt. Each such retry retired a channel that had
-    // accepted sketches, so the loop cannot spin on a server that refuses
-    // everything.
-    if (rpc::IsSketchCacheFull(result.status()) && (*channel)->retired()) {
-      continue;
-    }
     // Anything non-IO is deterministic (bad request, server-side
     // validation); anything IO after the request may have reached the
     // server must not be re-sent — "maybe executed twice" stays
@@ -194,16 +185,10 @@ Result<TopKSearchResult> RpcShardClient::Search(const JoinMIQuery& query,
 Result<TopKSearchResult> RpcShardClient::RunSearch(
     rpc::Channel& channel, const JoinMIQuery& query, size_t k,
     bool* reached_wire) const {
-  // Make sure the sketch is cached server-side (uploaded at most once per
-  // connection, idempotent by digest — its reached-ness never taints the
-  // search's retry eligibility), then send the digest-only search.
-  const std::string& sketch_bytes = query.SerializedTrainSketch();
-  const uint64_t digest = query.SerializedTrainSketchDigest();
-  JOINMI_RETURN_NOT_OK(channel.EnsureSketchUploaded(digest, sketch_bytes));
   rpc::SearchRequest request;
-  request.sketch_digest = digest;
   request.k = k;
   request.min_join_size = query.config().min_join_size;
+  request.train_sketch = query.SerializedTrainSketch();
   auto frame = channel.Call(net::FrameType::kSearchRequest,
                             rpc::EncodeSearchRequest(request), reached_wire);
   if (!frame.ok()) {

@@ -14,14 +14,10 @@
 // connection is dialed only when every existing channel is busy and
 // capacity remains.
 //
-// Sketch upload: Search first ensures the query's serialized train sketch
-// is cached server-side (keyed by its Checksum64 digest, uploaded once per
-// connection) and then sends a digest-only search request — repeated
-// searches of one query ship the sketch bytes at most once per
-// connection. The server caches a bounded number of sketches per connection;
-// when a connection's cache is full the channel retires and the search
-// moves to a fresh connection, so a long-lived client can ask any number
-// of distinct queries.
+// Every search frame carries the query's serialized train sketch (built
+// once per query and shared by every shard of a fan-out), so a request
+// needs nothing cached on its connection and the server keeps no
+// per-connection state.
 //
 // Creating a client against a *down* server succeeds (the router must be
 // able to assemble and serve degraded while a shard is being restarted);
@@ -30,17 +26,13 @@
 // entry — fails Create loudly instead: that is a deployment
 // misconfiguration, not an outage.
 //
-// Retry policy: a request is retried (bounded by
-// RpcClientOptions::max_attempts) only while it is provably not yet on
-// the wire — connect/handshake failures, or a send that wrote zero bytes.
-// After a partial write, and after any failure past the send, the request
-// is NOT retried: the server may have executed it, and "maybe executed
-// twice" is a property this layer refuses to introduce even for
-// idempotent searches. Sketch uploads are the one exception: they are
-// idempotent by digest, so a failed upload may retry on a fresh channel
-// (a full-cache refusal does so without spending an attempt: every such
-// refusal retired a connection that had accepted sketches).
-// The reached_wire out-parameters report whether any SEARCH byte left the
+// Retry policy: a request gets at most kMaxAttempts attempts, and is
+// retried only while it is provably not yet on the wire — connect/handshake
+// failures, or a send that wrote zero bytes. After a partial write, and
+// after any failure past the send, the request is NOT retried: the server
+// may have executed it, and "maybe executed twice" is a property this
+// layer refuses to introduce even for idempotent searches. The
+// reached_wire out-parameters report whether any search byte left the
 // process — the signal replica failover keys on.
 
 #ifndef JOINMI_DISCOVERY_RPC_SHARD_CLIENT_H_
@@ -79,9 +71,6 @@ struct RpcClientOptions {
   int connect_timeout_ms = 2000;
   /// Per-request read/write bound on the established connection.
   int io_timeout_ms = 30000;
-  /// Attempts per request, counting the first; extra attempts are spent
-  /// only on failures that provably precede the request reaching the wire.
-  int max_attempts = 2;
   /// Connections this client may hold to its shard server. Each
   /// connection pipelines, so this bounds sockets, not concurrency.
   size_t pool_size = 4;
@@ -90,6 +79,10 @@ struct RpcClientOptions {
 /// \brief ShardClient over a remote shard server.
 class RpcShardClient : public ShardClient {
  public:
+  /// Attempts per search, counting the first; the extra one is spent only
+  /// on a failure that provably precedes the request reaching the wire.
+  static constexpr int kMaxAttempts = 2;
+
   /// \brief Builds a client for `endpoint`, expecting the server to hold
   /// `expected_candidates` candidates sketched under `expected_config`
   /// (both from the manifest). Dials eagerly to surface handshake
@@ -118,7 +111,7 @@ class RpcShardClient : public ShardClient {
   }
 
   /// \brief Remote search — byte-identical to LocalShardClient over the
-  /// same shard: one search frame against the connection-cached sketch.
+  /// same shard: one search frame carrying the query's train sketch.
   /// `num_threads` is ignored: evaluation parallelism belongs to the
   /// server. Queries whose config disagrees with the shard's (beyond
   /// min_join_size, which travels in the request) are rejected here —
@@ -171,8 +164,8 @@ class RpcShardClient : public ShardClient {
   /// candidate count.
   Result<net::Socket> DialAndHandshake() const;
 
-  /// \brief One search attempt on `channel`: upload the sketch if this
-  /// connection lacks it, then send the search frame.
+  /// \brief One search attempt on `channel`: send the search frame and
+  /// decode its answer.
   Result<TopKSearchResult> RunSearch(rpc::Channel& channel,
                                      const JoinMIQuery& query, size_t k,
                                      bool* reached_wire) const;

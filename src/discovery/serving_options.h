@@ -25,9 +25,6 @@ struct ServingOptions {
   int connect_timeout_ms = 2000;
   /// Per-request read/write bound on an established connection.
   int io_timeout_ms = 30000;
-  /// Attempts per request, counting the first; extra attempts are spent
-  /// only on failures that provably precede the request reaching the wire.
-  int max_attempts = 2;
   /// Connections each shard client may hold to one server.
   size_t pool_size = 4;
 
@@ -45,7 +42,6 @@ struct ServingOptions {
     ReplicaRouterOptions options;
     options.rpc.connect_timeout_ms = connect_timeout_ms;
     options.rpc.io_timeout_ms = io_timeout_ms;
-    options.rpc.max_attempts = max_attempts;
     options.rpc.pool_size = pool_size;
     options.cooldown_ms = cooldown_ms;
     return options;

@@ -184,7 +184,7 @@ Status ShardServer::Start() {
             // from the loop (one EncodeErrorPayload, no worker slot), so
             // an overloaded server keeps shedding load at wire speed
             // instead of queueing the rejections themselves. Everything
-            // else (handshake, health, upload, reload) bypasses
+            // else (handshake, health, reload) bypasses
             // the gate: it is exactly what a backing-off client needs.
             AdmissionGate::Ticket ticket;
             if (frame.type == net::FrameType::kSearchRequest) {
@@ -207,10 +207,6 @@ Status ShardServer::Start() {
                   PendingFrame{conn, std::move(frame), std::move(ticket)});
             }
             work_ready_.notify_one();
-          },
-          [this](net::EventLoop::ConnId conn) {
-            std::lock_guard<std::mutex> lock(cache_mutex_);
-            sketch_cache_.erase(conn);
           },
           loop_options));
   const size_t num_workers = std::min(options_.num_workers, kMaxPoolThreads);
@@ -277,8 +273,6 @@ void ShardServer::Stop() {
     }
     work_ready_.notify_all();
     for (std::thread& worker : workers_) worker.join();
-    std::lock_guard<std::mutex> lock(cache_mutex_);
-    sketch_cache_.clear();
   });
 }
 
@@ -313,17 +307,11 @@ void ShardServer::HandleFrame(net::EventLoop::ConnId conn,
             rpc::EncodeHealthResponse(response));
       return;
     }
-    case net::FrameType::kSketchUploadRequest: {
-      uploads_served_->Add();
-      Reply(conn, frame, net::FrameType::kSketchUploadResponse,
-            HandleSketchUpload(conn, frame, *snapshot));
-      return;
-    }
     case net::FrameType::kSearchRequest: {
       searches_served_->Add();
       metrics::ScopedTimer timer(search_latency_);
       Reply(conn, frame, net::FrameType::kSearchResponse,
-            HandleSearch(conn, frame, *snapshot));
+            HandleSearch(frame, *snapshot));
       return;
     }
     case net::FrameType::kReloadRequest: {
@@ -348,76 +336,22 @@ void ShardServer::HandleFrame(net::EventLoop::ConnId conn,
   }
 }
 
-std::string ShardServer::HandleSketchUpload(net::EventLoop::ConnId conn,
-                                            const net::Frame& frame,
-                                            const ShardClient& client) {
-  rpc::SketchUploadResponse response;
-  auto run = [&]() -> Status {
-    JOINMI_ASSIGN_OR_RETURN(rpc::SketchUploadRequest request,
-                            rpc::DecodeSketchUploadRequest(frame.payload));
-    response.digest = request.digest;
-    const uint64_t computed = wire::Checksum64(request.train_sketch);
-    if (computed != request.digest) {
-      return Status::InvalidArgument(
-          "sketch upload digest mismatch: declared " +
-          std::to_string(request.digest) + ", bytes hash to " +
-          std::to_string(computed));
-    }
-    // Build the query now, under the shard's config, so a corrupt or
-    // incompatible sketch is rejected at upload time and a search frame
-    // finds its train runs ready.
-    JOINMI_ASSIGN_OR_RETURN(Sketch sketch,
-                            DeserializeSketch(request.train_sketch));
-    JOINMI_ASSIGN_OR_RETURN(
-        JoinMIQuery query,
-        JoinMIQuery::FromTrainSketch(std::move(sketch), client.config()));
-    std::lock_guard<std::mutex> lock(cache_mutex_);
-    auto& cache = sketch_cache_[conn];
-    if (cache.count(request.digest) > 0) return Status::OK();  // idempotent
-    if (cache.size() >= kMaxCachedSketches) {
-      return rpc::SketchCacheFull(kMaxCachedSketches);
-    }
-    cache.emplace(request.digest,
-                  std::make_shared<const JoinMIQuery>(std::move(query)));
-    return Status::OK();
-  };
-  response.status = run();
-  return rpc::EncodeSketchUploadResponse(response);
-}
-
-std::string ShardServer::HandleSearch(net::EventLoop::ConnId conn,
-                                      const net::Frame& frame,
+std::string ShardServer::HandleSearch(const net::Frame& frame,
                                       const ShardClient& client) {
   rpc::SearchResponse response;
   auto run = [&]() -> Result<TopKSearchResult> {
     JOINMI_ASSIGN_OR_RETURN(rpc::SearchRequest request,
                             rpc::DecodeSearchRequest(frame.payload));
-    std::shared_ptr<const JoinMIQuery> query;
-    {
-      std::lock_guard<std::mutex> lock(cache_mutex_);
-      auto conn_cache = sketch_cache_.find(conn);
-      if (conn_cache != sketch_cache_.end()) {
-        auto entry = conn_cache->second.find(request.sketch_digest);
-        if (entry != conn_cache->second.end()) query = entry->second;
-      }
-    }
-    if (query == nullptr) {
-      return Status::InvalidArgument(
-          "search names sketch digest " +
-          std::to_string(request.sketch_digest) +
-          " which was never uploaded on this connection");
-    }
+    // DeserializeSketch and FromTrainSketch validate every byte the peer
+    // sent, so a corrupt or incompatible sketch fails this frame only.
+    JOINMI_ASSIGN_OR_RETURN(Sketch sketch,
+                            DeserializeSketch(request.train_sketch));
     JoinMIConfig query_config = client.config();
     query_config.min_join_size = static_cast<size_t>(request.min_join_size);
-    if (!(query->config() == query_config)) {
-      // Another floor than the cached query's, or a reloaded shard's
-      // config: this frame gets a query of its own.
-      JOINMI_ASSIGN_OR_RETURN(
-          JoinMIQuery rebuilt,
-          JoinMIQuery::FromTrainSketch(query->train_sketch(), query_config));
-      query = std::make_shared<const JoinMIQuery>(std::move(rebuilt));
-    }
-    return client.Search(*query, static_cast<size_t>(request.k),
+    JOINMI_ASSIGN_OR_RETURN(
+        JoinMIQuery query,
+        JoinMIQuery::FromTrainSketch(std::move(sketch), query_config));
+    return client.Search(query, static_cast<size_t>(request.k),
                          options_.eval_threads);
   };
   auto result = run();

@@ -3,8 +3,7 @@
 // count-verified against the manifest entry, exactly like the local
 // loader — a server can no more serve a corrupt shard than a router can
 // load one), binds a TCP port, and answers JMRP requests: handshakes,
-// once-per-connection sketch uploads, top-k searches, health probes,
-// stats and reloads.
+// top-k searches, health probes and reloads.
 //
 // Concurrency: a single epoll event loop (net::EventLoop) owns every
 // connection's reads and writes; each decoded frame joins one queue,
@@ -18,15 +17,10 @@
 // regardless of how many routers connect. Rankings do not depend on
 // either knob.
 //
-// Sketch cache: a client uploads its serialized train sketch once
-// (keyed by wire::Checksum64 digest, recomputed server-side) and then
-// sends digest-only search requests. The server keeps the query built from
-// it (train runs included), so a search frame rebuilds nothing unless it
-// asks for another min_join_size. The cache is strictly per-connection
-// — entries die with the connection, at most kMaxCachedSketches live per
-// connection — so one router can never read or evict another's sketch and
-// a dead client leaks nothing. An upload past the bound is refused with
-// rpc::SketchCacheFull, and the client moves on to a fresh connection.
+// Searches are stateless: each search frame carries the query's train
+// sketch, and the server builds the query from it under the shard's config
+// and the frame's min_join_size, so no connection holds anything a search
+// depends on.
 //
 // This class is the in-process embedding (tests, benchmarks host real
 // socket servers without fork/exec); tools/shard_server.cc is the
@@ -39,12 +33,10 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/admission.h"
@@ -84,8 +76,8 @@ struct ShardServerOptions {
   /// Search frames concurrently queued or executing
   /// before new ones are rejected with kOverloaded + a retry-after hint;
   /// 0 = unbounded (the historical queue-forever behavior). Handshakes,
-  /// health probes, sketch uploads, and stats requests always bypass the
-  /// gate — they are what a backing-off client needs to keep working.
+  /// health probes and reloads always bypass the gate — they are what a
+  /// backing-off client needs to keep working.
   size_t max_pending = 0;
   /// The "retry_after_ms=N" hint stamped into overload rejections.
   int retry_after_hint_ms = 50;
@@ -93,11 +85,6 @@ struct ShardServerOptions {
 
 class ShardServer {
  public:
-  /// Per-connection bound on cached sketches; an upload past the bound is
-  /// rejected (deterministically — eviction could invalidate a pipelined
-  /// search already in flight).
-  static constexpr size_t kMaxCachedSketches = 8;
-
   /// \brief Loads shard `shard` of the deployment at `manifest_ref` — a
   /// manifest file, a CURRENT pointer file, or a deployment directory
   /// (resolved through ingest::ResolveManifestPath, so the server follows
@@ -157,8 +144,6 @@ class ShardServer {
   uint64_t handshakes_served() const { return handshakes_served_->value(); }
   /// \brief Health probes answered since Start.
   uint64_t health_served() const { return health_served_->value(); }
-  /// \brief Sketch uploads accepted or rejected since Start.
-  uint64_t sketch_uploads_served() const { return uploads_served_->value(); }
   /// \brief Search frames rejected by the admission gate since Start.
   uint64_t overload_rejections() const { return gate_.rejected(); }
   const AdmissionGate& admission() const { return gate_; }
@@ -198,7 +183,6 @@ class ShardServer {
     searches_served_ = registry_.GetCounter("server.searches");
     handshakes_served_ = registry_.GetCounter("server.handshakes");
     health_served_ = registry_.GetCounter("server.health_probes");
-    uploads_served_ = registry_.GetCounter("server.sketch_uploads");
     reloads_served_ = registry_.GetCounter("server.reloads");
     search_latency_ = registry_.GetHistogram("server.search.latency_us");
   }
@@ -225,14 +209,9 @@ class ShardServer {
   /// Answers `request` under its request id.
   void Reply(net::EventLoop::ConnId conn, const net::Frame& request,
              net::FrameType type, const std::string& payload);
-  /// Builds the uploaded sketch's query under `client`'s config.
-  std::string HandleSketchUpload(net::EventLoop::ConnId conn,
-                                 const net::Frame& frame,
-                                 const ShardClient& client);
-  /// The one place a cached query is rebuilt, when the frame's
-  /// min_join_size (or a reloaded shard's config) differs from its own.
-  std::string HandleSearch(net::EventLoop::ConnId conn,
-                           const net::Frame& frame,
+  /// Builds the frame's query from its train sketch under `client`'s
+  /// config and the frame's min_join_size, and searches it.
+  std::string HandleSearch(const net::Frame& frame,
                            const ShardClient& client);
 
   /// Guards client_ swaps; queries only hold it long enough to copy the
@@ -260,7 +239,6 @@ class ShardServer {
   metrics::Counter* searches_served_ = nullptr;
   metrics::Counter* handshakes_served_ = nullptr;
   metrics::Counter* health_served_ = nullptr;
-  metrics::Counter* uploads_served_ = nullptr;
   metrics::Counter* reloads_served_ = nullptr;
   metrics::Histogram* search_latency_ = nullptr;
   /// Serializes Reload() bodies (the swap itself is under client_mutex_;
@@ -282,14 +260,6 @@ class ShardServer {
   uint16_t port_ = 0;
   std::atomic<bool> started_{false};
   std::once_flag stop_once_;
-
-  // Per-connection uploaded-sketch cache, digest-keyed, holding each
-  // sketch's query. shared_ptr lets a search hold its query outside the
-  // lock while the loop thread erases the connection's entry.
-  std::mutex cache_mutex_;
-  std::unordered_map<net::EventLoop::ConnId,
-                     std::map<uint64_t, std::shared_ptr<const JoinMIQuery>>>
-      sketch_cache_;
 };
 
 }  // namespace joinmi

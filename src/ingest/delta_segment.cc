@@ -13,24 +13,6 @@ namespace ingest {
 
 namespace {
 
-// FNV-1a 64, byte-streamable — same constants as wire::Checksum64 so a
-// chain checksum maintained incrementally here equals Checksum64 over the
-// same prefix.
-constexpr uint64_t kFnvBasis = 14695981039346656037ULL;
-constexpr uint64_t kFnvPrime = 1099511628211ULL;
-
-uint64_t FnvUpdate(uint64_t hash, const char* data, size_t len) {
-  for (size_t i = 0; i < len; ++i) {
-    hash ^= static_cast<unsigned char>(data[i]);
-    hash *= kFnvPrime;
-  }
-  return hash;
-}
-
-uint64_t FnvUpdate(uint64_t hash, const std::string& data) {
-  return FnvUpdate(hash, data.data(), data.size());
-}
-
 constexpr uint8_t kRecordTag = 1;
 constexpr uint8_t kCommitTag = 2;
 
@@ -46,11 +28,10 @@ std::string EncodeHeader(const JoinMIConfig& config, uint64_t shard) {
 
 void EncodeRecordEntry(std::string* out, const DeltaRecord& record) {
   wire::AppendPod<uint8_t>(out, kRecordTag);
-  std::string body;
-  wire::AppendPod<uint64_t>(&body, record.global_index);
-  body.append(record.payload);
   // record_checksum covers global_index || payload.
-  uint64_t record_checksum = wire::Checksum64(body);
+  const uint64_t record_checksum = wire::Checksum64(
+      record.payload.data(), record.payload.size(),
+      wire::Checksum64(&record.global_index, sizeof(uint64_t)));
   wire::AppendPod<uint64_t>(out, record.global_index);
   wire::AppendPod<uint32_t>(out,
                             static_cast<uint32_t>(record.payload.size()));
@@ -80,12 +61,13 @@ Status ParseHeader(const std::string& data, uint64_t* shard,
   size_t checksum_at = data.size() - reader.remaining();
   uint64_t stored = 0;
   JOINMI_RETURN_NOT_OK(reader.Read(&stored));
-  uint64_t computed = FnvUpdate(kFnvBasis, data.data(), checksum_at);
+  const uint64_t computed = wire::Checksum64(data.data(), checksum_at);
   if (stored != computed) {
     return Status::IOError("delta segment header checksum mismatch");
   }
   *header_len = checksum_at + sizeof(uint64_t);
-  *hash = FnvUpdate(computed, data.data() + checksum_at, sizeof(uint64_t));
+  *hash =
+      wire::Checksum64(data.data() + checksum_at, sizeof(uint64_t), computed);
   return Status::OK();
 }
 
@@ -119,18 +101,19 @@ ParsedSegment ParseEntries(const std::string& data, size_t header_len,
                   sizeof(uint32_t));
       size_t entry_len = need + payload_len + sizeof(uint64_t);
       if (pos + entry_len > data.size()) break;
-      std::string body;
-      wire::AppendPod<uint64_t>(&body, global_index);
-      body.append(data, pos + need, payload_len);
       uint64_t stored = 0;
       std::memcpy(&stored, data.data() + pos + need + payload_len,
                   sizeof(uint64_t));
-      if (stored != wire::Checksum64(body)) break;
+      // The record checksum covers global_index || payload.
+      const uint64_t computed = wire::Checksum64(
+          data.data() + pos + need, payload_len,
+          wire::Checksum64(data.data() + pos + 1, sizeof(uint64_t)));
+      if (stored != computed) break;
       DeltaRecord record;
       record.global_index = global_index;
       record.payload = data.substr(pos + need, payload_len);
       pending.push_back(std::move(record));
-      hash = FnvUpdate(hash, data.data() + pos, entry_len);
+      hash = wire::Checksum64(data.data() + pos, entry_len, hash);
       pos += entry_len;
     } else if (tag == kCommitTag) {
       size_t entry_len = 1 + sizeof(uint64_t) + sizeof(uint64_t);
@@ -146,7 +129,7 @@ ParsedSegment ParseEntries(const std::string& data, size_t header_len,
         contents.records.push_back(std::move(record));
       }
       pending.clear();
-      hash = FnvUpdate(hash, data.data() + pos, entry_len);
+      hash = wire::Checksum64(data.data() + pos, entry_len, hash);
       pos += entry_len;
       contents.committed_bytes = pos;
       contents.committed_checksum = hash;
@@ -291,7 +274,8 @@ Status DeltaSegmentWriter::Append(const std::vector<DeltaRecord>& records) {
   for (const auto& record : records) {
     EncodeRecordEntry(&batch, record);
   }
-  uint64_t chain = FnvUpdate(chain_checksum_, batch);
+  const uint64_t chain =
+      wire::Checksum64(batch.data(), batch.size(), chain_checksum_);
   wire::AppendPod<uint8_t>(&batch, kCommitTag);
   wire::AppendPod<uint64_t>(&batch,
                             static_cast<uint64_t>(records_.size() +
@@ -302,7 +286,8 @@ Status DeltaSegmentWriter::Append(const std::vector<DeltaRecord>& records) {
     return Status::IOError("fsync failed for '" + path_ +
                            "': " + std::strerror(errno));
   }
-  chain_checksum_ = FnvUpdate(chain_checksum_, batch);
+  chain_checksum_ =
+      wire::Checksum64(batch.data(), batch.size(), chain_checksum_);
   committed_bytes_ += batch.size();
   records_.insert(records_.end(), records.begin(), records.end());
   return Status::OK();

@@ -28,27 +28,24 @@ std::string Errno(const std::string& what) {
 }  // namespace
 
 EventLoop::EventLoop(Listener listener, FrameHandler on_frame,
-                     CloseHandler on_close, EventLoopOptions options)
+                     EventLoopOptions options)
     : listener_(std::move(listener)),
       on_frame_(std::move(on_frame)),
-      on_close_(std::move(on_close)),
       options_(options),
       port_(listener_.port()) {
   options_.poll_interval_ms = std::max(1, options_.poll_interval_ms);
 }
 
 Result<std::unique_ptr<EventLoop>> EventLoop::Create(
-    Listener listener, FrameHandler on_frame, CloseHandler on_close,
-    EventLoopOptions options) {
+    Listener listener, FrameHandler on_frame, EventLoopOptions options) {
   if (!listener.valid()) {
     return Status::InvalidArgument("event loop needs a bound listener");
   }
   if (!on_frame) {
     return Status::InvalidArgument("event loop needs a frame handler");
   }
-  std::unique_ptr<EventLoop> loop(new EventLoop(
-      std::move(listener), std::move(on_frame), std::move(on_close),
-      options));
+  std::unique_ptr<EventLoop> loop(
+      new EventLoop(std::move(listener), std::move(on_frame), options));
   JOINMI_RETURN_NOT_OK(loop->SetUp());
   return loop;
 }
@@ -131,16 +128,6 @@ bool EventLoop::Send(ConnId conn, std::string encoded) {
   return true;
 }
 
-void EventLoop::CloseConn(ConnId conn) {
-  if (!accepting_commands_.load()) return;
-  {
-    std::lock_guard<std::mutex> lock(pending_mutex_);
-    if (stop_requested_) return;
-    pending_closes_.push_back(conn);
-  }
-  Wake();
-}
-
 Status EventLoop::UpdateInterest(Conn* conn, bool want_read) {
   struct epoll_event ev;
   std::memset(&ev, 0, sizeof(ev));
@@ -152,14 +139,13 @@ Status EventLoop::UpdateInterest(Conn* conn, bool want_read) {
   return Status::OK();
 }
 
-void EventLoop::DropConn(ConnId id, bool notify) {
+void EventLoop::DropConn(ConnId id) {
   auto it = conns_.find(id);
   if (it == conns_.end()) return;
   // close() removes the fd from the epoll set automatically.
   it->second->socket.Close();
   conns_.erase(it);
   open_conns_.fetch_sub(1);
-  if (notify && on_close_) on_close_(id);
 }
 
 void EventLoop::AcceptReady() {
@@ -194,13 +180,13 @@ void EventLoop::ReadReady(Conn* conn) {
   while (true) {
     const ssize_t n = ::recv(conn->socket.fd(), buf, sizeof(buf), 0);
     if (n == 0) {
-      DropConn(id, /*notify=*/true);
+      DropConn(id);
       return;
     }
     if (n < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      DropConn(id, /*notify=*/true);
+      DropConn(id);
       return;
     }
     conn->last_active = std::chrono::steady_clock::now();
@@ -210,7 +196,7 @@ void EventLoop::ReadReady(Conn* conn) {
       auto produced = conn->assembler.Next(&frame);
       if (!produced.ok()) {
         // Corrupt stream: no way to resync inside TCP, drop the peer.
-        DropConn(id, /*notify=*/true);
+        DropConn(id);
         return;
       }
       if (!*produced) break;
@@ -234,13 +220,13 @@ bool EventLoop::FlushOutbox(Conn* conn) {
         if (!conn->want_write) {
           conn->want_write = true;
           if (!UpdateInterest(conn, reads_enabled_).ok()) {
-            DropConn(id, /*notify=*/true);
+            DropConn(id);
             return false;
           }
         }
         return true;
       }
-      DropConn(id, /*notify=*/true);
+      DropConn(id);
       return false;
     }
     conn->outbox_off += static_cast<size_t>(n);
@@ -251,22 +237,19 @@ bool EventLoop::FlushOutbox(Conn* conn) {
   if (conn->want_write) {
     conn->want_write = false;
     if (!UpdateInterest(conn, reads_enabled_).ok()) {
-      DropConn(id, /*notify=*/true);
+      DropConn(id);
       return false;
     }
   }
   return true;
 }
 
-void EventLoop::ApplyPendingOps(bool reading_enabled) {
+void EventLoop::ApplyPendingOps() {
   std::vector<std::pair<ConnId, std::string>> sends;
-  std::vector<ConnId> closes;
   {
     std::lock_guard<std::mutex> lock(pending_mutex_);
     sends.swap(pending_sends_);
-    closes.swap(pending_closes_);
   }
-  for (ConnId id : closes) DropConn(id, /*notify=*/true);
   for (auto& send : sends) {
     auto it = conns_.find(send.first);
     if (it == conns_.end()) continue;  // conn died first: drop silently
@@ -274,7 +257,6 @@ void EventLoop::ApplyPendingOps(bool reading_enabled) {
     conn->outbox.append(send.second);
     FlushOutbox(conn);
   }
-  (void)reading_enabled;
 }
 
 void EventLoop::ReapIdle(std::chrono::steady_clock::time_point now) {
@@ -286,7 +268,7 @@ void EventLoop::ReapIdle(std::chrono::steady_clock::time_point now) {
       doomed.push_back(entry.first);
     }
   }
-  for (ConnId id : doomed) DropConn(id, /*notify=*/true);
+  for (ConnId id : doomed) DropConn(id);
 }
 
 void EventLoop::Run() {
@@ -326,7 +308,7 @@ void EventLoop::Run() {
       if (it == conns_.end()) continue;  // dropped earlier in this batch
       Conn* conn = it->second.get();
       if ((events[i].events & (EPOLLERR | EPOLLHUP)) != 0) {
-        DropConn(tag, /*notify=*/true);
+        DropConn(tag);
         continue;
       }
       if ((events[i].events & EPOLLOUT) != 0) {
@@ -346,7 +328,7 @@ void EventLoop::Run() {
       want_stop = stop_requested_;
       flush_ms = flush_timeout_ms_;
     }
-    ApplyPendingOps(reads_enabled_);
+    ApplyPendingOps();
     if ((want_quiesce || want_stop) && !quiescing) {
       quiescing = true;
       disable_reads();
@@ -373,8 +355,7 @@ void EventLoop::Run() {
     }
   }
 
-  // Final teardown: close everything without on_close callbacks — the
-  // owner initiated Stop and tears its per-connection state down wholesale.
+  // Final teardown: close every connection.
   conns_.clear();
   open_conns_.store(0);
   listener_.Close();

@@ -63,16 +63,11 @@ class EventLoop {
   /// Called on the loop thread for every complete frame. Must not block;
   /// dispatch to a worker pool and reply later via Send().
   using FrameHandler = std::function<void(ConnId, Frame)>;
-  /// Called on the loop thread when a connection dies for any reason
-  /// (peer close, stream corruption, idle timeout, CloseConn) — the hook
-  /// per-connection server state (e.g. the sketch cache) is released on.
-  /// Not called for connections torn down by Stop() itself.
-  using CloseHandler = std::function<void(ConnId)>;
 
-  /// \brief Takes ownership of a bound listener and the two callbacks.
+  /// \brief Takes ownership of a bound listener and the frame callback.
   /// The loop is created stopped; call Start().
   static Result<std::unique_ptr<EventLoop>> Create(
-      Listener listener, FrameHandler on_frame, CloseHandler on_close,
+      Listener listener, FrameHandler on_frame,
       EventLoopOptions options = {});
 
   ~EventLoop();
@@ -100,11 +95,6 @@ class EventLoop {
   /// policy already covers.
   bool Send(ConnId conn, std::string encoded);
 
-  /// \brief Asks the loop to drop a connection (e.g. on a protocol
-  /// violation found by a worker). Asynchronous; on_close fires on the
-  /// loop thread.
-  void CloseConn(ConnId conn);
-
   size_t open_connections() const { return open_conns_.load(); }
   uint16_t port() const { return port_; }
 
@@ -119,7 +109,7 @@ class EventLoop {
     std::chrono::steady_clock::time_point last_active;
   };
 
-  EventLoop(Listener listener, FrameHandler on_frame, CloseHandler on_close,
+  EventLoop(Listener listener, FrameHandler on_frame,
             EventLoopOptions options);
 
   Status SetUp();
@@ -129,13 +119,12 @@ class EventLoop {
   void ReadReady(Conn* conn);
   bool FlushOutbox(Conn* conn);  // false when the conn died
   Status UpdateInterest(Conn* conn, bool want_read);
-  void DropConn(ConnId id, bool notify);
-  void ApplyPendingOps(bool reading_enabled);
+  void DropConn(ConnId id);
+  void ApplyPendingOps();
   void ReapIdle(std::chrono::steady_clock::time_point now);
 
   Listener listener_;
   FrameHandler on_frame_;
-  CloseHandler on_close_;
   EventLoopOptions options_;
   uint16_t port_ = 0;
 
@@ -153,7 +142,6 @@ class EventLoop {
   // Cross-thread command queue, drained by the loop thread.
   std::mutex pending_mutex_;
   std::vector<std::pair<ConnId, std::string>> pending_sends_;
-  std::vector<ConnId> pending_closes_;
   bool quiesce_requested_ = false;
   bool stop_requested_ = false;
   int flush_timeout_ms_ = 0;

@@ -26,8 +26,6 @@ bool IsKnownFrameType(uint8_t type) {
     case FrameType::kHealthRequest:
     case FrameType::kHealthResponse:
     case FrameType::kError:
-    case FrameType::kSketchUploadRequest:
-    case FrameType::kSketchUploadResponse:
     case FrameType::kSearchRequest:
     case FrameType::kSearchResponse:
     case FrameType::kReloadRequest:
@@ -81,10 +79,6 @@ const char* FrameTypeToString(FrameType type) {
       return "health_response";
     case FrameType::kError:
       return "error";
-    case FrameType::kSketchUploadRequest:
-      return "sketch_upload_request";
-    case FrameType::kSketchUploadResponse:
-      return "sketch_upload_response";
     case FrameType::kSearchRequest:
       return "search_request";
     case FrameType::kSearchResponse:

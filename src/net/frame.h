@@ -1,7 +1,7 @@
 // JMRP ("JoinMI RPC") framing: every message on a shard-serving connection
 // is one length-prefixed, version-tagged frame with one header layout:
 //
-//   magic "JMRP" | u32 version=3 | u8 frame_type | u32 payload_len
+//   magic "JMRP" | u32 version=4 | u8 frame_type | u32 payload_len
 //   | u64 request_id | payload_len bytes of payload
 //
 // little-endian, built on the same wire:: primitives as the sketch and
@@ -11,8 +11,8 @@
 //
 // Versioning: the protocol version rides in every frame header, so a
 // mismatched peer is rejected on the first frame either side reads,
-// whichever direction speaks first. Only version 3 is served; any other
-// version is rejected with one error naming v3, and the server drops that
+// whichever direction speaks first. Only version 4 is served; any other
+// version is rejected with one error naming v4, and the server drops that
 // connection. Payloads are bounded by kMaxFramePayload; a length prefix
 // past the bound is rejected before any allocation, so a corrupt or
 // hostile peer cannot make a server reserve gigabytes.
@@ -36,7 +36,7 @@ namespace net {
 
 inline constexpr char kFrameMagic[4] = {'J', 'M', 'R', 'P'};
 /// The one protocol version this build speaks and accepts.
-inline constexpr uint32_t kProtocolVersion = 3;
+inline constexpr uint32_t kProtocolVersion = 4;
 /// Wire size of a complete frame header (magic + version + type + length
 /// + request id).
 inline constexpr size_t kFrameHeaderSize = 4 + 4 + 1 + 4 + 8;
@@ -45,9 +45,9 @@ inline constexpr size_t kFrameHeaderSize = 4 + 4 + 1 + 4 + 8;
 inline constexpr uint32_t kMaxFramePayload = 64u * 1024u * 1024u;
 
 /// \brief Message kinds carried over a serving connection. Tags 3 and 4
-/// belonged to the retired per-variant search exchange, and 12 and 13 to a
-/// metrics pull no client made; they decode as unknown and are never
-/// reused.
+/// belonged to the retired per-variant search exchange, 8 and 9 to the
+/// retired per-connection sketch upload, and 12 and 13 to a metrics pull
+/// no client made; they decode as unknown and are never reused.
 enum class FrameType : uint8_t {
   kHandshakeRequest = 1,
   kHandshakeResponse = 2,
@@ -56,10 +56,7 @@ enum class FrameType : uint8_t {
   /// Server-side failure to even parse/dispatch a request (a well-formed
   /// response frame carries its own Status instead).
   kError = 7,
-  /// Upload + cache the train sketch once per connection.
-  kSketchUploadRequest = 8,
-  kSketchUploadResponse = 9,
-  /// One (k, min_join_size) search against one cached sketch.
+  /// One (k, min_join_size) search carrying its train sketch.
   kSearchRequest = 10,
   kSearchResponse = 11,
   /// Ask the server to re-resolve its deployment reference and swap in

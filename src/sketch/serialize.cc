@@ -13,18 +13,18 @@ void AppendLengthPrefixed(std::string* out, const std::string& s) {
   AppendRaw(out, s.data(), s.size());
 }
 
-uint64_t Checksum64(const std::string& data) {
+uint64_t Checksum64(const void* data, size_t len, uint64_t state) {
   // FNV-1a, 64-bit offset basis / prime. The basis previously had a
   // dropped digit (1469598103934665603), silently making this a
   // non-standard hash; the known-answer tests in serialize_test.cc pin
   // the real constants now. Manifests written under the old basis fail
   // their checksum check on load — repartition to regenerate them.
-  uint64_t hash = 14695981039346656037ULL;
-  for (unsigned char byte : data) {
-    hash ^= byte;
-    hash *= 1099511628211ULL;
+  const unsigned char* bytes = static_cast<const unsigned char*>(data);
+  for (size_t i = 0; i < len; ++i) {
+    state ^= bytes[i];
+    state *= 1099511628211ULL;
   }
-  return hash;
+  return state;
 }
 
 Status Reader::ReadRaw(size_t len, void* out) {

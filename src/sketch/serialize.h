@@ -49,10 +49,20 @@ void AppendPod(std::string* out, T value) {
 /// \brief u32 length + bytes.
 void AppendLengthPrefixed(std::string* out, const std::string& s);
 
+/// \brief FNV-1a 64-bit offset basis: the checksum of zero bytes.
+inline constexpr uint64_t kChecksum64Basis = 14695981039346656037ULL;
+
 /// \brief FNV-1a 64-bit content checksum. Not cryptographic — it exists so
 /// composite formats (e.g. the discovery shard manifest) can detect
 /// truncated, bit-flipped, or swapped payload files before parsing them.
-uint64_t Checksum64(const std::string& data);
+/// The pointer/length form continues from `state`, the checksum of the
+/// bytes before `data`, so a checksum taken in chunks equals the one-shot
+/// one.
+uint64_t Checksum64(const void* data, size_t len,
+                    uint64_t state = kChecksum64Basis);
+inline uint64_t Checksum64(const std::string& data) {
+  return Checksum64(data.data(), data.size());
+}
 
 /// \brief Writes `data` to `path`, flushing before reporting success so a
 /// full disk cannot masquerade as a persisted file.

@@ -4,16 +4,6 @@
 
 namespace joinmi {
 
-const char* SyntheticDistributionToString(SyntheticDistribution dist) {
-  switch (dist) {
-    case SyntheticDistribution::kTrinomial:
-      return "Trinomial";
-    case SyntheticDistribution::kCDUnif:
-      return "CDUnif";
-  }
-  return "unknown";
-}
-
 Result<SyntheticDataset> GenerateSyntheticDataset(const SyntheticSpec& spec) {
   if (spec.num_rows == 0) {
     return Status::InvalidArgument("num_rows must be positive");

@@ -22,8 +22,6 @@ enum class SyntheticDistribution : uint8_t {
   kCDUnif,
 };
 
-const char* SyntheticDistributionToString(SyntheticDistribution dist);
-
 /// \brief One experiment specification.
 struct SyntheticSpec {
   SyntheticDistribution distribution = SyntheticDistribution::kTrinomial;

@@ -3,8 +3,8 @@
 // semantics (no dial after close, a Pick waiting on another thread's dial
 // wakes), the max_channels bound under a concurrent hammer, and pruning of
 // broken channels. End-to-end behaviour against real shard servers
-// (reuse, pipelining, restarts, full sketch caches) lives in
-// rpc_shard_test.
+// (reuse, pipelining, restarts, many distinct queries on one connection)
+// lives in rpc_shard_test.
 
 #include <gtest/gtest.h>
 

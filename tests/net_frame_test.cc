@@ -1,9 +1,9 @@
 // Tests for the JMRP wire layer: frame decoding under truncation,
-// oversized length prefixes, bad magic/version/type tags (retired v1 and
-// v2 headers included); frame transport over a real socketpair; and the
-// typed rpc message codecs (handshake, upload, search, health, error)
-// including their corruption rejection and the frozen bytes of a search
-// response. The shard-serving protocol's
+// oversized length prefixes, bad magic/version/type tags (retired v1-v3
+// headers and frame tags included); frame transport over a real
+// socketpair; and the typed rpc message codecs (handshake, search, health,
+// error) including their corruption rejection and the frozen bytes of a
+// search request and response. The shard-serving protocol's
 // safety against a corrupt or hostile peer lives entirely in these
 // decoders.
 
@@ -34,8 +34,7 @@ TEST(FrameCodecTest, RoundTripsEveryType) {
   for (FrameType type :
        {FrameType::kHandshakeRequest, FrameType::kHandshakeResponse,
         FrameType::kHealthRequest, FrameType::kHealthResponse,
-        FrameType::kError, FrameType::kSketchUploadRequest,
-        FrameType::kSketchUploadResponse, FrameType::kSearchRequest,
+        FrameType::kError, FrameType::kSearchRequest,
         FrameType::kSearchResponse, FrameType::kReloadRequest,
         FrameType::kReloadResponse}) {
     const uint64_t id = 0x1122334455667788ULL;
@@ -75,9 +74,9 @@ TEST(FrameCodecTest, RejectsWrongProtocolVersion) {
     EXPECT_NE(decoded.status().message().find("version"), std::string::npos)
         << decoded.status();
   }
-  // Both retired dialects get the one unsupported-version message, which
+  // Every retired dialect gets the one unsupported-version message, which
   // names the version this build speaks.
-  for (uint32_t retired : {1u, 2u}) {
+  for (uint32_t retired : {1u, 2u, 3u}) {
     std::string old = EncodeFrame(FrameType::kHealthRequest, 0, "");
     std::memcpy(&old[4], &retired, sizeof(retired));
     auto decoded = DecodeFrame(old);
@@ -85,7 +84,7 @@ TEST(FrameCodecTest, RejectsWrongProtocolVersion) {
     EXPECT_EQ(decoded.status().message(),
               "unsupported JMRP protocol version " +
                   std::to_string(retired) +
-                  " (this build speaks only JMRP v3)");
+                  " (this build speaks only JMRP v4)");
   }
 }
 
@@ -99,11 +98,12 @@ TEST(FrameCodecTest, RejectsUnknownFrameType) {
   }
 }
 
-TEST(FrameCodecTest, RejectsRetiredStatsFrameTypes) {
-  // Tags 12 and 13 carried a metrics pull that no client made; inside the
-  // range of valid tags, they still decode as unknown.
+TEST(FrameCodecTest, RejectsRetiredUploadAndStatsFrameTypes) {
+  // Tags 8 and 9 carried the per-connection sketch upload, and 12 and 13 a
+  // metrics pull that no client made; inside the range of valid tags, they
+  // still decode as unknown.
   std::string encoded = EncodeFrame(FrameType::kSearchRequest, 1, "");
-  for (char tag : {12, 13}) {
+  for (char tag : {8, 9, 12, 13}) {
     encoded[8] = tag;
     auto decoded = DecodeFrame(encoded);
     ASSERT_FALSE(decoded.ok()) << static_cast<int>(tag);
@@ -325,8 +325,47 @@ std::string ToHex(const std::string& bytes) {
   return hex;
 }
 
+TEST(RpcMessageTest, SearchRequestBytesAreFrozen) {
+  // The protocol-version-4 bytes of a search for a fixed two-entry train
+  // sketch at k = 5 and floor 3: k, the floor, then the sketch's
+  // serialized bytes behind a u32 length.
+  Sketch sketch;
+  sketch.method = SketchMethod::kTupsk;
+  sketch.side = SketchSide::kTrain;
+  sketch.hash_seed = 7;
+  sketch.capacity = 4;
+  sketch.source_rows = 3;
+  sketch.source_distinct_keys = 2;
+  sketch.Append(3, 0.25, Value(int64_t{10}));
+  sketch.Append(8, 0.5, Value(int64_t{20}));
+  rpc::SearchRequest request;
+  request.k = 5;
+  request.min_join_size = 3;
+  request.train_sketch = SerializeSketch(sketch);
+  const std::string payload = rpc::EncodeSearchRequest(request);
+  EXPECT_EQ(payload.substr(20), request.train_sketch);
+  EXPECT_EQ(ToHex(payload),
+            "05000000000000000300000000000000"
+            "5f0000004a4d534b0300000000000700"
+            "00000400000000000000030000000000"
+            "00000200000000000000020000000000"
+            "00000003000000000000000800000000"
+            "000000000000000000d03f0000000000"
+            "00e03f00000000000024400000000000"
+            "003440");
+  EXPECT_EQ(ToHex(EncodeFrame(FrameType::kSearchRequest, 9, payload))
+                .substr(0, 42),
+            "4a4d5250040000000a730000000900000000000000");
+  auto decoded = rpc::DecodeSearchRequest(payload);
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  auto restored = DeserializeSketch(decoded->train_sketch);
+  ASSERT_TRUE(restored.ok()) << restored.status();
+  EXPECT_EQ(restored->size(), 2u);
+  EXPECT_EQ(restored->hash_seed, 7u);
+}
+
 TEST(RpcMessageTest, SearchResponseBytesAreFrozen) {
-  // The protocol-version-3 bytes of two fixed responses and an error
+  // The protocol-version-4 bytes of two fixed responses and an error
   // payload. A round trip cannot catch a layout change its encoder and
   // decoder make together; these literals can.
   rpc::SearchResponse response;
@@ -356,7 +395,7 @@ TEST(RpcMessageTest, SearchResponseBytesAreFrozen) {
             "00030000000000000000");
   EXPECT_EQ(ToHex(EncodeFrame(FrameType::kSearchResponse, 21, payload))
                 .substr(0, 42),
-            "4a4d5250030000000b8a0000001500000000000000");
+            "4a4d5250040000000b8a0000001500000000000000");
   auto decoded = rpc::DecodeSearchResponse(payload);
   ASSERT_TRUE(decoded.ok()) << decoded.status();
   ASSERT_TRUE(decoded->status.ok());
@@ -431,7 +470,7 @@ TEST(RpcMessageTest, HealthAndErrorRoundTrip) {
 
 TEST(FrameAssemblerTest, AssemblesFramesFedByteAtATime) {
   const std::string stream =
-      EncodeFrame(FrameType::kSketchUploadRequest, 4, "first") +
+      EncodeFrame(FrameType::kReloadRequest, 4, "first") +
       EncodeFrame(FrameType::kSearchRequest, 5, "second") +
       EncodeFrame(FrameType::kHealthRequest, 6, "");
   net::FrameAssembler assembler;
@@ -444,7 +483,7 @@ TEST(FrameAssemblerTest, AssemblesFramesFedByteAtATime) {
     if (*ready) frames.push_back(std::move(frame));
   }
   ASSERT_EQ(frames.size(), 3u);
-  EXPECT_EQ(frames[0].type, FrameType::kSketchUploadRequest);
+  EXPECT_EQ(frames[0].type, FrameType::kReloadRequest);
   EXPECT_EQ(frames[0].request_id, 4u);
   EXPECT_EQ(frames[0].payload, "first");
   EXPECT_EQ(frames[1].type, FrameType::kSearchRequest);
@@ -505,45 +544,20 @@ TEST(FrameAssemblerTest, PoisonsOnCorruptHeaderAndStaysPoisoned) {
       << status;
 }
 
-// -------------------------------------------- Upload and search codecs
-
-TEST(RpcMessageTest, SketchUploadRoundTripsAndRejectsCorruption) {
-  rpc::SketchUploadRequest request;
-  request.train_sketch = std::string("\x00\x01rawsketch", 11);
-  request.digest = wire::Checksum64(request.train_sketch);
-  const std::string payload = rpc::EncodeSketchUploadRequest(request);
-  auto decoded = rpc::DecodeSketchUploadRequest(payload);
-  ASSERT_TRUE(decoded.ok()) << decoded.status();
-  EXPECT_EQ(decoded->digest, request.digest);
-  EXPECT_EQ(decoded->train_sketch, request.train_sketch);
-  for (size_t len = 0; len < payload.size(); ++len) {
-    EXPECT_FALSE(rpc::DecodeSketchUploadRequest(payload.substr(0, len)).ok())
-        << len;
-  }
-  EXPECT_FALSE(rpc::DecodeSketchUploadRequest(payload + "x").ok());
-
-  rpc::SketchUploadResponse ack;
-  ack.status = Status::InvalidArgument("cache full");
-  ack.digest = 42;
-  auto decoded_ack =
-      rpc::DecodeSketchUploadResponse(rpc::EncodeSketchUploadResponse(ack));
-  ASSERT_TRUE(decoded_ack.ok());
-  EXPECT_TRUE(decoded_ack->status.IsInvalidArgument());
-  EXPECT_EQ(decoded_ack->digest, 42u);
-}
+// ------------------------------------------------------- Search codecs
 
 TEST(RpcMessageTest, SearchRequestRoundTripsAndRejectsCorruption) {
   rpc::SearchRequest request;
-  request.sketch_digest = 0xfeedbeef;
   request.k = 4;
   request.min_join_size = 16;
+  request.train_sketch = std::string("\x00\x01rawsketch", 11);
   const std::string payload = rpc::EncodeSearchRequest(request);
-  EXPECT_EQ(payload.size(), 24u);
+  EXPECT_EQ(payload.size(), 8u + 8u + 4u + request.train_sketch.size());
   auto decoded = rpc::DecodeSearchRequest(payload);
   ASSERT_TRUE(decoded.ok()) << decoded.status();
-  EXPECT_EQ(decoded->sketch_digest, 0xfeedbeefu);
   EXPECT_EQ(decoded->k, 4u);
   EXPECT_EQ(decoded->min_join_size, 16u);
+  EXPECT_EQ(decoded->train_sketch, request.train_sketch);
   for (size_t len = 0; len < payload.size(); ++len) {
     EXPECT_FALSE(rpc::DecodeSearchRequest(payload.substr(0, len)).ok())
         << len;

@@ -358,11 +358,11 @@ void MakeSingleShardRouter(const Deployment& deployment,
   *router = std::make_unique<ShardedSketchIndex>(std::move(*assembled));
 }
 
-TEST(RpcShardTest, OneUploadServesEveryKAndFloorOnAConnection) {
-  // The server keeps the query built at upload time: searches at several k,
-  // then at a second floor (the rebuilt query), then back at the first,
-  // all over one connection and one upload, each bit-identical to the
-  // in-process shard.
+TEST(RpcShardTest, OneConnectionServesEveryKAndFloor) {
+  // Searches at several k, then at a second floor, then back at the first,
+  // all over one connection with one handshake, each bit-identical to the
+  // in-process shard. The two queries carry the same sketch bytes: the
+  // floor travels in the search frame, beside the sketch.
   Universe universe = MakeUniverse();
   SketchIndex index(MakeIndexConfig());
   ASSERT_TRUE(index.IndexRepository(universe.repository).ok());
@@ -383,8 +383,8 @@ TEST(RpcShardTest, OneUploadServesEveryKAndFloorOnAConnection) {
   ASSERT_TRUE(query.ok()) << query.status();
   auto relaxed_query = JoinMIQuery::Create(*universe.base, "K", "Y", relaxed);
   ASSERT_TRUE(relaxed_query.ok()) << relaxed_query.status();
-  ASSERT_EQ(query->SerializedTrainSketchDigest(),
-            relaxed_query->SerializedTrainSketchDigest());
+  ASSERT_EQ(query->SerializedTrainSketch(),
+            relaxed_query->SerializedTrainSketch());
   size_t searches = 0;
   for (const JoinMIQuery* q : {&*query, &*relaxed_query, &*query}) {
     for (size_t k : {1u, 3u, 7u}) {
@@ -397,7 +397,7 @@ TEST(RpcShardTest, OneUploadServesEveryKAndFloorOnAConnection) {
     }
   }
   EXPECT_EQ(client->dials(), 1u);
-  EXPECT_EQ(deployment.servers[0]->sketch_uploads_served(), 1u);
+  EXPECT_EQ(deployment.servers[0]->handshakes_served(), 1u);
   EXPECT_EQ(deployment.servers[0]->requests_served(), searches);
 }
 
@@ -835,20 +835,18 @@ TEST(RpcShardTest, PipelinedChannelOverlapsQueriesOnOneConnection) {
       << "8 threads never had two requests in flight on the one connection";
   EXPECT_EQ(client->live_channels(), 1u);
   EXPECT_EQ(client->dials(), 1u);
-  // The sketch crossed the wire once; every query after the first reused
-  // the connection-cached copy by digest.
-  EXPECT_EQ(deployment.servers[0]->sketch_uploads_served(), 1u);
+  EXPECT_EQ(deployment.servers[0]->handshakes_served(), 1u);
   EXPECT_EQ(deployment.servers[0]->requests_served(),
             num_threads * queries_per_thread);
 }
 
 TEST(RpcShardTest, DistinctQueriesBeyondOneConnectionsSketchCache) {
-  // A connection caches at most kMaxCachedSketches query sketches and
-  // refuses the next one; the client must then retire that connection
-  // and finish the search on a fresh one, so a long-lived client can ask
-  // any number of distinct queries. One connection allowed, 20 distinct
-  // sketches, serially and then from 4 threads, every ranking
-  // bit-identical to the in-process shard.
+  // Every search frame carries its own train sketch, so a connection holds
+  // no per-query state and one connection serves any number of distinct
+  // queries — more than the 8 sketches a connection once cached. One
+  // connection allowed, 20 distinct sketches, serially and then from 4
+  // threads: one dial, one handshake, every ranking bit-identical to the
+  // in-process shard.
   Universe universe = MakeUniverse();
   SketchIndex index(MakeIndexConfig());
   ASSERT_TRUE(index.IndexRepository(universe.repository).ok());
@@ -869,9 +867,8 @@ TEST(RpcShardTest, DistinctQueriesBeyondOneConnectionsSketchCache) {
   ASSERT_TRUE(client.ok()) << client.status();
 
   // Same keys as the base table, a different random target per query, so
-  // every query uploads its own sketch.
+  // every query ships its own sketch.
   const size_t num_queries = 20;
-  ASSERT_GT(num_queries, 2 * ShardServer::kMaxCachedSketches);
   std::vector<JoinMIQuery> queries;
   std::vector<TopKSearchResult> expected;
   std::set<uint64_t> digests;
@@ -927,11 +924,11 @@ TEST(RpcShardTest, DistinctQueriesBeyondOneConnectionsSketchCache) {
                               results[t][i]);
     }
   }
-  // Full connections were replaced, never multiplied, and every search
-  // ran exactly once — a refused upload is retried, a search never.
-  EXPECT_GE((*client)->dials(), 3u);
-  EXPECT_LE((*client)->live_channels(), 1u);
-  EXPECT_EQ(deployment.servers[0]->handshakes_served(), (*client)->dials());
+  // The one connection served every query, and every search ran exactly
+  // once.
+  EXPECT_EQ((*client)->dials(), 1u);
+  EXPECT_EQ((*client)->live_channels(), 1u);
+  EXPECT_EQ(deployment.servers[0]->handshakes_served(), 1u);
   EXPECT_EQ(deployment.servers[0]->requests_served(),
             num_queries * (1 + num_threads));
 }

@@ -372,7 +372,7 @@ TEST(V2RejectionTest, JmdsDeltaPayloadFailsTheOverlayLoad) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(V2RejectionTest, JmrpSketchUploadIsRefusedAndNotCached) {
+TEST(V2RejectionTest, JmrpSearchCarryingAV2SketchIsRefused) {
   const std::string dir = RejectionDir("jmrp");
   SketchIndex index(RejectionConfig());
   auto valid = DecodeCandidateRecord(ValidRecord());
@@ -390,33 +390,20 @@ TEST(V2RejectionTest, JmrpSketchUploadIsRefusedAndNotCached) {
   ASSERT_TRUE(socket->SetTimeouts(5000, 5000).ok());
   Sketch train = LegacyHeader();
   train.side = SketchSide::kTrain;
-  rpc::SketchUploadRequest upload;
-  upload.train_sketch = EncodeLegacy(2, train, kLegacyEntries);
-  upload.digest = wire::Checksum64(upload.train_sketch);
-  ASSERT_TRUE(net::SendFrame(&*socket, net::FrameType::kSketchUploadRequest,
-                             1, rpc::EncodeSketchUploadRequest(upload))
-                  .ok());
-  auto reply = net::RecvFrame(&*socket);
-  ASSERT_TRUE(reply.ok()) << reply.status();
-  ASSERT_EQ(reply->type, net::FrameType::kSketchUploadResponse);
-  auto uploaded = rpc::DecodeSketchUploadResponse(reply->payload);
-  ASSERT_TRUE(uploaded.ok()) << uploaded.status();
-  ExpectRefusesV2(uploaded->status);
-
-  // Nothing was cached: a search naming the digest finds no sketch.
   rpc::SearchRequest search;
-  search.sketch_digest = upload.digest;
   search.k = 10;
   search.min_join_size = 1;
-  ASSERT_TRUE(net::SendFrame(&*socket, net::FrameType::kSearchRequest, 2,
+  search.train_sketch = EncodeLegacy(2, train, kLegacyEntries);
+  ASSERT_TRUE(net::SendFrame(&*socket, net::FrameType::kSearchRequest, 1,
                              rpc::EncodeSearchRequest(search))
                   .ok());
-  reply = net::RecvFrame(&*socket);
+  auto reply = net::RecvFrame(&*socket);
   ASSERT_TRUE(reply.ok()) << reply.status();
   ASSERT_EQ(reply->type, net::FrameType::kSearchResponse);
   auto searched = rpc::DecodeSearchResponse(reply->payload);
   ASSERT_TRUE(searched.ok()) << searched.status();
-  EXPECT_FALSE(searched->status.ok());
+  ExpectRefusesV2(searched->status);
+  EXPECT_TRUE(searched->result.hits.empty());
   (*server)->Stop();
   std::filesystem::remove_all(dir);
 }
@@ -588,6 +575,26 @@ TEST(Checksum64Test, SingleByteAvalanche) {
     std::string flipped = buffer;
     flipped[i] = static_cast<char>(flipped[i] ^ 0x10);
     EXPECT_NE(wire::Checksum64(flipped), baseline) << i;
+  }
+}
+
+TEST(Checksum64Test, ChunkedChecksumEqualsOneShot) {
+  // "foobar" in three chunks, each continuing from the last one's state,
+  // gives the one-shot known answer; zero bytes give the offset basis.
+  uint64_t state = wire::Checksum64("fo", 2);
+  state = wire::Checksum64("ob", 2, state);
+  state = wire::Checksum64("ar", 2, state);
+  EXPECT_EQ(state, 0x85944171f73967e8ULL);
+  EXPECT_EQ(wire::Checksum64("", 0), wire::kChecksum64Basis);
+  // Every split of a 300-byte buffer matches the one-shot checksum.
+  std::string buffer;
+  for (int i = 0; i < 300; ++i) buffer.push_back(static_cast<char>(i * 37));
+  const uint64_t one_shot = wire::Checksum64(buffer);
+  for (size_t split = 0; split <= buffer.size(); ++split) {
+    EXPECT_EQ(wire::Checksum64(buffer.data() + split, buffer.size() - split,
+                               wire::Checksum64(buffer.data(), split)),
+              one_shot)
+        << split;
   }
 }
 

@@ -212,14 +212,12 @@ int main(int argc, char** argv) {
   // logs show whether this replica actually took traffic.
   std::fprintf(stderr,
                "shard %ld shutting down: %llu searches served "
-               "(%llu handshakes, %llu health probes, %llu uploads)\n",
+               "(%llu handshakes, %llu health probes)\n",
                shard_id,
                static_cast<unsigned long long>((*server)->requests_served()),
                static_cast<unsigned long long>(
                    (*server)->handshakes_served()),
-               static_cast<unsigned long long>((*server)->health_served()),
-               static_cast<unsigned long long>(
-                   (*server)->sketch_uploads_served()));
+               static_cast<unsigned long long>((*server)->health_served()));
   if ((*server)->serving_paged()) {
     const auto pool = (*server)->pool_stats();
     std::fprintf(stderr,
