@@ -56,8 +56,9 @@
 // sidecars instead of the base files).
 //
 // `--smoke` shrinks every dimension (tiny tables, capacity 64, one query
-// batch) so the whole binary runs in well under a second; CI runs that
-// mode as a ctest to keep this harness from rotting.
+// batch) so the whole binary runs in a few seconds, most of them the
+// 10 ms timed regions of the gated ratios; CI runs that mode as a ctest to
+// keep this harness from rotting.
 //
 // `--json PATH` additionally writes the headline numbers as a flat JSON
 // object — the machine-readable sibling of the printed report, for
